@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -275,6 +277,39 @@ func TestRebalanceSweepGoldenDeterministicAndCached(t *testing.T) {
 	}
 	if !strings.Contains(derr.String(), "dist: 4 units (4 cache hits), 0 leases to 0 workers") {
 		t.Errorf("warm dist rebalance run leased work:\n%s", derr.String())
+	}
+}
+
+// TestFleetJSONBytesPinned pins the full -json output of a multi-DC
+// grid — static and epoch-rebalanced fleets, both power models — by
+// SHA-256. The CSV rounds to 6 decimals, so only the JSON (which is
+// also what the result cache stores) sees last-bit drift in float
+// columns such as mean_planned_freq_ghz.
+func TestFleetJSONBytesPinned(t *testing.T) {
+	const want = "ff98a1c65c6c27e7e1dd542d7680d2c9d3bab71d4af1330bd9e980d895cc79b8"
+	jsonPath := filepath.Join(t.TempDir(), "rows.json")
+	args := []string{
+		"-policies", "EPACT,COAT,COAT-OPT",
+		"-predictors", "oracle",
+		"-topology", "greedy-proportional@triad,uniform@triad,carbon-greedy@triad-carbon",
+		"-rebalance", "off,epoch:4@greedy-proportional",
+		"-power-model", "ntc,tdp",
+		"-vms", "120",
+		"-max-servers", "120",
+		"-days", "2",
+		"-history", "2",
+		"-json", jsonPath,
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Errorf("-json output drifted: sha256 %s, want %s", got, want)
 	}
 }
 

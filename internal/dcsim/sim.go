@@ -3,7 +3,9 @@ package dcsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"repro/internal/alloc"
 	"repro/internal/platform"
@@ -208,8 +210,12 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 // pointer. Traces are shared read-only across scenarios (the trace
 // package's contract), and sweeps replay the same trace thousands of
 // times — revalidating ~300k samples per Run is pure overhead. Only
-// success is cached; invalid traces are re-checked every time.
-var validatedTraces sync.Map // *trace.Trace → struct{}
+// success is cached; invalid traces are re-checked every time. The
+// memo holds traces weakly and drops an entry once its trace is
+// collected, so it never keeps a trace's samples alive: the fleet
+// layer validates a fresh VM-subset view per DC and epoch, and a
+// long-lived process replays many traces.
+var validatedTraces sync.Map // weak.Pointer[trace.Trace] → struct{}
 
 func validate(cfg *Config) error {
 	switch {
@@ -226,11 +232,14 @@ func validate(cfg *Config) error {
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
 		return errors.New("dcsim: HistoryDays and EvalDays must be positive")
 	}
-	if _, ok := validatedTraces.Load(cfg.Trace); !ok {
+	key := weak.Make(cfg.Trace)
+	if _, ok := validatedTraces.Load(key); !ok {
 		if err := cfg.Trace.Validate(); err != nil {
 			return err
 		}
-		validatedTraces.Store(cfg.Trace, struct{}{})
+		if _, loaded := validatedTraces.LoadOrStore(key, struct{}{}); !loaded {
+			runtime.AddCleanup(cfg.Trace, func(k weak.Pointer[trace.Trace]) { validatedTraces.Delete(k) }, key)
+		}
 	}
 	wantSamples := cfg.EvalDays * trace.SamplesPerDay
 	if len(cfg.Predictions.CPU) != len(cfg.Trace.VMs) {

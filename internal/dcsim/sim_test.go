@@ -2,7 +2,9 @@ package dcsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/alloc"
 	"repro/internal/forecast"
@@ -261,6 +263,29 @@ func TestValidateChecksEveryPredictionRow(t *testing.T) {
 	ps.Mem = ps.Mem[:4]
 	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
 		t.Error("memory rows for only 4 of 10 VMs accepted")
+	}
+}
+
+// TestValidateMemoDoesNotPinTraces: the validation memo must not keep
+// a trace alive once nothing else references it — a long-lived
+// process (the sweep daemon, a benchmark) replays many traces, and
+// the fleet layer validates a fresh VM-subset view per DC and epoch.
+func TestValidateMemoDoesNotPinTraces(t *testing.T) {
+	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
+	tr := testTrace(t, 4)
+	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), oracle(t, tr))); err != nil {
+		t.Fatal(err)
+	}
+	wp := weak.Make(tr)
+	if _, ok := validatedTraces.Load(wp); !ok {
+		t.Fatal("a validated trace was not memoised")
+	}
+	tr = nil
+	for i := 0; i < 10 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("the validation memo keeps a dropped trace alive")
 	}
 }
 

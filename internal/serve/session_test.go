@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -389,6 +390,51 @@ func TestForkWhatIf(t *testing.T) {
 	if m[def("ntc_whatif_executed")] != 0 || m[def("ntc_whatif_scenarios")] != 0 {
 		t.Fatalf("forks leaked into scenario counters: executed=%v scenarios=%v",
 			m[def("ntc_whatif_executed")], m[def("ntc_whatif_scenarios")])
+	}
+}
+
+// TestForkTDPMatchesBatch: a fork of a `-power-model tdp` session
+// plans against the platform's native model, as the batch row does,
+// so the power-model axis stays placement-invariant across forks and
+// the fork's totals and remaining series equal the batch run's.
+func TestForkTDPMatchesBatch(t *testing.T) {
+	g := testGrid()
+	g.Topologies = []string{"single"}
+	g.Rebalances = nil
+	g.PowerModels = []string{"tdp"}
+	s := newTestServer(t, Options{Grid: g})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cfg, err := s.runner.StepperConfig(s.Scenario())
+	if err != nil {
+		t.Fatalf("StepperConfig: %v", err)
+	}
+	if cfg.PowerModel != "tdp" {
+		t.Fatalf("base scenario power model %q, want tdp", cfg.PowerModel)
+	}
+	batch, err := topology.Run(cfg)
+	if err != nil {
+		t.Fatalf("batch Run: %v", err)
+	}
+	const fork = 10
+	if _, _, err := s.Step(fork); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	code, _, body := doReq(t, ts, http.MethodPost, "/v1/sessions/default/whatif", `{"fork": true}`)
+	if code != http.StatusOK {
+		t.Fatalf("fork: status %d: %s", code, body)
+	}
+	var fr ForkResponse
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.TotalEnergyMJ != batch.TotalEnergyMJ || fr.TotalViolations != batch.Violations || fr.EPScore != batch.EPScore {
+		t.Fatalf("tdp fork totals (%v MJ, %d violations) diverge from batch (%v MJ, %d violations)",
+			fr.TotalEnergyMJ, fr.TotalViolations, batch.TotalEnergyMJ, batch.Violations)
+	}
+	if !reflect.DeepEqual(fr.SlotEnergyMJ, batch.SlotEnergyMJ[fork:]) {
+		t.Fatal("tdp fork's remaining slot series differs from the batch suffix")
 	}
 }
 

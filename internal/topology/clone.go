@@ -2,9 +2,9 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dcsim"
-	"repro/internal/power"
 )
 
 // Clone returns an independent stepper carrying this one's state: the
@@ -12,7 +12,8 @@ import (
 // per-DC results, epoch machinery and carried power-on counts, and
 // stepping it never affects the original — the primitive behind the
 // live service's mid-replay what-if forks. Allocation policies are
-// rebuilt fresh through cfg.NewPolicy (instances are never shared, so
+// rebuilt fresh through cfg.NewPolicy against each DC's native model,
+// exactly as the epoch was opened (instances are never shared, so
 // original and clone may step concurrently); the registered policies
 // derive each slot's allocation from that slot's demand alone, so the
 // clone continues bit-exactly (the window-concatenation property the
@@ -22,92 +23,43 @@ import (
 // server models, the current epoch's dispatch) is aliased; every
 // mutable accumulator is deep-copied.
 func (st *Stepper) Clone() (*Stepper, error) {
-	c := &Stepper{
-		cfg:        st.cfg,
-		fleet:      st.fleet,
-		totalSlots: st.totalSlots,
-		next:       st.next,
-		res:        st.res, // only non-nil once done; final and read-only
-		carbon:     st.carbon,
+	c := *st
+	ep := *st.ep
+	res := *ep.res
+	res.DCs = slices.Clone(res.DCs)
+	res.SlotEnergyMJ = slices.Clone(res.SlotEnergyMJ)
+	ep.res = &res
+	ep.dcSlotMJ = make([][]float64, len(st.ep.dcSlotMJ))
+	for i, row := range st.ep.dcSlotMJ {
+		ep.dcSlotMJ[i] = slices.Clone(row)
 	}
-	if st.static != nil {
-		ss := &staticState{asg: st.static.asg, sims: make([]*dcsim.Stepper, len(st.static.sims))}
-		for i, sim := range st.static.sims {
-			if sim == nil {
-				continue
-			}
-			dc := st.fleet.DCs[i]
-			base, _, err := dc.serverPlatform()
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			model, err := power.ResolveModel(st.cfg.PowerModel, base)
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			pol, err := st.cfg.NewPolicy(model)
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-			}
-			ss.sims[i] = sim.Clone(pol)
-		}
-		c.static = ss
-		return c, nil
+	ep.dcActive = make([][]int, len(st.ep.dcActive))
+	for i, row := range st.ep.dcActive {
+		ep.dcActive[i] = slices.Clone(row)
 	}
-
-	rb := st.reb
-	res := *rb.res
-	res.DCs = append([]DCRun(nil), rb.res.DCs...)
-	res.SlotEnergyMJ = append([]float64(nil), rb.res.SlotEnergyMJ...)
-	nrb := &rebState{
-		rebFleet:    rb.rebFleet,
-		histSamples: rb.histSamples,
-		every:       rb.every,
-		downtime:    rb.downtime,
-
-		res:           &res,
-		dcSlotMJ:      make([][]float64, len(rb.dcSlotMJ)),
-		dcActive:      make([][]int, len(rb.dcActive)),
-		activePerSlot: append([]int(nil), rb.activePerSlot...),
-		dcActiveSum:   append([]int(nil), rb.dcActiveSum...),
-		models:        rb.models, // per-DC constants
-		prevDC:        append([]int(nil), rb.prevDC...),
-		prevActive:    append([]int(nil), rb.prevActive...),
-		freqWeighted:  rb.freqWeighted,
-		vmSlotTotal:   rb.vmSlotTotal,
-
-		open:       rb.open,
-		epochStart: rb.epochStart,
-		epochEnd:   rb.epochEnd,
-		asg:        rb.asg, // replaced wholesale per epoch, read-only within one
-		sims:       make([]*dcsim.Stepper, len(rb.sims)),
-
-		boundFleetMJ: rb.boundFleetMJ,
-		boundMJ:      append([]float64(nil), rb.boundMJ...),
-		boundViol:    append([]int(nil), rb.boundViol...),
-		boundCross:   append([]int(nil), rb.boundCross...),
-		drainIT:      append([]float64(nil), rb.drainIT...),
-		drainFac:     append([]float64(nil), rb.drainFac...),
-	}
-	for i := range rb.dcSlotMJ {
-		nrb.dcSlotMJ[i] = append([]float64(nil), rb.dcSlotMJ[i]...)
-	}
-	for i := range rb.dcActive {
-		nrb.dcActive[i] = append([]int(nil), rb.dcActive[i]...)
-	}
-	if rb.open {
+	ep.activePerSlot = slices.Clone(ep.activePerSlot)
+	ep.dcActiveSum = slices.Clone(ep.dcActiveSum)
+	ep.prevDC = slices.Clone(ep.prevDC)
+	ep.prevActive = slices.Clone(ep.prevActive)
+	ep.boundMJ = slices.Clone(ep.boundMJ)
+	ep.boundViol = slices.Clone(ep.boundViol)
+	ep.boundCross = slices.Clone(ep.boundCross)
+	ep.drainIT = slices.Clone(ep.drainIT)
+	ep.drainFac = slices.Clone(ep.drainFac)
+	ep.sims = make([]*dcsim.Stepper, len(st.ep.sims))
+	if st.ep.open {
 		// Mid-epoch: clone the live per-DC steppers with fresh policies.
-		for i, sim := range rb.sims {
+		for i, sim := range st.ep.sims {
 			if sim == nil {
 				continue
 			}
-			pol, err := st.cfg.NewPolicy(rb.models[i].model)
+			pol, err := st.cfg.NewPolicy(st.models[i].base)
 			if err != nil {
 				return nil, fmt.Errorf("topology: DC %q: %w", st.fleet.DCs[i].Name, err)
 			}
-			nrb.sims[i] = sim.Clone(pol)
+			ep.sims[i] = sim.Clone(pol)
 		}
 	}
-	c.reb = nrb
-	return c, nil
+	c.ep = &ep
+	return &c, nil
 }

@@ -71,6 +71,60 @@ func TestCloneContinuesBitExact(t *testing.T) {
 	}
 }
 
+// TestCloneUnderTDPMatchesRun pins the power-model axis's placement
+// invariance across forks: a clone of a `tdp` stepper rebuilds its
+// policies against each DC's native model, as the batch run plans, so
+// the forked run finishes DeepEqual to Run — static and rebalanced.
+// The fleets put every VM of the fork's epoch on one NTC DC, where
+// planning against the tdp model would change EPACT's placement.
+func TestCloneUnderTDPMatchesRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		fleet string
+		reb   RebalanceSpec
+	}{
+		{"single-static", "single", RebalanceSpec{}},
+		{"triad-static", "greedy-proportional@triad", RebalanceSpec{}},
+		{"triad-epoch12", "uniform@triad", RebalanceSpec{EverySlots: 12, Dispatcher: "greedy-proportional"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := stepperConfig(t, c.fleet, c.reb, dcsim.DefaultTransitions(), 2)
+			cfg.PowerModel = "tdp"
+			batch, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewStepper(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 14; i++ {
+				if _, err := st.Step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			clone, err := st.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !clone.Done() {
+				if _, err := clone.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := clone.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, batch) {
+				t.Fatalf("forked tdp run differs from batch: %.6f MJ, mean active %.4f; batch %.6f MJ, mean active %.4f",
+					got.TotalEnergyMJ, got.MeanActive, batch.TotalEnergyMJ, batch.MeanActive)
+			}
+		})
+	}
+}
+
 // TestCloneMatchesFreshWindow pins the fork acceptance contract at
 // the fleet level: under the paper-faithful (zero) transition model a
 // clone taken at slot k is bit-exact with a fresh dcsim run windowed
@@ -106,8 +160,8 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, err := dcsim.Run(dcsim.Config{
-		Trace:                subTrace(cfg.Trace, st.static.asg[0]),
-		Predictions:          subPredictions(cfg.Predictions, st.static.asg[0]),
+		Trace:                subTrace(cfg.Trace, st.ep.asg[0]),
+		Predictions:          subPredictions(cfg.Predictions, st.ep.asg[0]),
 		HistoryDays:          cfg.HistoryDays,
 		EvalDays:             cfg.EvalDays,
 		StartSlot:            fork,

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/platform"
-	"repro/internal/power"
 )
 
 // The epoch rebalancer turns cross-DC dispatch from a one-shot static
@@ -103,17 +100,7 @@ func ParseRebalanceSpec(spec string) (RebalanceSpec, error) {
 	return RebalanceSpec{EverySlots: n, Dispatcher: disp}, nil
 }
 
-// The epoch-rebalancing path itself lives in stepper.go (rebState):
-// Run's rebalanced branch is the fleet Stepper driven to exhaustion,
-// which keeps the batch result and the live slot-by-slot view one
-// code path instead of two accounting implementations to reconcile.
-
-// serverModels pairs one DC's (axis-resolved) power model with its
-// performance platform. base is the platform's native model the
-// allocation policy plans against — the axis-resolved model reprices
-// the replay, never the placement (see newStaticState).
-type serverModels struct {
-	base  *power.ServerModel
-	model power.Model
-	plat  *platform.Platform
-}
+// The epoch loop itself lives in stepper.go (epochState): static
+// dispatch is its one-epoch case and rebalancing cuts the window into
+// EverySlots-long epochs, so Run, the live slot-by-slot view and both
+// dispatch modes share one accounting implementation.

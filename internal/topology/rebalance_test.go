@@ -79,7 +79,7 @@ func rebalanceConfig(t *testing.T, fleetSpec string, reb RebalanceSpec) Config {
 
 // TestRebalanceSingleDCIsIdentity pins that `single` stays the
 // bit-exact identity under any rebalance spec: one datacenter has
-// nothing to rebalance, so the static path runs unchanged.
+// nothing to rebalance, so it runs as static dispatch (one epoch).
 func TestRebalanceSingleDCIsIdentity(t *testing.T) {
 	static, err := Run(rebalanceConfig(t, "single", RebalanceSpec{}))
 	if err != nil {

@@ -57,16 +57,17 @@ type Config struct {
 	// Rebalance re-runs cross-DC dispatch every EverySlots slots over
 	// the observed (history-so-far) load and migrates VMs between
 	// datacenters (see RebalanceSpec). The zero value keeps the
-	// static one-shot dispatch. Single-DC fleets have nothing to
-	// rebalance and always take the static path — `single` stays the
-	// bit-exact identity under any rebalance spec.
+	// static one-shot dispatch: the epoch loop's single-epoch case,
+	// one epoch spanning the whole window. Single-DC fleets have
+	// nothing to rebalance and always run as that one epoch —
+	// `single` stays the bit-exact identity under any rebalance spec.
 	Rebalance RebalanceSpec
 
 	// MigrationDowntimeSamples charges every cross-DC migration this
 	// many violation-samples of downtime at the destination DC (a WAN
 	// live migration stalls the VM; one sample is 5 minutes). Only
-	// the rebalancer moves VMs across DCs, so the static path never
-	// reads it. Negative values clamp to 0.
+	// epoch boundaries move VMs across DCs, so static dispatch (a
+	// single epoch) never charges it. Negative values clamp to 0.
 	MigrationDowntimeSamples int
 
 	// Source, when non-nil, gates the fleet replay on data
@@ -120,8 +121,9 @@ type DCRun struct {
 	OperationalGCO2 float64 `json:"operational_gco2"`
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
 
-	// Result is the full simulation output (nil for a DC that hosted
-	// no VMs). Not serialised.
+	// Result is the full simulation output of a static (one-epoch)
+	// run; nil for a DC that hosted no VMs and under rebalancing,
+	// whose per-epoch runs have no single Result. Not serialised.
 	Result *dcsim.Result `json:"-"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dcsim"
+	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -85,10 +86,9 @@ type SlotStep struct {
 // incremental primitive behind Run — Run is a Stepper driven to
 // exhaustion — so a daemon ticking a Stepper computes bit-for-bit the
 // result a batch run would: the per-DC dcsim run state is shared
-// across steps (dcsim.Stepper), the rebalancer's epoch machinery
-// opens and closes epochs at the same boundaries with the same
-// carried power-on state, and every floating-point accumulation
-// happens in the batch path's order.
+// across steps (dcsim.Stepper), epochs open and close at the same
+// boundaries with the same carried power-on state, and every
+// floating-point accumulation happens in the batch order.
 //
 // A Stepper is not safe for concurrent use; callers serialise Step
 // (the live service steps under its own lock). A Step or Result error
@@ -99,36 +99,45 @@ type Stepper struct {
 	fleet      Fleet
 	totalSlots int
 	next       int
-	res        *FleetResult
+	res        *FleetResult // set by Result; final and read-only
 
-	// carbon is the per-DC carbon pricing (fleet spec order),
+	// carbon and models are per-DC constants (fleet spec order),
 	// precomputed from the resolved specs. Read-only after NewStepper.
 	carbon []dcCarbon
+	models []serverModels
 
-	// Exactly one of static/reb is non-nil.
-	static *staticState
-	reb    *rebState
+	ep *epochState
 }
 
-// NewStepper validates cfg, resolves the fleet and builds the per-DC
-// simulation state without simulating any slot. Configuration errors
-// a batch Run would report mid-run (bad platform, policy factory
-// failure, invalid dcsim window) surface here instead.
+// serverModels pairs one DC's axis-resolved power model with its
+// performance platform. base is the platform's native model the
+// allocation policy plans against: the power-model axis reprices what
+// the replay observes, never what the allocator decides, so tdp rows
+// keep the ntc rows' placement, frequencies and violations
+// bit-for-bit.
+type serverModels struct {
+	base  *power.ServerModel
+	model power.Model
+	plat  *platform.Platform
+}
+
+// NewStepper validates cfg, resolves the fleet, dispatches the VMs
+// and builds the first epoch's per-DC simulation state without
+// simulating any slot. Configuration errors a batch Run would report
+// mid-run (bad platform, policy factory failure, invalid dcsim
+// window) surface here instead.
 func NewStepper(cfg Config) (*Stepper, error) {
-	if cfg.Trace == nil {
+	switch {
+	case cfg.Trace == nil:
 		return nil, fmt.Errorf("topology: nil trace")
-	}
-	if cfg.Predictions == nil {
+	case len(cfg.Trace.VMs) == 0:
+		return nil, fmt.Errorf("topology: trace has no VMs")
+	case cfg.Predictions == nil:
 		return nil, fmt.Errorf("topology: nil predictions")
-	}
-	if cfg.NewPolicy == nil {
+	case cfg.NewPolicy == nil:
 		return nil, fmt.Errorf("topology: nil policy factory")
-	}
-	// Reject an unknown power model up front, whether or not any DC
-	// ends up simulating — a misspelled axis value must fail loudly,
-	// not vanish into an empty-DC path.
-	if _, err := power.ResolveModel(cfg.PowerModel, power.NTCServer()); err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
+	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
+		return nil, fmt.Errorf("topology: HistoryDays and EvalDays must be positive")
 	}
 	fleet := cfg.Fleet.Resolve(cfg.MaxServers)
 	if err := fleet.Validate(); err != nil {
@@ -144,24 +153,34 @@ func NewStepper(cfg Config) (*Stepper, error) {
 			fleet.DCs[i].StaticPowerW = cfg.StaticPowerW
 		}
 	}
-	st := &Stepper{cfg: cfg, fleet: fleet}
-	// Precompute each DC's carbon pricing against its platform's
-	// capacity (cores/GB drive the embodied amortization; the
-	// power-model axis delegates capacity, so either model prices the
-	// same grams).
-	st.carbon = make([]dcCarbon, len(fleet.DCs))
+	st := &Stepper{
+		cfg:        cfg,
+		fleet:      fleet,
+		totalSlots: cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot,
+		carbon:     make([]dcCarbon, len(fleet.DCs)),
+		models:     make([]serverModels, len(fleet.DCs)),
+	}
 	for i, dc := range fleet.DCs {
-		m, _, err := dc.serverPlatform()
+		// The resolved spec already carries the effective static power
+		// (per-DC override or the scenario default).
+		base, plat, err := dc.serverPlatform()
 		if err != nil {
 			return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		st.carbon[i] = dcCarbonOf(dc, m)
-	}
-	if cfg.Rebalance.Enabled() && len(fleet.DCs) > 1 {
-		if err := st.initRebalanced(); err != nil {
-			return nil, err
+		// Every DC resolves the power model, hosting VMs or not, so a
+		// misspelled axis value fails loudly.
+		model, err := power.ResolveModel(cfg.PowerModel, base)
+		if err != nil {
+			return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-	} else if err := st.initStatic(); err != nil {
+		st.models[i] = serverModels{base: base, model: model, plat: plat}
+		// Carbon prices against the platform's capacity (cores/GB drive
+		// the embodied amortization; the power-model axis delegates
+		// capacity, so either model prices the same grams).
+		st.carbon[i] = dcCarbonOf(dc, base)
+	}
+	st.ep = newEpochState(st)
+	if err := st.ep.openEpoch(st, 0); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -177,231 +196,23 @@ func (st *Stepper) Slots() int { return st.totalSlots }
 // Done reports whether every slot has been stepped.
 func (st *Stepper) Done() bool { return st.next >= st.totalSlots }
 
-// Step simulates the next fleet slot and returns its live view. With
-// a Config.Source that has not released the next slot, Step returns
-// an error wrapping dcsim.ErrAwaitingSamples and advances nothing —
-// the one refusal that does not poison the stepper.
-func (st *Stepper) Step() (SlotStep, error) {
-	if st.Done() {
-		return SlotStep{}, fmt.Errorf("topology: stepper exhausted: all %d slots stepped", st.totalSlots)
-	}
-	if src := st.cfg.Source; src != nil && !src.SlotReady(st.next) {
-		return SlotStep{}, fmt.Errorf("topology: evaluation slot %d: %w", st.next, dcsim.ErrAwaitingSamples)
-	}
-	if st.reb != nil {
-		return st.stepRebalanced()
-	}
-	return st.stepStatic()
-}
-
-// Result aggregates the finished run into the FleetResult a batch Run
-// of the same Config returns, bit for bit. It errors until Done;
-// afterwards it is idempotent.
-func (st *Stepper) Result() (*FleetResult, error) {
-	if !st.Done() {
-		return nil, fmt.Errorf("topology: stepper not done: %d of %d slots stepped", st.next, st.totalSlots)
-	}
-	if st.res == nil {
-		if st.reb != nil {
-			st.reb.closeEpoch(st)
-			st.res = st.reb.finish(st)
-		} else {
-			st.res = st.staticResult()
-		}
-	}
-	return st.res, nil
-}
-
-// staticState is the one-shot-dispatch path: one dcsim stepper per
-// non-empty DC spanning the whole evaluation period, exactly the runs
-// the batch static path performs.
-type staticState struct {
-	asg  [][]int
-	sims []*dcsim.Stepper // nil for DCs the dispatcher left empty
-}
-
-func (st *Stepper) initStatic() error {
-	cfg, fleet := &st.cfg, st.fleet
-	// Load-aware dispatch may observe the history window only.
-	asg, err := Dispatch(fleet, cfg.Trace, cfg.HistoryDays*trace.SamplesPerDay)
-	if err != nil {
-		return err
-	}
-	ss := &staticState{asg: asg, sims: make([]*dcsim.Stepper, len(fleet.DCs))}
-	for i, dc := range fleet.DCs {
-		if len(asg[i]) == 0 {
-			continue
-		}
-		// The resolved spec already carries the effective static power
-		// (per-DC override or the scenario default).
-		base, plat, err := dc.serverPlatform()
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		model, err := power.ResolveModel(cfg.PowerModel, base)
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		// The policy plans against the platform's NATIVE model: the
-		// power-model axis reprices what the replay observes (Server),
-		// never what the allocator decides, so tdp rows keep the ntc
-		// rows' placement, frequencies and violations bit-for-bit.
-		pol, err := cfg.NewPolicy(base)
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		sim, err := dcsim.NewStepper(dcsim.Config{
-			Trace:       subTrace(cfg.Trace, asg[i]),
-			Predictions: subPredictions(cfg.Predictions, asg[i]),
-			HistoryDays: cfg.HistoryDays,
-			EvalDays:    cfg.EvalDays,
-			Policy:      pol,
-			Server:      model,
-			Platform:    plat,
-			MaxServers:  dc.Servers,
-			Transitions: cfg.Transitions,
-			TraceLabel:  cfg.TraceLabel,
-		})
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		ss.sims[i] = sim
-		if sim.Slots() > st.totalSlots {
-			st.totalSlots = sim.Slots()
-		}
-	}
-	st.static = ss
-	return nil
-}
-
-func (st *Stepper) stepStatic() (SlotStep, error) {
-	out := SlotStep{Slot: st.next, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
-	for i, dc := range st.fleet.DCs {
-		d := &out.DCs[i]
-		d.Name = dc.Name
-		d.VMs = len(st.static.asg[i])
-		sim := st.static.sims[i]
-		if sim == nil {
-			continue
-		}
-		slot, err := sim.Step()
-		if err != nil {
-			return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		d.EnergyMJ = slot.Energy.MJ() * dc.PUE
-		d.ActiveServers = slot.ActiveServers
-		d.Violations = slot.Violations
-		d.LatencyWeightedViol = float64(slot.Violations) * latencyWeight(dc.LatencyMs)
-		d.Migrations = slot.Migrations
-		ci := st.carbon[i]
-		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(st.next%24)
-		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
-		out.EnergyMJ += d.EnergyMJ
-		out.ActiveServers += d.ActiveServers
-		out.Violations += d.Violations
-		out.LatencyWeightedViol += d.LatencyWeightedViol
-		out.Migrations += d.Migrations
-		out.OperationalGCO2 += d.OperationalGCO2
-		out.EmbodiedGCO2 += d.EmbodiedGCO2
-	}
-	st.next++
-	return out, nil
-}
-
-// staticResult is the batch static path's aggregation, verbatim, over
-// the finished per-DC steppers.
-func (st *Stepper) staticResult() *FleetResult {
-	fleet, asg := st.fleet, st.static.asg
-	res := &FleetResult{Fleet: fleet, DCs: make([]DCRun, len(fleet.DCs))}
-	var freqWeighted, vmTotal float64
-	for i, dc := range fleet.DCs {
-		run := &res.DCs[i]
-		run.Spec = dc
-		run.VMs = len(asg[i])
-		if run.VMs == 0 {
-			continue
-		}
-		sim := st.static.sims[i].Finish()
-		run.Result = sim
-		run.ITEnergyMJ = sim.TotalEnergy.MJ()
-		run.EnergyMJ = run.ITEnergyMJ * dc.PUE
-		run.Violations = sim.TotalViol
-		run.MeanActive = sim.MeanActive
-		run.PeakActive = sim.PeakActive
-		run.Migrations = sim.TotalMigrations
-		run.LatencyWeightedViol = float64(run.Violations) * latencyWeight(dc.LatencyMs)
-
-		res.TotalEnergyMJ += run.EnergyMJ
-		res.TransitionMJ += sim.TotalTransitionEnergy.MJ() * dc.PUE
-		res.Violations += run.Violations
-		res.Migrations += run.Migrations
-		res.LatencyWeightedViol += run.LatencyWeightedViol
-		if len(sim.Slots) > res.Slots {
-			res.Slots = len(sim.Slots)
-		}
-		freqWeighted += sim.MeanPlannedFreqGHz() * float64(run.VMs)
-		vmTotal += float64(run.VMs)
-	}
-
-	// Fleet per-slot series: facility energy and summed active servers.
-	res.SlotEnergyMJ = make([]float64, res.Slots)
-	activePerSlot := make([]int, res.Slots)
-	for i := range res.DCs {
-		sim := res.DCs[i].Result
-		if sim == nil {
-			continue
-		}
-		ci := st.carbon[i]
-		dcSlotMJ := make([]float64, len(sim.Slots))
-		var op, emb float64
-		for t, s := range sim.Slots {
-			mj := s.Energy.MJ() * res.DCs[i].Spec.PUE
-			dcSlotMJ[t] = mj
-			res.SlotEnergyMJ[t] += mj
-			activePerSlot[t] += s.ActiveServers
-			op += mj / mjPerKWh * ci.intensity.At(t%24)
-			emb += float64(s.ActiveServers) * ci.gPerServerHour
-		}
-		res.DCs[i].EPScore = SeriesEPScore(dcSlotMJ)
-		res.DCs[i].OperationalGCO2 = op
-		res.DCs[i].EmbodiedGCO2 = emb
-		res.OperationalGCO2 += op
-		res.EmbodiedGCO2 += emb
-	}
-	activeSum := 0
-	for _, a := range activePerSlot {
-		activeSum += a
-		if a > res.PeakActive {
-			res.PeakActive = a
-		}
-	}
-	if res.Slots > 0 {
-		res.MeanActive = float64(activeSum) / float64(res.Slots)
-	}
-	res.EPScore = SeriesEPScore(res.SlotEnergyMJ)
-	if len(res.DCs) == 1 {
-		// Bit-exact identity with the single-datacenter path: avoid
-		// the weighted-mean round trip when there is nothing to weigh.
-		if sim := res.DCs[0].Result; sim != nil {
-			res.MeanPlannedFreqGHz = sim.MeanPlannedFreqGHz()
-		}
-	} else if vmTotal > 0 {
-		res.MeanPlannedFreqGHz = freqWeighted / vmTotal
-	}
-	return res
-}
-
-// rebState is the epoch-rebalancing path, holding what the batch
-// rebalancer kept as loop state. Per epoch of Rebalance.EverySlots
-// slots it re-runs dispatch over the history plus every evaluation
-// sample already replayed — the load an operator has actually
-// observed — then simulates each DC's window via a per-epoch dcsim
-// stepper seeded with the previous epoch's closing active-server
-// count (allocator instances restart fresh: a re-dispatch is a global
+// epochState is the fleet loop, holding what the batch run keeps as
+// loop state. The run is cut into epochs; each opens with a dispatch
+// and simulates every DC's window through a per-epoch dcsim stepper
+// seeded with the previous epoch's closing active-server count
+// (allocator instances restart fresh: a re-dispatch is a global
 // re-plan, and per-DC VM index sets change with the assignment).
 //
-// Every VM whose DC changes is a cross-DC migration: its resident set
-// at the boundary sample is priced through
+// Static dispatch is the one-epoch case: without rebalancing (or with
+// a single DC, which has nothing to rebalance) the only epoch spans
+// the whole window and opens with the fleet's own dispatch at hour 0
+// over the history window. With Rebalance.EverySlots = N, every N
+// slots re-runs dispatch over the history plus every evaluation
+// sample already replayed — the load an operator has actually
+// observed.
+//
+// Every VM whose DC changes at a boundary is a cross-DC migration:
+// its resident set at the boundary sample is priced through
 // Transitions.MigrationEnergyPerByte (charged to the destination DC's
 // first epoch slot, PUE-weighted into facility energy and the
 // transition share) and it serves MigrationDowntimeSamples of
@@ -421,38 +232,42 @@ func (st *Stepper) staticResult() *FleetResult {
 //
 // The accumulation split is what keeps stepping bit-exact with the
 // batch run: openEpoch folds the boundary pricing into the result
-// accumulators (the batch path prices before its DC loop), closeEpoch
-// folds each DC's epoch aggregates in DC index order (the batch DC
-// loop), and nothing else touches the accumulators — so every
-// floating-point addition happens at the batch position in the batch
-// order.
-type rebState struct {
+// accumulators (priced before the DC loop), closeEpoch folds each
+// DC's epoch aggregates in DC index order, and nothing else touches
+// the accumulators — so every floating-point addition happens at the
+// same position in the same order.
+type epochState struct {
 	rebFleet    Fleet
 	histSamples int
 	every       int
 	downtime    int
+
+	// oneShot marks static dispatch, the single-epoch run. It keeps
+	// the per-DC dcsim Result and weighs the mean planned frequency by
+	// VMs alone (every DC spans the same window), the static rows'
+	// exact formula.
+	oneShot bool
 
 	res           *FleetResult
 	dcSlotMJ      [][]float64
 	dcActive      [][]int // per-DC per-slot powered-on servers (embodied carbon)
 	activePerSlot []int
 	dcActiveSum   []int
-	models        []*serverModels
 	prevDC        []int // VM index -> DC index of the previous epoch
 	prevActive    []int
 	freqWeighted  float64
-	vmSlotTotal   float64
+	freqWeight    float64
 
 	// The open epoch.
 	open                 bool
 	epochStart, epochEnd int
 	asg                  [][]int
-	sims                 []*dcsim.Stepper // nil for drained DCs
+	sims                 []*dcsim.Stepper // nil for empty DCs
 
 	// Boundary charges of the open epoch, for the boundary SlotStep:
-	// pricing is folded into the accumulators at openEpoch (batch
-	// order), drained-DC power-off at closeEpoch (batch order), and
-	// these buffers let the boundary slot's live view report both.
+	// pricing is folded into the accumulators at openEpoch, drained-DC
+	// power-off at closeEpoch (the batch order), and these buffers let
+	// the boundary slot's live view report both.
 	boundFleetMJ float64
 	boundMJ      []float64
 	boundViol    []int
@@ -461,74 +276,56 @@ type rebState struct {
 	drainFac     []float64 // drained-DC power-off, facility MJ
 }
 
-func (st *Stepper) initRebalanced() error {
-	cfg, fleet := &st.cfg, st.fleet
-	st.totalSlots = cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
-	rb := &rebState{
+func newEpochState(st *Stepper) *epochState {
+	cfg, fleet, n := &st.cfg, st.fleet, len(st.fleet.DCs)
+	ep := &epochState{
 		rebFleet:    fleet,
 		histSamples: cfg.HistoryDays * trace.SamplesPerDay,
 		every:       cfg.Rebalance.EverySlots,
-		downtime:    cfg.MigrationDowntimeSamples,
+		downtime:    max(cfg.MigrationDowntimeSamples, 0),
+		oneShot:     !cfg.Rebalance.Enabled() || n == 1,
 	}
-	if rb.downtime < 0 {
-		rb.downtime = 0
+	if ep.oneShot {
+		ep.every = st.totalSlots
 	}
 	// The dispatcher override applies at rebalancing epochs only; the
 	// initial placement stays the fleet's own static dispatch (see
 	// RebalanceSpec.Dispatcher).
 	if cfg.Rebalance.Dispatcher != "" {
-		rb.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
+		ep.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
 	}
-	n := len(fleet.DCs)
-	rb.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
-	rb.res.SlotEnergyMJ = make([]float64, st.totalSlots)
-	rb.dcSlotMJ = make([][]float64, n)
-	rb.dcActive = make([][]int, n)
-	rb.activePerSlot = make([]int, st.totalSlots)
-	rb.dcActiveSum = make([]int, n)
-	// Models and platforms are per-DC constants; policies are rebuilt
-	// per epoch (stateful, and their VM universe changes).
-	rb.models = make([]*serverModels, n)
+	ep.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
+	ep.res.SlotEnergyMJ = make([]float64, st.totalSlots)
+	ep.dcSlotMJ = make([][]float64, n)
+	ep.dcActive = make([][]int, n)
 	for i, dc := range fleet.DCs {
-		rb.res.DCs[i].Spec = dc
-		rb.dcSlotMJ[i] = make([]float64, st.totalSlots)
-		rb.dcActive[i] = make([]int, st.totalSlots)
-		base, p, err := dc.serverPlatform()
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		m, err := power.ResolveModel(cfg.PowerModel, base)
-		if err != nil {
-			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
-		}
-		rb.models[i] = &serverModels{base: base, model: m, plat: p}
+		ep.res.DCs[i].Spec = dc
+		ep.dcSlotMJ[i] = make([]float64, st.totalSlots)
+		ep.dcActive[i] = make([]int, st.totalSlots)
 	}
-	rb.prevActive = make([]int, n)
-	rb.sims = make([]*dcsim.Stepper, n)
-	rb.boundMJ = make([]float64, n)
-	rb.boundViol = make([]int, n)
-	rb.boundCross = make([]int, n)
-	rb.drainIT = make([]float64, n)
-	rb.drainFac = make([]float64, n)
-	st.reb = rb
-	return nil
+	ep.activePerSlot = make([]int, st.totalSlots)
+	ep.dcActiveSum = make([]int, n)
+	ep.prevActive = make([]int, n)
+	ep.sims = make([]*dcsim.Stepper, n)
+	ep.boundMJ = make([]float64, n)
+	ep.boundViol = make([]int, n)
+	ep.boundCross = make([]int, n)
+	ep.drainIT = make([]float64, n)
+	ep.drainFac = make([]float64, n)
+	return ep
 }
 
-// openEpoch re-dispatches at slot e0, prices the cross-DC moves into
-// the result accumulators (the batch path prices before its DC loop)
-// and builds the epoch's per-DC steppers seeded with each DC's
-// carried active-server count.
-func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
+// openEpoch dispatches at slot e0, prices the cross-DC moves into the
+// result accumulators and builds the epoch's per-DC steppers seeded
+// with each DC's carried active-server count.
+func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 	cfg, fleet := &st.cfg, st.fleet
-	n := rb.every
-	if e0+n > st.totalSlots {
-		n = st.totalSlots - e0
-	}
+	n := min(ep.every, st.totalSlots-e0)
 	// Observe history plus the evaluation samples already replayed.
 	// The dispatch hour is the boundary slot's hour of day, which is
 	// what makes epoch:N@carbon-greedy follow the sun.
-	observed := rb.histSamples + e0*trace.SamplesPerSlot
-	df := rb.rebFleet
+	observed := ep.histSamples + e0*trace.SamplesPerSlot
+	df := ep.rebFleet
 	if e0 == 0 {
 		df = fleet // initial placement: the fleet's own dispatcher
 	}
@@ -543,24 +340,24 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 		}
 	}
 
-	rb.boundFleetMJ = 0
+	ep.boundFleetMJ = 0
 	for i := range fleet.DCs {
-		rb.boundMJ[i], rb.boundViol[i], rb.boundCross[i] = 0, 0, 0
-		rb.drainIT[i], rb.drainFac[i] = 0, 0
+		ep.boundMJ[i], ep.boundViol[i], ep.boundCross[i] = 0, 0, 0
+		ep.drainIT[i], ep.drainFac[i] = 0, 0
 	}
 
 	// Price the moves this re-dispatch caused.
-	res := rb.res
-	if rb.prevDC != nil {
+	res := ep.res
+	if ep.prevDC != nil {
 		for v := range nextDC {
-			if rb.prevDC[v] == nextDC[v] {
+			if ep.prevDC[v] == nextDC[v] {
 				continue
 			}
 			dst := nextDC[v]
 			run := &res.DCs[dst]
 			res.CrossDCMigrations++
 			run.CrossDCMigrations++
-			rb.boundCross[dst]++
+			ep.boundCross[dst]++
 
 			// Memory copy of the live migration: the VM's resident
 			// set at the boundary sample, at the configured energy
@@ -572,40 +369,41 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 			run.EnergyMJ += facility
 			res.TotalEnergyMJ += facility
 			res.TransitionMJ += facility
-			rb.dcSlotMJ[dst][e0] += facility
+			ep.dcSlotMJ[dst][e0] += facility
 			res.SlotEnergyMJ[e0] += facility
-			rb.boundMJ[dst] += facility
-			rb.boundFleetMJ += facility
+			ep.boundMJ[dst] += facility
+			ep.boundFleetMJ += facility
 
 			// Downtime: the VM is unavailable while it moves.
-			run.Violations += rb.downtime
-			res.Violations += rb.downtime
-			w := float64(rb.downtime) * latencyWeight(run.Spec.LatencyMs)
+			run.Violations += ep.downtime
+			res.Violations += ep.downtime
+			w := float64(ep.downtime) * latencyWeight(run.Spec.LatencyMs)
 			run.LatencyWeightedViol += w
 			res.LatencyWeightedViol += w
-			rb.boundViol[dst] += rb.downtime
+			ep.boundViol[dst] += ep.downtime
 		}
 	}
-	rb.prevDC = nextDC
-	rb.asg = asg
+	ep.prevDC = nextDC
+	ep.asg = asg
 
 	for i, dc := range fleet.DCs {
-		rb.sims[i] = nil
+		ep.sims[i] = nil
 		if len(asg[i]) == 0 {
 			// A drained DC powers its servers down; the energy is
 			// computed here (the live boundary view reports it) and
 			// folded into the accumulators at closeEpoch, the batch
-			// path's position for it.
-			if rb.prevActive[i] > 0 {
-				off := units.Energy(float64(cfg.Transitions.ServerOffEnergy) * float64(rb.prevActive[i])).MJ()
-				rb.drainIT[i] = off
-				rb.drainFac[i] = off * dc.PUE
+			// position for it.
+			if ep.prevActive[i] > 0 {
+				off := units.Energy(float64(cfg.Transitions.ServerOffEnergy) * float64(ep.prevActive[i])).MJ()
+				ep.drainIT[i] = off
+				ep.drainFac[i] = off * dc.PUE
 			}
 			continue
 		}
+		m := st.models[i]
 		// Plan against the native model; the axis-resolved model only
-		// prices the replay (see the static path).
-		pol, err := cfg.NewPolicy(rb.models[i].base)
+		// prices the replay (see serverModels).
+		pol, err := cfg.NewPolicy(m.base)
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
@@ -616,10 +414,10 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 			EvalDays:             cfg.EvalDays,
 			StartSlot:            e0,
 			NumSlots:             n,
-			InitialActiveServers: rb.prevActive[i],
+			InitialActiveServers: ep.prevActive[i],
 			Policy:               pol,
-			Server:               rb.models[i].model,
-			Platform:             rb.models[i].plat,
+			Server:               m.model,
+			Platform:             m.plat,
 			MaxServers:           dc.Servers,
 			Transitions:          cfg.Transitions,
 			TraceLabel:           cfg.TraceLabel,
@@ -627,40 +425,41 @@ func (rb *rebState) openEpoch(st *Stepper, e0 int) error {
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		rb.sims[i] = sim
+		ep.sims[i] = sim
 	}
-	rb.open = true
-	rb.epochStart, rb.epochEnd = e0, e0+n
+	ep.open = true
+	ep.epochStart, ep.epochEnd = e0, e0+n
 	return nil
 }
 
 // closeEpoch folds the finished epoch's per-DC aggregates into the
-// result accumulators — the batch rebalancer's DC loop, verbatim, in
-// DC index order.
-func (rb *rebState) closeEpoch(st *Stepper) {
-	if !rb.open {
+// result accumulators, in DC index order.
+func (ep *epochState) closeEpoch(st *Stepper) {
+	if !ep.open {
 		return
 	}
-	fleet := st.fleet
-	res := rb.res
-	n := rb.epochEnd - rb.epochStart
-	for i, dc := range fleet.DCs {
+	res := ep.res
+	n := ep.epochEnd - ep.epochStart
+	for i, dc := range st.fleet.DCs {
 		run := &res.DCs[i]
-		run.VMs = len(rb.asg[i]) // the final epoch's count survives
-		if rb.sims[i] == nil {
-			if rb.prevActive[i] > 0 {
-				run.ITEnergyMJ += rb.drainIT[i]
-				facility := rb.drainFac[i]
+		run.VMs = len(ep.asg[i]) // the final epoch's count survives
+		if ep.sims[i] == nil {
+			if ep.prevActive[i] > 0 {
+				run.ITEnergyMJ += ep.drainIT[i]
+				facility := ep.drainFac[i]
 				run.EnergyMJ += facility
 				res.TotalEnergyMJ += facility
 				res.TransitionMJ += facility
-				rb.dcSlotMJ[i][rb.epochStart] += facility
-				res.SlotEnergyMJ[rb.epochStart] += facility
+				ep.dcSlotMJ[i][ep.epochStart] += facility
+				res.SlotEnergyMJ[ep.epochStart] += facility
 			}
-			rb.prevActive[i] = 0
+			ep.prevActive[i] = 0
 			continue
 		}
-		sim := rb.sims[i].Finish()
+		sim := ep.sims[i].Finish()
+		if ep.oneShot {
+			run.Result = sim
+		}
 		run.ITEnergyMJ += sim.TotalEnergy.MJ()
 		facility := sim.TotalEnergy.MJ() * dc.PUE
 		run.EnergyMJ += facility
@@ -675,51 +474,68 @@ func (rb *rebState) closeEpoch(st *Stepper) {
 		res.Migrations += sim.TotalMigrations
 		for _, s := range sim.Slots {
 			mj := s.Energy.MJ() * dc.PUE
-			rb.dcSlotMJ[i][s.Slot] += mj
+			ep.dcSlotMJ[i][s.Slot] += mj
 			res.SlotEnergyMJ[s.Slot] += mj
-			rb.dcActive[i][s.Slot] = s.ActiveServers
-			rb.activePerSlot[s.Slot] += s.ActiveServers
-			rb.dcActiveSum[i] += s.ActiveServers
+			ep.dcActive[i][s.Slot] = s.ActiveServers
+			ep.activePerSlot[s.Slot] += s.ActiveServers
+			ep.dcActiveSum[i] += s.ActiveServers
 			if s.ActiveServers > run.PeakActive {
 				run.PeakActive = s.ActiveServers
 			}
 		}
-		rb.prevActive[i] = sim.Slots[len(sim.Slots)-1].ActiveServers
-		rb.freqWeighted += sim.MeanPlannedFreqGHz() * float64(len(rb.asg[i])*n)
-		rb.vmSlotTotal += float64(len(rb.asg[i]) * n)
+		ep.prevActive[i] = sim.Slots[len(sim.Slots)-1].ActiveServers
+		// Weigh each DC's mean cap frequency by the VM-slots it
+		// covers; in the one-shot run every DC spans the same window,
+		// so VMs alone weigh it.
+		weight := len(ep.asg[i])
+		if !ep.oneShot {
+			weight *= n
+		}
+		ep.freqWeighted += sim.MeanPlannedFreqGHz() * float64(weight)
+		ep.freqWeight += float64(weight)
 	}
-	rb.open = false
+	ep.open = false
 }
 
-func (st *Stepper) stepRebalanced() (SlotStep, error) {
-	rb := st.reb
+// Step simulates the next fleet slot and returns its live view. With
+// a Config.Source that has not released the next slot, Step returns
+// an error wrapping dcsim.ErrAwaitingSamples and advances nothing —
+// the one refusal that does not poison the stepper.
+func (st *Stepper) Step() (SlotStep, error) {
+	if st.Done() {
+		return SlotStep{}, fmt.Errorf("topology: stepper exhausted: all %d slots stepped", st.totalSlots)
+	}
+	if src := st.cfg.Source; src != nil && !src.SlotReady(st.next) {
+		return SlotStep{}, fmt.Errorf("topology: evaluation slot %d: %w", st.next, dcsim.ErrAwaitingSamples)
+	}
+	ep := st.ep
 	s := st.next
-	if !rb.open || s >= rb.epochEnd {
-		rb.closeEpoch(st)
-		if err := rb.openEpoch(st, s); err != nil {
+	if !ep.open || s >= ep.epochEnd {
+		ep.closeEpoch(st)
+		if err := ep.openEpoch(st, s); err != nil {
 			return SlotStep{}, err
 		}
 	}
 	out := SlotStep{Slot: s, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
-	boundary := s == rb.epochStart
+	boundary := s == ep.epochStart
 	if boundary {
 		// The fleet slot energy starts from the boundary pricing sum,
-		// accumulated per VM in dispatch order — the batch path's
-		// prefix of SlotEnergyMJ[s] — so the per-DC additions below
-		// land on it in the batch order and the total stays bit-exact.
-		out.EnergyMJ = rb.boundFleetMJ
+		// accumulated per VM in dispatch order — the batch prefix of
+		// SlotEnergyMJ[s] — so the per-DC additions below land on it
+		// in the batch order and the total stays bit-exact.
+		out.EnergyMJ = ep.boundFleetMJ
 	}
 	for i, dc := range st.fleet.DCs {
 		d := &out.DCs[i]
 		d.Name = dc.Name
-		d.VMs = len(rb.asg[i])
+		d.VMs = len(ep.asg[i])
 		if boundary {
-			d.EnergyMJ = rb.boundMJ[i]
-			d.Violations = rb.boundViol[i]
-			d.CrossDCMigrations = rb.boundCross[i]
+			d.EnergyMJ = ep.boundMJ[i]
+			d.Violations = ep.boundViol[i]
+			d.CrossDCMigrations = ep.boundCross[i]
 		}
-		if rb.sims[i] != nil {
-			slot, err := rb.sims[i].Step()
+		if ep.sims[i] != nil {
+			slot, err := ep.sims[i].Step()
 			if err != nil {
 				return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 			}
@@ -729,9 +545,9 @@ func (st *Stepper) stepRebalanced() (SlotStep, error) {
 			d.ActiveServers = slot.ActiveServers
 			d.Violations += slot.Violations
 			d.Migrations = slot.Migrations
-		} else if boundary && rb.prevActive[i] > 0 {
-			d.EnergyMJ += rb.drainFac[i]
-			out.EnergyMJ += rb.drainFac[i]
+		} else if boundary && ep.prevActive[i] > 0 {
+			d.EnergyMJ += ep.drainFac[i]
+			out.EnergyMJ += ep.drainFac[i]
 		}
 		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(dc.LatencyMs)
 		ci := st.carbon[i]
@@ -749,37 +565,46 @@ func (st *Stepper) stepRebalanced() (SlotStep, error) {
 	return out, nil
 }
 
-// finish is the batch rebalancer's tail aggregation over the stitched
-// series, verbatim.
-func (rb *rebState) finish(st *Stepper) *FleetResult {
-	res := rb.res
+// Result aggregates the finished run into the FleetResult a batch Run
+// of the same Config returns, bit for bit. It errors until Done;
+// afterwards it is idempotent.
+func (st *Stepper) Result() (*FleetResult, error) {
+	if !st.Done() {
+		return nil, fmt.Errorf("topology: stepper not done: %d of %d slots stepped", st.next, st.totalSlots)
+	}
+	if st.res == nil {
+		st.ep.closeEpoch(st)
+		st.res = st.ep.finish(st)
+	}
+	return st.res, nil
+}
+
+// finish is the tail aggregation over the stitched series.
+func (ep *epochState) finish(st *Stepper) *FleetResult {
+	res := ep.res
 	activeSum := 0
-	for _, a := range rb.activePerSlot {
+	for _, a := range ep.activePerSlot {
 		activeSum += a
 		if a > res.PeakActive {
 			res.PeakActive = a
 		}
 	}
-	if st.totalSlots > 0 {
-		res.MeanActive = float64(activeSum) / float64(st.totalSlots)
-	}
+	res.MeanActive = float64(activeSum) / float64(st.totalSlots)
 	for i := range res.DCs {
-		if st.totalSlots > 0 {
-			res.DCs[i].MeanActive = float64(rb.dcActiveSum[i]) / float64(st.totalSlots)
-		}
-		// A DC that never burned anything reports EPScore 0, matching
-		// the static path's "no series" convention for empty DCs.
+		res.DCs[i].MeanActive = float64(ep.dcActiveSum[i]) / float64(st.totalSlots)
+		// A DC that never burned anything (no VMs in any epoch)
+		// reports EPScore 0: it has no series.
 		if res.DCs[i].ITEnergyMJ > 0 {
-			res.DCs[i].EPScore = SeriesEPScore(rb.dcSlotMJ[i])
+			res.DCs[i].EPScore = SeriesEPScore(ep.dcSlotMJ[i])
 		}
 		// Carbon derives from the stitched facility-energy and
 		// active-server series, slot order — boundary and drain charges
 		// are already folded into dcSlotMJ at their slots.
 		ci := st.carbon[i]
 		var op, emb float64
-		for t, mj := range rb.dcSlotMJ[i] {
+		for t, mj := range ep.dcSlotMJ[i] {
 			op += mj / mjPerKWh * ci.intensity.At(t%24)
-			emb += float64(rb.dcActive[i][t]) * ci.gPerServerHour
+			emb += float64(ep.dcActive[i][t]) * ci.gPerServerHour
 		}
 		res.DCs[i].OperationalGCO2 = op
 		res.DCs[i].EmbodiedGCO2 = emb
@@ -787,8 +612,14 @@ func (rb *rebState) finish(st *Stepper) *FleetResult {
 		res.EmbodiedGCO2 += emb
 	}
 	res.EPScore = SeriesEPScore(res.SlotEnergyMJ)
-	if rb.vmSlotTotal > 0 {
-		res.MeanPlannedFreqGHz = rb.freqWeighted / rb.vmSlotTotal
+	switch {
+	case len(res.DCs) == 1 && res.DCs[0].Result != nil:
+		// Bit-exact identity with the single-datacenter simulation:
+		// avoid the weighted-mean round trip when there is nothing to
+		// weigh.
+		res.MeanPlannedFreqGHz = res.DCs[0].Result.MeanPlannedFreqGHz()
+	case ep.freqWeight > 0:
+		res.MeanPlannedFreqGHz = ep.freqWeighted / ep.freqWeight
 	}
 	return res
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dcsim"
+	"repro/internal/trace"
 )
 
 // stepperConfig builds a fleet run over days evaluated days (plus one
@@ -163,5 +164,28 @@ func TestStepperMatchesRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewStepperRejectsBadInputs: a trace without VMs, a non-positive
+// history or evaluation window, or an unknown power model is an error
+// up front — never an empty result, and never a panic sizing the
+// per-slot series.
+func TestNewStepperRejectsBadInputs(t *testing.T) {
+	cases := map[string]func(*Config){
+		"no-vms":            func(c *Config) { c.Trace = &trace.Trace{Interval: c.Trace.Interval} },
+		"zero-eval-days":    func(c *Config) { c.EvalDays = 0 },
+		"negative-eval":     func(c *Config) { c.EvalDays = -1 },
+		"zero-history-days": func(c *Config) { c.HistoryDays = 0 },
+		"unknown-power":     func(c *Config) { c.PowerModel = "warp" },
+	}
+	for name, mutate := range cases {
+		for _, reb := range []RebalanceSpec{{}, {EverySlots: 4}} {
+			cfg := stepperConfig(t, "triad", reb, dcsim.DefaultTransitions(), 1)
+			mutate(&cfg)
+			if _, err := NewStepper(cfg); err == nil {
+				t.Errorf("%s, rebalance %s: NewStepper accepted it", name, reb)
+			}
+		}
 	}
 }
