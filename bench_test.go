@@ -192,6 +192,45 @@ func BenchmarkDCSimRun(b *testing.B) {
 	}
 }
 
+// paperTrace is the paper-scale input: 600 VMs over 7 history + 7
+// evaluated days, the trace every ARIMA scenario shares.
+func paperTrace() trace.Config { return sweep.DCTraceConfig(2018, 600, 14) }
+
+// BenchmarkTraceGenerate measures the synthetic trace build, the
+// serial part of every scenario's shared input.
+func BenchmarkTraceGenerate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tr, err := trace.Generate(paperTrace())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tr.VMs) != 600 {
+			b.Fatal("bad trace")
+		}
+	}
+}
+
+// BenchmarkPredictARIMA measures the day-ahead ARIMA prediction set
+// (600 VMs x 7 days x CPU and memory fits), the input every
+// ARIMA-predicted scenario waits on.
+func BenchmarkPredictARIMA(b *testing.B) {
+	tr, err := trace.Generate(paperTrace())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := NewARIMA()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps, err := dcsim.Predict(tr, pred, 7, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ps.CPU) != 600 {
+			b.Fatal("bad prediction set")
+		}
+	}
+}
+
 // benchSweepGrid is a 24-scenario grid (6 policies × 2 transition
 // models × 2 pool bounds) over one shared 100-VM trace.
 func benchSweepGrid() sweep.Grid {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mathx"
 )
@@ -27,7 +28,9 @@ type Predictor interface {
 	Name() string
 
 	// Forecast returns horizon forecasted values given the history.
-	// Implementations must not modify history.
+	// Implementations must not modify history, and must be safe for
+	// concurrent use: dcsim.Predict and dcsim.LiveFeed share one
+	// Predictor across goroutines.
 	Forecast(history []float64, horizon int) ([]float64, error)
 }
 
@@ -71,74 +74,119 @@ func (a *ARIMA) Name() string {
 	return fmt.Sprintf("ARIMA(%d,%d,%d)", a.Cfg.P, a.Cfg.D, a.Cfg.Q)
 }
 
-// errTooShort reports a history shorter than the model needs.
-var errTooShort = errors.New("forecast: history too short for model configuration")
+var (
+	// errTooShort reports a history shorter than the model needs.
+	errTooShort      = errors.New("forecast: history too short for model configuration")
+	errBadHorizon    = errors.New("forecast: horizon must be positive")
+	errNegativeOrder = errors.New("forecast: negative ARMA order")
+)
 
-// Forecast implements Predictor.
+// scratch holds one Forecast call's working buffers. dcsim.Predict and
+// dcsim.LiveFeed call Forecast on one *ARIMA from many goroutines, so
+// the buffers come from a pool rather than living on the ARIMA.
+type scratch struct {
+	work []float64 // differenced series
+	x    []float64 // work minus its mean
+	d    []float64 // x minus its own mean, for the autocovariances
+	eps  []float64 // innovations: stage 1, then under the fitted model
+	acov []float64 // autocovariance sums by lag
+	sys  []float64 // augmented linear system [A | b]
+	long []float64 // stage-1 long-AR coefficients
+	coef []float64 // ARMA coefficients: phi then theta
+	xw   []float64 // last p values of x, then the forecasts
+	ew   []float64 // last q innovations, then zero future innovations
+	lvl  []float64 // last value before each ordinary difference
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns buf resliced to n, reallocating only when too small.
+// The contents are stale: callers overwrite or clear what they read.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// Forecast implements Predictor. It is safe for concurrent use.
 func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return a.forecast(s, history, horizon)
+}
+
+// forecast differences the series, fits ARMA(p, q) to it, iterates the
+// model over the horizon with zero future innovations and inverts the
+// differencing. Every sum runs in the same term order as the textbook
+// formulation (kept as the reference in arima_ref_test.go), so the
+// forecasts are bit-for-bit the same; only the memory traffic and the
+// instruction-level parallelism differ. The fit's in-sample
+// innovations are left in s.eps.
+func (a *ARIMA) forecast(s *scratch, history []float64, horizon int) ([]float64, error) {
 	cfg := a.Cfg
 	if horizon <= 0 {
-		return nil, errors.New("forecast: horizon must be positive")
+		return nil, errBadHorizon
 	}
 	needed := cfg.SeasonalPeriod + cfg.D + cfg.P + cfg.Q + 16
 	if len(history) < needed {
 		return nil, fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), needed)
 	}
-
-	// 1) Seasonal differencing.
-	work := append([]float64(nil), history...)
-	var seasonalBase []float64
-	if cfg.SeasonalPeriod > 0 {
-		seasonalBase = work
-		work = seasonalDiff(work, cfg.SeasonalPeriod)
-	}
-
-	// 2) Ordinary differencing, keeping the tails for inversion.
-	tails := make([][]float64, 0, cfg.D)
-	for i := 0; i < cfg.D; i++ {
-		tails = append(tails, append([]float64(nil), work...))
-		work = diff(work)
-	}
-
-	// 3) Fit ARMA(p, q) on the stationary series.
-	model, err := fitARMA(work, cfg.P, cfg.Q, cfg.LongAROrder)
+	mean, err := s.fit(history, cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	// 4) Iterate the recursion over the horizon with zero future
-	// innovations.
-	pred := model.forecast(work, horizon)
+	// Iterate the recursion; only the last p values and q innovations
+	// of the fitted series matter.
+	p, q, n := cfg.P, cfg.Q, len(s.x)
+	phi, theta := s.coef[:p], s.coef[p:]
+	xw := grow(s.xw, p+horizon)
+	s.xw = xw
+	copy(xw, s.x[n-p:])
+	ew := grow(s.ew, q+horizon)
+	s.ew = ew
+	copy(ew, s.eps[n-q:])
+	clear(ew[q:])
+	pred := make([]float64, horizon)
+	for h := range pred {
+		v := 0.0
+		for i, c := range phi {
+			v += c * xw[p+h-1-i]
+		}
+		for j, c := range theta {
+			v += c * ew[q+h-1-j]
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		xw[p+h] = v
+		pred[h] = v + mean
+	}
 
-	// 5) Invert ordinary differencing (integrate).
+	// Invert ordinary differencing (integrate).
 	for i := cfg.D - 1; i >= 0; i-- {
-		base := tails[i]
-		level := base[len(base)-1]
+		level := s.lvl[i]
 		for j := range pred {
 			level += pred[j]
 			pred[j] = level
 		}
 	}
 
-	// 6) Invert seasonal differencing.
-	if cfg.SeasonalPeriod > 0 {
-		s := cfg.SeasonalPeriod
-		n := len(seasonalBase)
+	// Invert seasonal differencing: x[t] = d[t] + x[t-s], which
+	// references forecasted values once the horizon exceeds a season.
+	if sp := cfg.SeasonalPeriod; sp > 0 {
+		n := len(history)
 		for j := range pred {
-			// x[t] = d[t] + x[t-s]; references forecasted values once
-			// the horizon exceeds one season.
-			idx := n + j - s
-			var prevSeason float64
-			if idx >= n {
-				prevSeason = pred[idx-n]
+			if idx := n + j - sp; idx >= n {
+				pred[j] += pred[idx-n]
 			} else {
-				prevSeason = seasonalBase[idx]
+				pred[j] += history[idx]
 			}
-			pred[j] += prevSeason
 		}
 	}
 
-	// 7) Clamp to the valid range.
+	// Clamp to the valid range.
 	if cfg.ClampMax > cfg.ClampMin {
 		for j := range pred {
 			pred[j] = mathx.Clamp(pred[j], cfg.ClampMin, cfg.ClampMax)
@@ -147,167 +195,279 @@ func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
 	return pred, nil
 }
 
-// arma holds fitted ARMA coefficients (on a mean-removed series).
-type arma struct {
-	phi   []float64 // AR coefficients
-	theta []float64 // MA coefficients
-	mean  float64
-	resid []float64 // in-sample innovations (aligned to series tail)
-}
-
-// fitARMA estimates ARMA(p,q) by Hannan–Rissanen.
-func fitARMA(series []float64, p, q, longAR int) (*arma, error) {
+// fit differences history as cfg asks and fits ARMA(cfg.P, cfg.Q) to
+// the result by Hannan–Rissanen. It returns the differenced series'
+// mean and leaves the series minus that mean in s.x, the coefficients
+// (phi then theta) in s.coef, the in-sample innovations in s.eps and
+// each ordinary-differencing round's last value in s.lvl. history is
+// only read.
+func (s *scratch) fit(history []float64, cfg Config) (float64, error) {
+	p, q := cfg.P, cfg.Q
 	if p < 0 || q < 0 {
-		return nil, errors.New("forecast: negative ARMA order")
+		return 0, errNegativeOrder
 	}
-	mean := mathx.Mean(series)
-	x := make([]float64, len(series))
-	for i, v := range series {
+
+	// Seasonal, then ordinary differencing (in place once work is
+	// scratch).
+	work := history
+	if sp := cfg.SeasonalPeriod; sp > 0 {
+		s.work = grow(s.work, len(history)-sp)
+		for t := sp; t < len(history); t++ {
+			s.work[t-sp] = history[t] - history[t-sp]
+		}
+		work = s.work
+	}
+	s.lvl = grow(s.lvl, max(cfg.D, 0))
+	for i := 0; i < cfg.D; i++ {
+		s.lvl[i] = work[len(work)-1]
+		s.work = grow(s.work, len(work)-1)
+		for t := 1; t < len(work); t++ {
+			s.work[t-1] = work[t] - work[t-1]
+		}
+		work = s.work
+	}
+
+	n := len(work)
+	mean := mathx.Mean(work)
+	x := grow(s.x, n)
+	s.x = x
+	for i, v := range work {
 		x[i] = v - mean
 	}
-
-	// Degenerate series (constant): forecast the mean.
-	if mathx.Std(x) < 1e-9 {
-		return &arma{phi: make([]float64, p), theta: make([]float64, q), mean: mean,
-			resid: make([]float64, len(x))}, nil
+	d := grow(s.d, n)
+	s.d = d
+	mx := mathx.Mean(x)
+	ss := 0.0
+	for i, v := range x {
+		d[i] = v - mx
+		ss += d[i] * d[i]
+	}
+	coef := grow(s.coef, p+q)
+	s.coef = coef
+	eps := grow(s.eps, n)
+	s.eps = eps
+	switch {
+	case math.Sqrt(ss/float64(n)) < 1e-9:
+		// Degenerate (constant) series: forecast the mean.
+		clear(coef)
+		clear(eps)
+		return mean, nil
+	case q == 0:
+		// Pure AR: Yule-Walker directly.
+		if p > 0 {
+			if err := s.yuleWalker(d, ss, mx, coef); err != nil {
+				return 0, err
+			}
+		}
+	default:
+		if err := s.hannanRissanen(x, d, ss, mx, p, q, cfg.LongAROrder); err != nil {
+			return 0, err
+		}
 	}
 
-	// Pure AR: Yule-Walker directly.
-	if q == 0 {
-		if p == 0 {
-			return &arma{mean: mean, resid: append([]float64(nil), x...)}, nil
+	// In-sample innovations under the fitted model; early t have fewer
+	// lags.
+	phi, theta := coef[:p], coef[p:]
+	for t, xt := range x {
+		pred := 0.0
+		for i, c := range phi[:min(p, t)] {
+			pred += c * x[t-1-i]
 		}
-		phi, _, err := mathx.YuleWalker(x, p)
-		if err != nil {
-			return nil, err
+		for j, c := range theta[:min(q, t)] {
+			pred += c * eps[t-1-j]
 		}
-		m := &arma{phi: phi, theta: nil, mean: mean}
-		m.resid = m.innovations(x)
-		return m, nil
+		eps[t] = xt - pred
 	}
+	return mean, nil
+}
+
+// hannanRissanen fits ARMA(p, q>0) to the mean-removed series x into
+// s.coef, using s.eps for the stage-1 innovations. d, ss and mx are
+// x's deviations from its own mean, their sum of squares and that
+// mean.
+func (s *scratch) hannanRissanen(x, d []float64, ss, mx float64, p, q, longAR int) error {
+	n := len(x)
+	eps := s.eps
 
 	// Stage 1: long AR to estimate innovations.
 	m1 := longAR
 	if m1 <= 0 {
-		m1 = 2 * (p + q)
-		if m1 < 20 {
-			m1 = 20
+		m1 = max(2*(p+q), 20)
+	}
+	if n <= m1+p+q+1 {
+		return errTooShort
+	}
+	long := grow(s.long, m1)
+	s.long = long
+	if err := s.yuleWalker(d, ss, mx, long); err != nil {
+		return err
+	}
+	// Four residuals at a time: independent accumulators, each summing
+	// its own lags in ascending order.
+	t := m1
+	for ; t+4 <= n; t += 4 {
+		var p0, p1, p2, p3 float64
+		win := x[t-m1 : t+3]
+		for i, c := range long {
+			w := win[m1-1-i : m1+3-i]
+			p0 += c * w[0]
+			p1 += c * w[1]
+			p2 += c * w[2]
+			p3 += c * w[3]
 		}
+		eps[t] = x[t] - p0
+		eps[t+1] = x[t+1] - p1
+		eps[t+2] = x[t+2] - p2
+		eps[t+3] = x[t+3] - p3
 	}
-	if len(x) <= m1+p+q+1 {
-		return nil, errTooShort
-	}
-	longPhi, _, err := mathx.YuleWalker(x, m1)
-	if err != nil {
-		return nil, err
-	}
-	eps := make([]float64, len(x))
-	for t := m1; t < len(x); t++ {
+	for ; t < n; t++ {
 		pred := 0.0
-		for i := 0; i < m1; i++ {
-			pred += longPhi[i] * x[t-1-i]
+		for i, c := range long {
+			pred += c * x[t-1-i]
 		}
 		eps[t] = x[t] - pred
 	}
 
-	// Stage 2: regress x_t on lagged x and lagged innovations.
-	start := m1 + maxInt(p, q)
-	var rows [][]float64
-	var ys []float64
-	for t := start; t < len(x); t++ {
-		row := make([]float64, p+q)
-		for i := 0; i < p; i++ {
-			row[i] = x[t-1-i]
+	// Stage 2: least squares of x_t on lagged x and lagged innovations
+	// through the normal equations [XᵀX | Xᵀy]. Each entry is a dot
+	// product of two lagged columns over t = start..n-1, taken four
+	// entries at a time.
+	k := p + q
+	w := k + 1
+	sys := grow(s.sys, k*w)
+	s.sys = sys
+	start := m1 + max(p, q)
+	col := func(i int) []float64 {
+		if i < p {
+			return x[start-1-i : n-1-i]
 		}
-		for j := 0; j < q; j++ {
-			row[p+j] = eps[t-1-j]
+		return eps[start-1-(i-p) : n-1-(i-p)]
+	}
+	var (
+		a, b [4][]float64
+		dst  [4]int
+		np   int
+	)
+	flush := func() {
+		for j := np; j < 4; j++ { // pad with the first entry
+			a[j], b[j], dst[j] = a[0], b[0], dst[0]
 		}
-		rows = append(rows, row)
-		ys = append(ys, x[t])
+		sums := dot4(a, b)
+		for j := range np {
+			sys[dst[j]] = sums[j]
+		}
+		np = 0
 	}
-	beta, err := mathx.LeastSquares(rows, ys)
-	if err != nil {
-		return nil, err
+	entry := func(u, v []float64, at int) {
+		a[np], b[np], dst[np] = u, v, at
+		if np++; np == 4 {
+			flush()
+		}
 	}
-	m := &arma{phi: beta[:p], theta: beta[p:], mean: mean}
-	m.resid = m.innovations(x)
-	return m, nil
+	y := x[start:n]
+	for i := 0; i < k; i++ {
+		ci := col(i)
+		entry(ci, y, i*w+k)
+		for j := i; j < k; j++ {
+			entry(ci, col(j), i*w+j)
+		}
+	}
+	if np > 0 {
+		flush()
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < i; j++ {
+			sys[i*w+j] = sys[j*w+i]
+		}
+		// Tiny ridge term keeps near-collinear regressors (flat VM
+		// traces) solvable without visibly biasing the fit.
+		sys[i*w+i] += 1e-9
+	}
+
+	return mathx.SolveAugmented(sys, s.coef)
 }
 
-// innovations recomputes in-sample one-step residuals under the model.
-func (m *arma) innovations(x []float64) []float64 {
-	p, q := len(m.phi), len(m.theta)
-	eps := make([]float64, len(x))
-	for t := 0; t < len(x); t++ {
-		pred := 0.0
-		for i := 0; i < p && t-1-i >= 0; i++ {
-			pred += m.phi[i] * x[t-1-i]
-		}
-		for j := 0; j < q && t-1-j >= 0; j++ {
-			pred += m.theta[j] * eps[t-1-j]
-		}
-		eps[t] = x[t] - pred
+// yuleWalker fits AR(len(phi)) to a series by the Yule-Walker
+// equations and writes the coefficients to phi, exactly as
+// mathx.YuleWalker does. d holds the series' deviations from its mean
+// mx and ss their sum of squares (the lag-0 autocovariance sum).
+func (s *scratch) yuleWalker(d []float64, ss, mx float64, phi []float64) error {
+	n, order := len(d), len(phi)
+	if n <= order {
+		return errTooShort
 	}
-	return eps
-}
 
-// forecast iterates the ARMA recursion over the horizon with zero
-// future innovations.
-func (m *arma) forecast(x []float64, horizon int) []float64 {
-	p, q := len(m.phi), len(m.theta)
-	// Extended views over (history + forecasts).
-	xs := make([]float64, 0, len(x)+horizon)
-	for _, v := range x {
-		xs = append(xs, v-m.mean)
+	// Autocovariance sums, four lags at a time. Each lag adds its terms
+	// in ascending i, like mathx.Autocovariance; the four lags are
+	// independent chains, so their floating-point adds overlap.
+	acov := grow(s.acov, order+1)
+	s.acov = acov
+	acov[0] = ss
+	for k := 1; k <= order; k += 4 {
+		// Lags k..k+3 share their first m terms; each then adds its
+		// remaining terms, still in ascending i. Lags past order repeat
+		// lag k and are discarded.
+		m := max(n-k-3, 0)
+		var a, b [4][]float64
+		for j := range a {
+			a[j], b[j] = d[:m], d[k:]
+			if k+j <= order {
+				b[j] = d[k+j:]
+			}
+		}
+		sums := dot4(a, b)
+		for j := 0; j < 4 && k+j <= order; j++ {
+			for i := m; i+k+j < n; i++ {
+				sums[j] += d[i] * d[i+k+j]
+			}
+			acov[k+j] = sums[j]
+		}
 	}
-	eps := append([]float64(nil), m.resid...)
-	out := make([]float64, 0, horizon)
-	for h := 0; h < horizon; h++ {
-		t := len(xs)
-		pred := 0.0
-		for i := 0; i < p && t-1-i >= 0; i++ {
-			pred += m.phi[i] * xs[t-1-i]
-		}
-		for j := 0; j < q && t-1-j >= 0; j++ {
-			pred += m.theta[j] * eps[t-1-j]
-		}
-		if math.IsNaN(pred) || math.IsInf(pred, 0) {
-			pred = 0
-		}
-		xs = append(xs, pred)
-		eps = append(eps, 0)
-		out = append(out, pred+m.mean)
+	for k := range acov {
+		acov[k] /= float64(n)
 	}
-	return out
-}
 
-// seasonalDiff returns x[t] - x[t-s] for t >= s.
-func seasonalDiff(x []float64, s int) []float64 {
-	if len(x) <= s {
+	// A (numerically) constant series has no autocovariance structure.
+	scale := 1.0 + math.Abs(mx)
+	if acov[0] <= 1e-12*scale*scale {
+		clear(phi)
 		return nil
 	}
-	out := make([]float64, len(x)-s)
-	for t := s; t < len(x); t++ {
-		out[t-s] = x[t] - x[t-s]
+	// Toeplitz system R·phi = r with R[i][j] = gamma[|i-j|].
+	w := order + 1
+	sys := grow(s.sys, order*w)
+	s.sys = sys
+	for i := 0; i < order; i++ {
+		r := sys[i*w : (i+1)*w]
+		for j := 0; j < order; j++ {
+			r[j] = acov[abs(i-j)]
+		}
+		r[order] = acov[i+1]
 	}
-	return out
+	return mathx.SolveAugmented(sys, phi)
 }
 
-// diff returns the first difference of x.
-func diff(x []float64) []float64 {
-	if len(x) < 2 {
-		return nil
+// dot4 returns the dot products a[j]·b[j], j = 0..3, over len(a[0])
+// terms. Each sum runs in ascending index order in its own
+// accumulator, so it equals a plain loop bit for bit, while the four
+// independent chains hide floating-point add latency.
+func dot4(a, b [4][]float64) (s [4]float64) {
+	n := len(a[0])
+	a0, a1, a2, a3 := a[0][:n], a[1][:n], a[2][:n], a[3][:n]
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	var s0, s1, s2, s3 float64
+	for i := range a0 {
+		s0 += a0[i] * b0[i]
+		s1 += a1[i] * b1[i]
+		s2 += a2[i] * b2[i]
+		s3 += a3[i] * b3[i]
 	}
-	out := make([]float64, len(x)-1)
-	for t := 1; t < len(x); t++ {
-		out[t-1] = x[t] - x[t-1]
-	}
-	return out
+	return [4]float64{s0, s1, s2, s3}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+func abs(i int) int {
+	if i < 0 {
+		return -i
 	}
-	return b
+	return i
 }

@@ -137,6 +137,24 @@ func TestARIMAPureARAndPureMA(t *testing.T) {
 	}
 }
 
+func TestARIMAForecastAllocations(t *testing.T) {
+	// The fit runs on pooled scratch buffers, so in steady state a
+	// call allocates only its result (the pool may add one on a miss).
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	history := syntheticDiurnal(7*288, 11)
+	a := &ARIMA{Cfg: DefaultConfig()}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := a.Forecast(history, 288); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Forecast allocates %.1f times per call, want <= 2", allocs)
+	}
+}
+
 func TestARIMAErrors(t *testing.T) {
 	a := &ARIMA{Cfg: DefaultConfig()}
 	if _, err := a.Forecast([]float64{1, 2, 3}, 10); err == nil {

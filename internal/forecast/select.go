@@ -29,25 +29,22 @@ func SelectOrder(series []float64, maxP, maxQ, seasonalPeriod int) ([]OrderCandi
 	if maxP < 0 || maxQ < 0 || maxP+maxQ == 0 {
 		return nil, errors.New("forecast: need a non-empty order grid")
 	}
-	work := series
-	if seasonalPeriod > 0 {
-		if len(series) <= seasonalPeriod+maxP+maxQ+20 {
-			return nil, errTooShort
-		}
-		work = seasonalDiff(series, seasonalPeriod)
+	if seasonalPeriod > 0 && len(series) <= seasonalPeriod+maxP+maxQ+20 {
+		return nil, errTooShort
 	}
 
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	var out []OrderCandidate
 	for p := 0; p <= maxP; p++ {
 		for q := 0; q <= maxQ; q++ {
 			if p+q == 0 {
 				continue
 			}
-			m, err := fitARMA(work, p, q, 0)
-			if err != nil {
+			if _, err := s.fit(series, Config{P: p, Q: q, SeasonalPeriod: seasonalPeriod}); err != nil {
 				continue
 			}
-			aic, ok := aicOf(m, len(work), p+q)
+			aic, ok := aicOf(s.eps, p+q)
 			if !ok {
 				continue
 			}
@@ -68,16 +65,17 @@ func SelectOrder(series []float64, maxP, maxQ, seasonalPeriod int) ([]OrderCandi
 	return out, nil
 }
 
-// aicOf computes AIC = n·ln(sigma²) + 2k from in-sample innovations.
-func aicOf(m *arma, n, k int) (float64, bool) {
-	if len(m.resid) == 0 {
+// aicOf computes AIC = n·ln(sigma²) + 2k from n in-sample innovations.
+func aicOf(resid []float64, k int) (float64, bool) {
+	n := len(resid)
+	if n == 0 {
 		return 0, false
 	}
 	ss := 0.0
-	for _, e := range m.resid {
+	for _, e := range resid {
 		ss += e * e
 	}
-	sigma2 := ss / float64(len(m.resid))
+	sigma2 := ss / float64(n)
 	if sigma2 <= 0 {
 		// Perfect fit (constant series): any parsimonious model works.
 		return float64(2 * k), true
@@ -118,24 +116,14 @@ type ForecastInterval struct {
 // ForecastWithInterval runs the ARIMA forecast and wraps it with a
 // constant-width ±z·sigma interval (z = 1.96 for ~95%).
 func (a *ARIMA) ForecastWithInterval(history []float64, horizon int, z float64) (*ForecastInterval, error) {
-	point, err := a.Forecast(history, horizon)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	point, err := a.forecast(s, history, horizon)
 	if err != nil {
 		return nil, err
 	}
-	// Refit on the transformed series to recover the innovation scale
-	// (Forecast does not expose its internal model).
-	work := history
-	if a.Cfg.SeasonalPeriod > 0 {
-		work = seasonalDiff(history, a.Cfg.SeasonalPeriod)
-	}
-	for i := 0; i < a.Cfg.D; i++ {
-		work = diff(work)
-	}
-	m, err := fitARMA(work, a.Cfg.P, a.Cfg.Q, a.Cfg.LongAROrder)
-	if err != nil {
-		return nil, err
-	}
-	sigma := mathx.Std(m.resid)
+	// The innovation scale of the fit behind the point forecast.
+	sigma := mathx.Std(s.eps)
 	out := &ForecastInterval{Point: point, ResidStdev: sigma}
 	out.Lower = make([]float64, horizon)
 	out.Upper = make([]float64, horizon)

@@ -10,57 +10,80 @@ var ErrSingular = errors.New("mathx: singular or ill-conditioned matrix")
 
 // SolveLinear solves the dense system A·x = b using Gaussian
 // elimination with partial pivoting. A is given row-major as a slice
-// of rows; it is not modified. The forecaster uses this for
-// Yule-Walker and Hannan-Rissanen regressions, whose systems are tiny
-// (order <= ~30), so an O(n^3) dense solve is the right tool.
+// of rows; it is not modified. YuleWalker and LeastSquares use this
+// for systems that are tiny (order <= ~30), so an O(n^3) dense solve
+// is the right tool.
 func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 || len(b) != n {
 		return nil, ErrLengthMismatch
 	}
 	// Work on a copy in augmented form.
-	m := make([][]float64, n)
+	m := make([]float64, n*(n+1))
 	for i := range a {
 		if len(a[i]) != n {
 			return nil, ErrLengthMismatch
 		}
-		m[i] = make([]float64, n+1)
-		copy(m[i], a[i])
-		m[i][n] = b[i]
+		copy(m[i*(n+1):], a[i])
+		m[i*(n+1)+n] = b[i]
+	}
+	x := make([]float64, n)
+	if err := SolveAugmented(m, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveAugmented is SolveLinear without allocation, for callers that
+// solve many small systems (the ARIMA fit): m holds the augmented
+// system [A | b] row-major (n rows of n+1 values, n = len(x)) and is
+// overwritten by the elimination; the solution is written to x.
+func SolveAugmented(m, x []float64) error {
+	n := len(x)
+	w := n + 1
+	if n == 0 || len(m) != n*w {
+		return ErrLengthMismatch
 	}
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		piv := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
+			if math.Abs(m[r*w+col]) > math.Abs(m[piv*w+col]) {
 				piv = r
 			}
 		}
-		if math.Abs(m[piv][col]) < 1e-12 {
-			return nil, ErrSingular
+		if math.Abs(m[piv*w+col]) < 1e-12 {
+			return ErrSingular
 		}
-		m[col], m[piv] = m[piv], m[col]
+		if piv != col {
+			pr, cr := m[piv*w:(piv+1)*w], m[col*w:(col+1)*w]
+			for c := range cr {
+				pr[c], cr[c] = cr[c], pr[c]
+			}
+		}
 		// Eliminate below.
+		pivRow := m[col*w : (col+1)*w]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
+			row := m[r*w : (r+1)*w]
+			f := row[col] / pivRow[col]
 			if f == 0 {
 				continue
 			}
 			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+				row[c] -= f * pivRow[c]
 			}
 		}
 	}
 	// Back substitution.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		s := m[i][n]
+		row := m[i*w : (i+1)*w]
+		s := row[n]
 		for c := i + 1; c < n; c++ {
-			s -= m[i][c] * x[c]
+			s -= row[c] * x[c]
 		}
-		x[i] = s / m[i][i]
+		x[i] = s / row[i]
 	}
-	return x, nil
+	return nil
 }
 
 // Autocovariance returns the sample autocovariances of xs at lags

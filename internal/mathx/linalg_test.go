@@ -42,6 +42,9 @@ func TestSolveLinearShapeErrors(t *testing.T) {
 	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err != ErrLengthMismatch {
 		t.Errorf("ragged err = %v, want ErrLengthMismatch", err)
 	}
+	if err := SolveAugmented(make([]float64, 5), make([]float64, 2)); err != ErrLengthMismatch {
+		t.Errorf("augmented shape err = %v, want ErrLengthMismatch", err)
+	}
 }
 
 func TestSolveLinearRoundTripProperty(t *testing.T) {

@@ -240,15 +240,21 @@ func Generate(cfg Config) (*Trace, error) {
 	r := newRNG(cfg.Seed)
 	n := cfg.Days * SamplesPerDay
 
-	// Per-group structure: phase offset (peak time) and a shared
-	// smoothed random walk that correlates members' loads.
+	// Per-group structure: the diurnal shape (day/night sinusoid plus
+	// a sharper mid-peak harmonic, phase-shifted per group) and a
+	// shared smoothed random walk that correlates members' loads.
 	type group struct {
-		phase  float64
-		common []float64
+		diurnal []float64
+		common  []float64
 	}
 	groups := make([]group, cfg.Groups)
 	for g := range groups {
-		groups[g].phase = r.float() * float64(SamplesPerDay)
+		phase := r.float() * float64(SamplesPerDay)
+		groups[g].diurnal = make([]float64, n)
+		for i := range groups[g].diurnal {
+			tDay := (float64(i) + phase) / SamplesPerDay * 2 * math.Pi
+			groups[g].diurnal[i] = 0.75*math.Sin(tDay) + 0.25*math.Sin(2*tDay)
+		}
 		walk := make([]float64, n)
 		level := 0.0
 		for i := 0; i < n; i++ {
@@ -295,11 +301,6 @@ func Generate(cfg Config) (*Trace, error) {
 		mem := make([]float64, n)
 		burstLeft := 0
 		for i := 0; i < n; i++ {
-			// Diurnal shape: day/night sinusoid plus a sharper
-			// mid-peak harmonic, phase-shifted per group.
-			tDay := (float64(i) + g.phase) / SamplesPerDay * 2 * math.Pi
-			diurnal := 0.75*math.Sin(tDay) + 0.25*math.Sin(2*tDay)
-
 			if burstLeft == 0 && r.float() < cfg.BurstProb {
 				burstLeft = 3 + int(r.uint64()%9) // 15-60 minutes
 			}
@@ -309,7 +310,7 @@ func Generate(cfg Config) (*Trace, error) {
 				burstLeft--
 			}
 
-			c := base + ampl*diurnal + g.common[i] + r.norm()*cfg.NoiseStd + burst
+			c := base + ampl*g.diurnal[i] + g.common[i] + r.norm()*cfg.NoiseStd + burst
 			cpu[i] = clampPct(c)
 
 			// Memory: slow drift around the class mean plus a small
