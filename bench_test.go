@@ -1,7 +1,8 @@
 package ntcdc
 
 // Benchmark harness: one testing.B benchmark per table and figure of
-// the paper (see DESIGN.md §4), plus the ablation benches for the
+// the paper (see DESIGN.md §4; Figs. 4-6 come from one simulation, so
+// BenchmarkWeek covers all three), plus the ablation benches for the
 // design decisions DESIGN.md §5 calls out.
 //
 // The data-center benches (Figs 4-7) run at a reduced scale (150 VMs,
@@ -70,14 +71,9 @@ func benchDC(evalDays int, arima bool) experiments.DCConfig {
 	return cfg
 }
 
-func BenchmarkFig4(b *testing.B) { benchWeek(b) }
-func BenchmarkFig5(b *testing.B) { benchWeek(b) }
-func BenchmarkFig6(b *testing.B) { benchWeek(b) }
-
-// benchWeek runs the shared Figs. 4-6 experiment (one simulation
-// produces all three series).
-func benchWeek(b *testing.B) {
-	b.Helper()
+// BenchmarkWeek runs the Figs. 4-6 experiment: one simulation
+// produces all three figures' series.
+func BenchmarkWeek(b *testing.B) {
 	cfg := benchDC(1, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,15 @@
 // Conversion keeps the minimum ns/op across -count repetitions (the
 // least-noise estimate: the fastest observed run is the one with the
 // least interference) and strips the GOMAXPROCS suffix from benchmark
-// names so snapshots compare across machines. Runs taken with
-// -benchmem also record B/op and allocs/op (minimum across
-// repetitions); a snapshot distinguishes "0 B/op" from "not measured".
+// names. Runs taken with -benchmem also record B/op and allocs/op
+// (minimum across repetitions); a snapshot distinguishes "0 B/op"
+// from "not measured".
+//
+// Every snapshot records the hardware it was taken on: the CPU model
+// from the "cpu:" header of the benchmark output, the GOMAXPROCS the
+// stripped name suffix carried, and the Go version benchjson runs
+// under. The gate refuses to compare snapshots whose records differ —
+// a timing from another machine or toolchain is not a regression.
 //
 // The gate fails (non-zero exit) when any baseline benchmark regresses
 // by more than -max-regression percent, or disappeared from the
@@ -32,8 +38,10 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 func main() {
@@ -60,10 +68,30 @@ type Entry struct {
 	Runs int `json:"runs"`
 }
 
+// Hardware identifies where a snapshot was taken. Snapshots compare
+// only when their records are equal.
+type Hardware struct {
+	// CPU is the model from the "cpu:" header of `go test -bench`.
+	CPU string `json:"cpu"`
+
+	// GOMAXPROCS is the benchmark-name suffix (1 when absent).
+	GOMAXPROCS int `json:"gomaxprocs"`
+
+	// GoVersion is runtime.Version() of the converting toolchain.
+	GoVersion string `json:"go_version"`
+}
+
+func (h Hardware) String() string {
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %d, %s", h.CPU, h.GOMAXPROCS, h.GoVersion)
+}
+
 // File is the snapshot format (BENCH_<sha>.json / BENCH_baseline.json).
 type File struct {
 	// Note is free-form provenance ("committed baseline", a commit id).
 	Note string `json:"note,omitempty"`
+
+	// Hardware is where the snapshot was taken.
+	Hardware Hardware `json:"hardware"`
 
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to
 	// its snapshot. encoding/json emits keys sorted, so the file is
@@ -111,6 +139,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no benchmark results in %s", *in)
 	}
 	cur.Note = *note
+	cur.Hardware.GoVersion = runtime.Version()
 
 	if *out != "" {
 		data, err := json.MarshalIndent(cur, "", "  ")
@@ -144,21 +173,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 //
 //	BenchmarkFig7-8   	       3	 120531431 ns/op
 //	BenchmarkSweepGrid/serial-workers=1-8         	       3	  52304219 ns/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 // Parse reads `go test -bench` output into a snapshot, folding -count
 // repetitions of one benchmark into the per-metric minimum (-benchmem
-// memory columns included when present).
+// memory columns included when present). It records the CPU model and
+// GOMAXPROCS of the run (GoVersion is left for the caller) and fails
+// on output that mixes either, such as a -cpu list: one snapshot
+// describes one hardware setting.
 func Parse(r io.Reader) (File, error) {
 	out := File{Benchmarks: map[string]Entry{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	cpuSeen, procsSeen := false, false
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(cpu)
+			if cpuSeen && cpu != out.Hardware.CPU {
+				return File{}, fmt.Errorf("output mixes CPUs %q and %q", out.Hardware.CPU, cpu)
+			}
+			out.Hardware.CPU, cpuSeen = cpu, true
+			continue
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		procs := 1
+		if m[2] != "" {
+			p, err := strconv.Atoi(m[2])
+			if err != nil {
+				return File{}, fmt.Errorf("line %q: %w", sc.Text(), err)
+			}
+			procs = p
+		}
+		if procsSeen && procs != out.Hardware.GOMAXPROCS {
+			return File{}, fmt.Errorf("output mixes GOMAXPROCS %d and %d (run one -cpu value per snapshot)",
+				out.Hardware.GOMAXPROCS, procs)
+		}
+		out.Hardware.GOMAXPROCS, procsSeen = procs, true
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return File{}, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
@@ -166,12 +220,12 @@ func Parse(r io.Reader) (File, error) {
 		if !seen || ns < e.NsPerOp {
 			e.NsPerOp = ns
 		}
-		if m[3] != "" {
-			b, err := strconv.ParseInt(m[3], 10, 64)
+		if m[4] != "" {
+			b, err := strconv.ParseInt(m[4], 10, 64)
 			if err != nil {
 				return File{}, fmt.Errorf("line %q: %w", sc.Text(), err)
 			}
-			a, err := strconv.ParseInt(m[4], 10, 64)
+			a, err := strconv.ParseInt(m[5], 10, 64)
 			if err != nil {
 				return File{}, fmt.Errorf("line %q: %w", sc.Text(), err)
 			}
@@ -224,8 +278,13 @@ func gateMem(w io.Writer, name, unit string, base, cur int64, floor, maxPercent 
 // gate wherever the baseline recorded them (see gateMem), with minB
 // and minAllocs as their noise floors; a current run without
 // -benchmem data fails rather than silently shrinking that coverage.
-// New benchmarks are reported on w but never fail the gate.
+// New benchmarks are reported on w but never fail the gate. Gate
+// refuses to compare at all when the two hardware records differ.
 func Gate(w io.Writer, base, cur File, maxPercent, minNs, minB, minAllocs float64) error {
+	if base.Hardware != cur.Hardware {
+		return fmt.Errorf("refusing to compare snapshots from different hardware: baseline %v, current %v "+
+			"(record a baseline on this hardware first)", base.Hardware, cur.Hardware)
+	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)

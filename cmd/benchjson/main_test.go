@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -271,5 +272,110 @@ func TestCLIErrors(t *testing.T) {
 				t.Errorf("run(%v) = %v, want mention of %q", c.args, err, c.want)
 			}
 		})
+	}
+}
+
+func TestParseRecordsHardware(t *testing.T) {
+	f, err := Parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Hardware{CPU: "SomeCPU", GOMAXPROCS: 8}); f.Hardware != want {
+		t.Errorf("hardware = %+v, want %+v", f.Hardware, want)
+	}
+
+	// No name suffix means GOMAXPROCS 1.
+	f, err = Parse(strings.NewReader("cpu: Other CPU @ 2.0GHz \nBenchmarkA   \t 3\t 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Hardware{CPU: "Other CPU @ 2.0GHz", GOMAXPROCS: 1}); f.Hardware != want {
+		t.Errorf("hardware = %+v, want %+v", f.Hardware, want)
+	}
+
+	// One snapshot describes one hardware setting.
+	for name, out := range map[string]string{
+		"mixes GOMAXPROCS": "BenchmarkA   \t 3\t 100 ns/op\nBenchmarkA-2 \t 3\t 60 ns/op\n",
+		"mixes CPUs":       "cpu: X\nBenchmarkA-2 \t 3\t 100 ns/op\ncpu: Y\nBenchmarkB-2 \t 3\t 100 ns/op\n",
+	} {
+		if _, err := Parse(strings.NewReader(out)); err == nil || !strings.Contains(err.Error(), strings.Fields(name)[0]) {
+			t.Errorf("%s: Parse error = %v", name, err)
+		}
+	}
+}
+
+func TestGateHardwareRecord(t *testing.T) {
+	hw := Hardware{CPU: "SomeCPU", GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	base := snapshot(map[string]float64{"BenchmarkA": 100})
+	base.Hardware = hw
+	cur := snapshot(map[string]float64{"BenchmarkA": 100})
+	cur.Hardware = hw
+	if err := Gate(&bytes.Buffer{}, base, cur, 25, 0, 0, 0); err != nil {
+		t.Errorf("matching hardware refused: %v", err)
+	}
+
+	for name, mut := range map[string]func(*Hardware){
+		"cpu":        func(h *Hardware) { h.CPU = "OtherCPU" },
+		"gomaxprocs": func(h *Hardware) { h.GOMAXPROCS = 4 },
+		"go-version": func(h *Hardware) { h.GoVersion = "go1.25.0" },
+		"unrecorded": func(h *Hardware) { *h = Hardware{} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cur.Hardware = hw
+			mut(&cur.Hardware)
+			var buf bytes.Buffer
+			err := Gate(&buf, base, cur, 25, 0, 0, 0)
+			if err == nil || !strings.Contains(err.Error(), "different hardware") ||
+				!strings.Contains(err.Error(), base.Hardware.String()) || !strings.Contains(err.Error(), cur.Hardware.String()) {
+				t.Errorf("mismatched hardware error = %v, want both records named", err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("a refused gate still compared benchmarks:\n%s", buf.String())
+			}
+		})
+	}
+}
+
+// TestCLIRefusesForeignBaseline drives the mismatch through the CLI: a
+// baseline recorded on other hardware fails the gate before any
+// benchmark is compared, and the snapshot records this toolchain.
+func TestCLIRefusesForeignBaseline(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(in, []byte(sampleOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "snap.json")
+	if err := run([]string{"-in", in, "-out", snap}, &bytes.Buffer{}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Hardware{CPU: "SomeCPU", GOMAXPROCS: 8, GoVersion: runtime.Version()}); f.Hardware != want {
+		t.Fatalf("snapshot hardware = %+v, want %+v", f.Hardware, want)
+	}
+
+	f.Hardware.CPU = "ForeignCPU"
+	data, err = json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := filepath.Join(dir, "foreign.json")
+	if err := os.WriteFile(foreign, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	err = run([]string{"-in", in, "-baseline", foreign}, &stdout, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "different hardware") || !strings.Contains(err.Error(), "ForeignCPU") {
+		t.Errorf("foreign baseline gate = %v, want a hardware refusal", err)
+	}
+	if strings.Contains(stdout.String(), "gate ok") {
+		t.Errorf("foreign baseline reported gate ok:\n%s", stdout.String())
 	}
 }

@@ -188,6 +188,54 @@ func TestPowerModelAxisChangesPricingNotPlacement(t *testing.T) {
 		t.Errorf("embodied carbon diverged: %g vs %g — placement moved",
 			ntc.EmbodiedGCO2, tdp.EmbodiedGCO2)
 	}
+
+	// The same contract over both pricing axes, every policy, static
+	// and rebalanced fleets, each row executed alone (Runner.Exec never
+	// shares placements): rows that differ only in transition or power
+	// model carry identical placement columns. Migrations are counted
+	// by the transition pricing, so the zero model reports none and
+	// every nonzero model reports the same count.
+	pg := pricingGrid()
+	rn, err := NewRunner(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens, err := Expand(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[Scenario]RunResult{}
+	firstPriced := map[Scenario]RunResult{}
+	for _, s := range scens {
+		r := rn.Exec(s)
+		if r.Err != "" {
+			t.Fatalf("%s: %s", s.ID(), r.Err)
+		}
+		k := placementKey(s)
+		ref, ok := first[k]
+		if !ok {
+			first[k] = r
+			ref = r
+		}
+		if r.Violations != ref.Violations || r.MeanActive != ref.MeanActive ||
+			r.PeakActive != ref.PeakActive || r.CrossDCMigrations != ref.CrossDCMigrations ||
+			r.MeanPlannedFreqGHz != ref.MeanPlannedFreqGHz {
+			t.Errorf("placement columns diverged between pricing siblings:\n%s: %+v\n%s: %+v",
+				ref.Scenario.ID(), ref, s.ID(), r)
+		}
+		if s.Transitions == "none" {
+			if r.Migrations != 0 {
+				t.Errorf("%s: %d migrations under the zero transition model", s.ID(), r.Migrations)
+			}
+			continue
+		}
+		if p, ok := firstPriced[k]; !ok {
+			firstPriced[k] = r
+		} else if r.Migrations != p.Migrations {
+			t.Errorf("migrations diverged between pricing siblings: %s: %d, %s: %d",
+				p.Scenario.ID(), p.Migrations, s.ID(), r.Migrations)
+		}
+	}
 }
 
 // TestStaleV3EntriesNeverAnswerV4 pins the v3→v4 migration in the

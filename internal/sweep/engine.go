@@ -36,8 +36,10 @@ const resultSchemaVersion = "sweep-result-v4"
 // Options tunes one sweep execution. The zero value runs on
 // GOMAXPROCS workers with no progress reporting and no caching.
 type Options struct {
-	// Workers bounds the worker pool; <= 0 uses GOMAXPROCS. The
-	// worker count affects wall-clock time only, never results.
+	// Workers bounds the worker pool; <= 0 uses GOMAXPROCS. The pool
+	// runs placement groups (see Run), so more workers than groups
+	// add nothing. The worker count affects wall-clock time only,
+	// never results.
 	Workers int
 
 	// Progress, when set, is called after each completed scenario
@@ -188,18 +190,26 @@ func (r *Results) Failed() error {
 // Run expands the grid and executes every scenario on a bounded
 // worker pool. Scenario failures are recorded per run (see
 // Results.Failed); Run itself fails only on an invalid grid.
+//
+// The pool schedules placement groups, not rows: scenarios that
+// differ only in their transition or power model share one placement,
+// so a group runs on one worker, its first executed scenario with the
+// allocation policies' outputs logged and the rest replaying that log
+// (see placement.go). Rows are still stored by expansion index and are
+// byte-identical to Runner.Exec's, which never shares.
 func Run(g Grid, opt Options) (*Results, error) {
 	g = g.WithDefaults()
 	scens, err := Expand(g)
 	if err != nil {
 		return nil, err
 	}
+	groups := placementGroups(scens)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(scens) {
-		workers = len(scens)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 
 	start := time.Now()
@@ -210,40 +220,50 @@ func Run(g Grid, opt Options) (*Results, error) {
 		wg       sync.WaitGroup
 		progMu   sync.Mutex
 		done     int
+		shared   int
 		cacheErr error
 		idx      = make(chan int)
 	)
+	onPutErr := func(err error) {
+		progMu.Lock()
+		if cacheErr == nil {
+			cacheErr = err
+		}
+		progMu.Unlock()
+	}
+	emit := func(i int, r RunResult) {
+		runs[i] = r
+		if opt.Progress != nil {
+			progMu.Lock()
+			done++
+			opt.Progress(done, len(scens), &runs[i])
+			progMu.Unlock()
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				runs[i] = rn.CachedExec(scens[i], opt.Cache, func(err error) {
-					progMu.Lock()
-					if cacheErr == nil {
-						cacheErr = err
-					}
-					progMu.Unlock()
-				})
-				if opt.Progress != nil {
-					progMu.Lock()
-					done++
-					opt.Progress(done, len(scens), &runs[i])
-					progMu.Unlock()
-				}
+			for gi := range idx {
+				n := rn.execGroup(scens, groups[gi], opt.Cache, onPutErr, emit)
+				progMu.Lock()
+				shared += n
+				progMu.Unlock()
 			}
 		}()
 	}
-	for i := range scens {
-		idx <- i
+	for gi := range groups {
+		idx <- gi
 	}
 	close(idx)
 	wg.Wait()
 
+	load := rn.LoadStats()
+	load.SharedPlacements = int64(shared)
 	return &Results{
 		Grid:     g,
 		Runs:     runs,
-		Load:     rn.LoadStats(),
+		Load:     load,
 		Cache:    opt.Cache.Stats(),
 		CacheErr: cacheErr,
 		Workers:  workers,
@@ -290,31 +310,49 @@ func scenarioCacheKeyVersioned(ld *loader, g Grid, s Scenario, version string) (
 // can, executing and persisting it otherwise. onPutErr reports store
 // write failures (results stay complete).
 func cachedScenario(ld *loader, g Grid, s Scenario, store *cache.Store, onPutErr func(error)) RunResult {
-	key := ""
-	if store != nil {
-		if k, ok := scenarioCacheKey(ld, g, s); ok {
-			key = k
-			if row, hit := store.Get(key); hit {
-				// A row that does not decode back to this scenario is
-				// treated as corrupt and re-executed (the store has
-				// already counted the hit; correctness beats stats).
-				if r, ok := DecodeCachedRow(row, s); ok {
-					return r
-				}
-			}
-		}
-	}
-	r := runScenario(ld, g, s)
-	if key != "" && r.Err == "" {
-		row, err := json.Marshal(r)
-		if err == nil {
-			err = store.Put(key, row)
-		}
-		if err != nil {
-			onPutErr(fmt.Errorf("sweep: caching %s: %w", s.ID(), err))
-		}
+	r, key, hit := cacheLookup(ld, g, s, store)
+	if !hit {
+		r = runScenario(ld, g, s, nil)
+		cachePut(store, key, r, onPutErr)
 	}
 	return r
+}
+
+// cacheLookup answers s from the store. On a miss it returns the key
+// the executed row should be stored under ("" when there is no store
+// or s is uncacheable).
+func cacheLookup(ld *loader, g Grid, s Scenario, store *cache.Store) (r RunResult, key string, hit bool) {
+	if store == nil {
+		return RunResult{}, "", false
+	}
+	key, ok := scenarioCacheKey(ld, g, s)
+	if !ok {
+		return RunResult{}, "", false
+	}
+	if row, found := store.Get(key); found {
+		// A row that does not decode back to this scenario is treated
+		// as corrupt and re-executed (the store has already counted
+		// the hit; correctness beats stats).
+		if r, ok := DecodeCachedRow(row, s); ok {
+			return r, key, true
+		}
+	}
+	return RunResult{}, key, false
+}
+
+// cachePut persists an executed row under key; failed rows and empty
+// keys are never stored.
+func cachePut(store *cache.Store, key string, r RunResult, onPutErr func(error)) {
+	if key == "" || r.Err != "" {
+		return
+	}
+	row, err := json.Marshal(r)
+	if err == nil {
+		err = store.Put(key, row)
+	}
+	if err != nil {
+		onPutErr(fmt.Errorf("sweep: caching %s: %w", r.Scenario.ID(), err))
+	}
 }
 
 // fleetConfig resolves one scenario's shared inputs through the
@@ -387,8 +425,9 @@ func fleetConfig(ld *loader, g Grid, s Scenario) (topology.Config, int, error) {
 // runScenario executes one grid point. All shared inputs come from
 // the loader (published read-only); everything mutable — policy,
 // server model, platform — is built fresh here, which is what makes
-// concurrent scenarios independent.
-func runScenario(ld *loader, g Grid, s Scenario) RunResult {
+// concurrent scenarios independent. A non-nil hook records or replays
+// the scenario's placements (see execGroup); nil runs it unshared.
+func runScenario(ld *loader, g Grid, s Scenario, hook placementHook) RunResult {
 	out := RunResult{Scenario: s}
 	fail := func(err error) RunResult {
 		out.Err = err.Error()
@@ -404,7 +443,13 @@ func runScenario(ld *loader, g Grid, s Scenario) RunResult {
 	// "single" topology is the identity (one DC, PUE 1, the whole
 	// pool), so its rows match the plain simulation bit-for-bit —
 	// under any rebalance spec, since one DC has nothing to rebalance.
+	if hook != nil {
+		cfg.NewPolicy = hook.wrap(cfg.NewPolicy)
+	}
 	fres, err := topology.Run(cfg)
+	if err == nil && hook != nil {
+		err = hook.finish()
+	}
 	if err != nil {
 		return fail(err)
 	}

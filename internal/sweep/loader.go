@@ -109,6 +109,11 @@ type LoadStats struct {
 	TraceBuilds     int64 `json:"trace_builds"`
 	PredictRequests int64 `json:"predict_requests"`
 	PredictBuilds   int64 `json:"predict_builds"`
+
+	// SharedPlacements counts the rows Run answered from a placement
+	// logged by another row of their group (see placement.go). It is
+	// execution metadata, kept out of every serialisation.
+	SharedPlacements int64 `json:"-"`
 }
 
 func (l *loader) stats() LoadStats {

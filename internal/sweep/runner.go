@@ -45,7 +45,7 @@ func (r *Runner) SetBlobSource(b BlobSource) { r.ld.blobs = b }
 
 // Exec runs one scenario. Failures are recorded in the row's Err
 // field, never returned — the sweep contract is one row per scenario.
-func (r *Runner) Exec(s Scenario) RunResult { return runScenario(r.ld, r.grid, s) }
+func (r *Runner) Exec(s Scenario) RunResult { return runScenario(r.ld, r.grid, s, nil) }
 
 // StepperConfig resolves one scenario into the topology.Config it
 // executes — shared inputs (trace, predictions, fleet) through the

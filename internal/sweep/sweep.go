@@ -446,7 +446,10 @@ func (g Grid) Validate() error {
 // its inputs (file ingestion) are the most expensive to share;
 // topology comes next so all of a fleet's scenarios reuse one trace
 // and one prediction set, and rebalance right after it so a fleet's
-// static and rebalanced rows sit side by side.
+// static and rebalanced rows sit side by side. Transitions and power
+// model are the pricing-only axes: rows that differ in them alone
+// form one placement group, which Run simulates once and reprices per
+// row (see placement.go).
 func Expand(g Grid) ([]Scenario, error) {
 	g = g.WithDefaults()
 	if err := g.Validate(); err != nil {
