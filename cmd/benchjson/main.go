@@ -17,7 +17,9 @@
 // from the "cpu:" header of the benchmark output, the GOMAXPROCS the
 // stripped name suffix carried, and the Go version benchjson runs
 // under. The gate refuses to compare snapshots whose records differ —
-// a timing from another machine or toolchain is not a regression.
+// a timing from another machine or toolchain is not a regression. A
+// baseline without a record (one assembled from runs on several
+// machines) is compared unchecked, with a note saying so.
 //
 // The gate fails (non-zero exit) when any baseline benchmark regresses
 // by more than -max-regression percent, or disappeared from the
@@ -69,7 +71,7 @@ type Entry struct {
 }
 
 // Hardware identifies where a snapshot was taken. Snapshots compare
-// only when their records are equal.
+// only when their records are equal; the zero value means unrecorded.
 type Hardware struct {
 	// CPU is the model from the "cpu:" header of `go test -bench`.
 	CPU string `json:"cpu"`
@@ -90,8 +92,9 @@ type File struct {
 	// Note is free-form provenance ("committed baseline", a commit id).
 	Note string `json:"note,omitempty"`
 
-	// Hardware is where the snapshot was taken.
-	Hardware Hardware `json:"hardware"`
+	// Hardware is where the snapshot was taken (omitted when
+	// unrecorded).
+	Hardware Hardware `json:"hardware,omitzero"`
 
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to
 	// its snapshot. encoding/json emits keys sorted, so the file is
@@ -279,9 +282,14 @@ func gateMem(w io.Writer, name, unit string, base, cur int64, floor, maxPercent 
 // and minAllocs as their noise floors; a current run without
 // -benchmem data fails rather than silently shrinking that coverage.
 // New benchmarks are reported on w but never fail the gate. Gate
-// refuses to compare at all when the two hardware records differ.
+// refuses to compare at all when the baseline's hardware record
+// differs from the current one; a baseline without a record is
+// compared unchecked.
 func Gate(w io.Writer, base, cur File, maxPercent, minNs, minB, minAllocs float64) error {
-	if base.Hardware != cur.Hardware {
+	switch {
+	case base.Hardware == Hardware{}:
+		fmt.Fprintf(w, "baseline has no hardware record; comparing against %v unchecked\n", cur.Hardware)
+	case base.Hardware != cur.Hardware:
 		return fmt.Errorf("refusing to compare snapshots from different hardware: baseline %v, current %v "+
 			"(record a baseline on this hardware first)", base.Hardware, cur.Hardware)
 	}

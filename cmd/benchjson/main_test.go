@@ -334,6 +334,19 @@ func TestGateHardwareRecord(t *testing.T) {
 			}
 		})
 	}
+
+	// A baseline without a record compares, and says it did unchecked.
+	cur.Hardware = hw
+	base.Hardware = Hardware{}
+	base.Benchmarks["BenchmarkA"] = Entry{NsPerOp: 50, Runs: 3}
+	var buf bytes.Buffer
+	err := Gate(&buf, base, cur, 25, 0, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkA") {
+		t.Errorf("unrecorded baseline: gate error = %v, want the regression compared", err)
+	}
+	if !strings.Contains(buf.String(), "no hardware record") {
+		t.Errorf("unrecorded baseline compared without a note:\n%s", buf.String())
+	}
 }
 
 // TestCLIRefusesForeignBaseline drives the mismatch through the CLI: a

@@ -36,10 +36,8 @@ const resultSchemaVersion = "sweep-result-v4"
 // Options tunes one sweep execution. The zero value runs on
 // GOMAXPROCS workers with no progress reporting and no caching.
 type Options struct {
-	// Workers bounds the worker pool; <= 0 uses GOMAXPROCS. The pool
-	// runs placement groups (see Run), so more workers than groups
-	// add nothing. The worker count affects wall-clock time only,
-	// never results.
+	// Workers bounds the worker pool; <= 0 uses GOMAXPROCS. The
+	// worker count affects wall-clock time only, never results.
 	Workers int
 
 	// Progress, when set, is called after each completed scenario
@@ -191,25 +189,25 @@ func (r *Results) Failed() error {
 // worker pool. Scenario failures are recorded per run (see
 // Results.Failed); Run itself fails only on an invalid grid.
 //
-// The pool schedules placement groups, not rows: scenarios that
-// differ only in their transition or power model share one placement,
-// so a group runs on one worker, its first executed scenario with the
-// allocation policies' outputs logged and the rest replaying that log
-// (see placement.go). Rows are still stored by expansion index and are
-// byte-identical to Runner.Exec's, which never shares.
+// The pool schedules placement groups: scenarios that differ only in
+// their transition or power model share one placement. A group's
+// first executed scenario (its leader) runs with the allocation
+// policies' outputs logged; once it finishes, the group's other
+// scenarios go back to the pool as separate tasks that replay the log
+// (see placement.go). Rows are still stored by expansion index and
+// are byte-identical to Runner.Exec's, which never shares.
 func Run(g Grid, opt Options) (*Results, error) {
 	g = g.WithDefaults()
 	scens, err := Expand(g)
 	if err != nil {
 		return nil, err
 	}
-	groups := placementGroups(scens)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(scens) {
+		workers = len(scens)
 	}
 
 	start := time.Now()
@@ -222,7 +220,7 @@ func Run(g Grid, opt Options) (*Results, error) {
 		done     int
 		shared   int
 		cacheErr error
-		idx      = make(chan int)
+		q        = newTaskQueue(placementGroups(scens))
 	)
 	onPutErr := func(err error) {
 		progMu.Lock()
@@ -244,18 +242,19 @@ func Run(g Grid, opt Options) (*Results, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range idx {
-				n := rn.execGroup(scens, groups[gi], opt.Cache, onPutErr, emit)
-				progMu.Lock()
-				shared += n
-				progMu.Unlock()
+			for t, ok := q.take(); ok; t, ok = q.take() {
+				if t.group != nil {
+					q.led(rn.lead(scens, t.group, opt.Cache, onPutErr, emit))
+					continue
+				}
+				if rn.follow(scens, t, opt.Cache, onPutErr, emit) {
+					progMu.Lock()
+					shared++
+					progMu.Unlock()
+				}
 			}
 		}()
 	}
-	for gi := range groups {
-		idx <- gi
-	}
-	close(idx)
 	wg.Wait()
 
 	load := rn.LoadStats()

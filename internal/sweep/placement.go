@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/power"
@@ -74,11 +75,12 @@ type policyLog struct {
 }
 
 // placement is one Allocate result reduced to what the slot replay
-// and transition pricing read. The predicted per-server CPU/Mem plan
-// patterns are dropped. VM indices are int32 to halve the log.
+// and transition pricing read; the predicted per-server CPU/Mem plan
+// patterns are dropped. The servers' VM lists are stored back to back
+// as int32: most servers of a pool are empty, and one []int per server
+// raised policy-grid's max_rss_mb by about 5% (a flat []int by about
+// 3.5%) over this layout.
 type placement struct {
-	policy   string
-	numVMs   int
 	spec     alloc.ServerSpec
 	vms      []int32 // the servers' VM lists, concatenated in server order
 	ends     []int32 // ends[i] is where server i's list ends in vms
@@ -90,11 +92,14 @@ type placement struct {
 	epactCase      int
 }
 
-func logPlacement(a *alloc.Assignment, numVMs int, spec alloc.ServerSpec) placement {
+func logPlacement(a *alloc.Assignment, spec alloc.ServerSpec) placement {
+	n := 0
+	for _, srv := range a.Servers {
+		n += len(srv.VMs)
+	}
 	p := placement{
-		policy:      a.Policy,
-		numVMs:      numVMs,
 		spec:        spec,
+		vms:         make([]int32, 0, n),
 		ends:        make([]int32, len(a.Servers)),
 		vmServer:    make([]int32, len(a.VMServer)),
 		cpuCap:      a.CPUCapPoints,
@@ -103,13 +108,8 @@ func logPlacement(a *alloc.Assignment, numVMs int, spec alloc.ServerSpec) placem
 		fixedFreq:   a.FixedFreq,
 		epactCase:   a.EPACTCase,
 	}
-	n := 0
-	for _, srv := range a.Servers {
-		n += len(srv.VMs)
-	}
-	// The server lists keep their order: replay sums each server's
+	// Each server's list keeps its order: replay sums the server's
 	// samples in it, and float addition is not associative.
-	p.vms = make([]int32, 0, n)
 	for i, srv := range a.Servers {
 		for _, v := range srv.VMs {
 			p.vms = append(p.vms, int32(v))
@@ -123,8 +123,9 @@ func logPlacement(a *alloc.Assignment, numVMs int, spec alloc.ServerSpec) placem
 }
 
 // assignment rebuilds a fresh Assignment (no plan patterns) for one
-// replaying scenario.
-func (p *placement) assignment() *alloc.Assignment {
+// replaying scenario; followers replay concurrently, so each gets its
+// own slices.
+func (p *placement) assignment(policy string) *alloc.Assignment {
 	ints := make([]int, len(p.vms)+len(p.vmServer))
 	for i, v := range p.vms {
 		ints[i] = int(v)
@@ -142,7 +143,7 @@ func (p *placement) assignment() *alloc.Assignment {
 		start = end
 	}
 	return &alloc.Assignment{
-		Policy:       p.policy,
+		Policy:       policy,
 		Servers:      servers,
 		VMServer:     vmServer,
 		CPUCapPoints: p.cpuCap,
@@ -179,7 +180,7 @@ func (p *recordingPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) 
 	if err != nil {
 		return nil, err
 	}
-	p.log.calls = append(p.log.calls, logPlacement(a, len(vms), spec))
+	p.log.calls = append(p.log.calls, logPlacement(a, spec))
 	return a, nil
 }
 
@@ -233,58 +234,124 @@ func (p *replayPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*a
 	}
 	c := &p.log.calls[p.next]
 	switch {
-	case len(vms) != c.numVMs:
+	case len(vms) != len(c.vmServer):
 		return nil, fmt.Errorf("sweep: placement replay: policy %d (%s) call %d got %d VMs, the log holds %d",
-			p.id, p.log.name, p.next, len(vms), c.numVMs)
+			p.id, p.log.name, p.next, len(vms), len(c.vmServer))
 	case spec != c.spec:
 		return nil, fmt.Errorf("sweep: placement replay: policy %d (%s) call %d got server spec %+v, the log holds %+v",
 			p.id, p.log.name, p.next, spec, c.spec)
 	}
 	p.next++
-	return c.assignment(), nil
+	return c.assignment(p.log.name), nil
 }
 
-// execGroup answers one placement group's rows and passes each to
-// emit with its expansion index. Cache hits go first. When at least
-// two rows miss, the first miss (the leader) runs to completion with
-// its placements logged, and the other misses replay the log; a
-// failed leader leaves them to run unshared. A group with a single
-// miss logs nothing. execGroup returns how many rows were answered
-// from a logged placement.
-func (r *Runner) execGroup(scens []Scenario, group []int, store *cache.Store, onPutErr func(error), emit func(int, RunResult)) int {
-	var misses []int
-	var keys []string
+// task is one unit of Run's worker pool: a whole placement group
+// (group != nil), or one row of a group whose leader has finished,
+// replaying the leader's log (nil when the leader failed).
+type task struct {
+	group []int
+	row   int
+	key   string // the row's cache key ("" when not cacheable)
+	log   *placementLog
+}
+
+// taskQueue feeds Run's worker pool. Rows of led groups go before
+// new groups: they are ready to run, and draining them frees their
+// group's log.
+type taskQueue struct {
+	mu      sync.Mutex
+	ready   sync.Cond
+	groups  [][]int
+	next    int // the next group to hand out
+	leading int // groups handed out whose leader has not finished
+	rows    []task
+}
+
+func newTaskQueue(groups [][]int) *taskQueue {
+	q := &taskQueue{groups: groups}
+	q.ready.L = &q.mu
+	return q
+}
+
+// take blocks until there is a task, and reports false once every
+// group is led and every row has been handed out.
+func (q *taskQueue) take() (task, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case len(q.rows) > 0:
+			t := q.rows[0]
+			q.rows = q.rows[1:]
+			return t, true
+		case q.next < len(q.groups):
+			q.next++
+			q.leading++
+			return task{group: q.groups[q.next-1]}, true
+		case q.leading == 0:
+			return task{}, false
+		}
+		q.ready.Wait()
+	}
+}
+
+// led ends one group's leading stage and queues its remaining rows.
+func (q *taskQueue) led(rows []task) {
+	q.mu.Lock()
+	q.leading--
+	q.rows = append(q.rows, rows...)
+	q.mu.Unlock()
+	q.ready.Broadcast()
+}
+
+// lead answers a placement group's cache hits and its first miss, and
+// returns the other misses as tasks. When at least two rows miss, the
+// first (the leader) runs with its placements logged and the others
+// replay the log; a failed leader leaves them to run unshared. A group
+// with a single miss logs nothing.
+func (r *Runner) lead(scens []Scenario, group []int, store *cache.Store, onPutErr func(error), emit func(int, RunResult)) []task {
+	var misses []task
 	for _, i := range group {
 		row, key, hit := cacheLookup(r.ld, r.grid, scens[i], store)
 		if hit {
 			emit(i, row)
 			continue
 		}
-		misses = append(misses, i)
-		keys = append(keys, key)
+		misses = append(misses, task{row: i, key: key})
+	}
+	if len(misses) == 0 {
+		return nil
 	}
 	var log *placementLog
+	var hook placementHook // a nil *placementLog must not become a non-nil hook
 	if len(misses) > 1 {
 		log = &placementLog{}
+		hook = log
 	}
-	shared := 0
-	for k, i := range misses {
-		var hook placementHook
-		if log != nil {
-			hook = log
-			if k > 0 {
-				hook = &replayer{log: log}
-			}
-		}
-		row := runScenario(r.ld, r.grid, scens[i], hook)
-		switch {
-		case k == 0 && row.Err != "":
-			log = nil
-		case k > 0 && log != nil && row.Err == "":
-			shared++
-		}
-		cachePut(store, keys[k], row, onPutErr)
-		emit(i, row)
+	leader := misses[0]
+	row := runScenario(r.ld, r.grid, scens[leader.row], hook)
+	cachePut(store, leader.key, row, onPutErr)
+	emit(leader.row, row)
+	if row.Err != "" {
+		log = nil
 	}
-	return shared
+	rest := misses[1:]
+	for k := range rest {
+		rest[k].log = log
+	}
+	return rest
+}
+
+// follow answers one row of a led group, replaying the leader's log
+// when there is one, and reports whether the row was answered from a
+// logged placement.
+func (r *Runner) follow(scens []Scenario, t task, store *cache.Store, onPutErr func(error), emit func(int, RunResult)) bool {
+	var hook placementHook
+	if t.log != nil {
+		hook = &replayer{log: t.log}
+	}
+	row := runScenario(r.ld, r.grid, scens[t.row], hook)
+	cachePut(store, t.key, row, onPutErr)
+	emit(t.row, row)
+	return t.log != nil && row.Err == ""
 }

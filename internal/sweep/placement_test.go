@@ -220,3 +220,54 @@ func TestPlacementReplayDivergenceFails(t *testing.T) {
 		})
 	}
 }
+
+// TestTaskQueueHandsOutLedRowsFirst pins the pool's order: a led
+// group's rows go out before new groups, so idle workers replay them
+// while other groups wait, and take waits for running leaders before
+// reporting the queue drained.
+func TestTaskQueueHandsOutLedRowsFirst(t *testing.T) {
+	q := newTaskQueue([][]int{{0, 1, 2}, {3}, {4, 5}})
+	next := func() task {
+		t.Helper()
+		tk, ok := q.take()
+		if !ok {
+			t.Fatal("queue drained early")
+		}
+		return tk
+	}
+	if g := next().group; len(g) != 3 || g[0] != 0 {
+		t.Fatalf("first task = group %v, want group 0", g)
+	}
+	if g := next().group; len(g) != 1 || g[0] != 3 {
+		t.Fatalf("second task = group %v, want group 1", g)
+	}
+	log := &placementLog{}
+	q.led([]task{{row: 1, log: log}, {row: 2, log: log}})
+	q.led(nil)
+	for _, want := range []int{1, 2} {
+		if tk := next(); tk.group != nil || tk.row != want || tk.log != log {
+			t.Fatalf("task = %+v, want row %d replaying the log", tk, want)
+		}
+	}
+	if g := next().group; len(g) != 2 || g[0] != 4 {
+		t.Fatalf("task = group %v, want group 2", g)
+	}
+
+	// Group 2 is still leading: take waits for its rows.
+	got := make(chan task)
+	go func() {
+		tk, ok := q.take()
+		if !ok {
+			close(got)
+			return
+		}
+		got <- tk
+	}()
+	q.led([]task{{row: 5}})
+	if tk, ok := <-got; !ok || tk.row != 5 || tk.log != nil {
+		t.Fatalf("waiting take = %+v (ok %v), want row 5 unshared", tk, ok)
+	}
+	if tk, ok := q.take(); ok {
+		t.Fatalf("drained queue handed out %+v", tk)
+	}
+}
