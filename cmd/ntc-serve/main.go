@@ -6,8 +6,8 @@
 //	POST /v1/sessions        create a session (axis deltas, live ingestion)
 //	GET  /v1/sessions        list sessions
 //	DELETE /v1/sessions/{id} retire a session
-//	POST /v1/sessions/{id}/step|whatif|observe, GET .../status
-//	POST /v1/whatif|step, GET /v1/status   aliases onto the default session
+//	GET  /v1/sessions/{id}   session status
+//	POST /v1/sessions/{id}/step|whatif|observe
 //	GET  /healthz            liveness probe
 //
 // The default session's scenario comes from single-valued axis flags
@@ -134,7 +134,7 @@ func serveHTTP(s *serve.Server, ln net.Listener, tick time.Duration, stderr io.W
 			}
 		}()
 	} else {
-		fmt.Fprintln(stderr, "ntc-serve: manual ticks (POST /v1/step)")
+		fmt.Fprintln(stderr, "ntc-serve: manual ticks (POST /v1/sessions/{id}/step)")
 	}
 	return http.Serve(ln, s.Handler())
 }
@@ -171,7 +171,7 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *flags) {
 	fs.SetOutput(stderr)
 	fl := &flags{
 		addr:          fs.String("addr", "127.0.0.1:8740", "listen address (host:port)"),
-		tick:          fs.Duration("tick", 0, "advance one slot per interval (0 = manual ticks via POST /v1/step)"),
+		tick:          fs.Duration("tick", 0, "advance one slot per interval (0 = manual ticks via POST /v1/sessions/{id}/step)"),
 		policy:        fs.String("policy", "EPACT", "allocation policy"),
 		vms:           fs.Int("vms", 600, "trace VM count"),
 		maxServers:    fs.Int("max-servers", 600, "physical pool bound (0 = unbounded)"),

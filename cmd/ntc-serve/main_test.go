@@ -96,9 +96,9 @@ func TestServeEndToEnd(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/v1/step", "application/json", strings.NewReader(`{"slots": 6}`))
+	resp, err := http.Post(base+"/v1/sessions/default/step", "application/json", strings.NewReader(`{"slots": 6}`))
 	if err != nil {
-		t.Fatalf("POST /v1/step: %v", err)
+		t.Fatalf("POST /v1/sessions/default/step: %v", err)
 	}
 	var sr struct {
 		Slot  int  `json:"slot"`
@@ -164,14 +164,14 @@ func TestServeEndToEnd(t *testing.T) {
 	// A what-if against the empty-but-writable store executes, and
 	// the identical repeat answers warm with zero executions.
 	whatif := func() (executed, hits int) {
-		resp, err := http.Post(base+"/v1/whatif", "application/json",
+		resp, err := http.Post(base+"/v1/sessions/default/whatif", "application/json",
 			strings.NewReader(`{"policies": ["EPACT", "COAT"]}`))
 		if err != nil {
-			t.Fatalf("POST /v1/whatif: %v", err)
+			t.Fatalf("POST /v1/sessions/default/whatif: %v", err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/whatif: status %d", resp.StatusCode)
+			t.Fatalf("POST /v1/sessions/default/whatif: status %d", resp.StatusCode)
 		}
 		var wr struct {
 			Scenarios int `json:"scenarios"`
@@ -202,7 +202,7 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestServeTicker checks the wall-clock mode: with -tick the replay
-// advances without any /v1/step traffic.
+// advances without any /v1/sessions/default/step traffic.
 func TestServeTicker(t *testing.T) {
 	var errb syncBuffer
 	s, ln, tick, err := setup(smallArgs("-tick", "5ms"), &errb)

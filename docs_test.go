@@ -157,7 +157,7 @@ func TestDocsPinServing(t *testing.T) {
 		"`-tick`",
 		"`-whatif-max`, `-whatif-vms`, `-whatif-workers`",
 		"`-max-sessions`",
-		"/v1/whatif",
+		"/v1/sessions/{id}/whatif",
 		"/v1/sessions",
 	} {
 		if !strings.Contains(string(readme), want) {
@@ -176,8 +176,8 @@ func TestDocsPinServing(t *testing.T) {
 		"## What-if queries",
 		"### Mid-replay forks",
 		"## Determinism and concurrency guarantees",
-		"/v1/whatif",
-		"/v1/step",
+		"/v1/sessions/{id}/whatif",
+		"/v1/sessions/{id}/step",
 		"/v1/sessions",
 		"ntc_fleet_energy_mj",
 		"ntc_ingest",

@@ -151,12 +151,14 @@ func ExampleNewFleetService() {
 		fmt.Println("error:", err)
 		return
 	}
-	slot, done, err := svc.Step(3)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
+	for i := 0; i < 3; i++ {
+		if err := svc.Tick(); err != nil {
+			fmt.Println("error:", err)
+			return
+		}
 	}
-	fmt.Println("slot:", slot, "done:", done)
+	snap := svc.Snapshot()
+	fmt.Println("slot:", snap.Slot, "done:", snap.Done)
 
 	var page strings.Builder
 	if err := svc.WriteMetrics(&page); err != nil {

@@ -311,21 +311,45 @@ func TestAssignmentValidateCatchesCorruption(t *testing.T) {
 
 func TestAllPoliciesAssignEveryVM(t *testing.T) {
 	spec := ntcSpec()
-	vms := antiphaseVMs(30, 15, 85, 20, 12)
+	inputs := []struct {
+		name string
+		vms  []VMDemand
+		// equalPeaks: every VM has the same peak CPU, so the
+		// peak-ordered policies (all but EPACT) must place VMs in
+		// index order and each server's VM list comes out ascending.
+		equalPeaks bool
+	}{
+		{"antiphase", antiphaseVMs(30, 15, 85, 20, 12), false},
+		{"equal-peaks", flatVMs(40, 30, 10, 12), true},
+	}
 	policies := []Policy{
 		newEPACT(),
 		NewCOAT(spec),
 		NewCOATOPT(spec, units.GHz(1.9)),
 		&FFD{},
+		NewVerma(),
 		&LoadBalance{Servers: 20},
 	}
-	for _, p := range policies {
-		a, err := p.Allocate(vms, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		if err := a.Validate(len(vms)); err != nil {
-			t.Errorf("%s: %v", p.Name(), err)
+	for _, in := range inputs {
+		for _, p := range policies {
+			a, err := p.Allocate(in.vms, spec)
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.name, p.Name(), err)
+			}
+			if err := a.Validate(len(in.vms)); err != nil {
+				t.Errorf("%s %s: %v", in.name, p.Name(), err)
+			}
+			if !in.equalPeaks || p.Name() == "EPACT" {
+				continue
+			}
+			for j, srv := range a.Servers {
+				for k := 1; k < len(srv.VMs); k++ {
+					if srv.VMs[k] < srv.VMs[k-1] {
+						t.Errorf("%s %s: server %d places VMs %v, want index order", in.name, p.Name(), j, srv.VMs)
+						break
+					}
+				}
+			}
 		}
 	}
 }

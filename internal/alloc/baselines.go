@@ -4,6 +4,20 @@ import (
 	"sort"
 )
 
+// byPeakCPU returns the VM indices ordered by descending peak CPU,
+// equal peaks in index order, together with each VM's peak (indexed by
+// VM). Each peak is computed once rather than on every comparison.
+func byPeakCPU(vms []VMDemand) (order []int, peak []float64) {
+	order = make([]int, len(vms))
+	peak = make([]float64, len(vms))
+	for i := range vms {
+		order[i] = i
+		peak[i] = vms[i].PeakCPU()
+	}
+	sort.SliceStable(order, func(a, b int) bool { return peak[order[a]] > peak[order[b]] })
+	return order, peak
+}
+
 // FFD is plain first-fit-decreasing consolidation without correlation
 // awareness: the classical baseline ([7], [12]) that only checks that
 // the total size of the VMs' load fits the server capacity.
@@ -26,14 +40,7 @@ func (f *FFD) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	}
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
-
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order, _ := byPeakCPU(vms)
 
 	var servers []*ServerPlan
 	vmServer := make([]int, len(vms))
@@ -84,11 +91,12 @@ func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, er
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err
 	}
+	order, peak := byPeakCPU(vms)
 	n := l.Servers
 	if n <= 0 {
 		var total float64
-		for i := range vms {
-			total += vms[i].PeakCPU()
+		for _, p := range peak {
+			total += p
 		}
 		n = int(total/(spec.CPUPoints()*0.5)) + 1
 	}
@@ -97,14 +105,6 @@ func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, er
 		servers[i] = &ServerPlan{}
 	}
 	vmServer := make([]int, len(vms))
-
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
 	for _, idx := range order {
 		// Least-loaded by current peak CPU.
 		best, bestPeak := 0, servers[0].PeakCPU()

@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"sort"
-
 	"repro/internal/mathx"
 	"repro/internal/units"
 )
@@ -80,14 +78,7 @@ func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	}
 	capCPU := spec.CPUPoints() * c.CapFrac
 	capMem := spec.MemPoints()
-
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order, _ := byPeakCPU(vms)
 
 	var servers []*ServerPlan
 	vmServer := make([]int, len(vms))

@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"sort"
-
 	"repro/internal/mathx"
 )
 
@@ -60,14 +58,7 @@ func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	}
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
-
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].PeakCPU() > vms[order[b]].PeakCPU()
-	})
+	order, _ := byPeakCPU(vms)
 
 	binary := make([][]float64, len(vms))
 	for i := range vms {

@@ -248,7 +248,7 @@ func refDiff(x []float64) []float64 {
 
 // checkMatchesRef fails t unless the fused kernel and the reference
 // agree bit for bit on (cfg, history, horizon), errors included, and
-// on the innovation scale ForecastWithInterval reports.
+// on the innovation scale of the fit.
 func checkMatchesRef(t *testing.T, label string, cfg Config, history []float64, horizon int) {
 	t.Helper()
 	a := &ARIMA{Cfg: cfg}
@@ -277,12 +277,12 @@ func checkMatchesRef(t *testing.T, label string, cfg Config, history []float64, 
 				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
-	fi, err := a.ForecastWithInterval(history, horizon, 1.96)
-	if err != nil {
-		t.Fatalf("%s %s: interval: %v", label, a.Name(), err)
+	var s scratch
+	if _, err := a.forecast(&s, history, horizon); err != nil {
+		t.Fatalf("%s %s: refit: %v", label, a.Name(), err)
 	}
-	if sd := mathx.Std(resid); math.Float64bits(fi.ResidStdev) != math.Float64bits(sd) {
-		t.Fatalf("%s %s: innovation sd = %v, reference %v", label, a.Name(), fi.ResidStdev, sd)
+	if got, sd := mathx.Std(s.eps), mathx.Std(resid); math.Float64bits(got) != math.Float64bits(sd) {
+		t.Fatalf("%s %s: innovation sd = %v, reference %v", label, a.Name(), got, sd)
 	}
 }
 

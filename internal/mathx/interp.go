@@ -70,8 +70,3 @@ func (p *PiecewiseLinear) At(x float64) float64 {
 	t := (x - x0) / (x1 - x0)
 	return y0 + t*(y1-y0)
 }
-
-// Domain returns the x range covered by the table.
-func (p *PiecewiseLinear) Domain() (lo, hi float64) {
-	return p.xs[0], p.xs[len(p.xs)-1]
-}

@@ -32,10 +32,6 @@ func TestPiecewiseLinearSortsInput(t *testing.T) {
 	if got := p.At(0.5); !almost(got, 5, 1e-12) {
 		t.Errorf("At(0.5) = %v, want 5 after sorting", got)
 	}
-	lo, hi := p.Domain()
-	if lo != 0 || hi != 2 {
-		t.Errorf("Domain = (%v, %v), want (0, 2)", lo, hi)
-	}
 }
 
 func TestPiecewiseLinearErrors(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package mathx provides the numerical utilities shared by the power,
 // forecasting and allocation packages: descriptive statistics, Pearson
-// correlation, Euclidean distance, piecewise-linear interpolation,
-// argmin helpers and a small dense linear solver.
+// correlation, Euclidean distance, piecewise-linear interpolation and
+// a small dense linear solver.
 //
 // Everything here is deliberately dependency-free (stdlib math only) so
 // the modelling packages stay self-contained.
@@ -58,26 +58,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 //
 // When either series is constant the correlation is undefined; the
@@ -121,19 +101,6 @@ func L2Distance(x, y []float64) (float64, error) {
 	return math.Sqrt(ss), nil
 }
 
-// AddScaled returns x + s*y element-wise. It panics if lengths differ;
-// it is an internal building block used with pre-validated patterns.
-func AddScaled(x []float64, s float64, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mathx: AddScaled length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + s*y[i]
-	}
-	return out
-}
-
 // Complement returns max(x) - x element-wise: the "complementary
 // utilisation pattern" of Algorithms 1 and 2 in the paper.
 func Complement(x []float64) []float64 {
@@ -145,33 +112,6 @@ func Complement(x []float64) []float64 {
 	for i, v := range x {
 		out[i] = m - v
 	}
-	return out
-}
-
-// ArgminFunc returns the x in xs minimising f, together with f(x).
-// It panics on an empty slice.
-func ArgminFunc(xs []float64, f func(float64) float64) (x, fx float64) {
-	x, fx = xs[0], f(xs[0])
-	for _, c := range xs[1:] {
-		if v := f(c); v < fx {
-			x, fx = c, v
-		}
-	}
-	return x, fx
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("mathx: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
 	return out
 }
 

@@ -32,12 +32,6 @@ func TestMinMaxSum(t *testing.T) {
 	if m := Max(xs); m != 7 {
 		t.Errorf("Max = %v, want 7", m)
 	}
-	if m := Min(xs); m != -1 {
-		t.Errorf("Min = %v, want -1", m)
-	}
-	if s := Sum(xs); s != 11 {
-		t.Errorf("Sum = %v, want 11", s)
-	}
 }
 
 func TestPearsonPerfectCorrelation(t *testing.T) {
@@ -162,24 +156,6 @@ func TestComplementProperty(t *testing.T) {
 	}
 }
 
-func TestArgminFunc(t *testing.T) {
-	xs := Linspace(0, 10, 101)
-	x, fx := ArgminFunc(xs, func(v float64) float64 { return (v - 3) * (v - 3) })
-	if !almost(x, 3, 1e-9) || !almost(fx, 0, 1e-9) {
-		t.Errorf("ArgminFunc = (%v, %v), want (3, 0)", x, fx)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(1, 2, 5)
-	want := []float64{1, 1.25, 1.5, 1.75, 2}
-	for i := range want {
-		if !almost(xs[i], want[i], 1e-12) {
-			t.Errorf("Linspace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if v := Clamp(5, 0, 3); v != 3 {
 		t.Errorf("Clamp(5,0,3) = %v, want 3", v)
@@ -220,17 +196,4 @@ func TestRMSE(t *testing.T) {
 	if !almost(got, math.Sqrt(12.5), 1e-12) {
 		t.Errorf("RMSE = %v, want sqrt(12.5)", got)
 	}
-}
-
-func TestAddScaled(t *testing.T) {
-	got := AddScaled([]float64{1, 2}, 2, []float64{10, 20})
-	if got[0] != 21 || got[1] != 42 {
-		t.Errorf("AddScaled = %v, want [21 42]", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AddScaled length mismatch did not panic")
-		}
-	}()
-	AddScaled([]float64{1}, 1, []float64{1, 2})
 }

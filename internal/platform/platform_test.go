@@ -156,4 +156,7 @@ func TestPlatformDescriptors(t *testing.T) {
 	if cavium := CaviumThunderX(); !cavium.InOrder || cavium.Cores != 48 {
 		t.Error("Cavium should be 48 in-order cores")
 	}
+	if x86 := IntelX5650(); x86.FNominal != units.GHz(2.66) {
+		t.Errorf("x86 nominal = %v, want 2.66 GHz", x86.FNominal)
+	}
 }

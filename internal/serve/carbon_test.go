@@ -34,7 +34,7 @@ func TestCarbonGaugesMatchBatch(t *testing.T) {
 			batch.OperationalGCO2, batch.EmbodiedGCO2)
 	}
 
-	if _, _, err := s.Step(1 << 20); err != nil {
+	if _, _, _, err := s.defaultSession().Step(1 << 20); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	var buf bytes.Buffer
@@ -66,7 +66,7 @@ func TestWhatIfPowerModelAxis(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, _, body := doReq(t, ts, http.MethodPost, "/v1/whatif", `{"power_models": ["ntc", "tdp"]}`)
+	code, _, body := doReq(t, ts, http.MethodPost, "/v1/sessions/default/whatif", `{"power_models": ["ntc", "tdp"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("what-if: status %d: %s", code, body)
 	}
@@ -137,7 +137,7 @@ func TestWhatIfIgnoresStaleV3Rows(t *testing.T) {
 
 	post := func() WhatIfResponse {
 		t.Helper()
-		code, _, body := doReq(t, ts, http.MethodPost, "/v1/whatif", `{"static_power_w": [30]}`)
+		code, _, body := doReq(t, ts, http.MethodPost, "/v1/sessions/default/whatif", `{"static_power_w": [30]}`)
 		if code != http.StatusOK {
 			t.Fatalf("what-if: status %d: %s", code, body)
 		}

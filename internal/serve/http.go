@@ -33,12 +33,8 @@ const maxObserveBody = 16 << 20
 //	GET    /v1/sessions/{id}           session status
 //	DELETE /v1/sessions/{id}           retire a session
 //	POST   /v1/sessions/{id}/step      advance a session ({"slots": n}, default 1)
-//	GET    /v1/sessions/{id}/status    session status (alias of GET …/{id})
 //	POST   /v1/sessions/{id}/whatif    scenario-delta query against the session's scenario
 //	POST   /v1/sessions/{id}/observe   ingest one observed slot (live-ingestion sessions)
-//	POST   /v1/whatif                  alias: what-if on the default session
-//	POST   /v1/step                    alias: step the default session (no-op once done)
-//	GET    /v1/status                  alias: default session status
 //	GET    /healthz                    liveness probe
 //
 // Every error is a JSON {"error": …} envelope; 405 responses carry an
@@ -50,12 +46,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/sessions", allow(s.handleSessions, http.MethodGet, http.MethodPost))
 	mux.HandleFunc("/v1/sessions/{id}", allow(s.handleSession, http.MethodGet, http.MethodDelete))
 	mux.HandleFunc("/v1/sessions/{id}/step", allow(s.handleSessionStep, http.MethodPost))
-	mux.HandleFunc("/v1/sessions/{id}/status", allow(s.handleSessionStatus, http.MethodGet))
 	mux.HandleFunc("/v1/sessions/{id}/whatif", allow(s.handleSessionWhatIf, http.MethodPost))
 	mux.HandleFunc("/v1/sessions/{id}/observe", allow(s.handleSessionObserve, http.MethodPost))
-	mux.HandleFunc("/v1/whatif", allow(s.handleWhatIfAlias, http.MethodPost))
-	mux.HandleFunc("/v1/step", allow(s.handleStepAlias, http.MethodPost))
-	mux.HandleFunc("/v1/status", allow(s.handleStatusAlias, http.MethodGet))
 	// Everything else is a JSON 404 — the mux's default plain-text
 	// page would break the error-envelope contract.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -93,9 +85,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.WriteMetrics(w)
 }
 
-// sessionStatus is the status shape shared by the session endpoints
-// and the v1 alias (the alias keeps PR 8's scenario/slot/slots/done
-// keys; the session fields are additive).
+// sessionStatus is the status shape the session endpoints share.
 type sessionStatus struct {
 	Session  string `json:"session"`
 	Scenario string `json:"scenario"`
@@ -191,16 +181,6 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}{sess.id, true})
 }
 
-func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.sessionFromPath(w, r); ok {
-		writeJSON(w, http.StatusOK, statusOf(sess))
-	}
-}
-
-func (s *Server) handleStatusAlias(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statusOf(s.defaultSession()))
-}
-
 // stepRequest is the manual-tick body; the zero value steps one slot.
 type stepRequest struct {
 	Slots int `json:"slots"`
@@ -237,23 +217,15 @@ func decodeStep(body []byte) (stepRequest, error) {
 	return req, nil
 }
 
-func (s *Server) handleStepAlias(w http.ResponseWriter, r *http.Request) {
-	s.serveStep(w, r, s.defaultSession(), true)
-}
-
+// handleSessionStep advances one session. Exhaustion and full gating
+// are 409 Conflict — the request cannot make progress in the
+// session's current state. Partial progress on a gated ingestion
+// session is a 200 whose state says awaiting_samples.
 func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.sessionFromPath(w, r); ok {
-		s.serveStep(w, r, sess, false)
+	sess, ok := s.sessionFromPath(w, r)
+	if !ok {
+		return
 	}
-}
-
-// serveStep advances one session. The session endpoint reports
-// exhaustion and full gating as 409 Conflict — the request cannot
-// make progress in the session's current state; the v1 alias keeps
-// PR 8's no-op-200 contract for finished replays (tickers keep
-// firing after the trace ends). Partial progress on a gated
-// ingestion session is a 200 whose state says awaiting_samples.
-func (s *Server) serveStep(w http.ResponseWriter, r *http.Request, sess *Session, alias bool) {
 	body, code, msg := readBody(w, r, maxStepBody)
 	if code != 0 {
 		httpError(w, code, msg)
@@ -269,7 +241,7 @@ func (s *Server) serveStep(w http.ResponseWriter, r *http.Request, sess *Session
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if !alias && stepped == 0 {
+	if stepped == 0 {
 		if err != nil { // gated before the first slot
 			httpError(w, http.StatusConflict, err.Error())
 			return
@@ -333,21 +305,15 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	}{sess.id, ingested, snap.State})
 }
 
-func (s *Server) handleWhatIfAlias(w http.ResponseWriter, r *http.Request) {
-	s.serveWhatIf(w, r, s.defaultSession())
-}
-
+// handleSessionWhatIf answers a what-if against one session: axis
+// deltas apply to the session's own scenario (for the default session
+// that is exactly the base grid), and {"fork": true} replays the
+// session's carried stepper state to the end of the horizon instead.
 func (s *Server) handleSessionWhatIf(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.sessionFromPath(w, r); ok {
-		s.serveWhatIf(w, r, sess)
+	sess, ok := s.sessionFromPath(w, r)
+	if !ok {
+		return
 	}
-}
-
-// serveWhatIf answers a what-if against one session: axis deltas
-// apply to the session's own scenario (for the default session that
-// is exactly the base grid), and {"fork": true} replays the session's
-// carried stepper state to the end of the horizon instead.
-func (s *Server) serveWhatIf(w http.ResponseWriter, r *http.Request, sess *Session) {
 	body, code, msg := readBody(w, r, maxWhatIfBody)
 	if code != 0 {
 		s.rejectWhatIf(sess, w, code, msg)

@@ -11,9 +11,9 @@
 // Session model: New creates the default session from the base grid;
 // POST /v1/sessions creates further sessions as axis deltas against
 // that grid (same hermeticity gates as a what-if). Every session
-// steps, scrapes, and answers what-ifs independently; the PR 8
-// endpoints (/v1/step, /v1/status, /v1/whatif) remain as aliases onto
-// the default session.
+// steps, scrapes, and answers what-ifs independently. The default
+// session replays the base scenario itself, which is what Snapshot
+// and Scenario report.
 //
 // Concurrency model: each session's stepping is serialised by its own
 // mutex, and every step publishes an immutable Snapshot through an
@@ -58,9 +58,9 @@ const DefaultWhatIfWorkers = 2
 // predictions, per-DC simulations), so the bound is a memory guard.
 const DefaultMaxSessions = 8
 
-// DefaultSessionID is the session New creates from the base grid.
-// The v1 alias endpoints (/v1/step, /v1/status, /v1/whatif) operate
-// on it, and it cannot be retired.
+// DefaultSessionID is the session New creates from the base grid. It
+// replays the base scenario that Snapshot and Scenario report, so it
+// cannot be retired.
 const DefaultSessionID = "default"
 
 // Options configures a Server.
@@ -296,16 +296,6 @@ func (s *Server) Scenario() sweep.Scenario { return s.scen }
 // immutable; callers must not modify it.
 func (s *Server) Snapshot() *Snapshot { return s.defaultSession().Snapshot() }
 
-// Step advances the default session's replay by up to n slots (n <= 0
-// steps one) — the PR 8 surface, kept for the alias endpoint and the
-// cmd ticker. Stepping a finished replay is a no-op, not an error. A
-// simulation error poisons the session: it is returned from every
-// subsequent Step.
-func (s *Server) Step(n int) (slot int, done bool, err error) {
-	slot, done, _, err = s.defaultSession().Step(n)
-	return slot, done, err
-}
-
 // Tick advances every session by one slot: replay sessions step,
 // ingestion sessions step only when their next slot has been
 // observed (a gating refusal is not an error), finished sessions are
@@ -356,10 +346,10 @@ func (s *Server) createSession(id string, ingest bool, scen sweep.Scenario) (*Se
 	return sess, nil
 }
 
-// deleteSession retires a session. The default session is the alias
-// endpoints' target and cannot be retired. In-flight requests holding
-// the session keep working — a Session is self-contained — it just
-// stops being addressable and scraped.
+// deleteSession retires a session; the default session cannot be
+// retired (see DefaultSessionID). In-flight requests holding the
+// session keep working — a Session is self-contained — it just stops
+// being addressable and scraped.
 func (s *Server) deleteSession(id string) error {
 	if id == DefaultSessionID {
 		return fmt.Errorf("serve: the default session cannot be retired")

@@ -93,7 +93,7 @@ func parseMetrics(t *testing.T, page string) map[string]float64 {
 // -update
 func TestGoldenExposition(t *testing.T) {
 	s := newTestServer(t, Options{})
-	if _, _, err := s.Step(8); err != nil {
+	if _, _, _, err := s.defaultSession().Step(8); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	scenB := s.Scenario()
@@ -145,7 +145,7 @@ func TestGoldenExposition(t *testing.T) {
 // the page terminates with # EOF.
 func TestExpositionSelfDescribing(t *testing.T) {
 	s := newTestServer(t, Options{})
-	if _, _, err := s.Step(3); err != nil {
+	if _, _, _, err := s.defaultSession().Step(3); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	var buf bytes.Buffer
@@ -217,7 +217,7 @@ func TestExpositionSelfDescribing(t *testing.T) {
 // identical scenario — the serve-layer face of the stepper property.
 func TestReplayMatchesBatchRow(t *testing.T) {
 	s := newTestServer(t, Options{})
-	slot, done, err := s.Step(1 << 20)
+	slot, done, _, err := s.defaultSession().Step(1 << 20)
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestReplayMatchesBatchRow(t *testing.T) {
 		t.Fatalf("EP score: live %v, batch %v", snap.EPScore, row.EPScore)
 	}
 	// Stepping a finished replay is a no-op, not an error.
-	if slot2, done2, err := s.Step(3); err != nil || !done2 || slot2 != slot {
+	if slot2, done2, _, err := s.defaultSession().Step(3); err != nil || !done2 || slot2 != slot {
 		t.Fatalf("step past end: slot %d done %v err %v", slot2, done2, err)
 	}
 }
@@ -295,13 +295,13 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	postStep := func(body string) stepResponse {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/step", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/sessions/default/step", "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("POST /v1/step: %v", err)
+			t.Fatalf("POST /v1/sessions/default/step: %v", err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/step: status %d", resp.StatusCode)
+			t.Fatalf("POST /v1/sessions/default/step: status %d", resp.StatusCode)
 		}
 		var sr stepResponse
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
@@ -340,9 +340,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Status reports the same position plus the scenario identity.
-	resp, err := http.Get(ts.URL + "/v1/status")
+	resp, err := http.Get(ts.URL + "/v1/sessions/default")
 	if err != nil {
-		t.Fatalf("GET /v1/status: %v", err)
+		t.Fatalf("GET /v1/sessions/default: %v", err)
 	}
 	var st struct {
 		Scenario string `json:"scenario"`
@@ -378,9 +378,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	hr.Body.Close()
 	for _, bad := range []struct{ method, path string }{
 		{http.MethodPost, "/metrics"},
-		{http.MethodGet, "/v1/whatif"},
-		{http.MethodGet, "/v1/step"},
-		{http.MethodPost, "/v1/status"},
+		{http.MethodGet, "/v1/sessions/default/whatif"},
+		{http.MethodGet, "/v1/sessions/default/step"},
+		{http.MethodPost, "/v1/sessions/default"},
 	} {
 		req, _ := http.NewRequest(bad.method, ts.URL+bad.path, nil)
 		resp, err := http.DefaultClient.Do(req)
@@ -416,7 +416,7 @@ func TestWhatIfRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatalf("POST: %v", err)
 			}

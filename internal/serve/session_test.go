@@ -40,8 +40,10 @@ func doReq(t *testing.T, ts *httptest.Server, method, path, body string) (int, h
 
 // TestEndpointConformance is the table-driven API contract: every
 // error on every endpoint is a JSON {"error": …} envelope with the
-// right status code, 405s carry an Allow header, unknown paths and
-// sessions are JSON 404s, and the step decoder is hermetic (unknown
+// right status code, 405s carry an Allow header, unknown paths (the
+// removed /v1/step, /v1/status, /v1/whatif and
+// /v1/sessions/{id}/status among them) and sessions are JSON 404s,
+// and the step decoder is hermetic (unknown
 // fields, trailing data, and oversized bodies are rejected with
 // distinct statuses).
 func TestEndpointConformance(t *testing.T) {
@@ -64,13 +66,12 @@ func TestEndpointConformance(t *testing.T) {
 	}{
 		{"metrics-post", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed, "GET, HEAD"},
 		{"healthz-delete", http.MethodDelete, "/healthz", "", http.StatusMethodNotAllowed, "GET, HEAD"},
-		{"whatif-get", http.MethodGet, "/v1/whatif", "", http.StatusMethodNotAllowed, "POST"},
-		{"step-get", http.MethodGet, "/v1/step", "", http.StatusMethodNotAllowed, "POST"},
-		{"status-post", http.MethodPost, "/v1/status", "", http.StatusMethodNotAllowed, "GET"},
+		{"whatif-get", http.MethodGet, "/v1/sessions/dup/whatif", "", http.StatusMethodNotAllowed, "POST"},
+		{"step-get", http.MethodGet, "/v1/sessions/dup/step", "", http.StatusMethodNotAllowed, "POST"},
+		{"status-post", http.MethodPost, "/v1/sessions/dup", "", http.StatusMethodNotAllowed, "GET, DELETE"},
 		{"sessions-put", http.MethodPut, "/v1/sessions", "", http.StatusMethodNotAllowed, "GET, POST"},
 		{"session-post", http.MethodPost, "/v1/sessions/default", "", http.StatusMethodNotAllowed, "GET, DELETE"},
 		{"session-step-get", http.MethodGet, "/v1/sessions/default/step", "", http.StatusMethodNotAllowed, "POST"},
-		{"session-status-post", http.MethodPost, "/v1/sessions/default/status", "", http.StatusMethodNotAllowed, "GET"},
 		{"session-whatif-get", http.MethodGet, "/v1/sessions/default/whatif", "", http.StatusMethodNotAllowed, "POST"},
 		{"session-observe-get", http.MethodGet, "/v1/sessions/default/observe", "", http.StatusMethodNotAllowed, "POST"},
 
@@ -78,11 +79,16 @@ func TestEndpointConformance(t *testing.T) {
 		{"unknown-session", http.MethodGet, "/v1/sessions/ghost", "", http.StatusNotFound, ""},
 		{"unknown-session-step", http.MethodPost, "/v1/sessions/ghost/step", "", http.StatusNotFound, ""},
 		{"unknown-session-whatif", http.MethodPost, "/v1/sessions/ghost/whatif", "{}", http.StatusNotFound, ""},
+		{"removed-step", http.MethodPost, "/v1/step", `{"slots": 1}`, http.StatusNotFound, ""},
+		{"removed-status", http.MethodGet, "/v1/status", "", http.StatusNotFound, ""},
+		{"removed-whatif", http.MethodPost, "/v1/whatif", "{}", http.StatusNotFound, ""},
+		{"removed-session-status", http.MethodGet, "/v1/sessions/default/status", "", http.StatusNotFound, ""},
+		{"session-status-post", http.MethodPost, "/v1/sessions/default/status", "", http.StatusNotFound, ""},
 
-		{"step-unknown-field", http.MethodPost, "/v1/step", `{"slots": 1, "bogus": 2}`, http.StatusBadRequest, ""},
-		{"step-trailing-data", http.MethodPost, "/v1/step", `{"slots": 1} {}`, http.StatusBadRequest, ""},
-		{"step-malformed", http.MethodPost, "/v1/step", `slots`, http.StatusBadRequest, ""},
-		{"step-too-large", http.MethodPost, "/v1/step", `{"slots": 1}` + strings.Repeat(" ", maxStepBody), http.StatusRequestEntityTooLarge, ""},
+		{"step-unknown-field", http.MethodPost, "/v1/sessions/default/step", `{"slots": 1, "bogus": 2}`, http.StatusBadRequest, ""},
+		{"step-trailing-data", http.MethodPost, "/v1/sessions/default/step", `{"slots": 1} {}`, http.StatusBadRequest, ""},
+		{"step-malformed", http.MethodPost, "/v1/sessions/default/step", `slots`, http.StatusBadRequest, ""},
+		{"step-too-large", http.MethodPost, "/v1/sessions/default/step", `{"slots": 1}` + strings.Repeat(" ", maxStepBody), http.StatusRequestEntityTooLarge, ""},
 		{"session-step-unknown-field", http.MethodPost, "/v1/sessions/default/step", `{"bogus": 2}`, http.StatusBadRequest, ""},
 
 		{"create-bad-id", http.MethodPost, "/v1/sessions", `{"id": "no spaces"}`, http.StatusBadRequest, ""},
@@ -94,7 +100,7 @@ func TestEndpointConformance(t *testing.T) {
 
 		{"delete-default", http.MethodDelete, "/v1/sessions/default", "", http.StatusConflict, ""},
 		{"observe-replay-session", http.MethodPost, "/v1/sessions/default/observe", `{"slot": 0, "cpu": [], "mem": []}`, http.StatusConflict, ""},
-		{"whatif-fork-with-axes", http.MethodPost, "/v1/whatif", `{"fork": true, "policies": ["COAT"]}`, http.StatusBadRequest, ""},
+		{"whatif-fork-with-axes", http.MethodPost, "/v1/sessions/default/whatif", `{"fork": true, "policies": ["COAT"]}`, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,30 +172,20 @@ func TestSessionLimit(t *testing.T) {
 }
 
 // TestStepExhausted pins the 409 semantics: stepping a session whose
-// replay is done is 409 Conflict on the session endpoint but stays a
-// 200 no-op on the v1 alias (tickers keep firing), and the status
-// reports state done.
+// replay is done is 409 Conflict, and the status reports state done.
 func TestStepExhausted(t *testing.T) {
 	s := newTestServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if _, _, err := s.Step(1 << 20); err != nil {
+	if _, _, _, err := s.defaultSession().Step(1 << 20); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	code, _, body := doReq(t, ts, http.MethodPost, "/v1/sessions/default/step", "")
 	if code != http.StatusConflict {
 		t.Fatalf("session step on exhausted replay: status %d, want 409 (%s)", code, body)
 	}
-	code, _, body = doReq(t, ts, http.MethodPost, "/v1/step", "")
-	if code != http.StatusOK {
-		t.Fatalf("alias step on exhausted replay: status %d, want 200 no-op", code)
-	}
-	var sr stepResponse
-	if err := json.Unmarshal(body, &sr); err != nil || !sr.Done || sr.Stepped != 0 || sr.State != StateDone {
-		t.Fatalf("alias no-op response: %+v (%v)", sr, err)
-	}
-	code, _, body = doReq(t, ts, http.MethodGet, "/v1/sessions/default/status", "")
+	code, _, body = doReq(t, ts, http.MethodGet, "/v1/sessions/default", "")
 	var st sessionStatus
 	if err := json.Unmarshal(body, &st); err != nil || code != http.StatusOK {
 		t.Fatalf("status: %d %v", code, err)
@@ -328,7 +324,7 @@ func TestForkWhatIf(t *testing.T) {
 	}
 
 	const fork = 10
-	if _, _, err := s.Step(fork); err != nil {
+	if _, _, _, err := s.defaultSession().Step(fork); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	postFork := func(path string) ForkResponse {
@@ -343,7 +339,7 @@ func TestForkWhatIf(t *testing.T) {
 		}
 		return fr
 	}
-	fr := postFork("/v1/whatif")
+	fr := postFork("/v1/sessions/default/whatif")
 	if !fr.Fork || fr.Session != "default" || fr.Slot != fork || fr.Slots != batch.Slots {
 		t.Fatalf("fork response header: %+v", fr)
 	}
@@ -361,7 +357,7 @@ func TestForkWhatIf(t *testing.T) {
 
 	// The fork did not perturb the live session: it continues to the
 	// same end state as the batch run.
-	if _, _, err := s.Step(1 << 20); err != nil {
+	if _, _, _, err := s.defaultSession().Step(1 << 20); err != nil {
 		t.Fatalf("Step after fork: %v", err)
 	}
 	snap := s.Snapshot()
@@ -370,8 +366,7 @@ func TestForkWhatIf(t *testing.T) {
 	}
 
 	// Forking an exhausted session answers an empty remaining window
-	// with the same totals — and the session endpoint agrees with the
-	// alias.
+	// with the same totals.
 	fr2 := postFork("/v1/sessions/default/whatif")
 	if len(fr2.SlotEnergyMJ) != 0 || fr2.Slot != batch.Slots || fr2.TotalEnergyMJ != batch.TotalEnergyMJ {
 		t.Fatalf("fork at end: %+v", fr2)
@@ -418,7 +413,7 @@ func TestForkTDPMatchesBatch(t *testing.T) {
 		t.Fatalf("batch Run: %v", err)
 	}
 	const fork = 10
-	if _, _, err := s.Step(fork); err != nil {
+	if _, _, _, err := s.defaultSession().Step(fork); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	code, _, body := doReq(t, ts, http.MethodPost, "/v1/sessions/default/whatif", `{"fork": true}`)

@@ -86,7 +86,7 @@ func TestConcurrencySoak(t *testing.T) {
 	refSnap := ref.Snapshot()
 	expected := make([]slotState, refSnap.Slots+1)
 	for !ref.Snapshot().Done {
-		if _, _, err := ref.Step(1); err != nil {
+		if _, _, _, err := ref.defaultSession().Step(1); err != nil {
 			t.Fatalf("reference Step: %v", err)
 		}
 		sn := ref.Snapshot()
@@ -135,7 +135,7 @@ func TestConcurrencySoak(t *testing.T) {
 		}
 		return wr, nil
 	}
-	cold, err := postWhatIf("/v1/whatif")
+	cold, err := postWhatIf("/v1/sessions/default/whatif")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestConcurrencySoak(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !s.Snapshot().Done {
-			if _, _, err := s.Step(1); err != nil {
+			if _, _, _, err := s.defaultSession().Step(1); err != nil {
 				fail("Step: %v", err)
 				return
 			}
@@ -283,8 +283,8 @@ func TestConcurrencySoak(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < whatifsEach; i++ {
 				// Alternate targets: even iterations hit the default
-				// session's alias, odd ones hit session b.
-				path, want := "/v1/whatif", "default"
+				// session, odd ones hit session b.
+				path, want := "/v1/sessions/default/whatif", "default"
 				if i%2 == 1 {
 					path, want = "/v1/sessions/b/whatif", "b"
 				}

@@ -104,7 +104,7 @@ type ForkResponse struct {
 // gridForScenario pins every axis of the base grid to one scenario's
 // values: the delta base for a session's what-ifs, so unset axes
 // inherit the SESSION's scenario (for the default session this is
-// exactly the base grid, which keeps the v1 alias back-compatible).
+// exactly the base grid).
 // Named transition models still resolve against the Runner's base
 // grid, as in a direct what-if.
 func gridForScenario(base sweep.Grid, s sweep.Scenario) sweep.Grid {

@@ -425,7 +425,8 @@ func fleetConfig(ld *loader, g Grid, s Scenario) (topology.Config, int, error) {
 // the loader (published read-only); everything mutable — policy,
 // server model, platform — is built fresh here, which is what makes
 // concurrent scenarios independent. A non-nil hook records or replays
-// the scenario's placements (see execGroup); nil runs it unshared.
+// the scenario's placements (see lead and follow in placement.go);
+// nil runs it unshared.
 func runScenario(ld *loader, g Grid, s Scenario, hook placementHook) RunResult {
 	out := RunResult{Scenario: s}
 	fail := func(err error) RunResult {

@@ -71,6 +71,13 @@ func TestExpandOrderAndUniqueIDs(t *testing.T) {
 }
 
 func TestValidateRejectsUnknownAxisValues(t *testing.T) {
+	// Every registered name is accepted: six policies, four predictors.
+	if len(PolicyNames()) != 6 || len(PredictorNames()) != 4 {
+		t.Errorf("registries = %v / %v", PolicyNames(), PredictorNames())
+	}
+	if _, err := Expand(Grid{Policies: PolicyNames(), Predictors: PredictorNames()}); err != nil {
+		t.Errorf("registered names rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		grid Grid

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,6 +75,48 @@ func FuzzParseRebalanceSpec(f *testing.F) {
 		if err != nil || back != r {
 			t.Fatalf("ParseRebalanceSpec(%q) = %+v does not round-trip through %q: %+v, %v",
 				spec, r, r.String(), back, err)
+		}
+	})
+}
+
+// fleetLineRe matches the line number every ParseFleetJSON error
+// carries.
+var fleetLineRe = regexp.MustCompile(`^parsing fleet \(line (\d+)\): `)
+
+// FuzzParseFleetJSON feeds arbitrary bytes through the fleet-file path
+// of Spec.Load: ParseFleetJSON, then Validate. Nothing may panic. A
+// parse error names a line of the input; a parsed fleet either fails
+// Validate with the package prefix or is accepted, and an accepted
+// fleet sets no field its presence flag says was absent and still
+// validates once resolved against a pool. The seeds are the committed
+// corpus under testdata/fuzz/FuzzParseFleetJSON.
+func FuzzParseFleetJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fl, err := ParseFleetJSON(data)
+		if err != nil {
+			m := fleetLineRe.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("ParseFleetJSON error %q carries no line number", err)
+			}
+			if n, _ := strconv.Atoi(m[1]); n < 1 || n > 1+bytes.Count(data, []byte("\n")) {
+				t.Fatalf("ParseFleetJSON error %q: line %d is outside the input", err, n)
+			}
+			return
+		}
+		if err := fl.Validate(); err != nil {
+			if !strings.HasPrefix(err.Error(), "topology: ") {
+				t.Fatalf("Validate error %q lacks the package prefix", err)
+			}
+			return
+		}
+		for _, dc := range fl.DCs {
+			if (!dc.ShareSet && dc.Share != 0) || (!dc.LatencyMsSet && dc.LatencyMs != 0) ||
+				(!dc.StaticPowerSet && dc.StaticPowerW != 0) || (!dc.GridIntensitySet && len(dc.GridIntensity) != 0) {
+				t.Fatalf("DC %q holds a value its presence flag says was absent: %+v", dc.Name, dc)
+			}
+		}
+		if err := fl.Resolve(40).Validate(); err != nil {
+			t.Fatalf("accepted fleet fails Validate once resolved: %v", err)
 		}
 	})
 }

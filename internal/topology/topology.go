@@ -39,6 +39,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -590,10 +591,10 @@ func (s Spec) Fingerprint() (string, error) {
 }
 
 // ParseFleetJSON decodes a fleet definition, rejecting unknown fields
-// so typos in hand-written fleet files surface early. Decode errors —
-// syntax errors, unknown fields, malformed intensity profiles — carry
-// the line number of the offending input so a bad entry in a long
-// hand-written fleet file is findable.
+// and trailing data so typos in hand-written fleet files surface
+// early. Decode errors — syntax errors, unknown fields, malformed
+// intensity profiles — carry the line number of the offending input so
+// a bad entry in a long hand-written fleet file is findable.
 func ParseFleetJSON(data []byte) (Fleet, error) {
 	var f Fleet
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -607,6 +608,10 @@ func ParseFleetJSON(data []byte) (Fleet, error) {
 			off = e.Offset
 		}
 		return Fleet{}, fmt.Errorf("parsing fleet (line %d): %w", lineOf(data, off), err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Fleet{}, fmt.Errorf("parsing fleet (line %d): trailing data after the fleet object",
+			lineOf(data, dec.InputOffset()))
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -144,17 +145,23 @@ func TestFleetFileRoundTrip(t *testing.T) {
 		t.Error("fingerprint unchanged after editing the fleet file")
 	}
 
-	// Unknown fields are typos, not extensions.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"dcs": [{"name": "a", "serverss": 3}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sBad, err := ParseSpec(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sBad.Load(); err == nil {
-		t.Error("fleet file with unknown field loaded without error")
+	// Unknown fields are typos, not extensions; a second value after
+	// the fleet object is a paste error, not something to ignore.
+	for i, content := range []string{
+		`{"dcs": [{"name": "a", "serverss": 3}]}`,
+		"{\"dcs\": [{\"name\": \"a\"}]}\n{\"dcs\": []}",
+	} {
+		bad := filepath.Join(dir, fmt.Sprintf("bad%d.json", i))
+		if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sBad, err := ParseSpec(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sBad.Load(); err == nil {
+			t.Errorf("fleet file %q loaded without error", content)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,7 +29,8 @@ import (
 //     smallest gap between distinct timestamps reaches 1e6 (readings
 //     at least a second apart in µs; a seconds dump would need
 //     11-day reporting gaps to match). Only offsets from the
-//     earliest timestamp matter.
+//     earliest timestamp matter, and the span is capped at one year
+//     of ticks. NaN and infinite values are rejected.
 //   - Readings are downsampled onto the 5-minute tick grid
 //     (DefaultInterval): each reading lands in the tick containing its
 //     timestamp, multiple readings per (VM, tick) are averaged, gaps
@@ -75,6 +77,12 @@ const microsecondThreshold = 1e11
 // would need ≥ 11-day gaps between distinct timestamps to match.
 const microsecondStep = 1e6
 
+// maxClusterTicks bounds the tick grid a dump may span (one year of
+// 5-minute ticks; public cluster traces cover days to a month). Every
+// VM gets a full-length series, so an absurd timestamp would otherwise
+// ask for an absurd allocation.
+const maxClusterTicks = 366 * SamplesPerDay
+
 type clusterReading struct {
 	tick     int
 	cpu, mem float64
@@ -114,8 +122,8 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 	}
 	byVM := map[string][]rawReading{}
 	var allTS []float64
-	var maxTS, maxCPU, maxMem float64
-	minTS := -1.0
+	var maxCPU, maxMem float64
+	minTS, maxTS := math.Inf(1), math.Inf(-1)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -138,7 +146,7 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := strconv.ParseFloat(tsField, 64)
+		ts, err := parseFinite(tsField)
 		if err != nil {
 			return nil, fmt.Errorf("trace: cluster: line %d: bad timestamp %q: %w", line, tsField, err)
 		}
@@ -153,7 +161,7 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		cpu, err := strconv.ParseFloat(cpuField, 64)
+		cpu, err := parseFinite(cpuField)
 		if err != nil {
 			return nil, fmt.Errorf("trace: cluster: line %d: bad cpu %q: %w", line, cpuField, err)
 		}
@@ -166,7 +174,7 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			if mem, err = strconv.ParseFloat(memField, 64); err != nil {
+			if mem, err = parseFinite(memField); err != nil {
 				return nil, fmt.Errorf("trace: cluster: line %d: bad mem %q: %w", line, memField, err)
 			}
 			if mem < 0 {
@@ -175,12 +183,8 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		}
 		byVM[vmField] = append(byVM[vmField], rawReading{ts: ts, cpu: cpu, mem: mem})
 		allTS = append(allTS, ts)
-		if ts > maxTS {
-			maxTS = ts
-		}
-		if minTS < 0 || ts < minTS {
-			minTS = ts
-		}
+		maxTS = math.Max(maxTS, ts)
+		minTS = math.Min(minTS, ts)
 		if cpu > maxCPU {
 			maxCPU = cpu
 		}
@@ -217,7 +221,12 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 	}
 
 	tickSec := DefaultInterval.Seconds()
-	ticks := int((maxTS-minTS)*tsScale/tickSec) + 1
+	span := (maxTS - minTS) * tsScale / tickSec
+	if !(span < maxClusterTicks) {
+		return nil, fmt.Errorf("trace: cluster: timestamps span %g s, more than the %d-tick (one-year) limit",
+			(maxTS-minTS)*tsScale, maxClusterTicks)
+	}
+	ticks := int(span) + 1
 
 	// Deterministic VM order: numeric when every id parses as an
 	// integer, lexicographic otherwise.
@@ -296,6 +305,16 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: cluster: %w", err)
 	}
 	return tr, nil
+}
+
+// parseFinite parses a reading, rejecting the NaN and ±Inf that
+// strconv.ParseFloat accepts.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, errors.New("not a finite number")
+	}
+	return v, err
 }
 
 // classFromMeanMem buckets a mean memory level into the paper's three

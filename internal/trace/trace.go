@@ -100,7 +100,7 @@ func (t *Trace) SlotWindow(s int) (lo, hi int) {
 }
 
 // Validate checks structural consistency: uniform lengths and
-// utilisations within [0, 100].
+// utilisations within [0, 100] (NaN is outside).
 func (t *Trace) Validate() error {
 	if len(t.VMs) == 0 {
 		return errors.New("trace: no VMs")
@@ -112,7 +112,7 @@ func (t *Trace) Validate() error {
 				vm.ID, len(vm.CPU), len(vm.Mem), n)
 		}
 		for i := range vm.CPU {
-			if vm.CPU[i] < 0 || vm.CPU[i] > 100 || vm.Mem[i] < 0 || vm.Mem[i] > 100 {
+			if !(vm.CPU[i] >= 0 && vm.CPU[i] <= 100 && vm.Mem[i] >= 0 && vm.Mem[i] <= 100) {
 				return fmt.Errorf("trace: VM %d sample %d outside [0,100]", vm.ID, i)
 			}
 		}

@@ -154,6 +154,10 @@ func TestValidateCatchesRaggedAndOutOfRange(t *testing.T) {
 	if err := tr2.Validate(); err == nil {
 		t.Error("out-of-range trace validated")
 	}
+	tr2.VMs[1].Mem[5] = math.NaN()
+	if err := tr2.Validate(); err == nil {
+		t.Error("NaN sample validated")
+	}
 	empty := &Trace{}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty trace validated")

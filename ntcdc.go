@@ -28,8 +28,6 @@ import (
 	"context"
 	"net/http"
 
-	"repro/internal/alloc"
-	"repro/internal/dcsim"
 	"repro/internal/experiments"
 	"repro/internal/fdsoi"
 	"repro/internal/forecast"
@@ -64,22 +62,6 @@ type (
 	// OperatingPoint feeds ServerPowerModel.Power.
 	OperatingPoint = power.OperatingPoint
 
-	// DataCenterPool is a homogeneous pool for worst-case sweeps.
-	DataCenterPool = power.DataCenter
-
-	// PowerModel is the pluggable server power abstraction behind the
-	// sweep's power-model axis: the native FDSOI/NTC ServerPowerModel
-	// ("ntc") and the TDP-interpolated estimator ("tdp") both satisfy
-	// it. The axis changes energy and carbon pricing only, never
-	// placement.
-	PowerModel = power.Model
-
-	// TDPServerPowerModel prices load by linear interpolation on a
-	// published TDP curve (12/32/75/102% of TDP at 0/10/50/100% load)
-	// plus a flat per-GB RAM adder, while delegating every
-	// allocation-facing decision to its base model.
-	TDPServerPowerModel = power.TDPModel
-
 	// GridIntensityProfile is a per-DC carbon intensity (gCO2eq/kWh):
 	// a scalar or a 24-value hourly profile (follow-the-sun pricing).
 	GridIntensityProfile = topology.IntensityProfile
@@ -112,9 +94,6 @@ type (
 
 	// Predictor forecasts utilisation series (ARIMA and baselines).
 	Predictor = forecast.Predictor
-
-	// AllocationPolicy maps predicted VM demands to servers.
-	AllocationPolicy = alloc.Policy
 
 	// WeekResult is the Figs. 4-6 comparison output.
 	WeekResult = experiments.DCWeekResult
@@ -183,20 +162,6 @@ type (
 	// SweepWorkerOptions tunes one worker loop (name, lease batch).
 	SweepWorkerOptions = dist.WorkerOptions
 
-	// SweepCheckpoint is a loaded, validated coordinator journal —
-	// the crash-resume state LoadSweepCheckpoint reads and
-	// ResumeSweepCoordinator restarts from.
-	SweepCheckpoint = dist.Checkpoint
-
-	// FleetStepper replays a fleet scenario slot by slot with
-	// batch-identical accumulation — topology.Run is this stepper
-	// driven to exhaustion (internal/topology).
-	FleetStepper = topology.Stepper
-
-	// FleetSlotStep is one completed slot of a FleetStepper: fleet
-	// and per-DC energy, active servers, violations, migrations.
-	FleetSlotStep = topology.SlotStep
-
 	// FleetService is the live fleet service behind ntc-serve: it
 	// hosts concurrent sessions, each replaying one sweep scenario on
 	// the incremental stepper (or live-ingested telemetry), serves one
@@ -210,11 +175,6 @@ type (
 	// session), an optional result store for what-ifs, the what-if
 	// bounds, and the concurrent-session bound.
 	FleetServiceOptions = serve.Options
-
-	// FleetSession is one live scenario session of a FleetService:
-	// its own replay position, what-if accounting, and slice of the
-	// metrics page.
-	FleetSession = serve.Session
 
 	// FleetSnapshot is one consistent, slot-stamped view of a live
 	// session (everything in it was computed at the same slot).
@@ -243,24 +203,9 @@ func NTCServerPower() *ServerPowerModel { return power.NTCServer() }
 // (Intel E5-2620 class): consolidation at F_max is optimal for it.
 func ConventionalServerPower() *ServerPowerModel { return power.IntelE5_2620() }
 
-// PowerModelNames lists the registered power-model axis values.
-func PowerModelNames() []string { return power.ModelNames() }
-
-// ResolvePowerModel resolves a power-model axis value ("", "ntc",
-// "tdp") against a base server model; unknown names are loud errors.
-func ResolvePowerModel(name string, base *ServerPowerModel) (PowerModel, error) {
-	return power.ResolveModel(name, base)
-}
-
 // NTCPlatform returns the NTC server's performance model, calibrated
 // to the paper's Table I and Fig. 2.
 func NTCPlatform() *Platform { return platform.NTCServer() }
-
-// X86Platform returns the Intel Xeon X5650 QoS-baseline platform.
-func X86Platform() *Platform { return platform.IntelX5650() }
-
-// ThunderXPlatform returns the Cavium ThunderX platform.
-func ThunderXPlatform() *Platform { return platform.CaviumThunderX() }
 
 // FDSOI28 returns the 28nm UTBB FD-SOI technology model.
 func FDSOI28() *Tech { return fdsoi.FDSOI28() }
@@ -282,9 +227,6 @@ func GenerateTrace(cfg TraceConfig) (*Trace, error) { return trace.Generate(cfg)
 // "csv:path", "cluster:path") into its Source.
 func ParseTraceSource(spec string) (TraceSource, error) { return trace.ParseSourceSpec(spec) }
 
-// TraceBackends lists the registered trace-ingestion backend names.
-func TraceBackends() []string { return trace.Backends() }
-
 // ParseTopology parses and loads a fleet-topology spec
 // ("[dispatcher@]builtin" or "[dispatcher@]fleet.json", e.g.
 // "greedy-proportional@triad"). The returned fleet is unresolved:
@@ -298,10 +240,6 @@ func ParseTopology(spec string) (FleetTopology, error) {
 	return s.Load()
 }
 
-// TopologyDispatchers lists the cross-DC dispatch policies a fleet
-// spec accepts.
-func TopologyDispatchers() []string { return topology.DispatcherNames() }
-
 // ParseFleetRebalance parses a cross-DC rebalance spec ("off" or
 // "epoch:N[@dispatcher]", e.g. "epoch:4@greedy-proportional"): every
 // N allocation slots the fleet re-dispatches over the observed load
@@ -309,9 +247,6 @@ func TopologyDispatchers() []string { return topology.DispatcherNames() }
 func ParseFleetRebalance(spec string) (FleetRebalance, error) {
 	return topology.ParseRebalanceSpec(spec)
 }
-
-// BuiltinTopologies lists the built-in fleet names.
-func BuiltinTopologies() []string { return topology.BuiltinFleets() }
 
 // DefaultFleetWeekConfig returns the fleet-scale study at the paper's
 // scale: 600 VMs over one evaluated week with ARIMA predictions,
@@ -342,56 +277,10 @@ func DefaultTraceConfig(seed int64) TraceConfig { return trace.DefaultConfig(see
 // differencing, fitted per VM by Hannan-Rissanen.
 func NewARIMA() Predictor { return &forecast.ARIMA{Cfg: forecast.DefaultConfig()} }
 
-// NewEPACT returns the paper's proposed allocation policy bound to a
-// server power model.
-func NewEPACT(m *ServerPowerModel) AllocationPolicy { return &alloc.EPACT{Model: m} }
-
-// NewCOAT returns the correlation-aware consolidation baseline.
-func NewCOAT(m *ServerPowerModel) AllocationPolicy {
-	return alloc.NewCOAT(specOf(m))
-}
-
-// NewCOATOPT returns COAT with the optimal fixed cap derived from the
-// server model.
-func NewCOATOPT(m *ServerPowerModel) AllocationPolicy {
-	return alloc.NewCOATOPT(specOf(m), m.OptimalFrequency())
-}
-
-// NewVerma returns the binary-quantised consolidation baseline of
-// Verma et al. (the paper's [16]).
-func NewVerma() AllocationPolicy { return alloc.NewVerma() }
-
-// NewFFD returns plain first-fit-decreasing consolidation.
-func NewFFD() AllocationPolicy { return &alloc.FFD{} }
-
-// NewLoadBalance returns the anti-consolidation extreme: spread VMs
-// over a fixed pool, least-loaded first.
-func NewLoadBalance(servers int) AllocationPolicy { return &alloc.LoadBalance{Servers: servers} }
-
 // WithBodyBias returns a body-biased view of an FD-SOI or bulk
 // technology (the UTBB FD-SOI extension knob).
 func WithBodyBias(t *Tech, bias float64) (*fdsoi.BiasedTech, error) {
 	return t.WithBodyBias(fdsoi.BodyBias(bias))
-}
-
-// PolicyZoo runs all implemented policies on one trace with the given
-// transition-cost model (an extension beyond the paper's three-way
-// comparison).
-func PolicyZoo(cfg WeekConfig, transitions dcsim.TransitionModel) ([]experiments.PolicyZooRow, error) {
-	return experiments.PolicyZoo(cfg, transitions)
-}
-
-// DefaultTransitions returns the realistic server power-state and
-// migration cost model; dcsim.ZeroTransitions() reproduces the paper.
-func DefaultTransitions() dcsim.TransitionModel { return dcsim.DefaultTransitions() }
-
-func specOf(m *ServerPowerModel) alloc.ServerSpec {
-	return alloc.ServerSpec{
-		Cores:         m.Cores,
-		MemContainers: m.DRAM.Capacity.GB(),
-		FMax:          m.FMax,
-		FMin:          m.FMin,
-	}
 }
 
 // DefaultWeekConfig returns the paper-scale data-center experiment
@@ -424,20 +313,6 @@ func RunSweepWorker(ctx context.Context, b DistBackend, opt SweepWorkerOptions) 
 	return dist.Work(ctx, b, opt)
 }
 
-// LoadSweepCheckpoint reads and validates the journal a killed
-// coordinator (one given DistOptions.CheckpointDir) left behind.
-// Corrupt or truncated journals are loud errors, never partial
-// resumes.
-func LoadSweepCheckpoint(dir string) (*SweepCheckpoint, error) { return dist.LoadCheckpoint(dir) }
-
-// ResumeSweepCoordinator reconstructs a coordinator mid-grid from a
-// loaded checkpoint: journaled rows are restored without
-// re-execution and the rest of the grid leases out as usual, so the
-// resumed sweep's output is byte-identical to an uninterrupted run.
-func ResumeSweepCoordinator(ck *SweepCheckpoint, opt DistOptions) (*SweepCoordinator, error) {
-	return dist.Resume(ck, opt)
-}
-
 // RunDistributedSweep runs the whole coordinator/worker protocol in
 // one process (n worker goroutines over the in-process transport) —
 // `ntc-sweep -dist local:N` as a library call. Results are
@@ -454,22 +329,6 @@ func RunSweep(g SweepGrid, opt SweepOptions) (*SweepResults, error) { return swe
 
 // NewFleetService builds the live fleet service: a slot-by-slot
 // replay of the grid's single scenario with an OpenMetrics handler
-// and a cache-backed what-if API. Advance it with Step (or a ticker)
+// and a cache-backed what-if API. Advance it with Tick (or a ticker)
 // and serve its Handler; see docs/SERVING.md.
 func NewFleetService(opt FleetServiceOptions) (*FleetService, error) { return serve.New(opt) }
-
-// NewFleetStepper resolves a fleet configuration into an incremental
-// stepper: each Step yields one slot's fleet state, and Result after
-// the last step equals the batch run exactly.
-func NewFleetStepper(cfg topology.Config) (*FleetStepper, error) { return topology.NewStepper(cfg) }
-
-// SweepPolicies lists the allocation-policy names a grid accepts.
-func SweepPolicies() []string { return sweep.PolicyNames() }
-
-// SweepPredictors lists the forecast-variant names a grid accepts.
-func SweepPredictors() []string { return sweep.PredictorNames() }
-
-// Predict builds day-ahead forecasts for a trace (see dcsim.Predict).
-func Predict(tr *Trace, p Predictor, historyDays, evalDays int) (*dcsim.PredictionSet, error) {
-	return dcsim.Predict(tr, p, historyDays, evalDays)
-}

@@ -40,11 +40,8 @@ func TestFacadeQoS(t *testing.T) {
 }
 
 func TestFacadePlatforms(t *testing.T) {
-	if ThunderXPlatform().Cores != 48 {
-		t.Error("ThunderX should have 48 cores")
-	}
-	if X86Platform().FNominal.GHz() != 2.66 {
-		t.Error("x86 nominal should be 2.66 GHz")
+	if NTCPlatform().Cores != 16 {
+		t.Error("the NTC server should have 16 cores")
 	}
 	if !FDSOI28().InNearThresholdRegion(GHz(0.3)) {
 		t.Error("FD-SOI at 0.3 GHz should be near threshold")
@@ -60,12 +57,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := Predict(tr, nil, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps.CPU) != 40 {
-		t.Fatalf("predictions cover %d VMs, want 40", len(ps.CPU))
+	if len(tr.VMs) != 40 {
+		t.Fatalf("trace has %d VMs, want 40", len(tr.VMs))
 	}
 
 	wc := DefaultWeekConfig()
@@ -85,14 +78,24 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadePolicies(t *testing.T) {
-	m := NTCServerPower()
-	policies := []AllocationPolicy{
-		NewEPACT(m), NewCOAT(m), NewCOATOPT(m),
-		NewVerma(), NewFFD(), NewLoadBalance(8),
+	// Every allocation policy is reachable through the facade's sweep.
+	policies := []string{"EPACT", "COAT", "COAT-OPT", "FFD", "Verma-binary", "load-balance"}
+	res, err := RunSweep(SweepGrid{
+		Policies:   policies,
+		VMs:        []int{16},
+		MaxServers: []int{16},
+		EvalDays:   1,
+		Predictors: []string{"oracle"},
+	}, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range policies {
-		if p.Name() == "" {
-			t.Error("policy with empty name")
+	if err := res.Failed(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Runs {
+		if r.Scenario.Policy != policies[i] || r.TotalEnergyMJ <= 0 {
+			t.Errorf("run %d: policy %s, energy %v MJ; want %s with energy", i, r.Scenario.Policy, r.TotalEnergyMJ, policies[i])
 		}
 	}
 	if NewARIMA().Name() == "" {
@@ -110,25 +113,6 @@ func TestFacadeBodyBias(t *testing.T) {
 	}
 	if _, err := WithBodyBias(FDSOI28(), 3.0); err == nil {
 		t.Error("out-of-range bias accepted")
-	}
-}
-
-func TestFacadePolicyZoo(t *testing.T) {
-	cfg := DefaultWeekConfig()
-	cfg.VMs = 40
-	cfg.EvalDays = 1
-	cfg.UseARIMA = false
-	rows, err := PolicyZoo(cfg, DefaultTransitions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("zoo rows = %d, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.EnergyMJ <= 0 {
-			t.Errorf("%s: no energy recorded", r.Policy)
-		}
 	}
 }
 
@@ -163,8 +147,5 @@ func TestFacadeRunSweep(t *testing.T) {
 	}
 	if res.Runs[0].Scenario.Policy != "EPACT" || res.Runs[0].TotalEnergyMJ <= 0 {
 		t.Errorf("unexpected first run: %+v", res.Runs[0])
-	}
-	if len(SweepPolicies()) != 6 || len(SweepPredictors()) != 4 {
-		t.Errorf("registries = %v / %v", SweepPolicies(), SweepPredictors())
 	}
 }

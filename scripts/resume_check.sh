@@ -26,9 +26,13 @@ go build -o "$tmp/ntc-sweep" ./cmd/ntc-sweep
 
 # 24 scenarios heavy enough (2000 VMs each) that the sweep takes
 # seconds: the kill window between the first journaled batch and the
-# end of the grid is wide.
+# end of the grid is wide. run_grid execs the binary, so a backgrounded
+# call's $! is the ntc-sweep process itself (kill -9 must reach the
+# coordinator, not a subshell that would leave it running); a
+# foreground call runs it in a subshell so the exec cannot replace
+# this script.
 run_grid() {
-    "$tmp/ntc-sweep" \
+    exec "$tmp/ntc-sweep" \
         -policies EPACT,COAT,COAT-OPT,FFD,Verma-binary,load-balance \
         -vms 2000 -max-servers 2000 -days 1 -history 1 \
         -predictors oracle,last-value -transitions none,default \
@@ -58,7 +62,7 @@ count_rows() {
 }
 
 # The uninterrupted reference run.
-run_grid -workers 4 -csv "$tmp/ref.csv" 2> "$tmp/ref.log"
+(run_grid -workers 4 -csv "$tmp/ref.csv") 2> "$tmp/ref.log"
 n=$(sed -n 's/^running \([0-9][0-9]*\) scenarios\.\.\..*/\1/p' "$tmp/ref.log")
 if [ -z "$n" ] || [ "$n" -le 0 ]; then
     echo "resume gate FAILED: could not derive the scenario count from the sweep banner:" >&2

@@ -161,11 +161,11 @@ grep -q '^ntc_ingest_slots{session="live"} 1$' "$tmp/m5.txt"
 # entirely from the store; a mid-replay fork answers from carried
 # state — no executions either way.
 whatif() {
-    post /v1/whatif '{"policies": ["EPACT", "COAT"]}'
+    post /v1/sessions/default/whatif '{"policies": ["EPACT", "COAT"]}'
 }
 whatif | grep -q '"scenarios":2,"executed":2,"cache_hits":0'
 whatif | grep -q '"scenarios":2,"executed":0,"cache_hits":2'
-post /v1/whatif '{"fork": true}' > "$tmp/fork.json"
+post /v1/sessions/default/whatif '{"fork": true}' > "$tmp/fork.json"
 [ "$code" = 200 ] || {
     echo "serve gate FAILED: fork -> $code: $(cat "$tmp/fork.json")" >&2
     exit 1
