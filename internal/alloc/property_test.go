@@ -196,3 +196,108 @@ func TestMigrationStatsConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPolicyPurityProperty: for a given construction, Allocate is a
+// pure function of its input, which the sweep engine's allocation memo
+// relies on. For each of the six policies (built as the engine builds
+// them), a fresh instance and a reused one, each called twice, return
+// identical Assignments, and the input demands stay bit-for-bit
+// unmodified.
+func TestPolicyPurityProperty(t *testing.T) {
+	spec := ntcSpec()
+	for _, mk := range []func() Policy{
+		func() Policy { return &EPACT{Model: power.NTCServer()} },
+		func() Policy { return NewCOAT(spec) },
+		func() Policy { return NewCOATOPT(spec, power.NTCServer().OptimalFrequency()) },
+		func() Policy { return &FFD{} },
+		func() Policy { return NewVerma() },
+		func() Policy { return &LoadBalance{} },
+	} {
+		reused := mk()
+		prop := func(seed int64) bool {
+			vms := randomVMs(seed, 60)
+			orig := cloneDemands(vms)
+			fresh := mk()
+			var got []*Assignment
+			for _, pol := range []Policy{fresh, fresh, reused, reused} {
+				a, err := pol.Allocate(vms, spec)
+				if err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				got = append(got, a)
+			}
+			for _, a := range got[1:] {
+				if !identicalAssignments(got[0], a) {
+					return false
+				}
+			}
+			return identicalDemands(vms, orig)
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+			t.Errorf("%s: %v", reused.Name(), err)
+		}
+	}
+}
+
+func cloneDemands(vms []VMDemand) []VMDemand {
+	out := make([]VMDemand, len(vms))
+	for i, v := range vms {
+		out[i] = VMDemand{ID: v.ID, CPU: append([]float64(nil), v.CPU...), Mem: append([]float64(nil), v.Mem...)}
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func identicalDemands(a, b []VMDemand) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || !sameBits(a[i].CPU, b[i].CPU) || !sameBits(a[i].Mem, b[i].Mem) {
+			return false
+		}
+	}
+	return true
+}
+
+// identicalAssignments compares every field bit for bit, the plan
+// patterns included, and each server's VM list in order.
+func identicalAssignments(a, b *Assignment) bool {
+	if a.Policy != b.Policy || len(a.Servers) != len(b.Servers) || !sameInts(a.VMServer, b.VMServer) ||
+		math.Float64bits(a.CPUCapPoints) != math.Float64bits(b.CPUCapPoints) ||
+		math.Float64bits(a.MemCapPoints) != math.Float64bits(b.MemCapPoints) ||
+		a.PlannedFreq != b.PlannedFreq || a.FixedFreq != b.FixedFreq || a.EPACTCase != b.EPACTCase {
+		return false
+	}
+	for i := range a.Servers {
+		s, r := a.Servers[i], b.Servers[i]
+		if !sameInts(s.VMs, r.VMs) || !sameBits(s.CPU, r.CPU) || !sameBits(s.Mem, r.Mem) {
+			return false
+		}
+	}
+	return true
+}

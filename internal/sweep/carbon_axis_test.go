@@ -190,8 +190,8 @@ func TestPowerModelAxisChangesPricingNotPlacement(t *testing.T) {
 	}
 
 	// The same contract over both pricing axes, every policy, static
-	// and rebalanced fleets, each row executed alone (Runner.Exec never
-	// shares placements): rows that differ only in transition or power
+	// and rebalanced fleets, each row executed alone with the
+	// allocation memo off: rows that differ only in transition or power
 	// model carry identical placement columns. Migrations are counted
 	// by the transition pricing, so the zero model reports none and
 	// every nonzero model reports the same count.
@@ -200,6 +200,7 @@ func TestPowerModelAxisChangesPricingNotPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rn.memo = nil
 	scens, err := Expand(pg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,8 @@ func TestPowerModelAxisChangesPricingNotPlacement(t *testing.T) {
 		if r.Err != "" {
 			t.Fatalf("%s: %s", s.ID(), r.Err)
 		}
-		k := placementKey(s)
+		k := s
+		k.Transitions, k.PowerModel = "", ""
 		ref, ok := first[k]
 		if !ok {
 			first[k] = r

@@ -360,7 +360,11 @@ func (c *Coordinator) Grid(context.Context) (sweep.Grid, error) { return c.grid,
 
 // Lease implements Backend: it grants up to max units — pending ones
 // first-come, plus any whose lease expired (their previous worker is
-// presumed crashed and they are re-leased).
+// presumed crashed and they are re-leased). The grant is also capped
+// at a fair share of the leasable units: ⌈leasable ÷ workers⌉, where
+// workers counts those that have received work, the asker included.
+// Early grants are unaffected, but the tail of a sweep spreads over
+// the workers instead of queueing behind one worker's batch.
 func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseReply, error) {
 	if max <= 0 {
 		max = 1
@@ -368,6 +372,21 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	now := c.opt.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+
+	leasable := 0
+	for i := range c.units {
+		u := &c.units[i]
+		if u.state == unitPending || u.state == unitLeased && !now.Before(u.deadline) {
+			leasable++
+		}
+	}
+	workers := len(c.workers)
+	if !c.workers[worker] {
+		workers++
+	}
+	if share := (leasable + workers - 1) / workers; max > share {
+		max = share
+	}
 
 	var out []Unit
 	for i := range c.units {

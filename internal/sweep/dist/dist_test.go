@@ -212,21 +212,28 @@ func TestLeaseExpiryRecoversCrashedWorker(t *testing.T) {
 	}
 
 	// Inside the TTL its units stay owned: a second worker only gets
-	// the remaining five, executes them, and completes them in time.
-	reply2, err := c.Lease(ctx, "healthy", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply2.Units) != 5 {
-		t.Fatalf("while leases are live, second worker got %d units, want 5", len(reply2.Units))
-	}
+	// the remaining five, in fair shares of the leasable units over the
+	// two workers (⌈5/2⌉, ⌈2/2⌉, ⌈1/2⌉), executes them, and completes
+	// them in time.
 	rn, err := sweep.NewRunner(testGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var done []UnitResult
-	for _, u := range reply2.Units {
-		done = append(done, UnitResult{Seq: u.Seq, Lease: u.Lease, Row: rn.Exec(u.Scenario)})
+	for _, want := range []int{3, 1, 1} {
+		reply2, err := c.Lease(ctx, "healthy", 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reply2.Units) != want {
+			t.Fatalf("while leases are live, second worker got %d units, want %d", len(reply2.Units), want)
+		}
+		for _, u := range reply2.Units {
+			done = append(done, UnitResult{Seq: u.Seq, Lease: u.Lease, Row: rn.Exec(u.Scenario)})
+		}
+	}
+	if reply2, err := c.Lease(ctx, "healthy", 100); err != nil || len(reply2.Units) != 0 {
+		t.Fatalf("with only live leases left, second worker got %d units (err %v), want 0", len(reply2.Units), err)
 	}
 	if err := c.Complete(ctx, "healthy", done, sweep.LoadStats{}); err != nil {
 		t.Fatal(err)
@@ -257,6 +264,40 @@ func TestLeaseExpiryRecoversCrashedWorker(t *testing.T) {
 	}
 	if res.CSV() != want.CSV() {
 		t.Error("post-crash CSV differs from engine output")
+	}
+}
+
+// TestLeaseSharesTheTail pins the fair tail: a grant is capped at
+// ⌈leasable units ÷ workers that have received work, the asker
+// included⌉, so the last units of a sweep spread over the workers
+// instead of going to one worker's batch while the other polls.
+func TestLeaseSharesTheTail(t *testing.T) {
+	c, err := NewCoordinator(testGrid(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, step := range []struct {
+		worker   string
+		max      int
+		want     int
+		leasable int
+	}{
+		{"a", 2, 2, 8}, // one known worker: the batch is the limit
+		{"b", 2, 2, 6},
+		{"a", 4, 2, 4}, // two known workers, 4 units left: ⌈4/2⌉
+		{"b", 4, 1, 2},
+		{"a", 4, 1, 1},
+		{"b", 4, 0, 0},
+	} {
+		reply, err := c.Lease(ctx, step.worker, step.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reply.Units) != step.want {
+			t.Fatalf("%s leasing %d of %d leasable units got %d, want %d",
+				step.worker, step.max, step.leasable, len(reply.Units), step.want)
+		}
 	}
 }
 

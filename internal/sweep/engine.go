@@ -189,13 +189,10 @@ func (r *Results) Failed() error {
 // worker pool. Scenario failures are recorded per run (see
 // Results.Failed); Run itself fails only on an invalid grid.
 //
-// The pool schedules placement groups: scenarios that differ only in
-// their transition or power model share one placement. A group's
-// first executed scenario (its leader) runs with the allocation
-// policies' outputs logged; once it finishes, the group's other
-// scenarios go back to the pool as separate tasks that replay the log
-// (see placement.go). Rows are still stored by expansion index and
-// are byte-identical to Runner.Exec's, which never shares.
+// Every worker executes rows through one Runner, so rows share its
+// memoized inputs and its allocation memo (see memo.go): a policy call
+// any row already made is answered from the memo. Rows are stored by
+// expansion index and are byte-identical to Runner.Exec's.
 func Run(g Grid, opt Options) (*Results, error) {
 	g = g.WithDefaults()
 	scens, err := Expand(g)
@@ -211,16 +208,15 @@ func Run(g Grid, opt Options) (*Results, error) {
 	}
 
 	start := time.Now()
-	rn := &Runner{grid: g, ld: &loader{}}
+	rn := newRunner(g, runMemoBudget)
 	runs := make([]RunResult, len(scens))
 
 	var (
 		wg       sync.WaitGroup
 		progMu   sync.Mutex
 		done     int
-		shared   int
 		cacheErr error
-		q        = newTaskQueue(placementGroups(scens))
+		idx      = make(chan int)
 	)
 	onPutErr := func(err error) {
 		progMu.Lock()
@@ -229,40 +225,31 @@ func Run(g Grid, opt Options) (*Results, error) {
 		}
 		progMu.Unlock()
 	}
-	emit := func(i int, r RunResult) {
-		runs[i] = r
-		if opt.Progress != nil {
-			progMu.Lock()
-			done++
-			opt.Progress(done, len(scens), &runs[i])
-			progMu.Unlock()
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t, ok := q.take(); ok; t, ok = q.take() {
-				if t.group != nil {
-					q.led(rn.lead(scens, t.group, opt.Cache, onPutErr, emit))
-					continue
-				}
-				if rn.follow(scens, t, opt.Cache, onPutErr, emit) {
+			for i := range idx {
+				runs[i] = rn.CachedExec(scens[i], opt.Cache, onPutErr)
+				if opt.Progress != nil {
 					progMu.Lock()
-					shared++
+					done++
+					opt.Progress(done, len(scens), &runs[i])
 					progMu.Unlock()
 				}
 			}
 		}()
 	}
+	for i := range scens {
+		idx <- i
+	}
+	close(idx)
 	wg.Wait()
 
-	load := rn.LoadStats()
-	load.SharedPlacements = int64(shared)
 	return &Results{
 		Grid:     g,
 		Runs:     runs,
-		Load:     load,
+		Load:     rn.LoadStats(),
 		Cache:    opt.Cache.Stats(),
 		CacheErr: cacheErr,
 		Workers:  workers,
@@ -305,38 +292,27 @@ func scenarioCacheKeyVersioned(ld *loader, g Grid, s Scenario, version string) (
 	return cache.Key(version, s.ID(), fp, topoFP, string(tj)), true
 }
 
-// cachedScenario answers one grid point from the result store when it
-// can, executing and persisting it otherwise. onPutErr reports store
-// write failures (results stay complete).
-func cachedScenario(ld *loader, g Grid, s Scenario, store *cache.Store, onPutErr func(error)) RunResult {
-	r, key, hit := cacheLookup(ld, g, s, store)
-	if !hit {
-		r = runScenario(ld, g, s, nil)
-		cachePut(store, key, r, onPutErr)
-	}
-	return r
-}
-
-// cacheLookup answers s from the store. On a miss it returns the key
-// the executed row should be stored under ("" when there is no store
-// or s is uncacheable).
-func cacheLookup(ld *loader, g Grid, s Scenario, store *cache.Store) (r RunResult, key string, hit bool) {
-	if store == nil {
-		return RunResult{}, "", false
-	}
-	key, ok := scenarioCacheKey(ld, g, s)
-	if !ok {
-		return RunResult{}, "", false
-	}
-	if row, found := store.Get(key); found {
-		// A row that does not decode back to this scenario is treated
-		// as corrupt and re-executed (the store has already counted
-		// the hit; correctness beats stats).
-		if r, ok := DecodeCachedRow(row, s); ok {
-			return r, key, true
+// CachedExec answers the scenario from the result store when it can,
+// executing and persisting it otherwise (see Options.Cache). onPutErr,
+// when non-nil, receives store write failures; results stay complete.
+func (r *Runner) CachedExec(s Scenario, store *cache.Store, onPutErr func(error)) RunResult {
+	key := ""
+	if store != nil {
+		if k, ok := r.CacheKey(s); ok {
+			// A row that does not decode back to this scenario is
+			// treated as corrupt and re-executed (the store has
+			// already counted the hit; correctness beats stats).
+			if row, found := store.Get(k); found {
+				if res, ok := DecodeCachedRow(row, s); ok {
+					return res
+				}
+			}
+			key = k
 		}
 	}
-	return RunResult{}, key, false
+	res := r.Exec(s)
+	cachePut(store, key, res, onPutErr)
+	return res
 }
 
 // cachePut persists an executed row under key; failed rows and empty
@@ -357,11 +333,13 @@ func cachePut(store *cache.Store, key string, r RunResult, onPutErr func(error))
 // fleetConfig resolves one scenario's shared inputs through the
 // loader and assembles the topology.Config it runs, plus the churn
 // pass's affected-VM count (execution provenance the config cannot
-// carry). It is the shared front half of runScenario and of the live
+// carry). It is the shared front half of Exec and of the live
 // service's incremental path (Runner.StepperConfig): both must build
 // the identical config, or stepping a scenario would diverge from
-// sweeping it.
-func fleetConfig(ld *loader, g Grid, s Scenario) (topology.Config, int, error) {
+// sweeping it. Its policy factory answers through the Runner's
+// allocation memo.
+func (r *Runner) fleetConfig(s Scenario) (topology.Config, int, error) {
+	ld, g := r.ld, r.grid
 	tk := traceKey{
 		spec:      s.TraceSpec,
 		seed:      s.Seed,
@@ -412,7 +390,11 @@ func fleetConfig(ld *loader, g Grid, s Scenario) (topology.Config, int, error) {
 		StaticPowerW: s.StaticPowerW,
 		PowerModel:   s.PowerModel,
 		NewPolicy: func(m power.Model) (alloc.Policy, error) {
-			return newPolicy(s.Policy, m)
+			pol, err := newPolicy(s.Policy, m)
+			if err != nil {
+				return nil, err
+			}
+			return r.memo.wrap(s.Policy, m, pol), nil
 		},
 		Transitions:              transitions,
 		TraceLabel:               s.TraceSpec,
@@ -421,20 +403,19 @@ func fleetConfig(ld *loader, g Grid, s Scenario) (topology.Config, int, error) {
 	}, tp.affected, nil
 }
 
-// runScenario executes one grid point. All shared inputs come from
-// the loader (published read-only); everything mutable — policy,
-// server model, platform — is built fresh here, which is what makes
-// concurrent scenarios independent. A non-nil hook records or replays
-// the scenario's placements (see lead and follow in placement.go);
-// nil runs it unshared.
-func runScenario(ld *loader, g Grid, s Scenario, hook placementHook) RunResult {
+// Exec runs one scenario. Failures are recorded in the row's Err
+// field, never returned — the sweep contract is one row per scenario.
+// All shared inputs come from the loader (published read-only);
+// everything mutable — policy, server model, platform — is built
+// fresh here, which is what makes concurrent scenarios independent.
+func (r *Runner) Exec(s Scenario) RunResult {
 	out := RunResult{Scenario: s}
 	fail := func(err error) RunResult {
 		out.Err = err.Error()
 		return out
 	}
 
-	cfg, affected, err := fleetConfig(ld, g, s)
+	cfg, affected, err := r.fleetConfig(s)
 	if err != nil {
 		return fail(err)
 	}
@@ -443,13 +424,7 @@ func runScenario(ld *loader, g Grid, s Scenario, hook placementHook) RunResult {
 	// "single" topology is the identity (one DC, PUE 1, the whole
 	// pool), so its rows match the plain simulation bit-for-bit —
 	// under any rebalance spec, since one DC has nothing to rebalance.
-	if hook != nil {
-		cfg.NewPolicy = hook.wrap(cfg.NewPolicy)
-	}
 	fres, err := topology.Run(cfg)
-	if err == nil && hook != nil {
-		err = hook.finish()
-	}
 	if err != nil {
 		return fail(err)
 	}

@@ -110,9 +110,9 @@ type LoadStats struct {
 	PredictRequests int64 `json:"predict_requests"`
 	PredictBuilds   int64 `json:"predict_builds"`
 
-	// SharedPlacements counts the rows Run answered from a placement
-	// logged by another row of their group (see placement.go). It is
-	// execution metadata, kept out of every serialisation.
+	// SharedPlacements counts the policy calls the allocation memo
+	// answered instead of allocating (see memo.go). It is execution
+	// metadata, kept out of every serialisation.
 	SharedPlacements int64 `json:"-"`
 }
 

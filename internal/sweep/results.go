@@ -105,7 +105,7 @@ func (r *Results) Summary(w io.Writer) error {
 	fmt.Fprintf(tw, "inputs: %d traces built for %d requests, %d prediction sets for %d requests\n",
 		r.Load.TraceBuilds, r.Load.TraceRequests, r.Load.PredictBuilds, r.Load.PredictRequests)
 	if n := r.Load.SharedPlacements; n > 0 {
-		fmt.Fprintf(tw, "placements: %d of %d rows replayed a placement shared with a pricing-only sibling\n", n, len(r.Runs))
+		fmt.Fprintf(tw, "allocations: %d policy calls answered from the allocation memo\n", n)
 	}
 	if c := r.Cache; c.Hits+c.Misses+c.Writes > 0 {
 		fmt.Fprintf(tw, "cache: %d hits, %d misses, %d rows written\n", c.Hits, c.Misses, c.Writes)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/dcsim"
-	"repro/internal/sweep/cache"
 	"repro/internal/topology"
 )
 
@@ -16,11 +15,20 @@ import (
 // the two is who hands it scenarios.
 //
 // A Runner is safe for concurrent use: the loader serialises input
-// builds per key and publishes them read-only, and every Exec builds
-// its mutable state (policy, server model, platform) fresh.
+// builds per key and publishes them read-only, every Exec builds its
+// mutable state (policy, server model, platform) fresh, and the
+// allocation memo hands each caller its own Assignment.
 type Runner struct {
 	grid Grid
 	ld   *loader
+
+	// memo answers repeated policy calls (see memo.go); nil (tests
+	// only) runs every call.
+	memo *allocMemo
+}
+
+func newRunner(g Grid, memoBytes int) *Runner {
+	return &Runner{grid: g, ld: &loader{}, memo: newAllocMemo(memoBytes)}
 }
 
 // NewRunner validates the grid (after defaulting) and returns a
@@ -31,7 +39,7 @@ func NewRunner(g Grid) (*Runner, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{grid: g, ld: &loader{}}, nil
+	return newRunner(g, memoBudget), nil
 }
 
 // Grid returns the defaulted grid the Runner executes.
@@ -43,10 +51,6 @@ func (r *Runner) Grid() Grid { return r.grid }
 // would miss specs that already resolved (and failed) locally.
 func (r *Runner) SetBlobSource(b BlobSource) { r.ld.blobs = b }
 
-// Exec runs one scenario. Failures are recorded in the row's Err
-// field, never returned — the sweep contract is one row per scenario.
-func (r *Runner) Exec(s Scenario) RunResult { return runScenario(r.ld, r.grid, s, nil) }
-
 // StepperConfig resolves one scenario into the topology.Config it
 // executes — shared inputs (trace, predictions, fleet) through the
 // Runner's memoized loader, the transition model against the Runner's
@@ -55,7 +59,7 @@ func (r *Runner) Exec(s Scenario) RunResult { return runScenario(r.ld, r.grid, s
 // exact config Exec would run, so the stepped series concatenates
 // bit-for-bit to the sweep row's aggregates.
 func (r *Runner) StepperConfig(s Scenario) (topology.Config, error) {
-	cfg, _, err := fleetConfig(r.ld, r.grid, s)
+	cfg, _, err := r.fleetConfig(s)
 	return cfg, err
 }
 
@@ -68,7 +72,7 @@ func (r *Runner) StepperConfig(s Scenario) (topology.Config, error) {
 // can never outrun ingestion. The feed keeps predictions bit-exact
 // with what a batch run over the fully ingested trace would compute.
 func (r *Runner) LiveStepperConfig(s Scenario) (topology.Config, *dcsim.LiveFeed, error) {
-	cfg, _, err := fleetConfig(r.ld, r.grid, s)
+	cfg, _, err := r.fleetConfig(s)
 	if err != nil {
 		return topology.Config{}, nil, err
 	}
@@ -84,13 +88,6 @@ func (r *Runner) LiveStepperConfig(s Scenario) (topology.Config, *dcsim.LiveFeed
 	cfg.Predictions = feed.Predictions()
 	cfg.Source = feed
 	return cfg, feed, nil
-}
-
-// CachedExec answers the scenario from the result store when it can,
-// executing and persisting it otherwise (see Options.Cache). onPutErr,
-// when non-nil, receives store write failures; results stay complete.
-func (r *Runner) CachedExec(s Scenario, store *cache.Store, onPutErr func(error)) RunResult {
-	return cachedScenario(r.ld, r.grid, s, store, onPutErr)
 }
 
 // CacheKey returns the content-addressed result-store key for s:
@@ -112,7 +109,13 @@ func (r *Runner) CacheKeyForVersion(s Scenario, version string) (string, bool) {
 }
 
 // LoadStats snapshots the Runner's input-sharing counters.
-func (r *Runner) LoadStats() LoadStats { return r.ld.stats() }
+func (r *Runner) LoadStats() LoadStats {
+	st := r.ld.stats()
+	if r.memo != nil {
+		st.SharedPlacements = r.memo.hits.Load()
+	}
+	return st
+}
 
 // DecodeCachedRow decodes a stored result row and validates it
 // against the scenario it is supposed to answer. ok=false means the

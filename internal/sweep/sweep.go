@@ -220,10 +220,12 @@ func PolicyNames() []string {
 	return []string{"EPACT", "COAT", "COAT-OPT", "FFD", "Verma-binary", "load-balance"}
 }
 
-// newPolicy builds a fresh policy instance for one scenario. Policies
-// are stateful across Allocate calls, so instances are never shared
-// between concurrent runs. Any power.Model works: capacity and DVFS
-// planning go through the interface.
+// newPolicy builds a fresh policy instance for one scenario. Every
+// policy is a pure function of (name, model) and each call's input:
+// EPACT caches only values derived from its model, which is what lets
+// the allocation memo share results across instances (see memo.go).
+// Any power.Model works: capacity and DVFS planning go through the
+// interface.
 func newPolicy(name string, model power.Model) (alloc.Policy, error) {
 	spec := alloc.ServerSpec{
 		Cores:         model.NumCores(),
@@ -447,9 +449,9 @@ func (g Grid) Validate() error {
 // topology comes next so all of a fleet's scenarios reuse one trace
 // and one prediction set, and rebalance right after it so a fleet's
 // static and rebalanced rows sit side by side. Transitions and power
-// model are the pricing-only axes: rows that differ in them alone
-// form one placement group, which Run simulates once and reprices per
-// row (see placement.go).
+// model are the pricing-only axes: rows that differ in them alone make
+// the same allocation calls, which the allocation memo answers once
+// (see memo.go).
 func Expand(g Grid) ([]Scenario, error) {
 	g = g.WithDefaults()
 	if err := g.Validate(); err != nil {
