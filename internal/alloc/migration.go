@@ -1,5 +1,10 @@
 package alloc
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Migration accounting: re-allocating every slot moves VMs between
 // servers; each move costs a memory copy over the network plus
 // downtime. The paper's related work (Ruan et al., Beloglazov et al.)
@@ -66,17 +71,12 @@ func CompareAssignments(prev, next *Assignment, memBytes []float64) MigrationSta
 	for p, c := range votes {
 		all = append(all, vote{p, c})
 	}
-	// Sort by count descending (stable tie-break on indices for
-	// determinism).
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			a, b := all[i], all[j]
-			if b.n > a.n || (b.n == a.n && (b.p.prevSrv < a.p.prevSrv ||
-				(b.p.prevSrv == a.p.prevSrv && b.p.nextSrv < a.p.nextSrv))) {
-				all[i], all[j] = all[j], all[i]
-			}
-		}
-	}
+	// Sort by count descending, ties broken on indices: a strict total
+	// order over distinct pairs, so the result is deterministic.
+	slices.SortFunc(all, func(a, b vote) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.p.prevSrv, b.p.prevSrv),
+			cmp.Compare(a.p.nextSrv, b.p.nextSrv))
+	})
 	usedNext := map[int]bool{}
 	for _, v := range all {
 		if _, ok := match[v.p.prevSrv]; ok || usedNext[v.p.nextSrv] {

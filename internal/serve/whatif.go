@@ -208,8 +208,7 @@ func applyDelta(base sweep.Grid, req *WhatIfRequest, maxScenarios, maxVMs int) (
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		switch src.(type) {
-		case trace.CSVSource, trace.ClusterSource:
+		if _, ok := src.(trace.FileSource); ok {
 			return nil, fmt.Errorf("serve: what-if over the file-backed base trace %q is not supported", spec)
 		}
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,14 +15,14 @@ import (
 	"repro/internal/trace"
 )
 
-// blobGrid builds a grid whose trace AND fleet are file-backed — the
-// inputs the blob endpoint exists to ship — and returns it with the
-// two file paths.
-func blobGrid(t *testing.T) (sweep.Grid, string, string) {
+// blobGrid builds a grid whose traces (one csv:, one cluster:) AND
+// fleet are file-backed — the inputs the blob endpoint exists to ship
+// — and returns it with a func that deletes all three files, leaving
+// the worker's machine no copy of any input.
+func blobGrid(t *testing.T) (sweep.Grid, func()) {
 	t.Helper()
 	dir := t.TempDir()
 
-	tracePath := filepath.Join(dir, "week.csv")
 	cfg := trace.DefaultConfig(1)
 	cfg.VMs = 24
 	cfg.Days = 2
@@ -29,15 +30,19 @@ func blobGrid(t *testing.T) (sweep.Grid, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	csvPath := filepath.Join(dir, "week.csv")
+	clusterPath := filepath.Join(dir, "vmtable.csv")
+	for path, write := range map[string]func(io.Writer) error{csvPath: tr.WriteCSV, clusterPath: tr.WriteClusterCSV} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	fleetPath := filepath.Join(dir, "fleet.json")
@@ -53,9 +58,15 @@ func blobGrid(t *testing.T) (sweep.Grid, string, string) {
 	}
 
 	g := testGrid()
-	g.Traces = []string{"csv:" + tracePath}
+	g.Traces = []string{"csv:" + csvPath, "cluster:" + clusterPath}
 	g.Topologies = []string{"follow-the-load@" + fleetPath}
-	return g, tracePath, fleetPath
+	return g, func() {
+		for _, path := range []string{csvPath, clusterPath, fleetPath} {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestWorkerWithoutFilesystemCompletesViaBlobShipping is the
@@ -66,7 +77,7 @@ func blobGrid(t *testing.T) (sweep.Grid, string, string) {
 // over real HTTP.
 func TestWorkerWithoutFilesystemCompletesViaBlobShipping(t *testing.T) {
 	run := func(t *testing.T, overHTTP bool) {
-		g, tracePath, fleetPath := blobGrid(t)
+		g, removeInputs := blobGrid(t)
 		want, err := sweep.Run(g, sweep.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -81,12 +92,7 @@ func TestWorkerWithoutFilesystemCompletesViaBlobShipping(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The worker's machine has no copy of the inputs at all.
-		if err := os.Remove(tracePath); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(fleetPath); err != nil {
-			t.Fatal(err)
-		}
+		removeInputs()
 
 		var b Backend = c
 		if overHTTP {
@@ -119,11 +125,11 @@ func TestWorkerWithoutFilesystemCompletesViaBlobShipping(t *testing.T) {
 		if !bytes.Equal(gj, wj) {
 			t.Error("blob-shipped JSON differs from engine")
 		}
-		// One trace fetch plus one fleet fetch: resolution is memoized
-		// per worker, so the blobs ship once however many scenarios
-		// share them.
-		if got := c.Stats().Blobs; got != 2 {
-			t.Errorf("stats.Blobs = %d, want 2 (one trace, one fleet)", got)
+		// One fetch per trace plus one fleet fetch: resolution is
+		// memoized per worker, so each blob ships once however many
+		// scenarios share it.
+		if got := c.Stats().Blobs; got != 3 {
+			t.Errorf("stats.Blobs = %d, want 3 (two traces, one fleet)", got)
 		}
 	}
 	t.Run("inproc", func(t *testing.T) { run(t, false) })
@@ -149,18 +155,13 @@ func (cb corruptBackend) Blob(ctx context.Context, kind, spec string) (BlobReply
 // refuses that row — a corrupt blob can never reach the results or
 // poison the shared cache.
 func TestCorruptBlobIsRejectedLoudly(t *testing.T) {
-	g, tracePath, fleetPath := blobGrid(t)
+	g, removeInputs := blobGrid(t)
 	ctx := context.Background()
 	c, err := NewCoordinator(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(tracePath); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(fleetPath); err != nil {
-		t.Fatal(err)
-	}
+	removeInputs()
 
 	rn, err := sweep.NewRunner(g)
 	if err != nil {
@@ -191,17 +192,12 @@ func TestCorruptBlobIsRejectedLoudly(t *testing.T) {
 // serves nothing, a diskless worker's local failure is rejected (the
 // coordinator could read the inputs), and no blob ever ships.
 func TestBlobsDisabledFallBackToLocal(t *testing.T) {
-	g, tracePath, fleetPath := blobGrid(t)
+	g, removeInputs := blobGrid(t)
 	c, err := NewCoordinator(g, Options{DisableBlobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(tracePath); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(fleetPath); err != nil {
-		t.Fatal(err)
-	}
+	removeInputs()
 
 	_, err = Work(context.Background(), c, WorkerOptions{Name: "diskless", Poll: time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "failed to ingest") {
@@ -223,7 +219,7 @@ func TestBlobUnknownSpecIsPermanent(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	if _, err := c.Blob(ctx, BlobTrace, "csv:/nope.csv"); !isPermanent(err) {
+	if _, err := c.Blob(ctx, sweep.BlobTrace, "csv:/nope.csv"); !isPermanent(err) {
 		t.Errorf("in-process unknown-spec error = %v, want permanent", err)
 	}
 	if _, err := c.Blob(ctx, "bogus-kind", "x"); !isPermanent(err) {
@@ -233,7 +229,7 @@ func TestBlobUnknownSpecIsPermanent(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(c))
 	defer srv.Close()
 	cl := NewClient(srv.URL)
-	if _, err := cl.Blob(ctx, BlobTrace, "csv:/nope.csv"); !isPermanent(err) {
+	if _, err := cl.Blob(ctx, sweep.BlobTrace, "csv:/nope.csv"); !isPermanent(err) {
 		t.Errorf("HTTP unknown-spec error = %v, want permanent (404)", err)
 	}
 }

@@ -21,12 +21,6 @@ import (
 // re-hash fetched bytes against the advertised fingerprint before
 // use (sweep.BlobSource), so a corrupt blob is a loud reject.
 
-// Blob kinds: which input namespace a spec addresses.
-const (
-	BlobTrace    = "trace"
-	BlobTopology = "topology"
-)
-
 // BlobReply carries one shipped input: the raw file bytes and the
 // coordinator's content fingerprint of them (same format as
 // trace.Source.Fingerprint / topology.Spec.Fingerprint).
@@ -40,66 +34,51 @@ type blobEntry struct {
 	fp   string
 }
 
+// blobKey addresses one snapshotted input: a blob kind
+// (sweep.BlobTrace or sweep.BlobTopology) and a spec of that kind.
+type blobKey struct{ kind, spec string }
+
 // blobStore is the coordinator-side snapshot of the grid's
-// file-backed inputs, keyed by spec within each kind. Specs that are
-// not file-backed — or whose file the coordinator itself cannot read
-// — simply have no entry: workers then fall back to local resolution
-// and record the canonical ingestion error.
-type blobStore struct {
-	traces map[string]blobEntry
-	topos  map[string]blobEntry
-}
+// file-backed inputs. Specs that are not file-backed — or whose file
+// the coordinator itself cannot read — simply have no entry: workers
+// then fall back to local resolution and record the canonical
+// ingestion error.
+type blobStore map[blobKey]blobEntry
 
 // newBlobStore snapshots every file-backed input the grid references.
-// Unreadable files are skipped, not errors: a grid pointing at a
-// missing trace produces error rows, and shipping must not turn that
-// into a construction failure.
-func newBlobStore(g sweep.Grid) *blobStore {
-	bs := &blobStore{traces: map[string]blobEntry{}, topos: map[string]blobEntry{}}
+func newBlobStore(g sweep.Grid) blobStore {
+	bs := blobStore{}
 	for _, spec := range g.Traces {
 		src, err := trace.ParseSourceSpec(spec)
-		if err != nil {
-			continue
+		if fs, ok := src.(trace.FileSource); err == nil && ok {
+			bs.add(sweep.BlobTrace, spec, fs.Path, func(data []byte) (string, error) {
+				fs.Content = data
+				return fs.Fingerprint()
+			})
 		}
-		var path string
-		switch s := src.(type) {
-		case trace.CSVSource:
-			path = s.Path
-		case trace.ClusterSource:
-			path = s.Path
-		default:
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		shipped, err := trace.SourceWithContent(spec, data)
-		if err != nil {
-			continue
-		}
-		fp, err := shipped.Fingerprint()
-		if err != nil {
-			continue
-		}
-		bs.traces[spec] = blobEntry{data: data, fp: fp}
 	}
 	for _, spec := range g.Topologies {
-		s, err := topology.ParseSpec(spec)
-		if err != nil || !s.IsFile {
-			continue
+		if s, err := topology.ParseSpec(spec); err == nil && s.IsFile {
+			bs.add(sweep.BlobTopology, spec, s.Ref, func(data []byte) (string, error) {
+				return s.WithContent(data).Fingerprint()
+			})
 		}
-		data, err := os.ReadFile(s.Ref)
-		if err != nil {
-			continue
-		}
-		fp, err := s.WithContent(data).Fingerprint()
-		if err != nil {
-			continue
-		}
-		bs.topos[spec] = blobEntry{data: data, fp: fp}
 	}
 	return bs
+}
+
+// add reads one input file and stores it under (kind, spec) with the
+// fingerprint of the bytes read. Unreadable files are skipped, not
+// errors: a grid pointing at a missing trace produces error rows, and
+// shipping must not turn that into a construction failure.
+func (bs blobStore) add(kind, spec, path string, fingerprint func([]byte) (string, error)) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	if fp, err := fingerprint(data); err == nil {
+		bs[blobKey{kind, spec}] = blobEntry{data: data, fp: fp}
+	}
 }
 
 // Blob implements Backend: it serves one snapshotted input. Unknown
@@ -109,16 +88,10 @@ func (c *Coordinator) Blob(_ context.Context, kind, spec string) (BlobReply, err
 	if c.blobs == nil {
 		return BlobReply{}, permanentError{fmt.Errorf("dist: input shipping is disabled on this coordinator")}
 	}
-	var e blobEntry
-	var ok bool
-	switch kind {
-	case BlobTrace:
-		e, ok = c.blobs.traces[spec]
-	case BlobTopology:
-		e, ok = c.blobs.topos[spec]
-	default:
-		return BlobReply{}, permanentError{fmt.Errorf("dist: unknown blob kind %q (known: %s, %s)", kind, BlobTrace, BlobTopology)}
+	if kind != sweep.BlobTrace && kind != sweep.BlobTopology {
+		return BlobReply{}, permanentError{fmt.Errorf("dist: unknown blob kind %q (known: %s, %s)", kind, sweep.BlobTrace, sweep.BlobTopology)}
 	}
+	e, ok := c.blobs[blobKey{kind, spec}]
 	if !ok {
 		return BlobReply{}, permanentError{fmt.Errorf("dist: no %s blob for spec %q (not file-backed, or unreadable at coordinator start)", kind, spec)}
 	}
@@ -139,7 +112,8 @@ type backendBlobs struct {
 	poll time.Duration
 }
 
-func (bb backendBlobs) fetch(kind, spec string) ([]byte, string, error) {
+// Blob implements sweep.BlobSource.
+func (bb backendBlobs) Blob(kind, spec string) ([]byte, string, error) {
 	var rep BlobReply
 	var err error
 	for _, wait := range []time.Duration{0, bb.poll, 10 * bb.poll} {
@@ -159,14 +133,4 @@ func (bb backendBlobs) fetch(kind, spec string) ([]byte, string, error) {
 		}
 	}
 	return nil, "", err
-}
-
-// TraceBlob implements sweep.BlobSource.
-func (bb backendBlobs) TraceBlob(spec string) ([]byte, string, error) {
-	return bb.fetch(BlobTrace, spec)
-}
-
-// TopologyBlob implements sweep.BlobSource.
-func (bb backendBlobs) TopologyBlob(spec string) ([]byte, string, error) {
-	return bb.fetch(BlobTopology, spec)
 }

@@ -111,8 +111,8 @@ type Backend interface {
 	// expiry. Best-effort like Renew: stale refs are skipped.
 	Release(ctx context.Context, worker string, refs []UnitRef) error
 
-	// Blob ships one file-backed input (kind BlobTrace or
-	// BlobTopology) to a worker that cannot read the spec's path
+	// Blob ships one file-backed input (kind sweep.BlobTrace or
+	// sweep.BlobTopology) to a worker that cannot read the spec's path
 	// itself; see blobstore.go.
 	Blob(ctx context.Context, kind, spec string) (BlobReply, error)
 }
@@ -217,7 +217,7 @@ type Coordinator struct {
 	grid  sweep.Grid
 	opt   Options
 	start time.Time
-	blobs *blobStore // input-shipping snapshot; nil when disabled
+	blobs blobStore // input-shipping snapshot; nil when disabled
 
 	mu       sync.Mutex
 	units    []unit

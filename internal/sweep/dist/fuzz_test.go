@@ -108,11 +108,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// this harness's. Only resume grids with no file-backed inputs.
 		for _, spec := range ck.Grid.Traces {
 			src, err := trace.ParseSourceSpec(spec)
-			if err != nil {
-				return
-			}
-			switch src.(type) {
-			case trace.CSVSource, trace.ClusterSource:
+			if _, file := src.(trace.FileSource); err != nil || file {
 				return
 			}
 		}

@@ -66,8 +66,16 @@ type tracePair struct {
 	affected int
 }
 
+// Blob kinds: which input namespace a shipped spec addresses — a
+// trace spec (Grid.Traces) or a topology spec (Grid.Topologies). They
+// are also the kind names on the dist wire.
+const (
+	BlobTrace    = "trace"
+	BlobTopology = "topology"
+)
+
 // BlobSource ships input bytes to processes that cannot read the
-// files a grid references: given a trace or topology spec, it returns
+// files a grid references: given a blob kind and a spec, it returns
 // the file's content plus the serving side's fingerprint of those
 // bytes (the same format Source.Fingerprint/Spec.Fingerprint emit).
 // The loader consults it only when a file-backed spec cannot be
@@ -75,8 +83,7 @@ type tracePair struct {
 // advertised fingerprint before trusting them — a corrupt blob is a
 // loud error, never a silently-poisoned cache entry.
 type BlobSource interface {
-	TraceBlob(spec string) (data []byte, fingerprint string, err error)
-	TopologyBlob(spec string) (data []byte, fingerprint string, err error)
+	Blob(kind, spec string) (data []byte, fingerprint string, err error)
 }
 
 // loader memoizes the expensive inputs of a run. One loader is
@@ -154,65 +161,61 @@ func traceUsesSeed(spec string) bool {
 	return synthetic
 }
 
-// source resolves a trace spec once per sweep: the local source when
-// its content is readable here, otherwise (with a BlobSource wired)
-// the shipped bytes, verified against the server's fingerprint. When
-// neither works the local source is returned anyway, so the scenario
-// fails with the canonical local ingestion error — identical to what
-// a blob-less run would record.
+// ship is the one ship-and-verify path for file-backed inputs. It
+// keeps the local input when its content is readable here; otherwise,
+// with a BlobSource wired, it fetches the spec's bytes, attaches them
+// with withContent and checks they hash to the server's advertised
+// fingerprint. When no blob can be fetched either, the local input is
+// returned anyway, so the scenario fails with the canonical local
+// ingestion error — identical to what a blob-less run would record.
+func ship[T any](blobs BlobSource, kind, spec string, local T,
+	fingerprint func(T) (string, error), withContent func([]byte) (T, error)) (T, error) {
+	var zero T
+	if blobs == nil {
+		return local, nil
+	}
+	if _, err := fingerprint(local); err == nil {
+		return local, nil // readable locally; no shipping needed
+	}
+	data, fp, err := blobs.Blob(kind, spec)
+	if err != nil {
+		return local, nil // no blob either; fail the canonical local way
+	}
+	shipped, err := withContent(data)
+	if err != nil {
+		return zero, fmt.Errorf("sweep: %w", err)
+	}
+	got, err := fingerprint(shipped)
+	if err != nil {
+		return zero, fmt.Errorf("sweep: fingerprinting shipped %s %s: %w", kind, spec, err)
+	}
+	if got != fp {
+		return zero, fmt.Errorf("sweep: shipped %s %s is corrupt: content hashes to %q, server advertised %q", kind, spec, got, fp)
+	}
+	return shipped, nil
+}
+
+// source resolves a trace spec once per sweep (see ship).
 func (l *loader) source(spec string) (trace.Source, error) {
 	return l.srcs.get(spec, func() (trace.Source, error) {
 		src, err := sourceFor(spec)
-		if err != nil || l.blobs == nil {
-			return src, err
-		}
-		if _, ferr := src.Fingerprint(); ferr == nil {
-			return src, nil // readable locally; no shipping needed
-		}
-		data, fp, berr := l.blobs.TraceBlob(spec)
-		if berr != nil {
-			return src, nil // no blob either; fail the canonical local way
-		}
-		bsrc, err := trace.SourceWithContent(spec, data)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
+			return nil, err
 		}
-		got, err := bsrc.Fingerprint()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: fingerprinting shipped trace %s: %w", spec, err)
-		}
-		if got != fp {
-			return nil, fmt.Errorf("sweep: shipped trace %s is corrupt: content hashes to %q, server advertised %q", spec, got, fp)
-		}
-		return bsrc, nil
+		return ship(l.blobs, BlobTrace, spec, src, trace.Source.Fingerprint,
+			func(data []byte) (trace.Source, error) { return trace.SourceWithContent(spec, data) })
 	})
 }
 
-// topoSpec resolves a topology spec the same way source resolves a
-// trace spec: local file first, verified shipped bytes second, the
-// plain (failing) local spec last.
+// topoSpec resolves a topology spec once per sweep (see ship).
 func (l *loader) topoSpec(spec string) (topology.Spec, error) {
 	return l.topoSpecs.get(spec, func() (topology.Spec, error) {
 		s, err := topology.ParseSpec(spec)
-		if err != nil || l.blobs == nil || !s.IsFile {
-			return s, err
-		}
-		if _, ferr := s.Fingerprint(); ferr == nil {
-			return s, nil
-		}
-		data, fp, berr := l.blobs.TopologyBlob(spec)
-		if berr != nil {
-			return s, nil
-		}
-		bs := s.WithContent(data)
-		got, err := bs.Fingerprint()
 		if err != nil {
-			return topology.Spec{}, fmt.Errorf("topology: fingerprinting shipped fleet %s: %w", spec, err)
+			return topology.Spec{}, fmt.Errorf("sweep: %w", err)
 		}
-		if got != fp {
-			return topology.Spec{}, fmt.Errorf("topology: shipped fleet %s is corrupt: content hashes to %q, server advertised %q", spec, got, fp)
-		}
-		return bs, nil
+		return ship(l.blobs, BlobTopology, spec, s, topology.Spec.Fingerprint,
+			func(data []byte) (topology.Spec, error) { return s.WithContent(data), nil })
 	})
 }
 
@@ -237,7 +240,7 @@ func (l *loader) fleet(spec string) (topology.Fleet, error) {
 	return l.fleets.get(spec, func() (topology.Fleet, error) {
 		s, err := l.topoSpec(spec)
 		if err != nil {
-			return topology.Fleet{}, fmt.Errorf("sweep: %w", err)
+			return topology.Fleet{}, err
 		}
 		f, err := s.Load()
 		if err != nil {

@@ -536,21 +536,25 @@ func (s Spec) WithContent(data []byte) Spec {
 	return s
 }
 
+// data returns a file spec's bytes: the attached Content when there
+// is one, otherwise the file's.
+func (s Spec) data() ([]byte, error) {
+	if s.Content != nil {
+		return s.Content, nil
+	}
+	return os.ReadFile(s.Ref)
+}
+
 // Load materialises and validates the fleet, applying the spec's
 // dispatcher override. The returned fleet is not yet resolved —
 // relative DCs keep Servers 0 until Resolve sees the scenario pool.
 func (s Spec) Load() (Fleet, error) {
 	var f Fleet
 	if s.IsFile {
-		data := s.Content
-		if data == nil {
-			var err error
-			data, err = os.ReadFile(s.Ref)
-			if err != nil {
-				return Fleet{}, fmt.Errorf("topology: reading fleet file: %w", err)
-			}
+		data, err := s.data()
+		if err != nil {
+			return Fleet{}, fmt.Errorf("topology: reading fleet file: %w", err)
 		}
-		var err error
 		if f, err = ParseFleetJSON(data); err != nil {
 			return Fleet{}, fmt.Errorf("topology: %s: %w", s.Ref, err)
 		}
@@ -578,13 +582,9 @@ func (s Spec) Fingerprint() (string, error) {
 	if !s.IsFile {
 		return "topology:builtin:" + s.Ref, nil
 	}
-	data := s.Content
-	if data == nil {
-		var err error
-		data, err = os.ReadFile(s.Ref)
-		if err != nil {
-			return "", fmt.Errorf("topology: fingerprinting %s: %w", s.Ref, err)
-		}
+	data, err := s.data()
+	if err != nil {
+		return "", fmt.Errorf("topology: fingerprinting %s: %w", s.Ref, err)
 	}
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("topology:file:%s:%s", s.Ref, hex.EncodeToString(sum[:16])), nil

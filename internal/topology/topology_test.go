@@ -145,6 +145,25 @@ func TestFleetFileRoundTrip(t *testing.T) {
 		t.Error("fingerprint unchanged after editing the fleet file")
 	}
 
+	// The exact string is pinned — it is a result-cache key ingredient —
+	// and shipped content fingerprints like the file holding it.
+	pinned := []byte(`{"name": "pinned", "dcs": [{"name": "a", "share": 1, "pue": 1.2}]}`)
+	pinnedPath := filepath.Join(dir, "pinned.json")
+	if err := os.WriteFile(pinnedPath, pinned, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := ParseSpec(pinnedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "topology:file:" + pinnedPath + ":cbe0bd391f5c205b19e46f0692723c0c"
+	if got, err := ps.Fingerprint(); err != nil || got != want {
+		t.Errorf("fleet-file fingerprint from disk = %q, %v; want %q", got, err, want)
+	}
+	if got, err := ps.WithContent(pinned).Fingerprint(); err != nil || got != want {
+		t.Errorf("fleet-file fingerprint from content = %q, %v; want %q", got, err, want)
+	}
+
 	// Unknown fields are typos, not extensions; a second value after
 	// the fleet object is a paste error, not something to ignore.
 	for i, content := range []string{

@@ -74,3 +74,40 @@ func FuzzReadClusterCSV(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSourceSpec feeds arbitrary spec strings to the backend
+// parser. It must never panic; every spec it accepts round-trips
+// through Spec, and SourceWithContent accepts exactly the file-backed
+// specs — whose shipped form keeps the spec and fingerprints without
+// touching the filesystem. The seeds are the committed corpus under
+// testdata/fuzz/FuzzParseSourceSpec.
+func FuzzParseSourceSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		src, err := ParseSourceSpec(spec)
+		shipped, cerr := SourceWithContent(spec, []byte("content"))
+		if err != nil {
+			if cerr == nil {
+				t.Fatalf("SourceWithContent accepted %q, which ParseSourceSpec rejects (%v)", spec, err)
+			}
+			return
+		}
+		back, err := ParseSourceSpec(src.Spec())
+		if err != nil || !reflect.DeepEqual(back, src) {
+			t.Fatalf("ParseSourceSpec(%q).Spec() = %q parses back to %#v, %v; want %#v",
+				spec, src.Spec(), back, err, src)
+		}
+		_, file := src.(FileSource)
+		if file != (cerr == nil) {
+			t.Fatalf("SourceWithContent(%q) error = %v for a %T", spec, cerr, src)
+		}
+		if !file {
+			return
+		}
+		if shipped.Spec() != src.Spec() {
+			t.Fatalf("shipped spec %q, want %q", shipped.Spec(), src.Spec())
+		}
+		if fp, err := shipped.Fingerprint(); err != nil || !strings.HasPrefix(fp, src.Spec()+":") {
+			t.Fatalf("shipped fingerprint = %q, %v; want the prefix %q", fp, err, src.Spec()+":")
+		}
+	})
+}

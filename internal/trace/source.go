@@ -77,12 +77,12 @@ func ParseSourceSpec(spec string) (Source, error) {
 		if ref == "" {
 			return nil, fmt.Errorf("trace: csv backend needs a file path, e.g. csv:trace.csv")
 		}
-		return CSVSource{Path: ref}, nil
+		return FileSource{Format: backend, Path: ref}, nil
 	case "cluster":
 		if ref == "" {
 			return nil, fmt.Errorf("trace: cluster backend needs a file path, e.g. cluster:vmtable.csv")
 		}
-		return ClusterSource{Path: ref}, nil
+		return FileSource{Format: backend, Path: ref}, nil
 	default:
 		return nil, fmt.Errorf("trace: unknown trace backend %q (known: %s)",
 			backend, strings.Join(Backends(), ", "))
@@ -133,21 +133,24 @@ func SourceWithContent(spec string, data []byte) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s := src.(type) {
-	case CSVSource:
-		s.Content = data
-		return s, nil
-	case ClusterSource:
-		s.Content = data
-		return s, nil
+	fs, ok := src.(FileSource)
+	if !ok {
+		return nil, fmt.Errorf("trace: backend %q is not file-backed; it has no content to attach", src.Backend())
 	}
-	return nil, fmt.Errorf("trace: backend %q is not file-backed; it has no content to attach", src.Backend())
+	fs.Content = data
+	return fs, nil
 }
 
-// CSVSource ingests the native long CSV format written by WriteCSV
-// (and cmd/tracegen): header vm_id,class,sample,cpu_pct,mem_pct, one
-// row per (VM, sample).
-type CSVSource struct {
+// FileSource ingests a trace file. Format is the backend name and
+// selects the parser: "csv" reads the native long format written by
+// WriteCSV (and cmd/tracegen) — header vm_id,class,sample,cpu_pct,
+// mem_pct, one row per (VM, sample) — and "cluster" reads real
+// cluster-trace dumps (Azure/Google-style reading tables) through the
+// normalisation rules of ReadClusterCSV.
+type FileSource struct {
+	// Format is "csv" or "cluster".
+	Format string
+
 	// Path is the trace file.
 	Path string
 
@@ -159,109 +162,54 @@ type CSVSource struct {
 }
 
 // Backend implements Source.
-func (CSVSource) Backend() string { return "csv" }
+func (s FileSource) Backend() string { return s.Format }
 
 // Spec implements Source.
-func (s CSVSource) Spec() string { return "csv:" + s.Path }
+func (s FileSource) Spec() string { return s.Format + ":" + s.Path }
+
+// open returns a reader over the source's bytes: the attached Content
+// when there is one, otherwise the file itself, streamed so
+// multi-gigabyte cluster dumps never sit in memory.
+func (s FileSource) open() (io.ReadCloser, error) {
+	if s.Content != nil {
+		return io.NopCloser(bytes.NewReader(s.Content)), nil
+	}
+	return os.Open(s.Path)
+}
 
 // Fingerprint implements Source: the path plus a content hash, so a
-// renamed or edited file never aliases a cached result.
-func (s CSVSource) Fingerprint() (string, error) {
-	if s.Content != nil {
-		return contentFingerprint("csv", s.Path, s.Content), nil
+// renamed or edited file never aliases a cached result, and a shipped
+// copy of a file fingerprints identically to reading it in place.
+func (s FileSource) Fingerprint() (string, error) {
+	r, err := s.open()
+	if err != nil {
+		return "", fmt.Errorf("trace: fingerprinting %s: %w", s.Path, err)
 	}
-	return fileFingerprint("csv", s.Path)
+	defer r.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, r); err != nil {
+		return "", fmt.Errorf("trace: fingerprinting %s: %w", s.Path, err)
+	}
+	return fmt.Sprintf("%s:%s:%s", s.Format, s.Path, hex.EncodeToString(h.Sum(nil)[:16])), nil
 }
 
 // Load implements Source: the file is re-read on every call (callers
 // memoize), then cut down to the requested VM count and day span.
-func (s CSVSource) Load(req Request) (*Trace, error) {
-	if s.Content != nil {
-		tr, err := ReadCSV(bytes.NewReader(s.Content))
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv backend: %s: %w", s.Path, err)
-		}
-		return fitTrace(tr, s.Spec(), req)
+func (s FileSource) Load(req Request) (*Trace, error) {
+	read := ReadCSV
+	if s.Format == "cluster" {
+		read = ReadClusterCSV
 	}
-	f, err := os.Open(s.Path)
+	r, err := s.open()
 	if err != nil {
-		return nil, fmt.Errorf("trace: csv backend: %w", err)
+		return nil, fmt.Errorf("trace: %s backend: %w", s.Format, err)
 	}
-	defer f.Close()
-	tr, err := ReadCSV(f)
+	defer r.Close()
+	tr, err := read(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: csv backend: %s: %w", s.Path, err)
+		return nil, fmt.Errorf("trace: %s backend: %s: %w", s.Format, s.Path, err)
 	}
 	return fitTrace(tr, s.Spec(), req)
-}
-
-// ClusterSource ingests real cluster-trace dumps (Azure/Google-style
-// reading tables) through the normalisation rules of ReadClusterCSV.
-type ClusterSource struct {
-	// Path is the cluster reading table.
-	Path string
-
-	// Content, when non-nil, is used instead of reading Path (see
-	// CSVSource.Content).
-	Content []byte
-}
-
-// Backend implements Source.
-func (ClusterSource) Backend() string { return "cluster" }
-
-// Spec implements Source.
-func (s ClusterSource) Spec() string { return "cluster:" + s.Path }
-
-// Fingerprint implements Source (path + content hash, as CSVSource).
-func (s ClusterSource) Fingerprint() (string, error) {
-	if s.Content != nil {
-		return contentFingerprint("cluster", s.Path, s.Content), nil
-	}
-	return fileFingerprint("cluster", s.Path)
-}
-
-// Load implements Source.
-func (s ClusterSource) Load(req Request) (*Trace, error) {
-	if s.Content != nil {
-		tr, err := ReadClusterCSV(bytes.NewReader(s.Content))
-		if err != nil {
-			return nil, fmt.Errorf("trace: cluster backend: %s: %w", s.Path, err)
-		}
-		return fitTrace(tr, s.Spec(), req)
-	}
-	f, err := os.Open(s.Path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: cluster backend: %w", err)
-	}
-	defer f.Close()
-	tr, err := ReadClusterCSV(f)
-	if err != nil {
-		return nil, fmt.Errorf("trace: cluster backend: %s: %w", s.Path, err)
-	}
-	return fitTrace(tr, s.Spec(), req)
-}
-
-// fileFingerprint hashes a backend's file contents into a stable key,
-// streaming so multi-gigabyte cluster dumps never sit in memory.
-func fileFingerprint(backend, path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("trace: fingerprinting %s: %w", path, err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", fmt.Errorf("trace: fingerprinting %s: %w", path, err)
-	}
-	return fmt.Sprintf("%s:%s:%s", backend, path, hex.EncodeToString(h.Sum(nil)[:16])), nil
-}
-
-// contentFingerprint is fileFingerprint over in-memory bytes: the
-// same format, so a shipped copy of a file fingerprints identically
-// to reading it in place.
-func contentFingerprint(backend, path string, data []byte) string {
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s:%s:%s", backend, path, hex.EncodeToString(sum[:16]))
 }
 
 // fitTrace cuts a loaded trace down to a request: the first req.VMs

@@ -70,7 +70,7 @@ func TestParseSourceSpec(t *testing.T) {
 
 func TestCSVSourceRoundTripAndFit(t *testing.T) {
 	path, orig := writeTempTrace(t, 8, 2, 7)
-	src := CSVSource{Path: path}
+	src := FileSource{Format: "csv", Path: path}
 
 	// Full shape round-trips (CSV stores 3 decimals, so compare to
 	// that precision).
@@ -114,7 +114,7 @@ func TestCSVSourceLoadsAreIndependent(t *testing.T) {
 	// Loads must never alias: churning one loaded trace cannot leak
 	// into another load of the same source.
 	path, _ := writeTempTrace(t, 6, 2, 3)
-	src := CSVSource{Path: path}
+	src := FileSource{Format: "csv", Path: path}
 	a, err := src.Load(Request{VMs: 6, Days: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err := os.WriteFile(path, []byte("vm_id,class,sample,cpu_pct,mem_pct\n0,low-mem,0,10.000,5.000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := CSVSource{Path: path}
+	src := FileSource{Format: "csv", Path: path}
 	fp1, err := src.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err := os.WriteFile(other, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fpOther, err := CSVSource{Path: other}.Fingerprint()
+	fpOther, err := FileSource{Format: "csv", Path: other}.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +188,34 @@ func TestFingerprintStability(t *testing.T) {
 
 	if fp, err := (SyntheticSource{}).Fingerprint(); err != nil || fp != "synthetic" {
 		t.Errorf("synthetic fingerprint = %q, %v", fp, err)
+	}
+
+	// Pinned strings: fingerprints are result-cache key ingredients,
+	// so their exact form — backend, path, then the first 16 bytes of
+	// the content's SHA-256 in hex — must never drift, and a source
+	// reading the file must agree with one holding its bytes as
+	// shipped Content. (The topology:file: form is pinned in package
+	// topology.)
+	for _, c := range []struct{ format, body, hash string }{
+		{"csv", "vm_id,class,sample,cpu_pct,mem_pct\n0,low-mem,0,10.000,5.000\n", "cfb38616dc912c4fdd48c68eb3ede042"},
+		{"cluster", "timestamp,vm_id,cpu_pct,mem_pct\n0,a,10.0,5.0\n", "78cad3940be62c88c55f944366f2bd27"},
+	} {
+		path := filepath.Join(dir, "pinned-"+c.format+".csv")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := c.format + ":" + path + ":" + c.hash
+		fromDisk, err := FileSource{Format: c.format, Path: path}.Fingerprint()
+		if err != nil || fromDisk != want {
+			t.Errorf("%s fingerprint from disk = %q, %v; want %q", c.format, fromDisk, err, want)
+		}
+		shipped, err := SourceWithContent(c.format+":"+path, []byte(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fromContent, err := shipped.Fingerprint(); err != nil || fromContent != want {
+			t.Errorf("%s fingerprint from content = %q, %v; want %q", c.format, fromContent, err, want)
+		}
 	}
 }
 
@@ -419,7 +447,7 @@ func TestClusterSourceRoundTripsTracegenOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr, err := ClusterSource{Path: path}.Load(Request{VMs: 5, Days: 1})
+	tr, err := FileSource{Format: "cluster", Path: path}.Load(Request{VMs: 5, Days: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
