@@ -207,14 +207,16 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 }
 
 // validatedTraces memoises successful trace.Trace.Validate calls by
-// pointer. Traces are shared read-only across scenarios (the trace
-// package's contract), and sweeps replay the same trace thousands of
-// times — revalidating ~300k samples per Run is pure overhead. Only
-// success is cached; invalid traces are re-checked every time. The
-// memo holds traces weakly and drops an entry once its trace is
-// collected, so it never keeps a trace's samples alive: the fleet
-// layer validates a fresh VM-subset view per DC and epoch, and a
-// long-lived process replays many traces.
+// root trace pointer. Traces are shared read-only across scenarios
+// (the trace package's contract), and sweeps replay the same trace
+// thousands of times — revalidating ~300k samples per Run is pure
+// overhead. Per-DC epoch views (trace.Trace.Subset) share their
+// root's VMs, so the root is validated once and every view inherits
+// it; a view pays only an O(VMs) shape check. Only success is cached;
+// invalid traces are re-checked every time. The memo holds roots
+// weakly and drops an entry once its root is collected, so it never
+// keeps a trace's samples alive in a long-lived process that replays
+// many traces.
 var validatedTraces sync.Map // weak.Pointer[trace.Trace] → struct{}
 
 func validate(cfg *Config) error {
@@ -232,13 +234,21 @@ func validate(cfg *Config) error {
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:
 		return errors.New("dcsim: HistoryDays and EvalDays must be positive")
 	}
-	key := weak.Make(cfg.Trace)
+	root := cfg.Trace.Root()
+	key := weak.Make(root)
 	if _, ok := validatedTraces.Load(key); !ok {
-		if err := cfg.Trace.Validate(); err != nil {
+		if err := root.Validate(); err != nil {
 			return err
 		}
 		if _, loaded := validatedTraces.LoadOrStore(key, struct{}{}); !loaded {
-			runtime.AddCleanup(cfg.Trace, func(k weak.Pointer[trace.Trace]) { validatedTraces.Delete(k) }, key)
+			runtime.AddCleanup(root, func(k weak.Pointer[trace.Trace]) { validatedTraces.Delete(k) }, key)
+		}
+	}
+	if cfg.Trace != root {
+		// The root's samples are in range; a view must still hold VMs
+		// of the root's length (its VMs slice may have been edited).
+		if err := cfg.Trace.ValidateShape(root.Samples()); err != nil {
+			return err
 		}
 	}
 	wantSamples := cfg.EvalDays * trace.SamplesPerDay

@@ -3,7 +3,9 @@ package dcsim
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 	"weak"
 
 	"repro/internal/alloc"
@@ -268,24 +270,81 @@ func TestValidateChecksEveryPredictionRow(t *testing.T) {
 
 // TestValidateMemoDoesNotPinTraces: the validation memo must not keep
 // a trace alive once nothing else references it — a long-lived
-// process (the sweep daemon, a benchmark) replays many traces, and
-// the fleet layer validates a fresh VM-subset view per DC and epoch.
+// process (the sweep daemon, a benchmark) replays many traces. The
+// memo is keyed by the root trace: a run on a view records the root,
+// never the view, and the entry lives while any view of the root does
+// and is dropped once the root and all its views are collected.
 func TestValidateMemoDoesNotPinTraces(t *testing.T) {
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 	tr := testTrace(t, 4)
-	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), oracle(t, tr))); err != nil {
+	view := tr.Subset([]int{3, 1}).Subset([]int{1})
+	if view.Root() != tr {
+		t.Fatal("a view of a view lost its root")
+	}
+	if _, err := Run(testConfig(t, view, alloc.NewCOAT(spec), oracle(t, view))); err != nil {
 		t.Fatal(err)
 	}
 	wp := weak.Make(tr)
 	if _, ok := validatedTraces.Load(wp); !ok {
-		t.Fatal("a validated trace was not memoised")
+		t.Fatal("the root of a validated view was not memoised")
+	}
+	if _, ok := validatedTraces.Load(weak.Make(view)); ok {
+		t.Fatal("the memo holds a view's entry")
 	}
 	tr = nil
+	runtime.GC()
+	if wp.Value() == nil {
+		t.Fatal("the root was collected while a view of it is alive")
+	}
+	if _, ok := validatedTraces.Load(wp); !ok {
+		t.Fatal("the root's entry was dropped while a view of it is alive")
+	}
+	runtime.KeepAlive(view)
+	view = nil
 	for i := 0; i < 10 && wp.Value() != nil; i++ {
 		runtime.GC()
 	}
 	if wp.Value() != nil {
 		t.Fatal("the validation memo keeps a dropped trace alive")
+	}
+	// Cleanups run on their own goroutine after the collection.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := validatedTraces.Load(wp); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the entry of a collected root was never dropped")
+		}
+	}
+}
+
+// TestEditedViewIsRejected: a view inherits its root's sample checks,
+// not its shape. A view whose VMs slice was edited to hold a ragged VM,
+// or that holds no VMs, still fails validation once the root is
+// memoised.
+func TestEditedViewIsRejected(t *testing.T) {
+	tr := testTrace(t, 6)
+	ps := oracle(t, tr)
+	if _, err := Run(testConfig(t, tr, &alloc.FFD{}, ps)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []func(vm *trace.VM){
+		func(vm *trace.VM) { vm.CPU = vm.CPU[:len(vm.CPU)-1] },
+		func(vm *trace.VM) { vm.Mem = append(vm.Mem[:len(vm.Mem):len(vm.Mem)], 0) },
+	} {
+		view := tr.Subset([]int{0, 1, 2, 3, 4, 5})
+		ragged := *view.VMs[2]
+		cut(&ragged)
+		view.VMs[2] = &ragged
+		_, err := Run(testConfig(t, view, &alloc.FFD{}, ps))
+		if err == nil || !strings.Contains(err.Error(), "ragged") {
+			t.Errorf("edited view with a ragged VM: err = %v, want a ragged-series error", err)
+		}
+	}
+	empty := tr.Subset(nil)
+	if _, err := Run(testConfig(t, empty, &alloc.FFD{}, &PredictionSet{})); err == nil ||
+		!strings.Contains(err.Error(), "no VMs") {
+		t.Errorf("empty view: err = %v, want a no-VMs error", err)
 	}
 }
 

@@ -160,7 +160,7 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, err := dcsim.Run(dcsim.Config{
-		Trace:                subTrace(cfg.Trace, st.ep.asg[0]),
+		Trace:                cfg.Trace.Subset(st.ep.asg[0]),
 		Predictions:          subPredictions(cfg.Predictions, st.ep.asg[0]),
 		HistoryDays:          cfg.HistoryDays,
 		EvalDays:             cfg.EvalDays,

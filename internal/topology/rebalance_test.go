@@ -5,12 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/dcsim"
 	"repro/internal/platform"
 	"repro/internal/power"
+	"repro/internal/trace"
 )
 
 func TestParseRebalanceSpec(t *testing.T) {
@@ -451,5 +453,38 @@ func TestRebalanceEveryTraceUnchanged(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, cfg.Trace.VMs[0].CPU) {
 		t.Error("rebalanced run mutated the shared trace")
+	}
+}
+
+// TestBadSampleInLastDCFailsRun: the trace is validated once, at its
+// root, and per-DC views inherit that, so an out-of-range or NaN
+// sample must still fail the run wherever it sits — here in a VM the
+// fleet hosts in its last DC, at an evaluation sample, under static
+// dispatch and under epoch rebalancing.
+func TestBadSampleInLastDCFailsRun(t *testing.T) {
+	for _, reb := range []RebalanceSpec{{}, {EverySlots: 4, Dispatcher: "greedy-proportional"}} {
+		st, err := NewStepper(rebalanceConfig(t, "triad", reb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := st.ep.asg[len(st.ep.asg)-1]
+		if len(last) == 0 {
+			t.Fatalf("%s: triad's last DC hosts no VM", reb)
+		}
+		v := last[len(last)-1]
+		for _, bad := range []struct {
+			name string
+			set  func(vm *trace.VM, i int)
+		}{
+			{"cpu 150", func(vm *trace.VM, i int) { vm.CPU[i] = 150 }},
+			{"mem NaN", func(vm *trace.VM, i int) { vm.Mem[i] = math.NaN() }},
+		} {
+			// A fresh trace: the memo has not seen it.
+			cfg := rebalanceConfig(t, "triad", reb)
+			bad.set(cfg.Trace.VMs[v], cfg.HistoryDays*trace.SamplesPerDay+5)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "outside [0,100]") {
+				t.Errorf("%s, %s in VM %d (last DC): err = %v, want a range error", reb, bad.name, v, err)
+			}
+		}
 	}
 }

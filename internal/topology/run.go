@@ -207,17 +207,6 @@ func SeriesEPScore(slotMJ []float64) float64 {
 	return 1 - min/max
 }
 
-// subTrace views a subset of a trace's VMs (ascending idxs). VM data
-// is shared read-only with the parent — dispatch happens after any
-// churn mutation, so DC simulations never alias mutable state.
-func subTrace(tr *trace.Trace, idxs []int) *trace.Trace {
-	out := &trace.Trace{Interval: tr.Interval, VMs: make([]*trace.VM, len(idxs))}
-	for i, v := range idxs {
-		out.VMs[i] = tr.VMs[v]
-	}
-	return out
-}
-
 // subPredictions views the prediction rows of a VM subset.
 func subPredictions(ps *dcsim.PredictionSet, idxs []int) *dcsim.PredictionSet {
 	out := &dcsim.PredictionSet{

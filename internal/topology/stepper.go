@@ -408,7 +408,7 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
 		sim, err := dcsim.NewStepper(dcsim.Config{
-			Trace:                subTrace(cfg.Trace, asg[i]),
+			Trace:                cfg.Trace.Subset(asg[i]),
 			Predictions:          subPredictions(cfg.Predictions, asg[i]),
 			HistoryDays:          cfg.HistoryDays,
 			EvalDays:             cfg.EvalDays,

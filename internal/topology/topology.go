@@ -594,12 +594,18 @@ func (s Spec) Fingerprint() (string, error) {
 // and trailing data so typos in hand-written fleet files surface
 // early. Decode errors — syntax errors, unknown fields, malformed
 // intensity profiles — carry the line number of the offending input so
-// a bad entry in a long hand-written fleet file is findable.
+// a bad entry in a long hand-written fleet file is findable: inside a
+// DC entry, the line of the member that fails.
 func ParseFleetJSON(data []byte) (Fleet, error) {
-	var f Fleet
+	// The outer DCs shadows Fleet's: the entries stay raw so each is
+	// decoded, and its errors placed, on its own.
+	var raw struct {
+		Fleet
+		DCs []json.RawMessage `json:"dcs"`
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := dec.Decode(&raw); err != nil {
 		off := dec.InputOffset()
 		switch e := err.(type) {
 		case *json.SyntaxError:
@@ -613,7 +619,52 @@ func ParseFleetJSON(data []byte) (Fleet, error) {
 		return Fleet{}, fmt.Errorf("parsing fleet (line %d): trailing data after the fleet object",
 			lineOf(data, dec.InputOffset()))
 	}
+	f := raw.Fleet
+	if raw.DCs != nil {
+		f.DCs = make([]DCSpec, len(raw.DCs))
+	}
+	var from int64
+	for i, entry := range raw.DCs {
+		// Entries are verbatim and in input order: each is the first
+		// copy of its bytes after the previous entry.
+		start := from
+		if k := bytes.Index(data[from:], entry); k >= 0 {
+			start += int64(k)
+		}
+		from = start + int64(len(entry))
+		if err := f.DCs[i].UnmarshalJSON(entry); err != nil {
+			off, err := memberErrorAt(entry, err)
+			return Fleet{}, fmt.Errorf("parsing fleet (line %d): %w", lineOf(data, start+off), err)
+		}
+	}
 	return f, nil
+}
+
+// memberErrorAt places err, the error decoding the DC entry obj
+// raised, at the first member of obj that fails to decode on its own:
+// it returns the offset just past that member's key with the member's
+// error, or 0 and err when no single member fails (obj is not an
+// object).
+func memberErrorAt(obj []byte, err error) (int64, error) {
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if tok, terr := dec.Token(); terr != nil || tok != json.Delim('{') {
+		return 0, err
+	}
+	for dec.More() {
+		tok, terr := dec.Token()
+		key, _ := tok.(string)
+		at := dec.InputOffset()
+		var val json.RawMessage
+		if terr != nil || dec.Decode(&val) != nil {
+			break
+		}
+		one, _ := json.Marshal(map[string]json.RawMessage{key: val})
+		var d DCSpec
+		if e := d.UnmarshalJSON(one); e != nil {
+			return at, e
+		}
+	}
+	return 0, err
 }
 
 // lineOf maps a byte offset into data to its 1-based line number.

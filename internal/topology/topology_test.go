@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -636,6 +637,41 @@ func TestShareZeroSurvivesJSON(t *testing.T) {
 	}
 	if err := f.Validate(); err != nil {
 		t.Errorf("fleet with one drained and one live DC must validate, got: %v", err)
+	}
+}
+
+// TestParseFleetJSONLinesInsideDCEntries pins the line an error inside
+// a DC entry reports: the line of the failing member, not the end of
+// the document or an offset counted from the entry's own start. Each
+// fleet's second DC opens on line 4 and breaks on line 5; the same
+// inputs seed FuzzParseFleetJSON.
+func TestParseFleetJSONLinesInsideDCEntries(t *testing.T) {
+	fleet := func(bad string) string {
+		return "{\"name\": \"f\",\n \"dcs\": [\n  {\"name\": \"a\"},\n  {\"name\": \"b\",\n   " +
+			bad + "},\n  {\"name\": \"c\"}\n]}\n"
+	}
+	cases := []struct {
+		name, bad, want string
+	}{
+		{"unknown field", `"bogus": 1`, `unknown field "bogus"`},
+		{"short profile", `"grid_intensity": [1, 2, 3]`, "want 24"},
+		{"string share", `"share": "x"`, "cannot unmarshal string"},
+		{"not the first member", `"pue": 1.1, "shares": 1`, `unknown field "shares"`},
+	}
+	for _, c := range cases {
+		_, err := ParseFleetJSON([]byte(fleet(c.bad)))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "parsing fleet (line 5): ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want line 5 and %q", c.name, err, c.want)
+		}
+	}
+	// An entry that is not an object reports the line it starts on.
+	_, err := ParseFleetJSON([]byte("{\"name\": \"f\",\n \"dcs\": [\n  {\"name\": \"a\"},\n  7\n]}\n"))
+	if err == nil || !strings.HasPrefix(err.Error(), "parsing fleet (line 4): ") {
+		t.Errorf("non-object entry: error %v, want line 4", err)
 	}
 }
 

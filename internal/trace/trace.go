@@ -81,6 +81,31 @@ func (v *VM) MeanMem() float64 {
 type Trace struct {
 	Interval time.Duration
 	VMs      []*VM
+
+	// root is the trace this one is a view of (see Subset); nil for a
+	// trace that owns its VMs.
+	root *Trace
+}
+
+// Subset returns a view of the VMs at idxs, in that order. The view
+// shares the parent's *VM values read-only and records the parent's
+// root, so a view of a view has the same root: whatever was checked
+// on the root's samples holds for every view derived from it.
+func (t *Trace) Subset(idxs []int) *Trace {
+	out := &Trace{Interval: t.Interval, VMs: make([]*VM, len(idxs)), root: t.Root()}
+	for i, v := range idxs {
+		out.VMs[i] = t.VMs[v]
+	}
+	return out
+}
+
+// Root returns the trace t is a view of, or t itself if it is not a
+// view.
+func (t *Trace) Root() *Trace {
+	if t.root != nil {
+		return t.root
+	}
+	return t
 }
 
 // Samples returns the number of samples per VM.
@@ -102,19 +127,30 @@ func (t *Trace) SlotWindow(s int) (lo, hi int) {
 // Validate checks structural consistency: uniform lengths and
 // utilisations within [0, 100] (NaN is outside).
 func (t *Trace) Validate() error {
-	if len(t.VMs) == 0 {
-		return errors.New("trace: no VMs")
+	if err := t.ValidateShape(t.Samples()); err != nil {
+		return err
 	}
-	n := len(t.VMs[0].CPU)
 	for _, vm := range t.VMs {
-		if len(vm.CPU) != n || len(vm.Mem) != n {
-			return fmt.Errorf("trace: VM %d has ragged series (%d cpu, %d mem, want %d)",
-				vm.ID, len(vm.CPU), len(vm.Mem), n)
-		}
 		for i := range vm.CPU {
 			if !(vm.CPU[i] >= 0 && vm.CPU[i] <= 100 && vm.Mem[i] >= 0 && vm.Mem[i] <= 100) {
 				return fmt.Errorf("trace: VM %d sample %d outside [0,100]", vm.ID, i)
 			}
+		}
+	}
+	return nil
+}
+
+// ValidateShape checks that t has VMs and that every VM's CPU and
+// memory series hold n samples: the O(VMs) part of Validate, which is
+// all a view needs once its root's samples are validated.
+func (t *Trace) ValidateShape(n int) error {
+	if len(t.VMs) == 0 {
+		return errors.New("trace: no VMs")
+	}
+	for _, vm := range t.VMs {
+		if len(vm.CPU) != n || len(vm.Mem) != n {
+			return fmt.Errorf("trace: VM %d has ragged series (%d cpu, %d mem, want %d)",
+				vm.ID, len(vm.CPU), len(vm.Mem), n)
 		}
 	}
 	return nil
