@@ -40,7 +40,7 @@ func main() {
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "GHz\tV\tP idle (W)\tP cpu-bound (W)\tP/f (W/GHz)")
-	for _, f := range m.DVFSLevels() {
+	for _, f := range m.DVFSGrid() {
 		fmt.Fprintf(tw, "%.1f\t%.2f\t%.1f\t%.1f\t%.1f\n",
 			f.GHz(), m.Tech.VoltageAt(f).V(), m.IdlePower(f).W(), m.CPUBoundPower(f).W(), m.PowerPerGHz(f))
 	}

@@ -15,7 +15,7 @@ func main() {
 	fmt.Printf("technology: %s\n\n", srv.Tech)
 
 	fmt.Println("f (GHz)   P cpu-bound (W)   P/f (W/GHz)")
-	for _, f := range srv.DVFSLevels() {
+	for _, f := range srv.DVFSGrid() {
 		if int(f.MHz())%500 != 0 && f != srv.FMax {
 			continue // print a coarse grid
 		}

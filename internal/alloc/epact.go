@@ -54,8 +54,10 @@ type EPACT struct {
 	// pure functions of the (immutable) model — the most
 	// energy-proportional frequency and the worst-case CPU-bound power
 	// per DVFS level — which the per-slot paths would otherwise
-	// re-derive with full power-model evaluations.
+	// re-derive with full power-model evaluations. initErr rejects a
+	// model without a DVFS grid.
 	initOnce   sync.Once
+	initErr    error
 	fOpt       units.Frequency
 	grid       []units.Frequency
 	gridPowerW []float64
@@ -64,17 +66,20 @@ type EPACT struct {
 // Name implements Policy.
 func (e *EPACT) Name() string { return "EPACT" }
 
-func (e *EPACT) init() {
+func (e *EPACT) init() error {
 	e.initOnce.Do(func() {
+		e.grid = e.Model.DVFSGrid()
+		if len(e.grid) == 0 {
+			e.initErr = fmt.Errorf("alloc: EPACT: server model %s has no DVFS grid", e.Model.ModelName())
+			return
+		}
 		e.fOpt = e.Model.OptimalFrequency()
-		if g := e.Model.DVFSGrid(); g != nil {
-			e.grid = g
-			e.gridPowerW = make([]float64, len(g))
-			for k, f := range g {
-				e.gridPowerW[k] = e.Model.CPUBoundPower(f).W()
-			}
+		e.gridPowerW = make([]float64, len(e.grid))
+		for k, f := range e.grid {
+			e.gridPowerW[k] = e.Model.CPUBoundPower(f).W()
 		}
 	})
+	return e.initErr
 }
 
 // fOptNTC returns the server's most energy-proportional frequency
@@ -129,7 +134,9 @@ func (e *EPACT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err
 	}
-	e.init()
+	if err := e.init(); err != nil {
+		return nil, err
+	}
 	nCPU, nMem, peakCPU := e.serverCounts(vms, spec)
 
 	if nCPU > nMem {
@@ -151,19 +158,11 @@ func (e *EPACT) allocateCase1(vms []VMDemand, spec ServerSpec, nCPU, nMem int, p
 			continue
 		}
 		// Worst-case data-center power: n servers, CPU bound at the
-		// slot frequency. With a finite DVFS grid the level index
-		// resolves the same frequency ClampFrequency snaps to (the
-		// grid/LevelIndex contract) and its cached CPU-bound power.
-		var f units.Frequency
-		var p float64
-		if e.grid != nil {
-			k := e.Model.LevelIndex(units.GHz(needGHz), len(e.grid))
-			f = e.grid[k]
-			p = float64(n) * e.gridPowerW[k]
-		} else {
-			f = e.slotFrequency(peakCPU, n, spec)
-			p = float64(n) * e.Model.CPUBoundPower(f).W()
-		}
+		// slot frequency. The level index resolves the same frequency
+		// ClampFrequency snaps to (the grid/LevelIndex contract) and
+		// its cached CPU-bound power.
+		k := e.Model.LevelIndex(units.GHz(needGHz), len(e.grid))
+		f, p := e.grid[k], float64(n)*e.gridPowerW[k]
 		if p < bestP {
 			bestN, bestF, bestP = n, f, p
 		}

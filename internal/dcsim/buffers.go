@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/perf"
@@ -19,15 +20,17 @@ const numClasses = 3
 // DVFS-level lookup tables and the reusable scratch buffers that make
 // the steady-state slot loop allocation-free.
 //
-// The tables exploit that the online governor only ever requests
-// frequencies ClampFrequency snaps onto the server's finite DVFS grid:
-// observables (perf.Table), power coefficients (power.LevelEvaluator)
-// and the capacity scale factor are precomputed once per level through
-// the power.Model interface and indexed by Model.LevelIndex in the
-// loop, bit-identical to calling perf.Observe / Model.Power at the
-// clamped frequency (see the property tests in internal/power and
-// internal/perf). Evaluators are boxed once at table-build time, so
-// the steady-state loop stays allocation-free under any power model.
+// Every server model the replay accepts has a finite DVFS grid, and
+// every sample runs at one of its levels: the online governor's
+// ClampFrequency level for dynamic policies, the planned cap for
+// fixed-cap ones. Observables (perf.Table), power coefficients
+// (power.LevelEvaluator) and the capacity scale factor are therefore
+// precomputed once per level through the power.Model interface and
+// indexed per sample, bit-identical to calling perf.Observe /
+// Model.Power at that level's frequency (pinned against a per-sample
+// reference replay in replay_ref_test.go). Evaluators are boxed once
+// at table-build time, so the steady-state loop stays allocation-free
+// under any power model.
 type runState struct {
 	cfg  *Config
 	spec alloc.ServerSpec
@@ -50,21 +53,11 @@ type runState struct {
 	// accounting (nil when transitions are disabled).
 	resident []float64
 
-	// DVFS-level tables; grid == nil means the server has no finite
-	// grid (DVFSStep <= 0) and the replay falls back to direct model
-	// evaluation per sample.
+	// DVFS-level tables, indexed by grid level.
 	grid        []units.Frequency
 	obs         *perf.Table
 	levelPowers []power.LevelEvaluator
 	scaleByLvl  []float64
-
-	// fixedEval caches the evaluator for a fixed-cap policy's pinned
-	// frequency (which need not lie on the grid): building it through
-	// the interface boxes an allocation, so it is reused across slots
-	// as long as the planned frequency does not change — keeping the
-	// slot loop allocation-free for COAT-OPT-style policies too.
-	fixedEval     power.LevelEvaluator
-	fixedEvalFreq units.Frequency
 
 	// Columnar replay scratch: per-sample aggregates of one server's
 	// slot window, rebuilt per server from flat trace rows.
@@ -79,6 +72,10 @@ type runState struct {
 func newRunState(cfg *Config) (*runState, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
+	}
+	grid := cfg.Server.DVFSGrid()
+	if len(grid) == 0 {
+		return nil, fmt.Errorf("dcsim: server model %s has no DVFS grid", cfg.Server.ModelName())
 	}
 	spec := alloc.ServerSpec{
 		Cores:         cfg.Server.NumCores(),
@@ -106,15 +103,13 @@ func newRunState(cfg *Config) (*runState, error) {
 	if cfg.Transitions != (TransitionModel{}) {
 		st.resident = make([]float64, len(cfg.Trace.VMs))
 	}
-	if grid := cfg.Server.DVFSGrid(); grid != nil {
-		st.grid = grid
-		st.obs = perf.NewTable(cfg.Platform, grid, 1)
-		st.levelPowers = make([]power.LevelEvaluator, len(grid))
-		st.scaleByLvl = make([]float64, len(grid))
-		for k, f := range grid {
-			st.levelPowers[k] = cfg.Server.LevelAt(f)
-			st.scaleByLvl[k] = spec.FMax.GHz() / f.GHz()
-		}
+	st.grid = grid
+	st.obs = perf.NewTable(cfg.Platform, grid, 1)
+	st.levelPowers = make([]power.LevelEvaluator, len(grid))
+	st.scaleByLvl = make([]float64, len(grid))
+	for k, f := range grid {
+		st.levelPowers[k] = cfg.Server.LevelAt(f)
+		st.scaleByLvl[k] = spec.FMax.GHz() / f.GHz()
 	}
 	return st, nil
 }
@@ -171,7 +166,10 @@ func (st *runState) step(s int) error {
 	}
 
 	// 3) Replay the actual traces against the assignment.
-	slot := st.replaySlot(asg, st.evalStart+lo)
+	slot, err := st.replaySlot(asg, st.evalStart+lo)
+	if err != nil {
+		return fmt.Errorf("dcsim: slot %d: %w", s, err)
+	}
 	slot.Slot = s
 	slot.PlannedFreq = asg.PlannedFreq
 
@@ -197,8 +195,9 @@ func (st *runState) step(s int) error {
 // trace row once, accumulating per-sample totals in the run-scoped
 // scratch — which visits each per-sample accumulator in the same VM
 // order as the original per-sample pointer walk, so every float result
-// is bit-identical.
-func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
+// is bit-identical. It fails when a fixed-cap policy plans a frequency
+// that is not a level of the server's DVFS grid.
+func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, error) {
 	var out SlotResult
 	cfg := st.cfg
 	spec := st.spec
@@ -208,27 +207,19 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
 	// planned frequency and can deliver only the corresponding share —
 	// the paper's "less control on violations ... using a fixed cap".
 	capCPU := spec.CPUPoints()
-	if asg.FixedFreq {
-		capCPU = spec.CPUPoints() * asg.PlannedFreq.GHz() / spec.FMax.GHz()
-	}
 	capMem := spec.MemPoints()
 
-	// Fixed-cap policies run every sample pinned at PlannedFreq, which
-	// need not lie on the DVFS grid: evaluate its observables and
-	// power coefficients once for the whole slot instead.
-	var fixedObs [numClasses]perf.Observables
-	var fixedLP power.LevelEvaluator
-	var fixedScale float64
+	// Fixed-cap policies run every sample pinned at PlannedFreq, one
+	// grid level for the whole slot. It is located by exact value, not
+	// by LevelIndex: ClampFrequency, which LevelIndex mirrors, can
+	// round a grid level up one step.
+	fixedLvl := 0
 	if asg.FixedFreq {
-		for c := 0; c < numClasses; c++ {
-			fixedObs[c] = perf.Observe(cfg.Platform, workload.Class(c), asg.PlannedFreq, 1)
+		capCPU = spec.CPUPoints() * asg.PlannedFreq.GHz() / spec.FMax.GHz()
+		if fixedLvl = slices.Index(st.grid, asg.PlannedFreq); fixedLvl < 0 {
+			return out, fmt.Errorf("fixed-cap frequency %v is not a DVFS level of %s",
+				asg.PlannedFreq, cfg.Server.ModelName())
 		}
-		if st.fixedEval == nil || st.fixedEvalFreq != asg.PlannedFreq {
-			st.fixedEval = cfg.Server.LevelAt(asg.PlannedFreq)
-			st.fixedEvalFreq = asg.PlannedFreq
-		}
-		fixedLP = st.fixedEval
-		fixedScale = spec.FMax.GHz() / asg.PlannedFreq.GHz()
 	}
 
 	active := 0
@@ -273,66 +264,21 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
 
 			// Online DVFS governor: the lowest level that delivers the
 			// demand (clipped at F_max when overloaded). Fixed-cap
-			// policies run pinned at their planned frequency instead.
-			var scale float64
-			lvl := -1
-			if asg.FixedFreq {
-				scale = fixedScale
-			} else if st.grid != nil {
+			// policies run pinned at their planned level instead.
+			lvl := fixedLvl
+			if !asg.FixedFreq {
 				needGHz := cpuTotal / spec.CPUPoints() * spec.FMax.GHz()
 				lvl = cfg.Server.LevelIndex(units.GHz(needGHz), len(st.grid))
-				scale = st.scaleByLvl[lvl]
 			}
+			scale := st.scaleByLvl[lvl]
 
-			if lvl >= 0 || asg.FixedFreq {
-				// Busy core-equivalents at the chosen frequency.
-				busy := cpuTotal / 100 * scale
-				if busy > float64(spec.Cores) {
-					busy = float64(spec.Cores)
-				}
-
-				// Per-class observables scale with the class's busy cores.
-				var wfm, llcR, llcW, memR, memW float64
-				for c := 0; c < numClasses; c++ {
-					classCPU := st.classCPU[c][i]
-					if classCPU == 0 {
-						continue
-					}
-					classBusy := classCPU / 100 * scale
-					var obs perf.Observables
-					if asg.FixedFreq {
-						obs = fixedObs[c]
-					} else {
-						obs = st.obs.At(workload.Class(c), lvl)
-					}
-					wfm += classBusy * obs.WFMFraction
-					llcR += classBusy * obs.LLCReadsPerSec
-					llcW += classBusy * obs.LLCWritesPerSec
-					memR += classBusy * obs.MemReadBytesPerSec
-					memW += classBusy * obs.MemWriteBytesPerSec
-				}
-				if busy > 0 {
-					wfm /= busy
-				}
-				var p units.Power
-				if asg.FixedFreq {
-					p = fixedLP.Evaluate(busy, wfm, llcR, llcW, memR, memW)
-				} else {
-					p = st.levelPowers[lvl].Evaluate(busy, wfm, llcR, llcW, memR, memW)
-				}
-				out.Energy += units.EnergyOver(p, st.sampleSec)
-				continue
-			}
-
-			// No finite DVFS grid (DVFSStep <= 0): evaluate the models
-			// directly, as the pre-table implementation did.
-			needGHz := cpuTotal / spec.CPUPoints() * spec.FMax.GHz()
-			f := cfg.Server.ClampFrequency(units.GHz(needGHz))
-			scale = spec.FMax.GHz() / f.GHz()
+			// Busy core-equivalents at the chosen frequency.
 			busy := cpuTotal / 100 * scale
 			if busy > float64(spec.Cores) {
 				busy = float64(spec.Cores)
 			}
+
+			// Per-class observables scale with the class's busy cores.
 			var wfm, llcR, llcW, memR, memW float64
 			for c := 0; c < numClasses; c++ {
 				classCPU := st.classCPU[c][i]
@@ -340,7 +286,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
 					continue
 				}
 				classBusy := classCPU / 100 * scale
-				obs := perf.Observe(cfg.Platform, workload.Class(c), f, 1)
+				obs := st.obs.At(workload.Class(c), lvl)
 				wfm += classBusy * obs.WFMFraction
 				llcR += classBusy * obs.LLCReadsPerSec
 				llcW += classBusy * obs.LLCWritesPerSec
@@ -350,16 +296,8 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
 			if busy > 0 {
 				wfm /= busy
 			}
-			op := power.OperatingPoint{
-				Freq:                f,
-				BusyCores:           busy,
-				WFMFraction:         wfm,
-				LLCReadsPerSec:      llcR,
-				LLCWritesPerSec:     llcW,
-				MemReadBytesPerSec:  memR,
-				MemWriteBytesPerSec: memW,
-			}
-			out.Energy += units.EnergyOver(cfg.Server.Power(op), st.sampleSec)
+			p := st.levelPowers[lvl].Evaluate(busy, wfm, llcR, llcW, memR, memW)
+			out.Energy += units.EnergyOver(p, st.sampleSec)
 		}
 	}
 	out.ActiveServers = active
@@ -369,7 +307,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) SlotResult {
 	if cfg.MaxServers > 0 && active > cfg.MaxServers {
 		out.Violations += (active - cfg.MaxServers) * trace.SamplesPerSlot
 	}
-	return out
+	return out, nil
 }
 
 // finish aggregates the per-slot results.

@@ -427,38 +427,42 @@ func (p *stubPolicy) Allocate([]alloc.VMDemand, alloc.ServerSpec) (*alloc.Assign
 // TestSlotLoopAllocationFree pins the zero-allocation contract of the
 // steady-state slot loop: with the policy's own allocations factored
 // out, step performs no heap allocations — the demand windows, the
-// columnar replay and the slot append all run in run-scoped buffers.
+// columnar replay and the slot append all run in run-scoped buffers —
+// for a dynamic-DVFS assignment (EPACT) and a fixed-cap one (COAT-OPT).
 func TestSlotLoopAllocationFree(t *testing.T) {
 	tr := testTrace(t, 30)
 	ps := oracle(t, tr)
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 
-	// A real slot-0 assignment, built once outside the measurement.
+	// Real slot-0 assignments, built once outside the measurement.
 	vms := make([]alloc.VMDemand, len(tr.VMs))
 	for v := range vms {
 		vms[v] = alloc.VMDemand{ID: v,
 			CPU: ps.CPU[v][:trace.SamplesPerSlot],
 			Mem: ps.Mem[v][:trace.SamplesPerSlot]}
 	}
-	e := &alloc.EPACT{Model: power.NTCServer()}
-	asg, err := e.Allocate(vms, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := testConfig(t, tr, &stubPolicy{asg: asg}, ps)
-	st, err := newRunState(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		st.slots = st.slots[:0]
-		if err := st.step(0); err != nil {
+	for _, pol := range []alloc.Policy{
+		&alloc.EPACT{Model: power.NTCServer()},
+		alloc.NewCOATOPT(spec, power.NTCServer().OptimalFrequency()),
+	} {
+		asg, err := pol.Allocate(vms, spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("slot loop allocates %.0f times per step, want 0", allocs)
+		cfg := testConfig(t, tr, &stubPolicy{asg: asg}, ps)
+		st, err := newRunState(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			st.slots = st.slots[:0]
+			if err := st.step(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: slot loop allocates %.0f times per step, want 0", pol.Name(), allocs)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func fig1(model *power.ServerModel, servers int, label string) (*Fig1Result, err
 	res := &Fig1Result{Label: label}
 	for util := 10; util <= 90; util += 10 {
 		s := Fig1Series{UtilPct: util}
-		for _, f := range model.DVFSLevels() {
+		for _, f := range model.DVFSGrid() {
 			p, n, err := dc.WorstCasePower(float64(util)/100, f, true)
 			if errors.Is(err, power.ErrInfeasible) {
 				continue

@@ -10,12 +10,12 @@ import (
 //
 // The data-center replay loop requests observables for every busy
 // (server, sample, class) triple, but Observe with a fixed activeCores
-// is a pure function of (platform, class, frequency) and the governor
-// only ever asks for frequencies on the server's DVFS grid — so the
-// whole reachable input space is classes × levels and can be evaluated
-// once per run. At returns the exact Observables values Observe would,
-// bit for bit, because NewTable simply calls Observe at each grid
-// point.
+// is a pure function of (platform, class, frequency) and every sample
+// runs at a level of the server's DVFS grid (the governor's clamped
+// level, or a fixed-cap policy's planned level) — so the whole
+// reachable input space is classes × levels and can be evaluated once
+// per run. At returns the exact Observables values Observe would, bit
+// for bit, because NewTable simply calls Observe at each grid point.
 type Table struct {
 	levels  []units.Frequency
 	classes int
@@ -40,8 +40,8 @@ func NewTable(p *platform.Platform, levels []units.Frequency, activeCores float6
 	return t
 }
 
-// At returns the cached observables for class c at DVFS level index
-// level (as returned by power.ServerModel.LevelIndex).
+// At returns the cached observables for class c at index level of
+// the frequency grid the table was built over.
 func (t *Table) At(c workload.Class, level int) Observables {
 	return t.cells[level*t.classes+int(c)]
 }

@@ -69,7 +69,7 @@ func (dc *DataCenter) OptimalWorstCaseFrequency(utilRate float64) (units.Frequen
 		bestP units.Power
 		found bool
 	)
-	for _, f := range dc.Model.DVFSLevels() {
+	for _, f := range dc.Model.DVFSGrid() {
 		p, _, err := dc.WorstCasePower(utilRate, f, true)
 		if err != nil {
 			continue
@@ -87,7 +87,7 @@ func (dc *DataCenter) OptimalWorstCaseFrequency(utilRate float64) (units.Frequen
 // MinFeasibleFrequency returns the lowest DVFS level at which the
 // demand fits on the available servers.
 func (dc *DataCenter) MinFeasibleFrequency(utilRate float64) (units.Frequency, error) {
-	for _, f := range dc.Model.DVFSLevels() {
+	for _, f := range dc.Model.DVFSGrid() {
 		if dc.ServersForDemand(utilRate, f) <= dc.Servers {
 			return f, nil
 		}

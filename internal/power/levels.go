@@ -13,9 +13,8 @@ import (
 // level. The grid is what the data-center replay loop indexes its
 // per-level observable and power tables by.
 //
-// A server without a positive DVFSStep has a continuous frequency
-// range and no finite grid; DVFSGrid returns nil and callers must fall
-// back to evaluating models at arbitrary frequencies.
+// A server without a positive DVFSStep has no grid: DVFSGrid returns
+// nil, and the replay and EPACT reject the model.
 func (s *ServerModel) DVFSGrid() []units.Frequency {
 	if s.DVFSStep <= 0 || s.FMax < s.FMin {
 		return nil
@@ -38,12 +37,8 @@ func (s *ServerModel) DVFSGrid() []units.Frequency {
 // that DVFSGrid()[LevelIndex(f)] == ClampFrequency(f) bit-for-bit: it
 // mirrors ClampFrequency's arithmetic (same early-outs, same Ceil
 // expression) and only translates the resulting level into an index.
-// gridLen must be len(DVFSGrid()); it returns -1 when the server has
-// no finite grid (DVFSStep <= 0).
+// gridLen must be len(DVFSGrid()), which must be non-empty.
 func (s *ServerModel) LevelIndex(f units.Frequency, gridLen int) int {
-	if s.DVFSStep <= 0 || gridLen <= 0 {
-		return -1
-	}
 	last := gridLen - 1
 	if f <= s.FMin {
 		return 0

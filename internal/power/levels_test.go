@@ -61,14 +61,16 @@ func TestDVFSGridMatchesClampFrequency(t *testing.T) {
 	}
 }
 
+// TestDVFSGridNoStepFallback pins that a server without a positive
+// DVFSStep has no grid; dcsim and EPACT reject such a model
+// (TestModelWithoutGridIsRejected in internal/dcsim).
 func TestDVFSGridNoStepFallback(t *testing.T) {
-	srv := NTCServer()
-	srv.DVFSStep = 0
-	if g := srv.DVFSGrid(); g != nil {
-		t.Fatalf("DVFSGrid with step 0 = %v, want nil", g)
-	}
-	if idx := srv.LevelIndex(units.GHz(1.0), 0); idx != -1 {
-		t.Fatalf("LevelIndex with no grid = %d, want -1", idx)
+	for _, step := range []units.Frequency{0, -units.MHz(100)} {
+		srv := NTCServer()
+		srv.DVFSStep = step
+		if g := srv.DVFSGrid(); g != nil {
+			t.Fatalf("DVFSGrid with step %v = %v, want nil", step, g)
+		}
 	}
 }
 

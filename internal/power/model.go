@@ -28,11 +28,12 @@ type Model interface {
 	FreqMin() units.Frequency
 	FreqMax() units.Frequency
 
-	// DVFSGrid enumerates the finite frequency levels (nil when the
-	// range is continuous); LevelIndex maps a frequency to its grid
-	// index such that DVFSGrid()[LevelIndex(f, len(grid))] ==
-	// ClampFrequency(f) bit-for-bit; ClampFrequency snaps a requested
-	// frequency up to the next available level.
+	// DVFSGrid enumerates the frequency levels, FMin to FMax; the
+	// replay and EPACT reject a model whose grid is empty. LevelIndex
+	// maps a frequency to its grid index such that
+	// DVFSGrid()[LevelIndex(f, len(grid))] == ClampFrequency(f)
+	// bit-for-bit; ClampFrequency snaps a requested frequency up to
+	// the next available level.
 	DVFSGrid() []units.Frequency
 	LevelIndex(f units.Frequency, gridLen int) int
 	ClampFrequency(f units.Frequency) units.Frequency

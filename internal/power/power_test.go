@@ -42,7 +42,7 @@ func TestNonNTCOptimalFrequencyIsFMax(t *testing.T) {
 	}
 	// And the curve is monotone decreasing across the DVFS range.
 	prev := math.Inf(1)
-	for _, f := range s.DVFSLevels() {
+	for _, f := range s.DVFSGrid() {
 		cur := s.PowerPerGHz(f)
 		if cur > prev+1e-9 {
 			t.Fatalf("E5-2620 P/f increased at %v: %.2f -> %.2f", f, prev, cur)
@@ -145,7 +145,7 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 	// Absolute CPU-bound power rises with frequency (even though P/f falls).
 	for _, s := range []*ServerModel{NTCServer(), IntelE5_2620()} {
 		prev := 0.0
-		for _, f := range s.DVFSLevels() {
+		for _, f := range s.DVFSGrid() {
 			cur := s.CPUBoundPower(f).W()
 			if cur < prev-1e-9 {
 				t.Fatalf("%s: CPU-bound power decreased at %v", s.Name, f)
@@ -185,7 +185,7 @@ func TestValidate(t *testing.T) {
 
 func TestDVFSLevels(t *testing.T) {
 	s := NTCServer()
-	levels := s.DVFSLevels()
+	levels := s.DVFSGrid()
 	if levels[0] != s.FMin || levels[len(levels)-1] != s.FMax {
 		t.Errorf("levels span [%v, %v], want [%v, %v]",
 			levels[0], levels[len(levels)-1], s.FMin, s.FMax)
@@ -221,7 +221,7 @@ func TestEnergyPerCycleMinimisedNearThreshold(t *testing.T) {
 	// so the optimum sits slightly above threshold, not at V_min and
 	// not at V_max.
 	s := NTCServer()
-	levels := s.DVFSLevels()
+	levels := s.DVFSGrid()
 	best := levels[0]
 	bestE := float64(s.Core.EnergyPerCycle(best))
 	for _, f := range levels[1:] {

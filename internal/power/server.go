@@ -121,30 +121,11 @@ func (s *ServerModel) PowerPerGHz(f units.Frequency) float64 {
 	return float64(s.CPUBoundPower(f)) / f.GHz()
 }
 
-// DVFSLevels enumerates the server's available frequency levels from
-// FMin to FMax inclusive at DVFSStep granularity.
-func (s *ServerModel) DVFSLevels() []units.Frequency {
-	if s.DVFSStep <= 0 {
-		return []units.Frequency{s.FMin, s.FMax}
-	}
-	var out []units.Frequency
-	for f := s.FMin; f < s.FMax+s.DVFSStep/2; f += s.DVFSStep {
-		if f > s.FMax {
-			f = s.FMax
-		}
-		out = append(out, f)
-	}
-	if out[len(out)-1] != s.FMax {
-		out = append(out, s.FMax)
-	}
-	return out
-}
-
 // OptimalFrequency returns the DVFS level minimising PowerPerGHz: the
 // F_opt^NTC of the paper (≈1.9 GHz for the NTC server, F_max for the
-// conventional server).
+// conventional server). It requires a non-empty DVFSGrid.
 func (s *ServerModel) OptimalFrequency() units.Frequency {
-	levels := s.DVFSLevels()
+	levels := s.DVFSGrid()
 	best := levels[0]
 	bestV := s.PowerPerGHz(best)
 	for _, f := range levels[1:] {
@@ -156,16 +137,13 @@ func (s *ServerModel) OptimalFrequency() units.Frequency {
 }
 
 // ClampFrequency snaps f into the server's DVFS range and up to the
-// next available level.
+// next available level. It requires a positive DVFSStep.
 func (s *ServerModel) ClampFrequency(f units.Frequency) units.Frequency {
 	if f <= s.FMin {
 		return s.FMin
 	}
 	if f >= s.FMax {
 		return s.FMax
-	}
-	if s.DVFSStep <= 0 {
-		return f
 	}
 	// Round up to the next DVFS level so the delivered clock always
 	// meets the requested rate.

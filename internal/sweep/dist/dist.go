@@ -483,6 +483,7 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 			c.load.TraceBuilds += load.TraceBuilds
 			c.load.PredictRequests += load.PredictRequests
 			c.load.PredictBuilds += load.PredictBuilds
+			c.load.SharedPlacements += load.SharedPlacements
 			// The journal is rewritten on every Complete that landed a
 			// row — including batches that then hit an invalid result —
 			// so a kill at any instant loses at most the in-flight call.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,39 @@ func TestLocalDeterminismMatchesEngine(t *testing.T) {
 	// one trace build, and requests >= builds.
 	if got.Load.TraceBuilds < 1 || got.Load.TraceRequests < got.Load.TraceBuilds {
 		t.Errorf("merged load stats implausible: %+v", got.Load)
+	}
+}
+
+// TestDistReportsMemoHits: the allocation memo's hits reach the
+// merged summary, in process and over the wire. testGrid's two
+// transition models make every allocation call twice (pricing
+// siblings); one worker sees both siblings, so its memo must answer
+// some calls, and the merged count must say so.
+func TestDistReportsMemoHits(t *testing.T) {
+	ctx := context.Background()
+	res, _, err := RunLocal(ctx, testGrid(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Load.SharedPlacements <= 0 {
+		t.Errorf("RunLocal: %d memo hits, want > 0", res.Load.SharedPlacements)
+	}
+
+	c, err := NewCoordinator(testGrid(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(c))
+	defer srv.Close()
+	if _, err := Work(ctx, NewClient(srv.URL), WorkerOptions{Name: "http", Poll: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Load.SharedPlacements <= 0 {
+		t.Errorf("HTTP: %d memo hits, want > 0", res.Load.SharedPlacements)
 	}
 }
 

@@ -188,10 +188,11 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		renewWG.Wait()
 		after := rn.LoadStats()
 		delta := sweep.LoadStats{
-			TraceRequests:   after.TraceRequests - before.TraceRequests,
-			TraceBuilds:     after.TraceBuilds - before.TraceBuilds,
-			PredictRequests: after.PredictRequests - before.PredictRequests,
-			PredictBuilds:   after.PredictBuilds - before.PredictBuilds,
+			TraceRequests:    after.TraceRequests - before.TraceRequests,
+			TraceBuilds:      after.TraceBuilds - before.TraceBuilds,
+			PredictRequests:  after.PredictRequests - before.PredictRequests,
+			PredictBuilds:    after.PredictBuilds - before.PredictBuilds,
+			SharedPlacements: after.SharedPlacements - before.SharedPlacements,
 		}
 		if drained {
 			// Graceful leave: land the rows already executed and hand

@@ -118,9 +118,9 @@ type LoadStats struct {
 	PredictBuilds   int64 `json:"predict_builds"`
 
 	// SharedPlacements counts the policy calls the allocation memo
-	// answered instead of allocating (see memo.go). It is execution
-	// metadata, kept out of every serialisation.
-	SharedPlacements int64 `json:"-"`
+	// answered instead of allocating (see memo.go). Dist workers
+	// report their memo's hits through it.
+	SharedPlacements int64 `json:"shared_placements"`
 }
 
 func (l *loader) stats() LoadStats {

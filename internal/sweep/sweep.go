@@ -42,6 +42,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/alloc"
@@ -392,8 +393,15 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: MaxServers must be >= 0 (0 = unbounded), got %d", v)
 		}
 	}
+	for _, w := range g.StaticPowerW {
+		// 0 is the documented "model default"; the negated test also
+		// rejects NaN.
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("sweep: static power %g W must be finite and >= 0 (0 = model default)", w)
+		}
+	}
 	for _, c := range g.ChurnFractions {
-		if c < 0 || c > 1 {
+		if !(c >= 0 && c <= 1) {
 			return fmt.Errorf("sweep: churn fraction %g outside [0,1]", c)
 		}
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -87,6 +88,15 @@ func TestValidateRejectsUnknownAxisValues(t *testing.T) {
 		{"predictor", Grid{Predictors: []string{"prophet"}}, "unknown predictor"},
 		{"transitions", Grid{Transitions: []TransitionSpec{{Name: "expensive"}}}, "unknown transition"},
 		{"churn", Grid{ChurnFractions: []float64{1.5}}, "churn fraction"},
+		// NaN fails every comparison, so it must be rejected by a
+		// negated range test, not waved through as zero churn.
+		{"churn-nan", Grid{ChurnFractions: []float64{math.NaN()}}, "churn fraction"},
+		// A negative static power used to be priced at the model
+		// default, NaN to fail only at JSON encoding and +Inf deep
+		// inside EPACT's case-1 search.
+		{"static-negative", Grid{StaticPowerW: []float64{-5}}, "static power"},
+		{"static-nan", Grid{StaticPowerW: []float64{math.NaN()}}, "static power"},
+		{"static-inf", Grid{StaticPowerW: []float64{math.Inf(1)}}, "static power"},
 		{"vms", Grid{VMs: []int{-1}}, "VMs must be positive"},
 		{"max-servers", Grid{MaxServers: []int{-600}}, "MaxServers must be >= 0"},
 		// Duplicate names would let transitionFor silently alias two

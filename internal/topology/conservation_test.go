@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -158,4 +160,110 @@ func checkConservation(t *testing.T, name string, cfg Config) {
 	if res.TotalEnergyMJ <= 0 {
 		t.Errorf("%s: fleet consumed no energy", name)
 	}
+}
+
+// TestDoublingIntensityDoublesOnlyOperationalGrams is a metamorphic
+// relation on the carbon layer. triad-carbon sets an explicit
+// intensity profile on every DC; doubling every profile must leave
+// every energy, violation and migration number and the slot series
+// bit-identical, exactly double the operational grams (fleet, per DC
+// and per slot step), and leave the embodied grams unchanged. Both
+// sides are exact: doubling a float is exact, a sum of doubled terms
+// is the doubled sum, and carbon-greedy ranks DCs by PUE × intensity,
+// an order doubling preserves — so dispatch is the same and nothing
+// may drift, not even by an ulp.
+func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
+	const vms = 30
+	tr := testTrace(t, 2018, vms, 2)
+	ps, err := dcsim.Predict(tr, nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disp := range DispatcherNames() {
+		for _, reb := range []RebalanceSpec{{}, {EverySlots: 4, Dispatcher: "carbon-greedy"}} {
+			for _, model := range power.ModelNames() {
+				for _, pol := range conservationPolicies {
+					name := fmt.Sprintf("%s@triad-carbon/%s/%s/%s", disp, reb, model, pol.name)
+					fleet, err := Spec{Dispatcher: disp, Ref: "triad-carbon"}.Load()
+					if err != nil {
+						t.Fatal(err)
+					}
+					doubled := fleet
+					doubled.DCs = slices.Clone(fleet.DCs)
+					for i := range doubled.DCs {
+						dc := &doubled.DCs[i]
+						if !dc.GridIntensitySet {
+							t.Fatalf("%s: DC %s has no explicit intensity", name, dc.Name)
+						}
+						dc.GridIntensity = slices.Clone(dc.GridIntensity)
+						for h := range dc.GridIntensity {
+							dc.GridIntensity[h] *= 2
+						}
+					}
+					cfg := Config{
+						Fleet:                    fleet,
+						Trace:                    tr,
+						Predictions:              ps,
+						HistoryDays:              1,
+						EvalDays:                 1,
+						MaxServers:               vms,
+						PowerModel:               model,
+						NewPolicy:                pol.new,
+						Transitions:              dcsim.DefaultTransitions(),
+						Rebalance:                reb,
+						MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+					}
+					want, wantSteps := runSteps(t, name, cfg)
+					cfg.Fleet = doubled
+					got, gotSteps := runSteps(t, name, cfg)
+					if want.OperationalGCO2 <= 0 || want.EmbodiedGCO2 <= 0 {
+						t.Fatalf("%s: no grams to scale (%v operational, %v embodied)", name, want.OperationalGCO2, want.EmbodiedGCO2)
+					}
+
+					// The expected doubled run: the base run with its
+					// operational grams doubled and the doubled fleet.
+					want.Fleet = got.Fleet
+					want.OperationalGCO2 *= 2
+					for i := range want.DCs {
+						want.DCs[i].Spec = got.DCs[i].Spec
+						want.DCs[i].OperationalGCO2 *= 2
+					}
+					for s := range wantSteps {
+						wantSteps[s].OperationalGCO2 *= 2
+						for i := range wantSteps[s].DCs {
+							wantSteps[s].DCs[i].OperationalGCO2 *= 2
+						}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: doubled-intensity result differs beyond doubled operational grams:\n got %+v\nwant %+v", name, got, want)
+					}
+					if !reflect.DeepEqual(gotSteps, wantSteps) {
+						t.Errorf("%s: doubled-intensity slot steps differ beyond doubled operational grams", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// runSteps steps a fleet run to completion, keeping every slot step.
+func runSteps(t *testing.T, name string, cfg Config) (*FleetResult, []SlotStep) {
+	t.Helper()
+	st, err := NewStepper(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var steps []SlotStep
+	for !st.Done() {
+		s, err := st.Step()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		steps = append(steps, s)
+	}
+	res, err := st.Result()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res, steps
 }
