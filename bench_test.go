@@ -193,7 +193,8 @@ func BenchmarkDCSimRun(b *testing.B) {
 func paperTrace() trace.Config { return sweep.DCTraceConfig(2018, 600, 14) }
 
 // BenchmarkTraceGenerate measures the synthetic trace build, the
-// serial part of every scenario's shared input.
+// first part of every scenario's shared input: a serial pass over the
+// generator's stream plus the per-VM samples on every core.
 func BenchmarkTraceGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr, err := trace.Generate(paperTrace())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -240,6 +242,95 @@ func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
 					if !reflect.DeepEqual(gotSteps, wantSteps) {
 						t.Errorf("%s: doubled-intensity slot steps differ beyond doubled operational grams", name)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDrainedDCChangesNothing is a metamorphic relation on dispatch
+// and rebalancing: adding a fourth, `"share": 0` NTC DC to a triad
+// fleet file must change no number. Over every dispatcher × rebalance
+// {off, epoch:4@greedy-proportional, epoch:4@follow-the-load,
+// epoch:6@carbon-greedy} × {EPACT, COAT}, every fleet total, every
+// triad DC's numbers and every slot step are bit-identical to the
+// plain triad file's, and the drained DC reports zero.
+func TestDrainedDCChangesNothing(t *testing.T) {
+	const vms = 30
+	tr := testTrace(t, 2018, vms, 2)
+	ps, err := dcsim.Predict(tr, nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triad := `{"name": "triad", "dcs": [
+  {"name": "core", "share": 0.5, "pue": 1.12, "latency_ms": 40},
+  {"name": "metro", "share": 0.3, "pue": 1.25, "latency_ms": 15, "static_power_w": 25},
+  {"name": "edge", "share": 0.2, "pue": 1.5, "latency_ms": 5, "server": "conventional"}`
+	dir := t.TempDir()
+	plainFile, drainedFile := filepath.Join(dir, "triad.json"), filepath.Join(dir, "triad-drained.json")
+	for file, body := range map[string]string{
+		plainFile:   triad + "]}\n",
+		drainedFile: triad + ",\n  {\"name\": \"spare\", \"share\": 0}]}\n",
+	} {
+		if err := os.WriteFile(file, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(disp, file string) Fleet {
+		spec, err := ParseSpec(disp + "@" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet, err := spec.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fleet
+	}
+	for _, disp := range DispatcherNames() {
+		for _, rebSpec := range []string{"off", "epoch:4@greedy-proportional", "epoch:4@follow-the-load", "epoch:6@carbon-greedy"} {
+			reb, err := ParseRebalanceSpec(rebSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range conservationPolicies[:2] { // EPACT, COAT
+				name := fmt.Sprintf("%s@triad/%s/%s", disp, rebSpec, pol.name)
+				cfg := Config{
+					Fleet:                    load(disp, plainFile),
+					Trace:                    tr,
+					Predictions:              ps,
+					HistoryDays:              1,
+					EvalDays:                 1,
+					MaxServers:               vms,
+					PowerModel:               "ntc",
+					NewPolicy:                pol.new,
+					Transitions:              dcsim.DefaultTransitions(),
+					Rebalance:                reb,
+					MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+				}
+				want, wantSteps := runSteps(t, name, cfg)
+				cfg.Fleet = load(disp, drainedFile)
+				got, gotSteps := runSteps(t, name, cfg)
+				if want.TotalEnergyMJ <= 0 || len(got.DCs) != 4 {
+					t.Fatalf("%s: %v MJ over %d DCs, want energy on a 4-DC fleet", name, want.TotalEnergyMJ, len(got.DCs))
+				}
+
+				// The expected drained-fleet run: the plain run with the
+				// drained fleet and a zero fourth DC.
+				spare := got.DCs[3]
+				if spare.Spec.Name != "spare" || spare.Spec.Share != 0 {
+					t.Fatalf("%s: fourth DC is %+v, want the drained spare", name, spare.Spec)
+				}
+				want.Fleet = got.Fleet
+				want.DCs = append(want.DCs, DCRun{Spec: spare.Spec})
+				for s := range wantSteps {
+					wantSteps[s].DCs = append(wantSteps[s].DCs, DCSlotStep{Name: "spare"})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: adding a drained DC changed the result:\n got %+v\nwant %+v", name, got, want)
+				}
+				if !reflect.DeepEqual(gotSteps, wantSteps) {
+					t.Errorf("%s: adding a drained DC changed the slot steps", name)
 				}
 			}
 		}

@@ -39,6 +39,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -197,6 +199,7 @@ type Config struct {
 	Seed int64
 
 	// DiurnalAmplitude scales the day/night swing (percent points).
+	// It, CommonStd, NoiseStd and BurstBoost must lie in [0, 1e6].
 	DiurnalAmplitude float64
 
 	// CommonStd is the standard deviation of the shared per-group
@@ -207,13 +210,15 @@ type Config struct {
 	NoiseStd float64
 
 	// BurstProb is the per-VM per-sample probability of an abrupt
-	// load burst (the unpredictable events behind SLA violations).
+	// load burst (the unpredictable events behind SLA violations),
+	// in [0, 1].
 	BurstProb float64
 
 	// BurstBoost is the burst magnitude in percent points.
 	BurstBoost float64
 
-	// BaseMin/BaseMax bound the per-VM baseline CPU level.
+	// BaseMin/BaseMax bound the per-VM baseline CPU level:
+	// 0 <= BaseMin <= BaseMax <= 100.
 	BaseMin, BaseMax float64
 }
 
@@ -232,6 +237,45 @@ func DefaultConfig(seed int64) Config {
 		BaseMin:          15,
 		BaseMax:          55,
 	}
+}
+
+// maxPoints caps the percent-point magnitudes (DiurnalAmplitude,
+// CommonStd, NoiseStd, BurstBoost). Samples saturate at 0 or 100 long
+// before it; far above it a sample's terms can overflow to opposite
+// infinities, whose sum is a NaN sample.
+const maxPoints = 1e6
+
+// validate rejects a Config the generator cannot honour: a
+// non-positive VMs or Days, a non-finite or out-of-range float field,
+// or a baseline range outside 0 <= BaseMin <= BaseMax <= 100. Groups
+// <= 0 is not an error; Generate uses one group.
+func (c *Config) validate() error {
+	if c.VMs <= 0 || c.Days <= 0 {
+		return errors.New("trace: VMs and Days must be positive")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DiurnalAmplitude", c.DiurnalAmplitude},
+		{"CommonStd", c.CommonStd},
+		{"NoiseStd", c.NoiseStd},
+		{"BurstBoost", c.BurstBoost},
+	} {
+		if !(f.v >= 0 && f.v <= maxPoints) {
+			return fmt.Errorf("trace: %s = %v, want percent points in [0, %g]", f.name, f.v, maxPoints)
+		}
+	}
+	if !(c.BurstProb >= 0 && c.BurstProb <= 1) {
+		return fmt.Errorf("trace: BurstProb = %v, want a probability in [0, 1]", c.BurstProb)
+	}
+	if !(c.BaseMin >= 0 && c.BaseMin <= 100) {
+		return fmt.Errorf("trace: BaseMin = %v, want a CPU percent in [0, 100]", c.BaseMin)
+	}
+	if !(c.BaseMax >= c.BaseMin && c.BaseMax <= 100) {
+		return fmt.Errorf("trace: BaseMax = %v, want a CPU percent in [BaseMin, 100] = [%v, 100]", c.BaseMax, c.BaseMin)
+	}
+	return nil
 }
 
 // rng is a small deterministic xorshift generator so traces are
@@ -264,11 +308,51 @@ func (r *rng) norm() float64 {
 	return s - 6
 }
 
+// normDraws is the number of uniforms a sample's two norms consume.
+const normDraws = 24
+
+// normJump holds the xorshift state normDraws steps on, one table per
+// byte of the state: normJump[b][v] is the state reached from
+// uint64(v) << (8*b). The shifts and xors of a step are linear over
+// GF(2), so the state reached from s is the xor of the entries for
+// s's eight bytes (16 KB of tables in place of 24 steps).
+var normJump = func() (t [8][256]uint64) {
+	for b := range t {
+		for v := range t[b] {
+			r := rng{uint64(v) << (8 * b)}
+			for range normDraws {
+				r.uint64()
+			}
+			t[b][v] = r.state
+		}
+	}
+	return t
+}()
+
+// jumpNorms advances r by normDraws steps, as two norm calls do.
+func (r *rng) jumpNorms() {
+	s := r.state
+	r.state = normJump[0][byte(s)] ^ normJump[1][byte(s>>8)] ^
+		normJump[2][byte(s>>16)] ^ normJump[3][byte(s>>24)] ^
+		normJump[4][byte(s>>32)] ^ normJump[5][byte(s>>40)] ^
+		normJump[6][byte(s>>48)] ^ normJump[7][byte(s>>56)]
+}
+
 // Generate synthesises a trace per cfg. The same cfg always produces
-// the same trace.
+// the same trace, whatever GOMAXPROCS is.
+//
+// The trace is one xorshift stream: the group walks first, then each
+// VM's draws in VM order. Generate walks that stream twice. Pass 1
+// runs serially in the caller: it draws the group walks, then records
+// each VM's start state and skips the VM's draws, deciding its bursts
+// but replacing each sample's two norms by one 24-step jump (jumpNorms).
+// Pass 2 runs the per-VM body (vm) from each recorded state on
+// GOMAXPROCS-1 goroutines, which pick a VM up as soon as pass 1 has
+// recorded it, and on the caller once pass 1 ends. Each VM lands at
+// its own index, so the result does not depend on scheduling.
 func Generate(cfg Config) (*Trace, error) {
-	if cfg.VMs <= 0 || cfg.Days <= 0 {
-		return nil, errors.New("trace: VMs and Days must be positive")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
@@ -276,13 +360,6 @@ func Generate(cfg Config) (*Trace, error) {
 	r := newRNG(cfg.Seed)
 	n := cfg.Days * SamplesPerDay
 
-	// Per-group structure: the diurnal shape (day/night sinusoid plus
-	// a sharper mid-peak harmonic, phase-shifted per group) and a
-	// shared smoothed random walk that correlates members' loads.
-	type group struct {
-		diurnal []float64
-		common  []float64
-	}
 	groups := make([]group, cfg.Groups)
 	for g := range groups {
 		phase := r.float() * float64(SamplesPerDay)
@@ -302,61 +379,119 @@ func Generate(cfg Config) (*Trace, error) {
 		groups[g].common = walk
 	}
 
-	// Memory class mixture roughly matching the paper's profiling
-	// split (low:mid:high ≈ 40%:35%:25%).
-	memMean := func(c workload.Class) float64 {
-		switch c {
-		case workload.LowMem:
-			return 7
-		case workload.MidMem:
-			return 25
-		default:
-			return 43
+	tr := &Trace{Interval: DefaultInterval, VMs: make([]*VM, cfg.VMs)}
+	starts := make(chan vmStart, cfg.VMs)
+	work := func() {
+		for s := range starts {
+			tr.VMs[s.id] = cfg.vm(s.id, &groups[s.id%cfg.Groups], rng{s.state}, n)
 		}
 	}
-
-	tr := &Trace{Interval: DefaultInterval}
-	for id := 0; id < cfg.VMs; id++ {
-		g := groups[id%cfg.Groups]
-
-		var class workload.Class
-		switch p := r.float(); {
-		case p < 0.40:
-			class = workload.LowMem
-		case p < 0.75:
-			class = workload.MidMem
-		default:
-			class = workload.HighMem
-		}
-
-		base := cfg.BaseMin + r.float()*(cfg.BaseMax-cfg.BaseMin)
-		ampl := cfg.DiurnalAmplitude * (0.7 + 0.6*r.float())
-		mem0 := memMean(class) * (0.85 + 0.3*r.float())
-
-		cpu := make([]float64, n)
-		mem := make([]float64, n)
-		burstLeft := 0
-		for i := 0; i < n; i++ {
-			if burstLeft == 0 && r.float() < cfg.BurstProb {
-				burstLeft = 3 + int(r.uint64()%9) // 15-60 minutes
-			}
-			burst := 0.0
-			if burstLeft > 0 {
-				burst = cfg.BurstBoost
-				burstLeft--
-			}
-
-			c := base + ampl*g.diurnal[i] + g.common[i] + r.norm()*cfg.NoiseStd + burst
-			cpu[i] = clampPct(c)
-
-			// Memory: slow drift around the class mean plus a small
-			// CPU-coupled component (more activity touches more pages).
-			m := mem0 + 0.06*(cpu[i]-base) + r.norm()*0.5
-			mem[i] = clampPct(m)
-		}
-		tr.VMs = append(tr.VMs, &VM{ID: id, Class: class, CPU: cpu, Mem: mem})
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0)-1, cfg.VMs) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	for id := range cfg.VMs {
+		starts <- vmStart{id, r.state}
+		r.skipVM(cfg.BurstProb, n)
+	}
+	close(starts)
+	work()
+	wg.Wait()
 	return tr, nil
+}
+
+// group is one correlation group's structure: the diurnal shape
+// (day/night sinusoid plus a sharper mid-peak harmonic, phase-shifted
+// per group) and a shared smoothed random walk that correlates
+// members' loads.
+type group struct {
+	diurnal []float64
+	common  []float64
+}
+
+// vmStart is a VM's index and the stream state its draws start from.
+type vmStart struct {
+	id    int
+	state uint64
+}
+
+// vm is the per-VM body of Generate: it draws VM id's class, baseline,
+// diurnal swing and memory level, then its n samples, from r.
+func (cfg *Config) vm(id int, g *group, r rng, n int) *VM {
+	var class workload.Class
+	switch p := r.float(); {
+	case p < 0.40:
+		class = workload.LowMem
+	case p < 0.75:
+		class = workload.MidMem
+	default:
+		class = workload.HighMem
+	}
+
+	base := cfg.BaseMin + r.float()*(cfg.BaseMax-cfg.BaseMin)
+	ampl := cfg.DiurnalAmplitude * (0.7 + 0.6*r.float())
+	mem0 := memMean(class) * (0.85 + 0.3*r.float())
+
+	cpu := make([]float64, n)
+	mem := make([]float64, n)
+	burstLeft := 0
+	for i := 0; i < n; i++ {
+		if burstLeft == 0 && r.float() < cfg.BurstProb {
+			burstLeft = 3 + int(r.uint64()%9) // 15-60 minutes
+		}
+		burst := 0.0
+		if burstLeft > 0 {
+			burst = cfg.BurstBoost
+			burstLeft--
+		}
+
+		c := base + ampl*g.diurnal[i] + g.common[i] + r.norm()*cfg.NoiseStd + burst
+		cpu[i] = clampPct(c)
+
+		// Memory: slow drift around the class mean plus a small
+		// CPU-coupled component (more activity touches more pages).
+		m := mem0 + 0.06*(cpu[i]-base) + r.norm()*0.5
+		mem[i] = clampPct(m)
+	}
+	return &VM{ID: id, Class: class, CPU: cpu, Mem: mem}
+}
+
+// skipVM advances r past one VM's draws in vm without computing its
+// samples: the 4 header draws, each sample's burst decision (a uniform
+// while no burst runs, a uint64 when one starts) and a jump over the
+// sample's two norms.
+func (r *rng) skipVM(burstProb float64, n int) {
+	for range 4 {
+		r.uint64()
+	}
+	burstLeft := 0
+	for range n {
+		if burstLeft == 0 && r.float() < burstProb {
+			burstLeft = 3 + int(r.uint64()%9)
+		}
+		if burstLeft > 0 {
+			burstLeft--
+		}
+		r.jumpNorms()
+	}
+}
+
+// memMean is a memory class's mean utilisation. The class mixture
+// roughly matches the paper's profiling split (low:mid:high ≈
+// 40%:35%:25%).
+func memMean(c workload.Class) float64 {
+	switch c {
+	case workload.LowMem:
+		return 7
+	case workload.MidMem:
+		return 25
+	default:
+		return 43
+	}
 }
 
 func clampPct(v float64) float64 {

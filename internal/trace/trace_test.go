@@ -164,12 +164,46 @@ func TestValidateCatchesRaggedAndOutOfRange(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadConfig pins the Config checks. Before them,
+// the NaN, out-of-range and infinite cases returned a trace (of NaN
+// samples, without bursts, with inverted baselines or pinned at 100)
+// and a nil error.
 func TestGenerateRejectsBadConfig(t *testing.T) {
-	if _, err := Generate(Config{VMs: 0, Days: 1}); err == nil {
-		t.Error("VMs=0 accepted")
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Config)
+		field string
+	}{
+		{"vms-0", func(c *Config) { c.VMs = 0 }, "VMs and Days"},
+		{"days-0", func(c *Config) { c.Days = 0 }, "VMs and Days"},
+		{"common-std-nan", func(c *Config) { c.CommonStd = math.NaN() }, "CommonStd"},
+		{"burst-prob-nan", func(c *Config) { c.BurstProb = math.NaN() }, "BurstProb"},
+		{"burst-prob-2", func(c *Config) { c.BurstProb = 2 }, "BurstProb"},
+		{"base-inverted", func(c *Config) { c.BaseMin, c.BaseMax = 80, 10 }, "BaseMax"},
+		{"amplitude-inf", func(c *Config) { c.DiurnalAmplitude = math.Inf(1) }, "DiurnalAmplitude"},
+		{"noise-negative", func(c *Config) { c.NoiseStd = -1 }, "NoiseStd"},
+		{"boost-negative", func(c *Config) { c.BurstBoost = -35 }, "BurstBoost"},
+		{"burst-prob-negative", func(c *Config) { c.BurstProb = -0.1 }, "BurstProb"},
+		{"base-min-negative", func(c *Config) { c.BaseMin = -5 }, "BaseMin"},
+		{"base-max-over-100", func(c *Config) { c.BaseMax = 101 }, "BaseMax"},
+		{"base-min-inf", func(c *Config) { c.BaseMin = math.Inf(-1) }, "BaseMin"},
+		{"common-std-huge", func(c *Config) { c.CommonStd = 1e300 }, "CommonStd"},
+	} {
+		cfg := smallConfig(1)
+		tc.edit(&cfg)
+		_, err := Generate(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: "+tc.field+" ") {
+			t.Errorf("%s: err = %v, want a trace: error naming %s", tc.name, err, tc.field)
+		}
 	}
-	if _, err := Generate(Config{VMs: 1, Days: 0}); err == nil {
-		t.Error("Days=0 accepted")
+	// The shipped shapes stay valid: a group count of 0 (one group)
+	// and the correlation ablation's CommonStd values.
+	for _, std := range []float64{0, 2, 4} {
+		cfg := smallConfig(1)
+		cfg.CommonStd, cfg.Groups = std, 0
+		if _, err := Generate(cfg); err != nil {
+			t.Errorf("CommonStd %v, Groups 0: %v", std, err)
+		}
 	}
 }
 
