@@ -40,14 +40,8 @@ type runState struct {
 	first     int
 	last      int
 
-	// vms is the reusable demand-header slice: per slot only the
-	// CPU/Mem window views change, never the backing array.
-	vms []alloc.VMDemand
-
-	// cpuWin and memWin hold the current slot's predicted windows,
-	// one SamplesPerSlot row per VM, packed back to back so the
-	// allocator's scans stay cache-resident.
-	cpuWin, memWin []float64
+	// dem holds the current slot's allocation input (see SlotDemands).
+	dem SlotDemands
 
 	// resident is the reusable resident-set buffer for transition
 	// accounting (nil when transitions are disabled).
@@ -95,9 +89,6 @@ func newRunState(cfg *Config) (*runState, error) {
 		sampleSec: cfg.Trace.Interval.Seconds(),
 		first:     first,
 		last:      last,
-		vms:       make([]alloc.VMDemand, len(cfg.Trace.VMs)),
-		cpuWin:    make([]float64, len(cfg.Trace.VMs)*trace.SamplesPerSlot),
-		memWin:    make([]float64, len(cfg.Trace.VMs)*trace.SamplesPerSlot),
 		slots:     make([]SlotResult, 0, last-first),
 	}
 	if cfg.Transitions != (TransitionModel{}) {
@@ -124,9 +115,7 @@ func newRunState(cfg *Config) (*runState, error) {
 func (st *runState) clone(cfg *Config) *runState {
 	c := *st
 	c.cfg = cfg
-	c.vms = make([]alloc.VMDemand, len(st.vms))
-	c.cpuWin = make([]float64, len(st.cpuWin))
-	c.memWin = make([]float64, len(st.memWin))
+	c.dem = SlotDemands{}
 	if st.resident != nil {
 		c.resident = make([]float64, len(st.resident))
 	}
@@ -141,26 +130,13 @@ func (st *runState) clone(cfg *Config) *runState {
 func (st *runState) step(s int) error {
 	cfg := st.cfg
 	lo := s * trace.SamplesPerSlot // offset within the eval period
-	hi := lo + trace.SamplesPerSlot
 
-	// 1) Predicted demands: reuse the header slice and copy each VM's
-	// window into the run's compact per-slot buffer. The prediction
-	// rows span the whole evaluation period, so slot windows sit
-	// ~2 KB apart; packing them back to back keeps the allocator's
-	// many scans over the same 150×12 samples cache-resident. Values
-	// are copied verbatim — allocations are bit-identical.
-	for v := range st.vms {
-		cpuRow := st.cpuWin[v*trace.SamplesPerSlot : (v+1)*trace.SamplesPerSlot]
-		memRow := st.memWin[v*trace.SamplesPerSlot : (v+1)*trace.SamplesPerSlot]
-		copy(cpuRow, cfg.Predictions.CPU[v][lo:hi])
-		copy(memRow, cfg.Predictions.Mem[v][lo:hi])
-		st.vms[v].ID = v
-		st.vms[v].CPU = cpuRow
-		st.vms[v].Mem = memRow
-	}
+	// 1) Predicted demands, packed as a lookahead Window packs them,
+	// so both derive the same allocation input.
+	vms := st.dem.fill(cfg.Predictions, s)
 
 	// 2) Allocate.
-	asg, err := cfg.Policy.Allocate(st.vms, st.spec)
+	asg, err := cfg.Policy.Allocate(vms, st.spec)
 	if err != nil {
 		return fmt.Errorf("dcsim: slot %d: %w", s, err)
 	}

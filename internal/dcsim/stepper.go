@@ -23,12 +23,21 @@ import (
 // Config apply unchanged — a Stepper over a window steps exactly that
 // window.
 //
+// A Stepper without a Config.Source offers its window to a policy
+// that implements LookaheadPolicy, which may then allocate upcoming
+// slots ahead of it; the stepper withdraws the window once it finishes
+// or fails. A live feed's stepper never offers its window: its later
+// slots' predictions do not exist yet.
+//
 // A Stepper is not safe for concurrent use; callers serialise Step
 // (the service steps under its own lock).
 type Stepper struct {
 	cfg  Config
 	st   *runState
 	next int
+
+	// win is the window offered to the policy; nil when none is open.
+	win *Window
 }
 
 // NewStepper validates cfg and builds the run state (lookup tables,
@@ -41,7 +50,22 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	}
 	s.st = st
 	s.next = st.first
+	if lp, ok := cfg.Policy.(LookaheadPolicy); ok && cfg.Source == nil && !s.Done() {
+		s.win = &Window{First: st.first, Last: st.last, Spec: st.spec, pred: cfg.Predictions}
+		s.win.next.Store(int64(st.first))
+		lp.Offer(s.win)
+	}
 	return s, nil
+}
+
+// withdraw closes the offered window, if one is open.
+func (s *Stepper) withdraw() {
+	if s.win == nil {
+		return
+	}
+	s.win.next.Store(int64(s.win.Last))
+	s.cfg.Policy.(LookaheadPolicy).Withdraw(s.win)
+	s.win = nil
 }
 
 // Slots returns how many slots the stepper's window spans in total.
@@ -66,9 +90,16 @@ func (s *Stepper) Step() (SlotResult, error) {
 		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s.next, ErrAwaitingSamples)
 	}
 	if err := s.st.step(s.next); err != nil {
+		s.withdraw()
 		return SlotResult{}, err
 	}
 	s.next++
+	if s.win != nil {
+		s.win.next.Store(int64(s.next))
+		if s.Done() {
+			s.withdraw()
+		}
+	}
 	return s.st.slots[len(s.st.slots)-1], nil
 }
 
@@ -85,7 +116,8 @@ func (s *Stepper) Step() (SlotResult, error) {
 //
 // Immutable run state (DVFS-level tables, the trace and prediction
 // rows) is shared; mutable state (slot results, scratch buffers) is
-// copied or rebuilt.
+// copied or rebuilt. A clone offers no lookahead window: the
+// original's window, if open, stays the original's.
 func (s *Stepper) Clone(pol alloc.Policy) *Stepper {
 	c := &Stepper{cfg: s.cfg, next: s.next}
 	if pol != nil {

@@ -484,6 +484,8 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 			c.load.PredictRequests += load.PredictRequests
 			c.load.PredictBuilds += load.PredictBuilds
 			c.load.SharedPlacements += load.SharedPlacements
+			c.load.LookaheadComputed += load.LookaheadComputed
+			c.load.LookaheadUsed += load.LookaheadUsed
 			// The journal is rewritten on every Complete that landed a
 			// row — including batches that then hit an invalid result —
 			// so a kill at any instant loses at most the in-flight call.

@@ -188,11 +188,13 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		renewWG.Wait()
 		after := rn.LoadStats()
 		delta := sweep.LoadStats{
-			TraceRequests:    after.TraceRequests - before.TraceRequests,
-			TraceBuilds:      after.TraceBuilds - before.TraceBuilds,
-			PredictRequests:  after.PredictRequests - before.PredictRequests,
-			PredictBuilds:    after.PredictBuilds - before.PredictBuilds,
-			SharedPlacements: after.SharedPlacements - before.SharedPlacements,
+			TraceRequests:     after.TraceRequests - before.TraceRequests,
+			TraceBuilds:       after.TraceBuilds - before.TraceBuilds,
+			PredictRequests:   after.PredictRequests - before.PredictRequests,
+			PredictBuilds:     after.PredictBuilds - before.PredictBuilds,
+			SharedPlacements:  after.SharedPlacements - before.SharedPlacements,
+			LookaheadComputed: after.LookaheadComputed - before.LookaheadComputed,
+			LookaheadUsed:     after.LookaheadUsed - before.LookaheadUsed,
 		}
 		if drained {
 			// Graceful leave: land the rows already executed and hand

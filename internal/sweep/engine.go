@@ -191,7 +191,9 @@ func (r *Results) Failed() error {
 //
 // Every worker executes rows through one Runner, so rows share its
 // memoized inputs and its allocation memo (see memo.go): a policy call
-// any row already made is answered from the memo. Rows are stored by
+// any row already made is answered from the memo. A worker with no row
+// left allocates ahead for the rows still running (lookahead.go) until
+// the last row ends; no worker outlives Run. Rows are stored by
 // expansion index and are byte-identical to Runner.Exec's.
 func Run(g Grid, opt Options) (*Results, error) {
 	g = g.WithDefaults()
@@ -203,21 +205,21 @@ func Run(g Grid, opt Options) (*Results, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(scens) {
-		workers = len(scens)
-	}
 
 	start := time.Now()
 	rn := newRunner(g, runMemoBudget)
+	rn.memo.ahead = true
 	runs := make([]RunResult, len(scens))
 
 	var (
 		wg       sync.WaitGroup
+		rows     sync.WaitGroup
 		progMu   sync.Mutex
 		done     int
 		cacheErr error
 		idx      = make(chan int)
 	)
+	rows.Add(len(scens))
 	onPutErr := func(err error) {
 		progMu.Lock()
 		if cacheErr == nil {
@@ -237,13 +239,17 @@ func Run(g Grid, opt Options) (*Results, error) {
 					opt.Progress(done, len(scens), &runs[i])
 					progMu.Unlock()
 				}
+				rows.Done()
 			}
+			rn.memo.help()
 		}()
 	}
 	for i := range scens {
 		idx <- i
 	}
 	close(idx)
+	rows.Wait()
+	rn.memo.stopAhead()
 	wg.Wait()
 
 	return &Results{
@@ -337,8 +343,9 @@ func cachePut(store *cache.Store, key string, r RunResult, onPutErr func(error))
 // service's incremental path (Runner.StepperConfig): both must build
 // the identical config, or stepping a scenario would diverge from
 // sweeping it. Its policy factory answers through the Runner's
-// allocation memo.
-func (r *Runner) fleetConfig(s Scenario) (topology.Config, int, error) {
+// allocation memo; row, when non-nil, collects the lookahead windows
+// the policies' steppers offer.
+func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, error) {
 	ld, g := r.ld, r.grid
 	tk := traceKey{
 		spec:      s.TraceSpec,
@@ -394,7 +401,7 @@ func (r *Runner) fleetConfig(s Scenario) (topology.Config, int, error) {
 			if err != nil {
 				return nil, err
 			}
-			return r.memo.wrap(s.Policy, m, pol), nil
+			return r.memo.wrap(s.Policy, m, pol, row), nil
 		},
 		Transitions:              transitions,
 		TraceLabel:               s.TraceSpec,
@@ -415,7 +422,12 @@ func (r *Runner) Exec(s Scenario) RunResult {
 		return out
 	}
 
-	cfg, affected, err := r.fleetConfig(s)
+	var row *aheadRow
+	if r.memo != nil && r.memo.ahead {
+		row = &aheadRow{}
+		defer r.memo.endRow(row)
+	}
+	cfg, affected, err := r.fleetConfig(s, row)
 	if err != nil {
 		return fail(err)
 	}

@@ -121,6 +121,13 @@ type LoadStats struct {
 	// answered instead of allocating (see memo.go). Dist workers
 	// report their memo's hits through it.
 	SharedPlacements int64 `json:"shared_placements"`
+
+	// LookaheadComputed counts the allocations idle Run workers
+	// computed ahead of their steppers (see lookahead.go), and
+	// LookaheadUsed how many of those a stepper used. A stepper's
+	// first use of such an entry counts here, not as shared.
+	LookaheadComputed int64 `json:"lookahead_computed"`
+	LookaheadUsed     int64 `json:"lookahead_used"`
 }
 
 func (l *loader) stats() LoadStats {

@@ -27,6 +27,13 @@ import (
 // fleetConfig wraps the policy factory with the Runner's memo, so
 // Exec, Run, dist workers and the live service all share through it;
 // everything after Allocate still runs per row.
+//
+// In Run, the memo also takes the slot windows its policies' steppers
+// offer (dcsim.LookaheadPolicy), and workers with no row left compute
+// those windows' later slots into it ahead of the steppers
+// (lookahead.go). A stepper's call then hits, or waits on, the entry a
+// helper made; since an entry answers only its exact input, lookahead
+// moves work between cores and changes no result.
 
 // The memo keeps the bytes of its finished entries within a budget;
 // past it the oldest go first. A Runner from NewRunner may live as long
@@ -35,6 +42,8 @@ import (
 // 336 distinct 600-VM inputs. Run's Runner lives for one sweep and
 // keeps enough for pricing siblings several rows apart to meet:
 // policy-grid's 1,008 distinct 600-VM inputs take about 1.6 MB.
+// Lookahead helpers' unused entries sit beside the budget, in at most
+// half as many bytes again.
 const (
 	memoBudget    = 1 << 20
 	runMemoBudget = 2 << 20
@@ -65,7 +74,16 @@ type allocMemo struct {
 	fifo    []digest // finished entries, oldest first
 	bytes   int      // stored bytes of the entries in fifo
 
-	hits atomic.Int64
+	// Lookahead state (lookahead.go), guarded by mu. Helpers' entries
+	// stay out of fifo until a stepper first uses them, so eviction
+	// never drops one before its use; aheadBytes counts them.
+	ahead      bool // whether offered windows are taken (Run only)
+	stopped    bool // Run has finished every row
+	windows    []*window
+	aheadBytes int
+	wake       sync.Cond // on mu: a window opened, ahead bytes freed, or stop
+
+	hits, aheadComputed, aheadUsed atomic.Int64
 }
 
 // allocEntry is one input's allocation. done is released once the
@@ -75,6 +93,12 @@ type allocEntry struct {
 	done sync.WaitGroup
 	ok   bool
 	p    placement
+
+	// win is the window a helper computed the entry for, until a
+	// stepper first uses it; size is the bytes it holds in aheadBytes.
+	// Both are guarded by the memo's mu.
+	win  *window
+	size int
 }
 
 func newAllocMemo(budget int) *allocMemo {
@@ -88,13 +112,16 @@ func newAllocMemo(budget int) *allocMemo {
 	if err != nil {
 		panic(err)
 	}
-	return &allocMemo{gcm: gcm, budget: budget, entries: map[digest]*allocEntry{}}
+	m := &allocMemo{gcm: gcm, budget: budget, entries: map[digest]*allocEntry{}}
+	m.wake.L = &m.mu
+	return m
 }
 
 // wrap returns pol answering through the memo. name and model are what
 // newPolicy built pol from; a nil memo, or a model the canonical
-// encoding cannot cover, returns pol unchanged.
-func (m *allocMemo) wrap(name string, model power.Model, pol alloc.Policy) alloc.Policy {
+// encoding cannot cover, returns pol unchanged. row, when non-nil,
+// collects the windows the policy's stepper offers.
+func (m *allocMemo) wrap(name string, model power.Model, pol alloc.Policy, row *aheadRow) alloc.Policy {
 	if m == nil {
 		return pol
 	}
@@ -102,13 +129,19 @@ func (m *allocMemo) wrap(name string, model power.Model, pol alloc.Policy) alloc
 	if !ok {
 		return pol
 	}
-	return &memoPolicy{Policy: pol, memo: m, prefix: prefix}
+	return &memoPolicy{Policy: pol, memo: m, prefix: prefix, name: name, model: model, row: row}
 }
 
 type memoPolicy struct {
 	alloc.Policy
 	memo   *allocMemo
 	prefix []byte // the policy name and server model, encoded
+
+	// name and model rebuild the policy for a helper; row is the Exec
+	// that built it (nil outside Exec).
+	name  string
+	model power.Model
+	row   *aheadRow
 }
 
 func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*alloc.Assignment, error) {
@@ -131,7 +164,7 @@ func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*all
 		// the policy's own result or error.
 		return p.Policy.Allocate(vms, spec)
 	}
-	m.hits.Add(1)
+	m.used(key, e)
 	return e.p.assignment(p.Name()), nil
 }
 
@@ -144,14 +177,7 @@ func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, vms []allo
 	defer func() {
 		m.mu.Lock()
 		if e.ok {
-			m.fifo = append(m.fifo, key)
-			m.bytes += e.p.size()
-			for m.bytes > m.budget {
-				old := m.fifo[0]
-				m.fifo = m.fifo[1:]
-				m.bytes -= m.entries[old].p.size()
-				delete(m.entries, old)
-			}
+			m.storeLocked(key, e)
 		} else {
 			delete(m.entries, key)
 		}
@@ -163,6 +189,19 @@ func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, vms []allo
 		e.p, e.ok = compact(a)
 	}
 	return a, err
+}
+
+// storeLocked appends the finished entry e to fifo and evicts the
+// oldest entries past the budget. m.mu must be held.
+func (m *allocMemo) storeLocked(key digest, e *allocEntry) {
+	m.fifo = append(m.fifo, key)
+	m.bytes += e.p.size()
+	for m.bytes > m.budget {
+		old := m.fifo[0]
+		m.fifo = m.fifo[1:]
+		m.bytes -= m.entries[old].p.size()
+		delete(m.entries, old)
+	}
 }
 
 // key digests one call's input: the policy prefix, the ServerSpec and

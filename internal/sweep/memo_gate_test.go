@@ -176,3 +176,60 @@ func TestMemoizedRowsMatchUnmemoizedRows(t *testing.T) {
 		})
 	}
 }
+
+// TestLookaheadRowsMatchUnmemoizedRows extends the gate to a grid where
+// idle workers allocate ahead: one EPACT row beside cheap rows at two
+// workers, so the second worker finishes COAT and FFD and then computes
+// EPACT's later slots. Bytes must equal the unmemoized rows, shared
+// placements the serial count, and the lookahead count must be
+// non-zero. Whether the helper gets in before EPACT ends depends on
+// scheduling, so a run without lookahead is retried; the byte and
+// count checks hold on every run.
+func TestLookaheadRowsMatchUnmemoizedRows(t *testing.T) {
+	g := sweep.Grid{
+		Policies:    []string{"EPACT", "COAT", "FFD"},
+		VMs:         []int{120},
+		MaxServers:  []int{120},
+		HistoryDays: 2,
+		EvalDays:    2,
+		Seeds:       []int64{2018},
+		Predictors:  []string{"arima"},
+	}
+	want := unmemoizedResults(t, g)
+	wantCSV := want.CSV()
+	wantJSON, err := want.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHits := serialHits(t, g, false)
+	for attempt := 1; ; attempt++ {
+		res, err := sweep.Run(g, sweep.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.CSV(); got != wantCSV {
+			t.Fatalf("CSV differs from unmemoized rows:\n%s\nvs\n%s", got, wantCSV)
+		}
+		js, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js, wantJSON) {
+			t.Fatal("JSON differs from unmemoized rows")
+		}
+		ld := res.Load
+		if ld.SharedPlacements != wantHits {
+			t.Errorf("%d memo hits, want %d", ld.SharedPlacements, wantHits)
+		}
+		if ld.LookaheadUsed > ld.LookaheadComputed {
+			t.Errorf("%d lookahead entries used but only %d computed", ld.LookaheadUsed, ld.LookaheadComputed)
+		}
+		t.Logf("attempt %d: %d allocations computed ahead, %d used", attempt, ld.LookaheadComputed, ld.LookaheadUsed)
+		if ld.LookaheadUsed > 0 {
+			return
+		}
+		if attempt == 5 {
+			t.Fatal("no lookahead allocation used in 5 runs")
+		}
+	}
+}

@@ -89,7 +89,7 @@ func counted(t *testing.T, m *allocMemo, name string, model power.Model) (alloc.
 		t.Fatal(err)
 	}
 	cp := &countingPolicy{Policy: inner}
-	pol := m.wrap(name, model, cp)
+	pol := m.wrap(name, model, cp, nil)
 	if _, ok := pol.(*memoPolicy); !ok {
 		t.Fatalf("%s on %T was not memoized", name, model)
 	}

@@ -107,6 +107,9 @@ func (r *Results) Summary(w io.Writer) error {
 	if n := r.Load.SharedPlacements; n > 0 {
 		fmt.Fprintf(tw, "allocations: %d policy calls answered from the allocation memo\n", n)
 	}
+	if n := r.Load.LookaheadComputed; n > 0 {
+		fmt.Fprintf(tw, "lookahead: %d allocations computed ahead by idle workers, %d used\n", n, r.Load.LookaheadUsed)
+	}
 	if c := r.Cache; c.Hits+c.Misses+c.Writes > 0 {
 		fmt.Fprintf(tw, "cache: %d hits, %d misses, %d rows written\n", c.Hits, c.Misses, c.Writes)
 	}

@@ -59,7 +59,7 @@ func (r *Runner) SetBlobSource(b BlobSource) { r.ld.blobs = b }
 // exact config Exec would run, so the stepped series concatenates
 // bit-for-bit to the sweep row's aggregates.
 func (r *Runner) StepperConfig(s Scenario) (topology.Config, error) {
-	cfg, _, err := r.fleetConfig(s)
+	cfg, _, err := r.fleetConfig(s, nil)
 	return cfg, err
 }
 
@@ -72,7 +72,7 @@ func (r *Runner) StepperConfig(s Scenario) (topology.Config, error) {
 // can never outrun ingestion. The feed keeps predictions bit-exact
 // with what a batch run over the fully ingested trace would compute.
 func (r *Runner) LiveStepperConfig(s Scenario) (topology.Config, *dcsim.LiveFeed, error) {
-	cfg, _, err := r.fleetConfig(s)
+	cfg, _, err := r.fleetConfig(s, nil)
 	if err != nil {
 		return topology.Config{}, nil, err
 	}
@@ -113,6 +113,8 @@ func (r *Runner) LoadStats() LoadStats {
 	st := r.ld.stats()
 	if r.memo != nil {
 		st.SharedPlacements = r.memo.hits.Load()
+		st.LookaheadComputed = r.memo.aheadComputed.Load()
+		st.LookaheadUsed = r.memo.aheadUsed.Load()
 	}
 	return st
 }

@@ -358,3 +358,119 @@ func runSteps(t *testing.T, name string, cfg Config) (*FleetResult, []SlotStep) 
 	}
 	return res, steps
 }
+
+// TestScalingPUEScalesOnlyFacilityEnergy is the PUE metamorphic
+// relation: multiplying one DC's PUE by k multiplies that DC's facility
+// energy and operational grams by k and changes nothing else — its IT
+// energy, every allocation the policies make, violations, migrations,
+// active servers and the other DCs' numbers stay bit-identical, and the
+// fleet's energy grows by (k−1) × the DC's facility energy. k is a
+// power of two, so scaling is exact and the DC's numbers may not drift
+// by an ulp; the fleet total sums differently rounded terms and is
+// compared at 1e-12 relative. carbon-greedy ranks DCs by PUE ×
+// intensity, so its dispatch may rightly move; it is left out.
+func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
+	const vms, k = 30, 2.0
+	tr := testTrace(t, 2018, vms, 2)
+	ps, err := dcsim.Predict(tr, nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// recording wraps a policy factory so every assignment it returns
+	// is kept, in call order (DCs step in index order).
+	recording := func(newPol func(power.Model) (alloc.Policy, error), out *[][]int) func(power.Model) (alloc.Policy, error) {
+		return func(m power.Model) (alloc.Policy, error) {
+			pol, err := newPol(m)
+			return &assignmentRecorder{Policy: pol, out: out}, err
+		}
+	}
+	for _, disp := range DispatcherNames() {
+		if disp == "carbon-greedy" {
+			continue
+		}
+		for _, rebSpec := range []string{"off", "epoch:4@follow-the-load"} {
+			reb, err := ParseRebalanceSpec(rebSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range conservationPolicies[:2] { // EPACT, COAT
+				fleet, err := Spec{Dispatcher: disp, Ref: "triad"}.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{
+					Fleet:                    fleet,
+					Trace:                    tr,
+					Predictions:              ps,
+					HistoryDays:              1,
+					EvalDays:                 1,
+					MaxServers:               vms,
+					NewPolicy:                pol.new,
+					Transitions:              dcsim.DefaultTransitions(),
+					Rebalance:                reb,
+					MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+				}
+				var wantAsg [][]int
+				cfg.NewPolicy = recording(pol.new, &wantAsg)
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.DCs[0].EnergyMJ <= 0 {
+					t.Fatalf("%s@triad/%s/%s: the first DC burned nothing", disp, rebSpec, pol.name)
+				}
+				for i := range fleet.DCs {
+					name := fmt.Sprintf("%s@triad/%s/%s/DC %s", disp, rebSpec, pol.name, fleet.DCs[i].Name)
+					scaled := fleet
+					scaled.DCs = slices.Clone(fleet.DCs)
+					scaled.DCs[i].PUE *= k
+					var gotAsg [][]int
+					cfg.Fleet, cfg.NewPolicy = scaled, recording(pol.new, &gotAsg)
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotAsg, wantAsg) {
+						t.Errorf("%s: scaling the PUE changed an allocation", name)
+					}
+					dc := want.DCs[i]
+					dc.Spec = got.DCs[i].Spec
+					dc.EnergyMJ *= k
+					dc.OperationalGCO2 *= k
+					if !reflect.DeepEqual(got.DCs[i], dc) {
+						t.Errorf("%s: scaled DC differs beyond k × facility energy and grams:\n got %+v\nwant %+v", name, got.DCs[i], dc)
+					}
+					for j := range want.DCs {
+						if j != i && !reflect.DeepEqual(got.DCs[j], want.DCs[j]) {
+							t.Errorf("%s: DC %s changed", name, want.DCs[j].Spec.Name)
+						}
+					}
+					if got.Violations != want.Violations || got.Migrations != want.Migrations ||
+						got.CrossDCMigrations != want.CrossDCMigrations || got.MeanActive != want.MeanActive ||
+						got.PeakActive != want.PeakActive || got.LatencyWeightedViol != want.LatencyWeightedViol ||
+						got.MeanPlannedFreqGHz != want.MeanPlannedFreqGHz {
+						t.Errorf("%s: fleet counts changed:\n got %+v\nwant %+v", name, got, want)
+					}
+					wantMJ := want.TotalEnergyMJ + (k-1)*want.DCs[i].EnergyMJ
+					if d := math.Abs(got.TotalEnergyMJ - wantMJ); d > 1e-12*wantMJ {
+						t.Errorf("%s: fleet energy %v MJ, want %v", name, got.TotalEnergyMJ, wantMJ)
+					}
+				}
+			}
+		}
+	}
+}
+
+// assignmentRecorder keeps each assignment's VM-to-server map.
+type assignmentRecorder struct {
+	alloc.Policy
+	out *[][]int
+}
+
+func (r *assignmentRecorder) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*alloc.Assignment, error) {
+	a, err := r.Policy.Allocate(vms, spec)
+	if err == nil {
+		*r.out = append(*r.out, slices.Clone(a.VMServer))
+	}
+	return a, err
+}

@@ -421,6 +421,10 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			MaxServers:           dc.Servers,
 			Transitions:          cfg.Transitions,
 			TraceLabel:           cfg.TraceLabel,
+			// The fleet gate already released every slot a DC steps;
+			// passing the source on keeps a live feed's DC steppers from
+			// offering lookahead windows over slots not yet ingested.
+			Source: cfg.Source,
 		})
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
