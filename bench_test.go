@@ -1,9 +1,9 @@
 package ntcdc
 
 // Benchmark harness: one testing.B benchmark per table and figure of
-// the paper (see DESIGN.md §4; Figs. 4-6 come from one simulation, so
-// BenchmarkWeek covers all three), plus the ablation benches for the
-// design decisions DESIGN.md §5 calls out.
+// the paper (Figs. 4-6 come from one simulation, so BenchmarkWeek
+// covers all three). The ablation benches live beside the ablations,
+// in internal/experiments/ablations_test.go.
 //
 // The data-center benches (Figs 4-7) run at a reduced scale (150 VMs,
 // 1-2 evaluated days) so `go test -bench=.` completes quickly;
@@ -345,54 +345,6 @@ func BenchmarkDistLocalSweep(b *testing.B) {
 		}
 		if len(res.Runs) != 24 {
 			b.Fatal("bad sweep")
-		}
-	}
-}
-
-// BenchmarkAblationPerfModel compares the analytical and the
-// event-granular performance paths (DESIGN.md decision #1).
-func BenchmarkAblationPerfModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPerfModel()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkAblationForecast compares predictors on violation counts
-// (DESIGN.md decision #3).
-func BenchmarkAblationForecast(b *testing.B) {
-	cfg := benchDC(1, false)
-	cfg.VMs = 80
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationForecast(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkAblationTrace sweeps trace correlation strength (DESIGN.md
-// decision #2).
-func BenchmarkAblationTrace(b *testing.B) {
-	cfg := benchDC(1, false)
-	cfg.VMs = 80
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationTraceCorrelation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("missing rows")
 		}
 	}
 }

@@ -292,3 +292,64 @@ func TestDocsPinHotLoopDesign(t *testing.T) {
 		}
 	}
 }
+
+// mapPackage matches a package path in the architecture map.
+var mapPackage = regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9-]+(?:/[a-z0-9-]+)*`)
+
+// TestArchitectureMapListsEveryPackage keeps the "Package map" block
+// of docs/ARCHITECTURE.md in step with the tree: it must name every
+// internal/ and cmd/ directory that holds non-test Go, and nothing
+// else, so a new package cannot go unmapped and a deleted one cannot
+// linger.
+func TestArchitectureMapListsEveryPackage(t *testing.T) {
+	data, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start := strings.Index(doc, "## Package map")
+	if start < 0 {
+		t.Fatal(`docs/ARCHITECTURE.md has no "## Package map" section`)
+	}
+	block := strings.SplitN(doc[start:], "```", 3)
+	if len(block) < 3 {
+		t.Fatal("the package map has no fenced block")
+	}
+	mapped := map[string]bool{}
+	for _, p := range mapPackage.FindAllString(block[1], -1) {
+		mapped[p] = true
+	}
+
+	tree := map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() && name == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				tree[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tree) == 0 {
+		t.Fatal("no packages found under internal/ or cmd/")
+	}
+	for p := range tree {
+		if !mapped[p] {
+			t.Errorf("the package map does not list %s", p)
+		}
+	}
+	for p := range mapped {
+		if !tree[p] {
+			t.Errorf("the package map lists %s, which holds no non-test Go", p)
+		}
+	}
+}

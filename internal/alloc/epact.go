@@ -440,7 +440,7 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 	dx := scratch.dx
 	var sxx, srvPeakCPU, srvPeakMem float64
 	updateRound := func(cur *ServerPlan) {
-		// mathx.Complement: m = Max(cur.CPU); pattCom[i] = m - cur.CPU[i].
+		// Complementary pattern: m = Max(cur.CPU); pattCom[i] = m - cur.CPU[i].
 		m := cur.CPU[0]
 		for _, v := range cur.CPU[1:] {
 			if v > m {
@@ -752,8 +752,9 @@ func (e *EPACT) allocateCase2(vms []VMDemand, spec ServerSpec, nMem int, peakCPU
 // Euclidean distance between the VM pattern and the server's remaining
 // capacity, summed over the CPU and memory dimensions with cap-derived
 // weights. A vanishing distance means a perfect fill and is floored to
-// keep the merit finite. The arithmetic mirrors eq2MeritReference
-// (Pearson + L2Distance on materialised slices) bit for bit.
+// keep the merit finite. The arithmetic mirrors refEq2Merit in
+// epact_ref_test.go (Pearson and Euclidean distance on materialised
+// slices) bit for bit.
 func eq2MeritCached(ss *srvState, st *vmStats, idx int, vm *VMDemand, wCPU, wMem float64) float64 {
 	const minDist = 1e-6
 

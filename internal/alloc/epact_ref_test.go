@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mathx"
 	"repro/internal/power"
@@ -12,11 +13,12 @@ import (
 )
 
 // This file keeps a verbatim copy of the straightforward EPACT
-// implementation (per-pair mathx.Pearson / Complement / L2Distance,
-// no cached statistics, no capacity screens) and property-tests that
-// the optimised implementation in epact.go produces bit-identical
-// assignments. If a future change to epact.go alters any placement
-// decision, these tests fail before the golden figures do.
+// implementation (per-pair mathx.Pearson / refComplement /
+// refL2Distance, no cached statistics, no capacity screens) and
+// property-tests that the optimised implementation in epact.go
+// produces bit-identical assignments. If a future change to epact.go
+// alters any placement decision, these tests fail before the golden
+// figures do.
 
 func refAllocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 	order := make([]int, len(vms))
@@ -51,7 +53,7 @@ func refAllocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) 
 			}
 			continue
 		}
-		pattCom := mathx.Complement(cur.CPU)
+		pattCom := refComplement(cur.CPU)
 		bestIdx, bestPhi := -1, math.Inf(-1)
 		for _, idx := range order {
 			if assigned[idx] {
@@ -81,6 +83,35 @@ func refAllocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) 
 	return &Assignment{Servers: servers, VMServer: vmServer}, nil
 }
 
+// refL2Distance returns the Euclidean distance between x and y, as
+// used by EPACT's 2-D merit function (Eq. 2 of the paper). It returns
+// mathx.ErrLengthMismatch when the series lengths differ.
+func refL2Distance(x, y []float64) (float64, error) {
+	if len(x) != len(y) {
+		return 0, mathx.ErrLengthMismatch
+	}
+	ss := 0.0
+	for i := range x {
+		d := x[i] - y[i]
+		ss += d * d
+	}
+	return math.Sqrt(ss), nil
+}
+
+// refComplement returns max(x) - x element-wise: the "complementary
+// utilisation pattern" of Algorithms 1 and 2 in the paper.
+func refComplement(x []float64) []float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	m := mathx.Max(x)
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = m - v
+	}
+	return out
+}
+
 func refEq2Merit(srv *ServerPlan, vm *VMDemand, capCPU, capMem, wCPU, wMem float64) (float64, error) {
 	const minDist = 1e-6
 	n := len(vm.CPU)
@@ -92,11 +123,11 @@ func refEq2Merit(srv *ServerPlan, vm *VMDemand, capCPU, capMem, wCPU, wMem float
 		srvMem = make([]float64, n)
 	}
 
-	phiCPU, err := mathx.Pearson(mathx.Complement(srvCPU), vm.CPU)
+	phiCPU, err := mathx.Pearson(refComplement(srvCPU), vm.CPU)
 	if err != nil {
 		return 0, err
 	}
-	phiMem, err := mathx.Pearson(mathx.Complement(srvMem), vm.Mem)
+	phiMem, err := mathx.Pearson(refComplement(srvMem), vm.Mem)
 	if err != nil {
 		return 0, err
 	}
@@ -107,11 +138,11 @@ func refEq2Merit(srv *ServerPlan, vm *VMDemand, capCPU, capMem, wCPU, wMem float
 		remCPU[i] = capCPU - srvCPU[i]
 		remMem[i] = capMem - srvMem[i]
 	}
-	distCPU, err := mathx.L2Distance(vm.CPU, remCPU)
+	distCPU, err := refL2Distance(vm.CPU, remCPU)
 	if err != nil {
 		return 0, err
 	}
-	distMem, err := mathx.L2Distance(vm.Mem, remMem)
+	distMem, err := refL2Distance(vm.Mem, remMem)
 	if err != nil {
 		return 0, err
 	}
@@ -382,5 +413,53 @@ func TestEPACTAllocateMatchesReference(t *testing.T) {
 	}
 	if sawCase[1] == 0 || sawCase[2] == 0 {
 		t.Fatalf("property test did not exercise both EPACT cases: %v", sawCase)
+	}
+}
+
+func TestL2Distance(t *testing.T) {
+	d, err := refL2Distance([]float64{0, 3}, []float64{4, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(d-5) > 1e-12 {
+		t.Errorf("refL2Distance = %v, want 5", d)
+	}
+	if _, err := refL2Distance([]float64{1}, []float64{1, 2}); err != mathx.ErrLengthMismatch {
+		t.Errorf("err = %v, want ErrLengthMismatch", err)
+	}
+}
+
+func TestComplement(t *testing.T) {
+	got := refComplement([]float64{1, 4, 2})
+	want := []float64{3, 0, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("refComplement[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if c := refComplement(nil); c != nil {
+		t.Errorf("refComplement(nil) = %v, want nil", c)
+	}
+}
+
+func TestComplementProperty(t *testing.T) {
+	// Complement + original is constant (the max) everywhere.
+	prop := func(seed int64) bool {
+		r := &epactRNG{s: uint64(seed)*2862933555777941757 + 3037000493 | 1}
+		xs := make([]float64, 12)
+		for i := range xs {
+			xs[i] = 100 * r.next()
+		}
+		c := refComplement(xs)
+		m := mathx.Max(xs)
+		for i := range xs {
+			if math.Abs(xs[i]+c[i]-m) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/alloc"
 	"repro/internal/dcsim"
-	"repro/internal/platform"
-	"repro/internal/power"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // DCConfig parameterises the data-center experiments (Figs. 4-7).
@@ -51,19 +45,6 @@ func DefaultDCConfig() DCConfig {
 		UseARIMA:   true,
 		MaxServers: 600,
 	}
-}
-
-// traceConfig builds the generator parameters for the DC experiments
-// (the canonical shape lives in the sweep engine so the grid runs and
-// the hand-built ablations stay on identical traces).
-func traceConfig(cfg DCConfig) trace.Config {
-	return sweep.DCTraceConfig(cfg.Seed, cfg.VMs, 7+cfg.EvalDays)
-}
-
-// serverModel builds the NTC server with an optional static-power
-// override.
-func serverModel(staticW float64) *power.ServerModel {
-	return sweep.ServerModel(staticW)
 }
 
 // weekGrid translates a DCConfig into a single-point sweep grid over
@@ -157,43 +138,6 @@ func Fig4to6(cfg DCConfig) (*DCWeekResult, error) {
 	sims := make([]*dcsim.Result, len(runs))
 	for i := range runs {
 		sims[i] = runs[i].Run
-	}
-	return weekFromResults(sims), nil
-}
-
-// fig4to6With runs the comparison with a pre-built trace and
-// prediction set — the escape hatch for ablations whose trace shapes
-// a grid cannot express (e.g. the correlation sweep).
-func fig4to6With(cfg DCConfig, tr *trace.Trace, ps *dcsim.PredictionSet) (*DCWeekResult, error) {
-	model := serverModel(cfg.StaticPowerW)
-	spec := alloc.ServerSpec{
-		Cores:         model.Cores,
-		MemContainers: model.DRAM.Capacity.GB(),
-		FMax:          model.FMax,
-		FMin:          model.FMin,
-	}
-	policies := []alloc.Policy{
-		&alloc.EPACT{Model: model},
-		alloc.NewCOAT(spec),
-		alloc.NewCOATOPT(spec, model.OptimalFrequency()),
-	}
-
-	var sims []*dcsim.Result
-	for _, pol := range policies {
-		run, err := dcsim.Run(dcsim.Config{
-			Trace:       tr,
-			Predictions: ps,
-			HistoryDays: 7,
-			EvalDays:    cfg.EvalDays,
-			Policy:      pol,
-			Server:      model,
-			Platform:    platform.NTCServer(),
-			MaxServers:  cfg.MaxServers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", pol.Name(), err)
-		}
-		sims = append(sims, run)
 	}
 	return weekFromResults(sims), nil
 }

@@ -232,71 +232,6 @@ func TestFig7SavingShrinksWithStaticPower(t *testing.T) {
 	}
 }
 
-func TestAblationPerfModelAgreement(t *testing.T) {
-	rows, err := AblationPerfModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.MicroMPKI < r.AnalyticMPKI/2.5 || r.MicroMPKI > r.AnalyticMPKI*2.5 {
-			t.Errorf("%s: micro MPKI %.2f vs analytic %.2f beyond 2.5x", r.Workload, r.MicroMPKI, r.AnalyticMPKI)
-		}
-		if r.TimeRatio < 0.3 || r.TimeRatio > 3 {
-			t.Errorf("%s: time ratio %.2f beyond 3x", r.Workload, r.TimeRatio)
-		}
-	}
-}
-
-func TestAblationForecast(t *testing.T) {
-	cfg := smallDC()
-	cfg.VMs = 80
-	cfg.EvalDays = 1
-	rows, err := AblationForecast(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 predictors", len(rows))
-	}
-	byName := map[string]AblationForecastRow{}
-	for _, r := range rows {
-		byName[r.Predictor] = r
-	}
-	oracle := byName["oracle"]
-	lastValue := byName["last-value"]
-	// Worse prediction cannot reduce COAT violations below oracle.
-	if lastValue.COATViol < oracle.COATViol {
-		t.Errorf("last-value COAT violations %d below oracle %d", lastValue.COATViol, oracle.COATViol)
-	}
-}
-
-func TestAblationTraceCorrelation(t *testing.T) {
-	cfg := smallDC()
-	cfg.VMs = 80
-	cfg.EvalDays = 1
-	rows, err := AblationTraceCorrelation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	// EPACT's advantage persists across correlation regimes.
-	for _, r := range rows {
-		if r.SavingVsCOATPct < 20 {
-			t.Errorf("commonStd %.0f: saving %.1f%%, want >= 20%%", r.CommonStd, r.SavingVsCOATPct)
-		}
-	}
-	// Correlation grows with the shared component.
-	if rows[2].IntraGroupCorr <= rows[0].IntraGroupCorr {
-		t.Errorf("intra-group correlation should grow with commonStd: %.2f -> %.2f",
-			rows[0].IntraGroupCorr, rows[2].IntraGroupCorr)
-	}
-}
-
 func TestRenderersProduceOutput(t *testing.T) {
 	var buf bytes.Buffer
 	tbl := TableI()

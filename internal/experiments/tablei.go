@@ -11,8 +11,9 @@
 //	Fig3      — server efficiency (BUIPS/W) vs frequency.
 //	Fig4to6   — week-long DC run: violations, active servers, energy.
 //	Fig7      — EPACT vs COAT across the static-power sweep.
-//	Ablation* — design-choice studies (perf model, forecasting, trace
-//	            correlation).
+//
+// The design-choice ablations (performance model, forecasting, trace
+// correlation) live in this package's tests: ablations_test.go.
 package experiments
 
 import (

@@ -388,17 +388,18 @@ func (s *scratch) hannanRissanen(x, d []float64, ss, mx float64, p, q, longAR in
 }
 
 // yuleWalker fits AR(len(phi)) to a series by the Yule-Walker
-// equations and writes the coefficients to phi, exactly as
-// mathx.YuleWalker does. d holds the series' deviations from its mean
-// mx and ss their sum of squares (the lag-0 autocovariance sum).
+// equations and writes the coefficients to phi, exactly as the
+// reference in arima_ref_test.go does. d holds the series' deviations
+// from its mean mx and ss their sum of squares (the lag-0
+// autocovariance sum).
 func (s *scratch) yuleWalker(d []float64, ss, mx float64, phi []float64) error {
 	n, order := len(d), len(phi)
 	if n <= order {
 		return errTooShort
 	}
 
-	// Autocovariance sums, four lags at a time. Each lag adds its terms
-	// in ascending i, like mathx.Autocovariance; the four lags are
+	// Lagged sums of products, four lags at a time. Each lag adds its
+	// terms in ascending i, like the reference; the four lags are
 	// independent chains, so their floating-point adds overlap.
 	acov := grow(s.acov, order+1)
 	s.acov = acov

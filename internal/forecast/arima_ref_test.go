@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mathx"
 	"repro/internal/trace"
@@ -12,11 +13,11 @@ import (
 
 // This file keeps a verbatim copy of the straightforward ARIMA fit
 // (copied history, one materialised regression row per observation,
-// mathx.YuleWalker / mathx.LeastSquares, forecast recursion over
-// copies of the whole series) and tests that the fused kernel in
-// arima.go returns bit-identical forecasts and the same errors. If a
-// future change to arima.go alters any forecast bit, these tests fail
-// before the golden figures do.
+// refYuleWalker / refLeastSquares over a dense solve, forecast
+// recursion over copies of the whole series) and tests that the fused
+// kernel in arima.go returns bit-identical forecasts and the same
+// errors. If a future change to arima.go alters any forecast bit,
+// these tests fail before the golden figures do.
 
 // refForecast returns the forecasts and the fitted model's in-sample
 // innovations.
@@ -119,7 +120,7 @@ func refFitARMA(series []float64, p, q, longAR int) (*refARMA, error) {
 		if p == 0 {
 			return &refARMA{mean: mean, resid: append([]float64(nil), x...)}, nil
 		}
-		phi, _, err := mathx.YuleWalker(x, p)
+		phi, _, err := refYuleWalker(x, p)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +140,7 @@ func refFitARMA(series []float64, p, q, longAR int) (*refARMA, error) {
 	if len(x) <= m1+p+q+1 {
 		return nil, errTooShort
 	}
-	longPhi, _, err := mathx.YuleWalker(x, m1)
+	longPhi, _, err := refYuleWalker(x, m1)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +168,7 @@ func refFitARMA(series []float64, p, q, longAR int) (*refARMA, error) {
 		rows = append(rows, row)
 		ys = append(ys, x[t])
 	}
-	beta, err := mathx.LeastSquares(rows, ys)
+	beta, err := refLeastSquares(rows, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -389,4 +390,325 @@ func FuzzARIMAForecast(f *testing.F) {
 		}
 		checkMatchesRef(t, "fuzz", cfg, series, horizon)
 	})
+}
+
+// refSolveLinear solves the dense system A·x = b using Gaussian
+// elimination with partial pivoting. A is given row-major as a slice
+// of rows; it is not modified. The systems are tiny (order <= ~30),
+// so an O(n^3) dense solve is the right tool.
+func refSolveLinear(a [][]float64, b []float64) ([]float64, error) {
+	n := len(a)
+	if n == 0 || len(b) != n {
+		return nil, mathx.ErrLengthMismatch
+	}
+	// Work on a copy in augmented form.
+	m := make([]float64, n*(n+1))
+	for i := range a {
+		if len(a[i]) != n {
+			return nil, mathx.ErrLengthMismatch
+		}
+		copy(m[i*(n+1):], a[i])
+		m[i*(n+1)+n] = b[i]
+	}
+	x := make([]float64, n)
+	if err := mathx.SolveAugmented(m, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// refAutocovariance returns the sample autocovariances of xs at lags
+// 0..maxLag (biased estimator, divide by n), as needed by Yule-Walker.
+func refAutocovariance(xs []float64, maxLag int) []float64 {
+	n := len(xs)
+	out := make([]float64, maxLag+1)
+	if n == 0 {
+		return out
+	}
+	m := mathx.Mean(xs)
+	for lag := 0; lag <= maxLag && lag < n; lag++ {
+		s := 0.0
+		for i := 0; i+lag < n; i++ {
+			s += (xs[i] - m) * (xs[i+lag] - m)
+		}
+		out[lag] = s / float64(n)
+	}
+	return out
+}
+
+// refYuleWalker fits an AR(p) model to xs and returns the AR
+// coefficients phi[0..p-1] (so that x_t ~ sum_i phi[i]*x_{t-1-i} + e_t,
+// in deviations from the mean) and the innovation variance estimate.
+func refYuleWalker(xs []float64, p int) (phi []float64, sigma2 float64, err error) {
+	if p <= 0 {
+		return nil, 0, errors.New("mathx: YuleWalker order must be positive")
+	}
+	if len(xs) <= p {
+		return nil, 0, errors.New("mathx: YuleWalker needs more samples than the AR order")
+	}
+	gamma := refAutocovariance(xs, p)
+	// A (numerically) constant series has no autocovariance structure:
+	// AR coefficients are all zero and the innovations have zero
+	// variance. Compare against the scale of the data to absorb float
+	// round-off from the mean subtraction.
+	scale := 1.0 + math.Abs(mathx.Mean(xs))
+	if gamma[0] <= 1e-12*scale*scale {
+		return make([]float64, p), 0, nil
+	}
+	// Toeplitz system R·phi = r with R[i][j] = gamma[|i-j|].
+	r := make([][]float64, p)
+	rhs := make([]float64, p)
+	for i := 0; i < p; i++ {
+		r[i] = make([]float64, p)
+		for j := 0; j < p; j++ {
+			r[i][j] = gamma[abs(i-j)]
+		}
+		rhs[i] = gamma[i+1]
+	}
+	phi, err = refSolveLinear(r, rhs)
+	if err != nil {
+		return nil, 0, err
+	}
+	sigma2 = gamma[0]
+	for i := 0; i < p; i++ {
+		sigma2 -= phi[i] * gamma[i+1]
+	}
+	if sigma2 < 0 {
+		sigma2 = 0
+	}
+	return phi, sigma2, nil
+}
+
+// refLeastSquares solves the overdetermined system X·beta ~= y in the
+// least-squares sense via the normal equations (XᵀX)·beta = Xᵀy.
+// X is row-major with one observation per row. The regressions are
+// small and well-scaled, so normal equations suffice.
+func refLeastSquares(x [][]float64, y []float64) ([]float64, error) {
+	nObs := len(x)
+	if nObs == 0 || len(y) != nObs {
+		return nil, mathx.ErrLengthMismatch
+	}
+	nVar := len(x[0])
+	xtx := make([][]float64, nVar)
+	xty := make([]float64, nVar)
+	for i := range xtx {
+		xtx[i] = make([]float64, nVar)
+	}
+	for r := 0; r < nObs; r++ {
+		if len(x[r]) != nVar {
+			return nil, mathx.ErrLengthMismatch
+		}
+		for i := 0; i < nVar; i++ {
+			xty[i] += x[r][i] * y[r]
+			for j := i; j < nVar; j++ {
+				xtx[i][j] += x[r][i] * x[r][j]
+			}
+		}
+	}
+	for i := 0; i < nVar; i++ {
+		for j := 0; j < i; j++ {
+			xtx[i][j] = xtx[j][i]
+		}
+		// Tiny ridge term keeps near-collinear regressors (flat VM
+		// traces) solvable without visibly biasing the fit.
+		xtx[i][i] += 1e-9
+	}
+	return refSolveLinear(xtx, xty)
+}
+
+func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// testRNG is a tiny deterministic generator for the solver tests, so
+// seeds stay explicit and reproducible across Go versions.
+type testRNG struct{ state uint64 }
+
+func newTestRNG(seed int64) *testRNG {
+	s := uint64(seed)*2862933555777941757 + 3037000493
+	return &testRNG{state: s | 1}
+}
+
+func (r *testRNG) next() float64 {
+	r.state ^= r.state << 13
+	r.state ^= r.state >> 7
+	r.state ^= r.state << 17
+	return float64(r.state%1_000_000) / 10_000 // [0, 100)
+}
+
+func TestSolveLinearKnownSystem(t *testing.T) {
+	a := [][]float64{
+		{2, 1, -1},
+		{-3, -1, 2},
+		{-2, 1, 2},
+	}
+	b := []float64{8, -11, -3}
+	x, err := refSolveLinear(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{2, 3, -1}
+	for i := range want {
+		if !almost(x[i], want[i], 1e-9) {
+			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
+		}
+	}
+}
+
+func TestSolveLinearSingular(t *testing.T) {
+	a := [][]float64{
+		{1, 2},
+		{2, 4},
+	}
+	if _, err := refSolveLinear(a, []float64{1, 2}); err != mathx.ErrSingular {
+		t.Errorf("err = %v, want ErrSingular", err)
+	}
+}
+
+func TestSolveLinearShapeErrors(t *testing.T) {
+	if _, err := refSolveLinear(nil, nil); err != mathx.ErrLengthMismatch {
+		t.Errorf("empty err = %v, want ErrLengthMismatch", err)
+	}
+	if _, err := refSolveLinear([][]float64{{1, 2}}, []float64{1}); err != mathx.ErrLengthMismatch {
+		t.Errorf("ragged err = %v, want ErrLengthMismatch", err)
+	}
+}
+
+func TestSolveLinearRoundTripProperty(t *testing.T) {
+	// For random well-conditioned systems, A·x == b after solving.
+	prop := func(seed int64) bool {
+		rng := newTestRNG(seed)
+		n := 2 + int(uint(seed)%5)
+		a := make([][]float64, n)
+		b := make([]float64, n)
+		for i := range a {
+			a[i] = make([]float64, n)
+			for j := range a[i] {
+				a[i][j] = rng.next() - 50
+			}
+			a[i][i] += 500 // diagonal dominance => well-conditioned
+			b[i] = rng.next() - 50
+		}
+		x, err := refSolveLinear(a, b)
+		if err != nil {
+			return false
+		}
+		for i := range a {
+			s := 0.0
+			for j := range a[i] {
+				s += a[i][j] * x[j]
+			}
+			if !almost(s, b[i], 1e-6) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAutocovarianceLagZeroIsVariance(t *testing.T) {
+	xs := []float64{1, 3, 2, 5, 4, 6, 2, 4}
+	g := refAutocovariance(xs, 3)
+	if !almost(g[0], mathx.Variance(xs), 1e-12) {
+		t.Errorf("gamma[0] = %v, want Variance = %v", g[0], mathx.Variance(xs))
+	}
+	if len(g) != 4 {
+		t.Errorf("len = %d, want 4", len(g))
+	}
+}
+
+func TestYuleWalkerRecoversAR1(t *testing.T) {
+	// Simulate x_t = 0.7 x_{t-1} + e_t and check the fitted phi.
+	rng := newTestRNG(42)
+	const n = 20000
+	xs := make([]float64, n)
+	for i := 1; i < n; i++ {
+		e := (rng.next() - 50) / 50 // approx zero-mean noise
+		xs[i] = 0.7*xs[i-1] + e
+	}
+	phi, sigma2, err := refYuleWalker(xs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(phi[0]-0.7) > 0.05 {
+		t.Errorf("phi = %v, want ~0.7", phi[0])
+	}
+	if sigma2 <= 0 {
+		t.Errorf("sigma2 = %v, want > 0", sigma2)
+	}
+}
+
+func TestYuleWalkerConstantSeries(t *testing.T) {
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = 3.14
+	}
+	phi, sigma2, err := refYuleWalker(xs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range phi {
+		if p != 0 {
+			t.Errorf("phi[%d] = %v, want 0 for constant series", i, p)
+		}
+	}
+	if sigma2 != 0 {
+		t.Errorf("sigma2 = %v, want 0", sigma2)
+	}
+}
+
+func TestYuleWalkerErrors(t *testing.T) {
+	if _, _, err := refYuleWalker([]float64{1, 2, 3}, 0); err == nil {
+		t.Error("order 0 should error")
+	}
+	if _, _, err := refYuleWalker([]float64{1, 2}, 5); err == nil {
+		t.Error("too few samples should error")
+	}
+}
+
+func TestLeastSquaresExactFit(t *testing.T) {
+	// y = 2*a + 3*b fitted exactly.
+	x := [][]float64{
+		{1, 0},
+		{0, 1},
+		{1, 1},
+		{2, 1},
+	}
+	y := []float64{2, 3, 5, 7}
+	beta, err := refLeastSquares(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almost(beta[0], 2, 1e-6) || !almost(beta[1], 3, 1e-6) {
+		t.Errorf("beta = %v, want [2 3]", beta)
+	}
+}
+
+func TestLeastSquaresOverdetermined(t *testing.T) {
+	// Noisy line y = 5x; slope estimate should be near 5.
+	rng := newTestRNG(7)
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 200; i++ {
+		v := rng.next()
+		x = append(x, []float64{v})
+		y = append(y, 5*v+(rng.next()-50)/100)
+	}
+	beta, err := refLeastSquares(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(beta[0]-5) > 0.05 {
+		t.Errorf("slope = %v, want ~5", beta[0])
+	}
+}
+
+func TestLeastSquaresShapeErrors(t *testing.T) {
+	if _, err := refLeastSquares(nil, nil); err != mathx.ErrLengthMismatch {
+		t.Errorf("empty err = %v, want ErrLengthMismatch", err)
+	}
+	if _, err := refLeastSquares([][]float64{{1}, {1, 2}}, []float64{1, 2}); err != mathx.ErrLengthMismatch {
+		t.Errorf("ragged err = %v, want ErrLengthMismatch", err)
+	}
 }

@@ -1,7 +1,7 @@
 // Package mathx provides the numerical utilities shared by the power,
 // forecasting and allocation packages: descriptive statistics, Pearson
-// correlation, Euclidean distance, piecewise-linear interpolation and
-// a small dense linear solver.
+// correlation, piecewise-linear interpolation and a small dense linear
+// solver.
 //
 // Everything here is deliberately dependency-free (stdlib math only) so
 // the modelling packages stay self-contained.
@@ -84,35 +84,6 @@ func Pearson(x, y []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// L2Distance returns the Euclidean distance between x and y, as used
-// by EPACT's 2-D merit function (Eq. 2 of the paper). It returns
-// ErrLengthMismatch when the series lengths differ.
-func L2Distance(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrLengthMismatch
-	}
-	ss := 0.0
-	for i := range x {
-		d := x[i] - y[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss), nil
-}
-
-// Complement returns max(x) - x element-wise: the "complementary
-// utilisation pattern" of Algorithms 1 and 2 in the paper.
-func Complement(x []float64) []float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	m := Max(x)
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = m - v
-	}
-	return out
 }
 
 // Clamp limits v to [lo, hi].

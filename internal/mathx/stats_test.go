@@ -108,54 +108,6 @@ func (r *testRNG) next() float64 {
 	return float64(r.state%1_000_000) / 10_000 // [0, 100)
 }
 
-func TestL2Distance(t *testing.T) {
-	d, err := L2Distance([]float64{0, 3}, []float64{4, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(d, 5, 1e-12) {
-		t.Errorf("L2Distance = %v, want 5", d)
-	}
-	if _, err := L2Distance([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
-		t.Errorf("err = %v, want ErrLengthMismatch", err)
-	}
-}
-
-func TestComplement(t *testing.T) {
-	got := Complement([]float64{1, 4, 2})
-	want := []float64{3, 0, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Complement[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if c := Complement(nil); c != nil {
-		t.Errorf("Complement(nil) = %v, want nil", c)
-	}
-}
-
-func TestComplementProperty(t *testing.T) {
-	// Complement + original is constant (the max) everywhere.
-	prop := func(seed int64) bool {
-		rng := newTestRNG(seed)
-		xs := make([]float64, 12)
-		for i := range xs {
-			xs[i] = rng.next()
-		}
-		c := Complement(xs)
-		m := Max(xs)
-		for i := range xs {
-			if !almost(xs[i]+c[i], m, 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if v := Clamp(5, 0, 3); v != 3 {
 		t.Errorf("Clamp(5,0,3) = %v, want 3", v)

@@ -4,14 +4,11 @@
 // user instructions per second (UIPS), wait-for-memory fraction and
 // cache/DRAM traffic — per (platform, workload class, frequency).
 //
-// Two paths produce those observables:
-//
-//   - the calibrated analytical path (Observe), anchored to the
-//     paper's published Table I times and Fig. 2 QoS crossovers via
-//     the platform calibration cells, and
-//   - the mechanistic path (MicroModel), an event-granular pipeline +
-//     cache + DRAM simulation used to cross-check the analytical
-//     aggregates (the repository's ablation experiment).
+// The observables come from a calibrated analytical path (Observe),
+// anchored to the paper's published Table I times and Fig. 2 QoS
+// crossovers via the platform calibration cells. An event-granular
+// pipeline + cache + DRAM simulation cross-checks its aggregates in
+// the experiments package's tests (the performance-model ablation).
 package perf
 
 import (

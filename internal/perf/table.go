@@ -17,7 +17,6 @@ import (
 // per run. At returns the exact Observables values Observe would, bit
 // for bit, because NewTable simply calls Observe at each grid point.
 type Table struct {
-	levels  []units.Frequency
 	classes int
 	cells   []Observables // row-major: cells[level*classes + class]
 }
@@ -28,7 +27,6 @@ type Table struct {
 func NewTable(p *platform.Platform, levels []units.Frequency, activeCores float64) *Table {
 	classes := workload.Classes()
 	t := &Table{
-		levels:  levels,
 		classes: len(classes),
 		cells:   make([]Observables, len(levels)*len(classes)),
 	}
@@ -45,6 +43,3 @@ func NewTable(p *platform.Platform, levels []units.Frequency, activeCores float6
 func (t *Table) At(c workload.Class, level int) Observables {
 	return t.cells[level*t.classes+int(c)]
 }
-
-// Levels returns the frequency grid the table was built over.
-func (t *Table) Levels() []units.Frequency { return t.levels }

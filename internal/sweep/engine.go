@@ -403,10 +403,9 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 			}
 			return r.memo.wrap(s.Policy, m, pol, row), nil
 		},
-		Transitions:              transitions,
-		TraceLabel:               s.TraceSpec,
-		Rebalance:                reb,
-		MigrationDowntimeSamples: topology.DefaultMigrationDowntimeSamples,
+		Transitions: transitions,
+		TraceLabel:  s.TraceSpec,
+		Rebalance:   reb,
 	}, tp.affected, nil
 }
 

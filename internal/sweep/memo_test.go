@@ -259,13 +259,14 @@ func TestMemoNeverServesFailures(t *testing.T) {
 // share an entry, while equal models built separately do.
 func TestMemoKeysOnServerModel(t *testing.T) {
 	m := newAllocMemo(memoBudget)
-	base := ServerModel(0)
-	metro := ServerModel(25)
+	base := power.NTCServer()
+	metro := power.NTCServer()
+	metro.Motherboard = units.Watts(25)
 	vms, spec := memoInput(base)
 	if _, spec2 := memoInput(metro); spec2 != spec {
 		t.Fatal("static power changed the server spec; the test needs equal specs")
 	}
-	for _, model := range []*power.ServerModel{base, metro, ServerModel(0)} {
+	for _, model := range []*power.ServerModel{base, metro, power.NTCServer()} {
 		pol, _ := counted(t, m, "EPACT", model)
 		if _, err := pol.Allocate(vms, spec); err != nil {
 			t.Fatal(err)

@@ -51,7 +51,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 // Grid declares a scenario space as per-axis value lists. Empty axes
@@ -291,16 +290,6 @@ func DCTraceConfig(seed int64, vms, days int) trace.Config {
 	tc.BaseMax = 85
 	tc.DiurnalAmplitude = 28
 	return tc
-}
-
-// ServerModel builds the NTC server with an optional static-power
-// override (motherboard/fan/disk; 0 keeps the default 15 W).
-func ServerModel(staticW float64) *power.ServerModel {
-	m := power.NTCServer()
-	if staticW > 0 {
-		m.Motherboard = units.Watts(staticW)
-	}
-	return m
 }
 
 // WithDefaults fills empty axes with the paper's setup: the three

@@ -77,17 +77,16 @@ func TestFleetConservation(t *testing.T) {
 							t.Fatal(err)
 						}
 						checkConservation(t, name, Config{
-							Fleet:                    fleet,
-							Trace:                    tr,
-							Predictions:              ps,
-							HistoryDays:              1,
-							EvalDays:                 1,
-							MaxServers:               vms,
-							PowerModel:               model,
-							NewPolicy:                pol.new,
-							Transitions:              dcsim.DefaultTransitions(),
-							Rebalance:                reb,
-							MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+							Fleet:       fleet,
+							Trace:       tr,
+							Predictions: ps,
+							HistoryDays: 1,
+							EvalDays:    1,
+							MaxServers:  vms,
+							PowerModel:  model,
+							NewPolicy:   pol.new,
+							Transitions: dcsim.DefaultTransitions(),
+							Rebalance:   reb,
 						})
 					}
 				}
@@ -203,17 +202,16 @@ func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
 						}
 					}
 					cfg := Config{
-						Fleet:                    fleet,
-						Trace:                    tr,
-						Predictions:              ps,
-						HistoryDays:              1,
-						EvalDays:                 1,
-						MaxServers:               vms,
-						PowerModel:               model,
-						NewPolicy:                pol.new,
-						Transitions:              dcsim.DefaultTransitions(),
-						Rebalance:                reb,
-						MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+						Fleet:       fleet,
+						Trace:       tr,
+						Predictions: ps,
+						HistoryDays: 1,
+						EvalDays:    1,
+						MaxServers:  vms,
+						PowerModel:  model,
+						NewPolicy:   pol.new,
+						Transitions: dcsim.DefaultTransitions(),
+						Rebalance:   reb,
 					}
 					want, wantSteps := runSteps(t, name, cfg)
 					cfg.Fleet = doubled
@@ -296,17 +294,16 @@ func TestDrainedDCChangesNothing(t *testing.T) {
 			for _, pol := range conservationPolicies[:2] { // EPACT, COAT
 				name := fmt.Sprintf("%s@triad/%s/%s", disp, rebSpec, pol.name)
 				cfg := Config{
-					Fleet:                    load(disp, plainFile),
-					Trace:                    tr,
-					Predictions:              ps,
-					HistoryDays:              1,
-					EvalDays:                 1,
-					MaxServers:               vms,
-					PowerModel:               "ntc",
-					NewPolicy:                pol.new,
-					Transitions:              dcsim.DefaultTransitions(),
-					Rebalance:                reb,
-					MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+					Fleet:       load(disp, plainFile),
+					Trace:       tr,
+					Predictions: ps,
+					HistoryDays: 1,
+					EvalDays:    1,
+					MaxServers:  vms,
+					PowerModel:  "ntc",
+					NewPolicy:   pol.new,
+					Transitions: dcsim.DefaultTransitions(),
+					Rebalance:   reb,
 				}
 				want, wantSteps := runSteps(t, name, cfg)
 				cfg.Fleet = load(disp, drainedFile)
@@ -376,14 +373,6 @@ func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// recording wraps a policy factory so every assignment it returns
-	// is kept, in call order (DCs step in index order).
-	recording := func(newPol func(power.Model) (alloc.Policy, error), out *[][]int) func(power.Model) (alloc.Policy, error) {
-		return func(m power.Model) (alloc.Policy, error) {
-			pol, err := newPol(m)
-			return &assignmentRecorder{Policy: pol, out: out}, err
-		}
-	}
 	for _, disp := range DispatcherNames() {
 		if disp == "carbon-greedy" {
 			continue
@@ -399,16 +388,15 @@ func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := Config{
-					Fleet:                    fleet,
-					Trace:                    tr,
-					Predictions:              ps,
-					HistoryDays:              1,
-					EvalDays:                 1,
-					MaxServers:               vms,
-					NewPolicy:                pol.new,
-					Transitions:              dcsim.DefaultTransitions(),
-					Rebalance:                reb,
-					MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+					Fleet:       fleet,
+					Trace:       tr,
+					Predictions: ps,
+					HistoryDays: 1,
+					EvalDays:    1,
+					MaxServers:  vms,
+					NewPolicy:   pol.new,
+					Transitions: dcsim.DefaultTransitions(),
+					Rebalance:   reb,
 				}
 				var wantAsg [][]int
 				cfg.NewPolicy = recording(pol.new, &wantAsg)
@@ -461,6 +449,15 @@ func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
 	}
 }
 
+// recording wraps a policy factory so every assignment it returns is
+// kept, in call order (DCs step in index order).
+func recording(newPol func(power.Model) (alloc.Policy, error), out *[][]int) func(power.Model) (alloc.Policy, error) {
+	return func(m power.Model) (alloc.Policy, error) {
+		pol, err := newPol(m)
+		return &assignmentRecorder{Policy: pol, out: out}, err
+	}
+}
+
 // assignmentRecorder keeps each assignment's VM-to-server map.
 type assignmentRecorder struct {
 	alloc.Policy
@@ -473,4 +470,101 @@ func (r *assignmentRecorder) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpe
 		*r.out = append(*r.out, slices.Clone(a.VMServer))
 	}
 	return a, err
+}
+
+// TestMovingThePopulationToATwinDC is the relocation metamorphic
+// relation fleet sweeps rely on: in a two-DC fleet whose DCs share one
+// server model but differ in name, PUE, grid intensity and latency,
+// moving the whole population from DC north (shares 1/0) to DC south
+// (0/1) leaves every allocation the policies make, the IT energy,
+// violations, migrations and active servers bit-identical, per slot
+// and in total. Only the facility energy follows the receiving DC's
+// PUE: south's is twice north's, so every facility figure doubles
+// exactly. Covers every dispatcher × rebalance {off, epoch:4} ×
+// {EPACT, COAT}.
+func TestMovingThePopulationToATwinDC(t *testing.T) {
+	const vms = 30
+	tr := testTrace(t, 2018, vms, 2)
+	ps, err := dcsim.Predict(tr, nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := func(disp string, northShare, southShare int) Fleet {
+		f, err := ParseFleetJSON([]byte(fmt.Sprintf(`{"name": "twins", "dispatcher": %q, "dcs": [
+  {"name": "north", "share": %d, "pue": 1.1, "grid_intensity": 30, "latency_ms": 5},
+  {"name": "south", "share": %d, "pue": 2.2, "grid_intensity": 700, "latency_ms": 40}]}`,
+			disp, northShare, southShare)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, disp := range DispatcherNames() {
+		for _, rebSpec := range []string{"off", "epoch:4"} {
+			reb, err := ParseRebalanceSpec(rebSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range conservationPolicies[:2] { // EPACT, COAT
+				name := fmt.Sprintf("%s@twins/%s/%s", disp, rebSpec, pol.name)
+				cfg := Config{
+					Fleet:       twins(disp, 1, 0),
+					Trace:       tr,
+					Predictions: ps,
+					HistoryDays: 1,
+					EvalDays:    1,
+					MaxServers:  vms,
+					Transitions: dcsim.DefaultTransitions(),
+					Rebalance:   reb,
+				}
+				var wantAsg, gotAsg [][]int
+				cfg.NewPolicy = recording(pol.new, &wantAsg)
+				want, wantSteps := runSteps(t, name, cfg)
+				cfg.Fleet, cfg.NewPolicy = twins(disp, 0, 1), recording(pol.new, &gotAsg)
+				got, gotSteps := runSteps(t, name, cfg)
+
+				if len(wantAsg) == 0 || !reflect.DeepEqual(gotAsg, wantAsg) {
+					t.Errorf("%s: moving the population changed an allocation (%d vs %d calls)", name, len(gotAsg), len(wantAsg))
+				}
+				from, to, idleFrom, idleTo := want.DCs[0], got.DCs[1], got.DCs[0], want.DCs[1]
+				if from.VMs != vms || to.VMs != vms || idleFrom.VMs != 0 || idleTo.VMs != 0 {
+					t.Fatalf("%s: VMs placed %d→%d, drained %d/%d, want all %d on the active DC",
+						name, from.VMs, to.VMs, idleFrom.VMs, idleTo.VMs, vms)
+				}
+				if to.ITEnergyMJ != from.ITEnergyMJ || to.Violations != from.Violations ||
+					to.Migrations != from.Migrations || to.CrossDCMigrations != from.CrossDCMigrations ||
+					to.MeanActive != from.MeanActive || to.PeakActive != from.PeakActive {
+					t.Errorf("%s: the receiving DC differs beyond facility energy:\n got %+v\nwant %+v", name, to, from)
+				}
+				if idleFrom.ITEnergyMJ != 0 || idleTo.ITEnergyMJ != 0 {
+					t.Errorf("%s: a drained DC burned IT energy", name)
+				}
+				if from.ITEnergyMJ <= 0 || to.EnergyMJ != 2*from.EnergyMJ || got.TotalEnergyMJ != 2*want.TotalEnergyMJ ||
+					got.TransitionMJ != 2*want.TransitionMJ {
+					t.Errorf("%s: facility energy %v (fleet %v) MJ, want twice %v (fleet %v)",
+						name, to.EnergyMJ, got.TotalEnergyMJ, from.EnergyMJ, want.TotalEnergyMJ)
+				}
+				if got.Violations != want.Violations || got.Migrations != want.Migrations ||
+					got.CrossDCMigrations != want.CrossDCMigrations || got.MeanActive != want.MeanActive ||
+					got.PeakActive != want.PeakActive || got.MeanPlannedFreqGHz != want.MeanPlannedFreqGHz {
+					t.Errorf("%s: fleet counts changed:\n got %+v\nwant %+v", name, got, want)
+				}
+				if len(gotSteps) != len(wantSteps) {
+					t.Fatalf("%s: %d slot steps, want %d", name, len(gotSteps), len(wantSteps))
+				}
+				for i, w := range wantSteps {
+					g := gotSteps[i]
+					if g.ActiveServers != w.ActiveServers || g.Violations != w.Violations ||
+						g.Migrations != w.Migrations || g.CrossDCMigrations != w.CrossDCMigrations ||
+						g.EnergyMJ != 2*w.EnergyMJ {
+						t.Errorf("%s: slot %d differs:\n got %+v\nwant %+v", name, w.Slot, g, w)
+						break
+					}
+				}
+			}
+		}
+	}
 }

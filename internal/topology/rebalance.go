@@ -11,7 +11,7 @@ import (
 // re-runs dispatch over the load observed so far and migrates VMs
 // between datacenters. Each move is priced through the scenario's
 // transition model (the memory copy of a WAN live migration) and
-// charged a configurable downtime as QoS violation-samples at the
+// charged a fixed downtime as QoS violation-samples at the
 // destination, and every violation — downtime included — also feeds a
 // latency-weighted metric so far-away placements pay a WAN penalty.
 // This is the mechanism the energy-aware consolidation literature
@@ -25,10 +25,12 @@ import (
 // default single-DC fleet reports LatencyWeightedViol == Violations.
 const WANLatencyRefMs = 10.0
 
-// DefaultMigrationDowntimeSamples is the downtime a cross-DC live
-// migration charges at the destination, in 5-minute violation-samples
-// — the sweep engine's setting for every rebalanced scenario.
-const DefaultMigrationDowntimeSamples = 1
+// MigrationDowntimeSamples is the downtime every cross-DC live
+// migration charges at the destination DC, in 5-minute
+// violation-samples (a WAN live migration stalls the VM). Only epoch
+// boundaries move VMs across DCs, so static dispatch (a single epoch)
+// never charges it.
+const MigrationDowntimeSamples = 1
 
 // latencyWeight scales a DC's violations by its WAN distance.
 func latencyWeight(ms float64) float64 { return ms / WANLatencyRefMs }

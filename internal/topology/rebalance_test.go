@@ -66,16 +66,15 @@ func rebalanceConfig(t *testing.T, fleetSpec string, reb RebalanceSpec) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Fleet:                    fleet,
-		Trace:                    tr,
-		Predictions:              ps,
-		HistoryDays:              1,
-		EvalDays:                 1,
-		MaxServers:               48,
-		NewPolicy:                newTestPolicy,
-		Transitions:              dcsim.DefaultTransitions(),
-		Rebalance:                reb,
-		MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+		Fleet:       fleet,
+		Trace:       tr,
+		Predictions: ps,
+		HistoryDays: 1,
+		EvalDays:    1,
+		MaxServers:  48,
+		NewPolicy:   newTestPolicy,
+		Transitions: dcsim.DefaultTransitions(),
+		Rebalance:   reb,
 	}
 }
 
@@ -135,7 +134,7 @@ func TestRebalanceConsolidatesTowardGreedy(t *testing.T) {
 		t.Error("rebalancing moved no VMs across DCs")
 	}
 	// Every cross-DC move serves its downtime as violation-samples.
-	if want := reb.CrossDCMigrations * DefaultMigrationDowntimeSamples; reb.Violations < want {
+	if want := reb.CrossDCMigrations * MigrationDowntimeSamples; reb.Violations < want {
 		t.Errorf("violations %d < %d downtime samples from %d migrations",
 			reb.Violations, want, reb.CrossDCMigrations)
 	}

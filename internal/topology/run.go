@@ -63,13 +63,6 @@ type Config struct {
 	// `single` stays the bit-exact identity under any rebalance spec.
 	Rebalance RebalanceSpec
 
-	// MigrationDowntimeSamples charges every cross-DC migration this
-	// many violation-samples of downtime at the destination DC (a WAN
-	// live migration stalls the VM; one sample is 5 minutes). Only
-	// epoch boundaries move VMs across DCs, so static dispatch (a
-	// single epoch) never charges it. Negative values clamp to 0.
-	MigrationDowntimeSamples int
-
 	// Source, when non-nil, gates the fleet replay on data
 	// availability: Stepper.Step refuses (with an error wrapping
 	// dcsim.ErrAwaitingSamples, without advancing or poisoning) to

@@ -240,7 +240,6 @@ type epochState struct {
 	rebFleet    Fleet
 	histSamples int
 	every       int
-	downtime    int
 
 	// oneShot marks static dispatch, the single-epoch run. It keeps
 	// the per-DC dcsim Result and weighs the mean planned frequency by
@@ -282,7 +281,6 @@ func newEpochState(st *Stepper) *epochState {
 		rebFleet:    fleet,
 		histSamples: cfg.HistoryDays * trace.SamplesPerDay,
 		every:       cfg.Rebalance.EverySlots,
-		downtime:    max(cfg.MigrationDowntimeSamples, 0),
 		oneShot:     !cfg.Rebalance.Enabled() || n == 1,
 	}
 	if ep.oneShot {
@@ -375,12 +373,12 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			ep.boundFleetMJ += facility
 
 			// Downtime: the VM is unavailable while it moves.
-			run.Violations += ep.downtime
-			res.Violations += ep.downtime
-			w := float64(ep.downtime) * latencyWeight(run.Spec.LatencyMs)
+			run.Violations += MigrationDowntimeSamples
+			res.Violations += MigrationDowntimeSamples
+			w := float64(MigrationDowntimeSamples) * latencyWeight(run.Spec.LatencyMs)
 			run.LatencyWeightedViol += w
 			res.LatencyWeightedViol += w
-			ep.boundViol[dst] += ep.downtime
+			ep.boundViol[dst] += MigrationDowntimeSamples
 		}
 	}
 	ep.prevDC = nextDC

@@ -28,16 +28,15 @@ func stepperConfig(t *testing.T, fleetSpec string, reb RebalanceSpec, trans dcsi
 		t.Fatal(err)
 	}
 	return Config{
-		Fleet:                    fleet,
-		Trace:                    tr,
-		Predictions:              ps,
-		HistoryDays:              1,
-		EvalDays:                 days,
-		MaxServers:               48,
-		NewPolicy:                newTestPolicy,
-		Transitions:              trans,
-		Rebalance:                reb,
-		MigrationDowntimeSamples: DefaultMigrationDowntimeSamples,
+		Fleet:       fleet,
+		Trace:       tr,
+		Predictions: ps,
+		HistoryDays: 1,
+		EvalDays:    days,
+		MaxServers:  48,
+		NewPolicy:   newTestPolicy,
+		Transitions: trans,
+		Rebalance:   reb,
 	}
 }
 

@@ -170,18 +170,6 @@ func (t *Trace) AggregateCPU() []float64 {
 	return out
 }
 
-// AggregateMem returns the sum over VMs of memory utilisation at each
-// sample (percent of one 1 GB container each).
-func (t *Trace) AggregateMem() []float64 {
-	out := make([]float64, t.Samples())
-	for _, vm := range t.VMs {
-		for i, m := range vm.Mem {
-			out[i] += m
-		}
-	}
-	return out
-}
-
 // Config parameterises the synthetic generator.
 type Config struct {
 	// VMs is the population size (the paper uses "over 600 VMs").

@@ -40,10 +40,12 @@ run_grid() {
 }
 
 # Scrape the address a -serve coordinator bound from its stderr log.
+# The backgrounded coordinator's shell may not have created the log
+# yet, so a missing file reads as "no address yet".
 wait_addr() {
     log=$1; addr=""; tries=0
     while [ -z "$addr" ]; do
-        addr=$(sed -n 's/^coordinator: listening on \(.*\)$/\1/p' "$log")
+        [ -e "$log" ] && addr=$(sed -n 's/^coordinator: listening on \(.*\)$/\1/p' "$log")
         tries=$((tries + 1))
         if [ "$tries" -gt 400 ]; then
             echo "resume gate FAILED: coordinator never reported its address:" >&2
