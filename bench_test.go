@@ -131,7 +131,8 @@ func oneSlotDemands(b *testing.B, vms int) ([]alloc.VMDemand, alloc.ServerSpec) 
 }
 
 // BenchmarkEPACTAllocate measures one slot allocation at paper scale
-// (600 VMs), the cost DESIGN.md decision #4 bounds.
+// (600 VMs): the per-call cost the allocator scratch reuse of
+// docs/ARCHITECTURE.md ("The hot loop") keeps down.
 func BenchmarkEPACTAllocate(b *testing.B) {
 	demands, spec := oneSlotDemands(b, 600)
 	pol := &alloc.EPACT{Model: NTCServerPower()}

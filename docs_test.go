@@ -1,6 +1,8 @@
 package ntcdc
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -71,6 +73,58 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no relative links checked — the docs should cross-link (README ↔ docs/)")
+	}
+}
+
+// mdName matches a markdown file name, with or without a path.
+var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestGoCommentsNameExistingDocs: every markdown file a Go comment
+// names exists, relative to the commenting file, the repository root
+// or docs/, so a comment cannot send its reader to a document that
+// was never written or has since moved.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if (path != "." && strings.HasPrefix(d.Name(), ".")) || d.Name() == "results" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdName.FindAllString(cg.Text(), -1) {
+				found := false
+				for _, dir := range []string{filepath.Dir(path), ".", "docs"} {
+					if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name))); err == nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s: a comment names %s, which does not exist", fset.Position(cg.Pos()), name)
+				}
+				checked++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Error("no Go comment names a markdown file; the walk found nothing to check")
 	}
 }
 

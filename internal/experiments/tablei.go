@@ -3,7 +3,8 @@
 // runner returns a typed result with the same rows/series the paper
 // reports, plus Render methods for human-readable and CSV output.
 //
-// Experiment index (see DESIGN.md §4):
+// Experiment index (the figure adapters of docs/ARCHITECTURE.md, "Data
+// flow of a sweep run"):
 //
 //	TableI    — QoS analysis: execution times on x86 / Cavium / NTC.
 //	Fig1a/b   — worst-case DC power vs frequency at 10-90% utilisation.

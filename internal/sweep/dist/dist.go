@@ -219,6 +219,14 @@ type Coordinator struct {
 	start time.Time
 	blobs blobStore // input-shipping snapshot; nil when disabled
 
+	// exec is the Runner every in-process worker executes on (see
+	// Work), so a sweep builds each input once and its allocation memo
+	// and lookahead span all of them. It resolves inputs when it first
+	// executes, not at construction, so it fingerprints the files it
+	// reads and Complete's key guard still covers its rows; it fetches
+	// the files it cannot read from the snapshot, like a remote worker.
+	exec *sweep.Runner
+
 	mu       sync.Mutex
 	units    []unit
 	pending  int // units not yet done
@@ -260,14 +268,20 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		opt.Clock = time.Now
 	}
 
+	exec, err := sweep.NewSweepRunner(g)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
 		grid:    g,
 		opt:     opt,
 		start:   time.Now(),
+		exec:    exec,
 		units:   make([]unit, len(scens)),
 		workers: map[string]bool{},
 		done:    make(chan struct{}),
 	}
+	exec.SetBlobSource(backendBlobs{ctx: context.Background(), b: c})
 	if !opt.DisableBlobs {
 		// Snapshot file-backed inputs now: workers without filesystem
 		// access fetch these exact bytes, and the fingerprints below
@@ -357,6 +371,9 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 
 // Grid implements Backend.
 func (c *Coordinator) Grid(context.Context) (sweep.Grid, error) { return c.grid, nil }
+
+// sweepRunner implements inProcess.
+func (c *Coordinator) sweepRunner() *sweep.Runner { return c.exec }
 
 // Lease implements Backend: it grants up to max units — pending ones
 // first-come, plus any whose lease expired (their previous worker is
@@ -479,13 +496,7 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 	fresh := 0
 	defer func() {
 		if fresh > 0 {
-			c.load.TraceRequests += load.TraceRequests
-			c.load.TraceBuilds += load.TraceBuilds
-			c.load.PredictRequests += load.PredictRequests
-			c.load.PredictBuilds += load.PredictBuilds
-			c.load.SharedPlacements += load.SharedPlacements
-			c.load.LookaheadComputed += load.LookaheadComputed
-			c.load.LookaheadUsed += load.LookaheadUsed
+			c.load = c.load.Add(load)
 			// The journal is rewritten on every Complete that landed a
 			// row — including batches that then hit an invalid result —
 			// so a kill at any instant loses at most the in-flight call.
@@ -569,8 +580,10 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Wait blocks until the sweep completes (or ctx is canceled) and
-// returns the merged results: rows in expansion order, worker load
-// stats and cache traffic folded into the summary fields.
+// returns the merged results: rows in expansion order, load stats
+// (the remote workers' reports plus the in-process workers' shared
+// Runner, counted once) and cache traffic folded into the summary
+// fields.
 func (c *Coordinator) Wait(ctx context.Context) (*sweep.Results, error) {
 	select {
 	case <-ctx.Done():
@@ -592,7 +605,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Results, error) {
 	return &sweep.Results{
 		Grid:     c.grid,
 		Runs:     runs,
-		Load:     c.load,
+		Load:     c.load.Add(c.exec.LoadStats()),
 		Cache:    c.opt.Cache.Stats(),
 		CacheErr: c.cacheErr,
 		Workers:  len(c.workers),

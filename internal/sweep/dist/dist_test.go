@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -692,5 +693,108 @@ func TestScenarioFailuresAreRowsNotRetries(t *testing.T) {
 		if res.Runs[i].Err == "" {
 			t.Errorf("run %d has no error despite a missing trace file", i)
 		}
+	}
+}
+
+// fleetGrid is fleet-dist's shape at test scale: two policies on two
+// three-DC fleets, static and under two epoch rebalancers, 12 rows over
+// one trace.
+func fleetGrid() sweep.Grid {
+	return sweep.Grid{
+		Policies:    []string{"EPACT", "COAT"},
+		VMs:         []int{24},
+		MaxServers:  []int{24},
+		HistoryDays: 1,
+		EvalDays:    1,
+		Predictors:  []string{"oracle"},
+		Topologies:  []string{"greedy-proportional@triad", "carbon-greedy@triad-carbon"},
+		Rebalances:  []string{"off", "epoch:4@greedy-proportional", "epoch:6@carbon-greedy"},
+	}
+}
+
+// quietGoroutines returns the goroutine count once it holds still:
+// goroutines of earlier tests may still be exiting.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for prev := -1; prev != n; {
+		prev = n
+		time.Sleep(20 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// goroutinesAfter returns the goroutine count once it has fallen to
+// before, or after 5 s: a goroutine that has returned may still count
+// for a moment.
+func goroutinesAfter(before int) int {
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(5 * time.Second); n != before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestLocalWorkersShareTheCoordinatorsRunner: in-process workers
+// execute on their coordinator's one Runner, so two of them build the
+// trace and the predictions once, and the merged load stats are that
+// Runner's totals, memo hits and lookahead counted once. No goroutine
+// outlives the sweep. A worker over HTTP still builds a Runner of its
+// own, which takes no windows, and leaves the coordinator's untouched.
+func TestLocalWorkersShareTheCoordinatorsRunner(t *testing.T) {
+	ctx := context.Background()
+	before := quietGoroutines()
+	res, _, err := RunLocal(ctx, fleetGrid(), 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Failed(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Load.TraceBuilds != 1 || res.Load.PredictBuilds != 1 {
+		t.Errorf("RunLocal at 2 workers: %d trace and %d prediction builds, want 1 and 1", res.Load.TraceBuilds, res.Load.PredictBuilds)
+	}
+	if after := goroutinesAfter(before); after != before {
+		t.Errorf("%d goroutines after RunLocal, %d before", after, before)
+	}
+
+	c, err := NewCoordinator(fleetGrid(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = RunCoordinator(ctx, c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared := c.exec.LoadStats(); res.Load != shared {
+		t.Errorf("merged load stats %+v, want the shared Runner's %+v", res.Load, shared)
+	}
+	if res.Load.SharedPlacements <= 0 {
+		t.Errorf("%d memo hits on a grid whose rows repeat each other's calls", res.Load.SharedPlacements)
+	}
+	if after := goroutinesAfter(before); after != before {
+		t.Errorf("%d goroutines after RunCoordinator, %d before", after, before)
+	}
+	t.Logf("load: %+v", res.Load)
+
+	c, err = NewCoordinator(fleetGrid(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(c))
+	defer srv.Close()
+	if _, err := Work(ctx, NewClient(srv.URL), WorkerOptions{Name: "http", Poll: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Load.TraceBuilds != 1 || res.Load.LookaheadComputed != 0 || res.Load.LookaheadUsed != 0 {
+		t.Errorf("HTTP worker: load %+v, want its own trace build and no lookahead", res.Load)
+	}
+	if shared := c.exec.LoadStats(); shared != (sweep.LoadStats{}) {
+		t.Errorf("an HTTP worker's run loaded through the coordinator's Runner: %+v", shared)
 	}
 }

@@ -55,6 +55,11 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // executed. Scenario failures are rows, not errors; Work fails only
 // on transport or grid problems.
 //
+// A worker in the coordinator's own process (b is a *Coordinator, or
+// embeds one) builds no Runner: it executes on the coordinator's, which
+// all such workers share, and reports no load stats of its own, since
+// the coordinator counts that Runner once.
+//
 // Workers join and leave freely: there is no registration beyond the
 // first lease, a canceled ctx drains gracefully (executed rows are
 // completed, unexecuted leases released for immediate re-lease), and
@@ -62,18 +67,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // whoever asks next.
 func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 	opt = opt.withDefaults()
-	g, err := b.Grid(ctx)
+	rn, load, err := workerRunner(ctx, b, opt)
 	if err != nil {
-		return 0, fmt.Errorf("dist: fetching grid: %w", err)
+		return 0, err
 	}
-	rn, err := sweep.NewRunner(g)
-	if err != nil {
-		return 0, fmt.Errorf("dist: %w", err)
-	}
-	// File-backed inputs this process cannot read are fetched from the
-	// coordinator by spec and verified against its fingerprints — the
-	// no-shared-filesystem deployment path (see blobstore.go).
-	rn.SetBlobSource(backendBlobs{ctx: ctx, b: b, poll: opt.Poll})
 	exec := rn.Exec
 	if opt.execHook != nil {
 		exec = func(s sweep.Scenario) sweep.RunResult { return opt.execHook(rn, s) }
@@ -170,7 +167,7 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 			}()
 		}
 
-		before := rn.LoadStats()
+		before := load()
 		results := make([]UnitResult, 0, len(reply.Units))
 		drained := false
 		for _, u := range reply.Units {
@@ -186,16 +183,7 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		}
 		close(stopRenew)
 		renewWG.Wait()
-		after := rn.LoadStats()
-		delta := sweep.LoadStats{
-			TraceRequests:     after.TraceRequests - before.TraceRequests,
-			TraceBuilds:       after.TraceBuilds - before.TraceBuilds,
-			PredictRequests:   after.PredictRequests - before.PredictRequests,
-			PredictBuilds:     after.PredictBuilds - before.PredictBuilds,
-			SharedPlacements:  after.SharedPlacements - before.SharedPlacements,
-			LookaheadComputed: after.LookaheadComputed - before.LookaheadComputed,
-			LookaheadUsed:     after.LookaheadUsed - before.LookaheadUsed,
-		}
+		delta := load().Sub(before)
 		if drained {
 			// Graceful leave: land the rows already executed and hand
 			// the unexecuted leases back for immediate re-lease, on a
@@ -225,6 +213,35 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		}
 		executed += len(results)
 	}
+}
+
+// inProcess is a Backend in the coordinator's own process: the
+// *Coordinator, or a type that embeds one.
+type inProcess interface {
+	sweepRunner() *sweep.Runner
+}
+
+// workerRunner returns the Runner a worker on b executes on and the
+// load stats it reports: the coordinator's shared Runner and none when
+// b is in process, else a Runner of its own for the coordinator's grid,
+// fetching the files it cannot read from b.
+func workerRunner(ctx context.Context, b Backend, opt WorkerOptions) (*sweep.Runner, func() sweep.LoadStats, error) {
+	if ip, ok := b.(inProcess); ok {
+		return ip.sweepRunner(), func() sweep.LoadStats { return sweep.LoadStats{} }, nil
+	}
+	g, err := b.Grid(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: fetching grid: %w", err)
+	}
+	rn, err := sweep.NewRunner(g)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	// File-backed inputs this process cannot read are fetched from the
+	// coordinator by spec and verified against its fingerprints — the
+	// no-shared-filesystem deployment path (see blobstore.go).
+	rn.SetBlobSource(backendBlobs{ctx: ctx, b: b, poll: opt.Poll})
+	return rn, rn.LoadStats, nil
 }
 
 // RunLocal runs the whole distributed pipeline in one process: a

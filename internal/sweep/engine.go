@@ -207,8 +207,10 @@ func Run(g Grid, opt Options) (*Results, error) {
 	}
 
 	start := time.Now()
-	rn := newRunner(g, runMemoBudget)
-	rn.memo.ahead = true
+	rn, err := NewSweepRunner(g)
+	if err != nil {
+		return nil, err
+	}
 	runs := make([]RunResult, len(scens))
 
 	var (

@@ -122,12 +122,38 @@ type LoadStats struct {
 	// report their memo's hits through it.
 	SharedPlacements int64 `json:"shared_placements"`
 
-	// LookaheadComputed counts the allocations idle Run workers
-	// computed ahead of their steppers (see lookahead.go), and
+	// LookaheadComputed counts the allocations a sweep's Runner
+	// computed ahead of its steppers (see lookahead.go), and
 	// LookaheadUsed how many of those a stepper used. A stepper's
 	// first use of such an entry counts here, not as shared.
 	LookaheadComputed int64 `json:"lookahead_computed"`
 	LookaheadUsed     int64 `json:"lookahead_used"`
+}
+
+// Add returns the field-wise sum s + o.
+func (s LoadStats) Add(o LoadStats) LoadStats {
+	return LoadStats{
+		TraceRequests:     s.TraceRequests + o.TraceRequests,
+		TraceBuilds:       s.TraceBuilds + o.TraceBuilds,
+		PredictRequests:   s.PredictRequests + o.PredictRequests,
+		PredictBuilds:     s.PredictBuilds + o.PredictBuilds,
+		SharedPlacements:  s.SharedPlacements + o.SharedPlacements,
+		LookaheadComputed: s.LookaheadComputed + o.LookaheadComputed,
+		LookaheadUsed:     s.LookaheadUsed + o.LookaheadUsed,
+	}
+}
+
+// Sub returns the field-wise difference s - o.
+func (s LoadStats) Sub(o LoadStats) LoadStats {
+	return LoadStats{
+		TraceRequests:     s.TraceRequests - o.TraceRequests,
+		TraceBuilds:       s.TraceBuilds - o.TraceBuilds,
+		PredictRequests:   s.PredictRequests - o.PredictRequests,
+		PredictBuilds:     s.PredictBuilds - o.PredictBuilds,
+		SharedPlacements:  s.SharedPlacements - o.SharedPlacements,
+		LookaheadComputed: s.LookaheadComputed - o.LookaheadComputed,
+		LookaheadUsed:     s.LookaheadUsed - o.LookaheadUsed,
+	}
 }
 
 func (l *loader) stats() LoadStats {

@@ -8,17 +8,23 @@ import (
 	"repro/internal/dcsim"
 )
 
-// Allocating ahead on idle workers (Run only).
+// Allocating ahead of the steppers (NewSweepRunner only).
 //
 // Every planning input of a dcsim window is known when it opens, so a
 // stepper offers its window [First, Last) to its policy
-// (dcsim.LookaheadPolicy). In Run the memo keeps the open windows, and
-// a worker with no row left becomes a helper: it claims the latest
-// unclaimed slot of the oldest open window, packs that slot's demands
-// as the stepper will, and computes the allocation into the memo under
-// the key the stepper's own call derives. That call then hits the
-// entry or waits on it; its first use counts as LoadStats.LookaheadUsed
-// rather than as a shared placement.
+// (dcsim.LookaheadPolicy). A sweep's memo keeps the open windows, and a
+// goroutine with nothing of its own to compute becomes a helper: it
+// claims the latest unclaimed slot of the oldest open window, packs
+// that slot's demands as the stepper will, and computes the allocation
+// into the memo under the key the stepper's own call derives. That
+// call then hits the entry or waits on it; its first use counts as
+// LoadStats.LookaheadUsed rather than as a shared placement.
+//
+// Helpers are Run's workers with no row left (help), and steppers
+// whose call finds its input pending under another goroutine (await):
+// a waiter computes claimable slots one at a time, rechecks its own
+// entry after each, and blocks only once nothing is claimable. Both
+// take the same one-slot step.
 //
 // A helper claims slots from a window's far end backwards and stops
 // claiming it once it meets the stepper: the slot's input already has
@@ -46,8 +52,8 @@ type window struct {
 // of the row closes those a failed fleet step left open.
 type aheadRow struct{ wins []*window }
 
-// Offer implements dcsim.LookaheadPolicy: in Run, the window joins the
-// open windows helpers claim slots from.
+// Offer implements dcsim.LookaheadPolicy: on a sweep's Runner, the
+// window joins the open windows helpers claim slots from.
 func (p *memoPolicy) Offer(w *dcsim.Window) {
 	if p.row == nil {
 		return
@@ -142,44 +148,75 @@ func (m *allocMemo) used(key digest, e *allocEntry) {
 }
 
 // help computes open windows' slots ahead of their steppers until
-// stopAhead. It reuses one demand buffer, and one policy while the
-// windows it serves share a policy name and server model.
+// stopAhead.
 func (m *allocMemo) help() {
-	var (
-		dem    dcsim.SlotDemands
-		pol    alloc.Policy
-		prefix []byte
-	)
-	for {
-		win, s, ok := m.claim()
-		if !ok {
-			return
-		}
-		vms := win.w.Demands(s, &dem)
-		key := m.key(win.pol.prefix, vms, win.w.Spec)
-		e := m.reserve(win, s, key)
-		if e == nil {
-			continue
-		}
-		var (
-			a   *alloc.Assignment
-			err error
-		)
-		if pol == nil || !bytes.Equal(prefix, win.pol.prefix) {
-			pol, err = newPolicy(win.pol.name, win.pol.model)
-			prefix = win.pol.prefix
-		}
-		if err == nil {
-			a, err = pol.Allocate(vms, win.w.Spec)
-		}
-		m.finishAhead(key, e, a, err)
+	var h helper
+	for h.step(m, true) {
 	}
 }
 
-// claim waits until an open window has a slot ahead of its stepper
-// and the budget has room for one more entry, and reserves both. It
-// reports false once lookahead has stopped.
-func (m *allocMemo) claim() (*window, int, bool) {
+// await returns once e is released. On a sweep's memo the caller
+// first helps: it computes claimable slots while e is still pending.
+func (p *memoPolicy) await(e *allocEntry) {
+	if p.memo.ahead {
+		for !e.released() && p.help.step(p.memo, false) {
+		}
+	}
+	<-e.done
+}
+
+func (e *allocEntry) released() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// helper is one goroutine's lookahead state: a demand buffer it reuses,
+// and the policy it last built, kept while the windows it serves share
+// a policy name and server model.
+type helper struct {
+	dem    dcsim.SlotDemands
+	pol    alloc.Policy
+	prefix []byte
+}
+
+// step claims one slot ahead of its stepper and computes it into the
+// memo. It reports false when it claimed nothing: once lookahead has
+// stopped when wait is set, else also when no slot is claimable now.
+func (h *helper) step(m *allocMemo, wait bool) bool {
+	win, s, ok := m.claim(wait)
+	if !ok {
+		return false
+	}
+	vms := win.w.Demands(s, &h.dem)
+	key := m.key(win.pol.prefix, vms, win.w.Spec)
+	e := m.reserve(win, s, key)
+	if e == nil {
+		return true
+	}
+	var (
+		a   *alloc.Assignment
+		err error
+	)
+	if h.pol == nil || !bytes.Equal(h.prefix, win.pol.prefix) {
+		h.pol, err = newPolicy(win.pol.name, win.pol.model)
+		h.prefix = win.pol.prefix
+	}
+	if err == nil {
+		a, err = h.pol.Allocate(vms, win.w.Spec)
+	}
+	m.finishAhead(key, e, a, err)
+	return true
+}
+
+// claim finds an open window with a slot ahead of its stepper while the
+// budget has room for one more entry, and reserves both. With wait it
+// waits for one until lookahead stops; without, it reports false at
+// once when there is none.
+func (m *allocMemo) claim(wait bool) (*window, int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.stopped {
@@ -190,6 +227,9 @@ func (m *allocMemo) claim() (*window, int, bool) {
 				m.aheadBytes += win.est
 				return win, s, true
 			}
+		}
+		if !wait {
+			break
 		}
 		m.wake.Wait()
 	}
@@ -208,8 +248,7 @@ func (m *allocMemo) reserve(win *window, s int, key digest) *allocEntry {
 		win.cursor = win.w.First - 1
 		return nil
 	}
-	e := &allocEntry{win: win, size: win.est}
-	e.done.Add(1)
+	e := &allocEntry{done: make(chan struct{}), win: win, size: win.est}
 	m.entries[key] = e
 	win.keys = append(win.keys, key)
 	return e
@@ -237,5 +276,5 @@ func (m *allocMemo) finishAhead(key digest, e *allocEntry, a *alloc.Assignment, 
 		e.win = nil
 	}
 	m.mu.Unlock()
-	e.done.Done()
+	close(e.done)
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -202,5 +204,207 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 	if after != before {
 		t.Fatalf("%d goroutines after Run, %d before", after, before)
+	}
+}
+
+// TestWaitersAllocateAhead: two pricing siblings (EPACT on ntc and on
+// tdp) make the same allocation calls, so run side by side on a sweep's
+// Runner they step in lockstep, each finding calls the other is still
+// computing. Nothing else helps here, as in Run with two workers while
+// both rows run, so every slot computed ahead is a waiter's. Bytes must
+// equal the memo-off rows and shared placements the serial count.
+// Whether the rows meet on a pending call depends on scheduling, so a
+// run without waiter help is retried; the byte and count checks hold
+// on every run.
+func TestWaitersAllocateAhead(t *testing.T) {
+	g := Grid{Policies: []string{"EPACT"}, VMs: []int{120}, MaxServers: []int{120},
+		HistoryDays: 1, EvalDays: 3, Seeds: []int64{2018}, Predictors: []string{"oracle"},
+		PowerModels: []string{"ntc", "tdp"}}
+	scens, err := Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.memo = nil
+	want := &Results{Grid: ref.Grid()}
+	for _, s := range scens {
+		want.Runs = append(want.Runs, ref.Exec(s))
+	}
+	if err := want.Failed(); err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := want.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, hits := memoRun(t, g)
+	wantHits := int64(hits[0] + hits[1])
+
+	for attempt := 1; ; attempt++ {
+		rn, err := NewSweepRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Results{Grid: rn.Grid(), Runs: make([]RunResult, len(scens))}
+		var wg sync.WaitGroup
+		for i := range scens {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res.Runs[i] = rn.Exec(scens[i])
+			}()
+		}
+		wg.Wait()
+		if got := res.CSV(); got != want.CSV() {
+			t.Fatalf("CSV differs from memo-off rows:\n%s\nvs\n%s", got, want.CSV())
+		}
+		js, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js, wantJSON) {
+			t.Fatal("JSON differs from memo-off rows")
+		}
+		ld := rn.LoadStats()
+		if ld.SharedPlacements != wantHits {
+			t.Errorf("%d memo hits, want the serial %d", ld.SharedPlacements, wantHits)
+		}
+		if ld.LookaheadUsed > ld.LookaheadComputed {
+			t.Errorf("%d lookahead entries used but only %d computed", ld.LookaheadUsed, ld.LookaheadComputed)
+		}
+		t.Logf("attempt %d: waiters computed %d allocations ahead, %d used", attempt, ld.LookaheadComputed, ld.LookaheadUsed)
+		if ld.LookaheadComputed > 0 {
+			return
+		}
+		if attempt == 5 {
+			t.Fatal("no waiter computed a slot ahead in 5 runs")
+		}
+	}
+}
+
+// TestWaiterHelpsOnlyWhilePending: with a window open on a sweep's
+// memo, a call whose input is already filled takes the entry and
+// computes nothing ahead; a call that finds its input pending computes
+// the window's slots, stops soon after the input is filled, and never
+// takes a failed entry, running its own policy instead.
+func TestWaiterHelpsOnlyWhilePending(t *testing.T) {
+	g := Grid{Policies: []string{"EPACT"}, VMs: []int{120}, MaxServers: []int{120},
+		HistoryDays: 1, EvalDays: 7, Predictors: []string{"oracle"}}
+	scens, err := Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := power.NTCServer()
+	vms, spec := memoInput(model)
+	inner, err := newPolicy("EPACT", model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := inner.Allocate(vms, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// open returns a sweep's memo with one stepper's window open, and
+	// how many of its slots a helper may claim.
+	open := func(t *testing.T) (*allocMemo, int) {
+		t.Helper()
+		rn, err := NewSweepRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := &aheadRow{}
+		cfg, _, err := rn.fleetConfig(scens[0], row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := topology.NewStepper(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(row.wins) != 1 {
+			t.Fatalf("%d windows offered, want 1", len(row.wins))
+		}
+		t.Cleanup(func() { rn.memo.endRow(row) })
+		w := row.wins[0].w
+		return rn.memo, w.Last - 1 - w.Next()
+	}
+
+	t.Run("filled", func(t *testing.T) {
+		m, _ := open(t)
+		pol, _ := counted(t, m, "EPACT", model)
+		if _, err := pol.Allocate(vms, spec); err != nil {
+			t.Fatal(err)
+		}
+		a, err := pol.Allocate(vms, spec)
+		if err != nil || !sameAssignment(a, want) {
+			t.Fatalf("second call: %+v, %v", a, err)
+		}
+		if n := m.aheadComputed.Load(); n != 0 {
+			t.Errorf("a call whose input was filled computed %d slots ahead, want 0", n)
+		}
+		if h := m.hits.Load(); h != 1 {
+			t.Errorf("%d hits, want 1", h)
+		}
+	})
+
+	for _, fails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pending/fails=%v", fails), func(t *testing.T) {
+			m, claimable := open(t)
+			filler, fcp := counted(t, m, "EPACT", model)
+			fcp.gate = make(chan struct{})
+			if fails {
+				fcp.fail = func(int64) bool { return true }
+			}
+			waiter, wcp := counted(t, m, "EPACT", model)
+
+			filled := make(chan error)
+			go func() {
+				_, err := filler.Allocate(vms, spec)
+				filled <- err
+			}()
+			for fcp.calls.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			type answer struct {
+				a   *alloc.Assignment
+				err error
+			}
+			waited := make(chan answer)
+			go func() {
+				a, err := waiter.Allocate(vms, spec)
+				waited <- answer{a, err}
+			}()
+			// The entry stays pending until the waiter has computed a
+			// slot ahead.
+			for deadline := time.Now().Add(10 * time.Second); m.aheadComputed.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the waiter computed nothing ahead while the entry was pending")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			close(fcp.gate)
+			if err := <-filled; (err != nil) != fails {
+				t.Fatalf("filling call: %v", err)
+			}
+			got := <-waited
+			if got.err != nil || !sameAssignment(got.a, want) {
+				t.Fatalf("waiting call: %+v, %v", got.a, got.err)
+			}
+			// Only a failed entry sends the waiter to its own policy.
+			wantCalls := int64(0)
+			if fails {
+				wantCalls = 1
+			}
+			if n := wcp.calls.Load(); n != wantCalls {
+				t.Errorf("the waiter's policy ran %d times, want %d", n, wantCalls)
+			}
+			if n := m.aheadComputed.Load(); n >= int64(claimable)/2 {
+				t.Errorf("the waiter computed %d of the window's %d claimable slots: it went on after its entry was released", n, claimable)
+			}
+			t.Logf("the waiter computed %d of %d claimable slots", m.aheadComputed.Load(), claimable)
+		})
 	}
 }

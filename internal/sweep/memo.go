@@ -28,22 +28,27 @@ import (
 // Exec, Run, dist workers and the live service all share through it;
 // everything after Allocate still runs per row.
 //
-// In Run, the memo also takes the slot windows its policies' steppers
-// offer (dcsim.LookaheadPolicy), and workers with no row left compute
-// those windows' later slots into it ahead of the steppers
-// (lookahead.go). A stepper's call then hits, or waits on, the entry a
-// helper made; since an entry answers only its exact input, lookahead
-// moves work between cores and changes no result.
+// A Runner for one sweep (Run, and the in-process dist workers that
+// share their coordinator's) also takes the slot windows its policies'
+// steppers offer (dcsim.LookaheadPolicy), and computes those windows'
+// later slots into the memo ahead of the steppers (lookahead.go): on
+// Run's workers with no row left, and on any stepper whose call finds
+// its input pending under another goroutine, until that input is
+// filled. A stepper's call then hits, or waits on, the entry a helper
+// made; since an entry answers only its exact input, lookahead moves
+// work between cores and changes no result.
 
 // The memo keeps the bytes of its finished entries within a budget;
 // past it the oldest go first. A Runner from NewRunner may live as long
 // as a daemon (ntc-serve), where every MB held raises the heap's
-// garbage-collection goal, so it keeps 1 MB: enough for fleet-dist's
-// 336 distinct 600-VM inputs. Run's Runner lives for one sweep and
-// keeps enough for pricing siblings several rows apart to meet:
-// policy-grid's 1,008 distinct 600-VM inputs take about 1.6 MB.
-// Lookahead helpers' unused entries sit beside the budget, in at most
-// half as many bytes again.
+// garbage-collection goal, so it keeps 1 MB: enough for all of
+// fleet-dist's 336 distinct 600-VM inputs (about 0.5 MB) on a remote
+// dist worker. A Runner from NewSweepRunner lives for one sweep (Run's,
+// and the one a coordinator's in-process workers share) and keeps
+// enough for pricing siblings several rows apart to meet: policy-grid's
+// 1,008 distinct 600-VM inputs take about 1.6 MB. Lookahead helpers'
+// unused entries sit beside the budget, in at most half as many bytes
+// again.
 const (
 	memoBudget    = 1 << 20
 	runMemoBudget = 2 << 20
@@ -86,11 +91,11 @@ type allocMemo struct {
 	hits, aheadComputed, aheadUsed atomic.Int64
 }
 
-// allocEntry is one input's allocation. done is released once the
-// entry is filled (ok) or abandoned (the call failed or its Assignment
-// cannot be stored); p is immutable after that.
+// allocEntry is one input's allocation. done is closed once the entry
+// is filled (ok) or abandoned (the call failed or its Assignment cannot
+// be stored); p is immutable after that.
 type allocEntry struct {
-	done sync.WaitGroup
+	done chan struct{}
 	ok   bool
 	p    placement
 
@@ -138,10 +143,12 @@ type memoPolicy struct {
 	prefix []byte // the policy name and server model, encoded
 
 	// name and model rebuild the policy for a helper; row is the Exec
-	// that built it (nil outside Exec).
+	// that built it (nil outside Exec); help is the state its caller
+	// allocates ahead with while it waits (lookahead.go).
 	name  string
 	model power.Model
 	row   *aheadRow
+	help  helper
 }
 
 func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*alloc.Assignment, error) {
@@ -150,15 +157,14 @@ func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*all
 	m.mu.Lock()
 	e, found := m.entries[key]
 	if !found {
-		e = &allocEntry{}
-		e.done.Add(1)
+		e = &allocEntry{done: make(chan struct{})}
 		m.entries[key] = e
 	}
 	m.mu.Unlock()
 	if !found {
 		return m.fill(key, e, p.Policy, vms, spec)
 	}
-	e.done.Wait()
+	p.await(e)
 	if !e.ok {
 		// Never serve a failure: run the call again, which returns
 		// the policy's own result or error.
@@ -182,7 +188,7 @@ func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, vms []allo
 			delete(m.entries, key)
 		}
 		m.mu.Unlock()
-		e.done.Done()
+		close(e.done)
 	}()
 	a, err = pol.Allocate(vms, spec)
 	if err == nil {

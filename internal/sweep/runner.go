@@ -27,19 +27,30 @@ type Runner struct {
 	memo *allocMemo
 }
 
-func newRunner(g Grid, memoBytes int) *Runner {
-	return &Runner{grid: g, ld: &loader{}, memo: newAllocMemo(memoBytes)}
-}
-
 // NewRunner validates the grid (after defaulting) and returns a
 // Runner for it. The grid must be the same one scenarios were
 // expanded from: custom transition models are resolved against it.
-func NewRunner(g Grid) (*Runner, error) {
+func NewRunner(g Grid) (*Runner, error) { return newRunner(g, false) }
+
+// NewSweepRunner is NewRunner for a Runner that lives for one sweep,
+// as Run's does: its allocation memo keeps more, and takes the windows
+// its steppers offer, so a stepper that waits on another's allocation
+// computes later slots meanwhile (see lookahead.go). The in-process
+// dist workers of one coordinator share one.
+func NewSweepRunner(g Grid) (*Runner, error) { return newRunner(g, true) }
+
+func newRunner(g Grid, oneSweep bool) (*Runner, error) {
 	g = g.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return newRunner(g, memoBudget), nil
+	budget := memoBudget
+	if oneSweep {
+		budget = runMemoBudget
+	}
+	m := newAllocMemo(budget)
+	m.ahead = oneSweep
+	return &Runner{grid: g, ld: &loader{}, memo: m}, nil
 }
 
 // Grid returns the defaulted grid the Runner executes.
