@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sweep"
@@ -87,6 +90,55 @@ func TestWhatIfPowerModelAxis(t *testing.T) {
 	if ntc.TotalEnergyMJ == tdp.TotalEnergyMJ {
 		t.Error("power models priced identical energy — the axis is inert over HTTP")
 	}
+}
+
+// TestWhatIfSiblingsSideBySide: what-ifs on pricing siblings (EPACT on
+// ntc and on tdp) posted at once execute side by side on the server's
+// one Runner, where a call that finds its sibling's allocation pending
+// computes later slots meanwhile. Each answer must be byte-identical to
+// the same what-if answered alone by a fresh server.
+func TestWhatIfSiblingsSideBySide(t *testing.T) {
+	const path = "/v1/sessions/default/whatif"
+	reqs := []string{`{"power_models": ["ntc"]}`, `{"power_models": ["tdp"]}`}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		ts := httptest.NewServer(newTestServer(t, Options{}).Handler())
+		code, _, body := doReq(t, ts, http.MethodPost, path, req)
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("what-if %s alone: status %d: %s", req, code, body)
+		}
+		want[i] = body
+	}
+
+	s := newTestServer(t, Options{WhatIfWorkers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	got := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Errorf("what-if %s: %v", req, err)
+				return
+			}
+			defer resp.Body.Close()
+			if got[i], err = io.ReadAll(resp.Body); err != nil {
+				t.Errorf("what-if %s: %v", req, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, req := range reqs {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("what-if %s side by side:\n%s\nalone:\n%s", req, got[i], want[i])
+		}
+	}
+	ld := s.runner.LoadStats()
+	t.Logf("waiters computed %d allocations ahead, %d used", ld.LookaheadComputed, ld.LookaheadUsed)
 }
 
 // TestWhatIfIgnoresStaleV3Rows pins the v3→v4 migration on the

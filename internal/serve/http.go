@@ -198,23 +198,30 @@ type stepResponse struct {
 	Stepped int    `json:"stepped"`
 }
 
+// decodeBody parses body as exactly one JSON value into v: unknown
+// fields, malformed JSON and anything after the value are rejected
+// (typo safety; a second value is a smuggling attempt or a
+// concatenation bug). what names the request in the error.
+func decodeBody(body []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parsing %s request: %w", what, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s request has trailing data after the JSON object", what)
+	}
+	return nil
+}
+
 // decodeStep parses a step body with the same hermetic gates as the
-// what-if decoder: unknown fields and trailing JSON values are
-// rejected. The empty body steps one slot.
+// what-if decoder. The empty body steps one slot.
 func decodeStep(body []byte) (stepRequest, error) {
 	var req stepRequest
 	if len(body) == 0 {
 		return req, nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("parsing step request: %w", err)
-	}
-	if dec.More() {
-		return req, fmt.Errorf("step request has trailing data after the JSON object")
-	}
-	return req, nil
+	return req, decodeBody(body, &req, "step")
 }
 
 // handleSessionStep advances one session. Exhaustion and full gating
@@ -277,15 +284,9 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, msg)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req observeRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing observe request: "+err.Error())
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "observe request has trailing data after the JSON object")
+	if err := decodeBody(body, &req, "observe"); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ingested, err := sess.Observe(req.Slot, req.CPU, req.Mem)

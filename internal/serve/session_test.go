@@ -90,6 +90,11 @@ func TestEndpointConformance(t *testing.T) {
 		{"step-malformed", http.MethodPost, "/v1/sessions/default/step", `slots`, http.StatusBadRequest, ""},
 		{"step-too-large", http.MethodPost, "/v1/sessions/default/step", `{"slots": 1}` + strings.Repeat(" ", maxStepBody), http.StatusRequestEntityTooLarge, ""},
 		{"session-step-unknown-field", http.MethodPost, "/v1/sessions/default/step", `{"bogus": 2}`, http.StatusBadRequest, ""},
+		// A closing bracket after the object is trailing data too.
+		{"step-trailing-bracket", http.MethodPost, "/v1/sessions/default/step", `{"slots": 1}]`, http.StatusBadRequest, ""},
+		{"observe-trailing-bracket", http.MethodPost, "/v1/sessions/default/observe", `{"slot": 0}}`, http.StatusBadRequest, ""},
+		{"whatif-trailing-bracket", http.MethodPost, "/v1/sessions/default/whatif", `{"fork": true}]`, http.StatusBadRequest, ""},
+		{"create-trailing-bracket", http.MethodPost, "/v1/sessions", `{"id": "b"}]`, http.StatusBadRequest, ""},
 
 		{"create-bad-id", http.MethodPost, "/v1/sessions", `{"id": "no spaces"}`, http.StatusBadRequest, ""},
 		{"create-empty-id", http.MethodPost, "/v1/sessions", `{}`, http.StatusBadRequest, ""},

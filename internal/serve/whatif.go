@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -144,16 +142,9 @@ func gridForScenario(base sweep.Grid, s sweep.Scenario) sweep.Grid {
 //     bounded, so a crafted request cannot balloon memory or lease an
 //     unbounded sweep.
 func decodeWhatIf(body []byte, base sweep.Grid, maxScenarios, maxVMs int) (*WhatIfRequest, []sweep.Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req WhatIfRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("serve: parsing what-if request: %w", err)
-	}
-	// A second JSON value after the request object is a smuggling
-	// attempt or a concatenation bug; either way, reject loudly.
-	if dec.More() {
-		return nil, nil, fmt.Errorf("serve: what-if request has trailing data after the JSON object")
+	if err := decodeBody(body, &req, "what-if"); err != nil {
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	if req.Fork {
 		for _, n := range req.axes() {
@@ -277,14 +268,9 @@ type sessionCreateRequest struct {
 // gates (the delta surface is identical) plus the session rules: a
 // valid id and a delta that pins exactly one scenario.
 func decodeSessionCreate(body []byte, base sweep.Grid, maxScenarios, maxVMs int) (id string, ingest bool, scen sweep.Scenario, err error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req sessionCreateRequest
-	if err := dec.Decode(&req); err != nil {
-		return "", false, sweep.Scenario{}, fmt.Errorf("serve: parsing session-create request: %w", err)
-	}
-	if dec.More() {
-		return "", false, sweep.Scenario{}, fmt.Errorf("serve: session-create request has trailing data after the JSON object")
+	if err := decodeBody(body, &req, "session-create"); err != nil {
+		return "", false, sweep.Scenario{}, fmt.Errorf("serve: %w", err)
 	}
 	if err := validSessionID(req.ID); err != nil {
 		return "", false, sweep.Scenario{}, err

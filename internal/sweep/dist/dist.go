@@ -255,8 +255,12 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 	if err != nil {
 		return nil, err
 	}
-	// The runner is used for cache keys only (fingerprints, resolved
-	// transition models); the coordinator never executes scenarios.
+	// The key Runner fingerprints inputs and resolves transition models
+	// now, reading the files as they are at construction. It is not
+	// c.exec: sharing one would hand in-process workers the inputs read
+	// here, while they must resolve inputs as a diskless worker does
+	// (TestWorkerWithoutFilesystemCompletesViaBlobShipping/inproc and
+	// TestBlobsDisabledFallBackToLocal pin that).
 	rn, err := sweep.NewRunner(g)
 	if err != nil {
 		return nil, err
@@ -268,7 +272,7 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		opt.Clock = time.Now
 	}
 
-	exec, err := sweep.NewSweepRunner(g)
+	exec, err := sweep.NewRunner(g)
 	if err != nil {
 		return nil, err
 	}

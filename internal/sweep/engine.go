@@ -207,7 +207,7 @@ func Run(g Grid, opt Options) (*Results, error) {
 	}
 
 	start := time.Now()
-	rn, err := NewSweepRunner(g)
+	rn, err := NewRunner(g)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +424,7 @@ func (r *Runner) Exec(s Scenario) RunResult {
 	}
 
 	var row *aheadRow
-	if r.memo != nil && r.memo.ahead {
+	if r.memo != nil {
 		row = &aheadRow{}
 		defer r.memo.endRow(row)
 	}

@@ -122,8 +122,8 @@ type LoadStats struct {
 	// report their memo's hits through it.
 	SharedPlacements int64 `json:"shared_placements"`
 
-	// LookaheadComputed counts the allocations a sweep's Runner
-	// computed ahead of its steppers (see lookahead.go), and
+	// LookaheadComputed counts the allocations the Runner's helpers
+	// and waiters computed ahead of its steppers (see lookahead.go), and
 	// LookaheadUsed how many of those a stepper used. A stepper's
 	// first use of such an entry counts here, not as shared.
 	LookaheadComputed int64 `json:"lookahead_computed"`

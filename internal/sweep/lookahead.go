@@ -8,23 +8,27 @@ import (
 	"repro/internal/dcsim"
 )
 
-// Allocating ahead of the steppers (NewSweepRunner only).
+// Allocating ahead of the steppers.
 //
 // Every planning input of a dcsim window is known when it opens, so a
 // stepper offers its window [First, Last) to its policy
-// (dcsim.LookaheadPolicy). A sweep's memo keeps the open windows, and a
-// goroutine with nothing of its own to compute becomes a helper: it
-// claims the latest unclaimed slot of the oldest open window, packs
-// that slot's demands as the stepper will, and computes the allocation
-// into the memo under the key the stepper's own call derives. That
-// call then hits the entry or waits on it; its first use counts as
-// LoadStats.LookaheadUsed rather than as a shared placement.
+// (dcsim.LookaheadPolicy). The memo keeps the windows Exec's steppers
+// offer while their row runs, and a goroutine with nothing of its own
+// to compute becomes a helper: it claims the latest unclaimed slot of
+// the oldest open window, packs that slot's demands as the stepper
+// will, and computes the allocation into the memo under the key the
+// stepper's own call derives. That call then hits the entry or waits
+// on it; its first use counts as LoadStats.LookaheadUsed rather than
+// as a shared placement.
 //
 // Helpers are Run's workers with no row left (help), and steppers
 // whose call finds its input pending under another goroutine (await):
 // a waiter computes claimable slots one at a time, rechecks its own
 // entry after each, and blocks only once nothing is claimable. Both
-// take the same one-slot step.
+// take the same one-slot step. Outside Run (ntc-serve, remote dist
+// workers) only waiters help. Steppers from StepperConfig and
+// LiveStepperConfig offer no window, so a Runner that outlives its
+// rows holds none between them.
 //
 // A helper claims slots from a window's far end backwards and stops
 // claiming it once it meets the stepper: the slot's input already has
@@ -52,7 +56,7 @@ type window struct {
 // of the row closes those a failed fleet step left open.
 type aheadRow struct{ wins []*window }
 
-// Offer implements dcsim.LookaheadPolicy: on a sweep's Runner, the
+// Offer implements dcsim.LookaheadPolicy: for a policy Exec built, the
 // window joins the open windows helpers claim slots from.
 func (p *memoPolicy) Offer(w *dcsim.Window) {
 	if p.row == nil {
@@ -61,7 +65,7 @@ func (p *memoPolicy) Offer(w *dcsim.Window) {
 	m := p.memo
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.ahead || m.stopped {
+	if m.stopped {
 		return
 	}
 	elem := 2 // placement indices: uint16 below 65,536 VMs, else int32
@@ -130,10 +134,6 @@ func (m *allocMemo) stopAhead() {
 // placement, or the first use of a helper's entry, which then joins
 // the FIFO like any entry.
 func (m *allocMemo) used(key digest, e *allocEntry) {
-	if !m.ahead {
-		m.hits.Add(1)
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e.win == nil {
@@ -155,12 +155,10 @@ func (m *allocMemo) help() {
 	}
 }
 
-// await returns once e is released. On a sweep's memo the caller
-// first helps: it computes claimable slots while e is still pending.
+// await returns once e is released. The caller first helps: it
+// computes claimable slots while e is still pending.
 func (p *memoPolicy) await(e *allocEntry) {
-	if p.memo.ahead {
-		for !e.released() && p.help.step(p.memo, false) {
-		}
+	for !e.released() && p.help.step(p.memo, false) {
 	}
 	<-e.done
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dcsim"
 	"repro/internal/power"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // offerCounter is a dcsim.LookaheadPolicy that counts offers.
@@ -89,7 +90,6 @@ func TestFailedRowWithdrawsWindows(t *testing.T) {
 	// Half this budget holds at most two of a 20-VM DC's entries
 	// ahead, so the stepper's first calls still reach its policy.
 	m := newAllocMemo(4 * (entryOverhead + 4*60))
-	m.ahead = true
 	rn.memo = m
 	scens, err := Expand(g)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestWaitersAllocateAhead: two pricing siblings (EPACT on ntc and on
-// tdp) make the same allocation calls, so run side by side on a sweep's
+// tdp) make the same allocation calls, so run side by side on one
 // Runner they step in lockstep, each finding calls the other is still
 // computing. Nothing else helps here, as in Run with two workers while
 // both rows run, so every slot computed ahead is a waiter's. Bytes must
@@ -244,7 +244,7 @@ func TestWaitersAllocateAhead(t *testing.T) {
 	wantHits := int64(hits[0] + hits[1])
 
 	for attempt := 1; ; attempt++ {
-		rn, err := NewSweepRunner(g)
+		rn, err := NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestWaitersAllocateAhead(t *testing.T) {
 	}
 }
 
-// TestWaiterHelpsOnlyWhilePending: with a window open on a sweep's
+// TestWaiterHelpsOnlyWhilePending: with a window open on a Runner's
 // memo, a call whose input is already filled takes the entry and
 // computes nothing ahead; a call that finds its input pending computes
 // the window's slots, stops soon after the input is filled, and never
@@ -308,11 +308,11 @@ func TestWaiterHelpsOnlyWhilePending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// open returns a sweep's memo with one stepper's window open, and
+	// open returns a Runner's memo with one stepper's window open, and
 	// how many of its slots a helper may claim.
 	open := func(t *testing.T) (*allocMemo, int) {
 		t.Helper()
-		rn, err := NewSweepRunner(g)
+		rn, err := NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,4 +407,90 @@ func TestWaiterHelpsOnlyWhilePending(t *testing.T) {
 			t.Logf("the waiter computed %d of %d claimable slots", m.aheadComputed.Load(), claimable)
 		})
 	}
+}
+
+// TestLongLivedRunnerHoldsNoWindows: a Runner that outlives its rows,
+// as a daemon's does, holds a window only while an Exec runs. Steppers
+// from StepperConfig and LiveStepperConfig, stepped to the end, never
+// open one, and two pricing siblings executed side by side leave no
+// window and no helper bytes behind.
+func TestLongLivedRunnerHoldsNoWindows(t *testing.T) {
+	g := Grid{Policies: []string{"EPACT"}, VMs: []int{40}, MaxServers: []int{40},
+		HistoryDays: 1, EvalDays: 1, Predictors: []string{"oracle"},
+		PowerModels: []string{"ntc", "tdp"}}
+	rn, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens, err := Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdsNone := func(when string) {
+		t.Helper()
+		m := rn.memo
+		m.mu.Lock()
+		n, b := len(m.windows), m.aheadBytes
+		m.mu.Unlock()
+		if n != 0 || b != 0 {
+			t.Fatalf("%s: the memo holds %d open windows and %d ahead bytes, want none", when, n, b)
+		}
+	}
+	stepAll := func(name string, cfg topology.Config, observe func(slot int)) {
+		t.Helper()
+		st, err := topology.NewStepper(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holdsNone(name + " stepper built")
+		for s := 0; !st.Done(); s++ {
+			if observe != nil {
+				observe(s)
+			}
+			if _, err := st.Step(); err != nil {
+				t.Fatal(err)
+			}
+			holdsNone(fmt.Sprintf("%s slot %d", name, s))
+		}
+	}
+
+	batch, err := rn.StepperConfig(scens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepAll("batch", batch, nil)
+
+	live, feed, err := rn.LiveStepperConfig(scens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepAll("live", live, func(s int) {
+		abs := g.HistoryDays*trace.SamplesPerDay + s*trace.SamplesPerSlot
+		cpu := make([][]float64, len(batch.Trace.VMs))
+		mem := make([][]float64, len(batch.Trace.VMs))
+		for v, vm := range batch.Trace.VMs {
+			cpu[v] = vm.CPU[abs : abs+trace.SamplesPerSlot]
+			mem[v] = vm.Mem[abs : abs+trace.SamplesPerSlot]
+		}
+		if err := feed.Observe(s, cpu, mem); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	var wg sync.WaitGroup
+	rows := make([]RunResult, len(scens))
+	for i := range scens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i] = rn.CachedExec(scens[i], nil, nil)
+		}()
+	}
+	wg.Wait()
+	for _, r := range rows {
+		if r.Err != "" {
+			t.Fatal(r.Err)
+		}
+	}
+	holdsNone("after the sibling rows")
 }

@@ -28,9 +28,8 @@ import (
 // Exec, Run, dist workers and the live service all share through it;
 // everything after Allocate still runs per row.
 //
-// A Runner for one sweep (Run, and the in-process dist workers that
-// share their coordinator's) also takes the slot windows its policies'
-// steppers offer (dcsim.LookaheadPolicy), and computes those windows'
+// The memo also takes the slot windows that the steppers of Exec's
+// rows offer (dcsim.LookaheadPolicy), and computes those windows'
 // later slots into the memo ahead of the steppers (lookahead.go): on
 // Run's workers with no row left, and on any stepper whose call finds
 // its input pending under another goroutine, until that input is
@@ -38,21 +37,15 @@ import (
 // made; since an entry answers only its exact input, lookahead moves
 // work between cores and changes no result.
 
-// The memo keeps the bytes of its finished entries within a budget;
-// past it the oldest go first. A Runner from NewRunner may live as long
+// memoBudget bounds the bytes of a memo's finished entries; past it
+// the oldest go first. It is enough for pricing siblings several rows
+// apart to meet: policy-grid's 1,008 distinct 600-VM inputs take about
+// 1.6 MB, and fleet-dist's 336 about 0.5 MB. A Runner may live as long
 // as a daemon (ntc-serve), where every MB held raises the heap's
-// garbage-collection goal, so it keeps 1 MB: enough for all of
-// fleet-dist's 336 distinct 600-VM inputs (about 0.5 MB) on a remote
-// dist worker. A Runner from NewSweepRunner lives for one sweep (Run's,
-// and the one a coordinator's in-process workers share) and keeps
-// enough for pricing siblings several rows apart to meet: policy-grid's
-// 1,008 distinct 600-VM inputs take about 1.6 MB. Lookahead helpers'
-// unused entries sit beside the budget, in at most half as many bytes
-// again.
-const (
-	memoBudget    = 1 << 20
-	runMemoBudget = 2 << 20
-)
+// garbage-collection goal, so the budget is no larger. Lookahead
+// helpers' unused entries sit beside it, in at most half as many bytes
+// again, and only while the row whose window they serve runs.
+const memoBudget = 2 << 20
 
 // entryOverhead is what an entry costs beyond its indices: the entry
 // itself, its map slot and its FIFO slot, as measured on go1.24.
@@ -82,7 +75,6 @@ type allocMemo struct {
 	// Lookahead state (lookahead.go), guarded by mu. Helpers' entries
 	// stay out of fifo until a stepper first uses them, so eviction
 	// never drops one before its use; aheadBytes counts them.
-	ahead      bool // whether offered windows are taken (Run only)
 	stopped    bool // Run has finished every row
 	windows    []*window
 	aheadBytes int

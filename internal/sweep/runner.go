@@ -30,27 +30,18 @@ type Runner struct {
 // NewRunner validates the grid (after defaulting) and returns a
 // Runner for it. The grid must be the same one scenarios were
 // expanded from: custom transition models are resolved against it.
-func NewRunner(g Grid) (*Runner, error) { return newRunner(g, false) }
-
-// NewSweepRunner is NewRunner for a Runner that lives for one sweep,
-// as Run's does: its allocation memo keeps more, and takes the windows
-// its steppers offer, so a stepper that waits on another's allocation
-// computes later slots meanwhile (see lookahead.go). The in-process
-// dist workers of one coordinator share one.
-func NewSweepRunner(g Grid) (*Runner, error) { return newRunner(g, true) }
-
-func newRunner(g Grid, oneSweep bool) (*Runner, error) {
+//
+// The Runner's allocation memo takes the windows its Exec rows offer,
+// so a call that waits on another's allocation computes later slots
+// meanwhile (see lookahead.go). Steppers built from StepperConfig or
+// LiveStepperConfig offer none, so a Runner that outlives its rows,
+// as a daemon's does, holds no window between them.
+func NewRunner(g Grid) (*Runner, error) {
 	g = g.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	budget := memoBudget
-	if oneSweep {
-		budget = runMemoBudget
-	}
-	m := newAllocMemo(budget)
-	m.ahead = oneSweep
-	return &Runner{grid: g, ld: &loader{}, memo: m}, nil
+	return &Runner{grid: g, ld: &loader{}, memo: newAllocMemo(memoBudget)}, nil
 }
 
 // Grid returns the defaulted grid the Runner executes.

@@ -42,6 +42,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -510,13 +511,18 @@ func (g Grid) transitionFor(name string) (dcsim.TransitionModel, error) {
 }
 
 // ParseGridJSON decodes a grid from its JSON form, rejecting unknown
-// fields so typos in hand-written grid files surface early.
+// fields so typos in hand-written grid files surface early, and
+// anything after the grid object, so a file holding more than one grid
+// is never read as its first.
 func ParseGridJSON(data []byte) (Grid, error) {
 	var g Grid
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&g); err != nil {
 		return Grid{}, fmt.Errorf("sweep: parsing grid: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, fmt.Errorf("sweep: parsing grid: trailing data after the grid object")
 	}
 	return g, nil
 }

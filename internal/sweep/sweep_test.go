@@ -196,4 +196,17 @@ func TestParseGridJSON(t *testing.T) {
 	if _, err := ParseGridJSON([]byte(`{"polices": ["EPACT"]}`)); err == nil {
 		t.Error("misspelled grid field was not rejected")
 	}
+	for _, in := range []string{
+		`{"policies":["EPACT"]} {"policies":["COAT"]}`,
+		`{"policies":["EPACT"]} garbage`,
+		`{"policies":["EPACT"]}]`,
+	} {
+		_, err := ParseGridJSON([]byte(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "sweep: ") {
+			t.Errorf("ParseGridJSON(%s) = %v, want a sweep: trailing-data error", in, err)
+		}
+	}
+	if _, err := ParseGridJSON([]byte("{\"policies\":[\"EPACT\"]}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
 }
