@@ -1,6 +1,8 @@
 // Forecasting demonstrates the prediction layer EPACT depends on: fit
 // ARIMA on six days of one VM's CPU trace, forecast day seven, and
-// compare the error against the naive baselines.
+// compare the error against the naive baselines. Every predictor
+// writes its forecast into one caller-owned day buffer, as
+// dcsim.Predict forecasts each day straight into its prediction rows.
 package main
 
 import (
@@ -30,9 +32,9 @@ func main() {
 
 	fmt.Printf("VM %d (%v): forecasting day 7 from days 1-6\n\n", vm.ID, vm.Class)
 	fmt.Println("predictor            RMSE    MAPE(%)")
+	pred := make([]float64, day)
 	for _, p := range predictors {
-		pred, err := p.Forecast(history, day)
-		if err != nil {
+		if err := p.Forecast(pred, history); err != nil {
 			log.Fatal(err)
 		}
 		rmse, err := mathx.RMSE(actual, pred)

@@ -174,7 +174,7 @@ func TestMigrationStatsConservationProperty(t *testing.T) {
 		vms1 := randomVMs(seed, 30)
 		vms2 := randomVMs(seed+1, 30)
 		if len(vms1) != len(vms2) {
-			// CompareAssignments requires equal populations; trim.
+			// Compare requires equal populations; trim.
 			n := len(vms1)
 			if len(vms2) < n {
 				n = len(vms2)
@@ -189,7 +189,7 @@ func TestMigrationStatsConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		stats := CompareAssignments(a1, a2, nil)
+		stats := new(MigrationMatcher).Compare(a1, a2, nil)
 		return stats.Migrations+stats.Stayed == len(vms1)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

@@ -76,7 +76,7 @@ func TestCompareAssignmentsNoChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := CompareAssignments(a, a, nil)
+	stats := new(MigrationMatcher).Compare(a, a, nil)
 	if stats.Migrations != 0 || stats.Stayed != 24 {
 		t.Errorf("self-compare = %+v, want 0 migrations / 24 stays", stats)
 	}
@@ -90,7 +90,7 @@ func TestCompareAssignmentsRelabelledServers(t *testing.T) {
 	// migrations.
 	prev := &Assignment{VMServer: []int{0, 0, 1, 1}}
 	next := &Assignment{VMServer: []int{1, 1, 0, 0}}
-	stats := CompareAssignments(prev, next, nil)
+	stats := new(MigrationMatcher).Compare(prev, next, nil)
 	if stats.Migrations != 0 || stats.Stayed != 4 {
 		t.Errorf("relabelled compare = %+v, want 0/4", stats)
 	}
@@ -100,7 +100,7 @@ func TestCompareAssignmentsCountsMoves(t *testing.T) {
 	prev := &Assignment{VMServer: []int{0, 0, 0, 1, 1, 1}}
 	next := &Assignment{VMServer: []int{0, 0, 1, 1, 1, 1}}
 	mem := []float64{1e9, 1e9, 2e9, 1e9, 1e9, 1e9}
-	stats := CompareAssignments(prev, next, mem)
+	stats := new(MigrationMatcher).Compare(prev, next, mem)
 	if stats.Migrations != 1 || stats.Stayed != 5 {
 		t.Errorf("compare = %+v, want 1 migration / 5 stays", stats)
 	}
@@ -111,11 +111,11 @@ func TestCompareAssignmentsCountsMoves(t *testing.T) {
 
 func TestCompareAssignmentsNilAndMismatch(t *testing.T) {
 	a := &Assignment{VMServer: []int{0, 1}}
-	if s := CompareAssignments(nil, a, nil); s.Migrations != 0 || s.Stayed != 0 {
+	if s := new(MigrationMatcher).Compare(nil, a, nil); s.Migrations != 0 || s.Stayed != 0 {
 		t.Error("nil prev should yield zero stats")
 	}
 	b := &Assignment{VMServer: []int{0}}
-	if s := CompareAssignments(a, b, nil); s.Migrations != 0 || s.Stayed != 0 {
+	if s := new(MigrationMatcher).Compare(a, b, nil); s.Migrations != 0 || s.Stayed != 0 {
 		t.Error("mismatched populations should yield zero stats")
 	}
 }

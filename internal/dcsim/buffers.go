@@ -3,6 +3,7 @@ package dcsim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/perf"
@@ -41,11 +42,15 @@ type runState struct {
 	last      int
 
 	// dem holds the current slot's allocation input (see SlotDemands).
-	dem SlotDemands
+	// It comes from demandPool and goes back when the stepper's window
+	// is done.
+	dem *SlotDemands
 
-	// resident is the reusable resident-set buffer for transition
-	// accounting (nil when transitions are disabled).
+	// resident is the reusable resident-set buffer and match the
+	// migration matcher for transition accounting (resident is nil
+	// when transitions are disabled).
 	resident []float64
+	match    alloc.MigrationMatcher
 
 	// DVFS-level tables, indexed by grid level.
 	grid        []units.Frequency
@@ -62,6 +67,15 @@ type runState struct {
 	prevAsg *alloc.Assignment
 	slots   []SlotResult
 }
+
+// demandPool recycles slot-demand buffers between steppers: a stepper
+// takes one when it is built and gives it back once its window is
+// done, so a fleet's successive per-DC epoch steppers refill the same
+// 2 × VMs × 12 floats instead of allocating them per epoch. Buffers
+// change hands only between steppers, never per step, so the slot
+// loop stays allocation-free even when the pool drops items (as it
+// does at random under the race detector).
+var demandPool = sync.Pool{New: func() any { return new(SlotDemands) }}
 
 func newRunState(cfg *Config) (*runState, error) {
 	if err := validate(cfg); err != nil {
@@ -89,6 +103,7 @@ func newRunState(cfg *Config) (*runState, error) {
 		sampleSec: cfg.Trace.Interval.Seconds(),
 		first:     first,
 		last:      last,
+		dem:       demandPool.Get().(*SlotDemands),
 		slots:     make([]SlotResult, 0, last-first),
 	}
 	if cfg.Transitions != (TransitionModel{}) {
@@ -115,7 +130,8 @@ func newRunState(cfg *Config) (*runState, error) {
 func (st *runState) clone(cfg *Config) *runState {
 	c := *st
 	c.cfg = cfg
-	c.dem = SlotDemands{}
+	c.dem = new(SlotDemands)
+	c.match = alloc.MigrationMatcher{}
 	if st.resident != nil {
 		c.resident = make([]float64, len(st.resident))
 	}
@@ -154,7 +170,7 @@ func (st *runState) step(s int) error {
 		if err := residentSets(cfg.Trace, st.evalStart+lo, st.resident); err != nil {
 			return fmt.Errorf("dcsim: slot %d: %w", s, err)
 		}
-		te, stats := cfg.Transitions.slotTransitionEnergy(st.prevAsg, asg, st.resident, cfg.InitialActiveServers)
+		te, stats := cfg.Transitions.slotTransitionEnergy(&st.match, st.prevAsg, asg, st.resident, cfg.InitialActiveServers)
 		slot.TransitionEnergy = te
 		slot.Migrations = stats.Migrations
 		slot.Energy += te

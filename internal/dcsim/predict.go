@@ -27,6 +27,10 @@ import (
 // sample. Computing it once and sharing it across policy runs mirrors
 // the paper's methodology (all policies see the same predictions) and
 // makes A/B energy comparisons free of prediction noise.
+//
+// Rows are read-only once published: oracle rows (Predict with a nil
+// predictor) are views of the trace's own evaluation window, and the
+// sets handed to per-DC steppers share rows with their parent.
 type PredictionSet struct {
 	// Predictor names the source of the forecasts.
 	Predictor string
@@ -44,7 +48,11 @@ type PredictionSet struct {
 //
 // A nil predictor yields oracle predictions (the actual traces),
 // isolating allocation quality from forecast quality in ablations.
-// VM fits run in parallel across the available CPUs.
+// Oracle rows are three-index slices of the trace rows, so they copy
+// nothing and an append to one can never write into the trace.
+// Forecast rows are allocated once per VM and each day is forecast
+// straight into them. VM fits run in parallel across the available
+// CPUs.
 func Predict(tr *trace.Trace, pred forecast.Predictor, historyDays, evalDays int) (*PredictionSet, error) {
 	if historyDays <= 0 || evalDays <= 0 {
 		return nil, fmt.Errorf("dcsim: historyDays (%d) and evalDays (%d) must be positive", historyDays, evalDays)
@@ -65,9 +73,10 @@ func Predict(tr *trace.Trace, pred forecast.Predictor, historyDays, evalDays int
 	evalStart := historyDays * trace.SamplesPerDay
 
 	if pred == nil {
+		lo, hi := evalStart, evalStart+evalSamples
 		for v, vm := range tr.VMs {
-			ps.CPU[v] = append([]float64(nil), vm.CPU[evalStart:evalStart+evalSamples]...)
-			ps.Mem[v] = append([]float64(nil), vm.Mem[evalStart:evalStart+evalSamples]...)
+			ps.CPU[v] = vm.CPU[lo:hi:hi]
+			ps.Mem[v] = vm.Mem[lo:hi:hi]
 		}
 		return ps, nil
 	}
@@ -85,8 +94,9 @@ func Predict(tr *trace.Trace, pred forecast.Predictor, historyDays, evalDays int
 		go func(v int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			cpu, mem, err := predictVM(tr.VMs[v], pred, historyDays, evalDays)
-			if err != nil {
+			cpu := make([]float64, evalSamples)
+			mem := make([]float64, evalSamples)
+			if err := forecastDays(cpu, mem, tr.VMs[v], pred, historyDays, 0, evalDays); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("dcsim: VM %d: %w", v, err)
@@ -105,23 +115,20 @@ func Predict(tr *trace.Trace, pred forecast.Predictor, historyDays, evalDays int
 	return ps, nil
 }
 
-// predictVM forecasts one VM's evaluation period day by day with a
-// rolling history window.
-func predictVM(vm *trace.VM, pred forecast.Predictor, historyDays, evalDays int) (cpu, mem []float64, err error) {
+// forecastDays forecasts evaluation days [d0, d1) of one VM into its
+// prediction rows, each day from the historyDays before it: the
+// rolling window batch Predict and LiveFeed share.
+func forecastDays(cpu, mem []float64, vm *trace.VM, pred forecast.Predictor, historyDays, d0, d1 int) error {
 	day := trace.SamplesPerDay
-	for d := 0; d < evalDays; d++ {
+	for d := d0; d < d1; d++ {
 		histEnd := (historyDays + d) * day
 		histStart := histEnd - historyDays*day
-		cpuDay, err := pred.Forecast(vm.CPU[histStart:histEnd], day)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cpu day %d: %w", d, err)
+		if err := pred.Forecast(cpu[d*day:(d+1)*day], vm.CPU[histStart:histEnd]); err != nil {
+			return fmt.Errorf("cpu day %d: %w", d, err)
 		}
-		memDay, err := pred.Forecast(vm.Mem[histStart:histEnd], day)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mem day %d: %w", d, err)
+		if err := pred.Forecast(mem[d*day:(d+1)*day], vm.Mem[histStart:histEnd]); err != nil {
+			return fmt.Errorf("mem day %d: %w", d, err)
 		}
-		cpu = append(cpu, cpuDay...)
-		mem = append(mem, memDay...)
 	}
-	return cpu, mem, nil
+	return nil
 }

@@ -111,7 +111,7 @@ func refRun(t *testing.T, cfg *Config, asgs []*alloc.Assignment) []SlotResult {
 			if err := residentSets(cfg.Trace, absLo, resident); err != nil {
 				t.Fatal(err)
 			}
-			te, stats := cfg.Transitions.slotTransitionEnergy(prev, asg, resident, cfg.InitialActiveServers)
+			te, stats := cfg.Transitions.slotTransitionEnergy(new(alloc.MigrationMatcher), prev, asg, resident, cfg.InitialActiveServers)
 			slot.TransitionEnergy = te
 			slot.Migrations = stats.Migrations
 			slot.Energy += te

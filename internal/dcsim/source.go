@@ -50,8 +50,10 @@ var ErrObserveOrder = errors.New("slot out of order")
 // day d is forecast the moment the last sample of day d-1 arrives,
 // over the identical history window batch Predict uses — Forecast is
 // pure, so the incrementally built rows are bit-identical to the
-// batch set. A nil predictor is the oracle: observed samples are
-// copied straight into the prediction rows.
+// batch set. Each day is forecast straight into the feed's own
+// prediction rows. A nil predictor is the oracle: as in batch Predict,
+// its prediction rows view the evaluation window of the feed's trace,
+// so observed samples are the predictions without a copy.
 type LiveFeed struct {
 	mu sync.Mutex
 
@@ -89,6 +91,11 @@ func NewLiveFeed(base *trace.Trace, pred forecast.Predictor, historyDays, evalDa
 		evalDays:    evalDays,
 		evalSlots:   evalDays * trace.SamplesPerDay / trace.SamplesPerSlot,
 	}
+	f.ps = &PredictionSet{
+		Predictor: "oracle",
+		CPU:       make([][]float64, len(base.VMs)),
+		Mem:       make([][]float64, len(base.VMs)),
+	}
 	for v, vm := range base.VMs {
 		nv := *vm
 		nv.CPU = make([]float64, total)
@@ -96,16 +103,13 @@ func NewLiveFeed(base *trace.Trace, pred forecast.Predictor, historyDays, evalDa
 		copy(nv.CPU, vm.CPU[:hist])
 		copy(nv.Mem, vm.Mem[:hist])
 		f.tr.VMs[v] = &nv
-	}
-	evalSamples := evalDays * trace.SamplesPerDay
-	f.ps = &PredictionSet{
-		Predictor: "oracle",
-		CPU:       make([][]float64, len(base.VMs)),
-		Mem:       make([][]float64, len(base.VMs)),
-	}
-	for v := range f.ps.CPU {
-		f.ps.CPU[v] = make([]float64, evalSamples)
-		f.ps.Mem[v] = make([]float64, evalSamples)
+		if pred == nil {
+			f.ps.CPU[v] = nv.CPU[hist:total:total]
+			f.ps.Mem[v] = nv.Mem[hist:total:total]
+		} else {
+			f.ps.CPU[v] = make([]float64, total-hist)
+			f.ps.Mem[v] = make([]float64, total-hist)
+		}
 	}
 	if pred != nil {
 		f.ps.Predictor = pred.Name()
@@ -184,15 +188,9 @@ func (f *LiveFeed) Observe(slot int, cpu, mem [][]float64) error {
 	}
 
 	abs := f.historyDays*trace.SamplesPerDay + slot*trace.SamplesPerSlot
-	lo := slot * trace.SamplesPerSlot
 	for v := range cpu {
 		copy(f.tr.VMs[v].CPU[abs:abs+trace.SamplesPerSlot], cpu[v])
 		copy(f.tr.VMs[v].Mem[abs:abs+trace.SamplesPerSlot], mem[v])
-		if f.pred == nil {
-			// Oracle predictions are the actuals.
-			copy(f.ps.CPU[v][lo:lo+trace.SamplesPerSlot], cpu[v])
-			copy(f.ps.Mem[v][lo:lo+trace.SamplesPerSlot], mem[v])
-		}
 	}
 
 	// Commit the slot only after every newly due prediction day is
@@ -214,20 +212,10 @@ func (f *LiveFeed) Observe(slot int, cpu, mem [][]float64) error {
 // forecastDay fills prediction day d from the same rolling history
 // window batch Predict uses. Caller holds mu (or is the constructor).
 func (f *LiveFeed) forecastDay(d int) error {
-	day := trace.SamplesPerDay
-	histEnd := (f.historyDays + d) * day
-	histStart := histEnd - f.historyDays*day
 	for v, vm := range f.tr.VMs {
-		cpuDay, err := f.pred.Forecast(vm.CPU[histStart:histEnd], day)
-		if err != nil {
-			return fmt.Errorf("dcsim: VM %d: cpu day %d: %w", v, d, err)
+		if err := forecastDays(f.ps.CPU[v], f.ps.Mem[v], vm, f.pred, f.historyDays, d, d+1); err != nil {
+			return fmt.Errorf("dcsim: VM %d: %w", v, err)
 		}
-		memDay, err := f.pred.Forecast(vm.Mem[histStart:histEnd], day)
-		if err != nil {
-			return fmt.Errorf("dcsim: VM %d: mem day %d: %w", v, d, err)
-		}
-		copy(f.ps.CPU[v][d*day:(d+1)*day], cpuDay)
-		copy(f.ps.Mem[v][d*day:(d+1)*day], memDay)
 	}
 	return nil
 }

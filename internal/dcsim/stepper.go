@@ -11,6 +11,8 @@ import (
 // the packed prediction windows and the reusable scratch buffers are
 // built once at construction and shared by every Step, so stepping a
 // window to completion is the batch run — not a re-derivation of it.
+// Once the last slot is stepped, the demand buffer goes back to a
+// pool for the next stepper built (see demandPool).
 // Run itself is implemented as a Stepper driven to exhaustion, which
 // is what makes "incremental equals batch" true by construction
 // rather than by test.
@@ -96,9 +98,11 @@ func (s *Stepper) Step() (SlotResult, error) {
 	s.next++
 	if s.win != nil {
 		s.win.next.Store(int64(s.next))
-		if s.Done() {
-			s.withdraw()
-		}
+	}
+	if s.Done() {
+		s.withdraw()
+		demandPool.Put(s.st.dem)
+		s.st.dem = nil
 	}
 	return s.st.slots[len(s.st.slots)-1], nil
 }

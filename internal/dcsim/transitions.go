@@ -46,7 +46,8 @@ func DefaultTransitions() TransitionModel {
 // only the delta is billed — 0 reproduces the historical cold start,
 // where every first-slot server pays the power-on cost. Migrations
 // are never counted across a nil prev (the VM universe may differ).
-func (m TransitionModel) slotTransitionEnergy(prev, next *alloc.Assignment, memBytes []float64, initialActive int) (units.Energy, alloc.MigrationStats) {
+// match is the run's migration matcher.
+func (m TransitionModel) slotTransitionEnergy(match *alloc.MigrationMatcher, prev, next *alloc.Assignment, memBytes []float64, initialActive int) (units.Energy, alloc.MigrationStats) {
 	var stats alloc.MigrationStats
 	if prev == nil {
 		on := 0
@@ -69,7 +70,7 @@ func (m TransitionModel) slotTransitionEnergy(prev, next *alloc.Assignment, memB
 	} else if prevActive > nextActive {
 		e += float64(m.ServerOffEnergy) * float64(prevActive-nextActive)
 	}
-	stats = alloc.CompareAssignments(prev, next, memBytes)
+	stats = match.Compare(prev, next, memBytes)
 	e += float64(m.MigrationEnergyPerByte) * stats.BytesMoved
 	return units.Energy(e), stats
 }

@@ -63,7 +63,7 @@ func TestSlotTransitionEnergyInitialPlacement(t *testing.T) {
 	next := &alloc.Assignment{Servers: []*alloc.ServerPlan{
 		{VMs: []int{0}}, {VMs: []int{1}}, {},
 	}, VMServer: []int{0, 1}}
-	e, stats := m.slotTransitionEnergy(nil, next, nil, 0)
+	e, stats := m.slotTransitionEnergy(new(alloc.MigrationMatcher), nil, next, nil, 0)
 	// Two active servers power on; no migrations on first placement.
 	if want := units.Energy(2 * 5 * units.Kilojoule); e != want {
 		t.Errorf("initial energy = %v, want %v", e, want)
@@ -80,11 +80,11 @@ func TestSlotTransitionEnergyScaleUpAndDown(t *testing.T) {
 	two := &alloc.Assignment{Servers: []*alloc.ServerPlan{{VMs: []int{0}}, {VMs: []int{1}}},
 		VMServer: []int{0, 1}}
 
-	up, _ := m.slotTransitionEnergy(one, two, []float64{1e9, 1e9}, 0)
+	up, _ := m.slotTransitionEnergy(new(alloc.MigrationMatcher), one, two, []float64{1e9, 1e9}, 0)
 	if up.J() < 5000 {
 		t.Errorf("scale-up energy = %v, want >= one boot (5 kJ)", up)
 	}
-	down, _ := m.slotTransitionEnergy(two, one, []float64{1e9, 1e9}, 0)
+	down, _ := m.slotTransitionEnergy(new(alloc.MigrationMatcher), two, one, []float64{1e9, 1e9}, 0)
 	if down.J() < 1000 {
 		t.Errorf("scale-down energy = %v, want >= one shutdown (1 kJ)", down)
 	}

@@ -22,16 +22,19 @@ import (
 	"repro/internal/mathx"
 )
 
-// Predictor forecasts the next horizon samples of a series.
+// Predictor forecasts the next samples of a series.
 type Predictor interface {
 	// Name identifies the predictor in reports.
 	Name() string
 
-	// Forecast returns horizon forecasted values given the history.
-	// Implementations must not modify history, and must be safe for
-	// concurrent use: dcsim.Predict and dcsim.LiveFeed share one
-	// Predictor across goroutines.
-	Forecast(history []float64, horizon int) ([]float64, error)
+	// Forecast writes the len(dst) samples that follow history into
+	// dst, which the caller owns and which must not overlap history:
+	// dcsim.Predict and dcsim.LiveFeed forecast each day straight into
+	// its prediction rows. On error the contents of dst are
+	// unspecified. Implementations must not modify history, and must
+	// be safe for concurrent use: dcsim.Predict and dcsim.LiveFeed
+	// share one Predictor across goroutines.
+	Forecast(dst, history []float64) error
 }
 
 // Config parameterises an ARIMA predictor.
@@ -110,31 +113,32 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // Forecast implements Predictor. It is safe for concurrent use.
-func (a *ARIMA) Forecast(history []float64, horizon int) ([]float64, error) {
+func (a *ARIMA) Forecast(dst, history []float64) error {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	return a.forecast(s, history, horizon)
+	return a.forecast(s, dst, history)
 }
 
 // forecast differences the series, fits ARMA(p, q) to it, iterates the
 // model over the horizon with zero future innovations and inverts the
-// differencing. Every sum runs in the same term order as the textbook
+// differencing into pred. Every sum runs in the same term order as the textbook
 // formulation (kept as the reference in arima_ref_test.go), so the
 // forecasts are bit-for-bit the same; only the memory traffic and the
 // instruction-level parallelism differ. The fit's in-sample
 // innovations are left in s.eps.
-func (a *ARIMA) forecast(s *scratch, history []float64, horizon int) ([]float64, error) {
+func (a *ARIMA) forecast(s *scratch, pred, history []float64) error {
 	cfg := a.Cfg
-	if horizon <= 0 {
-		return nil, errBadHorizon
+	horizon := len(pred)
+	if horizon == 0 {
+		return errBadHorizon
 	}
 	needed := cfg.SeasonalPeriod + cfg.D + cfg.P + cfg.Q + 16
 	if len(history) < needed {
-		return nil, fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), needed)
+		return fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), needed)
 	}
 	mean, err := s.fit(history, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Iterate the recursion; only the last p values and q innovations
@@ -148,7 +152,6 @@ func (a *ARIMA) forecast(s *scratch, history []float64, horizon int) ([]float64,
 	s.ew = ew
 	copy(ew, s.eps[n-q:])
 	clear(ew[q:])
-	pred := make([]float64, horizon)
 	for h := range pred {
 		v := 0.0
 		for i, c := range phi {
@@ -192,7 +195,7 @@ func (a *ARIMA) forecast(s *scratch, history []float64, horizon int) ([]float64,
 			pred[j] = mathx.Clamp(pred[j], cfg.ClampMin, cfg.ClampMax)
 		}
 	}
-	return pred, nil
+	return nil
 }
 
 // fit differences history as cfg asks and fits ARMA(cfg.P, cfg.Q) to

@@ -253,7 +253,8 @@ func refDiff(x []float64) []float64 {
 func checkMatchesRef(t *testing.T, label string, cfg Config, history []float64, horizon int) {
 	t.Helper()
 	a := &ARIMA{Cfg: cfg}
-	got, gotErr := a.Forecast(history, horizon)
+	got := make([]float64, horizon)
+	gotErr := a.Forecast(got, history)
 	want, resid, wantErr := refForecast(cfg, history, horizon)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s %s: err = %v, reference err = %v", label, a.Name(), gotErr, wantErr)
@@ -279,7 +280,7 @@ func checkMatchesRef(t *testing.T, label string, cfg Config, history []float64, 
 		}
 	}
 	var s scratch
-	if _, err := a.forecast(&s, history, horizon); err != nil {
+	if err := a.forecast(&s, make([]float64, horizon), history); err != nil {
 		t.Fatalf("%s %s: refit: %v", label, a.Name(), err)
 	}
 	if got, sd := mathx.Std(s.eps), mathx.Std(resid); math.Float64bits(got) != math.Float64bits(sd) {

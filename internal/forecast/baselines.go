@@ -16,23 +16,21 @@ type SeasonalNaive struct {
 func (s *SeasonalNaive) Name() string { return fmt.Sprintf("seasonal-naive(%d)", s.Period) }
 
 // Forecast implements Predictor.
-func (s *SeasonalNaive) Forecast(history []float64, horizon int) ([]float64, error) {
+func (s *SeasonalNaive) Forecast(dst, history []float64) error {
 	if s.Period <= 0 {
-		return nil, errors.New("forecast: seasonal-naive needs a positive period")
+		return errors.New("forecast: seasonal-naive needs a positive period")
 	}
 	if len(history) < s.Period {
-		return nil, fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), s.Period)
+		return fmt.Errorf("%w: have %d, need >= %d", errTooShort, len(history), s.Period)
 	}
-	if horizon <= 0 {
-		return nil, errors.New("forecast: horizon must be positive")
+	if len(dst) == 0 {
+		return errBadHorizon
 	}
-	out := make([]float64, horizon)
 	n := len(history)
-	for h := 0; h < horizon; h++ {
-		idx := n - s.Period + h%s.Period
-		out[h] = history[idx]
+	for h := range dst {
+		dst[h] = history[n-s.Period+h%s.Period]
 	}
-	return out, nil
+	return nil
 }
 
 // LastValue forecasts a flat continuation of the final sample — the
@@ -43,19 +41,18 @@ type LastValue struct{}
 func (LastValue) Name() string { return "last-value" }
 
 // Forecast implements Predictor.
-func (LastValue) Forecast(history []float64, horizon int) ([]float64, error) {
+func (LastValue) Forecast(dst, history []float64) error {
 	if len(history) == 0 {
-		return nil, errTooShort
+		return errTooShort
 	}
-	if horizon <= 0 {
-		return nil, errors.New("forecast: horizon must be positive")
+	if len(dst) == 0 {
+		return errBadHorizon
 	}
-	out := make([]float64, horizon)
 	last := history[len(history)-1]
-	for i := range out {
-		out[i] = last
+	for i := range dst {
+		dst[i] = last
 	}
-	return out, nil
+	return nil
 }
 
 // Oracle returns the true future — available in simulation only, used
@@ -69,12 +66,13 @@ type Oracle struct {
 func (o *Oracle) Name() string { return "oracle" }
 
 // Forecast implements Predictor.
-func (o *Oracle) Forecast(history []float64, horizon int) ([]float64, error) {
-	if horizon <= 0 {
-		return nil, errors.New("forecast: horizon must be positive")
+func (o *Oracle) Forecast(dst, history []float64) error {
+	if len(dst) == 0 {
+		return errBadHorizon
 	}
-	if len(o.Future) < horizon {
-		return nil, fmt.Errorf("forecast: oracle has %d future samples, need %d", len(o.Future), horizon)
+	if len(o.Future) < len(dst) {
+		return fmt.Errorf("forecast: oracle has %d future samples, need %d", len(o.Future), len(dst))
 	}
-	return append([]float64(nil), o.Future[:horizon]...), nil
+	copy(dst, o.Future)
+	return nil
 }

@@ -127,8 +127,10 @@ func gridForScenario(base sweep.Grid, s sweep.Scenario) sweep.Grid {
 // decodeWhatIf parses and validates a what-if body against the delta
 // base grid. A fork request returns (req, nil, nil) — there is
 // nothing to expand; the caller replays carried state instead. Every
-// rejection happens before any scenario executes — the hermeticity
-// and resource gates mirror the dist protocol's fuzz-pinned ones:
+// rejection happens before any scenario executes, and every gate
+// below is fuzz-pinned (FuzzWhatIfDecode). The body gates — the
+// handler's size bound, then the first rule — are the ones the dist
+// protocol applies to its POST bodies (FuzzHTTPProtocolDecode):
 //
 //   - unknown fields, malformed JSON and trailing data are rejected
 //     (typo safety);

@@ -131,9 +131,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 // FuzzHTTPProtocolDecode throws arbitrary bodies at every POST
 // endpoint of the wire protocol: no input may panic the handler or
-// corrupt the coordinator's unit table. Bad requests are 4xx/5xx; a
-// forged-but-valid completion is ordinary protocol traffic and must
-// still leave the table consistent.
+// corrupt the coordinator's unit table, and a body beyond
+// maxRequestBody is 413. Bad requests are 4xx/5xx; a forged-but-valid
+// completion is ordinary protocol traffic and must still leave the
+// table consistent. The committed corpus holds the loose-decoding
+// repro (an unknown field plus trailing data, once leased); the
+// oversized seed is built here rather than committed.
 func FuzzHTTPProtocolDecode(f *testing.F) {
 	c, err := NewCoordinator(oneUnitGrid(), Options{})
 	if err != nil {
@@ -161,12 +164,16 @@ func FuzzHTTPProtocolDecode(f *testing.F) {
 	f.Add(byte(3), []byte(`{"worker":"w","units":[{"seq":0,"lease":9}]}`))
 	f.Add(byte(4), []byte(`{"kind":"trace","spec":"csv:/nope.csv"}`))
 	f.Add(byte(2), []byte(`nonsense`))
+	f.Add(byte(2), append([]byte(`{"worker":"w"}`), bytes.Repeat([]byte(" "), maxRequestBody)...))
 
 	endpoints := []string{"/v1/lease", "/v1/renew", "/v1/complete", "/v1/release", "/v1/blob"}
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, endpoints[int(which)%len(endpoints)], bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // must not panic, whatever the body
+		if len(body) > maxRequestBody && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte body: status %d, want %d", len(body), rec.Code, http.StatusRequestEntityTooLarge)
+		}
 		checkInvariants(t, c)
 	})
 }

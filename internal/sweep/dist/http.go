@@ -28,6 +28,17 @@ import (
 // anything that speaks JSON over HTTP, and the coordinator remains
 // the single source of truth for ordering, retries, and the cache.
 
+// maxRequestBody bounds every POST body before it is decoded (413
+// beyond it). The largest requests are completions: a row encodes to
+// about 0.7 KB for a one-DC scenario plus about 0.3 KB per DC (a
+// uniform@triad row with epoch rebalancing and default transitions
+// measured 1.5 KB), so the CLI worker's batch of 4 such rows is about
+// 7 KB with its load stats and cache keys. 8 MiB leaves room for a
+// library worker leasing batches of thousands of rows, or a batch of 4
+// rows over fleets of thousands of DCs; renewals and releases of such
+// batches (about 25 B per unit) fit with room to spare.
+const maxRequestBody = 8 << 20
+
 type leaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max"`
@@ -129,9 +140,30 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// readJSON decodes a request body holding exactly one JSON object
+// into v, with the gates ntc-serve applies to its request bodies: at
+// most maxRequestBody bytes (413 beyond), no unknown fields and no
+// data after the object (400). On failure it answers the request and returns
+// false.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return false
+		}
+		http.Error(w, fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("decoding request: %v", err), http.StatusBadRequest)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "decoding request: trailing data after the JSON object", http.StatusBadRequest)
 		return false
 	}
 	return true

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,5 +133,51 @@ func TestClientErrorsAreLoud(t *testing.T) {
 	}
 	if _, err := NewClient("127.0.0.1:1").Grid(ctx); err == nil {
 		t.Error("unreachable coordinator produced no error")
+	}
+}
+
+// TestHTTPRequestBodyGates: every POST endpoint decodes its body the
+// way ntc-serve does — unknown fields and trailing data are 400, a
+// body beyond maxRequestBody is 413 — and a rejected lease request
+// leases nothing.
+func TestHTTPRequestBodyGates(t *testing.T) {
+	c, err := NewCoordinator(oneUnitGrid(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(c)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	oversized := `{"worker":"w"}` + strings.Repeat(" ", maxRequestBody)
+	for _, path := range []string{"/v1/lease", "/v1/renew", "/v1/complete", "/v1/release", "/v1/blob"} {
+		for _, tc := range []struct {
+			name, body string
+			code       int
+		}{
+			{"unknown field and trailing data", `{"worker":"w","max":1,"bogus":1} garbage`, http.StatusBadRequest},
+			{"unknown field", `{"worker":"w","bogus":1}`, http.StatusBadRequest},
+			{"trailing data", `{"worker":"w"} garbage`, http.StatusBadRequest},
+			{"second object", `{"worker":"w"}{"worker":"w"}`, http.StatusBadRequest},
+			{"trailing bracket", `{"worker":"w"}]`, http.StatusBadRequest},
+			{"oversized", oversized, http.StatusRequestEntityTooLarge},
+		} {
+			if rec := post(path, tc.body); rec.Code != tc.code {
+				t.Errorf("%s %s: status %d (%s), want %d", path, tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.code)
+			}
+		}
+	}
+	checkInvariants(t, c)
+	if got := c.Stats().Workers; got != 0 {
+		t.Errorf("rejected requests registered %d workers, want 0", got)
+	}
+
+	// The gates reject only what is malformed: the same lease without
+	// the bogus field and the trailing data is granted.
+	rec := post("/v1/lease", `{"worker":"w","max":1}`+"\n")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"units":[{`) {
+		t.Errorf("well-formed lease: status %d, body %s", rec.Code, rec.Body.String())
 	}
 }
