@@ -11,7 +11,10 @@ package ntcdc
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/alloc"
@@ -130,30 +133,74 @@ func oneSlotDemands(b *testing.B, vms int) ([]alloc.VMDemand, alloc.ServerSpec) 
 	return demands, spec
 }
 
-// BenchmarkEPACTAllocate measures one slot allocation at paper scale
-// (600 VMs): the per-call cost the allocator scratch reuse of
-// docs/ARCHITECTURE.md ("The hot loop") keeps down.
-func BenchmarkEPACTAllocate(b *testing.B) {
+// benchAllocate measures one slot allocation at paper scale (600 VMs)
+// into a reused Assignment: the per-call cost of a policy in the slot
+// loop, where the allocator scratch pools and the caller-owned
+// Assignment of docs/ARCHITECTURE.md ("The hot loop") leave nothing to
+// allocate. Calls outside the timer grow the Assignment first, and
+// fill the scratch pools on every P at once: a pool keeps its items
+// per P, so a benchmark goroutine that the scheduler moves to a P
+// whose pool is empty would otherwise count that P's first scratch.
+// The trace behind the demands is collected before that, so no
+// collection, which empties the pools, falls inside the timed loop.
+func benchAllocate(b *testing.B, policy func(alloc.ServerSpec) alloc.Filler) {
 	demands, spec := oneSlotDemands(b, 600)
-	pol := &alloc.EPACT{Model: NTCServerPower()}
+	pol := policy(spec)
+	dst := new(alloc.Assignment)
+	runtime.GC()
+	var wg sync.WaitGroup
+	errs := make([]error, runtime.GOMAXPROCS(0))
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = pol.AllocateInto(new(alloc.Assignment), demands, spec)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(append(errs, pol.AllocateInto(dst, demands, spec))...); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pol.Allocate(demands, spec); err != nil {
+		if err := pol.AllocateInto(dst, demands, spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkEPACTAllocate is the paper's allocator.
+func BenchmarkEPACTAllocate(b *testing.B) {
+	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return &alloc.EPACT{Model: NTCServerPower()} })
+}
+
 // BenchmarkCOATAllocate is the consolidation baseline's counterpart.
 func BenchmarkCOATAllocate(b *testing.B) {
-	demands, spec := oneSlotDemands(b, 600)
-	pol := alloc.NewCOAT(spec)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pol.Allocate(demands, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchAllocate(b, func(spec alloc.ServerSpec) alloc.Filler { return alloc.NewCOAT(spec) })
+}
+
+// BenchmarkCOATOPTAllocate is COAT with the optimal fixed cap.
+func BenchmarkCOATOPTAllocate(b *testing.B) {
+	benchAllocate(b, func(spec alloc.ServerSpec) alloc.Filler {
+		return alloc.NewCOATOPT(spec, NTCServerPower().OptimalFrequency())
+	})
+}
+
+// BenchmarkFFDAllocate is plain first-fit-decreasing.
+func BenchmarkFFDAllocate(b *testing.B) {
+	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return &alloc.FFD{} })
+}
+
+// BenchmarkLoadBalanceAllocate is load balancing over a pool sized for
+// 50% mean CPU load.
+func BenchmarkLoadBalanceAllocate(b *testing.B) {
+	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return &alloc.LoadBalance{} })
+}
+
+// BenchmarkVermaAllocate is the binary-quantised consolidation
+// baseline.
+func BenchmarkVermaAllocate(b *testing.B) {
+	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return alloc.NewVerma() })
 }
 
 // BenchmarkDCSimRun measures one bare simulator run (the unit of work

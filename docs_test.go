@@ -327,7 +327,7 @@ func TestDocsPinHotLoopDesign(t *testing.T) {
 		"## The hot loop",
 		"TestSlotLoopAllocationFree",
 		"grid[LevelIndex(f)] == ClampFrequency(f)",
-		"planArena",
+		"AllocateInto(dst, vms, spec)",
 	} {
 		if !strings.Contains(string(arch), want) {
 			t.Errorf("docs/ARCHITECTURE.md lost the hot-loop design marker %q", want)

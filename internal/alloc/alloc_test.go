@@ -1,12 +1,38 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
 	"repro/internal/units"
 )
+
+// Validate checks that every VM is assigned exactly once and plans are
+// consistent with the mapping.
+func (a *Assignment) Validate(numVMs int) error {
+	if len(a.VMServer) != numVMs {
+		return fmt.Errorf("alloc: VMServer has %d entries, want %d", len(a.VMServer), numVMs)
+	}
+	seen := make(map[int]int)
+	for _, s := range a.Servers {
+		for _, vm := range s.VMs {
+			seen[vm]++
+		}
+	}
+	for i := 0; i < numVMs; i++ {
+		sv := a.VMServer[i]
+		if sv < 0 || sv >= len(a.Servers) {
+			return fmt.Errorf("alloc: VM %d assigned to invalid server %d", i, sv)
+		}
+		if seen[i] != 1 {
+			return fmt.Errorf("alloc: VM %d appears %d times in server plans", i, seen[i])
+		}
+	}
+	return nil
+}
 
 // ntcSpec is the NTC server as the allocators see it.
 func ntcSpec() ServerSpec {
@@ -142,10 +168,8 @@ func TestAlg1PairsAntiCorrelatedVMs(t *testing.T) {
 	// correlated peaks would.
 	spec := ntcSpec()
 	vms := antiphaseVMs(8, 10, 90, 10, 12)
-	a, err := allocate1D(vms, 200, spec.MemPoints())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := new(Assignment)
+	allocate1D(new(epactScratch), a, vms, 200, spec.MemPoints())
 	// With cap 200 points: an anti-phase pair aggregates to a flat
 	// 100; two in-phase VMs would peak at 180 and also fit — but the
 	// correlation rule must prefer the complementary partner, so
@@ -274,8 +298,46 @@ func TestLoadBalanceSpreadsEvenly(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	spec := ntcSpec()
-	policies := []Policy{newEPACT(), NewCOAT(spec), &FFD{}, &LoadBalance{Servers: 2}}
+	policies := []Policy{newEPACT(), NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9)), &FFD{}, NewVerma(), &LoadBalance{Servers: 2}}
+	// VM 1's sample 1 is x on the CPU side or the memory side.
+	withCPU := func(x float64) []VMDemand {
+		return []VMDemand{{ID: 0, CPU: []float64{10, 10}, Mem: []float64{5, 5}}, {ID: 1, CPU: []float64{20, x}, Mem: []float64{5, 5}}}
+	}
+	withMem := func(x float64) []VMDemand {
+		return []VMDemand{{ID: 0, CPU: []float64{10, 10}, Mem: []float64{5, 5}}, {ID: 1, CPU: []float64{20, 20}, Mem: []float64{5, x}}}
+	}
+	specWith := func(mutate func(*ServerSpec)) ServerSpec {
+		s := spec
+		mutate(&s)
+		return s
+	}
+	nonFinite := []struct {
+		name string
+		vms  []VMDemand
+		spec ServerSpec
+		want []string // what the error must name
+	}{
+		{"nan-cpu", withCPU(math.NaN()), spec, []string{"VM 1", "CPU", "sample 1"}},
+		{"inf-cpu", withCPU(math.Inf(1)), spec, []string{"VM 1", "CPU", "sample 1"}},
+		{"nan-mem", withMem(math.NaN()), spec, []string{"VM 1", "Mem", "sample 1"}},
+		{"inf-mem", withMem(math.Inf(1)), spec, []string{"VM 1", "Mem", "sample 1"}},
+		{"nan-mem-containers", withCPU(10), specWith(func(s *ServerSpec) { s.MemContainers = math.NaN() }), []string{"MemContainers"}},
+		{"nan-fmax", withCPU(10), specWith(func(s *ServerSpec) { s.FMax = units.Frequency(math.NaN()) }), []string{"FMax"}},
+		{"nan-fmin", withCPU(10), specWith(func(s *ServerSpec) { s.FMin = units.Frequency(math.NaN()) }), []string{"FMin"}},
+	}
 	for _, p := range policies {
+		for _, c := range nonFinite {
+			_, err := p.Allocate(c.vms, c.spec)
+			if err == nil {
+				t.Errorf("%s: %s accepted", p.Name(), c.name)
+				continue
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: %s: error %q does not name %q", p.Name(), c.name, err, w)
+				}
+			}
+		}
 		if _, err := p.Allocate(nil, spec); err == nil {
 			t.Errorf("%s: empty input accepted", p.Name())
 		}

@@ -1,21 +1,55 @@
 package alloc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 )
+
+// baseScratch is the per-call working set of the peak-ordered
+// baselines: the first-fit-decreasing order and peaks, Verma's
+// binarised patterns and per-server binary sums, and load balancing's
+// per-server peaks. It is pooled like epactScratch; every slice is
+// rewritten before it is read, so reuse cannot leak state between
+// calls.
+type baseScratch struct {
+	order             []int
+	peak, srvPeak     []float64
+	binary, srvBinary []float64 // flat, one n-sample row per VM / server
+}
+
+var basePool = sync.Pool{New: func() any { return new(baseScratch) }}
 
 // byPeakCPU returns the VM indices ordered by descending peak CPU,
 // equal peaks in index order, together with each VM's peak (indexed by
 // VM). Each peak is computed once rather than on every comparison.
-func byPeakCPU(vms []VMDemand) (order []int, peak []float64) {
-	order = make([]int, len(vms))
-	peak = make([]float64, len(vms))
+func (sc *baseScratch) byPeakCPU(vms []VMDemand) (order []int, peak []float64) {
+	sc.order = resize(sc.order, len(vms))
+	sc.peak = resize(sc.peak, len(vms))
+	order, peak = sc.order, sc.peak
 	for i := range vms {
 		order[i] = i
 		peak[i] = vms[i].PeakCPU()
 	}
-	sort.SliceStable(order, func(a, b int) bool { return peak[order[a]] > peak[order[b]] })
+	sortDesc(order, peak)
 	return order, peak
+}
+
+// sortDesc sorts the VM indices in order by descending key[vm], equal
+// keys in index order. checkInput admits only finite demands, on
+// whose keys this is a total order, so the result is the one
+// permutation a stable sort by descending key yields, without the
+// stable sort's merge overhead.
+func sortDesc(order []int, key []float64) {
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case key[a] > key[b]:
+			return -1
+		case key[b] > key[a]:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // FFD is plain first-fit-decreasing consolidation without correlation
@@ -31,8 +65,13 @@ func (f *FFD) Name() string { return "FFD" }
 
 // Allocate implements Policy.
 func (f *FFD) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	return Fresh(f, vms, spec)
+}
+
+// AllocateInto implements Filler.
+func (f *FFD) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
 	if err := checkInput(vms, spec); err != nil {
-		return nil, err
+		return err
 	}
 	frac := f.CapFrac
 	if frac <= 0 {
@@ -40,37 +79,31 @@ func (f *FFD) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	}
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
-	order, _ := byPeakCPU(vms)
+	sc := basePool.Get().(*baseScratch)
+	defer basePool.Put(sc)
+	order, _ := sc.byPeakCPU(vms)
 
-	var servers []*ServerPlan
-	vmServer := make([]int, len(vms))
-	for i := range vmServer {
-		vmServer[i] = -1
-	}
+	dst.Reset(f.Name(), len(vms))
+	n := len(vms[0].CPU)
 	for _, idx := range order {
 		vm := &vms[idx]
 		target := -1
-		for j, srv := range servers {
+		for j, srv := range dst.Servers {
 			if srv.fits(vm, capCPU, capMem) {
 				target = j
 				break
 			}
 		}
 		if target < 0 {
-			servers = append(servers, &ServerPlan{})
-			target = len(servers) - 1
+			dst.AddServer(n)
+			target = len(dst.Servers) - 1
 		}
-		servers[target].add(idx, vm)
-		vmServer[idx] = target
+		dst.Servers[target].add(idx, vm)
+		dst.VMServer[idx] = target
 	}
-	return &Assignment{
-		Policy:       f.Name(),
-		Servers:      servers,
-		VMServer:     vmServer,
-		CPUCapPoints: capCPU,
-		MemCapPoints: capMem,
-		PlannedFreq:  spec.FMax,
-	}, nil
+	dst.CPUCapPoints, dst.MemCapPoints = capCPU, capMem
+	dst.PlannedFreq = spec.FMax
+	return nil
 }
 
 // LoadBalance spreads VMs across a fixed pool of servers, always
@@ -88,10 +121,18 @@ func (l *LoadBalance) Name() string { return "load-balance" }
 
 // Allocate implements Policy.
 func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	return Fresh(l, vms, spec)
+}
+
+// AllocateInto implements Filler. Each server's peak CPU is kept
+// beside it and recomputed only for the server that takes a VM.
+func (l *LoadBalance) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
 	if err := checkInput(vms, spec); err != nil {
-		return nil, err
+		return err
 	}
-	order, peak := byPeakCPU(vms)
+	sc := basePool.Get().(*baseScratch)
+	defer basePool.Put(sc)
+	order, peak := sc.byPeakCPU(vms)
 	n := l.Servers
 	if n <= 0 {
 		var total float64
@@ -100,28 +141,27 @@ func (l *LoadBalance) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, er
 		}
 		n = int(total/(spec.CPUPoints()*0.5)) + 1
 	}
-	servers := make([]*ServerPlan, n)
-	for i := range servers {
-		servers[i] = &ServerPlan{}
+	dst.Reset(l.Name(), len(vms))
+	for range n {
+		dst.AddServer(len(vms[0].CPU))
 	}
-	vmServer := make([]int, len(vms))
+	sc.srvPeak = resize(sc.srvPeak, n)
+	srvPeak := sc.srvPeak
+	clear(srvPeak)
 	for _, idx := range order {
 		// Least-loaded by current peak CPU.
-		best, bestPeak := 0, servers[0].PeakCPU()
+		best, bestPeak := 0, srvPeak[0]
 		for j := 1; j < n; j++ {
-			if p := servers[j].PeakCPU(); p < bestPeak {
+			if p := srvPeak[j]; p < bestPeak {
 				best, bestPeak = j, p
 			}
 		}
-		servers[best].add(idx, &vms[idx])
-		vmServer[idx] = best
+		srv := dst.Servers[best]
+		srv.add(idx, &vms[idx])
+		srvPeak[best] = srv.PeakCPU()
+		dst.VMServer[idx] = best
 	}
-	return &Assignment{
-		Policy:       l.Name(),
-		Servers:      servers,
-		VMServer:     vmServer,
-		CPUCapPoints: spec.CPUPoints(),
-		MemCapPoints: spec.MemPoints(),
-		PlannedFreq:  spec.FMax,
-	}, nil
+	dst.CPUCapPoints, dst.MemCapPoints = spec.CPUPoints(), spec.MemPoints()
+	dst.PlannedFreq = spec.FMax
+	return nil
 }

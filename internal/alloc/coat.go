@@ -67,30 +67,33 @@ func (c *COAT) Name() string {
 	return "COAT"
 }
 
-// Allocate implements Policy: first-fit-decreasing over peak CPU with
-// a correlation filter — among open servers that fit, prefer the first
-// whose aggregated load correlates with the VM below the threshold
-// (separating correlated VMs); if none qualifies, fall back to the
-// first feasible server; if nothing fits, open a new server.
+// Allocate implements Policy.
 func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	return Fresh(c, vms, spec)
+}
+
+// AllocateInto implements Filler: first-fit-decreasing over peak CPU
+// with a correlation filter — among open servers that fit, prefer the
+// first whose aggregated load correlates with the VM below the
+// threshold (separating correlated VMs); if none qualifies, fall back
+// to the first feasible server; if nothing fits, open a new server.
+func (c *COAT) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
 	if err := checkInput(vms, spec); err != nil {
-		return nil, err
+		return err
 	}
 	capCPU := spec.CPUPoints() * c.CapFrac
 	capMem := spec.MemPoints()
-	order, _ := byPeakCPU(vms)
+	sc := basePool.Get().(*baseScratch)
+	defer basePool.Put(sc)
+	order, _ := sc.byPeakCPU(vms)
 
-	var servers []*ServerPlan
-	vmServer := make([]int, len(vms))
-	for i := range vmServer {
-		vmServer[i] = -1
-	}
-
+	dst.Reset(c.Name(), len(vms))
+	n := len(vms[0].CPU)
 	for _, idx := range order {
 		vm := &vms[idx]
 		firstFit := -1
 		uncorrelatedFit := -1
-		for j, srv := range servers {
+		for j, srv := range dst.Servers {
 			if !srv.fits(vm, capCPU, capMem) {
 				continue
 			}
@@ -100,7 +103,7 @@ func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 			if c.CorrThreshold > 0 && len(srv.VMs) > 0 {
 				phi, err := mathx.Pearson(srv.CPU, vm.CPU)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if phi <= c.CorrThreshold {
 					uncorrelatedFit = j
@@ -116,24 +119,18 @@ func (c *COAT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 			target = firstFit
 		}
 		if target < 0 {
-			servers = append(servers, &ServerPlan{})
-			target = len(servers) - 1
+			dst.AddServer(n)
+			target = len(dst.Servers) - 1
 		}
-		servers[target].add(idx, vm)
-		vmServer[idx] = target
+		dst.Servers[target].add(idx, vm)
+		dst.VMServer[idx] = target
 	}
 
 	planned := c.PlannedFreq
 	if planned == 0 {
 		planned = spec.FMax
 	}
-	return &Assignment{
-		Policy:       c.Name(),
-		Servers:      servers,
-		VMServer:     vmServer,
-		CPUCapPoints: capCPU,
-		MemCapPoints: capMem,
-		PlannedFreq:  planned,
-		FixedFreq:    c.FixedFreq,
-	}, nil
+	dst.CPUCapPoints, dst.MemCapPoints = capCPU, capMem
+	dst.PlannedFreq, dst.FixedFreq = planned, c.FixedFreq
+	return nil
 }

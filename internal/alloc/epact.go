@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -89,13 +90,14 @@ func (e *EPACT) fOptNTC() units.Frequency { return e.fOpt }
 // serverCounts evaluates Eq. 1: the number of turned-on servers from
 // the CPU perspective (at F_opt^NTC) and from the memory perspective
 // (consolidating until the memory cap).
-func (e *EPACT) serverCounts(vms []VMDemand, spec ServerSpec) (nCPU, nMem int, peakCPU float64) {
+func (e *EPACT) serverCounts(sc *epactScratch, vms []VMDemand, spec ServerSpec) (nCPU, nMem int, peakCPU float64) {
 	n := len(vms[0].CPU)
 	// VM-outer accumulation over flat per-sample sums: each sample's
 	// accumulator sees the same addends in the same VM order as the
 	// original sample-outer loop, so the sums are bit-identical.
-	cpu := make([]float64, n)
-	mem := make([]float64, n)
+	sc.sumCPU = zeroed(sc.sumCPU, n)
+	sc.sumMem = zeroed(sc.sumMem, n)
+	cpu, mem := sc.sumCPU, sc.sumMem
 	for i := range vms {
 		vc, vm := vms[i].CPU, vms[i].Mem
 		for s := 0; s < n; s++ {
@@ -131,24 +133,31 @@ func (e *EPACT) slotFrequency(peakCPU float64, servers int, spec ServerSpec) uni
 
 // Allocate implements Policy.
 func (e *EPACT) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	return Fresh(e, vms, spec)
+}
+
+// AllocateInto implements Filler.
+func (e *EPACT) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
 	if err := checkInput(vms, spec); err != nil {
-		return nil, err
+		return err
 	}
 	if err := e.init(); err != nil {
-		return nil, err
+		return err
 	}
-	nCPU, nMem, peakCPU := e.serverCounts(vms, spec)
+	sc := epactPool.Get().(*epactScratch)
+	defer epactPool.Put(sc)
+	nCPU, nMem, peakCPU := e.serverCounts(sc, vms, spec)
 
 	if nCPU > nMem {
-		return e.allocateCase1(vms, spec, nCPU, nMem, peakCPU)
+		return e.allocateCase1(sc, dst, vms, spec, nCPU, nMem, peakCPU)
 	}
-	return e.allocateCase2(vms, spec, nMem, peakCPU)
+	return e.allocateCase2(sc, dst, vms, spec, nMem, peakCPU)
 }
 
 // allocateCase1 handles the CPU-dominated case: exhaustive search of
 // the turned-on server count in [nMem, nCPU] for the minimum
 // worst-case power, then Algorithm 1.
-func (e *EPACT) allocateCase1(vms []VMDemand, spec ServerSpec, nCPU, nMem int, peakCPU float64) (*Assignment, error) {
+func (e *EPACT) allocateCase1(sc *epactScratch, dst *Assignment, vms []VMDemand, spec ServerSpec, nCPU, nMem int, peakCPU float64) error {
 	bestN, bestF, bestP := 0, units.Frequency(0), math.Inf(1)
 	for n := nMem; n <= nCPU; n++ {
 		// Skip counts that cannot carry the predicted peak even at
@@ -168,21 +177,18 @@ func (e *EPACT) allocateCase1(vms []VMDemand, spec ServerSpec, nCPU, nMem int, p
 		}
 	}
 	if bestN == 0 {
-		return nil, fmt.Errorf("alloc: EPACT case-1 search found no feasible server count (nCPU=%d, nMem=%d)", nCPU, nMem)
+		return fmt.Errorf("alloc: EPACT case-1 search found no feasible server count (nCPU=%d, nMem=%d)", nCPU, nMem)
 	}
 	capCPU := spec.CPUPoints() * bestF.GHz() / spec.FMax.GHz()
 	capMem := spec.MemPoints()
 
-	a, err := allocate1D(vms, capCPU, capMem)
-	if err != nil {
-		return nil, err
-	}
-	a.Policy = e.Name()
-	a.CPUCapPoints = capCPU
-	a.MemCapPoints = capMem
-	a.PlannedFreq = bestF
-	a.EPACTCase = 1
-	return a, nil
+	allocate1D(sc, dst, vms, capCPU, capMem)
+	dst.Policy = e.Name()
+	dst.CPUCapPoints = capCPU
+	dst.MemCapPoints = capMem
+	dst.PlannedFreq = bestF
+	dst.EPACTCase = 1
+	return nil
 }
 
 // vmStats caches, for every VM, the statistics the inner loops of
@@ -197,24 +203,25 @@ type vmStats struct {
 	syyCPU, syyMem                   []float64
 	ycCPU, ycMem                     [][]float64 // mean-centered patterns
 	sortKey                          []float64   // PeakCPU (+ PeakMem for case 2)
+	backing                          []float64   // the centered patterns' storage
 }
 
-func newVMStats(vms []VMDemand) *vmStats {
+// fill computes the statistics of vms, reusing st's buffers.
+func (st *vmStats) fill(vms []VMDemand) {
 	v := len(vms)
 	n := len(vms[0].CPU)
-	st := &vmStats{
-		n:       n,
-		peakCPU: make([]float64, v),
-		minCPU:  make([]float64, v),
-		peakMem: make([]float64, v),
-		minMem:  make([]float64, v),
-		syyCPU:  make([]float64, v),
-		syyMem:  make([]float64, v),
-		ycCPU:   make([][]float64, v),
-		ycMem:   make([][]float64, v),
-		sortKey: make([]float64, v),
-	}
-	backing := make([]float64, 2*v*n)
+	st.n = n
+	st.peakCPU = resize(st.peakCPU, v)
+	st.minCPU = resize(st.minCPU, v)
+	st.peakMem = resize(st.peakMem, v)
+	st.minMem = resize(st.minMem, v)
+	st.syyCPU = resize(st.syyCPU, v)
+	st.syyMem = resize(st.syyMem, v)
+	st.ycCPU = resize(st.ycCPU, v)
+	st.ycMem = resize(st.ycMem, v)
+	st.sortKey = resize(st.sortKey, v)
+	st.backing = resize(st.backing, 2*v*n)
+	backing := st.backing
 	center := func(series []float64, yc []float64) (peak, min, syy float64) {
 		peak, min = series[0], series[0]
 		sum := 0.0
@@ -243,7 +250,6 @@ func newVMStats(vms []VMDemand) *vmStats {
 		backing = backing[n:]
 		st.peakMem[i], st.minMem[i], st.syyMem[i] = center(vms[i].Mem, st.ycMem[i])
 	}
-	return st
 }
 
 // screenFits classifies a candidate placement using peak/min bounds:
@@ -262,12 +268,15 @@ func screenFits(srvPeakCPU, srvPeakMem float64, st *vmStats, idx int, capCPU, ca
 	return 0
 }
 
-// case1Scratch is the reusable working set of one allocate1D call.
-// The sweep layer runs thousands of slot allocations back to back;
-// pooling keeps them from churning the GC. Every slice is fully
-// rewritten before it is read, so reuse cannot leak state between
-// calls.
-type case1Scratch struct {
+// epactScratch is the reusable working set of one EPACT call: the Eq.
+// 1 sample sums, the allocate1D arrays and Algorithm 2's statistics
+// and server states. The sweep layer runs thousands of slot
+// allocations back to back; pooling keeps them from churning the GC.
+// Every slice is fully rewritten before it is read, so reuse cannot
+// leak state between calls.
+type epactScratch struct {
+	sumCPU, sumMem []float64
+
 	peakCPU, minCPU, peakMem, minMem []float64
 	// scr packs each FFD-order candidate's screen bounds
 	// [minCPU, minMem, peakCPU, peakMem] into one stride-4 record so
@@ -276,11 +285,14 @@ type case1Scratch struct {
 	scr                           []float64
 	sSyy, ycAll, dx               []float64
 	order, pending, active, fitAt []int
+
+	stats  vmStats
+	states []srvState
 }
 
-var case1Pool = sync.Pool{New: func() any { return new(case1Scratch) }}
+var epactPool = sync.Pool{New: func() any { return new(epactScratch) }}
 
-func (s *case1Scratch) ensure(nv, n int) {
+func (s *epactScratch) ensure(nv, n int) {
 	if cap(s.peakCPU) < nv {
 		s.peakCPU = make([]float64, nv)
 		s.minCPU = make([]float64, nv)
@@ -339,13 +351,13 @@ func seriesBounds(series []float64) (peak, min float64) {
 // The working set is laid out in FFD order (struct-of-arrays) so the
 // candidate scan walks contiguous memory; the visiting order is
 // exactly the one a sorted pending list yields.
-func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
+//
+// It resets dst and fills its servers and VMServer; the caller sets
+// the remaining fields.
+func allocate1D(scratch *epactScratch, dst *Assignment, vms []VMDemand, capCPU, capMem float64) {
 	nv := len(vms)
 	n := len(vms[0].CPU)
-
-	scratch := case1Pool.Get().(*case1Scratch)
 	scratch.ensure(nv, n)
-	defer case1Pool.Put(scratch)
 
 	// Pass 1: per-VM peaks and minima (sort key and screen bounds).
 	peakCPU := scratch.peakCPU
@@ -357,24 +369,12 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		peakMem[i], minMem[i] = seriesBounds(vms[i].Mem)
 	}
 
-	// First-Fit-Decreasing order by predicted CPU peak. Breaking ties
-	// (and any incomparable pairs) by index makes the comparator a
-	// total order whose unique result is the stable-sort permutation,
-	// without the stable sort's merge overhead.
+	// First-Fit-Decreasing order by predicted CPU peak.
 	order := scratch.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if peakCPU[va] > peakCPU[vb] {
-			return true
-		}
-		if peakCPU[vb] > peakCPU[va] {
-			return false
-		}
-		return va < vb
-	})
+	sortDesc(order, peakCPU)
 
 	// Pass 2: gather the screen bounds into FFD order and center the
 	// CPU patterns (mathx.Pearson's dy fold: peak/mean/Σdy² computed by
@@ -402,11 +402,8 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		sSyy[pi] = syy
 	}
 
-	vmServer := make([]int, nv)
-	for i := range vmServer {
-		vmServer[i] = -1
-	}
-	var servers []*ServerPlan
+	dst.Reset("", nv)
+	vmServer := dst.VMServer
 
 	// pending holds the still-unallocated FFD positions; removing
 	// placed entries keeps each round's scan short and in FFD order
@@ -469,9 +466,7 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		srvPeakMem = pm
 	}
 
-	arena := planArena{n: n}
-	cur := arena.next()
-	servers = append(servers, cur)
+	cur := dst.AddServer(n)
 	boundCPU, boundMem := capCPU+1e-9, capMem+1e-9
 	for len(pending) > 0 {
 		if len(cur.VMs) == 0 {
@@ -480,7 +475,7 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 			pending = pending[1:]
 			idx := order[sp]
 			cur.add(idx, &vms[idx])
-			vmServer[idx] = len(servers) - 1
+			vmServer[idx] = len(dst.Servers) - 1
 			updateRound(cur)
 			active = append(active[:0], pending...)
 			continue
@@ -577,8 +572,7 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		}
 		if bestPos < 0 {
 			// Lines 13-14: nothing fits; turn on another server.
-			cur = arena.next()
-			servers = append(servers, cur)
+			cur = dst.AddServer(n)
 			active = append(active[:0], pending...)
 			continue
 		}
@@ -588,10 +582,9 @@ func allocate1D(vms []VMDemand, capCPU, capMem float64) (*Assignment, error) {
 		pending = append(pending[:pi], pending[pi+1:]...)
 		idx := order[sp]
 		cur.add(idx, &vms[idx])
-		vmServer[idx] = len(servers) - 1
+		vmServer[idx] = len(dst.Servers) - 1
 		updateRound(cur)
 	}
-	return &Assignment{Servers: servers, VMServer: vmServer}, nil
 }
 
 // srvState caches the server-side halves of the Eq. 2 merit terms for
@@ -608,9 +601,19 @@ type srvState struct {
 	dirty          bool
 }
 
+// reset readies s for a server with n-sample patterns, reusing its
+// buffers; the first update fills them.
+func (s *srvState) reset(n int) {
+	s.dxCPU = resize(s.dxCPU, n)
+	s.dxMem = resize(s.dxMem, n)
+	s.remCPU = resize(s.remCPU, n)
+	s.remMem = resize(s.remMem, n)
+	s.dirty = true
+}
+
 func (s *srvState) update(srv *ServerPlan, capCPU, capMem float64, n int) {
 	s.dirty = false
-	if srv.CPU == nil {
+	if len(srv.VMs) == 0 {
 		// Empty server: complement of a zero pattern is zero, so all
 		// centered values and Σdx² are zero and remaining capacity is
 		// the full cap (cap - 0 == cap exactly).
@@ -647,66 +650,46 @@ func (s *srvState) update(srv *ServerPlan, capCPU, capMem float64, n int) {
 }
 
 // allocateCase2 handles the memory-dominated case via Algorithm 2.
-func (e *EPACT) allocateCase2(vms []VMDemand, spec ServerSpec, nMem int, peakCPU float64) (*Assignment, error) {
+func (e *EPACT) allocateCase2(scratch *epactScratch, dst *Assignment, vms []VMDemand, spec ServerSpec, nMem int, peakCPU float64) error {
 	// F_opt from the memory server count (Section V-B case 2).
 	fOpt := e.slotFrequency(peakCPU, nMem, spec)
 	capCPU := spec.CPUPoints() * fOpt.GHz() / spec.FMax.GHz()
 	capMem := spec.MemPoints()
 
-	plans := make([]ServerPlan, nMem)
-	servers := make([]*ServerPlan, nMem)
-	for i := range servers {
-		servers[i] = &plans[i]
-	}
-	vmServer := make([]int, len(vms))
-	for i := range vmServer {
-		vmServer[i] = -1
-	}
-
-	st := newVMStats(vms)
+	st := &scratch.stats
+	st.fill(vms)
 	for i := range vms {
 		st.sortKey[i] = st.peakCPU[i] + st.peakMem[i]
 	}
+	n := st.n
+
+	dst.Reset(e.Name(), len(vms))
+	for range nMem {
+		dst.AddServer(n)
+	}
 
 	// Iterate VMs largest-first for packing stability (the paper's
-	// loop is order-agnostic). Index tie-breaks give the stable-sort
-	// permutation without the stable sort's merge overhead.
-	order := make([]int, len(vms))
+	// loop is order-agnostic).
+	scratch.order = resize(scratch.order, len(vms))
+	order := scratch.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if st.sortKey[va] > st.sortKey[vb] {
-			return true
-		}
-		if st.sortKey[vb] > st.sortKey[va] {
-			return false
-		}
-		return va < vb
-	})
+	sortDesc(order, st.sortKey)
 
 	wCPU := capCPU / (capCPU + capMem)
 	wMem := capMem / (capCPU + capMem)
 
-	n := st.n
-	newState := func() *srvState {
-		return &srvState{
-			dxCPU: make([]float64, n), dxMem: make([]float64, n),
-			remCPU: make([]float64, n), remMem: make([]float64, n),
-			dirty: true,
-		}
-	}
-	states := make([]*srvState, len(servers))
-	for i := range states {
-		states[i] = newState()
+	scratch.states = resize(scratch.states, nMem)
+	for i := range scratch.states {
+		scratch.states[i].reset(n)
 	}
 
 	for _, idx := range order {
 		vm := &vms[idx]
 		bestServer, bestMerit := -1, math.Inf(-1)
-		for j, srv := range servers {
-			ss := states[j]
+		for j, srv := range dst.Servers {
+			ss := &scratch.states[j]
 			if ss.dirty {
 				ss.update(srv, capCPU, capMem, n)
 			}
@@ -726,24 +709,21 @@ func (e *EPACT) allocateCase2(vms []VMDemand, spec ServerSpec, nMem int, peakCPU
 		if bestServer < 0 {
 			// The fixed pool cannot host the VM (prediction overshoot):
 			// turn on one more server, as a real system must.
-			servers = append(servers, &ServerPlan{})
-			states = append(states, newState())
-			bestServer = len(servers) - 1
+			dst.AddServer(n)
+			k := len(scratch.states)
+			scratch.states = slices.Grow(scratch.states, 1)[:k+1]
+			scratch.states[k].reset(n)
+			bestServer = k
 		}
-		servers[bestServer].add(idx, vm)
-		states[bestServer].dirty = true
-		vmServer[idx] = bestServer
+		dst.Servers[bestServer].add(idx, vm)
+		scratch.states[bestServer].dirty = true
+		dst.VMServer[idx] = bestServer
 	}
 
-	return &Assignment{
-		Policy:       e.Name(),
-		Servers:      servers,
-		VMServer:     vmServer,
-		CPUCapPoints: capCPU,
-		MemCapPoints: capMem,
-		PlannedFreq:  fOpt,
-		EPACTCase:    2,
-	}, nil
+	dst.CPUCapPoints, dst.MemCapPoints = capCPU, capMem
+	dst.PlannedFreq = fOpt
+	dst.EPACTCase = 2
+	return nil
 }
 
 // eq2MeritCached evaluates the Eq. 2 merit of placing VM idx on the

@@ -330,12 +330,12 @@ func genVMs(r *epactRNG, count, n int, cpuScale, memScale float64) []VMDemand {
 func assertAssignmentsBitEqual(t *testing.T, tag string, got, want *Assignment) {
 	t.Helper()
 	if got.Policy != want.Policy || got.EPACTCase != want.EPACTCase ||
-		got.PlannedFreq != want.PlannedFreq ||
+		got.PlannedFreq != want.PlannedFreq || got.FixedFreq != want.FixedFreq ||
 		math.Float64bits(got.CPUCapPoints) != math.Float64bits(want.CPUCapPoints) ||
 		math.Float64bits(got.MemCapPoints) != math.Float64bits(want.MemCapPoints) {
-		t.Fatalf("%s: header mismatch: got {%s case=%d f=%v capC=%v capM=%v} want {%s case=%d f=%v capC=%v capM=%v}",
-			tag, got.Policy, got.EPACTCase, got.PlannedFreq, got.CPUCapPoints, got.MemCapPoints,
-			want.Policy, want.EPACTCase, want.PlannedFreq, want.CPUCapPoints, want.MemCapPoints)
+		t.Fatalf("%s: header mismatch: got {%s case=%d f=%v fixed=%v capC=%v capM=%v} want {%s case=%d f=%v fixed=%v capC=%v capM=%v}",
+			tag, got.Policy, got.EPACTCase, got.PlannedFreq, got.FixedFreq, got.CPUCapPoints, got.MemCapPoints,
+			want.Policy, want.EPACTCase, want.PlannedFreq, want.FixedFreq, want.CPUCapPoints, want.MemCapPoints)
 	}
 	if len(got.VMServer) != len(want.VMServer) {
 		t.Fatalf("%s: VMServer length %d vs %d", tag, len(got.VMServer), len(want.VMServer))
@@ -358,6 +358,12 @@ func assertAssignmentsBitEqual(t *testing.T, tag string, got, want *Assignment) 
 				t.Fatalf("%s: server %d VM list diverges at %d: %d vs %d", tag, j, k, g.VMs[k], w.VMs[k])
 			}
 		}
+		if len(w.VMs) == 0 {
+			continue // an empty server's patterns are zero, or not built
+		}
+		if len(g.CPU) != len(w.CPU) || len(g.Mem) != len(w.Mem) {
+			t.Fatalf("%s: server %d patterns have %d/%d samples vs %d/%d", tag, j, len(g.CPU), len(g.Mem), len(w.CPU), len(w.Mem))
+		}
 		for i := range g.CPU {
 			if math.Float64bits(g.CPU[i]) != math.Float64bits(w.CPU[i]) ||
 				math.Float64bits(g.Mem[i]) != math.Float64bits(w.Mem[i]) {
@@ -369,15 +375,13 @@ func assertAssignmentsBitEqual(t *testing.T, tag string, got, want *Assignment) 
 
 func TestAllocate1DMatchesReference(t *testing.T) {
 	r := &epactRNG{s: 0x123456789abcdef}
+	sc, got := new(epactScratch), new(Assignment) // reused: every trial refills them
 	for trial := 0; trial < 40; trial++ {
 		count := 10 + int(r.next()*60)
 		vms := genVMs(r, count, 12, 80, 40)
 		capCPU := 400 + r.next()*1200
 		capMem := 800 + r.next()*1200
-		got, err := allocate1D(vms, capCPU, capMem)
-		if err != nil {
-			t.Fatal(err)
-		}
+		allocate1D(sc, got, vms, capCPU, capMem)
 		want, err := refAllocate1D(vms, capCPU, capMem)
 		if err != nil {
 			t.Fatal(err)

@@ -22,15 +22,6 @@ type MigrationStats struct {
 	BytesMoved float64
 }
 
-// MigrationRate returns migrations / total VMs.
-func (m MigrationStats) MigrationRate() float64 {
-	total := m.Migrations + m.Stayed
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Migrations) / float64(total)
-}
-
 // MigrationMatcher counts the VM moves between consecutive
 // assignments (see Compare). It keeps its scratch between calls, so a
 // run that owns one matcher compares slot after slot without

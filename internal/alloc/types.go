@@ -16,14 +16,15 @@
 // means 250 MB, and a 16 GB server offers 16×100 container-points.
 //
 // All allocators consume per-slot *predicted* patterns (n samples per
-// slot, 12 in the paper's 1-hour slots at 5-minute sampling) and
-// return an Assignment; the data-center simulator replays the actual
-// traces against it.
+// slot, 12 in the paper's 1-hour slots at 5-minute sampling) and fill
+// an Assignment the caller owns (see Filler); the data-center
+// simulator replays the actual traces against it.
 package alloc
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/units"
@@ -70,8 +71,17 @@ func (s ServerSpec) CPUPoints() float64 { return float64(s.Cores) * 100 }
 // MemPoints returns the server's memory capacity in container-points.
 func (s ServerSpec) MemPoints() float64 { return s.MemContainers * 100 }
 
-// Validate checks the spec.
+// Validate checks the spec. Every comparison with NaN is false, so the
+// non-finite fields are rejected by name before the range checks.
 func (s ServerSpec) Validate() error {
+	switch {
+	case !finite(s.MemContainers):
+		return fmt.Errorf("alloc: server MemContainers %v is not finite", s.MemContainers)
+	case !finite(float64(s.FMax)):
+		return fmt.Errorf("alloc: server FMax %v is not finite", float64(s.FMax))
+	case !finite(float64(s.FMin)):
+		return fmt.Errorf("alloc: server FMin %v is not finite", float64(s.FMin))
+	}
 	if s.Cores <= 0 || s.MemContainers <= 0 {
 		return errors.New("alloc: server needs positive cores and memory")
 	}
@@ -80,6 +90,8 @@ func (s ServerSpec) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // ServerPlan is the predicted load assembled on one server.
 type ServerPlan struct {
@@ -113,42 +125,6 @@ func (p *ServerPlan) add(idx int, vm *VMDemand) {
 		p.Mem[i] += vm.Mem[i]
 	}
 	p.VMs = append(p.VMs, idx)
-}
-
-// planArena bump-allocates ServerPlans with pre-zeroed pattern
-// backing for one Allocate call. The Assignment escapes to the
-// caller, so the slabs leave with it — the point is batching the ~3
-// heap allocations every opened server costs (plan, CPU+Mem patterns,
-// VMs growth) into a handful per chunk of servers. Patterns handed
-// out are zeroed and full-capacity sliced, so add's accumulation and
-// append discipline are unchanged.
-type planArena struct {
-	n      int // pattern length
-	plans  []ServerPlan
-	floats []float64
-	vmIdx  []int
-}
-
-const (
-	arenaChunk  = 16 // servers per slab
-	arenaVMsCap = 8  // VMs capacity per server before append reallocates
-)
-
-func (a *planArena) next() *ServerPlan {
-	if len(a.plans) == cap(a.plans) {
-		a.plans = make([]ServerPlan, 0, arenaChunk)
-		a.floats = make([]float64, 2*a.n*arenaChunk)
-		a.vmIdx = make([]int, arenaVMsCap*arenaChunk)
-	}
-	a.plans = a.plans[:len(a.plans)+1]
-	p := &a.plans[len(a.plans)-1]
-	p.CPU = a.floats[:a.n:a.n]
-	a.floats = a.floats[a.n:]
-	p.Mem = a.floats[:a.n:a.n]
-	a.floats = a.floats[a.n:]
-	p.VMs = a.vmIdx[:0:arenaVMsCap]
-	a.vmIdx = a.vmIdx[arenaVMsCap:]
-	return p
 }
 
 // fits reports whether adding vm keeps the plan under the caps.
@@ -205,6 +181,64 @@ type Assignment struct {
 	EPACTCase int
 }
 
+// Reset empties a for a fill of nVMs VMs: no servers, every VM
+// unplaced (-1), every scalar field zero but Policy. The server plans
+// and slices stay allocated for AddServer and the VMServer map to
+// reuse, so a caller that refills one Assignment slot after slot
+// allocates only while its buffers grow.
+func (a *Assignment) Reset(policy string, nVMs int) {
+	*a = Assignment{Policy: policy, Servers: a.Servers[:0], VMServer: resize(a.VMServer, nVMs)}
+	for i := range a.VMServer {
+		a.VMServer[i] = -1
+	}
+}
+
+// AddServer appends an empty server whose CPU and Mem patterns hold n
+// zero samples and returns it. It reuses the plan, and the plan's
+// buffers, that an earlier fill left at that position.
+func (a *Assignment) AddServer(n int) *ServerPlan {
+	k := len(a.Servers)
+	if k < cap(a.Servers) {
+		a.Servers = a.Servers[:k+1]
+	} else {
+		a.Servers = append(a.Servers, nil)
+	}
+	p := a.Servers[k]
+	if p == nil {
+		p = new(ServerPlan)
+		a.Servers[k] = p
+	}
+	p.VMs = p.VMs[:0]
+	p.CPU = zeroed(p.CPU, n)
+	p.Mem = zeroed(p.Mem, n)
+	return p
+}
+
+// zeroed returns s resized to n zero samples, reusing its backing.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// CopyFrom makes a a deep copy of src in a's own buffers: the copy
+// shares no slice with src, so src may be refilled afterwards.
+func (a *Assignment) CopyFrom(src *Assignment) {
+	a.Reset(src.Policy, len(src.VMServer))
+	copy(a.VMServer, src.VMServer)
+	a.CPUCapPoints, a.MemCapPoints = src.CPUCapPoints, src.MemCapPoints
+	a.PlannedFreq, a.FixedFreq, a.EPACTCase = src.PlannedFreq, src.FixedFreq, src.EPACTCase
+	for _, sp := range src.Servers {
+		p := a.AddServer(0)
+		p.VMs = append(p.VMs, sp.VMs...)
+		p.CPU = append(p.CPU, sp.CPU...)
+		p.Mem = append(p.Mem, sp.Mem...)
+	}
+}
+
 // ActiveServers returns the number of servers holding at least one VM.
 func (a *Assignment) ActiveServers() int {
 	n := 0
@@ -216,45 +250,64 @@ func (a *Assignment) ActiveServers() int {
 	return n
 }
 
-// Validate checks that every VM is assigned exactly once and plans are
-// consistent with the mapping.
-func (a *Assignment) Validate(numVMs int) error {
-	if len(a.VMServer) != numVMs {
-		return fmt.Errorf("alloc: VMServer has %d entries, want %d", len(a.VMServer), numVMs)
-	}
-	seen := make(map[int]int)
-	for _, s := range a.Servers {
-		for _, vm := range s.VMs {
-			seen[vm]++
-		}
-	}
-	for i := 0; i < numVMs; i++ {
-		sv := a.VMServer[i]
-		if sv < 0 || sv >= len(a.Servers) {
-			return fmt.Errorf("alloc: VM %d assigned to invalid server %d", i, sv)
-		}
-		if seen[i] != 1 {
-			return fmt.Errorf("alloc: VM %d appears %d times in server plans", i, seen[i])
-		}
-	}
-	return nil
-}
-
 // Policy allocates one slot's predicted VM demands to servers.
+//
+// Every policy of this package is also a Filler, and Allocate is
+// Fresh over its AllocateInto. The slot loops call Into, which fills
+// their own Assignment in place; Allocate stays for callers that wrap
+// a policy and want a result they keep.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 
-	// Allocate maps vms to servers. Implementations must not retain
-	// or modify the input.
+	// Allocate maps vms to servers in a fresh Assignment the caller
+	// owns. Implementations must not retain or modify the input.
 	Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error)
+}
+
+// Filler is a Policy that fills a caller-owned Assignment.
+//
+// AllocateInto maps vms to servers in dst. It resets dst and sets
+// every field of it on every call, reusing dst's server plans and
+// slices, so a caller that refills one Assignment slot after slot
+// allocates nothing once those have grown; per-call scratch lives in
+// pools. The policy does not retain dst, and, like Allocate, must not
+// retain or modify the input. After an error dst's contents are
+// unspecified.
+type Filler interface {
+	Policy
+	AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error
+}
+
+// Into allocates vms into dst: in place when p is a Filler, otherwise
+// through p.Allocate and a copy into dst's buffers.
+func Into(p Policy, dst *Assignment, vms []VMDemand, spec ServerSpec) error {
+	if f, ok := p.(Filler); ok {
+		return f.AllocateInto(dst, vms, spec)
+	}
+	a, err := p.Allocate(vms, spec)
+	if err != nil {
+		return err
+	}
+	dst.CopyFrom(a)
+	return nil
+}
+
+// Fresh is Allocate for a Filler: it fills a new Assignment.
+func Fresh(f Filler, vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	a := new(Assignment)
+	if err := f.AllocateInto(a, vms, spec); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // errNoVMs is returned for an empty input.
 var errNoVMs = errors.New("alloc: no VMs to allocate")
 
 // checkInput validates common preconditions: uniform sample counts and
-// non-negative demands.
+// finite, non-negative demands. NaN fails every comparison, so a NaN
+// sample would pass a plain negativity test and then fit anywhere.
 func checkInput(vms []VMDemand, spec ServerSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -271,8 +324,11 @@ func checkInput(vms []VMDemand, spec ServerSpec) error {
 			return fmt.Errorf("alloc: VM %d has ragged patterns", i)
 		}
 		for s := 0; s < n; s++ {
-			if vms[i].CPU[s] < 0 || vms[i].Mem[s] < 0 {
-				return fmt.Errorf("alloc: VM %d negative demand at sample %d", i, s)
+			if c := vms[i].CPU[s]; !(c >= 0) || math.IsInf(c, 1) {
+				return fmt.Errorf("alloc: VM %d CPU demand %v at sample %d is not finite and non-negative", i, c, s)
+			}
+			if m := vms[i].Mem[s]; !(m >= 0) || math.IsInf(m, 1) {
+				return fmt.Errorf("alloc: VM %d Mem demand %v at sample %d is not finite and non-negative", i, m, s)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"slices"
+
 	"repro/internal/mathx"
 )
 
@@ -28,29 +30,35 @@ func NewVerma() *Verma {
 // Name implements Policy.
 func (v *Verma) Name() string { return "Verma-binary" }
 
-// binarise quantises a pattern to 0/1 against the VM's own peak.
-func (v *Verma) binarise(pattern []float64) []float64 {
+// binarise quantises a pattern into out (of the same length) as 0/1
+// against the VM's own peak.
+func (v *Verma) binarise(out, pattern []float64) {
 	peak := mathx.Max(pattern)
-	out := make([]float64, len(pattern))
 	if peak <= 0 {
-		return out
+		clear(out)
+		return
 	}
 	thresh := v.PeakThresholdFrac * peak
 	for i, x := range pattern {
+		out[i] = 0
 		if x >= thresh {
 			out[i] = 1
 		}
 	}
-	return out
 }
 
-// Allocate implements Policy: first-fit-decreasing against the cap,
-// preferring servers whose *binary* peak sequence is least correlated
-// with the VM's — the quantisation loses the envelope information
-// COAT and EPACT keep, which is the point of the baseline.
+// Allocate implements Policy.
 func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+	return Fresh(v, vms, spec)
+}
+
+// AllocateInto implements Filler: first-fit-decreasing against the
+// cap, preferring servers whose *binary* peak sequence is least
+// correlated with the VM's — the quantisation loses the envelope
+// information COAT and EPACT keep, which is the point of the baseline.
+func (v *Verma) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
 	if err := checkInput(vms, spec); err != nil {
-		return nil, err
+		return err
 	}
 	frac := v.CapFrac
 	if frac <= 0 {
@@ -58,54 +66,52 @@ func (v *Verma) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	}
 	capCPU := spec.CPUPoints() * frac
 	capMem := spec.MemPoints()
-	order, _ := byPeakCPU(vms)
+	sc := basePool.Get().(*baseScratch)
+	defer basePool.Put(sc)
+	order, _ := sc.byPeakCPU(vms)
 
-	binary := make([][]float64, len(vms))
+	n := len(vms[0].CPU)
+	sc.binary = resize(sc.binary, len(vms)*n)
+	binary := sc.binary
 	for i := range vms {
-		binary[i] = v.binarise(vms[i].CPU)
+		v.binarise(binary[i*n:(i+1)*n], vms[i].CPU)
 	}
 
-	var servers []*ServerPlan
-	var serverBinary [][]float64
-	vmServer := make([]int, len(vms))
-	for i := range vmServer {
-		vmServer[i] = -1
-	}
-
+	dst.Reset(v.Name(), len(vms))
+	sc.srvBinary = sc.srvBinary[:0]
 	for _, idx := range order {
 		vm := &vms[idx]
+		bin := binary[idx*n : (idx+1)*n]
 		best, bestPhi := -1, 2.0 // minimise binary correlation
-		for j, srv := range servers {
+		for j, srv := range dst.Servers {
 			if !srv.fits(vm, capCPU, capMem) {
 				continue
 			}
-			phi, err := mathx.Pearson(serverBinary[j], binary[idx])
+			phi, err := mathx.Pearson(sc.srvBinary[j*n:(j+1)*n], bin)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if phi < bestPhi {
 				best, bestPhi = j, phi
 			}
 		}
 		if best < 0 {
-			servers = append(servers, &ServerPlan{})
-			serverBinary = append(serverBinary, make([]float64, len(vm.CPU)))
-			best = len(servers) - 1
+			dst.AddServer(n)
+			k := len(sc.srvBinary)
+			sc.srvBinary = slices.Grow(sc.srvBinary, n)[:k+n]
+			clear(sc.srvBinary[k:])
+			best = len(dst.Servers) - 1
 		}
-		servers[best].add(idx, vm)
-		for i := range binary[idx] {
-			serverBinary[best][i] += binary[idx][i]
+		dst.Servers[best].add(idx, vm)
+		row := sc.srvBinary[best*n : (best+1)*n]
+		for i, b := range bin {
+			row[i] += b
 		}
-		vmServer[idx] = best
+		dst.VMServer[idx] = best
 	}
 
-	return &Assignment{
-		Policy:       v.Name(),
-		Servers:      servers,
-		VMServer:     vmServer,
-		CPUCapPoints: capCPU,
-		MemCapPoints: capMem,
-		PlannedFreq:  spec.FMax,
-		FixedFreq:    true, // consolidation-era policy: race at F_max
-	}, nil
+	dst.CPUCapPoints, dst.MemCapPoints = capCPU, capMem
+	dst.PlannedFreq = spec.FMax
+	dst.FixedFreq = true // consolidation-era policy: race at F_max
+	return nil
 }

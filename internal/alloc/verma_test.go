@@ -6,9 +6,19 @@ import (
 	"repro/internal/mathx"
 )
 
+// MigrationRate returns migrations / total VMs.
+func (m MigrationStats) MigrationRate() float64 {
+	total := m.Migrations + m.Stayed
+	if total == 0 {
+		return 0
+	}
+	return float64(m.Migrations) / float64(total)
+}
+
 func TestVermaBinarise(t *testing.T) {
 	v := NewVerma()
-	got := v.binarise([]float64{10, 80, 100, 70, 20})
+	got := make([]float64, 5)
+	v.binarise(got, []float64{10, 80, 100, 70, 20})
 	want := []float64{0, 1, 1, 0, 0} // threshold 75
 	for i := range want {
 		if got[i] != want[i] {
@@ -16,7 +26,8 @@ func TestVermaBinarise(t *testing.T) {
 		}
 	}
 	// All-zero pattern stays zero.
-	z := v.binarise([]float64{0, 0, 0})
+	z := []float64{1, 1, 1} // binarise overwrites stale contents
+	v.binarise(z, []float64{0, 0, 0})
 	for i, x := range z {
 		if x != 0 {
 			t.Errorf("zero pattern binarised to %v at %d", x, i)
@@ -47,8 +58,9 @@ func TestVermaQuantisationLosesEnvelope(t *testing.T) {
 	v := NewVerma()
 	a := []float64{10, 10, 100, 100, 10, 10}
 	b := []float64{70, 70, 100, 100, 70, 70} // much heavier off-peak
-	ba := v.binarise(a)
-	bb := v.binarise(b)
+	ba, bb := make([]float64, len(a)), make([]float64, len(b))
+	v.binarise(ba, a)
+	v.binarise(bb, b)
 	phi, err := mathx.Pearson(ba, bb)
 	if err != nil {
 		t.Fatal(err)

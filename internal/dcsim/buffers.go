@@ -64,8 +64,15 @@ type runState struct {
 	cpuTotal [trace.SamplesPerSlot]float64
 	memTotal [trace.SamplesPerSlot]float64
 
-	prevAsg *alloc.Assignment
-	slots   []SlotResult
+	// asg is the Assignment the next step's policy fills in place, and
+	// prev the previous slot's, which transition pricing reads while
+	// asg is filled; step swaps the two. prev means nothing until
+	// hasPrev (the first slot has no previous one). Both come from
+	// asgPool and go back with dem.
+	asg, prev *alloc.Assignment
+	hasPrev   bool
+
+	slots []SlotResult
 }
 
 // demandPool recycles slot-demand buffers between steppers: a stepper
@@ -76,6 +83,21 @@ type runState struct {
 // loop stays allocation-free even when the pool drops items (as it
 // does at random under the race detector).
 var demandPool = sync.Pool{New: func() any { return new(SlotDemands) }}
+
+// asgPool recycles Assignment buffers between steppers the same way:
+// a fleet's per-DC epoch stepper lives a few slots, too few for its
+// server plans to reach their size, so the next epoch's steppers
+// refill the plans the last ones grew.
+var asgPool = sync.Pool{New: func() any { return new(alloc.Assignment) }}
+
+// release gives the run's demand and Assignment buffers back to their
+// pools once its window is done; no step may follow.
+func (st *runState) release() {
+	demandPool.Put(st.dem)
+	asgPool.Put(st.asg)
+	asgPool.Put(st.prev)
+	st.dem, st.asg, st.prev, st.hasPrev = nil, nil, nil, false
+}
 
 func newRunState(cfg *Config) (*runState, error) {
 	if err := validate(cfg); err != nil {
@@ -104,6 +126,8 @@ func newRunState(cfg *Config) (*runState, error) {
 		first:     first,
 		last:      last,
 		dem:       demandPool.Get().(*SlotDemands),
+		asg:       asgPool.Get().(*alloc.Assignment),
+		prev:      asgPool.Get().(*alloc.Assignment),
 		slots:     make([]SlotResult, 0, last-first),
 	}
 	if cfg.Transitions != (TransitionModel{}) {
@@ -122,15 +146,19 @@ func newRunState(cfg *Config) (*runState, error) {
 
 // clone copies a runState for an independent continuation bound to
 // cfg (the cloning stepper's own Config copy). Immutable per-run
-// tables (DVFS grid, observables, level powers, capacity scales) and
-// the previous assignment (read-only after its slot) are shared;
-// per-step scratch is allocated fresh — it is rebuilt from scratch on
-// every step — and the slot results are deep-copied so each side
-// appends independently.
+// tables (DVFS grid, observables, level powers, capacity scales) are
+// shared; per-step scratch is allocated fresh — it is rebuilt from
+// scratch on every step — and the previous assignment and the slot
+// results are deep-copied, since each side refills its Assignment
+// buffers and appends its results independently.
 func (st *runState) clone(cfg *Config) *runState {
 	c := *st
 	c.cfg = cfg
 	c.dem = new(SlotDemands)
+	c.asg, c.prev = new(alloc.Assignment), new(alloc.Assignment)
+	if st.hasPrev {
+		c.prev.CopyFrom(st.prev)
+	}
 	c.match = alloc.MigrationMatcher{}
 	if st.resident != nil {
 		c.resident = make([]float64, len(st.resident))
@@ -140,9 +168,11 @@ func (st *runState) clone(cfg *Config) *runState {
 }
 
 // step simulates one slot: build demand views, allocate, replay, and
-// price transitions. It performs no heap allocations beyond what the
-// allocation policy itself allocates (pinned by
-// TestSlotLoopAllocationFree).
+// price transitions. The policy fills the run's own Assignment
+// buffer, so once the buffers have grown a step allocates nothing but
+// what the policy's own pools take (and a memo hit takes none): pinned
+// for every registered policy on a memo hit by
+// TestSlotLoopAllocationFree.
 func (st *runState) step(s int) error {
 	cfg := st.cfg
 	lo := s * trace.SamplesPerSlot // offset within the eval period
@@ -152,8 +182,8 @@ func (st *runState) step(s int) error {
 	vms := st.dem.fill(cfg.Predictions, s)
 
 	// 2) Allocate.
-	asg, err := cfg.Policy.Allocate(vms, st.spec)
-	if err != nil {
+	asg := st.asg
+	if err := alloc.Into(cfg.Policy, asg, vms, st.spec); err != nil {
 		return fmt.Errorf("dcsim: slot %d: %w", s, err)
 	}
 
@@ -170,12 +200,16 @@ func (st *runState) step(s int) error {
 		if err := residentSets(cfg.Trace, st.evalStart+lo, st.resident); err != nil {
 			return fmt.Errorf("dcsim: slot %d: %w", s, err)
 		}
-		te, stats := cfg.Transitions.slotTransitionEnergy(&st.match, st.prevAsg, asg, st.resident, cfg.InitialActiveServers)
+		var prev *alloc.Assignment
+		if st.hasPrev {
+			prev = st.prev
+		}
+		te, stats := cfg.Transitions.slotTransitionEnergy(&st.match, prev, asg, st.resident, cfg.InitialActiveServers)
 		slot.TransitionEnergy = te
 		slot.Migrations = stats.Migrations
 		slot.Energy += te
 	}
-	st.prevAsg = asg
+	st.asg, st.prev, st.hasPrev = st.prev, asg, true
 	st.slots = append(st.slots, slot)
 	return nil
 }

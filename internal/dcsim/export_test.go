@@ -18,3 +18,14 @@ func MemoisedUnder(root *trace.Trace) []*trace.Trace {
 	})
 	return out
 }
+
+// StepSlot steps slot s of st's run again from its carried state, for
+// tests that measure one step at a time: it empties the run's result
+// list first and returns the slot's result.
+func StepSlot(st *Stepper, s int) (SlotResult, error) {
+	st.st.slots = st.st.slots[:0]
+	if err := st.st.step(s); err != nil {
+		return SlotResult{}, err
+	}
+	return st.st.slots[0], nil
+}

@@ -204,6 +204,14 @@ func TestReplayMatchesReference(t *testing.T) {
 	}
 }
 
+// stubPolicy hands back a prebuilt assignment, whatever the demands.
+type stubPolicy struct{ asg *alloc.Assignment }
+
+func (p *stubPolicy) Name() string { return "stub" }
+func (p *stubPolicy) Allocate([]alloc.VMDemand, alloc.ServerSpec) (*alloc.Assignment, error) {
+	return p.asg, nil
+}
+
 // TestOffGridFixedCapFailsItsSlot: a fixed-cap assignment whose
 // planned frequency is not a grid level cannot be priced from the
 // level tables, so its slot fails instead of being priced elsewhere.

@@ -415,81 +415,6 @@ func TestWindowedRunsConcatenate(t *testing.T) {
 	}
 }
 
-// stubPolicy hands back a prebuilt assignment, isolating the
-// dcsim-owned slot work from whatever the real policies allocate.
-type stubPolicy struct{ asg *alloc.Assignment }
-
-func (p *stubPolicy) Name() string { return "stub" }
-func (p *stubPolicy) Allocate([]alloc.VMDemand, alloc.ServerSpec) (*alloc.Assignment, error) {
-	return p.asg, nil
-}
-
-// TestSlotLoopAllocationFree pins the zero-allocation contract of the
-// steady-state slot loop: with the policy's own allocations factored
-// out, step performs no heap allocations — the demand windows, the
-// columnar replay and the slot append all run in run-scoped buffers —
-// for a dynamic-DVFS assignment (EPACT) and a fixed-cap one (COAT-OPT).
-// With transitions priced against a previous assignment that differs
-// from the next one, migration matching runs in the run's matcher and
-// allocates nothing either.
-func TestSlotLoopAllocationFree(t *testing.T) {
-	tr := testTrace(t, 30)
-	ps := oracle(t, tr)
-	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
-
-	// Real slot-0 and slot-1 assignments, built once outside the
-	// measurement.
-	demands := func(s int) []alloc.VMDemand {
-		vms := make([]alloc.VMDemand, len(tr.VMs))
-		lo, hi := s*trace.SamplesPerSlot, (s+1)*trace.SamplesPerSlot
-		for v := range vms {
-			vms[v] = alloc.VMDemand{ID: v, CPU: ps.CPU[v][lo:hi], Mem: ps.Mem[v][lo:hi]}
-		}
-		return vms
-	}
-	for _, pol := range []alloc.Policy{
-		&alloc.EPACT{Model: power.NTCServer()},
-		alloc.NewCOATOPT(spec, power.NTCServer().OptimalFrequency()),
-	} {
-		asg, err := pol.Allocate(demands(0), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A slot-1 load-balanced spread: pricing the move from the
-		// consolidated assignment to it runs the migration matcher.
-		spread, err := (&alloc.LoadBalance{Servers: 6}).Allocate(demands(1), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tm := range []TransitionModel{ZeroTransitions(), DefaultTransitions()} {
-			var prev *alloc.Assignment
-			next := asg
-			if tm != ZeroTransitions() {
-				prev, next = asg, spread
-			}
-			cfg := testConfig(t, tr, &stubPolicy{asg: next}, ps)
-			cfg.Transitions = tm
-			st, err := newRunState(&cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				st.slots = st.slots[:0]
-				st.prevAsg = prev
-				if err := st.step(0); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if tm != ZeroTransitions() && st.slots[0].Migrations == 0 {
-				t.Errorf("%s: no migrations priced from the consolidated assignment to the spread", pol.Name())
-			}
-			if allocs != 0 {
-				t.Errorf("%s (transitions %+v): slot loop allocates %.0f times per step, want 0", pol.Name(), tm, allocs)
-			}
-		}
-	}
-}
-
 func TestPoolCapViolations(t *testing.T) {
 	// A tiny pool must register overflow violations.
 	tr := testTrace(t, 60)

@@ -182,36 +182,58 @@ func TestCloneContinuesBitExact(t *testing.T) {
 	cfg := testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps)
 	cfg.Transitions = DefaultTransitions()
 
-	st, err := NewStepper(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fork = 20
-	for i := 0; i < fork; i++ {
-		if _, err := st.Step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	clone := st.Clone(&alloc.EPACT{Model: power.NTCServer()})
-	for !st.Done() {
-		want, err := st.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := clone.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("clone diverged at slot %d:\noriginal %+v\nclone    %+v", want.Slot, want, got)
-		}
-	}
-	if !clone.Done() {
-		t.Fatal("clone not done when original is")
-	}
-	a, b := st.Finish(), clone.Finish()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("finished results differ:\noriginal %+v\nclone    %+v", a, b)
+	// lockstep steps the original and the clone in turn; in
+	// original-ahead the original finishes before the clone's first
+	// step, refilling both of its Assignment buffers first, so a clone
+	// that shared either would price its first transition from the
+	// wrong plan.
+	for _, ahead := range []bool{false, true} {
+		name := map[bool]string{false: "lockstep", true: "original-ahead"}[ahead]
+		t.Run(name, func(t *testing.T) {
+			st, err := NewStepper(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const fork = 20
+			for i := 0; i < fork; i++ {
+				if _, err := st.Step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			clone := st.Clone(&alloc.EPACT{Model: power.NTCServer()})
+			cloneStep := func(want SlotResult) {
+				t.Helper()
+				got, err := clone.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("clone diverged at slot %d:\noriginal %+v\nclone    %+v", want.Slot, want, got)
+				}
+			}
+			var ran []SlotResult
+			for !st.Done() {
+				want, err := st.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ahead {
+					ran = append(ran, want)
+				} else {
+					cloneStep(want)
+				}
+			}
+			for _, want := range ran {
+				cloneStep(want)
+			}
+			if !clone.Done() {
+				t.Fatal("clone not done when original is")
+			}
+			a, b := st.Finish(), clone.Finish()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("finished results differ:\noriginal %+v\nclone    %+v", a, b)
+			}
+		})
 	}
 }
 

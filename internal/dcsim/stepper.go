@@ -11,8 +11,8 @@ import (
 // the packed prediction windows and the reusable scratch buffers are
 // built once at construction and shared by every Step, so stepping a
 // window to completion is the batch run — not a re-derivation of it.
-// Once the last slot is stepped, the demand buffer goes back to a
-// pool for the next stepper built (see demandPool).
+// Once the last slot is stepped, the demand and Assignment buffers go
+// back to pools for the next stepper built (see demandPool, asgPool).
 // Run itself is implemented as a Stepper driven to exhaustion, which
 // is what makes "incremental equals batch" true by construction
 // rather than by test.
@@ -101,16 +101,16 @@ func (s *Stepper) Step() (SlotResult, error) {
 	}
 	if s.Done() {
 		s.withdraw()
-		demandPool.Put(s.st.dem)
-		s.st.dem = nil
+		s.st.release()
 	}
 	return s.st.slots[len(s.st.slots)-1], nil
 }
 
 // Clone returns an independent stepper carrying this one's state: the
 // clone resumes at the same next slot with the same accumulated
-// results and transition continuity (prevAsg, shared read-only), and
-// stepping it never affects the original. pol, when non-nil, replaces
+// results and transition continuity (a deep copy of the previous
+// assignment), and stepping it never affects the original, nor
+// stepping the original it. pol, when non-nil, replaces
 // the allocation policy — callers that step original and clone
 // concurrently must pass a fresh instance, since policies are not
 // required to allocate concurrently. The registered policies derive

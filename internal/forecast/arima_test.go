@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -212,6 +213,28 @@ func TestLastValue(t *testing.T) {
 	if _, err := forecastN(LastValue{}, nil, 3); err == nil {
 		t.Error("empty history accepted")
 	}
+}
+
+// Oracle returns the true future — available in simulation only, used
+// to isolate allocation quality from prediction quality in ablations.
+type Oracle struct {
+	// Future supplies the actual values the simulator knows.
+	Future []float64
+}
+
+// Name implements Predictor.
+func (o *Oracle) Name() string { return "oracle" }
+
+// Forecast implements Predictor.
+func (o *Oracle) Forecast(dst, history []float64) error {
+	if len(dst) == 0 {
+		return errBadHorizon
+	}
+	if len(o.Future) < len(dst) {
+		return fmt.Errorf("forecast: oracle has %d future samples, need %d", len(o.Future), len(dst))
+	}
+	copy(dst, o.Future)
+	return nil
 }
 
 func TestOracle(t *testing.T) {

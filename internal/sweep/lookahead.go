@@ -172,11 +172,12 @@ func (e *allocEntry) released() bool {
 	}
 }
 
-// helper is one goroutine's lookahead state: a demand buffer it reuses,
-// and the policy it last built, kept while the windows it serves share
-// a policy name and server model.
+// helper is one goroutine's lookahead state: the demand and Assignment
+// buffers it reuses, and the policy it last built, kept while the
+// windows it serves share a policy name and server model.
 type helper struct {
 	dem    dcsim.SlotDemands
+	asg    alloc.Assignment
 	pol    alloc.Policy
 	prefix []byte
 }
@@ -195,18 +196,15 @@ func (h *helper) step(m *allocMemo, wait bool) bool {
 	if e == nil {
 		return true
 	}
-	var (
-		a   *alloc.Assignment
-		err error
-	)
+	var err error
 	if h.pol == nil || !bytes.Equal(h.prefix, win.pol.prefix) {
 		h.pol, err = newPolicy(win.pol.name, win.pol.model)
 		h.prefix = win.pol.prefix
 	}
 	if err == nil {
-		a, err = h.pol.Allocate(vms, win.w.Spec)
+		err = alloc.Into(h.pol, &h.asg, vms, win.w.Spec)
 	}
-	m.finishAhead(key, e, a, err)
+	m.finishAhead(key, e, &h.asg, err)
 	return true
 }
 

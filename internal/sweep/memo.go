@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,8 +65,14 @@ var memoNonce [12]byte
 // compact placements. It is safe for concurrent use.
 type allocMemo struct {
 	gcm    cipher.AEAD
-	bufs   sync.Pool // *[]byte key scratch, shared by every policy
 	budget int
+
+	// keyBufs are the key encodings' scratch buffers free for the next
+	// call, under their own lock: at most one per goroutine ever
+	// encoding at once. A free list rather than a sync.Pool, which the
+	// race detector empties at random, so a hit never allocates.
+	keyMu   sync.Mutex
+	keyBufs [][]byte
 
 	mu      sync.Mutex
 	entries map[digest]*allocEntry
@@ -143,7 +150,16 @@ type memoPolicy struct {
 	help  helper
 }
 
+// Allocate implements alloc.Policy.
 func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*alloc.Assignment, error) {
+	return alloc.Fresh(p, vms, spec)
+}
+
+// AllocateInto implements alloc.Filler. A miss fills dst through the
+// wrapped policy and stores its compact placement; a hit unpacks the
+// stored placement into dst, which then holds what the slot replay
+// and transition pricing read, with empty plan patterns.
+func (p *memoPolicy) AllocateInto(dst *alloc.Assignment, vms []alloc.VMDemand, spec alloc.ServerSpec) error {
 	m := p.memo
 	key := m.key(p.prefix, vms, spec)
 	m.mu.Lock()
@@ -154,24 +170,25 @@ func (p *memoPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*all
 	}
 	m.mu.Unlock()
 	if !found {
-		return m.fill(key, e, p.Policy, vms, spec)
+		return m.fill(key, e, p.Policy, dst, vms, spec)
 	}
 	p.await(e)
 	if !e.ok {
 		// Never serve a failure: run the call again, which returns
 		// the policy's own result or error.
-		return p.Policy.Allocate(vms, spec)
+		return alloc.Into(p.Policy, dst, vms, spec)
 	}
 	m.used(key, e)
-	return e.p.assignment(p.Name()), nil
+	e.p.into(dst, p.Name())
+	return nil
 }
 
-// fill runs the call e stands for and publishes its placement, or
-// drops e when the call fails. The deferred release runs even if the
-// policy panics (net/http recovers a handler's panic), so waiters never
-// hang. Only finished entries are in fifo, so eviction never touches
-// one still being computed.
-func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, vms []alloc.VMDemand, spec alloc.ServerSpec) (a *alloc.Assignment, err error) {
+// fill runs the call e stands for into dst and publishes its
+// placement, or drops e when the call fails. The deferred release runs
+// even if the policy panics (net/http recovers a handler's panic), so
+// waiters never hang. Only finished entries are in fifo, so eviction
+// never touches one still being computed.
+func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, dst *alloc.Assignment, vms []alloc.VMDemand, spec alloc.ServerSpec) error {
 	defer func() {
 		m.mu.Lock()
 		if e.ok {
@@ -182,11 +199,11 @@ func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, vms []allo
 		m.mu.Unlock()
 		close(e.done)
 	}()
-	a, err = pol.Allocate(vms, spec)
+	err := alloc.Into(pol, dst, vms, spec)
 	if err == nil {
-		e.p, e.ok = compact(a)
+		e.p, e.ok = compact(dst)
 	}
-	return a, err
+	return err
 }
 
 // storeLocked appends the finished entry e to fifo and evicts the
@@ -209,14 +226,17 @@ func (m *allocMemo) key(prefix []byte, vms []alloc.VMDemand, spec alloc.ServerSp
 	for i := range vms {
 		n += 3*8 + 8*(len(vms[i].CPU)+len(vms[i].Mem))
 	}
-	bp, _ := m.bufs.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+	var b []byte
+	m.keyMu.Lock()
+	if k := len(m.keyBufs); k > 0 {
+		b = m.keyBufs[k-1]
+		m.keyBufs = m.keyBufs[:k-1]
 	}
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
+	m.keyMu.Unlock()
+	if cap(b) < n+len(digest{}) {
+		b = make([]byte, 0, n+len(digest{}))
 	}
-	b := append((*bp)[:0], prefix...)
+	b = append(b[:0], prefix...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(spec.Cores))
 	b = appendFloats(b, spec.MemContainers, float64(spec.FMax), float64(spec.FMin))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(vms)))
@@ -228,10 +248,14 @@ func (m *allocMemo) key(prefix []byte, vms []alloc.VMDemand, spec alloc.ServerSp
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(v.Mem)))
 		b = appendFloats(b, v.Mem...)
 	}
+	// The tag is sealed into the spare capacity after the encoding
+	// (the encoding is only authenticated, so the two never overlap):
+	// sealing into a local array would move it to the heap.
 	var d digest
-	m.gcm.Seal(d[:0], memoNonce[:], nil, b)
-	*bp = b
-	m.bufs.Put(bp)
+	copy(d[:], m.gcm.Seal(b[len(b):], memoNonce[:], nil, b))
+	m.keyMu.Lock()
+	m.keyBufs = append(m.keyBufs, b)
+	m.keyMu.Unlock()
 	return d
 }
 
@@ -339,16 +363,17 @@ func compact(a *alloc.Assignment) (placement, bool) {
 
 func (p *placement) size() int { return entryOverhead + 2*len(p.idx16) + 4*len(p.idx32) }
 
-// assignment rebuilds a fresh Assignment, which the caller owns.
-func (p *placement) assignment(policy string) *alloc.Assignment {
-	a := &alloc.Assignment{Policy: policy, CPUCapPoints: p.cpuCap, MemCapPoints: p.memCap,
-		PlannedFreq: p.plannedFreq, FixedFreq: p.fixedFreq, EPACTCase: p.epactCase}
+// into rebuilds the placement in a, reusing a's buffers: every field
+// is set, and the plan patterns are empty.
+func (p *placement) into(a *alloc.Assignment, policy string) {
+	a.Reset(policy, p.vms)
+	a.CPUCapPoints, a.MemCapPoints = p.cpuCap, p.memCap
+	a.PlannedFreq, a.FixedFreq, a.EPACTCase = p.plannedFreq, p.fixedFreq, p.epactCase
 	if p.idx16 != nil {
 		unpack(a, p.idx16, p.vms)
 	} else {
 		unpack(a, p.idx32, p.vms)
 	}
-	return a
 }
 
 func pack[T uint16 | int32](a *alloc.Assignment, n int) []T {
@@ -366,23 +391,17 @@ func pack[T uint16 | int32](a *alloc.Assignment, n int) []T {
 	return idx
 }
 
+// unpack appends the servers idx lists to a, which Reset has sized
+// for n VMs.
 func unpack[T uint16 | int32](a *alloc.Assignment, idx []T, n int) {
-	ints := make([]int, 2*n) // the VM lists, then VMServer
-	for i, v := range idx[:n] {
-		ints[i] = int(v)
-	}
-	ends := idx[n:]
-	plans := make([]alloc.ServerPlan, len(ends))
-	a.Servers = make([]*alloc.ServerPlan, len(ends))
-	a.VMServer = ints[n:]
 	start := 0
-	for i, e := range ends {
-		end := int(e)
-		plans[i].VMs = ints[start:end:end]
-		for _, v := range plans[i].VMs {
+	for i, e := range idx[n:] {
+		srv := a.AddServer(0)
+		srv.VMs = slices.Grow(srv.VMs, int(e)-start)
+		for _, v := range idx[start:e] {
+			srv.VMs = append(srv.VMs, int(v))
 			a.VMServer[v] = i
 		}
-		a.Servers[i] = &plans[i]
-		start = end
+		start = int(e)
 	}
 }

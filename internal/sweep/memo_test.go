@@ -428,3 +428,71 @@ func TestMemoStaysWithinBudget(t *testing.T) {
 		t.Errorf("%d inputs computed and %d kept: nothing was evicted", fills, len(rn.memo.entries))
 	}
 }
+
+// TestMemoHitsRefillReusedAssignments: a memo hit unpacks into the
+// caller's Assignment. Two goroutines, each with its own policy
+// instances and one Assignment it reuses for every call, cycle through
+// every policy on inputs of different sizes. After the first round
+// every call is a hit, and each must leave exactly the policy's own
+// placement in the reused Assignment, with empty plan patterns and
+// nothing left over from the call before. Under -race, a hit that
+// shared memory with the stored entry or the other goroutine's
+// Assignment would show.
+func TestMemoHitsRefillReusedAssignments(t *testing.T) {
+	m := newAllocMemo(memoBudget)
+	model := power.NTCServer()
+	all, spec := memoInput(model)
+	inputs := [][]alloc.VMDemand{all, all[:4], all[2:9]}
+	want := map[string][]*alloc.Assignment{}
+	for _, name := range PolicyNames() {
+		pol, err := newPolicy(name, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vms := range inputs {
+			a, err := pol.Allocate(vms, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[name] = append(want[name], a)
+		}
+	}
+	const goroutines, rounds = 2, 4
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := new(alloc.Assignment)
+			for round := range rounds {
+				for _, name := range PolicyNames() {
+					inner, err := newPolicy(name, model)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					pol := m.wrap(name, model, inner, nil).(alloc.Filler)
+					for k, vms := range inputs {
+						if err := pol.AllocateInto(dst, vms, spec); err != nil {
+							t.Error(err)
+							return
+						}
+						if !sameAssignment(dst, want[name][k]) {
+							t.Errorf("round %d: %s on input %d: the reused Assignment differs from the policy's own", round, name, k)
+						}
+						for j, srv := range dst.Servers {
+							if round > 0 && (len(srv.CPU) != 0 || len(srv.Mem) != 0) {
+								t.Errorf("round %d: %s on input %d: a hit left plan patterns on server %d", round, name, k, j)
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	calls := goroutines * rounds * len(PolicyNames()) * len(inputs)
+	if misses := calls - int(m.hits.Load()); misses != len(PolicyNames())*len(inputs) {
+		t.Errorf("%d of %d calls missed, want one per input", misses, calls)
+	}
+}
