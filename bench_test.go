@@ -396,3 +396,50 @@ func BenchmarkDistLocalSweep(b *testing.B) {
 		}
 	}
 }
+
+// benchJournalGrid is 2,000 tiny rows: FFD and COAT over 1,000 static
+// power values, 8 VMs, 1+1 days. A row costs well under a millisecond,
+// so the coordinator's per-row work — leases, completes and the
+// checkpoint journal — is a large share of the run.
+func benchJournalGrid() sweep.Grid {
+	static := make([]float64, 1000)
+	for i := range static {
+		static[i] = 10 + float64(i)/20
+	}
+	return sweep.Grid{
+		Policies:     []string{"FFD", "COAT"},
+		VMs:          []int{8},
+		HistoryDays:  1,
+		EvalDays:     1,
+		Seeds:        []int64{2018},
+		Predictors:   []string{"oracle"},
+		StaticPowerW: static,
+	}
+}
+
+// BenchmarkDistCheckpointedSweep runs benchJournalGrid through the
+// in-process coordinator with 2 workers, without and with a checkpoint
+// journal: the journal's cost is the difference between the two.
+func BenchmarkDistCheckpointedSweep(b *testing.B) {
+	g := benchJournalGrid()
+	for _, journal := range []bool{false, true} {
+		b.Run(fmt.Sprintf("journal=%v", journal), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var opt dist.Options
+				if journal {
+					opt.CheckpointDir = b.TempDir()
+				}
+				res, _, err := dist.RunLocal(context.Background(), g, 2, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := res.Failed(); err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Runs) != 2000 {
+					b.Fatal("bad sweep")
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -578,19 +579,28 @@ func TestResumeCLIMidGridRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var journal map[string]any
-	if err := json.Unmarshal(raw, &journal); err != nil {
-		t.Fatal(err)
+	// The journal is a header line and then one record per landed
+	// Complete; keep the header and rewrite the records as one that
+	// holds the first 10 rows and no live lease.
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	var rows []any
+	for _, line := range lines[1:] {
+		var record map[string]any
+		if err := json.Unmarshal(line, &record); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := record["rows"].([]any); ok {
+			rows = append(rows, r...)
+		}
 	}
-	rows, ok := journal["rows"].([]any)
-	if !ok || len(rows) != 24 {
+	if len(rows) != 24 {
 		t.Fatalf("journal holds %d rows, want 24", len(rows))
 	}
-	journal["rows"] = rows[:10]
-	cut, err := json.Marshal(journal)
+	record, err := json.Marshal(map[string]any{"lease_id": 0, "rows": rows[:10]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cut := slices.Concat(lines[0], []byte("\n"), record, []byte("\n"))
 	if err := os.WriteFile(journalPath, cut, 0o644); err != nil {
 		t.Fatal(err)
 	}

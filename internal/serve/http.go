@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/dcsim"
+	"repro/internal/jsonx"
 )
 
 // maxWhatIfBody bounds a what-if or session-create request body; the
@@ -203,13 +203,10 @@ type stepResponse struct {
 // (typo safety; a second value is a smuggling attempt or a
 // concatenation bug). what names the request in the error.
 func decodeBody(body []byte, v any, what string) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("parsing %s request: %w", what, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	if _, err := jsonx.DecodeStrict(body, v); errors.Is(err, jsonx.ErrTrailingData) {
 		return fmt.Errorf("%s request has trailing data after the JSON object", what)
+	} else if err != nil {
+		return fmt.Errorf("parsing %s request: %w", what, err)
 	}
 	return nil
 }

@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,24 +157,28 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func(t *testing.T) checkpointFile {
-		var cf checkpointFile
-		if err := json.Unmarshal(raw, &cf); err != nil {
-			t.Fatal(err)
-		}
-		return cf
-	}
+	decode := func(t *testing.T) journalImage { return decodeJournal(t, raw) }
+	header := bytes.IndexByte(raw, '\n')
 
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T) []byte
 		wantErr string
 	}{
-		{"truncated", func(t *testing.T) []byte { return raw[:len(raw)/2] }, "decoding checkpoint"},
+		// A torn final record is what a crash mid-append leaves, and
+		// loads; a torn header or a torn record with records after it
+		// is corruption.
+		{"truncated", func(t *testing.T) []byte { return raw[:header/2] }, "decoding checkpoint"},
+		{"torn record mid-journal", func(t *testing.T) []byte {
+			lines := bytes.SplitAfter(raw, []byte("\n"))
+			torn := lines[2][:len(lines[2])/2]
+			out := slices.Concat(lines[0], lines[1], torn, []byte("\n"))
+			return append(out, bytes.Join(lines[3:], nil)...)
+		}, "decoding checkpoint"},
 		{"wrong version", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Version = "dist-checkpoint-v0"
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "version"},
 		{"unknown field", func(t *testing.T) []byte {
 			return append([]byte(`{"bogus":1,`), raw[1:]...)
@@ -178,40 +186,40 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		{"row seq out of range", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Rows[0].Seq = 99
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "grid has"},
 		{"duplicate row", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Rows = append(cf.Rows, cf.Rows[0])
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "duplicate row"},
 		{"row does not decode", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Rows[0].Row = json.RawMessage(`{"scenario":42}`)
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "does not decode"},
 		{"row for wrong scenario", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Rows[0].Row, cf.Rows[1].Row = cf.Rows[1].Row, cf.Rows[0].Row
 			cf.Rows[0].Key, cf.Rows[1].Key = cf.Rows[1].Key, cf.Rows[0].Key
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "grid expands to"},
 		{"negative lease id", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.LeaseID = -1
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "negative lease id"},
 		{"unit both done and leased", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Leases = append(cf.Leases, checkpointLease{Seq: cf.Rows[0].Seq, Lease: 1})
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "both completed and leased"},
 		{"lease outside issued range", func(t *testing.T) []byte {
 			cf := decode(t)
 			freed := cf.Rows[len(cf.Rows)-1].Seq
 			cf.Rows = cf.Rows[:len(cf.Rows)-1]
 			cf.Leases = append(cf.Leases, checkpointLease{Seq: freed, Lease: cf.LeaseID + 50})
-			return mustMarshal(t, cf)
+			return cf.encode(t)
 		}, "outside the issued range"},
 	}
 	for _, tc := range cases {
@@ -241,6 +249,45 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// journalImage is a journal flattened for mutation: the header's
+// fields, every record's rows, and the last record's lease state.
+type journalImage struct {
+	Version string
+	Grid    sweep.Grid
+	LeaseID int64
+	Leases  []checkpointLease
+	Rows    []checkpointRow
+}
+
+func decodeJournal(t *testing.T, raw []byte) journalImage {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	var hdr checkpointHeader
+	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	img := journalImage{Version: hdr.Version, Grid: hdr.Grid}
+	for _, line := range lines[1:] {
+		var rec checkpointRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		img.Rows = append(img.Rows, rec.Rows...)
+		img.LeaseID, img.Leases = rec.LeaseID, rec.Leases
+	}
+	return img
+}
+
+// encode writes the image back as a journal: the header and one
+// record holding every row.
+func (img journalImage) encode(t *testing.T) []byte {
+	t.Helper()
+	out := mustMarshal(t, checkpointHeader{Version: img.Version, Grid: img.Grid})
+	out = append(out, '\n')
+	out = append(out, mustMarshal(t, checkpointRecord{LeaseID: img.LeaseID, Leases: img.Leases, Rows: img.Rows})...)
+	return append(out, '\n')
 }
 
 // TestResumeRefusesChangedInputs pins the key guard: a journal written
@@ -311,5 +358,240 @@ func TestCheckpointDirFailureIsLoud(t *testing.T) {
 	}
 	if _, err := NewCoordinator(testGrid(), Options{CheckpointDir: path}); err == nil {
 		t.Fatal("coordinator accepted an unusable checkpoint dir")
+	}
+}
+
+// journalWatch is an in-process backend — it embeds the coordinator,
+// so its workers share the coordinator's Runner as RunLocal's do —
+// that checks the journal after every Complete: the call may only
+// append, and only about its own rows' bytes.
+type journalWatch struct {
+	*Coordinator
+	t       *testing.T
+	path    string
+	maxLive int // the most leases the workers can hold at once
+
+	mu        sync.Mutex
+	prev      []byte
+	completes int
+}
+
+func (j *journalWatch) Complete(ctx context.Context, worker string, results []UnitResult, load sweep.LoadStats) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.Coordinator.Complete(ctx, worker, results, load)
+	data, rerr := os.ReadFile(j.path)
+	if rerr != nil {
+		j.t.Error(rerr)
+		return err
+	}
+	if !bytes.HasPrefix(data, j.prev) {
+		j.t.Errorf("Complete %d rewrote journal bytes it had already written", j.completes)
+	}
+	// Its own rows (seq, key, row bytes), the live-lease table and the
+	// record's frame; nothing that grows with the journal.
+	bound := 64 + j.maxLive*96
+	for _, r := range results {
+		bound += len(mustMarshal(j.t, r.Row)) + len(r.Key) + 32
+	}
+	if grown := len(data) - len(j.prev); grown > bound {
+		j.t.Errorf("Complete %d of %d row(s) grew the journal by %d bytes, bound %d", j.completes, len(results), grown, bound)
+	}
+	j.prev = data
+	j.completes++
+	return err
+}
+
+// TestJournalAppendsPerComplete pins the append-only journal: on a
+// checkpointed in-process run, each Complete grows journal.json by at
+// most its own rows plus the live-lease table plus a constant, never
+// rewrites what is already there, and the final journal resumes into
+// the whole grid.
+func TestJournalAppendsPerComplete(t *testing.T) {
+	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, checkpointFileName)
+	start, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	j := &journalWatch{Coordinator: c, t: t, path: path, maxLive: workers, prev: start}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := Work(ctx, j, WorkerOptions{Name: fmt.Sprintf("local-%d", i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	res, err := c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CSV() != want.CSV() {
+		t.Error("checkpointed CSV differs from engine")
+	}
+	if j.completes != 8 {
+		t.Errorf("%d Completes, want one per row (8)", j.completes)
+	}
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Completed != 8 {
+		t.Errorf("final journal holds %d rows, want 8", ck.Completed)
+	}
+}
+
+// TestTornJournalTailResumes: a crash that cuts an append short leaves
+// a torn final record. Loading drops it, Resume cuts it off before
+// appending, and the resumed journal reloads cleanly with every row.
+func TestTornJournalTailResumes(t *testing.T) {
+	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	a, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := a.Lease(ctx, "doomed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range execAll(t, testGrid(), reply.Units) {
+		if err := a.Complete(ctx, "doomed", []UnitResult{r}, sweep.LoadStats{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, checkpointFileName)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crash cut the next append short: half a record follows the
+	// last whole one.
+	last := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+	torn := whole[last : last+(len(whole)-last)/2]
+	if err := os.WriteFile(path, append(slices.Clone(whole), torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatalf("torn tail refused: %v", err)
+	}
+	if ck.Completed != 3 {
+		t.Fatalf("ck.Completed = %d, want the 3 whole records' rows", ck.Completed)
+	}
+	b, err := Resume(ck, Options{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Work(ctx, b, WorkerOptions{Name: "replacement", Poll: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CSV() != want.CSV() {
+		t.Error("resumed CSV differs from engine")
+	}
+
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, whole) || bytes.Contains(after[len(whole):], torn) {
+		t.Error("Resume did not cut off the torn tail before appending")
+	}
+	ck2, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatalf("resumed journal does not reload: %v", err)
+	}
+	if ck2.Completed != 8 {
+		t.Errorf("resumed journal holds %d rows, want 8", ck2.Completed)
+	}
+}
+
+// TestCheckpointRefusesV1Journal: a journal of the previous format
+// (one JSON object, rewritten whole) is refused by an error naming
+// both versions, never read as a v2 header.
+func TestCheckpointRefusesV1Journal(t *testing.T) {
+	dir := t.TempDir()
+	g, err := json.Marshal(testGrid().WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := `{"version":"dist-checkpoint-v1","grid":` + string(g) + `,"lease_id":0,"rows":[]}`
+	if err := os.WriteFile(filepath.Join(dir, checkpointFileName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCheckpoint(dir)
+	if err == nil || !strings.Contains(err.Error(), `"dist-checkpoint-v1"`) || !strings.Contains(err.Error(), `"dist-checkpoint-v2"`) {
+		t.Fatalf("LoadCheckpoint on a v1 journal = %v, want an error naming both versions", err)
+	}
+}
+
+// TestResumeIntoAnotherDirWritesAWholeJournal: resuming with
+// Options.CheckpointDir set elsewhere leaves the old journal alone and
+// starts a whole one there, header and resumed rows included, which
+// reloads by itself.
+func TestResumeIntoAnotherDirWritesAWholeJournal(t *testing.T) {
+	ctx := context.Background()
+	dir, moved := t.TempDir(), t.TempDir()
+	a, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := a.Lease(ctx, "doomed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Complete(ctx, "doomed", execAll(t, testGrid(), reply.Units), sweep.LoadStats{}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Resume(ck, Options{CheckpointDir: moved})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Work(ctx, b, WorkerOptions{Name: "replacement", Poll: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(filepath.Join(dir, checkpointFileName)); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("resuming elsewhere changed the old journal (err %v)", err)
+	}
+	ck2, err := LoadCheckpoint(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck2.Completed != 8 {
+		t.Errorf("the new journal holds %d rows, want all 8", ck2.Completed)
 	}
 }

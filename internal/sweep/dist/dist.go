@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,11 +104,13 @@ type Backend interface {
 	Renew(ctx context.Context, worker string, refs []UnitRef) error
 
 	// Complete returns executed rows plus the worker's input-loading
-	// stats for the batch (merged into the sweep summary).
+	// stats since its previous Complete (merged into the sweep
+	// summary). Work sends each row in its own Complete as soon as it
+	// finishes; the coordinator accepts any number per call.
 	Complete(ctx context.Context, worker string, results []UnitResult, load sweep.LoadStats) error
 
-	// Release hands unexecuted leases back (a draining worker leaving
-	// mid-batch), so they re-lease immediately instead of after TTL
+	// Release hands unexecuted leases back (a draining worker
+	// leaving), so they re-lease immediately instead of after TTL
 	// expiry. Best-effort like Renew: stale refs are skipped.
 	Release(ctx context.Context, worker string, refs []UnitRef) error
 
@@ -136,9 +139,9 @@ type Options struct {
 	Progress func(done, total int)
 
 	// CheckpointDir, when non-empty, journals the coordinator's state
-	// there on every Complete (atomic rename), so a killed coordinator
-	// resumes mid-grid via LoadCheckpoint/Resume with zero re-executed
-	// warm units. See checkpoint.go.
+	// there, one appended record per Complete that lands rows, so a
+	// killed coordinator resumes mid-grid via LoadCheckpoint/Resume
+	// with zero re-executed warm units. See checkpoint.go.
 	CheckpointDir string
 
 	// DisableBlobs skips the input-shipping snapshot: workers must
@@ -207,7 +210,7 @@ type unit struct {
 	deadline time.Time
 	key      string // result-store key; "" = uncacheable
 	row      sweep.RunResult
-	rowJSON  json.RawMessage // row's canonical marshalling, for the journal
+	queued   bool // waiting in Coordinator.requeue
 }
 
 // Coordinator owns one distributed sweep: the unit table, the lease
@@ -227,10 +230,20 @@ type Coordinator struct {
 	// the files it cannot read from the snapshot, like a remote worker.
 	exec *sweep.Runner
 
-	mu       sync.Mutex
-	units    []unit
-	pending  int // units not yet done
-	leaseID  int64
+	mu      sync.Mutex
+	units   []unit
+	pending int // units not yet done
+	leaseID int64
+
+	// Lease grants take the lowest leasable seq without scanning the
+	// table: next is the lowest seq never leased, requeue holds the
+	// released and expired units in seq order, and leased is the set
+	// of units holding a lease, which Lease scans for expiry.
+	next    int
+	requeue []int
+	leased  map[int]struct{}
+
+	journal  *os.File // the checkpoint journal, open while the sweep runs
 	workers  map[string]bool
 	stats    Stats
 	load     sweep.LoadStats
@@ -282,6 +295,7 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		start:   time.Now(),
 		exec:    exec,
 		units:   make([]unit, len(scens)),
+		leased:  map[int]struct{}{},
 		workers: map[string]bool{},
 		done:    make(chan struct{}),
 	}
@@ -304,6 +318,10 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 			u.key = k
 		}
 	}
+	// found collects the rows done at construction that the journal
+	// must record: cache hits, and resumed rows when the journal is
+	// written afresh (see openJournal).
+	var found []checkpointRow
 	if ck != nil {
 		// Journaled rows were accepted by the killed coordinator; they
 		// are done, never re-leased. The key guard refuses a journal
@@ -316,7 +334,6 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 					row.Seq, u.scenario.ID(), row.Key, u.key)
 			}
 			u.row = ck.decoded[i]
-			u.rowJSON = row.Row
 			u.state = unitDone
 			c.stats.Resumed++
 		}
@@ -328,6 +345,7 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 			u.state = unitLeased
 			u.lease = ls.Lease
 			u.deadline = ls.Deadline
+			c.leased[ls.Seq] = struct{}{}
 		}
 		c.leaseID = ck.leaseID
 	}
@@ -340,9 +358,9 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 			if row, hit := opt.Cache.Get(u.key); hit {
 				if r, ok := sweep.DecodeCachedRow(row, u.scenario); ok {
 					u.row = r
-					u.rowJSON = row
 					u.state = unitDone
 					c.stats.CacheHits++
+					found = append(found, checkpointRow{Seq: i, Key: u.key, Row: row})
 					continue
 				}
 			}
@@ -354,21 +372,16 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		opt.Progress(restored, len(c.units))
 	}
 	if opt.CheckpointDir != "" {
-		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
-		}
-		// The initial journal write makes misconfiguration (read-only
-		// dir, full disk) a construction error instead of a mid-sweep
-		// surprise, and records grids that complete without a single
-		// Complete call (fully warm or resumed-complete runs).
-		c.checkpointLocked()
-		if c.ckptErr != nil {
-			return nil, c.ckptErr
+		// Opening the journal at construction makes misconfiguration
+		// (read-only dir, full disk) a construction error instead of a
+		// mid-sweep surprise, and records grids that complete without a
+		// single Complete call (fully warm or resumed-complete runs).
+		if err := c.openJournal(ck, found); err != nil {
+			return nil, err
 		}
 	}
 	if c.pending == 0 {
-		c.closed = true
-		close(c.done)
+		c.finishLocked()
 	}
 	return c, nil
 }
@@ -379,13 +392,15 @@ func (c *Coordinator) Grid(context.Context) (sweep.Grid, error) { return c.grid,
 // sweepRunner implements inProcess.
 func (c *Coordinator) sweepRunner() *sweep.Runner { return c.exec }
 
-// Lease implements Backend: it grants up to max units — pending ones
-// first-come, plus any whose lease expired (their previous worker is
-// presumed crashed and they are re-leased). The grant is also capped
-// at a fair share of the leasable units: ⌈leasable ÷ workers⌉, where
-// workers counts those that have received work, the asker included.
-// Early grants are unaffected, but the tail of a sweep spreads over
-// the workers instead of queueing behind one worker's batch.
+// Lease implements Backend: it grants up to max units, lowest seq
+// first — pending ones, plus any whose lease expired (their previous
+// worker is presumed crashed and they are re-leased). The grant is
+// also capped at a fair share of the leasable units: ⌈leasable ÷
+// workers⌉, where workers counts those that have received work, the
+// asker included. Early grants are unaffected, but the tail of a sweep
+// spreads over the workers instead of queueing behind one worker's
+// batch. A grant costs O(granted + outstanding leases), whatever the
+// grid's size.
 func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseReply, error) {
 	if max <= 0 {
 		max = 1
@@ -394,13 +409,17 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	leasable := 0
-	for i := range c.units {
-		u := &c.units[i]
-		if u.state == unitPending || u.state == unitLeased && !now.Before(u.deadline) {
-			leasable++
+	// Expired leases are leasable: they join the requeue heap, where
+	// a renewal that lands before their re-grant takes them out again.
+	expired := 0
+	for i := range c.leased {
+		if now.Before(c.units[i].deadline) {
+			continue
 		}
+		expired++
+		c.requeueLocked(i)
 	}
+	leasable := c.pending - len(c.leased) + expired
 	workers := len(c.workers)
 	if !c.workers[worker] {
 		workers++
@@ -410,22 +429,19 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	}
 
 	var out []Unit
-	for i := range c.units {
-		if len(out) >= max {
+	for len(out) < max {
+		i := c.nextLeasable(now)
+		if i < 0 {
 			break
 		}
 		u := &c.units[i]
-		switch u.state {
-		case unitDone:
-			continue
-		case unitLeased:
-			if now.Before(u.deadline) {
-				continue
-			}
+		if u.state == unitLeased {
 			c.stats.Expired++
+		} else {
+			u.state = unitLeased
+			c.leased[i] = struct{}{}
 		}
 		c.leaseID++
-		u.state = unitLeased
 		u.lease = c.leaseID
 		u.deadline = now.Add(c.opt.LeaseTTL)
 		c.stats.Leases++
@@ -477,6 +493,8 @@ func (c *Coordinator) Release(_ context.Context, worker string, refs []UnitRef) 
 		if u.state == unitLeased && u.lease == r.Lease {
 			u.state = unitPending
 			u.lease = 0
+			delete(c.leased, r.Seq)
+			c.requeueLocked(r.Seq)
 			c.stats.Released++
 		}
 	}
@@ -498,17 +516,17 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 	// before the error still count, and if one of them was the last
 	// pending unit, done closes regardless of the return path.
 	fresh := 0
+	var landed []checkpointRow // fresh rows, for the journal
 	defer func() {
 		if fresh > 0 {
 			c.load = c.load.Add(load)
-			// The journal is rewritten on every Complete that landed a
-			// row — including batches that then hit an invalid result —
-			// so a kill at any instant loses at most the in-flight call.
-			c.checkpointLocked()
+			// Every Complete that landed a row appends them — including
+			// batches that then hit an invalid result — so a kill at any
+			// instant loses at most the in-flight call.
+			c.appendJournalLocked(landed)
 		}
 		if c.pending == 0 && !c.closed {
-			c.closed = true
-			close(c.done)
+			c.finishLocked()
 		}
 	}()
 
@@ -550,23 +568,33 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 		if r.Lease != u.lease {
 			c.stats.Stale++
 		}
+		delete(c.leased, r.Seq)
 		u.row = r.Row
 		u.row.Cached = false
-		u.rowJSON = nil
 		u.state = unitDone
 		c.pending--
 		fresh++
-		if u.key != "" && u.row.Err == "" && c.opt.Cache != nil {
+		cacheable := u.key != "" && u.row.Err == "" && c.opt.Cache != nil
+		if cacheable || c.journal != nil {
 			// Write-back mirrors the engine's persistence byte-for-byte
 			// (same struct, same marshalling), so single-process and
-			// distributed runs share one store.
+			// distributed runs share one store; the journal records the
+			// same bytes.
 			data, err := json.Marshal(u.row)
-			if err == nil {
-				u.rowJSON = data // the journal reuses the same bytes
-				err = c.opt.Cache.Put(u.key, data)
+			if c.journal != nil {
+				if err != nil {
+					c.setCkptErr(fmt.Errorf("dist: checkpointing unit %d: %w", r.Seq, err))
+				} else {
+					landed = append(landed, checkpointRow{Seq: r.Seq, Key: u.key, Row: data})
+				}
 			}
-			if err != nil && c.cacheErr == nil {
-				c.cacheErr = fmt.Errorf("dist: caching %s: %w", u.scenario.ID(), err)
+			if cacheable {
+				if err == nil {
+					err = c.opt.Cache.Put(u.key, data)
+				}
+				if err != nil && c.cacheErr == nil {
+					c.cacheErr = fmt.Errorf("dist: caching %s: %w", u.scenario.ID(), err)
+				}
 			}
 		}
 		if c.opt.Progress != nil {
@@ -578,6 +606,49 @@ func (c *Coordinator) Complete(_ context.Context, worker string, results []UnitR
 	// already-processed Complete must not double-count the summary's
 	// loader traffic — Complete stays idempotent.
 	return nil
+}
+
+// nextLeasable returns the lowest leasable seq, taking it off the
+// requeue or past the cursor, or -1 when none is left. Requeued units
+// that stopped being leasable (completed, or renewed since they
+// expired) are dropped on the way.
+func (c *Coordinator) nextLeasable(now time.Time) int {
+	for c.next < len(c.units) && (c.units[c.next].state != unitPending || c.units[c.next].queued) {
+		c.next++
+	}
+	for len(c.requeue) > 0 && (c.next == len(c.units) || c.requeue[0] < c.next) {
+		i := c.requeue[0]
+		c.requeue = c.requeue[1:]
+		u := &c.units[i]
+		u.queued = false
+		if u.state == unitPending || u.state == unitLeased && !now.Before(u.deadline) {
+			return i
+		}
+	}
+	if c.next < len(c.units) {
+		c.next++
+		return c.next - 1
+	}
+	return -1
+}
+
+// requeueLocked puts a released or expired unit in the requeue, in seq
+// order, unless it is there already. The requeue holds at most the
+// units whose leases were released or expired, not the grid.
+func (c *Coordinator) requeueLocked(i int) {
+	if c.units[i].queued {
+		return
+	}
+	c.units[i].queued = true
+	at, _ := slices.BinarySearch(c.requeue, i)
+	c.requeue = slices.Insert(c.requeue, at, i)
+}
+
+// finishLocked marks the sweep done: every unit has a row.
+func (c *Coordinator) finishLocked() {
+	c.closed = true
+	close(c.done)
+	c.closeJournalLocked()
 }
 
 // Done is closed when every unit has a row.

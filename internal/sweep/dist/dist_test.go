@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -796,5 +798,74 @@ func TestLocalWorkersShareTheCoordinatorsRunner(t *testing.T) {
 	}
 	if shared := c.exec.LoadStats(); shared != (sweep.LoadStats{}) {
 		t.Errorf("an HTTP worker's run loaded through the coordinator's Runner: %+v", shared)
+	}
+}
+
+// TestRowsLandBeforeTheirBatchFinishes: a worker completes each row as
+// it finishes, whatever its batch. While a Batch: 3 worker is stuck on
+// its second unit, the coordinator already holds the first row as
+// done, has reported it to Progress and has journaled it.
+func TestRowsLandBeforeTheirBatchFinishes(t *testing.T) {
+	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var progressed atomic.Int64
+	c, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir, Progress: func(done, _ int) { progressed.Store(int64(done)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	stuck, unstick := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(unstick) })
+	execs := 0
+	slow := WorkerOptions{
+		Name:  "slow",
+		Batch: 3,
+		Poll:  time.Millisecond,
+		execHook: func(rn *sweep.Runner, s sweep.Scenario) sweep.RunResult {
+			if execs++; execs == 2 {
+				close(stuck)
+				<-unstick
+			}
+			return rn.Exec(s)
+		},
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Work(ctx, c, slow)
+		errc <- err
+	}()
+	<-stuck
+
+	if got := progressed.Load(); got != 1 {
+		t.Errorf("Progress reported %d rows done while the batch's second unit runs, want 1", got)
+	}
+	c.mu.Lock()
+	first := c.units[0].state
+	c.mu.Unlock()
+	if first != unitDone {
+		t.Error("the batch's first row is not done while its second unit runs")
+	}
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Completed != 1 {
+		t.Errorf("journal holds %d rows while the batch's second unit runs, want 1", ck.Completed)
+	}
+
+	once.Do(func() { close(unstick) })
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CSV() != want.CSV() {
+		t.Error("CSV differs from engine")
 	}
 }

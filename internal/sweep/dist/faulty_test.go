@@ -322,10 +322,10 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := newFaultTransport(a, 1).quiet()
-	ft.killAfterCompletes = 1
-	// The worker lands its first batch of three, then every call hits
-	// the dead transport: from its point of view the coordinator was
-	// kill -9'd between two batches.
+	ft.killAfterCompletes = 3
+	// The worker lands its first batch of three, one Complete per row,
+	// then every call hits the dead transport: from its point of view
+	// the coordinator was kill -9'd between two batches.
 	n, err := Work(ctx, ft, WorkerOptions{Name: "doomed", Batch: 3, Poll: time.Millisecond})
 	if n != 3 {
 		t.Fatalf("doomed worker executed %d units before the kill, want 3", n)

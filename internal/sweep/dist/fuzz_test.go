@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/sweep"
@@ -28,25 +29,58 @@ func oneUnitGrid() sweep.Grid {
 
 // checkInvariants asserts what no input — however corrupt — may
 // ever break: a done unit holds a row for its own scenario (the
-// poison-free property) and the pending counter matches the table.
+// poison-free property), the pending counter matches the table, and
+// the grant bookkeeping does too: the leased set holds exactly the
+// leased units, and every pending unit the cursor has passed waits in
+// the requeue, which is in seq order without duplicates.
 func checkInvariants(t *testing.T, c *Coordinator) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending := 0
+	pending, leased := 0, 0
 	for i := range c.units {
 		u := &c.units[i]
-		if u.state == unitDone {
+		switch u.state {
+		case unitDone:
 			if u.row.Scenario != u.scenario {
 				t.Fatalf("unit %d is done with a row for scenario %q, want %q — the table is poisoned",
 					i, u.row.Scenario.ID(), u.scenario.ID())
 			}
-		} else {
+		case unitLeased:
 			pending++
+			leased++
+			if _, ok := c.leased[i]; !ok {
+				t.Fatalf("leased unit %d is missing from the leased set", i)
+			}
+		default:
+			pending++
+			if i < c.next && !u.queued {
+				t.Fatalf("pending unit %d is behind the cursor (%d) and not requeued: it can never be leased", i, c.next)
+			}
 		}
 	}
 	if pending != c.pending {
 		t.Fatalf("pending counter drifted: table has %d, counter says %d", pending, c.pending)
+	}
+	if leased != len(c.leased) {
+		t.Fatalf("leased set holds %d units, table has %d leased", len(c.leased), leased)
+	}
+	if !slices.IsSorted(c.requeue) {
+		t.Fatalf("requeue %v is out of seq order", c.requeue)
+	}
+	for _, i := range c.requeue {
+		if !c.units[i].queued {
+			t.Fatalf("requeued unit %d is not marked queued", i)
+		}
+	}
+	queued := 0
+	for i := range c.units {
+		if c.units[i].queued {
+			queued++
+		}
+	}
+	if queued != len(c.requeue) {
+		t.Fatalf("requeue holds %d seqs, %d units are marked queued", len(c.requeue), queued)
 	}
 }
 
@@ -67,9 +101,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real)
+	f.Add([]byte(`{"version":"dist-checkpoint-v2","grid":{}}` + "\n" + `{"lease_id":0}` + "\n"))
+	f.Add([]byte(`{"version":"dist-checkpoint-v2","grid":{}}` + "\n" + `{"lease_id":2,"leases":[{"seq":0,"lease":2,"deadline":"2026-01-01T00:00:00Z"}]}` + "\n"))
 	f.Add([]byte(`{"version":"dist-checkpoint-v1","grid":{},"lease_id":0,"rows":[]}`))
 	f.Add([]byte(`{"version":"dist-checkpoint-v0","grid":{},"lease_id":0,"rows":[]}`))
 	f.Add(real[:len(real)/2])
+	f.Add(real[:len(real)-3])
+	f.Add(append(real, real[bytes.IndexByte(real, '\n')+1:]...))
 	f.Add([]byte(`not json at all`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,7 +117,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 		var probe struct {
 			Grid sweep.Grid `json:"grid"`
 		}
-		if json.Unmarshal(data, &probe) == nil {
+		head, _, _ := bytes.Cut(data, []byte{'\n'})
+		if json.Unmarshal(head, &probe) == nil {
 			prod := 1
 			for _, n := range []int{
 				len(probe.Grid.Policies), len(probe.Grid.VMs), len(probe.Grid.MaxServers),

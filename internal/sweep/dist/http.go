@@ -11,13 +11,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jsonx"
 	"repro/internal/sweep"
 )
 
 // The HTTP transport maps the Backend calls onto a JSON API:
 //
 //	GET  /v1/grid      -> sweep.Grid
-//	POST /v1/lease     {"worker": "...", "max": 4} -> LeaseReply
+//	POST /v1/lease     {"worker": "...", "max": 1} -> LeaseReply
 //	POST /v1/renew     {"worker": "...", "units": [{"seq", "lease"}]} -> {}
 //	POST /v1/complete  {"worker": "...", "results": [...], "load": {...}} -> {}
 //	POST /v1/release   {"worker": "...", "units": [{"seq", "lease"}]} -> {}
@@ -32,11 +33,12 @@ import (
 // beyond it). The largest requests are completions: a row encodes to
 // about 0.7 KB for a one-DC scenario plus about 0.3 KB per DC (a
 // uniform@triad row with epoch rebalancing and default transitions
-// measured 1.5 KB), so the CLI worker's batch of 4 such rows is about
-// 7 KB with its load stats and cache keys. 8 MiB leaves room for a
-// library worker leasing batches of thousands of rows, or a batch of 4
-// rows over fleets of thousands of DCs; renewals and releases of such
-// batches (about 25 B per unit) fit with room to spare.
+// measured 1.5 KB), and a worker completes each row on its own, so a
+// completion is about 2 KB with its load stats and cache key. 8 MiB
+// leaves room for a library client completing thousands of rows in one
+// call, or one row over a fleet of thousands of DCs; renewals and
+// releases of large batches (about 25 B per unit) fit with room to
+// spare.
 const maxRequestBody = 8 << 20
 
 type leaseRequest struct {
@@ -156,14 +158,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
 		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("decoding request: %v", err), http.StatusBadRequest)
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	if _, err := jsonx.DecodeStrict(body, v); errors.Is(err, jsonx.ErrTrailingData) {
 		http.Error(w, "decoding request: trailing data after the JSON object", http.StatusBadRequest)
+		return false
+	} else if err != nil {
+		http.Error(w, fmt.Sprintf("decoding request: %v", err), http.StatusBadRequest)
 		return false
 	}
 	return true

@@ -17,9 +17,10 @@ type WorkerOptions struct {
 	// stats). Empty derives one from the hostname and PID.
 	Name string
 
-	// Batch is how many units to lease per request; <= 0 means 4 — a
-	// balance between round trips and lease-retry granularity (a
-	// crashed worker re-runs at most one batch).
+	// Batch is how many units to lease per request; <= 0 means 1.
+	// Whatever the batch, each row is completed as soon as it
+	// finishes, so a larger batch only saves lease round trips, and
+	// costs its unexecuted leases a TTL's wait if the worker dies.
 	Batch int
 
 	// Poll is how long to sleep when everything is leased elsewhere;
@@ -41,7 +42,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 		o.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if o.Batch <= 0 {
-		o.Batch = 4
+		o.Batch = 1
 	}
 	if o.Poll <= 0 {
 		o.Poll = 25 * time.Millisecond
@@ -60,11 +61,15 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // all such workers share, and reports no load stats of its own, since
 // the coordinator counts that Runner once.
 //
+// Each row is sent in its own Complete as soon as it finishes, with the
+// load stats gathered since the previous Complete, so a row lands (and
+// is journaled and cached) while the rest of its batch runs.
+//
 // Workers join and leave freely: there is no registration beyond the
-// first lease, a canceled ctx drains gracefully (executed rows are
-// completed, unexecuted leases released for immediate re-lease), and
-// a vanished worker's leases expire on the TTL and re-lease to
-// whoever asks next.
+// first lease, a canceled ctx drains gracefully (the row executing
+// when it is canceled is completed, unexecuted leases are released for
+// immediate re-lease), and a vanished worker's leases expire on the
+// TTL and re-lease to whoever asks next.
 func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 	opt = opt.withDefaults()
 	rn, load, err := workerRunner(ctx, b, opt)
@@ -105,6 +110,7 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 	}
 
 	executed := 0
+	sent := load() // the load stats reported so far
 	for {
 		if err := ctx.Err(); err != nil {
 			return executed, err
@@ -167,51 +173,53 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 			}()
 		}
 
-		before := load()
-		results := make([]UnitResult, 0, len(reply.Units))
-		drained := false
-		for _, u := range reply.Units {
-			if ctx.Err() != nil {
-				drained = true
-				break
-			}
+		// A graceful leave runs its last calls on a detached context
+		// (the canceled one would abort the very calls that make the
+		// departure clean), as best-effort single attempts: if the
+		// coordinator is gone too, the leases just expire the
+		// crashed-worker way.
+		dctx := context.WithoutCancel(ctx)
+		var cerr error
+		left := reply.Units
+		for len(left) > 0 && cerr == nil && ctx.Err() == nil {
+			u := left[0]
+			left = left[1:]
 			// The worker's own cache key rides along so the
 			// coordinator can detect divergent file-backed inputs
 			// before accepting (and caching) the row.
 			key, _ := rn.CacheKey(u.Scenario)
-			results = append(results, UnitResult{Seq: u.Seq, Lease: u.Lease, Row: exec(u.Scenario), Key: key})
+			results := []UnitResult{{Seq: u.Seq, Lease: u.Lease, Row: exec(u.Scenario), Key: key}}
+			now := load()
+			delta := now.Sub(sent)
+			sent = now
+			if ctx.Err() != nil {
+				if b.Complete(dctx, opt.Name, results, delta) == nil {
+					executed++
+				}
+				break
+			}
+			if cerr = withRetry(func() error {
+				return b.Complete(ctx, opt.Name, results, delta)
+			}); cerr == nil {
+				executed++
+			}
 		}
 		close(stopRenew)
 		renewWG.Wait()
-		delta := load().Sub(before)
-		if drained {
-			// Graceful leave: land the rows already executed and hand
-			// the unexecuted leases back for immediate re-lease, on a
-			// detached context (the canceled one would abort the very
-			// calls that make the departure clean). Best-effort single
-			// attempts — if the coordinator is gone too, the leases
-			// just expire the crashed-worker way.
-			dctx := context.WithoutCancel(ctx)
-			if len(results) > 0 {
-				if err := b.Complete(dctx, opt.Name, results, delta); err == nil {
-					executed += len(results)
+		if cerr != nil {
+			return executed, fmt.Errorf("dist: completing: %w", cerr)
+		}
+		if ctx.Err() != nil {
+			// Hand the unexecuted leases back for immediate re-lease.
+			if len(left) > 0 {
+				refs := make([]UnitRef, len(left))
+				for i, u := range left {
+					refs[i] = UnitRef{Seq: u.Seq, Lease: u.Lease}
 				}
-			}
-			refs := make([]UnitRef, 0, len(reply.Units)-len(results))
-			for _, u := range reply.Units[len(results):] {
-				refs = append(refs, UnitRef{Seq: u.Seq, Lease: u.Lease})
-			}
-			if len(refs) > 0 {
 				_ = b.Release(dctx, opt.Name, refs)
 			}
 			return executed, ctx.Err()
 		}
-		if err := withRetry(func() error {
-			return b.Complete(ctx, opt.Name, results, delta)
-		}); err != nil {
-			return executed, fmt.Errorf("dist: completing: %w", err)
-		}
-		executed += len(results)
 	}
 }
 

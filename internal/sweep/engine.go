@@ -389,6 +389,7 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 		return topology.Config{}, 0, err
 	}
 
+	var keys keyPrefixes
 	return topology.Config{
 		Fleet:        fleet,
 		Trace:        tp.tr,
@@ -403,7 +404,7 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 			if err != nil {
 				return nil, err
 			}
-			return r.memo.wrap(s.Policy, m, pol, row), nil
+			return r.memo.wrap(s.Policy, m, pol, row, &keys), nil
 		},
 		Transitions: transitions,
 		TraceLabel:  s.TraceSpec,

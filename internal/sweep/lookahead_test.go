@@ -111,7 +111,7 @@ func TestFailedRowWithdrawsWindows(t *testing.T) {
 		if built.Add(1) == 1 {
 			cp.fail = func(n int64) bool { return n == 3 }
 		}
-		return m.wrap("EPACT", model, cp, row), nil
+		return m.wrap("EPACT", model, cp, row, new(keyPrefixes)), nil
 	}
 
 	var helper sync.WaitGroup

@@ -124,16 +124,49 @@ func newAllocMemo(budget int) *allocMemo {
 // wrap returns pol answering through the memo. name and model are what
 // newPolicy built pol from; a nil memo, or a model the canonical
 // encoding cannot cover, returns pol unchanged. row, when non-nil,
-// collects the windows the policy's stepper offers.
-func (m *allocMemo) wrap(name string, model power.Model, pol alloc.Policy, row *aheadRow) alloc.Policy {
+// collects the windows the policy's stepper offers. keys caches the
+// key prefix across the wraps of one row.
+func (m *allocMemo) wrap(name string, model power.Model, pol alloc.Policy, row *aheadRow, keys *keyPrefixes) alloc.Policy {
 	if m == nil {
 		return pol
 	}
-	prefix, ok := appendCanonical(appendString(nil, name), reflect.ValueOf(&model).Elem(), 0)
-	if !ok {
+	prefix := keys.get(name, model)
+	if prefix == nil {
 		return pol
 	}
 	return &memoPolicy{Policy: pol, memo: m, prefix: prefix, name: name, model: model, row: row}
+}
+
+// keyPrefixes holds the start of every memo key of the policies of one
+// row, which all share a name: the name and the server model, encoded.
+// A fleet row builds a policy per DC per epoch from the same few
+// models, and each encoding walks a model by reflection, so each model
+// is encoded once. It lives in the row's policy factory, not in the
+// Runner, so a long-lived Runner (ntc-serve) keeps no model alive.
+// Models are pointers, compared by identity; the lock covers the forks
+// of a live session, which share their parent's factory.
+type keyPrefixes struct {
+	mu     sync.Mutex
+	models []power.Model
+	keys   [][]byte
+}
+
+func (c *keyPrefixes) get(name string, model power.Model) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, m := range c.models {
+		if m == model {
+			return c.keys[i]
+		}
+	}
+	// nil marks a model the canonical encoding cannot cover.
+	key, ok := appendCanonical(appendString(nil, name), reflect.ValueOf(&model).Elem(), 0)
+	if !ok {
+		key = nil
+	}
+	c.models = append(c.models, model)
+	c.keys = append(c.keys, key)
+	return key
 }
 
 type memoPolicy struct {

@@ -89,7 +89,7 @@ func counted(t *testing.T, m *allocMemo, name string, model power.Model) (alloc.
 		t.Fatal(err)
 	}
 	cp := &countingPolicy{Policy: inner}
-	pol := m.wrap(name, model, cp, nil)
+	pol := m.wrap(name, model, cp, nil, new(keyPrefixes))
 	if _, ok := pol.(*memoPolicy); !ok {
 		t.Fatalf("%s on %T was not memoized", name, model)
 	}
@@ -285,6 +285,36 @@ func TestMemoKeysOnServerModel(t *testing.T) {
 	}
 }
 
+// TestKeyPrefixesEncodeEachModelOnce: a row's prefix cache derives
+// each model's key prefix once and hands the same bytes to every later
+// policy on that model, equal to what an uncached wrap derives; a
+// second model, even an equal one, gets its own.
+func TestKeyPrefixesEncodeEachModelOnce(t *testing.T) {
+	m := newAllocMemo(memoBudget)
+	base, other := power.NTCServer(), power.NTCServer()
+	var keys keyPrefixes
+	prefixOf := func(model power.Model) []byte {
+		inner, err := newPolicy("EPACT", model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.wrap("EPACT", model, inner, nil, &keys).(*memoPolicy).prefix
+	}
+	first, again := prefixOf(base), prefixOf(base)
+	if &first[0] != &again[0] {
+		t.Error("the second policy on one model re-derived its key prefix")
+	}
+	if want := new(keyPrefixes).get("EPACT", base); string(first) != string(want) {
+		t.Error("the cached prefix differs from the uncached one")
+	}
+	if p := prefixOf(other); &p[0] == &first[0] || string(p) != string(first) {
+		t.Error("a second, equal model did not get its own equal prefix")
+	}
+	if len(keys.models) != 2 {
+		t.Errorf("cache holds %d models, want 2", len(keys.models))
+	}
+}
+
 // TestMemoKeyCoversEveryInput: changing any one part of a call's
 // input, down to one sample's bits, changes its key.
 func TestMemoKeyCoversEveryInput(t *testing.T) {
@@ -471,7 +501,7 @@ func TestMemoHitsRefillReusedAssignments(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					pol := m.wrap(name, model, inner, nil).(alloc.Filler)
+					pol := m.wrap(name, model, inner, nil, new(keyPrefixes)).(alloc.Filler)
 					for k, vms := range inputs {
 						if err := pol.AllocateInto(dst, vms, spec); err != nil {
 							t.Error(err)

@@ -39,16 +39,16 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/dcsim"
 	"repro/internal/forecast"
+	"repro/internal/jsonx"
 	"repro/internal/power"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -516,13 +516,10 @@ func (g Grid) transitionFor(name string) (dcsim.TransitionModel, error) {
 // is never read as its first.
 func ParseGridJSON(data []byte) (Grid, error) {
 	var g Grid
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
-		return Grid{}, fmt.Errorf("sweep: parsing grid: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	if _, err := jsonx.DecodeStrict(data, &g); errors.Is(err, jsonx.ErrTrailingData) {
 		return Grid{}, fmt.Errorf("sweep: parsing grid: trailing data after the grid object")
+	} else if err != nil {
+		return Grid{}, fmt.Errorf("sweep: parsing grid: %w", err)
 	}
 	return g, nil
 }

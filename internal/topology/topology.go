@@ -38,11 +38,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
+	"repro/internal/jsonx"
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -152,9 +153,7 @@ type dcSpecJSON struct {
 // is re-applied here).
 func (d *DCSpec) UnmarshalJSON(data []byte) error {
 	var raw dcSpecJSON
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if _, err := jsonx.DecodeStrict(data, &raw); err != nil {
 		return err
 	}
 	*d = DCSpec{Name: raw.Name, Servers: raw.Servers, PUE: raw.PUE,
@@ -603,10 +602,10 @@ func ParseFleetJSON(data []byte) (Fleet, error) {
 		Fleet
 		DCs []json.RawMessage `json:"dcs"`
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
-		off := dec.InputOffset()
+	if off, err := jsonx.DecodeStrict(data, &raw); errors.Is(err, jsonx.ErrTrailingData) {
+		return Fleet{}, fmt.Errorf("parsing fleet (line %d): trailing data after the fleet object",
+			lineOf(data, off))
+	} else if err != nil {
 		switch e := err.(type) {
 		case *json.SyntaxError:
 			off = e.Offset
@@ -614,10 +613,6 @@ func ParseFleetJSON(data []byte) (Fleet, error) {
 			off = e.Offset
 		}
 		return Fleet{}, fmt.Errorf("parsing fleet (line %d): %w", lineOf(data, off), err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Fleet{}, fmt.Errorf("parsing fleet (line %d): trailing data after the fleet object",
-			lineOf(data, dec.InputOffset()))
 	}
 	f := raw.Fleet
 	if raw.DCs != nil {
