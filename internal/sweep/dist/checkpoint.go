@@ -93,7 +93,7 @@ type Checkpoint struct {
 	decoded []sweep.RunResult
 	leases  []checkpointLease
 	leaseID int64
-	whole   []byte // the journal without its torn tail; nil when none is torn
+	whole   int64 // the length of the whole records before a torn tail; 0 when none is torn
 }
 
 // LoadCheckpoint reads and validates <dir>/journal.json. A torn final
@@ -170,7 +170,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 		ck.leaseID, ck.leases = rec.LeaseID, rec.Leases
 	}
 	if len(rest) > 0 {
-		ck.whole = data[:len(data)-len(rest)]
+		ck.whole = int64(len(data) - len(rest))
 	}
 	ck.Completed = len(ck.rows)
 	// The last record's lease table is the live one.
@@ -212,12 +212,10 @@ func (c *Coordinator) openJournal(ck *Checkpoint, found []checkpointRow) error {
 	}
 	path := filepath.Join(dir, checkpointFileName)
 	if ck != nil && sameDir(ck.Dir, dir) {
-		// The torn tail goes before anything is appended after it: the
-		// whole records replace the file through a temp file and a
-		// rename, so a crash meanwhile leaves one journal or the other.
+		// The torn tail goes before anything is appended after it.
 		var err error
-		if ck.whole != nil {
-			err = writeFileAtomic(path, ck.whole)
+		if ck.whole > 0 {
+			err = os.Truncate(path, ck.whole)
 		}
 		var f *os.File
 		if err == nil {
@@ -253,27 +251,6 @@ func (c *Coordinator) openJournal(ck *Checkpoint, found []checkpointRow) error {
 	return nil
 }
 
-// writeFileAtomic writes data through a same-directory temp file and
-// rename, so a reader (or a crash) never observes a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
 // sameDir reports whether a and b name the same directory.
 func sameDir(a, b string) bool {
 	fa, err := os.Stat(a)
@@ -300,6 +277,9 @@ func (c *Coordinator) appendJournalLocked(rows []checkpointRow) {
 		u := &c.units[i]
 		rec.Leases = append(rec.Leases, checkpointLease{Seq: i, Lease: u.lease, Deadline: u.deadline})
 	}
+	// Map order is random; seq order keeps a run's journal bytes
+	// reproducible.
+	slices.SortFunc(rec.Leases, func(a, b checkpointLease) int { return a.Seq - b.Seq })
 	data, err := json.Marshal(rec)
 	if err == nil {
 		_, err = c.journal.Write(append(data, '\n'))

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/sweep"
+	"repro/internal/sweep/cache"
 	"repro/internal/trace"
 )
 
@@ -593,5 +594,129 @@ func TestResumeIntoAnotherDirWritesAWholeJournal(t *testing.T) {
 	}
 	if ck2.Completed != 8 {
 		t.Errorf("the new journal holds %d rows, want all 8", ck2.Completed)
+	}
+}
+
+// TestResumeOfCachedLeasedUnit: a kill between Complete's cache write
+// and its journal append leaves a unit cached and, in the last whole
+// record, still leased. The resumed coordinator treats it as done and
+// drops its lease, so the fair share counts every other unit as
+// leasable, the run finishes, and its journal reloads.
+func TestResumeOfCachedLeasedUnit(t *testing.T) {
+	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	a, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir, LeaseTTL: time.Minute, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leases at seqs 0 and 1 go to one worker, seq 2 to another, whose
+	// row lands and journals both live leases.
+	held, err := a.Lease(ctx, "doomed", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := a.Lease(ctx, "other", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Complete(ctx, "other", execAll(t, testGrid(), other.Units), sweep.LoadStats{}); err != nil {
+		t.Fatal(err)
+	}
+	// Seq 0's row reached the cache, but the coordinator died before
+	// its journal record did.
+	store, err := cache.Open(filepath.Join(dir, "cache"), cache.ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := execAll(t, testGrid(), held.Units)
+	data, err := json.Marshal(rows[0].Row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(rows[0].Key, data); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.leases) != 2 {
+		t.Fatalf("the journal holds %d live leases, want 2", len(ck.leases))
+	}
+	b, err := Resume(ck, Options{Cache: store, LeaseTTL: time.Minute, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, b)
+	// Seq 1 is still leased; the five never-leased units are all
+	// leasable at once, without waiting out seq 0's stale lease.
+	reply, err := b.Lease(ctx, "replacement", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Units) != 5 {
+		t.Fatalf("resumed coordinator granted %d units, want the 5 pending ones", len(reply.Units))
+	}
+	if err := b.Complete(ctx, "replacement", execAll(t, testGrid(), reply.Units), sweep.LoadStats{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Complete(ctx, "doomed", rows[1:], sweep.LoadStats{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CSV() != want.CSV() {
+		t.Error("resumed CSV differs from engine")
+	}
+	ck2, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatalf("resumed journal does not reload: %v", err)
+	}
+	if ck2.Completed != 8 {
+		t.Errorf("resumed journal holds %d rows, want 8", ck2.Completed)
+	}
+}
+
+// TestJournalLeasesInSeqOrder: each record lists its live leases in
+// seq order, so one run writes the same journal bytes every time.
+func TestJournalLeasesInSeqOrder(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	c, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir, LeaseTTL: time.Minute, Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := c.Lease(ctx, "a", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range execAll(t, testGrid(), reply.Units[:4]) {
+		if err := c.Complete(ctx, "a", []UnitResult{r}, sweep.LoadStats{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte{'\n'}), []byte{'\n'})
+	for n, line := range lines[1:] {
+		var rec checkpointRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSortedFunc(rec.Leases, func(a, b checkpointLease) int { return a.Seq - b.Seq }) {
+			t.Errorf("record %d lists leases out of seq order: %+v", n+1, rec.Leases)
+		}
 	}
 }

@@ -357,6 +357,10 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		if u.key != "" && opt.Cache != nil {
 			if row, hit := opt.Cache.Get(u.key); hit {
 				if r, ok := sweep.DecodeCachedRow(row, u.scenario); ok {
+					// A unit the journal holds leased may already be
+					// cached: a kill between Complete's cache write and its
+					// journal append leaves both. It is done, not leased.
+					delete(c.leased, i)
 					u.row = r
 					u.state = unitDone
 					c.stats.CacheHits++
@@ -409,8 +413,9 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// Expired leases are leasable: they join the requeue heap, where
-	// a renewal that lands before their re-grant takes them out again.
+	// Expired leases are leasable: they join the seq-ordered requeue,
+	// where a renewal that lands before their re-grant takes them out
+	// again.
 	expired := 0
 	for i := range c.leased {
 		if now.Before(c.units[i].deadline) {

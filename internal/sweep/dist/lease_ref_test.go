@@ -13,7 +13,7 @@ import (
 
 // refLeases is the lease table as Lease kept it when every grant
 // scanned the whole unit table: the reference that grants from the
-// cursor and the requeue heap must match, grant for grant.
+// cursor and the seq-ordered requeue must match, grant for grant.
 type refLeases struct {
 	state    []int
 	lease    []int64
