@@ -313,10 +313,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return res.Failed()
 }
 
+// lingerCap bounds how long a -serve coordinator waits, once its sweep
+// is done, for the workers that took part to be answered Done.
+const lingerCap = 3 * time.Second
+
 // serveCoordinator runs a distributed sweep's coordinator: serve the
 // HTTP/JSON worker protocol on addr until every scenario has a row,
-// then linger briefly so polling workers observe the done signal
-// before the listener closes, and return the merged results.
+// then linger until the workers that took part have been answered
+// Done (lingerCap at most), and return the merged results.
 func serveCoordinator(addr string, c *dist.Coordinator, quiet bool, stderr io.Writer) (*sweep.Results, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -329,12 +333,17 @@ func serveCoordinator(addr string, c *dist.Coordinator, quiet bool, stderr io.Wr
 	go srv.Serve(ln) //nolint:errcheck // Shutdown below is the exit path
 
 	res, err := c.Wait(context.Background())
-	// Linger so workers sleeping in their poll interval (2 s for
-	// remote workers) observe the done signal before the listener
-	// closes; their retry backoff bridges the remainder. A fully warm
-	// sweep that no worker ever executed for has nobody to signal.
+	// Linger until every worker that took part has been answered Done,
+	// so workers sleeping in their poll interval (2 s for remote
+	// workers) observe the done signal before the listener closes. A
+	// worker that vanished is waited for 3 s at most; its retry backoff
+	// bridges the remainder. A fully warm sweep that no worker ever
+	// executed for has nobody to signal.
 	if c.Stats().Workers > 0 {
-		time.Sleep(3 * time.Second)
+		select {
+		case <-c.WorkersTold():
+		case <-time.After(lingerCap):
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -556,6 +556,42 @@ func TestServeWorkerEndToEndDeterminism(t *testing.T) {
 	}
 }
 
+// TestServeLingersUntilWorkersAreTold: once the sweep is done, a
+// `-serve` coordinator exits as soon as its one loopback worker has
+// been answered Done, not after the full lingerCap.
+func TestServeLingersUntilWorkersAreTold(t *testing.T) {
+	serveErrs := &syncBuffer{}
+	serveDone := make(chan error, 1)
+	go func() {
+		var stdout bytes.Buffer
+		serveDone <- run(sweepArgs("-serve", "127.0.0.1:0"), &stdout, serveErrs)
+	}()
+	addrRe := regexp.MustCompile(`coordinator: listening on (\S+)`)
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; {
+		if m := addrRe.FindStringSubmatch(serveErrs.String()); m != nil {
+			addr = m[1]
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never reported its address:\n%s", serveErrs.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-worker", addr}, &stdout, &stderr); err != nil {
+		t.Fatalf("worker: %v\n%s", err, stderr.String())
+	}
+	workerDone := time.Now()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("coordinator: %v\n%s", err, serveErrs.String())
+	}
+	if linger := time.Since(workerDone); linger >= lingerCap/2 {
+		t.Errorf("coordinator outlived its only worker by %v, want well under %v", linger, lingerCap)
+	}
+}
+
 // TestResumeCLIMidGridRoundTrip is the CLI half of the crash-resume
 // acceptance check: a -dist run journals every completion to
 // -checkpoint-dir; the test amputates the journal to 10 of its 24 rows

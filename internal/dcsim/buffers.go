@@ -1,12 +1,14 @@
 package dcsim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/perf"
+	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -17,46 +19,88 @@ import (
 // aggregates over (LowMem/MidMem/HighMem).
 const numClasses = 3
 
-// runState holds everything one Run shares across its slots: the
-// DVFS-level lookup tables and the reusable scratch buffers that make
-// the steady-state slot loop allocation-free.
+// Tables are one server model's DVFS-level lookup tables, built
+// against a performance platform. Every server model the replay
+// accepts has a finite DVFS grid, and every sample runs at one of its
+// levels: the online governor's ClampFrequency level for dynamic
+// policies, the planned cap for fixed-cap ones. Observables
+// (perf.Table), power coefficients (power.LevelEvaluator) and the
+// capacity scale factor are therefore precomputed once per level
+// through the power.Model interface and indexed per sample,
+// bit-identical to calling perf.Observe / Model.Power at that level's
+// frequency (pinned against a per-sample reference replay in
+// replay_ref_test.go). Evaluators are boxed once at table-build time,
+// so the steady-state loop stays allocation-free under any power
+// model.
 //
-// Every server model the replay accepts has a finite DVFS grid, and
-// every sample runs at one of its levels: the online governor's
-// ClampFrequency level for dynamic policies, the planned cap for
-// fixed-cap ones. Observables (perf.Table), power coefficients
-// (power.LevelEvaluator) and the capacity scale factor are therefore
-// precomputed once per level through the power.Model interface and
-// indexed per sample, bit-identical to calling perf.Observe /
-// Model.Power at that level's frequency (pinned against a per-sample
-// reference replay in replay_ref_test.go). Evaluators are boxed once
-// at table-build time, so the steady-state loop stays allocation-free
-// under any power model.
+// Tables are read-only once built and safe for concurrent use. A fleet
+// builds one per datacenter and steps every epoch of that datacenter
+// on it (Tables.NewStepper); NewStepper builds one per stepper.
+type Tables struct {
+	server power.Model
+	plat   *platform.Platform
+	spec   alloc.ServerSpec
+
+	// Indexed by grid level.
+	grid        []units.Frequency
+	obs         *perf.Table
+	levelPowers []power.LevelEvaluator
+	scaleByLvl  []float64
+}
+
+// NewTables builds server's DVFS-level tables against plat.
+func NewTables(server power.Model, plat *platform.Platform) (*Tables, error) {
+	switch {
+	case server == nil:
+		return nil, errors.New("dcsim: nil server model")
+	case plat == nil:
+		return nil, errors.New("dcsim: nil platform")
+	}
+	grid := server.DVFSGrid()
+	if len(grid) == 0 {
+		return nil, fmt.Errorf("dcsim: server model %s has no DVFS grid", server.ModelName())
+	}
+	t := &Tables{
+		server: server,
+		plat:   plat,
+		spec: alloc.ServerSpec{
+			Cores:         server.NumCores(),
+			MemContainers: server.MemGB(),
+			FMax:          server.FreqMax(),
+			FMin:          server.FreqMin(),
+		},
+		grid:        grid,
+		obs:         perf.NewTable(plat, grid, 1),
+		levelPowers: make([]power.LevelEvaluator, len(grid)),
+		scaleByLvl:  make([]float64, len(grid)),
+	}
+	for k, f := range grid {
+		t.levelPowers[k] = server.LevelAt(f)
+		t.scaleByLvl[k] = t.spec.FMax.GHz() / f.GHz()
+	}
+	return t, nil
+}
+
+// runState holds everything one Run shares across its slots: the
+// DVFS-level tables (see Tables) and the reusable scratch buffers that
+// make the steady-state slot loop allocation-free.
 type runState struct {
-	cfg  *Config
-	spec alloc.ServerSpec
+	*Tables
+	cfg *Config
 
 	evalStart int
 	sampleSec float64
 	first     int
 	last      int
 
-	// dem holds the current slot's allocation input (see SlotDemands).
-	// It comes from demandPool and goes back when the stepper's window
-	// is done.
-	dem *SlotDemands
+	// b holds the buffers the slot loop refills (see stepBufs). It
+	// comes from bufPool and goes back when the stepper's window is
+	// done.
+	b *stepBufs
 
-	// resident is the reusable resident-set buffer and match the
-	// migration matcher for transition accounting (resident is nil
-	// when transitions are disabled).
+	// resident is b's resident-set buffer, sized to the run's VMs; nil
+	// when transitions are disabled.
 	resident []float64
-	match    alloc.MigrationMatcher
-
-	// DVFS-level tables, indexed by grid level.
-	grid        []units.Frequency
-	obs         *perf.Table
-	levelPowers []power.LevelEvaluator
-	scaleByLvl  []float64
 
 	// Columnar replay scratch: per-sample aggregates of one server's
 	// slot window, rebuilt per server from flat trace rows.
@@ -67,51 +111,51 @@ type runState struct {
 	// asg is the Assignment the next step's policy fills in place, and
 	// prev the previous slot's, which transition pricing reads while
 	// asg is filled; step swaps the two. prev means nothing until
-	// hasPrev (the first slot has no previous one). Both come from
-	// asgPool and go back with dem.
+	// hasPrev (the first slot has no previous one). Both point into b.
 	asg, prev *alloc.Assignment
 	hasPrev   bool
 
 	slots []SlotResult
 }
 
-// demandPool recycles slot-demand buffers between steppers: a stepper
-// takes one when it is built and gives it back once its window is
-// done, so a fleet's successive per-DC epoch steppers refill the same
-// 2 × VMs × 12 floats instead of allocating them per epoch. Buffers
-// change hands only between steppers, never per step, so the slot
-// loop stays allocation-free even when the pool drops items (as it
-// does at random under the race detector).
-var demandPool = sync.Pool{New: func() any { return new(SlotDemands) }}
-
-// asgPool recycles Assignment buffers between steppers the same way:
-// a fleet's per-DC epoch stepper lives a few slots, too few for its
-// server plans to reach their size, so the next epoch's steppers
-// refill the plans the last ones grew.
-var asgPool = sync.Pool{New: func() any { return new(alloc.Assignment) }}
-
-// release gives the run's demand and Assignment buffers back to their
-// pools once its window is done; no step may follow.
-func (st *runState) release() {
-	demandPool.Put(st.dem)
-	asgPool.Put(st.asg)
-	asgPool.Put(st.prev)
-	st.dem, st.asg, st.prev, st.hasPrev = nil, nil, nil, false
+// stepBufs are the buffers a stepper's slot loop refills: the slot's
+// allocation input (see SlotDemands), the two Assignments the policy
+// fills in turn, the resident sets and the migration matcher that
+// price transitions.
+type stepBufs struct {
+	dem       SlotDemands
+	asg, prev alloc.Assignment
+	resident  []float64
+	match     alloc.MigrationMatcher
 }
 
-func newRunState(cfg *Config) (*runState, error) {
+// bufPool recycles step buffers between steppers: a stepper takes one
+// when it is built and gives it back once its window is done, so a
+// fleet's successive per-DC epoch steppers, which live a few slots
+// each, refill the buffers the last ones grew instead of regrowing
+// them every epoch. Buffers change hands only between steppers, never
+// per step, so the slot loop stays allocation-free even when the pool
+// drops items (as it does at random under the race detector).
+var bufPool = sync.Pool{New: func() any { return new(stepBufs) }}
+
+// release gives the run's buffers back to the pool once its window is
+// done; no step may follow.
+func (st *runState) release() {
+	bufPool.Put(st.b)
+	st.b, st.asg, st.prev, st.resident, st.hasPrev = nil, nil, nil, nil, false
+}
+
+// newRunState validates cfg and builds its run state on t, or on
+// tables of its own when t is nil.
+func newRunState(cfg *Config, t *Tables) (*runState, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	grid := cfg.Server.DVFSGrid()
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("dcsim: server model %s has no DVFS grid", cfg.Server.ModelName())
-	}
-	spec := alloc.ServerSpec{
-		Cores:         cfg.Server.NumCores(),
-		MemContainers: cfg.Server.MemGB(),
-		FMax:          cfg.Server.FreqMax(),
-		FMin:          cfg.Server.FreqMin(),
+	if t == nil {
+		var err error
+		if t, err = NewTables(cfg.Server, cfg.Platform); err != nil {
+			return nil, err
+		}
 	}
 	slots := cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
 	first, last := cfg.StartSlot, slots
@@ -119,49 +163,40 @@ func newRunState(cfg *Config) (*runState, error) {
 		last = first + cfg.NumSlots
 	}
 	st := &runState{
+		Tables:    t,
 		cfg:       cfg,
-		spec:      spec,
 		evalStart: cfg.HistoryDays * trace.SamplesPerDay,
 		sampleSec: cfg.Trace.Interval.Seconds(),
 		first:     first,
 		last:      last,
-		dem:       demandPool.Get().(*SlotDemands),
-		asg:       asgPool.Get().(*alloc.Assignment),
-		prev:      asgPool.Get().(*alloc.Assignment),
+		b:         bufPool.Get().(*stepBufs),
 		slots:     make([]SlotResult, 0, last-first),
 	}
-	if cfg.Transitions != (TransitionModel{}) {
-		st.resident = make([]float64, len(cfg.Trace.VMs))
-	}
-	st.grid = grid
-	st.obs = perf.NewTable(cfg.Platform, grid, 1)
-	st.levelPowers = make([]power.LevelEvaluator, len(grid))
-	st.scaleByLvl = make([]float64, len(grid))
-	for k, f := range grid {
-		st.levelPowers[k] = cfg.Server.LevelAt(f)
-		st.scaleByLvl[k] = spec.FMax.GHz() / f.GHz()
-	}
+	st.bind()
 	return st, nil
 }
 
+// bind points the run's Assignments and resident sets into st.b.
+func (st *runState) bind() {
+	st.asg, st.prev = &st.b.asg, &st.b.prev
+	if st.cfg.Transitions != (TransitionModel{}) {
+		st.b.resident = slices.Grow(st.b.resident[:0], len(st.cfg.Trace.VMs))[:len(st.cfg.Trace.VMs)]
+		st.resident = st.b.resident
+	}
+}
+
 // clone copies a runState for an independent continuation bound to
-// cfg (the cloning stepper's own Config copy). Immutable per-run
-// tables (DVFS grid, observables, level powers, capacity scales) are
-// shared; per-step scratch is allocated fresh — it is rebuilt from
-// scratch on every step — and the previous assignment and the slot
-// results are deep-copied, since each side refills its Assignment
-// buffers and appends its results independently.
+// cfg (the cloning stepper's own Config copy). The tables are shared;
+// the step buffers are fresh — they are rebuilt on every step — except
+// the previous assignment, deep-copied for transition continuity, and
+// the slot results are copied, since each side appends its own.
 func (st *runState) clone(cfg *Config) *runState {
 	c := *st
 	c.cfg = cfg
-	c.dem = new(SlotDemands)
-	c.asg, c.prev = new(alloc.Assignment), new(alloc.Assignment)
+	c.b = new(stepBufs)
+	c.bind()
 	if st.hasPrev {
 		c.prev.CopyFrom(st.prev)
-	}
-	c.match = alloc.MigrationMatcher{}
-	if st.resident != nil {
-		c.resident = make([]float64, len(st.resident))
 	}
 	c.slots = append(make([]SlotResult, 0, st.last-st.first), st.slots...)
 	return &c
@@ -179,7 +214,7 @@ func (st *runState) step(s int) error {
 
 	// 1) Predicted demands, packed as a lookahead Window packs them,
 	// so both derive the same allocation input.
-	vms := st.dem.fill(cfg.Predictions, s)
+	vms := st.b.dem.fill(cfg.Predictions, s)
 
 	// 2) Allocate.
 	asg := st.asg
@@ -204,7 +239,7 @@ func (st *runState) step(s int) error {
 		if st.hasPrev {
 			prev = st.prev
 		}
-		te, stats := cfg.Transitions.slotTransitionEnergy(&st.match, prev, asg, st.resident, cfg.InitialActiveServers)
+		te, stats := cfg.Transitions.slotTransitionEnergy(&st.b.match, prev, asg, st.resident, cfg.InitialActiveServers)
 		slot.TransitionEnergy = te
 		slot.Migrations = stats.Migrations
 		slot.Energy += te

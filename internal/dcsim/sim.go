@@ -210,7 +210,7 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 // root trace pointer. Traces are shared read-only across scenarios
 // (the trace package's contract), and sweeps replay the same trace
 // thousands of times — revalidating ~300k samples per Run is pure
-// overhead. Per-DC epoch views (trace.Trace.Subset) share their
+// overhead. Per-DC epoch views (trace.Trace.SubsetInto) share their
 // root's VMs, so the root is validated once and every view inherits
 // it; a view pays only an O(VMs) shape check. Only success is cached;
 // invalid traces are re-checked every time. The memo holds roots

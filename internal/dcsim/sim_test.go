@@ -277,7 +277,7 @@ func TestValidateChecksEveryPredictionRow(t *testing.T) {
 func TestValidateMemoDoesNotPinTraces(t *testing.T) {
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 	tr := testTrace(t, 4)
-	view := tr.Subset([]int{3, 1}).Subset([]int{1})
+	view := tr.SubsetInto(new(trace.Trace), []int{3, 1}).SubsetInto(new(trace.Trace), []int{1})
 	if view.Root() != tr {
 		t.Fatal("a view of a view lost its root")
 	}
@@ -332,7 +332,7 @@ func TestEditedViewIsRejected(t *testing.T) {
 		func(vm *trace.VM) { vm.CPU = vm.CPU[:len(vm.CPU)-1] },
 		func(vm *trace.VM) { vm.Mem = append(vm.Mem[:len(vm.Mem):len(vm.Mem)], 0) },
 	} {
-		view := tr.Subset([]int{0, 1, 2, 3, 4, 5})
+		view := tr.SubsetInto(new(trace.Trace), []int{0, 1, 2, 3, 4, 5})
 		ragged := *view.VMs[2]
 		cut(&ragged)
 		view.VMs[2] = &ragged
@@ -341,7 +341,7 @@ func TestEditedViewIsRejected(t *testing.T) {
 			t.Errorf("edited view with a ragged VM: err = %v, want a ragged-series error", err)
 		}
 	}
-	empty := tr.Subset(nil)
+	empty := tr.SubsetInto(new(trace.Trace), nil)
 	if _, err := Run(testConfig(t, empty, &alloc.FFD{}, &PredictionSet{})); err == nil ||
 		!strings.Contains(err.Error(), "no VMs") {
 		t.Errorf("empty view: err = %v, want a no-VMs error", err)

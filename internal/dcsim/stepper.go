@@ -11,8 +11,8 @@ import (
 // the packed prediction windows and the reusable scratch buffers are
 // built once at construction and shared by every Step, so stepping a
 // window to completion is the batch run — not a re-derivation of it.
-// Once the last slot is stepped, the demand and Assignment buffers go
-// back to pools for the next stepper built (see demandPool, asgPool).
+// Once the last slot is stepped, the step buffers go back to a pool
+// for the next stepper built (see bufPool).
 // Run itself is implemented as a Stepper driven to exhaustion, which
 // is what makes "incremental equals batch" true by construction
 // rather than by test.
@@ -44,9 +44,20 @@ type Stepper struct {
 
 // NewStepper validates cfg and builds the run state (lookup tables,
 // scratch buffers) without simulating any slot.
-func NewStepper(cfg Config) (*Stepper, error) {
+func NewStepper(cfg Config) (*Stepper, error) { return newStepper(cfg, nil) }
+
+// NewStepper is dcsim.NewStepper on t: the stepper replays on t's
+// server model and platform, which replace cfg.Server and
+// cfg.Platform, and shares t's lookup tables instead of building its
+// own. A fleet steps every epoch of a datacenter on one Tables.
+func (t *Tables) NewStepper(cfg Config) (*Stepper, error) {
+	cfg.Server, cfg.Platform = t.server, t.plat
+	return newStepper(cfg, t)
+}
+
+func newStepper(cfg Config, t *Tables) (*Stepper, error) {
 	s := &Stepper{cfg: cfg}
-	st, err := newRunState(&s.cfg)
+	st, err := newRunState(&s.cfg, t)
 	if err != nil {
 		return nil, err
 	}

@@ -75,6 +75,11 @@ type checkpointLease struct {
 	Seq      int       `json:"seq"`
 	Lease    int64     `json:"lease"`
 	Deadline time.Time `json:"deadline"`
+
+	// Worker is the lease holder's name ("" in journals written before
+	// it was recorded), which lets a resumed RunCoordinator hand back
+	// the leases of in-process workers that died with the coordinator.
+	Worker string `json:"worker,omitempty"`
 }
 
 // Checkpoint is a loaded, validated journal: the input to Resume.
@@ -275,7 +280,7 @@ func (c *Coordinator) appendJournalLocked(rows []checkpointRow) {
 	rec := checkpointRecord{LeaseID: c.leaseID, Rows: rows}
 	for i := range c.leased {
 		u := &c.units[i]
-		rec.Leases = append(rec.Leases, checkpointLease{Seq: i, Lease: u.lease, Deadline: u.deadline})
+		rec.Leases = append(rec.Leases, checkpointLease{Seq: i, Lease: u.lease, Deadline: u.deadline, Worker: u.worker})
 	}
 	// Map order is random; seq order keeps a run's journal bytes
 	// reproducible.

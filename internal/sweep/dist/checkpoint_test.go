@@ -720,3 +720,70 @@ func TestJournalLeasesInSeqOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeHandsBackLocalWorkersLeases: a `-dist local:N` coordinator
+// killed while its in-process workers held leases took those workers
+// with it. Resumed under RunCoordinator, their journaled leases go back
+// for immediate re-lease instead of idling out the TTL, while a remote
+// worker's lease, whose holder may have survived, keeps its deadline.
+func TestResumeHandsBackLocalWorkersLeases(t *testing.T) {
+	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	const ttl = 3 * time.Second
+	a, err := NewCoordinator(testGrid(), Options{CheckpointDir: dir, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := a.Lease(ctx, "local-0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Lease(ctx, "local-1", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Complete(ctx, "local-0", execAll(t, testGrid(), done.Units), sweep.LoadStats{}); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Resume(ck, Options{LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, st, err := RunCoordinator(ctx, b, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second || st.Expired != 0 {
+		t.Errorf("resumed local run took %v with %d expired leases, want under 1s and none", took, st.Expired)
+	}
+	if res.CSV() != want.CSV() {
+		t.Errorf("resumed CSV differs from engine:\n%s\nvs\n%s", res.CSV(), want.CSV())
+	}
+
+	// A remote worker's restored lease is not the local workers' to
+	// hand back.
+	c, err := NewCoordinator(testGrid(), Options{CheckpointDir: t.TempDir(), LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.Lease(ctx, "remote", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lease(ctx, "local-0", 1); err != nil {
+		t.Fatal(err)
+	}
+	c.releaseWorkers([]string{"local-0", "local-1"})
+	if u := c.units[remote.Units[0].Seq]; u.state != unitLeased || u.lease != remote.Units[0].Lease || len(c.leased) != 1 {
+		t.Errorf("remote lease after handing back local ones: state %d lease %d (%d leased), want it held", u.state, u.lease, len(c.leased))
+	}
+}

@@ -208,6 +208,7 @@ type unit struct {
 	state    int
 	lease    int64
 	deadline time.Time
+	worker   string // the lease holder
 	key      string // result-store key; "" = uncacheable
 	row      sweep.RunResult
 	queued   bool // waiting in Coordinator.requeue
@@ -251,6 +252,15 @@ type Coordinator struct {
 	ckptErr  error
 	closed   bool
 	done     chan struct{}
+
+	// asked holds the workers that have called Lease, and told those a
+	// Lease reply has told the sweep is done; fetched counts Grid
+	// calls, one per remote worker before its first Lease. allTold
+	// closes once every worker that asked, and as many as fetched, have
+	// been told.
+	asked, told map[string]bool
+	fetched     int
+	allTold     chan struct{}
 }
 
 // NewCoordinator expands the grid, claims every unit the result store
@@ -298,6 +308,9 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		leased:  map[int]struct{}{},
 		workers: map[string]bool{},
 		done:    make(chan struct{}),
+		asked:   map[string]bool{},
+		told:    map[string]bool{},
+		allTold: make(chan struct{}),
 	}
 	exec.SetBlobSource(backendBlobs{ctx: context.Background(), b: c})
 	if !opt.DisableBlobs {
@@ -339,12 +352,15 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 		}
 		// Live leases survive the restart so a worker that outlived
 		// the coordinator can still land (or renew) its batch; a dead
-		// worker's leases expire on their original deadlines.
+		// worker's leases expire on their original deadlines, unless
+		// RunCoordinator hands back those of its own in-process
+		// workers, which cannot have outlived it.
 		for _, ls := range ck.leases {
 			u := &c.units[ls.Seq]
 			u.state = unitLeased
 			u.lease = ls.Lease
 			u.deadline = ls.Deadline
+			u.worker = ls.Worker
 			c.leased[ls.Seq] = struct{}{}
 		}
 		c.leaseID = ck.leaseID
@@ -391,7 +407,12 @@ func newCoordinator(g sweep.Grid, opt Options, ck *Checkpoint) (*Coordinator, er
 }
 
 // Grid implements Backend.
-func (c *Coordinator) Grid(context.Context) (sweep.Grid, error) { return c.grid, nil }
+func (c *Coordinator) Grid(context.Context) (sweep.Grid, error) {
+	c.mu.Lock()
+	c.fetched++
+	c.mu.Unlock()
+	return c.grid, nil
+}
 
 // sweepRunner implements inProcess.
 func (c *Coordinator) sweepRunner() *sweep.Runner { return c.exec }
@@ -412,6 +433,7 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	now := c.opt.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.asked[worker] = true
 
 	// Expired leases are leasable: they join the seq-ordered requeue,
 	// where a renewal that lands before their re-grant takes them out
@@ -449,6 +471,7 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 		c.leaseID++
 		u.lease = c.leaseID
 		u.deadline = now.Add(c.opt.LeaseTTL)
+		u.worker = worker
 		c.stats.Leases++
 		out = append(out, Unit{Seq: i, Scenario: u.scenario, Lease: u.lease})
 	}
@@ -458,8 +481,36 @@ func (c *Coordinator) Lease(_ context.Context, worker string, max int) (LeaseRep
 	if len(out) > 0 {
 		c.workers[worker] = true
 	}
+	if c.pending == 0 {
+		c.tellLocked(worker)
+	}
 	return LeaseReply{Units: out, Done: c.pending == 0, TTL: c.opt.LeaseTTL}, nil
 }
+
+// tellLocked records that worker has been answered Done, and closes
+// allTold once every worker that asked for work has been.
+func (c *Coordinator) tellLocked(worker string) {
+	c.told[worker] = true
+	if len(c.told) < c.fetched {
+		return
+	}
+	for w := range c.asked {
+		if !c.told[w] {
+			return
+		}
+	}
+	select {
+	case <-c.allTold:
+	default:
+		close(c.allTold)
+	}
+}
+
+// WorkersTold is closed once the sweep is done and every worker that
+// has asked for work, or fetched the grid to do so, has been answered
+// Done by a Lease, so none still polls. A worker that vanished never
+// is.
+func (c *Coordinator) WorkersTold() <-chan struct{} { return c.allTold }
 
 // Renew implements Backend: it pushes the deadline of every ref the
 // worker still validly holds out by another TTL. Refs whose lease was
@@ -494,16 +545,34 @@ func (c *Coordinator) Release(_ context.Context, worker string, refs []UnitRef) 
 		if r.Seq < 0 || r.Seq >= len(c.units) {
 			continue
 		}
-		u := &c.units[r.Seq]
-		if u.state == unitLeased && u.lease == r.Lease {
-			u.state = unitPending
-			u.lease = 0
-			delete(c.leased, r.Seq)
-			c.requeueLocked(r.Seq)
-			c.stats.Released++
+		if u := &c.units[r.Seq]; u.state == unitLeased && u.lease == r.Lease {
+			c.releaseLocked(r.Seq)
 		}
 	}
 	return nil
+}
+
+// releaseWorkers hands back every lease held by one of workers, as
+// their own Release would.
+func (c *Coordinator) releaseWorkers(workers []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.leased {
+		if slices.Contains(workers, c.units[i].worker) {
+			c.releaseLocked(i)
+		}
+	}
+}
+
+// releaseLocked returns leased unit i to the queue for immediate
+// re-lease.
+func (c *Coordinator) releaseLocked(i int) {
+	u := &c.units[i]
+	u.state = unitPending
+	u.lease = 0
+	delete(c.leased, i)
+	c.requeueLocked(i)
+	c.stats.Released++
 }
 
 // Complete implements Backend: it merges returned rows by expansion

@@ -267,12 +267,21 @@ func RunLocal(ctx context.Context, g sweep.Grid, n int, opt Options) (*sweep.Res
 }
 
 // RunCoordinator drives an existing coordinator — fresh or resumed
-// from a checkpoint — with n in-process worker goroutines. n <= 0
-// means GOMAXPROCS.
+// from a checkpoint — with n in-process worker goroutines, named
+// local-0 to local-<n-1>. n <= 0 means GOMAXPROCS. A resumed
+// coordinator's leases held under those names were held by in-process
+// workers that died with the coordinator that granted them: they are
+// handed back for immediate re-lease before the workers start, while
+// other workers' leases keep their deadlines.
 func RunCoordinator(ctx context.Context, c *Coordinator, n int) (*sweep.Results, Stats, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("local-%d", i)
+	}
+	c.releaseWorkers(names)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -282,7 +291,7 @@ func RunCoordinator(ctx context.Context, c *Coordinator, n int) (*sweep.Results,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := Work(ctx, c, WorkerOptions{Name: fmt.Sprintf("local-%d", i)}); err != nil {
+			if _, err := Work(ctx, c, WorkerOptions{Name: names[i]}); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err

@@ -25,7 +25,9 @@ import (
 // whose call finds its input pending under another goroutine (await):
 // a waiter computes claimable slots one at a time, rechecks its own
 // entry after each, and blocks only once nothing is claimable. Both
-// take the same one-slot step. Outside Run (ntc-serve, remote dist
+// take the same one-slot step; a waiter takes its buffers from the
+// memo's free list once it has claimed a slot and returns them when
+// it stops helping. Outside Run (ntc-serve, remote dist
 // workers) only waiters help. Steppers from StepperConfig and
 // LiveStepperConfig offer no window, so a Runner that outlives its
 // rows holds none between them.
@@ -37,19 +39,24 @@ import (
 // and those entries stay out of the FIFO until used, so eviction never
 // drops a helper's work before its use. A window closes when its
 // stepper finishes or fails, or when the row that built it ends
-// (aheadRow); the entries no stepper used go with it. Helpers rebuild
+// (aheadRow); the entries no stepper used go with it. A helper packs a
+// claimed slot's demands from the stepper's predictions outside the
+// memo's lock, so Withdraw waits for the packs in flight: the
+// stepper's owner may reuse the prediction views once it returns (a
+// fleet refills them at its next epoch). Helpers rebuild
 // the policy with newPolicy, since policies need not be safe for
 // concurrent use.
 
 // window is one offered dcsim window; its fields are guarded by the
 // memo's mu.
 type window struct {
-	w      *dcsim.Window
-	pol    *memoPolicy // the offering policy: name, model and key prefix
-	est    int         // bytes one of its entries may hold
-	cursor int         // the next slot to claim, counting down
-	closed bool
-	keys   []digest // the entries helpers made for it
+	w       *dcsim.Window
+	pol     *memoPolicy // the offering policy: name, model and key prefix
+	est     int         // bytes one of its entries may hold
+	cursor  int         // the next slot to claim, counting down
+	packing int         // helpers that claimed a slot and are still packing its demands
+	closed  bool
+	keys    []digest // the entries helpers made for it
 }
 
 // aheadRow collects the windows one Exec's steppers offer, so the end
@@ -81,7 +88,9 @@ func (p *memoPolicy) Offer(w *dcsim.Window) {
 	m.wake.Broadcast()
 }
 
-// Withdraw implements dcsim.LookaheadPolicy.
+// Withdraw implements dcsim.LookaheadPolicy. It returns once no
+// helper is packing demands from w, so the caller may then reuse what
+// w reads.
 func (p *memoPolicy) Withdraw(w *dcsim.Window) {
 	m := p.memo
 	m.mu.Lock()
@@ -89,6 +98,9 @@ func (p *memoPolicy) Withdraw(w *dcsim.Window) {
 	for _, win := range m.windows {
 		if win.w == w {
 			m.closeLocked(win)
+			for win.packing > 0 {
+				m.wake.Wait()
+			}
 			return
 		}
 	}
@@ -151,16 +163,50 @@ func (m *allocMemo) used(key digest, e *allocEntry) {
 // stopAhead.
 func (m *allocMemo) help() {
 	var h helper
-	for h.step(m, true) {
+	for {
+		win, s, ok := m.claim(true)
+		if !ok {
+			return
+		}
+		h.compute(m, win, s)
 	}
 }
 
 // await returns once e is released. The caller first helps: it
-// computes claimable slots while e is still pending.
+// computes claimable slots while e is still pending, on a helper it
+// takes from the free list once it has claimed one.
 func (p *memoPolicy) await(e *allocEntry) {
-	for !e.released() && p.help.step(p.memo, false) {
+	m := p.memo
+	var h *helper
+	for !e.released() {
+		win, s, ok := m.claim(false)
+		if !ok {
+			break
+		}
+		if h == nil {
+			h = m.takeHelper()
+		}
+		h.compute(m, win, s)
+	}
+	if h != nil {
+		m.mu.Lock()
+		m.helpers = append(m.helpers, h)
+		m.mu.Unlock()
 	}
 	<-e.done
+}
+
+// takeHelper returns a helper from the free list, or a new one.
+func (m *allocMemo) takeHelper() *helper {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := len(m.helpers)
+	if k == 0 {
+		return new(helper)
+	}
+	h := m.helpers[k-1]
+	m.helpers = m.helpers[:k-1]
+	return h
 }
 
 func (e *allocEntry) released() bool {
@@ -174,7 +220,9 @@ func (e *allocEntry) released() bool {
 
 // helper is one goroutine's lookahead state: the demand and Assignment
 // buffers it reuses, and the policy it last built, kept while the
-// windows it serves share a policy name and server model.
+// windows it serves share a policy name and server model. A free
+// waiter helper keeps its policy too, so the memo holds at most one
+// policy per goroutine that ever waited at once.
 type helper struct {
 	dem    dcsim.SlotDemands
 	asg    alloc.Assignment
@@ -182,19 +230,14 @@ type helper struct {
 	prefix []byte
 }
 
-// step claims one slot ahead of its stepper and computes it into the
-// memo. It reports false when it claimed nothing: once lookahead has
-// stopped when wait is set, else also when no slot is claimable now.
-func (h *helper) step(m *allocMemo, wait bool) bool {
-	win, s, ok := m.claim(wait)
-	if !ok {
-		return false
-	}
+// compute computes slot s of win, which claim reserved, into the memo.
+func (h *helper) compute(m *allocMemo, win *window, s int) {
 	vms := win.w.Demands(s, &h.dem)
+	m.packed(win)
 	key := m.key(win.pol.prefix, vms, win.w.Spec)
 	e := m.reserve(win, s, key)
 	if e == nil {
-		return true
+		return
 	}
 	var err error
 	if h.pol == nil || !bytes.Equal(h.prefix, win.pol.prefix) {
@@ -205,11 +248,11 @@ func (h *helper) step(m *allocMemo, wait bool) bool {
 		err = alloc.Into(h.pol, &h.asg, vms, win.w.Spec)
 	}
 	m.finishAhead(key, e, &h.asg, err)
-	return true
 }
 
 // claim finds an open window with a slot ahead of its stepper while the
-// budget has room for one more entry, and reserves both. With wait it
+// budget has room for one more entry, and reserves both; the claimant
+// then packs the slot's demands and calls packed. With wait it
 // waits for one until lookahead stops; without, it reports false at
 // once when there is none.
 func (m *allocMemo) claim(wait bool) (*window, int, bool) {
@@ -220,6 +263,7 @@ func (m *allocMemo) claim(wait bool) (*window, int, bool) {
 			if win.cursor > win.w.Next() && m.aheadBytes+win.est <= m.budget/2 {
 				s := win.cursor
 				win.cursor--
+				win.packing++
 				m.aheadBytes += win.est
 				return win, s, true
 			}
@@ -230,6 +274,15 @@ func (m *allocMemo) claim(wait bool) (*window, int, bool) {
 		m.wake.Wait()
 	}
 	return nil, 0, false
+}
+
+// packed ends a pack of win's demands that claim began.
+func (m *allocMemo) packed(win *window) {
+	m.mu.Lock()
+	if win.packing--; win.packing == 0 && win.closed {
+		m.wake.Broadcast() // Withdraw may be waiting
+	}
+	m.mu.Unlock()
 }
 
 // reserve publishes a pending entry for the claimed slot s of win
@@ -256,7 +309,7 @@ func (m *allocMemo) reserve(win *window, s int, key digest) *allocEntry {
 // result.
 func (m *allocMemo) finishAhead(key digest, e *allocEntry, a *alloc.Assignment, err error) {
 	if err == nil {
-		e.p, e.ok = compact(a)
+		e.p, e.ok = m.compact(a)
 	}
 	m.mu.Lock()
 	switch {

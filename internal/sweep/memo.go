@@ -67,12 +67,12 @@ type allocMemo struct {
 	gcm    cipher.AEAD
 	budget int
 
-	// keyBufs are the key encodings' scratch buffers free for the next
-	// call, under their own lock: at most one per goroutine ever
-	// encoding at once. A free list rather than a sync.Pool, which the
-	// race detector empties at random, so a hit never allocates.
-	keyMu   sync.Mutex
-	keyBufs [][]byte
+	// bufs are scratch buffers free for the next key encoding or
+	// compact check, under their own lock: at most one per goroutine
+	// ever using one at once. A free list rather than a sync.Pool, which
+	// the race detector empties at random, so a hit never allocates.
+	bufMu sync.Mutex
+	bufs  [][]byte
 
 	mu      sync.Mutex
 	entries map[digest]*allocEntry
@@ -85,7 +85,8 @@ type allocMemo struct {
 	stopped    bool // Run has finished every row
 	windows    []*window
 	aheadBytes int
-	wake       sync.Cond // on mu: a window opened, ahead bytes freed, or stop
+	wake       sync.Cond // on mu: a window opened, ahead bytes freed, a pack ended, or stop
+	helpers    []*helper // waiters' helpers free for the next waiter
 
 	hits, aheadComputed, aheadUsed atomic.Int64
 }
@@ -175,12 +176,10 @@ type memoPolicy struct {
 	prefix []byte // the policy name and server model, encoded
 
 	// name and model rebuild the policy for a helper; row is the Exec
-	// that built it (nil outside Exec); help is the state its caller
-	// allocates ahead with while it waits (lookahead.go).
+	// that built it (nil outside Exec).
 	name  string
 	model power.Model
 	row   *aheadRow
-	help  helper
 }
 
 // Allocate implements alloc.Policy.
@@ -234,7 +233,7 @@ func (m *allocMemo) fill(key digest, e *allocEntry, pol alloc.Policy, dst *alloc
 	}()
 	err := alloc.Into(pol, dst, vms, spec)
 	if err == nil {
-		e.p, e.ok = compact(dst)
+		e.p, e.ok = m.compact(dst)
 	}
 	return err
 }
@@ -259,16 +258,7 @@ func (m *allocMemo) key(prefix []byte, vms []alloc.VMDemand, spec alloc.ServerSp
 	for i := range vms {
 		n += 3*8 + 8*(len(vms[i].CPU)+len(vms[i].Mem))
 	}
-	var b []byte
-	m.keyMu.Lock()
-	if k := len(m.keyBufs); k > 0 {
-		b = m.keyBufs[k-1]
-		m.keyBufs = m.keyBufs[:k-1]
-	}
-	m.keyMu.Unlock()
-	if cap(b) < n+len(digest{}) {
-		b = make([]byte, 0, n+len(digest{}))
-	}
+	b := m.takeBuf(n + len(digest{}))
 	b = append(b[:0], prefix...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(spec.Cores))
 	b = appendFloats(b, spec.MemContainers, float64(spec.FMax), float64(spec.FMin))
@@ -286,10 +276,30 @@ func (m *allocMemo) key(prefix []byte, vms []alloc.VMDemand, spec alloc.ServerSp
 	// sealing into a local array would move it to the heap.
 	var d digest
 	copy(d[:], m.gcm.Seal(b[len(b):], memoNonce[:], nil, b))
-	m.keyMu.Lock()
-	m.keyBufs = append(m.keyBufs, b)
-	m.keyMu.Unlock()
+	m.putBuf(b)
 	return d
+}
+
+// takeBuf returns a free scratch buffer of at least n bytes' capacity.
+func (m *allocMemo) takeBuf(n int) []byte {
+	var b []byte
+	m.bufMu.Lock()
+	if k := len(m.bufs); k > 0 {
+		b = m.bufs[k-1]
+		m.bufs = m.bufs[:k-1]
+	}
+	m.bufMu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	return b
+}
+
+// putBuf frees b for the next takeBuf.
+func (m *allocMemo) putBuf(b []byte) {
+	m.bufMu.Lock()
+	m.bufs = append(m.bufs, b)
+	m.bufMu.Unlock()
 }
 
 func appendFloats(b []byte, fs ...float64) []byte {
@@ -367,22 +377,23 @@ type placement struct {
 
 // compact stores a. It reports false unless the server lists hold
 // every VM exactly once, where VMServer puts it: the Policy contract,
-// which the rebuild relies on.
-func compact(a *alloc.Assignment) (placement, bool) {
+// which the rebuild relies on. The seen set is a scratch buffer, so a
+// stored placement allocates its indices alone.
+func (m *allocMemo) compact(a *alloc.Assignment) (placement, bool) {
 	n := len(a.VMServer)
-	seen := make([]bool, n)
+	seen := m.takeBuf(n)[:n]
+	defer m.putBuf(seen)
+	clear(seen)
 	for i, srv := range a.Servers {
 		for _, v := range srv.VMs {
-			if v < 0 || v >= n || seen[v] || a.VMServer[v] != i {
+			if v < 0 || v >= n || seen[v] != 0 || a.VMServer[v] != i {
 				return placement{}, false
 			}
-			seen[v] = true
+			seen[v] = 1
 		}
 	}
-	for _, s := range seen {
-		if !s {
-			return placement{}, false
-		}
+	if slices.Contains(seen, 0) {
+		return placement{}, false
 	}
 	p := placement{vms: n, cpuCap: a.CPUCapPoints, memCap: a.MemCapPoints,
 		plannedFreq: a.PlannedFreq, fixedFreq: a.FixedFreq, epactCase: a.EPACTCase}

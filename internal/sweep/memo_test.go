@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -524,5 +525,74 @@ func TestMemoHitsRefillReusedAssignments(t *testing.T) {
 	calls := goroutines * rounds * len(PolicyNames()) * len(inputs)
 	if misses := calls - int(m.hits.Load()); misses != len(PolicyNames())*len(inputs) {
 		t.Errorf("%d of %d calls missed, want one per input", misses, calls)
+	}
+}
+
+// packPolicy places VMs in index order, eight to a server, into the
+// caller's Assignment: once that has grown, its calls allocate nothing.
+type packPolicy struct{}
+
+func (packPolicy) Name() string { return "pack" }
+
+func (p packPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) (*alloc.Assignment, error) {
+	return alloc.Fresh(p, vms, spec)
+}
+
+func (packPolicy) AllocateInto(dst *alloc.Assignment, vms []alloc.VMDemand, _ alloc.ServerSpec) error {
+	dst.Reset("pack", len(vms))
+	var srv *alloc.ServerPlan
+	for v := range vms {
+		if v%8 == 0 {
+			srv = dst.AddServer(0)
+		}
+		srv.VMs = append(srv.VMs, v)
+		dst.VMServer[v] = len(dst.Servers) - 1
+	}
+	return nil
+}
+
+// TestMemoMissAllocatesOnlyItsEntry: a memo miss stores what it keeps,
+// the entry (with its done channel) and the placement's index slice,
+// and nothing else: three allocations per miss beside the map's and
+// the FIFO's amortised growth, in at most a fifth more bytes than the
+// entry's accounted size. A throwaway seen set in compact would be a
+// fourth allocation of one byte per VM.
+func TestMemoMissAllocatesOnlyItsEntry(t *testing.T) {
+	model := power.NTCServer()
+	spec := alloc.ServerSpec{Cores: model.Cores, MemContainers: model.MemGB(), FMax: model.FMax, FMin: model.FMin}
+	for _, n := range []int{600, 2000} {
+		m := newAllocMemo(64 << 20)
+		pol := m.wrap("pack", model, packPolicy{}, nil, new(keyPrefixes)).(alloc.Filler)
+		vms := make([]alloc.VMDemand, n)
+		for i := range vms {
+			vms[i] = alloc.VMDemand{ID: i, CPU: make([]float64, 12), Mem: make([]float64, 12)}
+		}
+		dst := new(alloc.Assignment)
+		const warm, misses = 50, 400
+		var before, after runtime.MemStats
+		for k := range warm + misses {
+			if k == warm {
+				runtime.ReadMemStats(&before)
+			}
+			vms[0].CPU[0] = float64(k) // a distinct input: every call misses
+			if err := pol.AllocateInto(dst, vms, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if len(m.entries) != warm+misses {
+			t.Fatalf("%d VMs: the memo holds %d entries, want %d", n, len(m.entries), warm+misses)
+		}
+		size := 0
+		for _, e := range m.entries {
+			size = e.p.size()
+			break
+		}
+		allocs := float64(after.Mallocs-before.Mallocs) / misses
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / misses
+		if allocs > 3.1 || bytes > 1.2*float64(size) {
+			t.Errorf("%d VMs: a miss makes %.2f allocations of %.0f bytes, want 3 of about its %d-byte entry",
+				n, allocs, bytes, size)
+		}
 	}
 }

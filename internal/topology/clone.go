@@ -20,10 +20,16 @@ import (
 // stepper tests pin).
 //
 // Shared read-only state (trace, predictions, resolved fleet, per-DC
-// server models, the current epoch's dispatch) is aliased; every
-// mutable accumulator is deep-copied.
+// server models and DVFS tables) is aliased, and so are the current
+// epoch's buffers (its dispatch and per-DC views), which the clone's
+// DC steppers read until the epoch ends. Cloning marks those buffers
+// shared on both sides, so whichever side opens its next epoch first
+// opens it on buffers of its own and never overwrites what the other
+// still reads (see epochBufs). Every mutable accumulator is
+// deep-copied.
 func (st *Stepper) Clone() (*Stepper, error) {
 	c := *st
+	st.ep.shared = true
 	ep := *st.ep
 	res := *ep.res
 	res.DCs = slices.Clone(res.DCs)

@@ -159,9 +159,11 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var view dcView
+	view.fill(cfg.Trace, cfg.Predictions, st.ep.asg[0])
 	fresh, err := dcsim.Run(dcsim.Config{
-		Trace:                cfg.Trace.Subset(st.ep.asg[0]),
-		Predictions:          subPredictions(cfg.Predictions, st.ep.asg[0]),
+		Trace:                &view.tr,
+		Predictions:          &view.pred,
 		HistoryDays:          cfg.HistoryDays,
 		EvalDays:             cfg.EvalDays,
 		StartSlot:            fork,

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/power"
 	"repro/internal/trace"
@@ -37,19 +37,58 @@ func Dispatch(f Fleet, tr *trace.Trace, historySamples int) (Assignment, error) 
 // load-aware dispatchers ignore the hour entirely, so Dispatch and
 // DispatchAt agree for them.
 func DispatchAt(f Fleet, tr *trace.Trace, historySamples, hour int) (Assignment, error) {
+	var d dispatcher
+	return d.dispatch(f, tr, historySamples, hour)
+}
+
+// dispatcher holds what dispatch reuses from one call to the next: the
+// per-DC lists it returns, which the next call refills in place, the
+// dispatchers' scratch, and the DCs' server models when the caller
+// has resolved them. The zero value resolves every model per call.
+type dispatcher struct {
+	out     Assignment
+	order   []rankedDC
+	loads   []vmLoad
+	weights []float64
+	hosted  []float64
+
+	// models are the DCs' server models, fleet order; nil resolves
+	// each dispatch's. The fleet stepper passes its own.
+	models []serverModels
+}
+
+// dispatch is DispatchAt into d's buffers: the returned Assignment is
+// valid until d's next dispatch.
+func (d *dispatcher) dispatch(f Fleet, tr *trace.Trace, historySamples, hour int) (Assignment, error) {
 	f = f.normalized()
+	if cap(d.out) < len(f.DCs) {
+		d.out = make(Assignment, len(f.DCs))
+	}
+	d.out = d.out[:len(f.DCs)]
+	for i := range d.out {
+		d.out[i] = d.out[i][:0]
+	}
 	switch f.Dispatcher {
 	case "uniform":
-		return dispatchUniform(f, tr)
+		return d.uniform(f, tr)
 	case "greedy-proportional":
-		return dispatchGreedyProportional(f, tr)
+		return d.greedyProportional(f, tr)
 	case "follow-the-load":
-		return dispatchFollowTheLoad(f, tr, historySamples)
+		return d.followTheLoad(f, tr, historySamples)
 	case "carbon-greedy":
-		return dispatchCarbonGreedy(f, tr, hour)
+		return d.carbonGreedy(f, tr, hour)
 	default:
 		return nil, fmt.Errorf("topology: unknown dispatcher %q", f.Dispatcher)
 	}
+}
+
+// model returns DC i's server model.
+func (d *dispatcher) model(i int, dc DCSpec) (*power.ServerModel, error) {
+	if d.models != nil {
+		return d.models[i].base, nil
+	}
+	m, _, err := dc.serverPlatform()
+	return m, err
 }
 
 // errNoDispatchableDC is returned when every DC in the fleet is
@@ -64,8 +103,8 @@ var errNoDispatchableDC = fmt.Errorf("topology: every DC has share 0 — no disp
 // the share quotas at every prefix, so correlated VM groups (adjacent
 // IDs in the synthetic traces) spread instead of landing in one DC.
 // Drained DCs (share 0) receive nothing.
-func dispatchUniform(f Fleet, tr *trace.Trace) (Assignment, error) {
-	out := make(Assignment, len(f.DCs))
+func (d *dispatcher) uniform(f Fleet, tr *trace.Trace) (Assignment, error) {
+	out := d.out
 	for v := range tr.VMs {
 		best := -1
 		bestQ := 0.0
@@ -106,8 +145,8 @@ func ProportionalityScore(m *power.ServerModel) float64 {
 // and 1 GB memory containers) before overflowing to the next. The
 // last-ranked DC absorbs any remainder — an over-full fleet surfaces
 // as pool-cap violations in the simulation, never as dropped VMs.
-func dispatchGreedyProportional(f Fleet, tr *trace.Trace) (Assignment, error) {
-	order := make([]rankedDC, 0, len(f.DCs))
+func (d *dispatcher) greedyProportional(f Fleet, tr *trace.Trace) (Assignment, error) {
+	order := d.order[:0]
 	for i, dc := range f.DCs {
 		if dc.Share <= 0 {
 			// Drained: never a fill target, whatever its ranking.
@@ -116,7 +155,7 @@ func dispatchGreedyProportional(f Fleet, tr *trace.Trace) (Assignment, error) {
 		// The DC's effective static power shifts its idle/peak ratio,
 		// so it belongs in the ranking; Run materialises the scenario
 		// default into the resolved specs before dispatching.
-		m, _, err := dc.serverPlatform()
+		m, err := d.model(i, dc)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +163,8 @@ func dispatchGreedyProportional(f Fleet, tr *trace.Trace) (Assignment, error) {
 		// ascending order fills the most proportional DC first.
 		order = append(order, rankedDC{idx: i, score: -ProportionalityScore(m), cap: dcVMCapacity(dc, m)})
 	}
-	return fillRanked(f, tr, order)
+	d.order = order
+	return d.fillRanked(tr)
 }
 
 // rankedDC is one fill target of a greedy dispatcher: a DC index, its
@@ -154,13 +194,21 @@ func dcVMCapacity(dc DCSpec, m *power.ServerModel) int {
 // the next, and the last-ranked DC absorbs any remainder — an
 // over-full fleet surfaces as pool-cap violations in the simulation,
 // never as dropped VMs.
-func fillRanked(f Fleet, tr *trace.Trace, order []rankedDC) (Assignment, error) {
+func (d *dispatcher) fillRanked(tr *trace.Trace) (Assignment, error) {
+	order, out := d.order, d.out
 	if len(order) == 0 {
 		return nil, errNoDispatchableDC
 	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].score < order[b].score })
+	slices.SortStableFunc(order, func(a, b rankedDC) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case b.score < a.score:
+			return 1
+		}
+		return 0
+	})
 
-	out := make(Assignment, len(f.DCs))
 	pos := 0
 	for v := range tr.VMs {
 		// Advance past full DCs; the last one takes everything left.
@@ -182,19 +230,20 @@ func fillRanked(f Fleet, tr *trace.Trace, order []rankedDC) (Assignment, error) 
 // Dispatch optimizes grams the way greedy-proportional optimizes
 // joules; it never reads the workload, so it stays a pure function of
 // the fleet spec and the hour.
-func dispatchCarbonGreedy(f Fleet, tr *trace.Trace, hour int) (Assignment, error) {
-	order := make([]rankedDC, 0, len(f.DCs))
+func (d *dispatcher) carbonGreedy(f Fleet, tr *trace.Trace, hour int) (Assignment, error) {
+	order := d.order[:0]
 	for i, dc := range f.DCs {
 		if dc.Share <= 0 {
 			continue
 		}
-		m, _, err := dc.serverPlatform()
+		m, err := d.model(i, dc)
 		if err != nil {
 			return nil, err
 		}
 		order = append(order, rankedDC{idx: i, score: dc.PUE * dc.GridIntensity.At(hour), cap: dcVMCapacity(dc, m)})
 	}
-	return fillRanked(f, tr, order)
+	d.order = order
+	return d.fillRanked(tr)
 }
 
 // dispatchFollowTheLoad balances observed load latency-aware: each
@@ -205,8 +254,8 @@ func dispatchCarbonGreedy(f Fleet, tr *trace.Trace, hour int) (Assignment, error
 // window feeds the means (the load an operator has already seen);
 // dispatch never peeks at the evaluation period. Per-DC lists are
 // re-sorted ascending so downstream replay order stays canonical.
-func dispatchFollowTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assignment, error) {
-	weights := make([]float64, len(f.DCs))
+func (d *dispatcher) followTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assignment, error) {
+	weights := resize(d.weights, len(f.DCs))
 	for i, dc := range f.DCs {
 		lat := dc.LatencyMs
 		if lat < 1 {
@@ -215,11 +264,7 @@ func dispatchFollowTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assign
 		weights[i] = dc.Share / lat
 	}
 
-	type vmLoad struct {
-		idx  int
-		mean float64
-	}
-	loads := make([]vmLoad, len(tr.VMs))
+	loads := resize(d.loads, len(tr.VMs))
 	for v, vm := range tr.VMs {
 		window := vm.CPU
 		if historySamples > 0 && historySamples < len(window) {
@@ -235,10 +280,20 @@ func dispatchFollowTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assign
 		}
 		loads[v] = vmLoad{idx: v, mean: mean}
 	}
-	sort.SliceStable(loads, func(a, b int) bool { return loads[a].mean > loads[b].mean })
+	slices.SortStableFunc(loads, func(a, b vmLoad) int {
+		switch {
+		case a.mean > b.mean:
+			return -1
+		case b.mean > a.mean:
+			return 1
+		}
+		return 0
+	})
 
-	out := make(Assignment, len(f.DCs))
-	hosted := make([]float64, len(f.DCs))
+	out := d.out
+	hosted := resize(d.hosted, len(f.DCs))
+	clear(hosted)
+	d.weights, d.loads, d.hosted = weights, loads, hosted
 	for _, vm := range loads {
 		best := -1
 		bestQ := 0.0
@@ -258,7 +313,22 @@ func dispatchFollowTheLoad(f Fleet, tr *trace.Trace, historySamples int) (Assign
 		hosted[best] += vm.mean
 	}
 	for i := range out {
-		sort.Ints(out[i])
+		slices.Sort(out[i])
 	}
 	return out, nil
+}
+
+// vmLoad is one VM's observed mean CPU, follow-the-load's sort key.
+type vmLoad struct {
+	idx  int
+	mean float64
+}
+
+// resize returns s with length n, reallocated only when it lacks the
+// capacity; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

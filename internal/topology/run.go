@@ -200,20 +200,6 @@ func SeriesEPScore(slotMJ []float64) float64 {
 	return 1 - min/max
 }
 
-// subPredictions views the prediction rows of a VM subset.
-func subPredictions(ps *dcsim.PredictionSet, idxs []int) *dcsim.PredictionSet {
-	out := &dcsim.PredictionSet{
-		Predictor: ps.Predictor,
-		CPU:       make([][]float64, len(idxs)),
-		Mem:       make([][]float64, len(idxs)),
-	}
-	for i, v := range idxs {
-		out.CPU[i] = ps.CPU[v]
-		out.Mem[i] = ps.Mem[v]
-	}
-	return out
-}
-
 // Run executes one fleet workload: resolve the fleet, dispatch the
 // VMs, simulate every datacenter through dcsim unchanged, and
 // aggregate. A single-DC fleet with PUE 1 reproduces the plain

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dcsim"
-	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -110,15 +109,16 @@ type Stepper struct {
 }
 
 // serverModels pairs one DC's axis-resolved power model with its
-// performance platform. base is the platform's native model the
-// allocation policy plans against: the power-model axis reprices what
-// the replay observes, never what the allocator decides, so tdp rows
-// keep the ntc rows' placement, frequencies and violations
-// bit-for-bit.
+// performance platform and the replay's DVFS-level tables over them,
+// which every epoch of the DC steps on. base is the platform's native
+// model the allocation policy plans against and the dispatchers rank
+// by: the power-model axis reprices what the replay observes, never
+// what the allocator decides, so tdp rows keep the ntc rows'
+// placement, frequencies and violations bit-for-bit.
 type serverModels struct {
-	base  *power.ServerModel
-	model power.Model
-	plat  *platform.Platform
+	base   *power.ServerModel
+	model  power.Model
+	tables *dcsim.Tables
 }
 
 // NewStepper validates cfg, resolves the fleet, dispatches the VMs
@@ -173,7 +173,11 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		st.models[i] = serverModels{base: base, model: model, plat: plat}
+		tables, err := dcsim.NewTables(model, plat)
+		if err != nil {
+			return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
+		}
+		st.models[i] = serverModels{base: base, model: model, tables: tables}
 		// Carbon prices against the platform's capacity (cores/GB drive
 		// the embodied amortization; the power-model axis delegates
 		// capacity, so either model prices the same grams).
@@ -257,11 +261,17 @@ type epochState struct {
 	freqWeighted  float64
 	freqWeight    float64
 
-	// The open epoch.
+	// The open epoch. asg lives in bufs.
 	open                 bool
 	epochStart, epochEnd int
-	asg                  [][]int
+	asg                  Assignment
 	sims                 []*dcsim.Stepper // nil for empty DCs
+
+	// bufs are the buffers the epochs refill; shared marks them as
+	// also another stepper's since a Clone, so the next epoch opens
+	// on buffers of its own (see epochBufs).
+	bufs   *epochBufs
+	shared bool
 
 	// Boundary charges of the open epoch, for the boundary SlotStep:
 	// pricing is folded into the accumulators at openEpoch, drained-DC
@@ -273,6 +283,42 @@ type epochState struct {
 	boundCross   []int
 	drainIT      []float64 // drained-DC power-off, IT MJ
 	drainFac     []float64 // drained-DC power-off, facility MJ
+}
+
+// epochBufs are what an epoch fills for its DCs: the dispatch (its
+// per-DC lists and scratch), the VM-to-DC map it derives, and each
+// DC's trace and prediction views, which the DC's dcsim stepper reads
+// until the epoch closes and its lookahead helpers until the stepper
+// withdraws its window. The next epoch refills them in place, so a
+// boundary allocates per DC, not per VM.
+//
+// Clone aliases them: the clone's DC steppers read the views of the
+// epoch both sides are in. Both sides are then marked shared, and
+// whichever opens its next epoch does so on fresh buffers, so neither
+// ever overwrites what the other still reads.
+type epochBufs struct {
+	disp   dispatcher
+	nextDC []int    // the spare VM-to-DC map (see openEpoch)
+	views  []dcView // fleet order
+}
+
+// dcView is one DC's view of the fleet's trace and predictions.
+type dcView struct {
+	tr   trace.Trace
+	pred dcsim.PredictionSet
+}
+
+// fill makes v the view of the rows of tr and ps for the VMs at idxs,
+// in that order, reusing v's buffers.
+func (v *dcView) fill(tr *trace.Trace, ps *dcsim.PredictionSet, idxs []int) {
+	tr.SubsetInto(&v.tr, idxs)
+	v.pred.Predictor = ps.Predictor
+	v.pred.CPU = resize(v.pred.CPU, len(idxs))
+	v.pred.Mem = resize(v.pred.Mem, len(idxs))
+	for i, x := range idxs {
+		v.pred.CPU[i] = ps.CPU[x]
+		v.pred.Mem[i] = ps.Mem[x]
+	}
 }
 
 func newEpochState(st *Stepper) *epochState {
@@ -327,11 +373,16 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 	if e0 == 0 {
 		df = fleet // initial placement: the fleet's own dispatcher
 	}
-	asg, err := DispatchAt(df, cfg.Trace, observed, e0%24)
+	if ep.bufs == nil || ep.shared {
+		ep.bufs = &epochBufs{disp: dispatcher{models: st.models}, views: make([]dcView, len(fleet.DCs))}
+		ep.shared = false
+	}
+	b := ep.bufs
+	asg, err := b.disp.dispatch(df, cfg.Trace, observed, e0%24)
 	if err != nil {
 		return err
 	}
-	nextDC := make([]int, len(cfg.Trace.VMs))
+	nextDC := resize(b.nextDC, len(cfg.Trace.VMs))
 	for d, idxs := range asg {
 		for _, v := range idxs {
 			nextDC[v] = d
@@ -381,7 +432,7 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			ep.boundViol[dst] += MigrationDowntimeSamples
 		}
 	}
-	ep.prevDC = nextDC
+	ep.prevDC, b.nextDC = nextDC, ep.prevDC
 	ep.asg = asg
 
 	for i, dc := range fleet.DCs {
@@ -405,17 +456,17 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		sim, err := dcsim.NewStepper(dcsim.Config{
-			Trace:                cfg.Trace.Subset(asg[i]),
-			Predictions:          subPredictions(cfg.Predictions, asg[i]),
+		v := &b.views[i]
+		v.fill(cfg.Trace, cfg.Predictions, asg[i])
+		sim, err := m.tables.NewStepper(dcsim.Config{
+			Trace:                &v.tr,
+			Predictions:          &v.pred,
 			HistoryDays:          cfg.HistoryDays,
 			EvalDays:             cfg.EvalDays,
 			StartSlot:            e0,
 			NumSlots:             n,
 			InitialActiveServers: ep.prevActive[i],
 			Policy:               pol,
-			Server:               m.model,
-			Platform:             m.plat,
 			MaxServers:           dc.Servers,
 			Transitions:          cfg.Transitions,
 			TraceLabel:           cfg.TraceLabel,

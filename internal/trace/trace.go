@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,21 +85,22 @@ type Trace struct {
 	Interval time.Duration
 	VMs      []*VM
 
-	// root is the trace this one is a view of (see Subset); nil for a
+	// root is the trace this one is a view of (see SubsetInto); nil for a
 	// trace that owns its VMs.
 	root *Trace
 }
 
-// Subset returns a view of the VMs at idxs, in that order. The view
-// shares the parent's *VM values read-only and records the parent's
-// root, so a view of a view has the same root: whatever was checked
-// on the root's samples holds for every view derived from it.
-func (t *Trace) Subset(idxs []int) *Trace {
-	out := &Trace{Interval: t.Interval, VMs: make([]*VM, len(idxs)), root: t.Root()}
-	for i, v := range idxs {
-		out.VMs[i] = t.VMs[v]
+// SubsetInto makes dst a view of the VMs at idxs, in that order,
+// reusing dst's VM slice, and returns dst. The view shares the
+// parent's *VM values read-only and records the parent's root, so a
+// view of a view has the same root: whatever was checked on the root's
+// samples holds for every view derived from it.
+func (t *Trace) SubsetInto(dst *Trace, idxs []int) *Trace {
+	*dst = Trace{Interval: t.Interval, VMs: slices.Grow(dst.VMs[:0], len(idxs)), root: t.Root()}
+	for _, v := range idxs {
+		dst.VMs = append(dst.VMs, t.VMs[v])
 	}
-	return out
+	return dst
 }
 
 // Root returns the trace t is a view of, or t itself if it is not a
