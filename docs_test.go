@@ -1,6 +1,8 @@
 package ntcdc
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -86,6 +88,32 @@ var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
 func TestGoCommentsNameExistingDocs(t *testing.T) {
 	fset := token.NewFileSet()
 	checked := 0
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		for _, cg := range f.Comments {
+			for _, name := range mdName.FindAllString(cg.Text(), -1) {
+				found := false
+				for _, dir := range []string{filepath.Dir(path), ".", "docs"} {
+					if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name))); err == nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s: a comment names %s, which does not exist", fset.Position(cg.Pos()), name)
+				}
+				checked++
+			}
+		}
+	})
+	if checked == 0 {
+		t.Error("no Go comment names a markdown file; the walk found nothing to check")
+	}
+}
+
+// forEachGoFile parses, with comments, every Go file in the repository
+// outside hidden directories and results/, and hands each to fn.
+func forEachGoFile(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -103,28 +131,65 @@ func TestGoCommentsNameExistingDocs(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, cg := range f.Comments {
-			for _, name := range mdName.FindAllString(cg.Text(), -1) {
-				found := false
-				for _, dir := range []string{filepath.Dir(path), ".", "docs"} {
-					if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name))); err == nil {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("%s: a comment names %s, which does not exist", fset.Position(cg.Pos()), name)
-				}
-				checked++
-			}
-		}
+		fn(path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked == 0 {
-		t.Error("no Go comment names a markdown file; the walk found nothing to check")
+}
+
+// testName matches a cited test function name.
+var testName = regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
+
+// TestCitedTestsExist: every Test… name a non-test Go comment,
+// README.md or docs/*.md cites is a test function somewhere in the
+// repository, so a citation cannot point its reader at a test that was
+// renamed, folded into another or never written.
+func TestCitedTestsExist(t *testing.T) {
+	fset := token.NewFileSet()
+	tests := map[string]bool{}
+	type citation struct{ where, name string }
+	var cited []citation
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+					tests[fn.Name.Name] = true
+				}
+			}
+			return
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range testName.FindAllString(c.Text, -1) {
+					cited = append(cited, citation{fset.Position(c.Pos()).String(), name})
+				}
+			}
+		}
+	})
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append([]string{"README.md"}, docs...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range testName.FindAllString(line, -1) {
+				cited = append(cited, citation{fmt.Sprintf("%s:%d", path, i+1), name})
+			}
+		}
+	}
+	if len(cited) == 0 {
+		t.Fatal("no test citations found; the walk found nothing to check")
+	}
+	for _, c := range cited {
+		if !tests[c.name] {
+			t.Errorf("%s: cites %s, which is no test function", c.where, c.name)
+		}
 	}
 }
 

@@ -42,9 +42,12 @@ import (
 // the exact fold the mathx helpers use (same operations in the same
 // order), and capacity pre-screens only bypass ServerPlan.fits when
 // peak/min bounds make the outcome certain under IEEE rounding
-// monotonicity — so selections, and therefore assignments, are
-// bit-identical to the straightforward implementation (see
-// TestAllocate1DMatchesReference / TestAllocateCase2MatchesReference).
+// monotonicity. Algorithm 1 goes one step further: a round whose
+// largest candidate peaks (CPU and memory) certainly fit skips the
+// per-candidate screen, since every other candidate then certainly
+// fits too. Selections, and therefore assignments, are bit-identical
+// to the straightforward implementation (see
+// TestAllocate1DMatchesReference / TestEPACTAllocateMatchesReference).
 type EPACT struct {
 	// Model is the server power model used by the Eq. 1 / case-1
 	// frequency search. Any power.Model works; the FDSOI ServerModel
@@ -282,9 +285,9 @@ type epactScratch struct {
 	// [minCPU, minMem, peakCPU, peakMem] into one stride-4 record so
 	// the per-round screen touches one cache line per candidate
 	// instead of four parallel arrays.
-	scr                           []float64
-	sSyy, ycAll, dx               []float64
-	order, pending, active, fitAt []int
+	scr                    []float64
+	sSyy, ycAll, dx        []float64
+	order, pending, active []int
 
 	stats  vmStats
 	states []srvState
@@ -303,7 +306,6 @@ func (s *epactScratch) ensure(nv, n int) {
 		s.order = make([]int, nv)
 		s.pending = make([]int, nv)
 		s.active = make([]int, nv)
-		s.fitAt = make([]int, nv)
 	}
 	s.peakCPU = s.peakCPU[:nv]
 	s.minCPU = s.minCPU[:nv]
@@ -314,7 +316,6 @@ func (s *epactScratch) ensure(nv, n int) {
 	s.order = s.order[:nv]
 	s.pending = s.pending[:nv]
 	s.active = s.active[:nv]
-	s.fitAt = s.fitAt[:nv]
 	if cap(s.ycAll) < nv*n {
 		s.ycAll = make([]float64, nv*n)
 	}
@@ -350,7 +351,14 @@ func seriesBounds(series []float64) (peak, min float64) {
 //
 // The working set is laid out in FFD order (struct-of-arrays) so the
 // candidate scan walks contiguous memory; the visiting order is
-// exactly the one a sorted pending list yields.
+// exactly the one a sorted pending list yields. A round screens the
+// server's candidates by capacity, unless one bound shows they all
+// fit, then folds the Pearson numerators of the fitting ones four at a
+// time and keeps the first maximum φ.
+//
+// Precondition: every demand sample is finite and non-negative, as
+// checkInput guarantees. The dropping of unfit candidates and the
+// all-fit bound rely on it.
 //
 // It resets dst and fills its servers and VMServer; the caller sets
 // the remaining fields.
@@ -414,23 +422,17 @@ func allocate1D(scratch *epactScratch, dst *Assignment, vms []VMDemand, capCPU, 
 		pending[i] = i
 	}
 
-	// active is the per-server working subset of pending. With
-	// non-negative demands a server's aggregate pattern only grows as
-	// VMs are added, so a candidate that certainly cannot fit (or
-	// fails the full fits scan) stays unfit for the rest of this
-	// server's fill and is dropped from active permanently; the next
-	// server starts from a fresh copy of pending. Dropping is gated on
-	// the minima so a (pathological) negative prediction falls back to
-	// full rescans rather than diverging from the reference scan.
-	canDrop := true
-	for i := range vms {
-		if minCPU[i] < 0 || minMem[i] < 0 {
-			canDrop = false
-			break
-		}
-	}
+	// active is the per-server working subset of pending. Demands are
+	// non-negative, so a server's aggregate pattern only grows as VMs
+	// are added: a candidate that does not fit stays unfit for the rest
+	// of this server's fill and leaves active for good. After a round's
+	// screen, active is exactly the fitting set. The seed branch starts
+	// each server from a fresh copy of pending.
 	active := scratch.active[:0]
-	fitAt := scratch.fitAt // per-round positions (into active) of fitting candidates
+	// maxMemPeak bounds the memory peaks in active: their max when the
+	// seed branch rebuilt it. Candidates only leave active afterwards,
+	// so it stays a bound for the whole server.
+	var maxMemPeak float64
 
 	// Per-round server-side Pearson state: the complementary pattern's
 	// centered values and Σdx², recomputed whenever cur changes.
@@ -478,68 +480,64 @@ func allocate1D(scratch *epactScratch, dst *Assignment, vms []VMDemand, capCPU, 
 			vmServer[idx] = len(dst.Servers) - 1
 			updateRound(cur)
 			active = append(active[:0], pending...)
+			maxMemPeak = 0
+			for _, sp := range active {
+				if p := scr[4*sp+3]; p > maxMemPeak {
+					maxMemPeak = p
+				}
+			}
 			continue
 		}
-		// Lines 8-12: complementary pattern and best-correlated fit,
-		// in three passes. The screen replicates screenFits with the
-		// certain-no-fit test first; the two certainty conditions are
-		// mutually exclusive (min ≤ peak), so the classification is
-		// unchanged.
+		// Lines 8-12: complementary pattern and best-correlated fit.
 		//
-		// Filter pass: classify every active candidate, compact the
-		// unfit ones out, and collect the fitting ones.
-		w := 0
-		fitAt = fitAt[:0]
-		for _, sp := range active {
-			rec := scr[4*sp : 4*sp+4]
-			if srvPeakCPU+rec[0] > boundCPU || srvPeakMem+rec[1] > boundMem {
-				// Certainly does not fit.
-				if !canDrop {
-					active[w] = sp
-					w++
+		// Screen: drop the candidates that do not fit. active[0] has
+		// the round's largest CPU peak (FFD order) and maxMemPeak bounds
+		// the memory peaks, so when both pass screenFits' certain-fit
+		// test every candidate passes it too (IEEE rounding is
+		// monotone) and the screen is skipped. Otherwise each candidate
+		// is classified as screenFits does, with the certain-no-fit test
+		// first; the two certainty conditions are mutually exclusive
+		// (min ≤ peak), so the classification is unchanged.
+		if len(active) > 0 && !(srvPeakCPU+scr[4*active[0]+2] <= boundCPU && srvPeakMem+maxMemPeak <= boundMem) {
+			w := 0
+			for _, sp := range active {
+				rec := scr[4*sp : 4*sp+4]
+				if srvPeakCPU+rec[0] > boundCPU || srvPeakMem+rec[1] > boundMem {
+					continue // certainly does not fit
 				}
-				continue
-			}
-			if !(srvPeakCPU+rec[2] <= boundCPU && srvPeakMem+rec[3] <= boundMem) {
-				if !cur.fits(&vms[order[sp]], capCPU, capMem) {
-					if !canDrop {
-						active[w] = sp
-						w++
-					}
+				if !(srvPeakCPU+rec[2] <= boundCPU && srvPeakMem+rec[3] <= boundMem) &&
+					!cur.fits(&vms[order[sp]], capCPU, capMem) {
 					continue
 				}
+				active[w] = sp
+				w++
 			}
-			active[w] = sp
-			w++
-			fitAt = append(fitAt, w-1)
+			active = active[:w]
 		}
-		active = active[:w]
 
-		// Dot + selection pass, in FFD order with the reference
-		// comparisons. Pearson numerators sxy = Σ dx[i]·yc[i] are
-		// computed four candidates at a time: each accumulator still
-		// receives its own addends in index order — interleaving only
-		// overlaps the four independent dependency chains — so every
-		// sxy is bit-identical to a lone mathx.Pearson fold.
-		nf := len(fitAt)
+		// Dot + selection pass over the fitting set, in FFD order with
+		// the reference comparisons. Pearson numerators sxy =
+		// Σ dx[i]·yc[i] are computed four candidates at a time: each
+		// accumulator still receives its own addends in index order —
+		// interleaving only overlaps the four independent dependency
+		// chains — so every sxy is bit-identical to a lone mathx.Pearson
+		// fold. Every candidate's φ is mathx.Pearson's value, 0 for a
+		// zero variance, computed without a sign test in front: such a
+		// test mispredicts on about half the candidates.
 		bestPos, bestPhi := -1, math.Inf(-1)
 		consider := func(at int, sxy, syy float64) {
-			var phi float64
-			if sxx != 0 && syy != 0 {
-				if sxy > 0 || bestPhi < 0 {
-					phi = sxy / math.Sqrt(sxx*syy)
-				}
-				// else φ ≤ 0 ≤ bestPhi: the candidate cannot win the
-				// strict comparison, and the recorded 0 loses identically.
+			phi := sxy / math.Sqrt(sxx*syy)
+			if sxx == 0 || syy == 0 {
+				phi = 0
 			}
 			if phi > bestPhi {
 				bestPos, bestPhi = at, phi
 			}
 		}
+		na := len(active)
 		k := 0
-		for ; k+4 <= nf; k += 4 {
-			at0, at1, at2, at3 := fitAt[k], fitAt[k+1], fitAt[k+2], fitAt[k+3]
-			sp0, sp1, sp2, sp3 := active[at0], active[at1], active[at2], active[at3]
+		for ; k+4 <= na; k += 4 {
+			sp0, sp1, sp2, sp3 := active[k], active[k+1], active[k+2], active[k+3]
 			var s0, s1, s2, s3 float64
 			if sxx != 0 {
 				y0 := ycAll[sp0*n:][:len(dx)]
@@ -553,14 +551,13 @@ func allocate1D(scratch *epactScratch, dst *Assignment, vms []VMDemand, capCPU, 
 					s3 += d * y3[i]
 				}
 			}
-			consider(at0, s0, sSyy[sp0])
-			consider(at1, s1, sSyy[sp1])
-			consider(at2, s2, sSyy[sp2])
-			consider(at3, s3, sSyy[sp3])
+			consider(k, s0, sSyy[sp0])
+			consider(k+1, s1, sSyy[sp1])
+			consider(k+2, s2, sSyy[sp2])
+			consider(k+3, s3, sSyy[sp3])
 		}
-		for ; k < nf; k++ {
-			at := fitAt[k]
-			sp := active[at]
+		for ; k < na; k++ {
+			sp := active[k]
 			s := 0.0
 			if sxx != 0 {
 				y := ycAll[sp*n:][:len(dx)]
@@ -568,12 +565,12 @@ func allocate1D(scratch *epactScratch, dst *Assignment, vms []VMDemand, capCPU, 
 					s += d * y[i]
 				}
 			}
-			consider(at, s, sSyy[sp])
+			consider(k, s, sSyy[sp])
 		}
 		if bestPos < 0 {
-			// Lines 13-14: nothing fits; turn on another server.
+			// Lines 13-14: nothing fits; turn on another server. The
+			// seed branch rebuilds active on the next iteration.
 			cur = dst.AddServer(n)
-			active = append(active[:0], pending...)
 			continue
 		}
 		sp := active[bestPos]

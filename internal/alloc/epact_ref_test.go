@@ -376,17 +376,49 @@ func assertAssignmentsBitEqual(t *testing.T, tag string, got, want *Assignment) 
 func TestAllocate1DMatchesReference(t *testing.T) {
 	r := &epactRNG{s: 0x123456789abcdef}
 	sc, got := new(epactScratch), new(Assignment) // reused: every trial refills them
-	for trial := 0; trial < 40; trial++ {
-		count := 10 + int(r.next()*60)
-		vms := genVMs(r, count, 12, 80, 40)
-		capCPU := 400 + r.next()*1200
-		capMem := 800 + r.next()*1200
+	check := func(tag string, vms []VMDemand, capCPU, capMem float64) {
+		t.Helper()
 		allocate1D(sc, got, vms, capCPU, capMem)
 		want, err := refAllocate1D(vms, capCPU, capMem)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertAssignmentsBitEqual(t, fmt.Sprintf("trial %d", trial), got, want)
+		assertAssignmentsBitEqual(t, tag, got, want)
+	}
+	for trial := 0; trial < 40; trial++ {
+		count := 10 + int(r.next()*60)
+		vms := genVMs(r, count, 12, 80, 40)
+		capCPU := 400 + r.next()*1200
+		capMem := 800 + r.next()*1200
+		check(fmt.Sprintf("trial %d", trial), vms, capCPU, capMem)
+	}
+	// Each family below reaches a round shape the mix above leaves
+	// rare, and each fails if allocate1D's all-fit shortcut or its φ
+	// of a zero variance goes wrong.
+	for trial := 0; trial < 20; trial++ {
+		// CPU-dominated demands under a memory cap of a few VMs: the
+		// round's CPU peaks all fit while some memory peaks do not.
+		vms := genVMs(r, 20+int(r.next()*40), 12, 80, 40)
+		check(fmt.Sprintf("tight-mem trial %d", trial), vms, 800+r.next()*800, 90+r.next()*60)
+	}
+	for trial := 0; trial < 20; trial++ {
+		// Constant patterns that top the FFD order: they seed servers
+		// whose complementary pattern has Σdx² == 0, so every φ is 0.
+		vms := genVMs(r, 20+int(r.next()*40), 12, 80, 40)
+		for i := range vms {
+			if i%11 == 3 {
+				for s := range vms[i].CPU {
+					vms[i].CPU[s] *= 4
+				}
+			}
+		}
+		check(fmt.Sprintf("const-seed trial %d", trial), vms, 300+r.next()*300, 800+r.next()*1200)
+	}
+	for trial := 0; trial < 20; trial++ {
+		// A CPU cap of a few VMs: a round's largest candidate stops
+		// fitting while smaller ones still fit.
+		vms := genVMs(r, 20+int(r.next()*40), 12, 80, 40)
+		check(fmt.Sprintf("tight-cpu trial %d", trial), vms, 150+r.next()*250, 800+r.next()*1200)
 	}
 }
 

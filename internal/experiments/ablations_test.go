@@ -53,12 +53,13 @@ func AblationPerfModel() ([]AblationPerfRow, error) {
 			return nil, err
 		}
 		cell := pl.Cell(c)
-		analyticTime := (cell.CexeGHzs/f.GHz() + cell.TmemSec) * instructions / spec.Instructions
+		cellTime := cell.CexeGHzs/f.GHz() + cell.TmemSec
+		analyticTime := cellTime * instructions / spec.Instructions
 		rows = append(rows, AblationPerfRow{
 			Workload:     c.String(),
 			AnalyticMPKI: spec.MPKI,
 			MicroMPKI:    mr.MPKI,
-			AnalyticWFM:  pl.WFMFraction(c, f),
+			AnalyticWFM:  cell.TmemSec / cellTime,
 			MicroWFM:     mr.WFMFraction,
 			TimeRatio:    mr.Time / analyticTime,
 		})

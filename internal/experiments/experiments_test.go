@@ -274,3 +274,23 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Error("Fig2/Fig3 CSV missing header")
 	}
 }
+
+// OptimalBand returns the min and max optimal frequency across the
+// series below the given utilisation (used to verify the ≈1.9 GHz
+// plateau).
+func (r *Fig1Result) OptimalBand(maxUtilPct int) (lo, hi float64) {
+	lo, hi = 1e9, 0
+	for i, s := range r.Series {
+		if s.UtilPct > maxUtilPct {
+			continue
+		}
+		f := r.OptimalFreqGHz[i]
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	return lo, hi
+}

@@ -73,23 +73,3 @@ func Fig1a() (*Fig1Result, error) {
 func Fig1b() (*Fig1Result, error) {
 	return fig1(power.IntelE5_2620(), 80, "Fig1b-nonNTC")
 }
-
-// OptimalBand returns the min and max optimal frequency across the
-// series below the given utilisation (used to verify the ≈1.9 GHz
-// plateau).
-func (r *Fig1Result) OptimalBand(maxUtilPct int) (lo, hi float64) {
-	lo, hi = 1e9, 0
-	for i, s := range r.Series {
-		if s.UtilPct > maxUtilPct {
-			continue
-		}
-		f := r.OptimalFreqGHz[i]
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	return lo, hi
-}

@@ -98,25 +98,6 @@ func Bulk32() *Tech {
 	}
 }
 
-// Bulk28Mobile returns a 28nm bulk technology model representative of
-// the Cavium ThunderX's process, used only for architecture-level
-// comparisons (the DC study uses FD-SOI and Bulk32).
-func Bulk28Mobile() *Tech {
-	return &Tech{
-		Name: "28nm bulk LP",
-		vf: mathx.MustPiecewiseLinear(
-			[]float64{0.60, 1.00, 1.50, 2.00, 2.50},
-			[]float64{0.80, 0.85, 0.95, 1.05, 1.20},
-		),
-		VNom:              0.95,
-		VThreshold:        0.40,
-		NearThresholdBand: 0.15,
-		LeakageExpV0:      0.12,
-		FMin:              units.GHz(0.6),
-		FMax:              units.GHz(2.5),
-	}
-}
-
 // VoltageAt returns the minimum supply voltage that sustains clock
 // frequency f, extrapolating linearly just outside the characterised
 // range (callers should stay within [FMin, FMax]).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mathx"
 	"repro/internal/units"
 )
 
@@ -116,5 +117,24 @@ func TestString(t *testing.T) {
 	s := FDSOI28().String()
 	if s == "" {
 		t.Error("String() returned empty")
+	}
+}
+
+// Bulk28Mobile returns a 28nm bulk technology model representative of
+// the Cavium ThunderX's process, used only for architecture-level
+// comparisons (the DC study uses FD-SOI and Bulk32).
+func Bulk28Mobile() *Tech {
+	return &Tech{
+		Name: "28nm bulk LP",
+		vf: mathx.MustPiecewiseLinear(
+			[]float64{0.60, 1.00, 1.50, 2.00, 2.50},
+			[]float64{0.80, 0.85, 0.95, 1.05, 1.20},
+		),
+		VNom:              0.95,
+		VThreshold:        0.40,
+		NearThresholdBand: 0.15,
+		LeakageExpV0:      0.12,
+		FMin:              units.GHz(0.6),
+		FMax:              units.GHz(2.5),
 	}
 }

@@ -47,9 +47,12 @@ func TestObserveTrafficConsistency(t *testing.T) {
 
 func TestObserveWFMFractionMatchesPlatform(t *testing.T) {
 	ntc := platform.NTCServer()
+	f := units.GHz(1.5)
 	for _, c := range workload.Classes() {
-		obs := Observe(ntc, c, units.GHz(1.5), 1)
-		if want := ntc.WFMFraction(c, units.GHz(1.5)); math.Abs(obs.WFMFraction-want) > 1e-12 {
+		obs := Observe(ntc, c, f, 1)
+		// The platform's closed form: T_mem over T(f) = C_exe/f + T_mem.
+		cell := ntc.Cell(c)
+		if want := cell.TmemSec / (cell.CexeGHzs/f.GHz() + cell.TmemSec); math.Abs(obs.WFMFraction-want) > 1e-12 {
 			t.Errorf("%v: WFM %.3f, want %.3f", c, obs.WFMFraction, want)
 		}
 	}

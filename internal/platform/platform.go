@@ -84,17 +84,6 @@ func (p *Platform) ExecTime(c workload.Class, f units.Frequency) float64 {
 	return cell.CexeGHzs/f.GHz() + cell.TmemSec
 }
 
-// WFMFraction returns the fraction of execution time the core spends
-// in the wait-for-memory state at frequency f.
-func (p *Platform) WFMFraction(c workload.Class, f units.Frequency) float64 {
-	cell := p.Cell(c)
-	t := cell.CexeGHzs/f.GHz() + cell.TmemSec
-	if t <= 0 {
-		return 0
-	}
-	return cell.TmemSec / t
-}
-
 // IntelX5650 returns the x86 QoS-baseline platform.
 //
 // Only the 2.66 GHz Table I points are published for this platform;

@@ -160,3 +160,14 @@ func TestPlatformDescriptors(t *testing.T) {
 		t.Errorf("x86 nominal = %v, want 2.66 GHz", x86.FNominal)
 	}
 }
+
+// WFMFraction returns the fraction of execution time the core spends
+// in the wait-for-memory state at frequency f.
+func (p *Platform) WFMFraction(c workload.Class, f units.Frequency) float64 {
+	cell := p.Cell(c)
+	t := cell.CexeGHzs/f.GHz() + cell.TmemSec
+	if t <= 0 {
+		return 0
+	}
+	return cell.TmemSec / t
+}

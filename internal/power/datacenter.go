@@ -83,14 +83,3 @@ func (dc *DataCenter) OptimalWorstCaseFrequency(utilRate float64) (units.Frequen
 	}
 	return bestF, bestP, nil
 }
-
-// MinFeasibleFrequency returns the lowest DVFS level at which the
-// demand fits on the available servers.
-func (dc *DataCenter) MinFeasibleFrequency(utilRate float64) (units.Frequency, error) {
-	for _, f := range dc.Model.DVFSGrid() {
-		if dc.ServersForDemand(utilRate, f) <= dc.Servers {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: utilisation %.2f unservable even at FMax", ErrInfeasible, utilRate)
-}

@@ -2,6 +2,7 @@ package power
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -172,4 +173,15 @@ func TestFig1aAbsoluteScale(t *testing.T) {
 	if kw := p.KW(); kw < 8 || kw > 14 {
 		t.Errorf("90%% @ FMax = %.1f kW, want in [8, 14]", kw)
 	}
+}
+
+// MinFeasibleFrequency returns the lowest DVFS level at which the
+// demand fits on the available servers.
+func (dc *DataCenter) MinFeasibleFrequency(utilRate float64) (units.Frequency, error) {
+	for _, f := range dc.Model.DVFSGrid() {
+		if dc.ServersForDemand(utilRate, f) <= dc.Servers {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: utilisation %.2f unservable even at FMax", ErrInfeasible, utilRate)
 }

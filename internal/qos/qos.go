@@ -59,19 +59,3 @@ func MinFrequency(p *platform.Platform, c workload.Class) (units.Frequency, erro
 	}
 	return 0, fmt.Errorf("%w: %v on %s", ErrUnreachable, c, p.Name)
 }
-
-// MinFrequencyAll returns the highest per-class minimum frequency: a
-// server hosting a mix of all classes must run at least this fast.
-func MinFrequencyAll(p *platform.Platform) (units.Frequency, error) {
-	var out units.Frequency
-	for _, c := range workload.Classes() {
-		f, err := MinFrequency(p, c)
-		if err != nil {
-			return 0, err
-		}
-		if f > out {
-			out = f
-		}
-	}
-	return out, nil
-}

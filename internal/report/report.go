@@ -44,15 +44,6 @@ func Sparkline(xs []float64) string {
 	return b.String()
 }
 
-// SparklineInts is Sparkline for integer series.
-func SparklineInts(xs []int) string {
-	f := make([]float64, len(xs))
-	for i, x := range xs {
-		f[i] = float64(x)
-	}
-	return Sparkline(f)
-}
-
 // Downsample reduces xs to at most n points by averaging buckets —
 // keeps sparklines terminal-width friendly for week-long series.
 func Downsample(xs []float64, n int) []float64 {

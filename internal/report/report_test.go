@@ -123,3 +123,12 @@ func TestSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SparklineInts is Sparkline for integer series.
+func SparklineInts(xs []int) string {
+	f := make([]float64, len(xs))
+	for i, x := range xs {
+		f[i] = float64(x)
+	}
+	return Sparkline(f)
+}

@@ -83,14 +83,3 @@ func (t *Trace) ApplyChurn(cfg ChurnConfig) (int, error) {
 	}
 	return affected, nil
 }
-
-// PresentVMs returns how many VMs have non-zero demand at sample i.
-func (t *Trace) PresentVMs(i int) int {
-	count := 0
-	for _, vm := range t.VMs {
-		if i < len(vm.CPU) && (vm.CPU[i] > 0 || vm.Mem[i] > 0) {
-			count++
-		}
-	}
-	return count
-}
