@@ -122,10 +122,12 @@ func (a *ARIMA) Forecast(dst, history []float64) error {
 // forecast differences the series, fits ARMA(p, q) to it, iterates the
 // model over the horizon with zero future innovations and inverts the
 // differencing into pred. Every sum runs in the same term order as the textbook
-// formulation (kept as the reference in arima_ref_test.go), so the
-// forecasts are bit-for-bit the same; only the memory traffic and the
-// instruction-level parallelism differ. The fit's in-sample
-// innovations are left in s.eps.
+// formulation (kept as the reference in arima_ref_test.go), and every
+// product is rounded before it is added (float64(a*b), which no
+// compiler may fuse), so the forecasts are bit-for-bit the same on
+// every architecture; only the memory traffic and the instruction-level
+// parallelism differ, including the SSE2 lanes of the long-AR loops on
+// amd64 (lagsum.go). The fit's in-sample innovations are left in s.eps.
 func (a *ARIMA) forecast(s *scratch, pred, history []float64) error {
 	cfg := a.Cfg
 	horizon := len(pred)
@@ -155,10 +157,10 @@ func (a *ARIMA) forecast(s *scratch, pred, history []float64) error {
 	for h := range pred {
 		v := 0.0
 		for i, c := range phi {
-			v += c * xw[p+h-1-i]
+			v += float64(c * xw[p+h-1-i])
 		}
 		for j, c := range theta {
-			v += c * ew[q+h-1-j]
+			v += float64(c * ew[q+h-1-j])
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = 0
@@ -243,7 +245,7 @@ func (s *scratch) fit(history []float64, cfg Config) (float64, error) {
 	ss := 0.0
 	for i, v := range x {
 		d[i] = v - mx
-		ss += d[i] * d[i]
+		ss += float64(d[i] * d[i])
 	}
 	coef := grow(s.coef, p+q)
 	s.coef = coef
@@ -274,10 +276,10 @@ func (s *scratch) fit(history []float64, cfg Config) (float64, error) {
 	for t, xt := range x {
 		pred := 0.0
 		for i, c := range phi[:min(p, t)] {
-			pred += c * x[t-1-i]
+			pred += float64(c * x[t-1-i])
 		}
 		for j, c := range theta[:min(q, t)] {
-			pred += c * eps[t-1-j]
+			pred += float64(c * eps[t-1-j])
 		}
 		eps[t] = xt - pred
 	}
@@ -287,7 +289,9 @@ func (s *scratch) fit(history []float64, cfg Config) (float64, error) {
 // hannanRissanen fits ARMA(p, q>0) to the mean-removed series x into
 // s.coef, using s.eps for the stage-1 innovations. d, ss and mx are
 // x's deviations from its own mean, their sum of squares and that
-// mean.
+// mean. The stage-1 residuals run sixteen at a time in stage1Blocks,
+// one lane per residual; stage 2 takes its sums four at a time in
+// dot4.
 func (s *scratch) hannanRissanen(x, d []float64, ss, mx float64, p, q, longAR int) error {
 	n := len(x)
 	eps := s.eps
@@ -305,28 +309,17 @@ func (s *scratch) hannanRissanen(x, d []float64, ss, mx float64, p, q, longAR in
 	if err := s.yuleWalker(d, ss, mx, long); err != nil {
 		return err
 	}
-	// Four residuals at a time: independent accumulators, each summing
+	// Sixteen residuals at a time in the lane kernel (lagsum.go), then
+	// four at a time, then one: independent accumulators, each summing
 	// its own lags in ascending order.
-	t := m1
+	t := stage1Blocks(eps, x, long)
 	for ; t+4 <= n; t += 4 {
-		var p0, p1, p2, p3 float64
-		win := x[t-m1 : t+3]
-		for i, c := range long {
-			w := win[m1-1-i : m1+3-i]
-			p0 += c * w[0]
-			p1 += c * w[1]
-			p2 += c * w[2]
-			p3 += c * w[3]
-		}
-		eps[t] = x[t] - p0
-		eps[t+1] = x[t+1] - p1
-		eps[t+2] = x[t+2] - p2
-		eps[t+3] = x[t+3] - p3
+		residuals4(eps, x, long, t)
 	}
 	for ; t < n; t++ {
 		pred := 0.0
 		for i, c := range long {
-			pred += c * x[t-1-i]
+			pred += float64(c * x[t-1-i])
 		}
 		eps[t] = x[t] - pred
 	}
@@ -394,37 +387,47 @@ func (s *scratch) hannanRissanen(x, d []float64, ss, mx float64, p, q, longAR in
 // equations and writes the coefficients to phi, exactly as the
 // reference in arima_ref_test.go does. d holds the series' deviations
 // from its mean mx and ss their sum of squares (the lag-0
-// autocovariance sum).
+// autocovariance sum). The lag sums run in lagSums16 and lagSums4,
+// one lane per lag.
 func (s *scratch) yuleWalker(d []float64, ss, mx float64, phi []float64) error {
 	n, order := len(d), len(phi)
 	if n <= order {
 		return errTooShort
 	}
 
-	// Lagged sums of products, four lags at a time. Each lag adds its
-	// terms in ascending i, like the reference; the four lags are
-	// independent chains, so their floating-point adds overlap.
+	// Lagged sums of products, sixteen lags at a time, then four. Each
+	// lag adds its terms in ascending i, like the reference. Lags
+	// k..k+15 (or k..k+3) share their first m terms, which the lane
+	// kernels (lagsum.go) sum as independent chains; each lag then adds
+	// its remaining terms, still in ascending i.
 	acov := grow(s.acov, order+1)
 	s.acov = acov
 	acov[0] = ss
-	for k := 1; k <= order; k += 4 {
-		// Lags k..k+3 share their first m terms; each then adds its
-		// remaining terms, still in ascending i. Lags past order repeat
-		// lag k and are discarded.
-		m := max(n-k-3, 0)
-		var a, b [4][]float64
-		for j := range a {
-			a[j], b[j] = d[:m], d[k:]
-			if k+j <= order {
-				b[j] = d[k+j:]
-			}
-		}
-		sums := dot4(a, b)
-		for j := 0; j < 4 && k+j <= order; j++ {
+	k := 1
+	for ; k+15 <= order; k += 16 {
+		m := n - k - 15 // at least 1, since n > order
+		var sums [16]float64
+		lagSums16(&sums, d[:m], d[k:])
+		for j, v := range sums {
 			for i := m; i+k+j < n; i++ {
-				sums[j] += d[i] * d[i+k+j]
+				v += float64(d[i] * d[i+k+j])
 			}
-			acov[k+j] = sums[j]
+			acov[k+j] = v
+		}
+	}
+	for ; k <= order; k += 4 {
+		// Lags past order are summed too and discarded.
+		m := max(n-k-3, 0)
+		var sums [4]float64
+		if m > 0 {
+			lagSums4(&sums, d[:m], d[k:])
+		}
+		for j := 0; j < 4 && k+j <= order; j++ {
+			v := sums[j]
+			for i := m; i+k+j < n; i++ {
+				v += float64(d[i] * d[i+k+j])
+			}
+			acov[k+j] = v
 		}
 	}
 	for k := range acov {
@@ -461,10 +464,10 @@ func dot4(a, b [4][]float64) (s [4]float64) {
 	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
 	var s0, s1, s2, s3 float64
 	for i := range a0 {
-		s0 += a0[i] * b0[i]
-		s1 += a1[i] * b1[i]
-		s2 += a2[i] * b2[i]
-		s3 += a3[i] * b3[i]
+		s0 += float64(a0[i] * b0[i])
+		s1 += float64(a1[i] * b1[i])
+		s2 += float64(a2[i] * b2[i])
+		s3 += float64(a3[i] * b3[i])
 	}
 	return [4]float64{s0, s1, s2, s3}
 }

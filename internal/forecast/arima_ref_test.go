@@ -17,7 +17,9 @@ import (
 // recursion over copies of the whole series) and tests that the fused
 // kernel in arima.go returns bit-identical forecasts and the same
 // errors. If a future change to arima.go alters any forecast bit,
-// these tests fail before the golden figures do.
+// these tests fail before the golden figures do. Its multiply-adds
+// round the product explicitly, float64(a*b), as arima.go's do, so
+// that it keeps the same meaning where compilers fuse `x*y + z`.
 
 // refForecast returns the forecasts and the fitted model's in-sample
 // innovations.
@@ -148,7 +150,7 @@ func refFitARMA(series []float64, p, q, longAR int) (*refARMA, error) {
 	for t := m1; t < len(x); t++ {
 		pred := 0.0
 		for i := 0; i < m1; i++ {
-			pred += longPhi[i] * x[t-1-i]
+			pred += float64(longPhi[i] * x[t-1-i])
 		}
 		eps[t] = x[t] - pred
 	}
@@ -184,10 +186,10 @@ func (m *refARMA) innovations(x []float64) []float64 {
 	for t := 0; t < len(x); t++ {
 		pred := 0.0
 		for i := 0; i < p && t-1-i >= 0; i++ {
-			pred += m.phi[i] * x[t-1-i]
+			pred += float64(m.phi[i] * x[t-1-i])
 		}
 		for j := 0; j < q && t-1-j >= 0; j++ {
-			pred += m.theta[j] * eps[t-1-j]
+			pred += float64(m.theta[j] * eps[t-1-j])
 		}
 		eps[t] = x[t] - pred
 	}
@@ -208,10 +210,10 @@ func (m *refARMA) forecast(x []float64, horizon int) []float64 {
 		t := len(xs)
 		pred := 0.0
 		for i := 0; i < p && t-1-i >= 0; i++ {
-			pred += m.phi[i] * xs[t-1-i]
+			pred += float64(m.phi[i] * xs[t-1-i])
 		}
 		for j := 0; j < q && t-1-j >= 0; j++ {
-			pred += m.theta[j] * eps[t-1-j]
+			pred += float64(m.theta[j] * eps[t-1-j])
 		}
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			pred = 0
@@ -290,8 +292,9 @@ func checkMatchesRef(t *testing.T, label string, cfg Config, history []float64, 
 
 // refConfigs are the model shapes the kernel must reproduce: the
 // data-center default, pure AR, pure MA, an integrated model, a
-// non-seasonal default, a short seasonal period and an explicit long
-// AR order.
+// non-seasonal default, a short seasonal period, an explicit long AR
+// order, and long AR orders at the lane kernels' block edges (16 and
+// 4 lags, 16 residuals; lagsum.go), pure AR included.
 func refConfigs() []Config {
 	return []Config{
 		DefaultConfig(),
@@ -303,6 +306,13 @@ func refConfigs() []Config {
 		{P: 0, D: 1, Q: 2},
 		{P: 0, D: 0, Q: 0, SeasonalPeriod: 288, ClampMax: 100},
 		{P: 3, D: 2, Q: 2, SeasonalPeriod: 24, LongAROrder: 7, ClampMin: 5, ClampMax: 90},
+		{P: 2, D: 0, Q: 1, SeasonalPeriod: 288, LongAROrder: 4, ClampMax: 100},
+		{P: 1, D: 0, Q: 1, SeasonalPeriod: 288, LongAROrder: 16, ClampMax: 100},
+		{P: 2, D: 0, Q: 2, SeasonalPeriod: 288, LongAROrder: 17, ClampMax: 100},
+		{P: 2, D: 1, Q: 1, SeasonalPeriod: 288, LongAROrder: 19, ClampMax: 100},
+		{P: 0, D: 0, Q: 1, LongAROrder: 32, ClampMax: 100},
+		{P: 3, D: 0, Q: 1, SeasonalPeriod: 24, LongAROrder: 33, ClampMax: 100},
+		{P: 17, D: 0, Q: 0, SeasonalPeriod: 288, ClampMax: 100},
 	}
 }
 
@@ -349,6 +359,11 @@ func TestARIMAMatchesReferenceOnEdgeCases(t *testing.T) {
 		{"stepped", stepped, []int{288}},
 		{"too-short", diurnal[:290], []int{288}},
 		{"barely-long-enough", diurnal[:288+2+1+16], []int{288}},
+		// 30 and 36 differenced samples: the default long AR (order
+		// 20) leaves 10 stage-1 residuals (no 16-residual block) and 16
+		// (exactly one block).
+		{"few-residuals", diurnal[:288+30], []int{288}},
+		{"one-block", diurnal[:288+36], []int{288}},
 		{"empty", nil, []int{288}},
 	}
 	for _, mc := range append(refConfigs(),
@@ -430,7 +445,7 @@ func refAutocovariance(xs []float64, maxLag int) []float64 {
 	for lag := 0; lag <= maxLag && lag < n; lag++ {
 		s := 0.0
 		for i := 0; i+lag < n; i++ {
-			s += (xs[i] - m) * (xs[i+lag] - m)
+			s += float64((xs[i] - m) * (xs[i+lag] - m))
 		}
 		out[lag] = s / float64(n)
 	}
@@ -500,9 +515,9 @@ func refLeastSquares(x [][]float64, y []float64) ([]float64, error) {
 			return nil, mathx.ErrLengthMismatch
 		}
 		for i := 0; i < nVar; i++ {
-			xty[i] += x[r][i] * y[r]
+			xty[i] += float64(x[r][i] * y[r])
 			for j := i; j < nVar; j++ {
-				xtx[i][j] += x[r][i] * x[r][j]
+				xtx[i][j] += float64(x[r][i] * x[r][j])
 			}
 		}
 	}

@@ -266,3 +266,24 @@ func TestPredictorNames(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkARIMAForecast measures one fit and day-ahead forecast as
+// dcsim.Predict runs it per VM and series: DefaultConfig on a
+// generated VM's 7-day CPU history, forecasting 288 samples.
+func BenchmarkARIMAForecast(b *testing.B) {
+	cfg := trace.DefaultConfig(2018)
+	cfg.VMs, cfg.Days = 1, 7
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	history := tr.VMs[0].CPU
+	a := &ARIMA{Cfg: DefaultConfig()}
+	dst := make([]float64, trace.SamplesPerDay)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := a.Forecast(dst, history); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,7 +12,9 @@ var ErrSingular = errors.New("mathx: singular or ill-conditioned matrix")
 // elimination with partial pivoting, without allocating, for callers
 // that solve many small systems (the ARIMA fit): m holds the augmented
 // system [A | b] row-major (n rows of n+1 values, n = len(x)) and is
-// overwritten by the elimination; the solution is written to x.
+// overwritten by the elimination; the solution is written to x. Each
+// product is rounded before it is subtracted (float64(a*b)), so
+// compilers that fuse multiply-adds give the same bits as amd64.
 func SolveAugmented(m, x []float64) error {
 	n := len(x)
 	w := n + 1
@@ -45,7 +47,7 @@ func SolveAugmented(m, x []float64) error {
 				continue
 			}
 			for c := col; c <= n; c++ {
-				row[c] -= f * pivRow[c]
+				row[c] -= float64(f * pivRow[c])
 			}
 		}
 	}
@@ -54,7 +56,7 @@ func SolveAugmented(m, x []float64) error {
 		row := m[i*w : (i+1)*w]
 		s := row[n]
 		for c := i + 1; c < n; c++ {
-			s -= row[c] * x[c]
+			s -= float64(row[c] * x[c])
 		}
 		x[i] = s / row[i]
 	}
