@@ -21,7 +21,6 @@ import (
 	"repro/internal/dcsim"
 	"repro/internal/experiments"
 	"repro/internal/sweep"
-	"repro/internal/sweep/dist"
 	"repro/internal/trace"
 )
 
@@ -384,7 +383,7 @@ func BenchmarkCarbonFleetWeek(b *testing.B) {
 // merge relative to BenchmarkSweepGrid's plain pool.
 func BenchmarkDistLocalSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _, err := dist.RunLocal(context.Background(), benchSweepGrid(), 4, dist.Options{})
+		res, _, err := RunDistributedSweep(context.Background(), benchSweepGrid(), 4, DistOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,11 +424,11 @@ func BenchmarkDistCheckpointedSweep(b *testing.B) {
 	for _, journal := range []bool{false, true} {
 		b.Run(fmt.Sprintf("journal=%v", journal), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var opt dist.Options
+				var opt DistOptions
 				if journal {
 					opt.CheckpointDir = b.TempDir()
 				}
-				res, _, err := dist.RunLocal(context.Background(), g, 2, opt)
+				res, _, err := RunDistributedSweep(context.Background(), g, 2, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

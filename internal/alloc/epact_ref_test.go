@@ -499,3 +499,6 @@ func TestComplementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// PeakMem returns the maximum memory sample.
+func (v *VMDemand) PeakMem() float64 { return mathx.Max(v.Mem) }

@@ -3,6 +3,7 @@ package alloc
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -99,7 +100,8 @@ func randomServers(rng *rand.Rand, n, k int) []int {
 		case 1:
 			v -= k / 2
 		case 2:
-			v *= 1 << 40
+			// Huge labels: 2^40 apart on 64-bit, 2^8 on 32-bit.
+			v *= 1 << (bits.UintSize - 24)
 		case 3:
 			switch rng.Intn(8) {
 			case 0:
@@ -207,7 +209,7 @@ func FuzzMigrationMatcher(f *testing.F) {
 				return -1
 			}
 			if mode&4 != 0 {
-				return int(b) << 50
+				return int(b) << (bits.UintSize - 14) // 2^50 apart on 64-bit
 			}
 			return int(b % 16)
 		}

@@ -45,9 +45,6 @@ type VMDemand struct {
 // PeakCPU returns the maximum CPU sample.
 func (v *VMDemand) PeakCPU() float64 { return mathx.Max(v.CPU) }
 
-// PeakMem returns the maximum memory sample.
-func (v *VMDemand) PeakMem() float64 { return mathx.Max(v.Mem) }
-
 // ServerSpec describes the capacity of one (homogeneous) server for
 // the allocators.
 type ServerSpec struct {

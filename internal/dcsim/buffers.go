@@ -35,7 +35,7 @@ const numClasses = 3
 //
 // Tables are read-only once built and safe for concurrent use. A fleet
 // builds one per datacenter and steps every epoch of that datacenter
-// on it (Tables.NewStepper); NewStepper builds one per stepper.
+// on it (Tables.NewStepper); Run builds one for its stepper.
 type Tables struct {
 	server power.Model
 	plat   *platform.Platform

@@ -29,3 +29,7 @@ func StepSlot(st *Stepper, s int) (SlotResult, error) {
 	}
 	return st.st.slots[0], nil
 }
+
+// NewStepper validates cfg and builds the run state (lookup tables,
+// scratch buffers) without simulating any slot.
+func NewStepper(cfg Config) (*Stepper, error) { return newStepper(cfg, nil) }

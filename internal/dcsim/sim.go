@@ -176,7 +176,7 @@ func (r *Result) ActiveServersPerSlot() []int {
 // Run is a Stepper driven to exhaustion, so a caller stepping the same
 // window one slot at a time computes the identical result.
 func Run(cfg Config) (*Result, error) {
-	st, err := NewStepper(cfg)
+	st, err := newStepper(cfg, nil)
 	if err != nil {
 		return nil, err
 	}

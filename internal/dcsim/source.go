@@ -132,9 +132,6 @@ func (f *LiveFeed) Trace() *trace.Trace { return f.tr }
 // same ownership rule as Trace.
 func (f *LiveFeed) Predictions() *PredictionSet { return f.ps }
 
-// Slots returns the evaluation horizon in slots.
-func (f *LiveFeed) Slots() int { return f.evalSlots }
-
 // Ingested returns how many evaluation slots have been observed.
 func (f *LiveFeed) Ingested() int {
 	f.mu.Lock()

@@ -278,3 +278,6 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 		}
 	}
 }
+
+// Slots returns the evaluation horizon in slots.
+func (f *LiveFeed) Slots() int { return f.evalSlots }

@@ -42,14 +42,11 @@ type Stepper struct {
 	win *Window
 }
 
-// NewStepper validates cfg and builds the run state (lookup tables,
-// scratch buffers) without simulating any slot.
-func NewStepper(cfg Config) (*Stepper, error) { return newStepper(cfg, nil) }
-
-// NewStepper is dcsim.NewStepper on t: the stepper replays on t's
-// server model and platform, which replace cfg.Server and
-// cfg.Platform, and shares t's lookup tables instead of building its
-// own. A fleet steps every epoch of a datacenter on one Tables.
+// NewStepper validates cfg and builds a stepper on t without
+// simulating any slot: the stepper replays on t's server model and
+// platform, which replace cfg.Server and cfg.Platform, and shares t's
+// lookup tables instead of building its own. A fleet steps every
+// epoch of a datacenter on one Tables.
 func (t *Tables) NewStepper(cfg Config) (*Stepper, error) {
 	cfg.Server, cfg.Platform = t.server, t.plat
 	return newStepper(cfg, t)

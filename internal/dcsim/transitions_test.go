@@ -53,7 +53,7 @@ func TestTransitionCostsIncreaseEnergy(t *testing.T) {
 	}
 	// The paper-level conclusion survives realistic transition costs:
 	// they are small next to server energy (< 10% here).
-	if frac := resCosts.TotalTransitionEnergy.J() / resCosts.TotalEnergy.J(); frac > 0.10 {
+	if frac := float64(resCosts.TotalTransitionEnergy) / float64(resCosts.TotalEnergy); frac > 0.10 {
 		t.Errorf("transition energy fraction = %.2f, want < 0.10", frac)
 	}
 }
@@ -81,11 +81,11 @@ func TestSlotTransitionEnergyScaleUpAndDown(t *testing.T) {
 		VMServer: []int{0, 1}}
 
 	up, _ := m.slotTransitionEnergy(new(alloc.MigrationMatcher), one, two, []float64{1e9, 1e9}, 0)
-	if up.J() < 5000 {
+	if float64(up) < 5000 {
 		t.Errorf("scale-up energy = %v, want >= one boot (5 kJ)", up)
 	}
 	down, _ := m.slotTransitionEnergy(new(alloc.MigrationMatcher), two, one, []float64{1e9, 1e9}, 0)
-	if down.J() < 1000 {
+	if float64(down) < 1000 {
 		t.Errorf("scale-down energy = %v, want >= one shutdown (1 kJ)", down)
 	}
 	if up <= down {

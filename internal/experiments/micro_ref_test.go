@@ -28,7 +28,7 @@ type cacheConfig struct {
 
 // Sets returns the number of sets implied by the configuration.
 func (c cacheConfig) Sets() int {
-	lines := int(c.Size.Bytes() / c.LineSize.Bytes())
+	lines := int(float64(c.Size) / float64(c.LineSize))
 	if c.Ways <= 0 {
 		return 0
 	}
@@ -42,7 +42,7 @@ func (c cacheConfig) Validate() error {
 	if c.Size <= 0 || c.LineSize <= 0 || c.Ways <= 0 {
 		return errors.New("cache: size, line size and ways must be positive")
 	}
-	lines := c.Size.Bytes() / c.LineSize.Bytes()
+	lines := float64(c.Size) / float64(c.LineSize)
 	if lines != float64(int(lines)) {
 		return errors.New("cache: size must be a multiple of the line size")
 	}
@@ -89,11 +89,11 @@ func newLRUCache(cfg cacheConfig) (*lruCache, error) {
 		setMask: uint64(sets - 1),
 	}
 	for bits := uint(0); ; bits++ {
-		if 1<<bits == int(cfg.LineSize.Bytes()) {
+		if 1<<bits == int(float64(cfg.LineSize)) {
 			c.lineBits = bits
 			break
 		}
-		if 1<<bits > int(cfg.LineSize.Bytes()) {
+		if 1<<bits > int(float64(cfg.LineSize)) {
 			return nil, errors.New("cache: line size must be a power of two")
 		}
 	}
@@ -258,7 +258,7 @@ func (m *microModel) Run(spec workload.Spec, f units.Frequency, instructions uin
 	// miss every CacheLineBytes/8 accesses (sequential 8 B words), so
 	// to achieve the target MPKI we need approximately
 	//   MPKI = streamShare * MemOpsPerKiloInstr / (LineBytes/8)
-	lineWords := m.L1D.LineSize.Bytes() / 8
+	lineWords := float64(m.L1D.LineSize) / 8
 	streamShare := spec.MPKI * lineWords / m.MemOpsPerKiloInstr
 	if streamShare > 1 {
 		streamShare = 1
@@ -272,11 +272,11 @@ func (m *microModel) Run(spec workload.Spec, f units.Frequency, instructions uin
 		return rng
 	}
 
-	hotLines := uint64(spec.HotSet.Bytes()) / 64
+	hotLines := uint64(float64(spec.HotSet)) / 64
 	if hotLines == 0 {
 		hotLines = 1
 	}
-	footprintBytes := uint64(spec.MemFootprint.Bytes())
+	footprintBytes := uint64(float64(spec.MemFootprint))
 	var streamPos uint64
 
 	// Warm-up: install the hot set so the measured phase reports
@@ -326,7 +326,7 @@ func (m *microModel) Run(spec workload.Spec, f units.Frequency, instructions uin
 		llcHitLatency = 12e-9 // ~30 cycles at 2.5 GHz
 		llcOverlap    = 0.90  // fraction of LLC-hit stalls the OoO core hides
 	)
-	pipeline := float64(instructions) * m.CPIBase / f.Hz()
+	pipeline := float64(instructions) * m.CPIBase / float64(f)
 	memTime := float64(llcMisses) * m.Mem.LineAccessTime()
 	llcTime := float64(llcAccesses-llcMisses) * llcHitLatency * (1 - llcOverlap)
 	total := pipeline + memTime + llcTime

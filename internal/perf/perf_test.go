@@ -105,3 +105,15 @@ func TestFig2NormalisedShape(t *testing.T) {
 		}
 	}
 }
+
+// ExecTime is shorthand for the single-core execution time of class c
+// at frequency f on platform p.
+func ExecTime(p *platform.Platform, c workload.Class, f units.Frequency) float64 {
+	return p.ExecTime(c, f)
+}
+
+// Speedup returns how much faster platform a runs class c than
+// platform b at their respective frequencies.
+func Speedup(a *platform.Platform, fa units.Frequency, b *platform.Platform, fb units.Frequency, c workload.Class) float64 {
+	return b.ExecTime(c, fb) / a.ExecTime(c, fa)
+}

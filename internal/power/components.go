@@ -30,14 +30,6 @@ func (m *LLCModel) LeakagePower(f units.Frequency) units.Power {
 	return units.Power(float64(m.LeakPerBlockNom) * float64(m.Blocks) * m.Tech.LeakageScale(f))
 }
 
-// AccessPower returns the dynamic LLC power for the given read and
-// write access rates (accesses per second) at frequency f.
-func (m *LLCModel) AccessPower(f units.Frequency, readsPerSec, writesPerSec float64) units.Power {
-	scale := m.Tech.DynamicEnergyScale(f)
-	e := readsPerSec*float64(m.ReadEnergyNom) + writesPerSec*float64(m.WriteEnergyNom)
-	return units.Power(e * scale)
-}
-
 // UncoreModel describes the memory controller, peripherals and IO
 // subsystem following Section IV-3: a constant component (11.84 W on
 // the measured Xeon v3) plus a component proportional to the operating
@@ -83,17 +75,4 @@ type DRAMModel struct {
 
 	// EnergyPerByte is the access energy per byte transferred.
 	EnergyPerByte units.Energy
-}
-
-// Power returns DRAM power for the given traffic. Banks count as
-// activated whenever there is any traffic; the paper's CPU-bound
-// scenario (Fig. 1) corresponds to zero traffic and idle banks.
-func (m *DRAMModel) Power(readBytesPerSec, writeBytesPerSec float64) units.Power {
-	standby := m.IdlePerGB
-	if readBytesPerSec > 0 || writeBytesPerSec > 0 {
-		standby = m.ActivePerGB
-	}
-	p := float64(standby) * m.Capacity.GB()
-	p += (readBytesPerSec + writeBytesPerSec) * float64(m.EnergyPerByte)
-	return units.Power(p)
 }

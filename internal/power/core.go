@@ -82,12 +82,3 @@ func (m *CoreModel) WFMPower(f units.Frequency) units.Power {
 func (m *CoreModel) IdlePower(f units.Frequency) units.Power {
 	return units.Power(float64(m.DynamicPower(f))*m.IdleFraction) + m.LeakagePower(f)
 }
-
-// EnergyPerCycle returns the active energy per clock cycle of one core
-// at frequency f, the quantity NTC minimises by voltage scaling.
-func (m *CoreModel) EnergyPerCycle(f units.Frequency) units.Energy {
-	if f <= 0 {
-		return 0
-	}
-	return units.Energy(float64(m.ActivePower(f)) / f.Hz())
-}

@@ -63,8 +63,8 @@ func (s *ServerModel) LevelIndex(f units.Frequency, gridLen int) int {
 // LevelPower caches the frequency-dependent terms of the server power
 // model for one DVFS level, so the replay hot loop can price an
 // operating point without re-evaluating the voltage/leakage curves at
-// every 5-minute sample. Evaluate is bit-identical to
-// ServerModel.Power for operating points at the cached frequency.
+// every 5-minute sample. Its Evaluate is the server power formula:
+// ServerModel.Power prices through it too.
 type LevelPower struct {
 	// Per-core powers at the level's frequency (watts).
 	active, wfmP, idle float64
@@ -88,8 +88,7 @@ type LevelPower struct {
 }
 
 // LevelPowerAt precomputes the power coefficients for frequency f
-// (typically one DVFSGrid level). The frequency is clamped into
-// [FMin, FMax] exactly as Power does.
+// (typically one DVFSGrid level), clamped into [FMin, FMax].
 func (s *ServerModel) LevelPowerAt(f units.Frequency) LevelPower {
 	if f < s.FMin {
 		f = s.FMin
@@ -116,8 +115,11 @@ func (s *ServerModel) LevelPowerAt(f units.Frequency) LevelPower {
 }
 
 // Evaluate returns the server power at the cached frequency for the
-// given load, replicating ServerModel.Power's expressions term by term
-// (same operand order, so the result is bit-identical).
+// given load: busy cores split between the active and wait-for-memory
+// states plus clock-gated idle cores, LLC leakage and accesses, the
+// uncore, DRAM standby (banks active under any traffic) and traffic,
+// and the motherboard. Load is clamped to [0, cores] busy cores and a
+// WFM fraction in [0, 1].
 func (lp *LevelPower) Evaluate(busyCores, wfmFraction, llcReadsPerSec, llcWritesPerSec, memReadBytesPerSec, memWriteBytesPerSec float64) units.Power {
 	busy := math.Min(math.Max(busyCores, 0), lp.cores)
 	wfm := math.Min(math.Max(wfmFraction, 0), 1)

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -74,11 +73,19 @@ func TestDVFSGridNoStepFallback(t *testing.T) {
 	}
 }
 
+// TestLevelPowerMatchesServerPower pins the one server power formula
+// against its reference: for both platforms, at every DVFS level and
+// at off-grid frequencies inside and outside [FMin, FMax] (which
+// LevelPowerAt clamps but does not snap), Evaluate, and Power, which
+// prices through it, equal the breakdown reference's total bit for
+// bit, over loads that include the clamp region and the idle-bank
+// branch.
 func TestLevelPowerMatchesServerPower(t *testing.T) {
 	for _, srv := range []*ServerModel{NTCServer(), IntelE5_2620()} {
-		grid := srv.DVFSGrid()
+		freqs := append(srv.DVFSGrid(), srv.FMin-units.GHz(0.3), srv.FMin+units.MHz(37),
+			srv.FMax-units.MHz(150), srv.FMax+units.GHz(1))
 		r := &lvlRNG{s: 0xdeadbeefcafe1234}
-		for _, f := range grid {
+		for _, f := range freqs {
 			lp := srv.LevelPowerAt(f)
 			for trial := 0; trial < 64; trial++ {
 				op := OperatingPoint{
@@ -94,15 +101,30 @@ func TestLevelPowerMatchesServerPower(t *testing.T) {
 					op.MemReadBytesPerSec = 0
 					op.MemWriteBytesPerSec = 0 // idle-bank branch
 				}
-				want := srv.Power(op)
+				want := powerBreakdown(srv, op).Total()
 				got := lp.Evaluate(op.BusyCores, op.WFMFraction,
 					op.LLCReadsPerSec, op.LLCWritesPerSec,
 					op.MemReadBytesPerSec, op.MemWriteBytesPerSec)
-				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-					t.Fatalf("%s f=%v: LevelPower.Evaluate = %v, ServerModel.Power = %v (bit mismatch)",
+				if !sameBits(got, want) {
+					t.Fatalf("%s f=%v: LevelPower.Evaluate = %v, reference = %v (bit mismatch)",
 						srv.Name, f, got, want)
 				}
+				if p := srv.Power(op); !sameBits(p, want) {
+					t.Fatalf("%s f=%v: ServerModel.Power = %v, reference = %v (bit mismatch)",
+						srv.Name, f, p, want)
+				}
 			}
+		}
+	}
+}
+
+// TestPowerAllocatesNothing: Power builds its level evaluator on the
+// stack, for both power models.
+func TestPowerAllocatesNothing(t *testing.T) {
+	op := OperatingPoint{Freq: units.GHz(1.85), BusyCores: 7, WFMFraction: 0.3, MemReadBytesPerSec: 1e8}
+	for _, m := range []Model{NTCServer(), NewTDPModel(NTCServer())} {
+		if n := testing.AllocsPerRun(100, func() { m.Power(op) }); n != 0 {
+			t.Errorf("%s: Power allocates %v times per call, want 0", m.ModelName(), n)
 		}
 	}
 }

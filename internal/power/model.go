@@ -42,15 +42,16 @@ type Model interface {
 	// GHz (the paper's F_opt).
 	OptimalFrequency() units.Frequency
 
-	// Power prices an arbitrary operating point; CPUBoundPower and
-	// IdlePower are the all-cores-busy and empty-server envelopes.
+	// Power prices an arbitrary operating point; CPUBoundPower is the
+	// all-cores-busy envelope.
 	Power(op OperatingPoint) units.Power
 	CPUBoundPower(f units.Frequency) units.Power
-	IdlePower(f units.Frequency) units.Power
 
 	// LevelAt returns a cached per-level evaluator for the replay hot
 	// loop: Evaluate must be bit-identical to Power at the cached
-	// frequency, allocation-free, and safe for concurrent use.
+	// frequency, allocation-free, and safe for concurrent use. Each
+	// model's Power prices through its own evaluator, so both hold the
+	// one formula.
 	LevelAt(f units.Frequency) LevelEvaluator
 }
 
@@ -208,29 +209,11 @@ func (m *TDPModel) ClampFrequency(f units.Frequency) units.Frequency {
 // the ntc rows'.
 func (m *TDPModel) OptimalFrequency() units.Frequency { return m.Base.OptimalFrequency() }
 
-// load maps an operating point to the TDP curve's load axis: busy
-// core-equivalents scaled by the delivered clock fraction, clamped to
-// [0,1].
-func (m *TDPModel) load(f units.Frequency, busyCores float64) float64 {
-	u := busyCores / float64(m.Base.Cores)
-	if fm := m.Base.FMax.GHz(); fm > 0 {
-		u *= f.GHz() / fm
-	}
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
-}
-
-// Power implements Model.
+// Power implements Model through the level evaluator at op.Freq.
 func (m *TDPModel) Power(op OperatingPoint) units.Power {
-	f := m.Base.ClampFrequency(op.Freq)
-	u := m.load(f, op.BusyCores)
-	return m.TDP*units.Power(tdpFraction(u)) +
-		units.Power(TDPRAMWattPerGB*m.Base.DRAM.Capacity.GB()) + m.Static
+	e := m.level(op.Freq)
+	return e.Evaluate(op.BusyCores, op.WFMFraction, op.LLCReadsPerSec, op.LLCWritesPerSec,
+		op.MemReadBytesPerSec, op.MemWriteBytesPerSec)
 }
 
 // CPUBoundPower implements Model.
@@ -238,16 +221,9 @@ func (m *TDPModel) CPUBoundPower(f units.Frequency) units.Power {
 	return m.Power(OperatingPoint{Freq: f, BusyCores: float64(m.Base.Cores)})
 }
 
-// IdlePower implements Model.
-func (m *TDPModel) IdlePower(f units.Frequency) units.Power {
-	return m.Power(OperatingPoint{Freq: f})
-}
-
 // tdpLevelEval is the TDP model's cached per-level evaluator: only
 // the delivered clock fraction depends on the level, so Evaluate is a
 // clamp, an interpolation and two multiplications — allocation-free.
-// The sum keeps Power's exact term order (CPU + RAM + static) so the
-// result is bit-identical to Power at the cached frequency.
 type tdpLevelEval struct {
 	tdp, ram, fRatio, cores float64
 	static                  units.Power
@@ -255,12 +231,18 @@ type tdpLevelEval struct {
 
 // LevelAt implements Model.
 func (m *TDPModel) LevelAt(f units.Frequency) LevelEvaluator {
+	e := m.level(f)
+	return &e
+}
+
+// level builds the evaluator at f, snapped to its DVFS level.
+func (m *TDPModel) level(f units.Frequency) tdpLevelEval {
 	f = m.Base.ClampFrequency(f)
 	ratio := 1.0
 	if fm := m.Base.FMax.GHz(); fm > 0 {
 		ratio = f.GHz() / fm
 	}
-	return &tdpLevelEval{
+	return tdpLevelEval{
 		tdp:    float64(m.TDP),
 		ram:    TDPRAMWattPerGB * m.Base.DRAM.Capacity.GB(),
 		fRatio: ratio,
@@ -269,9 +251,12 @@ func (m *TDPModel) LevelAt(f units.Frequency) LevelEvaluator {
 	}
 }
 
-// Evaluate implements LevelEvaluator. The TDP curve has no
-// cache/DRAM-traffic terms; the extra observables are accepted and
-// ignored so the evaluator drops into the same per-level tables.
+// Evaluate implements LevelEvaluator: the load is the busy
+// core-equivalents' share of the server scaled by the delivered clock
+// fraction, clamped to [0,1]; the power is TDP × the curve at that
+// load, plus the flat RAM power and the static power. The TDP curve
+// has no cache/DRAM-traffic terms; the extra observables are accepted
+// and ignored so the evaluator drops into the same per-level tables.
 func (e *tdpLevelEval) Evaluate(busyCores, wfmFraction, llcReadsPerSec, llcWritesPerSec, memReadBytesPerSec, memWriteBytesPerSec float64) units.Power {
 	u := busyCores / e.cores * e.fRatio
 	if u < 0 {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 // TestTDPCurvePoints pins the interpolation anchors (the
@@ -41,7 +43,7 @@ func TestTDPModelPower(t *testing.T) {
 	if want := 1.02*40 + ram + static; math.Abs(full-want) > 1e-9 {
 		t.Errorf("full-load power = %g W, want %g", full, want)
 	}
-	idle := float64(m.IdlePower(base.FMax))
+	idle := float64(m.Power(OperatingPoint{Freq: base.FMax}))
 	if want := 0.12*40 + ram + static; math.Abs(idle-want) > 1e-9 {
 		t.Errorf("idle power = %g W, want %g", idle, want)
 	}
@@ -86,18 +88,27 @@ func TestTDPModelDelegatesAllocationSurface(t *testing.T) {
 	}
 }
 
-// TestTDPLevelEvaluatorMatchesPower pins the hot-loop contract:
-// LevelAt's cached evaluator is bit-identical to Power at the cached
-// frequency, for every grid level and a spread of loads.
+// TestTDPLevelEvaluatorMatchesPower pins the TDP formula: LevelAt's
+// cached evaluator and Power both equal the curve written out here
+// (TDP × curve(busy/cores × f/F_max) + flat RAM + static) bit for bit,
+// at every grid level and at off-grid frequencies, which price at the
+// level ClampFrequency snaps them up to.
 func TestTDPLevelEvaluatorMatchesPower(t *testing.T) {
-	m := NewTDPModel(NTCServer())
-	for _, f := range m.DVFSGrid() {
-		ev := m.LevelAt(f)
-		for _, busy := range []float64{0, 0.5, 3, 7.25, 16} {
-			want := m.Power(OperatingPoint{Freq: f, BusyCores: busy})
-			got := ev.Evaluate(busy, 0.4, 1e6, 1e5, 1e9, 1e8)
-			if got != want {
-				t.Fatalf("level %v busy %g: Evaluate = %v, Power = %v", f, busy, got, want)
+	for _, base := range []*ServerModel{NTCServer(), IntelE5_2620()} {
+		m := NewTDPModel(base)
+		freqs := append(m.DVFSGrid(), base.FMin-units.GHz(0.3), base.FMin+units.MHz(37), base.FMax-units.MHz(150), base.FMax+units.GHz(1))
+		for _, f := range freqs {
+			ev := m.LevelAt(f)
+			level := base.ClampFrequency(f)
+			for _, busy := range []float64{-1, 0, 0.5, 3, 7.25, 16, 40} {
+				u := min(max(busy/float64(base.Cores)*(level.GHz()/base.FMax.GHz()), 0), 1)
+				want := units.Power(float64(m.TDP)*tdpFraction(u)) + units.Power(TDPRAMWattPerGB*base.DRAM.Capacity.GB()) + m.Static
+				if got := ev.Evaluate(busy, 0.4, 1e6, 1e5, 1e9, 1e8); got != want {
+					t.Fatalf("%s level %v busy %g: Evaluate = %v, curve = %v", base.Name, f, busy, got, want)
+				}
+				if got := m.Power(OperatingPoint{Freq: f, BusyCores: busy}); got != want {
+					t.Fatalf("%s level %v busy %g: Power = %v, curve = %v", base.Name, f, busy, got, want)
+				}
 			}
 		}
 	}
@@ -177,7 +188,7 @@ func TestTDPLoadScalesWithFrequency(t *testing.T) {
 	if lo >= hi {
 		t.Errorf("downclocked full-busy power %v >= F_max power %v", lo, hi)
 	}
-	if m.load(m.FreqMax(), -5) != 0 {
+	if m.Power(OperatingPoint{Freq: m.FreqMax(), BusyCores: -5}) != m.Power(OperatingPoint{Freq: m.FreqMax()}) {
 		t.Error("negative busy count must clamp to load 0")
 	}
 }

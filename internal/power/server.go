@@ -1,8 +1,6 @@
 package power
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/fdsoi"
@@ -56,49 +54,14 @@ type ServerModel struct {
 	DVFSStep   units.Frequency
 }
 
-// ErrInvalidOperatingPoint reports an operating point outside the
-// server's envelope.
-var ErrInvalidOperatingPoint = errors.New("power: operating point outside server envelope")
-
-// Validate checks op against the server envelope.
-func (s *ServerModel) Validate(op OperatingPoint) error {
-	if op.Freq < s.FMin-units.Frequency(1) || op.Freq > s.FMax+units.Frequency(1) {
-		return fmt.Errorf("%w: frequency %v outside [%v, %v]", ErrInvalidOperatingPoint, op.Freq, s.FMin, s.FMax)
-	}
-	if op.BusyCores < 0 || op.BusyCores > float64(s.Cores) {
-		return fmt.Errorf("%w: busy cores %.2f outside [0, %d]", ErrInvalidOperatingPoint, op.BusyCores, s.Cores)
-	}
-	if op.WFMFraction < 0 || op.WFMFraction > 1 {
-		return fmt.Errorf("%w: WFM fraction %.2f outside [0, 1]", ErrInvalidOperatingPoint, op.WFMFraction)
-	}
-	return nil
-}
-
-// Power returns the total server power at the given operating point.
-// It panics only on programmer error; out-of-envelope points are
-// clamped after Validate-style checks are skipped, so callers that
-// need strict checking should call Validate first.
+// Power returns the total server power at the given operating point:
+// the level evaluator at op.Freq (clamped into [FMin, FMax], not
+// snapped to a DVFS level) applied to op's load. The formula itself
+// lives in LevelPower.Evaluate alone.
 func (s *ServerModel) Power(op OperatingPoint) units.Power {
-	f := op.Freq
-	if f < s.FMin {
-		f = s.FMin
-	}
-	if f > s.FMax {
-		f = s.FMax
-	}
-	busy := math.Min(math.Max(op.BusyCores, 0), float64(s.Cores))
-	wfm := math.Min(math.Max(op.WFMFraction, 0), 1)
-
-	active := float64(s.Core.ActivePower(f))
-	wfmP := float64(s.Core.WFMPower(f))
-	idle := float64(s.Core.IdlePower(f))
-
-	cores := busy*((1-wfm)*active+wfm*wfmP) + (float64(s.Cores)-busy)*idle
-	llc := float64(s.LLC.LeakagePower(f)) + float64(s.LLC.AccessPower(f, op.LLCReadsPerSec, op.LLCWritesPerSec))
-	uncore := float64(s.Uncore.Power(f))
-	dram := float64(s.DRAM.Power(op.MemReadBytesPerSec, op.MemWriteBytesPerSec))
-
-	return units.Power(cores + llc + uncore + dram + float64(s.Motherboard))
+	lp := s.LevelPowerAt(op.Freq)
+	return lp.Evaluate(op.BusyCores, op.WFMFraction, op.LLCReadsPerSec, op.LLCWritesPerSec,
+		op.MemReadBytesPerSec, op.MemWriteBytesPerSec)
 }
 
 // CPUBoundPower returns server power with all cores busy on a
@@ -112,6 +75,20 @@ func (s *ServerModel) CPUBoundPower(f units.Frequency) units.Power {
 // parked at frequency f.
 func (s *ServerModel) IdlePower(f units.Frequency) units.Power {
 	return s.Power(OperatingPoint{Freq: f})
+}
+
+// IdlePeakScore returns 1 − IdlePower(FMin)/CPUBoundPower(FMax): one
+// minus the ratio of an empty switched-on server's power at its lowest
+// DVFS level to its all-cores-busy power at its highest. A server that
+// draws nothing idle scores 1; one that idles at its peak scores 0.
+// Greedy-proportional dispatch fills DCs in descending score, and the
+// paper's NTC server scores above the conventional E5.
+func (s *ServerModel) IdlePeakScore() float64 {
+	peak := s.CPUBoundPower(s.FMax).W()
+	if peak <= 0 {
+		return 0
+	}
+	return 1 - s.IdlePower(s.FMin).W()/peak
 }
 
 // PowerPerGHz returns P_cpubound(f)/f in watts per GHz: the

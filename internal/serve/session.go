@@ -62,12 +62,6 @@ func newSession(id string, scen sweep.Scenario, st *topology.Stepper, feed *dcsi
 	return sess
 }
 
-// ID returns the session id.
-func (sess *Session) ID() string { return sess.id }
-
-// Scenario returns the scenario the session replays.
-func (sess *Session) Scenario() sweep.Scenario { return sess.scen }
-
 // Snapshot returns the session's published snapshot. It is immutable;
 // callers must not modify it.
 func (sess *Session) Snapshot() *Snapshot { return sess.cur.Load() }

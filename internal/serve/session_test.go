@@ -513,3 +513,6 @@ func TestGridForScenario(t *testing.T) {
 		t.Fatalf("gridForScenario round-trip: %+v, want %+v", got, scen)
 	}
 }
+
+// Scenario returns the scenario the session replays.
+func (sess *Session) Scenario() sweep.Scenario { return sess.scen }

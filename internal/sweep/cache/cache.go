@@ -179,14 +179,6 @@ func (s *Store) Mode() Mode {
 	return s.mode
 }
 
-// Dir reports the store root ("" for the nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Stats returns the traffic counters accumulated so far.
 func (s *Store) Stats() Stats {
 	if s == nil {

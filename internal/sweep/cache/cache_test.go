@@ -105,7 +105,7 @@ func TestOpenModes(t *testing.T) {
 	if err := nilStore.Put(Key("k"), []byte("x")); err != nil {
 		t.Error(err)
 	}
-	if nilStore.Mode() != ModeOff || nilStore.Dir() != "" || nilStore.Stats() != (Stats{}) {
+	if nilStore.Mode() != ModeOff || nilStore.Stats() != (Stats{}) {
 		t.Error("nil store metadata not zero")
 	}
 }

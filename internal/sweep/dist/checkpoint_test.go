@@ -112,7 +112,7 @@ func TestCheckpointJournalResumesMidGrid(t *testing.T) {
 func TestResumeOfCompleteJournalIsInstantlyDone(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	cold, _, err := RunLocal(ctx, testGrid(), 2, Options{CheckpointDir: dir})
+	cold, _, err := runLocal(ctx, testGrid(), 2, Options{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResumeOfCompleteJournalIsInstantlyDone(t *testing.T) {
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	// One real journal (a completed run) as the mutation base.
 	base := t.TempDir()
-	if _, _, err := RunLocal(context.Background(), testGrid(), 2, Options{CheckpointDir: base}); err != nil {
+	if _, _, err := runLocal(context.Background(), testGrid(), 2, Options{CheckpointDir: base}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(base, checkpointFileName))
@@ -322,7 +322,7 @@ func TestResumeRefusesChangedInputs(t *testing.T) {
 	g := testGrid()
 	g.Traces = []string{"csv:" + tracePath}
 	ckdir := filepath.Join(dir, "ck")
-	if _, _, err := RunLocal(context.Background(), g, 2, Options{CheckpointDir: ckdir}); err != nil {
+	if _, _, err := runLocal(context.Background(), g, 2, Options{CheckpointDir: ckdir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,7 +363,7 @@ func TestCheckpointDirFailureIsLoud(t *testing.T) {
 }
 
 // journalWatch is an in-process backend — it embeds the coordinator,
-// so its workers share the coordinator's Runner as RunLocal's do —
+// so its workers share the coordinator's Runner as runLocal's do —
 // that checks the journal after every Complete: the call may only
 // append, and only about its own rows' bytes.
 type journalWatch struct {

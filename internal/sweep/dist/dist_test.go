@@ -45,7 +45,7 @@ func TestLocalDeterminismMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, stats, err := RunLocal(context.Background(), testGrid(), 4, Options{})
+	got, stats, err := runLocal(context.Background(), testGrid(), 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestLocalDeterminismMatchesEngine(t *testing.T) {
 // some calls, and the merged count must say so.
 func TestDistReportsMemoHits(t *testing.T) {
 	ctx := context.Background()
-	res, _, err := RunLocal(ctx, testGrid(), 1, Options{})
+	res, _, err := runLocal(ctx, testGrid(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Load.SharedPlacements <= 0 {
-		t.Errorf("RunLocal: %d memo hits, want > 0", res.Load.SharedPlacements)
+		t.Errorf("runLocal: %d memo hits, want > 0", res.Load.SharedPlacements)
 	}
 
 	c, err := NewCoordinator(testGrid(), Options{})
@@ -121,7 +121,7 @@ func TestWarmClusterExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, stats, err := RunLocal(context.Background(), testGrid(), 3, Options{Cache: store})
+	cold, stats, err := runLocal(context.Background(), testGrid(), 3, Options{Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestWarmClusterExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, wstats, err := RunLocal(context.Background(), testGrid(), 3, Options{Cache: store2})
+	warm, wstats, err := runLocal(context.Background(), testGrid(), 3, Options{Cache: store2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWarmClusterExecutesNothing(t *testing.T) {
 // version, after which the cluster is genuinely warm.
 func TestStaleSchemaRowsNeverWarmCluster(t *testing.T) {
 	dir := t.TempDir()
-	cold, _, err := RunLocal(context.Background(), testGrid(), 2, Options{})
+	cold, _, err := runLocal(context.Background(), testGrid(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStaleSchemaRowsNeverWarmCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, sstats, err := RunLocal(context.Background(), testGrid(), 3, Options{Cache: store2})
+	stale, sstats, err := runLocal(context.Background(), testGrid(), 3, Options{Cache: store2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestStaleSchemaRowsNeverWarmCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wstats, err := RunLocal(context.Background(), testGrid(), 3, Options{Cache: store3})
+	_, wstats, err := runLocal(context.Background(), testGrid(), 3, Options{Cache: store3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestLeaseExpiryRecoversCrashedWorker(t *testing.T) {
 	// TTL passes; only the crashed worker's units become leasable
 	// again, and a fresh worker's loop completes the sweep.
 	now = now.Add(2 * time.Minute)
-	if _, err := Work(ctx, c, WorkerOptions{Name: "replacement", Batch: 2}); err != nil {
+	if _, err := Work(ctx, c, WorkerOptions{Name: "replacement"}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Wait(ctx)
@@ -678,7 +678,7 @@ func TestScenarioFailuresAreRowsNotRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := RunLocal(context.Background(), g, 2, Options{Cache: store})
+	res, stats, err := runLocal(context.Background(), g, 2, Options{Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +747,7 @@ func goroutinesAfter(before int) int {
 func TestLocalWorkersShareTheCoordinatorsRunner(t *testing.T) {
 	ctx := context.Background()
 	before := quietGoroutines()
-	res, _, err := RunLocal(ctx, fleetGrid(), 2, Options{})
+	res, _, err := runLocal(ctx, fleetGrid(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,10 +755,10 @@ func TestLocalWorkersShareTheCoordinatorsRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Load.TraceBuilds != 1 || res.Load.PredictBuilds != 1 {
-		t.Errorf("RunLocal at 2 workers: %d trace and %d prediction builds, want 1 and 1", res.Load.TraceBuilds, res.Load.PredictBuilds)
+		t.Errorf("runLocal at 2 workers: %d trace and %d prediction builds, want 1 and 1", res.Load.TraceBuilds, res.Load.PredictBuilds)
 	}
 	if after := goroutinesAfter(before); after != before {
-		t.Errorf("%d goroutines after RunLocal, %d before", after, before)
+		t.Errorf("%d goroutines after runLocal, %d before", after, before)
 	}
 
 	c, err := NewCoordinator(fleetGrid(), Options{})
@@ -802,9 +802,9 @@ func TestLocalWorkersShareTheCoordinatorsRunner(t *testing.T) {
 }
 
 // TestRowsLandBeforeTheirBatchFinishes: a worker completes each row as
-// it finishes, whatever its batch. While a Batch: 3 worker is stuck on
-// its second unit, the coordinator already holds the first row as
-// done, has reported it to Progress and has journaled it.
+// it finishes. While a worker is stuck on its second unit, the
+// coordinator already holds the first row as done, has reported it to
+// Progress and has journaled it.
 func TestRowsLandBeforeTheirBatchFinishes(t *testing.T) {
 	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
 	if err != nil {
@@ -822,9 +822,8 @@ func TestRowsLandBeforeTheirBatchFinishes(t *testing.T) {
 	defer once.Do(func() { close(unstick) })
 	execs := 0
 	slow := WorkerOptions{
-		Name:  "slow",
-		Batch: 3,
-		Poll:  time.Millisecond,
+		Name: "slow",
+		Poll: time.Millisecond,
 		execHook: func(rn *sweep.Runner, s sweep.Scenario) sweep.RunResult {
 			if execs++; execs == 2 {
 				close(stuck)
@@ -841,20 +840,20 @@ func TestRowsLandBeforeTheirBatchFinishes(t *testing.T) {
 	<-stuck
 
 	if got := progressed.Load(); got != 1 {
-		t.Errorf("Progress reported %d rows done while the batch's second unit runs, want 1", got)
+		t.Errorf("Progress reported %d rows done while the worker's second unit runs, want 1", got)
 	}
 	c.mu.Lock()
 	first := c.units[0].state
 	c.mu.Unlock()
 	if first != unitDone {
-		t.Error("the batch's first row is not done while its second unit runs")
+		t.Error("the worker's first row is not done while its second unit runs")
 	}
 	ck, err := LoadCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ck.Completed != 1 {
-		t.Errorf("journal holds %d rows while the batch's second unit runs, want 1", ck.Completed)
+		t.Errorf("journal holds %d rows while the worker's second unit runs, want 1", ck.Completed)
 	}
 
 	once.Do(func() { close(unstick) })
@@ -868,4 +867,15 @@ func TestRowsLandBeforeTheirBatchFinishes(t *testing.T) {
 	if res.CSV() != want.CSV() {
 		t.Error("CSV differs from engine")
 	}
+}
+
+// runLocal runs the whole distributed pipeline in one process, as
+// `ntc-sweep -dist local:N` does: a coordinator plus n worker
+// goroutines over the in-process transport.
+func runLocal(ctx context.Context, g sweep.Grid, n int, opt Options) (*sweep.Results, Stats, error) {
+	c, err := NewCoordinator(g, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return RunCoordinator(ctx, c, n)
 }

@@ -260,9 +260,8 @@ func TestChaosFaultInjectionMatchesEngine(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				_, _ = Work(ctx, ft, WorkerOptions{
-					Name:  fmt.Sprintf("chaos-%d", i),
-					Batch: 2,
-					Poll:  5 * time.Millisecond,
+					Name: fmt.Sprintf("chaos-%d", i),
+					Poll: 5 * time.Millisecond,
 				})
 			}(i)
 		}
@@ -305,7 +304,7 @@ func TestChaosFaultInjectionMatchesEngine(t *testing.T) {
 }
 
 // TestChaosCoordinatorKillAndResume simulates a coordinator SIGKILLed
-// mid-grid via the transport guillotine: one batch lands and journals,
+// mid-grid via the transport guillotine: three rows land and journal,
 // the coordinator goes dark, and a second coordinator resumed from the
 // journal finishes the grid byte-identically without re-executing a
 // single journaled unit.
@@ -323,10 +322,10 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	}
 	ft := newFaultTransport(a, 1).quiet()
 	ft.killAfterCompletes = 3
-	// The worker lands its first batch of three, one Complete per row,
-	// then every call hits the dead transport: from its point of view
-	// the coordinator was kill -9'd between two batches.
-	n, err := Work(ctx, ft, WorkerOptions{Name: "doomed", Batch: 3, Poll: time.Millisecond})
+	// The worker lands three rows, one Complete each, then every call
+	// hits the dead transport: from its point of view the coordinator
+	// was kill -9'd between two rows.
+	n, err := Work(ctx, ft, WorkerOptions{Name: "doomed", Poll: time.Millisecond})
 	if n != 3 {
 		t.Fatalf("doomed worker executed %d units before the kill, want 3", n)
 	}
@@ -349,7 +348,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	if got := b.Stats().Resumed; got != 3 {
 		t.Fatalf("Stats.Resumed = %d, want 3", got)
 	}
-	executed, err := Work(ctx, b, WorkerOptions{Name: "replacement", Batch: 3, Poll: time.Millisecond})
+	executed, err := Work(ctx, b, WorkerOptions{Name: "replacement", Poll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,9 +412,8 @@ func TestSlowRunnerRenewsInsteadOfExpiring(t *testing.T) {
 	ctx := context.Background()
 
 	slow := WorkerOptions{
-		Name:  "slow",
-		Batch: 1,
-		Poll:  5 * time.Millisecond,
+		Name: "slow",
+		Poll: 5 * time.Millisecond,
 		execHook: func(rn *sweep.Runner, s sweep.Scenario) sweep.RunResult {
 			time.Sleep(time.Second) // 2.5 lease TTLs
 			return rn.Exec(s)
@@ -449,9 +447,9 @@ func TestSlowRunnerRenewsInsteadOfExpiring(t *testing.T) {
 }
 
 // TestCanceledWorkerDrainsGracefully pins the leave half of worker
-// churn: a worker whose context is canceled mid-batch completes the
-// rows it already executed and releases the rest, which re-lease
-// immediately — no TTL wait, no expiry.
+// churn: a worker whose context is canceled mid-row completes the row
+// it is executing, and one canceled while a lease is granted releases
+// that lease, which re-leases immediately — no TTL wait, no expiry.
 func TestCanceledWorkerDrainsGracefully(t *testing.T) {
 	want, err := sweep.Run(testGrid(), sweep.Options{Workers: 2})
 	if err != nil {
@@ -465,9 +463,8 @@ func TestCanceledWorkerDrainsGracefully(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	drainer := WorkerOptions{
-		Name:  "drainer",
-		Batch: 4,
-		Poll:  time.Millisecond,
+		Name: "drainer",
+		Poll: time.Millisecond,
 		execHook: func(rn *sweep.Runner, s sweep.Scenario) sweep.RunResult {
 			cancel() // leave after this unit
 			return rn.Exec(s)
@@ -480,15 +477,22 @@ func TestCanceledWorkerDrainsGracefully(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("drained worker landed %d rows, want the 1 executed before cancel", n)
 	}
-	if got := c.Stats().Released; got != 3 {
-		t.Fatalf("stats.Released = %d, want the 3 unexecuted leases handed back", got)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	n, err = Work(ctx, cancelOnLease{c, cancel}, WorkerOptions{Name: "leaver", Poll: time.Millisecond})
+	if !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("worker canceled on its lease returned %d rows, %v; want 0, context.Canceled", n, err)
+	}
+	if got := c.Stats().Released; got != 1 {
+		t.Fatalf("stats.Released = %d, want the 1 unexecuted lease handed back", got)
 	}
 
 	// With a one-minute TTL, only an actual Release makes the handed
-	// back units leasable now: a replacement finishes the sweep with
+	// back unit leasable now: a replacement finishes the sweep with
 	// zero expiries.
 	bg := context.Background()
-	if _, err := Work(bg, c, WorkerOptions{Name: "finisher", Batch: 4, Poll: time.Millisecond}); err != nil {
+	if _, err := Work(bg, c, WorkerOptions{Name: "finisher", Poll: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Wait(bg)
@@ -504,4 +508,16 @@ func TestCanceledWorkerDrainsGracefully(t *testing.T) {
 	if s := c.Stats(); s.Expired != 0 {
 		t.Errorf("stats.Expired = %d, want 0 — released units must not wait out the TTL", s.Expired)
 	}
+}
+
+// cancelOnLease is the in-process coordinator with a Lease that
+// cancels the worker's context once the lease is granted.
+type cancelOnLease struct {
+	*Coordinator
+	cancel context.CancelFunc
+}
+
+func (b cancelOnLease) Lease(ctx context.Context, worker string, max int) (LeaseReply, error) {
+	defer b.cancel()
+	return b.Coordinator.Lease(ctx, worker, max)
 }

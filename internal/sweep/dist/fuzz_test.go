@@ -93,7 +93,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// the interesting hand-shapes (the committed corpus under
 	// testdata/fuzz adds more).
 	dir := f.TempDir()
-	if _, _, err := RunLocal(context.Background(), oneUnitGrid(), 1, Options{CheckpointDir: dir}); err != nil {
+	if _, _, err := runLocal(context.Background(), oneUnitGrid(), 1, Options{CheckpointDir: dir}); err != nil {
 		f.Fatal(err)
 	}
 	real, err := os.ReadFile(filepath.Join(dir, checkpointFileName))

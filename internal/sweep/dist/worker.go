@@ -17,12 +17,6 @@ type WorkerOptions struct {
 	// stats). Empty derives one from the hostname and PID.
 	Name string
 
-	// Batch is how many units to lease per request; <= 0 means 1.
-	// Whatever the batch, each row is completed as soon as it
-	// finishes, so a larger batch only saves lease round trips, and
-	// costs its unexecuted leases a TTL's wait if the worker dies.
-	Batch int
-
 	// Poll is how long to sleep when everything is leased elsewhere;
 	// <= 0 means 25 ms.
 	Poll time.Duration
@@ -41,9 +35,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 		}
 		o.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if o.Batch <= 0 {
-		o.Batch = 1
-	}
 	if o.Poll <= 0 {
 		o.Poll = 25 * time.Millisecond
 	}
@@ -61,15 +52,16 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // all such workers share, and reports no load stats of its own, since
 // the coordinator counts that Runner once.
 //
-// Each row is sent in its own Complete as soon as it finishes, with the
-// load stats gathered since the previous Complete, so a row lands (and
-// is journaled and cached) while the rest of its batch runs.
+// The worker leases one unit at a time and sends its row in its own
+// Complete as soon as it finishes, with the load stats gathered since
+// the previous Complete, so a row lands (and is journaled and cached)
+// before the worker leases the next.
 //
 // Workers join and leave freely: there is no registration beyond the
 // first lease, a canceled ctx drains gracefully (the row executing
-// when it is canceled is completed, unexecuted leases are released for
-// immediate re-lease), and a vanished worker's leases expire on the
-// TTL and re-lease to whoever asks next.
+// when it is canceled is completed, a lease granted as it is canceled
+// is released for immediate re-lease), and a vanished worker's lease
+// expires on the TTL and re-leases to whoever asks next.
 func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 	opt = opt.withDefaults()
 	rn, load, err := workerRunner(ctx, b, opt)
@@ -109,6 +101,11 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		return err
 	}
 
+	// A graceful leave runs its last calls on a detached context (the
+	// canceled one would abort the very calls that make the departure
+	// clean), as best-effort single attempts: if the coordinator is
+	// gone too, the lease just expires the crashed-worker way.
+	dctx := context.WithoutCancel(ctx)
 	executed := 0
 	sent := load() // the load stats reported so far
 	for {
@@ -117,7 +114,7 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 		}
 		var reply LeaseReply
 		err := withRetry(func() (err error) {
-			reply, err = b.Lease(ctx, opt.Name, opt.Batch)
+			reply, err = b.Lease(ctx, opt.Name, 1)
 			return err
 		})
 		if err != nil {
@@ -136,19 +133,22 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 			}
 			continue
 		}
+		u := reply.Units[0]
+		refs := []UnitRef{{Seq: u.Seq, Lease: u.Lease}}
+		if ctx.Err() != nil {
+			// Hand the unexecuted lease back for immediate re-lease.
+			_ = b.Release(dctx, opt.Name, refs)
+			return executed, ctx.Err()
+		}
 
-		// While the batch executes, a background loop renews its
-		// leases at TTL/3 so a scenario slower than the TTL is not
-		// presumed crashed and redundantly re-leased elsewhere.
-		// Renewal is best-effort: if it fails the lease just expires
-		// and the determinism contract absorbs the duplicate.
+		// While the unit executes, a background loop renews its lease
+		// at TTL/3 so a scenario slower than the TTL is not presumed
+		// crashed and redundantly re-leased elsewhere. Renewal is
+		// best-effort: if it fails the lease just expires and the
+		// determinism contract absorbs the duplicate.
 		stopRenew := make(chan struct{})
 		var renewWG sync.WaitGroup
 		if reply.TTL > 0 {
-			refs := make([]UnitRef, len(reply.Units))
-			for i, u := range reply.Units {
-				refs[i] = UnitRef{Seq: u.Seq, Lease: u.Lease}
-			}
 			// Floor the interval so a pathological sub-3ns TTL cannot
 			// panic the ticker; such leases simply expire unrenewed.
 			interval := reply.TTL / 3
@@ -173,52 +173,28 @@ func Work(ctx context.Context, b Backend, opt WorkerOptions) (int, error) {
 			}()
 		}
 
-		// A graceful leave runs its last calls on a detached context
-		// (the canceled one would abort the very calls that make the
-		// departure clean), as best-effort single attempts: if the
-		// coordinator is gone too, the leases just expire the
-		// crashed-worker way.
-		dctx := context.WithoutCancel(ctx)
+		// The worker's own cache key rides along so the coordinator
+		// can detect divergent file-backed inputs before accepting
+		// (and caching) the row.
+		key, _ := rn.CacheKey(u.Scenario)
+		results := []UnitResult{{Seq: u.Seq, Lease: u.Lease, Row: exec(u.Scenario), Key: key}}
+		now := load()
+		delta := now.Sub(sent)
+		sent = now
 		var cerr error
-		left := reply.Units
-		for len(left) > 0 && cerr == nil && ctx.Err() == nil {
-			u := left[0]
-			left = left[1:]
-			// The worker's own cache key rides along so the
-			// coordinator can detect divergent file-backed inputs
-			// before accepting (and caching) the row.
-			key, _ := rn.CacheKey(u.Scenario)
-			results := []UnitResult{{Seq: u.Seq, Lease: u.Lease, Row: exec(u.Scenario), Key: key}}
-			now := load()
-			delta := now.Sub(sent)
-			sent = now
-			if ctx.Err() != nil {
-				if b.Complete(dctx, opt.Name, results, delta) == nil {
-					executed++
-				}
-				break
-			}
-			if cerr = withRetry(func() error {
-				return b.Complete(ctx, opt.Name, results, delta)
-			}); cerr == nil {
+		if ctx.Err() != nil {
+			if b.Complete(dctx, opt.Name, results, delta) == nil {
 				executed++
 			}
+		} else if cerr = withRetry(func() error {
+			return b.Complete(ctx, opt.Name, results, delta)
+		}); cerr == nil {
+			executed++
 		}
 		close(stopRenew)
 		renewWG.Wait()
 		if cerr != nil {
 			return executed, fmt.Errorf("dist: completing: %w", cerr)
-		}
-		if ctx.Err() != nil {
-			// Hand the unexecuted leases back for immediate re-lease.
-			if len(left) > 0 {
-				refs := make([]UnitRef, len(left))
-				for i, u := range left {
-					refs[i] = UnitRef{Seq: u.Seq, Lease: u.Lease}
-				}
-				_ = b.Release(dctx, opt.Name, refs)
-			}
-			return executed, ctx.Err()
 		}
 	}
 }
@@ -250,20 +226,6 @@ func workerRunner(ctx context.Context, b Backend, opt WorkerOptions) (*sweep.Run
 	// no-shared-filesystem deployment path (see blobstore.go).
 	rn.SetBlobSource(backendBlobs{ctx: ctx, b: b, poll: opt.Poll})
 	return rn, rn.LoadStats, nil
-}
-
-// RunLocal runs the whole distributed pipeline in one process: a
-// coordinator plus n worker goroutines over the in-process transport
-// (`ntc-sweep -dist local:N`). It exercises the exact protocol a real
-// cluster runs — leases, batching, cache read-through/write-back —
-// minus the network, and returns the merged results and traffic
-// stats. n <= 0 means GOMAXPROCS.
-func RunLocal(ctx context.Context, g sweep.Grid, n int, opt Options) (*sweep.Results, Stats, error) {
-	c, err := NewCoordinator(g, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return RunCoordinator(ctx, c, n)
 }
 
 // RunCoordinator drives an existing coordinator — fresh or resumed

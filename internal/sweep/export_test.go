@@ -8,3 +8,6 @@ var PricingGrid = pricingGrid
 
 // DisableMemo turns rn's allocation memo off: every policy call runs.
 func DisableMemo(rn *Runner) { rn.memo = nil }
+
+// Grid returns the defaulted grid the Runner executes.
+func (r *Runner) Grid() Grid { return r.grid }

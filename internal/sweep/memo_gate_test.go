@@ -111,7 +111,7 @@ func halfWarmStore(t *testing.T, g sweep.Grid, res *sweep.Results) *cache.Store 
 
 // TestMemoizedRowsMatchUnmemoizedRows is the differential gate of the
 // allocation memo: sweep.Run's CSV and JSON bytes at 1, 3 and 8
-// workers, and dist.RunLocal's with 2 workers, equal those of the same
+// workers, and dist.RunCoordinator's with 2 workers, equal those of the same
 // rows executed one at a time with the memo off, cold and with half of
 // the rows already in the result store.
 func TestMemoizedRowsMatchUnmemoizedRows(t *testing.T) {
@@ -167,7 +167,11 @@ func TestMemoizedRowsMatchUnmemoizedRows(t *testing.T) {
 				if halfWarm {
 					store = halfWarmStore(t, tc.g, want)
 				}
-				res, _, err := dist.RunLocal(context.Background(), tc.g, 2, dist.Options{Cache: store})
+				c, err := dist.NewCoordinator(tc.g, dist.Options{Cache: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := dist.RunCoordinator(context.Background(), c, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -44,9 +44,6 @@ func NewRunner(g Grid) (*Runner, error) {
 	return &Runner{grid: g, ld: &loader{}, memo: newAllocMemo(memoBudget)}, nil
 }
 
-// Grid returns the defaulted grid the Runner executes.
-func (r *Runner) Grid() Grid { return r.grid }
-
 // SetBlobSource wires a remote fallback for file-backed inputs this
 // process cannot read (see BlobSource). Call it before the first Exec
 // or CacheKey — input resolution is memoized, so a source wired later

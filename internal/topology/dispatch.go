@@ -125,22 +125,9 @@ func (d *dispatcher) uniform(f Fleet, tr *trace.Trace) (Assignment, error) {
 	return out, nil
 }
 
-// ProportionalityScore rates a server model's hardware energy
-// proportionality in [0,1]: 1 - idle/peak power, where idle is an
-// empty switched-on server at F_min and peak is all cores busy at
-// F_max. A perfectly proportional server (zero idle power) scores 1;
-// the paper's NTC server outranks the conventional E5 class machine.
-func ProportionalityScore(m *power.ServerModel) float64 {
-	peak := m.CPUBoundPower(m.FMax).W()
-	if peak <= 0 {
-		return 0
-	}
-	return 1 - m.IdlePower(m.FMin).W()/peak
-}
-
 // dispatchGreedyProportional fills the most energy-proportional DC
-// first: DCs are ranked by the ProportionalityScore of their server
-// model (spec order on ties), and VMs in ID order fill each DC up to
+// first: DCs are ranked by the power.ServerModel.IdlePeakScore of
+// their server model (spec order on ties), and VMs in ID order fill each DC up to
 // its VM capacity (servers × per-server VM slots, bounded by cores
 // and 1 GB memory containers) before overflowing to the next. The
 // last-ranked DC absorbs any remainder — an over-full fleet surfaces
@@ -161,7 +148,7 @@ func (d *dispatcher) greedyProportional(f Fleet, tr *trace.Trace) (Assignment, e
 		}
 		// Rank greatest proportionality first: negate so fillRanked's
 		// ascending order fills the most proportional DC first.
-		order = append(order, rankedDC{idx: i, score: -ProportionalityScore(m), cap: dcVMCapacity(dc, m)})
+		order = append(order, rankedDC{idx: i, score: -m.IdlePeakScore(), cap: dcVMCapacity(dc, m)})
 	}
 	d.order = order
 	return d.fillRanked(tr)

@@ -68,18 +68,6 @@ type VM struct {
 	Mem []float64
 }
 
-// MeanMem returns the VM's average memory utilisation percent.
-func (v *VM) MeanMem() float64 {
-	if len(v.Mem) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, m := range v.Mem {
-		s += m
-	}
-	return s / float64(len(v.Mem))
-}
-
 // Trace is a set of VM utilisation histories on a common clock.
 type Trace struct {
 	Interval time.Duration
@@ -122,11 +110,6 @@ func (t *Trace) Samples() int {
 
 // Slots returns the number of whole allocation slots in the trace.
 func (t *Trace) Slots() int { return t.Samples() / SamplesPerSlot }
-
-// SlotWindow returns the sample index range [lo, hi) of slot s.
-func (t *Trace) SlotWindow(s int) (lo, hi int) {
-	return s * SamplesPerSlot, (s + 1) * SamplesPerSlot
-}
 
 // Validate checks structural consistency: uniform lengths and
 // utilisations within [0, 100] (NaN is outside).

@@ -300,3 +300,20 @@ func TestDurationAndInterval(t *testing.T) {
 		t.Errorf("duration = %v h, want 48", got)
 	}
 }
+
+// SlotWindow returns the sample index range [lo, hi) of slot s.
+func (t *Trace) SlotWindow(s int) (lo, hi int) {
+	return s * SamplesPerSlot, (s + 1) * SamplesPerSlot
+}
+
+// MeanMem returns the VM's average memory utilisation percent.
+func (v *VM) MeanMem() float64 {
+	if len(v.Mem) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, m := range v.Mem {
+		s += m
+	}
+	return s / float64(len(v.Mem))
+}

@@ -27,9 +27,6 @@ func (f Frequency) MHz() float64 { return float64(f / Megahertz) }
 // GHz returns the frequency in gigahertz.
 func (f Frequency) GHz() float64 { return float64(f / Gigahertz) }
 
-// Hz returns the frequency in hertz.
-func (f Frequency) Hz() float64 { return float64(f) }
-
 // GHz builds a Frequency from a value in gigahertz.
 func GHz(v float64) Frequency { return Frequency(v * 1e9) }
 
@@ -97,9 +94,6 @@ const (
 	Picojoule        = Joule / 1e12
 )
 
-// J returns the energy in joules.
-func (e Energy) J() float64 { return float64(e) }
-
 // MJ returns the energy in megajoules.
 func (e Energy) MJ() float64 { return float64(e / Megajoule) }
 
@@ -136,9 +130,6 @@ func (b ByteSize) GB() float64 { return float64(b / Gibibyte) }
 // MB returns the size in mebibytes.
 func (b ByteSize) MB() float64 { return float64(b / Mebibyte) }
 
-// Bytes returns the size in bytes.
-func (b ByteSize) Bytes() float64 { return float64(b) }
-
 // MiB builds a ByteSize from a value in mebibytes.
 func MiB(v float64) ByteSize { return ByteSize(v) * Mebibyte }
 
@@ -159,25 +150,5 @@ func (b ByteSize) String() string {
 }
 
 // Percent is a utilisation expressed in percent of some capacity
-// (0 = idle, 100 = full). The trace and allocation code works in the
-// paper's percent convention; Fraction converts to [0,1].
+// (0 = idle, 100 = full), the paper's convention.
 type Percent float64
-
-// Fraction returns the utilisation as a fraction in [0,1].
-func (p Percent) Fraction() float64 { return float64(p) / 100 }
-
-// PercentOf builds a Percent from a fraction in [0,1].
-func PercentOf(fraction float64) Percent { return Percent(fraction * 100) }
-
-// Clamp limits the percentage to [lo, hi].
-func (p Percent) Clamp(lo, hi Percent) Percent {
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
-}
-
-func (p Percent) String() string { return fmt.Sprintf("%.2f%%", float64(p)) }

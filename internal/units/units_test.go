@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,3 +128,22 @@ func TestStrings(t *testing.T) {
 		}
 	}
 }
+
+// Fraction returns the utilisation as a fraction in [0,1].
+func (p Percent) Fraction() float64 { return float64(p) / 100 }
+
+// PercentOf builds a Percent from a fraction in [0,1].
+func PercentOf(fraction float64) Percent { return Percent(fraction * 100) }
+
+// Clamp limits the percentage to [lo, hi].
+func (p Percent) Clamp(lo, hi Percent) Percent {
+	if p < lo {
+		return lo
+	}
+	if p > hi {
+		return hi
+	}
+	return p
+}
+
+func (p Percent) String() string { return fmt.Sprintf("%.2f%%", float64(p)) }

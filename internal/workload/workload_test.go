@@ -96,3 +96,17 @@ func TestWriteFractionSane(t *testing.T) {
 		}
 	}
 }
+
+// ClassForMemPercent maps a VM's average memory utilisation (percent
+// of its 1 GB container) to the nearest profiled class, mirroring the
+// paper's profiling split.
+func ClassForMemPercent(p units.Percent) Class {
+	switch {
+	case p < 16: // closest to 7%
+		return LowMem
+	case p < 34: // closest to 25%
+		return MidMem
+	default: // closest to 43%
+		return HighMem
+	}
+}

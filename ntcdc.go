@@ -318,7 +318,11 @@ func RunSweepWorker(ctx context.Context, b DistBackend, opt SweepWorkerOptions) 
 // `ntc-sweep -dist local:N` as a library call. Results are
 // byte-identical to RunSweep on the same grid.
 func RunDistributedSweep(ctx context.Context, g SweepGrid, n int, opt DistOptions) (*SweepResults, DistStats, error) {
-	return dist.RunLocal(ctx, g, n, opt)
+	c, err := dist.NewCoordinator(g, opt)
+	if err != nil {
+		return nil, DistStats{}, err
+	}
+	return dist.RunCoordinator(ctx, c, n)
 }
 
 // RunSweep expands a scenario grid and executes it on a bounded

@@ -116,18 +116,6 @@ func TestFacadeBodyBias(t *testing.T) {
 	}
 }
 
-func TestFacadePowerBreakdown(t *testing.T) {
-	m := NTCServerPower()
-	op := OperatingPoint{Freq: GHz(1.9), BusyCores: 8}
-	b := m.PowerBreakdown(op)
-	if diff := b.Total().W() - m.Power(op).W(); diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("breakdown total %.3f != power %.3f", b.Total().W(), m.Power(op).W())
-	}
-	if m.EnergyProportionalityScore() <= ConventionalServerPower().EnergyProportionalityScore() {
-		t.Error("NTC proportionality should beat conventional")
-	}
-}
-
 func TestFacadeRunSweep(t *testing.T) {
 	res, err := RunSweep(SweepGrid{
 		Policies:   []string{"EPACT", "COAT"},
