@@ -69,11 +69,11 @@ func TestNTCServerAbsolutePowerEnvelope(t *testing.T) {
 	}
 }
 
-// TestIdlePeakScoreNTCAboveE5 pins the paper's premise on the one
+// TestEnergyProportionalityScore pins the paper's premise on the one
 // idle/peak score: the NTC server's drastically reduced static power
 // scores well above the conventional E5, which idles at about half its
 // peak.
-func TestIdlePeakScoreNTCAboveE5(t *testing.T) {
+func TestEnergyProportionalityScore(t *testing.T) {
 	ntc := NTCServer().IdlePeakScore()
 	e5 := IntelE5_2620().IdlePeakScore()
 	if ntc <= e5 {
@@ -84,6 +84,29 @@ func TestIdlePeakScoreNTCAboveE5(t *testing.T) {
 	}
 	if e5 > 0.6 {
 		t.Errorf("E5 score = %.3f, want <= 0.6: idle/peak >= 0.4, as traditional servers idle at ~half peak", e5)
+	}
+}
+
+// TestNTCMoreEnergyProportionalThanE5 checks the same premise on the raw
+// idle/peak ratio, and that IdlePeakScore is one minus that ratio.
+func TestNTCMoreEnergyProportionalThanE5(t *testing.T) {
+	ntc := NTCServer()
+	e5 := IntelE5_2620()
+	ntcRatio := ntc.IdlePower(ntc.FMin).W() / ntc.CPUBoundPower(ntc.FMax).W()
+	e5Ratio := e5.IdlePower(e5.FMin).W() / e5.CPUBoundPower(e5.FMax).W()
+	if ntcRatio >= e5Ratio {
+		t.Errorf("NTC idle/peak %.2f should be below E5 idle/peak %.2f", ntcRatio, e5Ratio)
+	}
+	if e5Ratio < 0.4 {
+		t.Errorf("E5 idle/peak = %.2f, want >= 0.4 (traditional servers idle at ~half peak)", e5Ratio)
+	}
+	for _, c := range []struct {
+		s     *ServerModel
+		ratio float64
+	}{{ntc, ntcRatio}, {e5, e5Ratio}} {
+		if got := c.s.IdlePeakScore(); got != 1-c.ratio {
+			t.Errorf("%s: IdlePeakScore %v != 1 - idle/peak %v", c.s.Name, got, 1-c.ratio)
+		}
 	}
 }
 

@@ -116,6 +116,21 @@ func TestFacadeBodyBias(t *testing.T) {
 	}
 }
 
+func TestFacadePowerBreakdown(t *testing.T) {
+	// The facade's Power and the level evaluator it is built on are one
+	// formula, so they agree bit for bit.
+	m := NTCServerPower()
+	op := OperatingPoint{Freq: GHz(1.9), BusyCores: 8}
+	lv := m.LevelAt(op.Freq).Evaluate(op.BusyCores, op.WFMFraction, op.LLCReadsPerSec,
+		op.LLCWritesPerSec, op.MemReadBytesPerSec, op.MemWriteBytesPerSec)
+	if got := m.Power(op); got != lv {
+		t.Errorf("power %.6f != level evaluator %.6f", got.W(), lv.W())
+	}
+	if m.IdlePeakScore() <= ConventionalServerPower().IdlePeakScore() {
+		t.Error("NTC proportionality should beat conventional")
+	}
+}
+
 func TestFacadeRunSweep(t *testing.T) {
 	res, err := RunSweep(SweepGrid{
 		Policies:   []string{"EPACT", "COAT"},
