@@ -241,7 +241,9 @@ func paperTrace() trace.Config { return sweep.DCTraceConfig(2018, 600, 14) }
 
 // BenchmarkTraceGenerate measures the synthetic trace build, the
 // first part of every scenario's shared input: a serial pass over the
-// generator's stream plus the per-VM samples on every core.
+// generator's stream that records each VM's start state, plus the
+// lane kernel on every core, which draws four VMs' samples side by
+// side.
 func BenchmarkTraceGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr, err := trace.Generate(paperTrace())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/perf"
@@ -33,7 +34,8 @@ const numClasses = 3
 // so the steady-state loop stays allocation-free under any power
 // model.
 //
-// Tables are read-only once built and safe for concurrent use. A fleet
+// Tables are read-only once built, but for the spare step buffers
+// they pass between steppers, and safe for concurrent use. A fleet
 // builds one per datacenter and steps every epoch of that datacenter
 // on it (Tables.NewStepper); Run builds one for its stepper.
 type Tables struct {
@@ -46,6 +48,10 @@ type Tables struct {
 	obs         *perf.Table
 	levelPowers []power.LevelEvaluator
 	scaleByLvl  []float64
+
+	// spare holds the step buffers an epoch's stepper on these tables
+	// left when its window ended, for the next epoch's (see release).
+	spare atomic.Pointer[stepBufs]
 }
 
 // NewTables builds server's DVFS-level tables against plat.
@@ -94,9 +100,10 @@ type runState struct {
 	last      int
 
 	// b holds the buffers the slot loop refills (see stepBufs). It
-	// comes from bufPool and goes back when the stepper's window is
-	// done.
-	b *stepBufs
+	// comes from the tables' spare or bufPool and goes back when the
+	// stepper's window is done; handoff sends it to the spare.
+	b       *stepBufs
+	handoff bool
 
 	// resident is b's resident-set buffer, sized to the run's VMs; nil
 	// when transitions are disabled.
@@ -130,19 +137,45 @@ type stepBufs struct {
 }
 
 // bufPool recycles step buffers between steppers: a stepper takes one
-// when it is built and gives it back once its window is done, so a
-// fleet's successive per-DC epoch steppers, which live a few slots
-// each, refill the buffers the last ones grew instead of regrowing
-// them every epoch. Buffers change hands only between steppers, never
+// when it is built and gives it back once its window is done, so
+// successive runs refill the buffers the last ones grew instead of
+// regrowing them. Buffers change hands only between steppers, never
 // per step, so the slot loop stays allocation-free even when the pool
 // drops items (as it does at random under the race detector).
 var bufPool = sync.Pool{New: func() any { return new(stepBufs) }}
 
-// release gives the run's buffers back to the pool once its window is
-// done; no step may follow.
+// release gives the run's buffers back once its window is done; no
+// step may follow. A fleet epoch's stepper (handoff: a window on
+// shared tables that ends before the evaluation period does) leaves
+// them as the tables' spare, and the datacenter's next epoch takes
+// them there: a sync.Pool keeps a released item on the releasing P,
+// so a goroutine that changed P between two epochs missed it and grew
+// a fresh set. Every other stepper, and a handoff that finds a spare
+// already parked, returns them to bufPool.
 func (st *runState) release() {
-	bufPool.Put(st.b)
+	if !st.handoff || !st.Tables.spare.CompareAndSwap(nil, st.b) {
+		bufPool.Put(st.b)
+	}
 	st.b, st.asg, st.prev, st.resident, st.hasPrev = nil, nil, nil, nil, false
+}
+
+// takeBufs returns step buffers for a new stepper on t: the spare an
+// earlier epoch's stepper left, else bufPool's.
+func (t *Tables) takeBufs() *stepBufs {
+	if b := t.spare.Swap(nil); b != nil {
+		return b
+	}
+	return bufPool.Get().(*stepBufs)
+}
+
+// Recycle returns the step buffers parked on t to the pool. A fleet
+// calls it for a datacenter that hosts no VM in the epoch it opens, so
+// the buffers serve other steppers while the datacenter is drained,
+// and are not lost with t if the run ends drained.
+func (t *Tables) Recycle() {
+	if b := t.spare.Swap(nil); b != nil {
+		bufPool.Put(b)
+	}
 }
 
 // newRunState validates cfg and builds its run state on t, or on
@@ -151,6 +184,7 @@ func newRunState(cfg *Config, t *Tables) (*runState, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
+	shared := t != nil
 	if t == nil {
 		var err error
 		if t, err = NewTables(cfg.Server, cfg.Platform); err != nil {
@@ -169,7 +203,8 @@ func newRunState(cfg *Config, t *Tables) (*runState, error) {
 		sampleSec: cfg.Trace.Interval.Seconds(),
 		first:     first,
 		last:      last,
-		b:         bufPool.Get().(*stepBufs),
+		b:         t.takeBufs(),
+		handoff:   shared && last < slots,
 		slots:     make([]SlotResult, 0, last-first),
 	}
 	st.bind()

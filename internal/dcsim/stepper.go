@@ -11,8 +11,9 @@ import (
 // the packed prediction windows and the reusable scratch buffers are
 // built once at construction and shared by every Step, so stepping a
 // window to completion is the batch run — not a re-derivation of it.
-// Once the last slot is stepped, the step buffers go back to a pool
-// for the next stepper built (see bufPool).
+// Once the last slot is stepped, the step buffers go to the next
+// stepper built: a fleet's next epoch on the same tables, or any
+// stepper through a pool (see release).
 // Run itself is implemented as a Stepper driven to exhaustion, which
 // is what makes "incremental equals batch" true by construction
 // rather than by test.

@@ -17,7 +17,9 @@ import (
 // an HTTP server, three workers over the JSON client — one of which
 // "crashes" after leasing (its units recover via the short TTL) — and
 // the merged output must still match the single-process engine
-// byte-for-byte.
+// byte-for-byte. http-a's second Lease waits until http-b holds a
+// unit, so all three workers are granted one however the scheduler
+// orders the two.
 func TestHTTPEndToEndDeterminism(t *testing.T) {
 	c, err := NewCoordinator(testGrid(), Options{LeaseTTL: 100 * time.Millisecond})
 	if err != nil {
@@ -37,14 +39,18 @@ func TestHTTPEndToEndDeterminism(t *testing.T) {
 		t.Fatal("kill -9'd worker reported success")
 	}
 
+	bHolds := make(chan struct{})
+	backends := []Backend{
+		&leaseGate{Backend: NewClient(srv.URL), wait: bHolds},
+		&leaseGate{Backend: NewClient(srv.URL), granted: bHolds},
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := NewClient(srv.URL)
-			_, errs[i] = Work(ctx, cl, WorkerOptions{Name: []string{"http-a", "http-b"}[i], Poll: 10 * time.Millisecond})
+			_, errs[i] = Work(ctx, backends[i], WorkerOptions{Name: []string{"http-a", "http-b"}[i], Poll: 10 * time.Millisecond})
 		}(i)
 	}
 	wg.Wait()
@@ -75,6 +81,32 @@ func TestHTTPEndToEndDeterminism(t *testing.T) {
 	if stats.Workers != 3 {
 		t.Errorf("stats.Workers = %d, want 3 (crasher included)", stats.Workers)
 	}
+}
+
+// leaseGate orders two workers' leases: the worker whose gate has a
+// wait channel makes its second Lease call only once that channel is
+// closed, and the worker whose gate has a granted channel closes it
+// when its first unit is granted. Work leases from one goroutine.
+type leaseGate struct {
+	Backend
+	wait, granted chan struct{}
+	calls         int
+}
+
+func (g *leaseGate) Lease(ctx context.Context, worker string, max int) (LeaseReply, error) {
+	if g.calls++; g.calls == 2 && g.wait != nil {
+		select {
+		case <-g.wait:
+		case <-ctx.Done():
+			return LeaseReply{}, ctx.Err()
+		}
+	}
+	reply, err := g.Backend.Lease(ctx, worker, max)
+	if err == nil && len(reply.Units) > 0 && g.granted != nil {
+		close(g.granted)
+		g.granted = nil
+	}
+	return reply, err
 }
 
 // TestHTTPGridRoundTripsCustomModels: the /v1/grid payload must carry

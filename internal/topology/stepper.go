@@ -438,6 +438,7 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 	for i, dc := range fleet.DCs {
 		ep.sims[i] = nil
 		if len(asg[i]) == 0 {
+			st.models[i].tables.Recycle()
 			// A drained DC powers its servers down; the energy is
 			// computed here (the live boundary view reports it) and
 			// folded into the accumulators at closeEpoch, the batch

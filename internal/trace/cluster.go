@@ -257,8 +257,8 @@ func ReadClusterCSV(r io.Reader) (*Trace, error) {
 		count := make([]int, ticks)
 		for _, rd := range byVM[id] {
 			t := int((rd.ts - minTS) * tsScale / tickSec)
-			cpu[t] += rd.cpu * cpuScale
-			mem[t] += rd.mem * memScale
+			cpu[t] += float64(rd.cpu * cpuScale)
+			mem[t] += float64(rd.mem * memScale)
 			count[t]++
 		}
 		// Average multi-reading ticks, then forward-fill gaps after

@@ -34,13 +34,31 @@ func sameTrace(got, want *Trace) error {
 // TestGenerateMatchesReference checks that the two-pass generator
 // returns the serial reference's trace bit for bit, at GOMAXPROCS 1, 2
 // and 8, over seeds (zero and negative included) × the paper's 600-VM
-// two-week shape, a small shape and a high-burst shape. Under -race
-// the paper shape is left out: it takes minutes there.
+// two-week shape, a small shape, a high-burst shape and shapes at the
+// lane kernel's edges: VM counts that leave one to three lanes of the
+// last group idle, bursts never and always, and one or seven groups
+// (seven puts four different groups' series in one lane group). Under
+// -race the paper shape is left out: it takes minutes there.
 func TestGenerateMatchesReference(t *testing.T) {
 	highBurst := DefaultConfig(0)
 	highBurst.VMs, highBurst.Days, highBurst.Groups = 64, 3, 5
 	highBurst.BurstProb, highBurst.BurstBoost = 0.3, 60
 	shapes := map[string]Config{"small": smallConfig(0), "high-burst": highBurst}
+	edge := func(name string, set func(*Config)) {
+		cfg := smallConfig(0)
+		cfg.VMs, cfg.Days = 22, 1
+		set(&cfg)
+		shapes[name] = cfg
+	}
+	for _, vms := range []int{1, 3, 5, 7} {
+		edge(fmt.Sprintf("vms-%d", vms), func(c *Config) { c.VMs = vms })
+	}
+	for _, p := range []float64{0, 1} {
+		edge(fmt.Sprintf("burst-prob-%g", p), func(c *Config) { c.BurstProb = p })
+	}
+	for _, groups := range []int{1, 7} {
+		edge(fmt.Sprintf("groups-%d", groups), func(c *Config) { c.Groups = groups })
+	}
 	if !raceEnabled {
 		paper := DefaultConfig(0)
 		paper.Days = 14

@@ -259,17 +259,30 @@ func newRNG(seed int64) *rng {
 	return &rng{state: uint64(seed)*2862933555777941757 + 3037000493 | 1}
 }
 
+// step is one xorshift step: the state that follows s.
+func step(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// unit maps a state to a uniform float64 in [0, 1): its top 53 bits
+// over 2⁵³. The int64 conversion is exact (the value is below 2⁵³) and
+// spares amd64 the unsigned conversion's branch. The outer float64
+// rounds the quotient, which compiles to a multiply by 2⁻⁵³, so no
+// build fuses it into the sum it feeds.
+func unit(s uint64) float64 {
+	return float64(float64(int64(s>>11)) / (1 << 53))
+}
+
 func (r *rng) uint64() uint64 {
-	r.state ^= r.state << 13
-	r.state ^= r.state >> 7
-	r.state ^= r.state << 17
+	r.state = step(r.state)
 	return r.state
 }
 
 // float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.uint64()>>11) / float64(1<<53)
-}
+func (r *rng) float() float64 { return unit(r.uint64()) }
 
 // norm returns an approximately standard-normal variate
 // (Irwin–Hall sum of 12 uniforms).
@@ -319,10 +332,15 @@ func (r *rng) jumpNorms() {
 // runs serially in the caller: it draws the group walks, then records
 // each VM's start state and skips the VM's draws, deciding its bursts
 // but replacing each sample's two norms by one 24-step jump (jumpNorms).
-// Pass 2 runs the per-VM body (vm) from each recorded state on
-// GOMAXPROCS-1 goroutines, which pick a VM up as soon as pass 1 has
-// recorded it, and on the caller once pass 1 ends. Each VM lands at
-// its own index, so the result does not depend on scheduling.
+// It hands the start states out four consecutive VMs at a time. Pass 2
+// runs the lane kernel (vms4) on each such group, on GOMAXPROCS-1
+// goroutines that pick a group up as soon as pass 1 has recorded it,
+// and on the caller once pass 1 ends. The kernel draws its four VMs'
+// samples side by side, each lane from its own start state with the
+// serial stream's draws and float operations in the serial order, so
+// four independent xorshift chains overlap where one VM's chain would
+// run alone. Each VM lands at its own index, so the result does not
+// depend on scheduling.
 func Generate(cfg Config) (*Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -335,16 +353,16 @@ func Generate(cfg Config) (*Trace, error) {
 
 	groups := make([]group, cfg.Groups)
 	for g := range groups {
-		phase := r.float() * float64(SamplesPerDay)
+		phase := float64(r.float() * float64(SamplesPerDay))
 		groups[g].diurnal = make([]float64, n)
 		for i := range groups[g].diurnal {
-			tDay := (float64(i) + phase) / SamplesPerDay * 2 * math.Pi
-			groups[g].diurnal[i] = 0.75*math.Sin(tDay) + 0.25*math.Sin(2*tDay)
+			tDay := float64((float64(i) + phase) / SamplesPerDay * 2 * math.Pi)
+			groups[g].diurnal[i] = float64(0.75*math.Sin(tDay)) + float64(0.25*math.Sin(2*tDay))
 		}
 		walk := make([]float64, n)
 		level := 0.0
 		for i := 0; i < n; i++ {
-			level += r.norm() * cfg.CommonStd
+			level += float64(r.norm() * cfg.CommonStd)
 			// Mean-revert so the walk stays bounded.
 			level *= 0.98
 			walk[i] = level
@@ -353,23 +371,32 @@ func Generate(cfg Config) (*Trace, error) {
 	}
 
 	tr := &Trace{Interval: DefaultInterval, VMs: make([]*VM, cfg.VMs)}
-	starts := make(chan vmStart, cfg.VMs)
+	quads := (cfg.VMs + lanes - 1) / lanes
+	starts := make(chan laneStarts, quads)
 	work := func() {
+		var idle []float64
 		for s := range starts {
-			tr.VMs[s.id] = cfg.vm(s.id, &groups[s.id%cfg.Groups], rng{s.state}, n)
+			if s.id+lanes > cfg.VMs && idle == nil {
+				idle = make([]float64, n)
+			}
+			cfg.vms4(tr.VMs, s, groups, idle)
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0)-1, cfg.VMs) {
+	for range min(runtime.GOMAXPROCS(0)-1, quads) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			work()
 		}()
 	}
-	for id := range cfg.VMs {
-		starts <- vmStart{id, r.state}
-		r.skipVM(cfg.BurstProb, n)
+	for id := 0; id < cfg.VMs; id += lanes {
+		s := laneStarts{id: id}
+		for j := range min(lanes, cfg.VMs-id) {
+			s.state[j] = r.state
+			r.skipVM(cfg.BurstProb, n)
+		}
+		starts <- s
 	}
 	close(starts)
 	work()
@@ -386,15 +413,28 @@ type group struct {
 	common  []float64
 }
 
-// vmStart is a VM's index and the stream state its draws start from.
-type vmStart struct {
+// lanes is the number of VMs the kernel draws side by side.
+const lanes = 4
+
+// laneStarts is a group of up to lanes consecutive VMs: the first
+// one's index and the stream state each VM's draws start from.
+type laneStarts struct {
 	id    int
-	state uint64
+	state [lanes]uint64
 }
 
-// vm is the per-VM body of Generate: it draws VM id's class, baseline,
-// diurnal swing and memory level, then its n samples, from r.
-func (cfg *Config) vm(id int, g *group, r rng, n int) *VM {
+// lane is what one VM's samples are made of besides its draws: its
+// group's series, its header values and the rows its samples land in.
+type lane struct {
+	diurnal, common  []float64
+	base, ampl, mem0 float64
+	cpu, mem         []float64
+}
+
+// head draws a VM's class, baseline, diurnal swing and memory level
+// from state s into l, and returns the class and the state after them.
+func (cfg *Config) head(l *lane, s uint64) (workload.Class, uint64) {
+	r := rng{s}
 	var class workload.Class
 	switch p := r.float(); {
 	case p < 0.40:
@@ -404,36 +444,112 @@ func (cfg *Config) vm(id int, g *group, r rng, n int) *VM {
 	default:
 		class = workload.HighMem
 	}
-
-	base := cfg.BaseMin + r.float()*(cfg.BaseMax-cfg.BaseMin)
-	ampl := cfg.DiurnalAmplitude * (0.7 + 0.6*r.float())
-	mem0 := memMean(class) * (0.85 + 0.3*r.float())
-
-	cpu := make([]float64, n)
-	mem := make([]float64, n)
-	burstLeft := 0
-	for i := 0; i < n; i++ {
-		if burstLeft == 0 && r.float() < cfg.BurstProb {
-			burstLeft = 3 + int(r.uint64()%9) // 15-60 minutes
-		}
-		burst := 0.0
-		if burstLeft > 0 {
-			burst = cfg.BurstBoost
-			burstLeft--
-		}
-
-		c := base + ampl*g.diurnal[i] + g.common[i] + r.norm()*cfg.NoiseStd + burst
-		cpu[i] = clampPct(c)
-
-		// Memory: slow drift around the class mean plus a small
-		// CPU-coupled component (more activity touches more pages).
-		m := mem0 + 0.06*(cpu[i]-base) + r.norm()*0.5
-		mem[i] = clampPct(m)
-	}
-	return &VM{ID: id, Class: class, CPU: cpu, Mem: mem}
+	l.base = cfg.BaseMin + float64(r.float()*(cfg.BaseMax-cfg.BaseMin))
+	l.ampl = cfg.DiurnalAmplitude * (0.7 + float64(0.6*r.float()))
+	l.mem0 = float64(memMean(class) * (0.85 + float64(0.3*r.float())))
+	return class, r.state
 }
 
-// skipVM advances r past one VM's draws in vm without computing its
+// burst is one sample's burst decision for a lane at state s with left
+// samples of a running burst to go: while none runs it draws a
+// uniform, and one below p starts a burst of 3 + (next draw mod 9)
+// samples (15-60 minutes). It returns the state and the samples left
+// after this one, and the sample's burst in percent points.
+func burst(s, left uint64, p, boost float64) (uint64, uint64, float64) {
+	if left == 0 {
+		if s = step(s); unit(s) >= p {
+			return s, 0, 0
+		}
+		s = step(s)
+		left = 3 + s%9
+	}
+	return s, left - 1, boost
+}
+
+// setCPU sets sample i's CPU from its first norm z and its burst.
+func (l *lane) setCPU(i int, z, burst, noiseStd float64) {
+	c := l.base + float64(l.ampl*l.diurnal[i]) + l.common[i] + float64(z*noiseStd) + burst
+	l.cpu[i] = clampPct(c)
+}
+
+// setMem sets sample i's memory from its CPU and its second norm z:
+// slow drift around the class mean plus a small CPU-coupled component
+// (more activity touches more pages).
+func (l *lane) setMem(i int, z float64) {
+	m := l.mem0 + float64(0.06*(l.cpu[i]-l.base)) + float64(z*0.5)
+	l.mem[i] = clampPct(m)
+}
+
+// vms4 is the per-VM body of Generate, run on the up to four VMs from
+// s.id on: lane j draws VM s.id+j's header, then its samples (see
+// samples), from s.state[j]. Lanes past the last VM draw from state 0
+// into idle, which nobody reads, and store no VM.
+func (cfg *Config) vms4(vms []*VM, s laneStarts, groups []group, idle []float64) {
+	var l [lanes]lane
+	for j := range l {
+		id := s.id + j
+		g := &groups[id%len(groups)]
+		l[j].diurnal, l[j].common = g.diurnal, g.common
+		var class workload.Class
+		class, s.state[j] = cfg.head(&l[j], s.state[j])
+		if id >= len(vms) {
+			l[j].cpu, l[j].mem = idle, idle
+			continue
+		}
+		n := len(g.diurnal)
+		l[j].cpu, l[j].mem = make([]float64, n), make([]float64, n)
+		vms[id] = &VM{ID: id, Class: class, CPU: l[j].cpu, Mem: l[j].mem}
+	}
+	cfg.samples(&l, s.state)
+}
+
+// samples draws the four lanes' samples, lane j from state st[j],
+// making the serial stream's draws and float operations in its order:
+// a sample's burst decision, then one norm for CPU and one for memory,
+// each a sum of 12 uniforms from 0. The lanes' states, burst counters
+// and norm sums are plain locals, so the four chains stay in registers
+// and overlap.
+//
+// The loop makes no call, so the runtime preempts it asynchronously
+// and then scans its frame conservatively, stale slots included: it
+// sees the lanes alone, never the trace's VM list, so a stale word
+// left by an earlier trace's build can keep a few of that trace's rows
+// alive for one collection, not the whole trace.
+func (cfg *Config) samples(l *[lanes]lane, st [lanes]uint64) {
+	n := len(l[0].cpu)
+	p, boost, noiseStd := cfg.BurstProb, cfg.BurstBoost, cfg.NoiseStd
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	var b0, b1, b2, b3 uint64
+	for i := range n {
+		var u0, u1, u2, u3 float64
+		s0, b0, u0 = burst(s0, b0, p, boost)
+		s1, b1, u1 = burst(s1, b1, p, boost)
+		s2, b2, u2 = burst(s2, b2, p, boost)
+		s3, b3, u3 = burst(s3, b3, p, boost)
+
+		var z0, z1, z2, z3 float64
+		for range 12 {
+			s0, s1, s2, s3 = step(s0), step(s1), step(s2), step(s3)
+			z0, z1, z2, z3 = z0+unit(s0), z1+unit(s1), z2+unit(s2), z3+unit(s3)
+		}
+		l[0].setCPU(i, z0-6, u0, noiseStd)
+		l[1].setCPU(i, z1-6, u1, noiseStd)
+		l[2].setCPU(i, z2-6, u2, noiseStd)
+		l[3].setCPU(i, z3-6, u3, noiseStd)
+
+		z0, z1, z2, z3 = 0, 0, 0, 0
+		for range 12 {
+			s0, s1, s2, s3 = step(s0), step(s1), step(s2), step(s3)
+			z0, z1, z2, z3 = z0+unit(s0), z1+unit(s1), z2+unit(s2), z3+unit(s3)
+		}
+		l[0].setMem(i, z0-6)
+		l[1].setMem(i, z1-6)
+		l[2].setMem(i, z2-6)
+		l[3].setMem(i, z3-6)
+	}
+}
+
+// skipVM advances r past one VM's draws in vms4 without computing its
 // samples: the 4 header draws, each sample's burst decision (a uniform
 // while no burst runs, a uint64 when one starts) and a jump over the
 // sample's two norms.
