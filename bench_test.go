@@ -187,7 +187,7 @@ func BenchmarkCOATOPTAllocate(b *testing.B) {
 
 // BenchmarkFFDAllocate is plain first-fit-decreasing.
 func BenchmarkFFDAllocate(b *testing.B) {
-	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return &alloc.FFD{} })
+	benchAllocate(b, func(alloc.ServerSpec) alloc.Filler { return alloc.NewFFD() })
 }
 
 // BenchmarkLoadBalanceAllocate is load balancing over a pool sized for

@@ -263,7 +263,7 @@ func TestMemoryCapBindsAllocation(t *testing.T) {
 func TestFFDBaseline(t *testing.T) {
 	spec := ntcSpec()
 	vms := flatVMs(48, 60, 10, 12)
-	a, err := (&FFD{}).Allocate(vms, spec)
+	a, err := NewFFD().Allocate(vms, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestLoadBalanceSpreadsEvenly(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	spec := ntcSpec()
-	policies := []Policy{newEPACT(), NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9)), &FFD{}, NewVerma(), &LoadBalance{Servers: 2}}
+	policies := []Policy{newEPACT(), NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9)), NewFFD(), NewVerma(), &LoadBalance{Servers: 2}}
 	// VM 1's sample 1 is x on the CPU side or the memory side.
 	withCPU := func(x float64) []VMDemand {
 		return []VMDemand{{ID: 0, CPU: []float64{10, 10}, Mem: []float64{5, 5}}, {ID: 1, CPU: []float64{20, x}, Mem: []float64{5, 5}}}
@@ -388,7 +388,7 @@ func TestAllPoliciesAssignEveryVM(t *testing.T) {
 		newEPACT(),
 		NewCOAT(spec),
 		NewCOATOPT(spec, units.GHz(1.9)),
-		&FFD{},
+		NewFFD(),
 		NewVerma(),
 		&LoadBalance{Servers: 20},
 	}

@@ -52,60 +52,6 @@ func sortDesc(order []int, key []float64) {
 	})
 }
 
-// FFD is plain first-fit-decreasing consolidation without correlation
-// awareness: the classical baseline ([7], [12]) that only checks that
-// the total size of the VMs' load fits the server capacity.
-type FFD struct {
-	// CapFrac is the CPU cap fraction (1.0 = full capacity at F_max).
-	CapFrac float64
-}
-
-// Name implements Policy.
-func (f *FFD) Name() string { return "FFD" }
-
-// Allocate implements Policy.
-func (f *FFD) Allocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
-	return Fresh(f, vms, spec)
-}
-
-// AllocateInto implements Filler.
-func (f *FFD) AllocateInto(dst *Assignment, vms []VMDemand, spec ServerSpec) error {
-	if err := checkInput(vms, spec); err != nil {
-		return err
-	}
-	frac := f.CapFrac
-	if frac <= 0 {
-		frac = 1
-	}
-	capCPU := spec.CPUPoints() * frac
-	capMem := spec.MemPoints()
-	sc := basePool.Get().(*baseScratch)
-	defer basePool.Put(sc)
-	order, _ := sc.byPeakCPU(vms)
-
-	dst.Reset(f.Name(), len(vms))
-	n := len(vms[0].CPU)
-	for _, idx := range order {
-		vm := &vms[idx]
-		target := -1
-		for j, srv := range dst.Servers {
-			if srv.fits(vm, capCPU, capMem) {
-				target = j
-				break
-			}
-		}
-		if target < 0 {
-			dst.AddServer(n)
-			target = len(dst.Servers) - 1
-		}
-		dst.Servers[target].add(idx, vm)
-		dst.VMServer[idx] = target
-	}
-	dst.CPUCapPoints, dst.MemCapPoints = capCPU, capMem
-	dst.PlannedFreq = spec.FMax
-	return nil
-}
-
 // LoadBalance spreads VMs across a fixed pool of servers, always
 // placing the next VM on the least-loaded server — the anti-
 // consolidation extreme the paper mentions ("neither VM consolidation

@@ -34,16 +34,13 @@ func refByPeakCPU(vms []VMDemand) (order []int, peak []float64) {
 	return order, peak
 }
 
-// refFFDAllocate is FFD.Allocate.
-func refFFDAllocate(f *FFD, vms []VMDemand, spec ServerSpec) (*Assignment, error) {
+// refFFDAllocate is plain first-fit-decreasing at the full cap, the
+// reference NewFFD (COAT without the correlation filter) must match.
+func refFFDAllocate(vms []VMDemand, spec ServerSpec) (*Assignment, error) {
 	if err := checkInput(vms, spec); err != nil {
 		return nil, err
 	}
-	frac := f.CapFrac
-	if frac <= 0 {
-		frac = 1
-	}
-	capCPU := spec.CPUPoints() * frac
+	capCPU := spec.CPUPoints()
 	capMem := spec.MemPoints()
 	order, _ := refByPeakCPU(vms)
 
@@ -69,7 +66,7 @@ func refFFDAllocate(f *FFD, vms []VMDemand, spec ServerSpec) (*Assignment, error
 		vmServer[idx] = target
 	}
 	return &Assignment{
-		Policy:       f.Name(),
+		Policy:       "FFD",
 		Servers:      servers,
 		VMServer:     vmServer,
 		CPUCapPoints: capCPU,
@@ -317,7 +314,7 @@ func TestFillersMatchReferenceOnReusedAssignment(t *testing.T) {
 	spec := ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 	epact := &EPACT{Model: power.NTCServer()}
 	coat, coatOpt := NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9))
-	ffd, verma := &FFD{}, NewVerma()
+	ffd, verma := NewFFD(), NewVerma()
 	lbAuto, lbFixed := &LoadBalance{}, &LoadBalance{Servers: 7}
 	cases := []struct {
 		pol Filler
@@ -326,7 +323,7 @@ func TestFillersMatchReferenceOnReusedAssignment(t *testing.T) {
 		{epact, func(vms []VMDemand) (*Assignment, error) { return refAllocate(epact, vms, spec) }},
 		{coat, func(vms []VMDemand) (*Assignment, error) { return refCOATAllocate(coat, vms, spec) }},
 		{coatOpt, func(vms []VMDemand) (*Assignment, error) { return refCOATAllocate(coatOpt, vms, spec) }},
-		{ffd, func(vms []VMDemand) (*Assignment, error) { return refFFDAllocate(ffd, vms, spec) }},
+		{ffd, func(vms []VMDemand) (*Assignment, error) { return refFFDAllocate(vms, spec) }},
 		{verma, func(vms []VMDemand) (*Assignment, error) { return refVermaAllocate(verma, vms, spec) }},
 		{lbAuto, func(vms []VMDemand) (*Assignment, error) { return refLoadBalanceAllocate(lbAuto, vms, spec) }},
 		{lbFixed, func(vms []VMDemand) (*Assignment, error) { return refLoadBalanceAllocate(lbFixed, vms, spec) }},

@@ -59,6 +59,16 @@ func NewCOATOPT(spec ServerSpec, fOpt units.Frequency) *COAT {
 	}
 }
 
+// NewFFD returns plain first-fit-decreasing consolidation without
+// correlation awareness: the classical baseline ([7], [12]) that only
+// checks that the total size of the VMs' load fits the server
+// capacity. It is COAT without the correlation filter: with
+// CorrThreshold 0 every VM takes the first server it fits, at the
+// full cap, planned at F_max and not pinned there.
+func NewFFD() *COAT {
+	return &COAT{CapFrac: 1, Label: "FFD"}
+}
+
 // Name implements Policy.
 func (c *COAT) Name() string {
 	if c.Label != "" {

@@ -65,7 +65,7 @@ func TestMassConservationProperty(t *testing.T) {
 		newEPACT(),
 		NewCOAT(spec),
 		NewCOATOPT(spec, units.GHz(1.9)),
-		&FFD{},
+		NewFFD(),
 		NewVerma(),
 		&LoadBalance{Servers: 8},
 	}
@@ -89,7 +89,7 @@ func TestMassConservationProperty(t *testing.T) {
 func TestExactlyOnceProperty(t *testing.T) {
 	spec := ntcSpec()
 	policies := []Policy{
-		newEPACT(), NewCOAT(spec), &FFD{}, NewVerma(),
+		newEPACT(), NewCOAT(spec), NewFFD(), NewVerma(),
 	}
 	for _, pol := range policies {
 		pol := pol
@@ -111,7 +111,7 @@ func TestExactlyOnceProperty(t *testing.T) {
 // the CPU cap (when each VM individually fits the cap).
 func TestCapRespectedProperty(t *testing.T) {
 	spec := ntcSpec()
-	policies := []Policy{NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9)), &FFD{}, NewVerma()}
+	policies := []Policy{NewCOAT(spec), NewCOATOPT(spec, units.GHz(1.9)), NewFFD(), NewVerma()}
 	for _, pol := range policies {
 		pol := pol
 		prop := func(seed int64) bool {
@@ -209,7 +209,7 @@ func TestPolicyPurityProperty(t *testing.T) {
 		func() Policy { return &EPACT{Model: power.NTCServer()} },
 		func() Policy { return NewCOAT(spec) },
 		func() Policy { return NewCOATOPT(spec, power.NTCServer().OptimalFrequency()) },
-		func() Policy { return &FFD{} },
+		func() Policy { return NewFFD() },
 		func() Policy { return NewVerma() },
 		func() Policy { return &LoadBalance{} },
 	} {

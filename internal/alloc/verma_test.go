@@ -84,7 +84,7 @@ func TestVermaQuantisationLosesEnvelope(t *testing.T) {
 func TestCompareAssignmentsNoChanges(t *testing.T) {
 	spec := ntcSpec()
 	vms := flatVMs(24, 50, 10, 6)
-	a, err := (&FFD{}).Allocate(vms, spec)
+	a, err := NewFFD().Allocate(vms, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

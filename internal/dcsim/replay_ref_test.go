@@ -138,7 +138,7 @@ func refPolicies(m power.Model) []alloc.Policy {
 		&alloc.EPACT{Model: m},
 		alloc.NewCOAT(spec),
 		alloc.NewCOATOPT(spec, m.OptimalFrequency()),
-		&alloc.FFD{},
+		alloc.NewFFD(),
 		alloc.NewVerma(),
 		&alloc.LoadBalance{},
 	}

@@ -325,7 +325,7 @@ func TestValidateMemoDoesNotPinTraces(t *testing.T) {
 func TestEditedViewIsRejected(t *testing.T) {
 	tr := testTrace(t, 6)
 	ps := oracle(t, tr)
-	if _, err := Run(testConfig(t, tr, &alloc.FFD{}, ps)); err != nil {
+	if _, err := Run(testConfig(t, tr, alloc.NewFFD(), ps)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []func(vm *trace.VM){
@@ -336,13 +336,13 @@ func TestEditedViewIsRejected(t *testing.T) {
 		ragged := *view.VMs[2]
 		cut(&ragged)
 		view.VMs[2] = &ragged
-		_, err := Run(testConfig(t, view, &alloc.FFD{}, ps))
+		_, err := Run(testConfig(t, view, alloc.NewFFD(), ps))
 		if err == nil || !strings.Contains(err.Error(), "ragged") {
 			t.Errorf("edited view with a ragged VM: err = %v, want a ragged-series error", err)
 		}
 	}
 	empty := tr.SubsetInto(new(trace.Trace), nil)
-	if _, err := Run(testConfig(t, empty, &alloc.FFD{}, &PredictionSet{})); err == nil ||
+	if _, err := Run(testConfig(t, empty, alloc.NewFFD(), &PredictionSet{})); err == nil ||
 		!strings.Contains(err.Error(), "no VMs") {
 		t.Errorf("empty view: err = %v, want a no-VMs error", err)
 	}

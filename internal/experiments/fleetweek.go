@@ -32,7 +32,7 @@ type FleetWeekRow struct {
 	EnergyMJ float64
 
 	// EPScore is the realized fleet energy-proportionality
-	// (topology.SeriesEPScore over the fleet's slot energies).
+	// (topology.Tally.EPScore over the fleet's slot energies).
 	EPScore float64
 
 	Violations int

@@ -3,7 +3,6 @@ package fdsoi
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/units"
@@ -109,8 +108,8 @@ func (b *BiasedTech) DynamicEnergyScale(f units.Frequency) float64 {
 func (b *BiasedTech) LeakageScale(f units.Frequency) float64 {
 	v := b.VoltageAt(f).V()
 	vn := b.Tech.VNom.V()
-	supply := (v / vn) * math.Exp((v-vn)/b.Tech.LeakageExpV0.V())
-	bias := math.Exp(-b.VthShift().V() / b.subthresholdSlope)
+	supply := (v / vn) * mathx.Exp((v-vn)/b.Tech.LeakageExpV0.V())
+	bias := mathx.Exp(-b.VthShift().V() / b.subthresholdSlope)
 	return supply * bias
 }
 

@@ -13,7 +13,6 @@ package fdsoi
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/units"
@@ -119,7 +118,7 @@ func (t *Tech) DynamicEnergyScale(f units.Frequency) float64 {
 func (t *Tech) LeakageScale(f units.Frequency) float64 {
 	v := float64(t.VoltageAt(f))
 	vn := float64(t.VNom)
-	return (v / vn) * math.Exp((v-vn)/float64(t.LeakageExpV0))
+	return (v / vn) * mathx.Exp((v-vn)/float64(t.LeakageExpV0))
 }
 
 // InNearThresholdRegion reports whether running at frequency f puts

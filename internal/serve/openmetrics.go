@@ -147,7 +147,7 @@ func (sess *Session) families() []family {
 
 		g("ntc_fleet_energy_mj", "Cumulative fleet facility energy (IT x PUE) in megajoules; monotone.", one(snap.EnergyMJ)...),
 		g("ntc_fleet_slot_energy_mj", "Fleet facility energy of the last completed slot in megajoules.", one(snap.SlotEnergyMJ)...),
-		g("ntc_fleet_ep_score", "Realized energy proportionality of the slot energies so far (1 - min/max).", one(snap.EPScore)...),
+		g("ntc_fleet_ep_score", "Realized energy proportionality of the slot energies so far (1 - min/max).", one(snap.EPScore())...),
 		g("ntc_fleet_active_servers", "Fleet powered-on servers at the last completed slot.", one(float64(snap.ActiveServers))...),
 		g("ntc_fleet_violations", "Cumulative QoS violation-samples, migration downtime included; monotone.", one(float64(snap.Violations))...),
 		g("ntc_fleet_latency_weighted_viol", "Cumulative WAN-latency-weighted violation-samples; monotone.", one(snap.LatencyWeightedViol)...),

@@ -99,8 +99,12 @@ type DCSnapshot struct {
 	// VMs is the DC's current VM count (the live epoch's dispatch).
 	VMs int
 
-	// EnergyMJ is the DC's cumulative facility energy.
-	EnergyMJ float64
+	// Tally is the stepper's fold of the DC's completed slots: its
+	// cumulative facility energy, violations, migrations and carbon
+	// (gCO2eq: facility energy × grid intensity at each slot's hour of
+	// day, and the amortized manufacturing carbon of its powered-on
+	// servers).
+	topology.Tally
 
 	// SlotEnergyMJ is the DC's facility energy in the last completed
 	// slot; PowerW is the same quantity as mean power over the slot
@@ -110,18 +114,6 @@ type DCSnapshot struct {
 
 	// ActiveServers is the powered-on count at the last slot.
 	ActiveServers int
-
-	Violations          int
-	LatencyWeightedViol float64
-	Migrations          int
-	CrossDCMigrations   int
-
-	// OperationalGCO2 is the DC's cumulative grid-priced carbon
-	// (facility energy × grid intensity at each slot's hour of day);
-	// EmbodiedGCO2 is the amortized manufacturing carbon of its
-	// powered-on servers. Both in gCO2eq.
-	OperationalGCO2 float64
-	EmbodiedGCO2    float64
 }
 
 // Session lifecycle states, as reported by Snapshot.State and the
@@ -170,28 +162,18 @@ type Snapshot struct {
 	Ingest   bool
 	Ingested int
 
-	// EnergyMJ is the fleet's cumulative facility energy; its
-	// per-slot increments are bit-exact with the batch run's
-	// SlotEnergyMJ series (the stepper property).
-	EnergyMJ float64
+	// Tally is the stepper's fold of the fleet's completed slots:
+	// cumulative energy, violations, migrations and carbon, and the
+	// realized energy proportionality of the slot energies so far
+	// (Tally.EPScore). Each slot's energy is bit-exact with the batch
+	// run's SlotEnergyMJ series (the stepper property).
+	topology.Tally
 
 	// SlotEnergyMJ is the last completed slot's fleet energy.
 	SlotEnergyMJ float64
 
-	// EPScore is the realized energy proportionality of the slot
-	// energies seen so far (topology.SeriesEPScore semantics).
-	EPScore float64
-
-	ActiveServers       int
-	Violations          int
-	LatencyWeightedViol float64
-	Migrations          int
-	CrossDCMigrations   int
-
-	// OperationalGCO2 and EmbodiedGCO2 are the fleet's cumulative
-	// carbon accumulators in gCO2eq (see DCSnapshot).
-	OperationalGCO2 float64
-	EmbodiedGCO2    float64
+	// ActiveServers is the fleet's powered-on count at the last slot.
+	ActiveServers int
 
 	// DCs is the per-datacenter breakdown, fleet spec order.
 	DCs []DCSnapshot

@@ -254,10 +254,10 @@ func TestReplayMatchesBatchRow(t *testing.T) {
 	if relDiff(snap.LatencyWeightedViol, row.LatencyWeightedViol) > 1e-9 {
 		t.Fatalf("latency-weighted viol: live %v, batch %v", snap.LatencyWeightedViol, row.LatencyWeightedViol)
 	}
-	// EPScore is bit-exact: the incremental min/max sees the exact
-	// same float per slot as SeriesEPScore does.
-	if snap.EPScore != row.EPScore {
-		t.Fatalf("EP score: live %v, batch %v", snap.EPScore, row.EPScore)
+	// EPScore is bit-exact: the live snapshot and the batch row read
+	// the same fold of the same slot energies.
+	if snap.EPScore() != row.EPScore {
+		t.Fatalf("EP score: live %v, batch %v", snap.EPScore(), row.EPScore)
 	}
 	// Stepping a finished replay is a no-op, not an error.
 	if slot2, done2, _, err := s.defaultSession().Step(3); err != nil || !done2 || slot2 != slot {

@@ -13,10 +13,10 @@ import (
 // errNotIngest rejects Observe on a plain replay session.
 var errNotIngest = errors.New("not a live-ingestion session")
 
-// Session is one live scenario run: a stepper, its cumulative
-// accumulators, the published snapshot, and the session's what-if
-// accounting. Sessions are independent — each has its own locks — and
-// share only the server's result store and execution lease.
+// Session is one live scenario run: a stepper, its live state, the
+// published snapshot, and the session's what-if accounting. Sessions
+// are independent — each has its own locks — and share only the
+// server's result store and execution lease.
 type Session struct {
 	id   string
 	scen sweep.Scenario
@@ -26,13 +26,11 @@ type Session struct {
 	// observed samples.
 	feed *dcsim.LiveFeed
 
-	// mu serialises stepping and owns every cumulative accumulator.
+	// mu serialises stepping and owns the live state.
 	mu      sync.Mutex
 	stepper *topology.Stepper
 	stepErr error
-	cum     Snapshot // accumulators; copied (not aliased) into published snapshots
-	minSlot float64  // min/max of fleet slot energies so far, for EPScore
-	maxSlot float64
+	cum     Snapshot // the live state; copied (not aliased) into published snapshots
 
 	// cur is the published snapshot; scrapes load it once.
 	cur atomic.Pointer[Snapshot]
@@ -66,7 +64,7 @@ func newSession(id string, scen sweep.Scenario, st *topology.Stepper, feed *dcsi
 // callers must not modify it.
 func (sess *Session) Snapshot() *Snapshot { return sess.cur.Load() }
 
-// publishLocked copies the accumulator state into a fresh immutable
+// publishLocked copies the live state into a fresh immutable
 // snapshot, derives the lifecycle state, and swaps the snapshot in.
 // Caller holds mu (or is the constructor).
 func (sess *Session) publishLocked() {
@@ -144,53 +142,23 @@ func (sess *Session) Observe(slot int, cpu, mem [][]float64) (ingested int, err 
 	return ingested, err
 }
 
-// apply folds one slot into the cumulative accumulators. Caller
-// holds mu.
+// apply publishes the stepper's tallies after one slot, plus that
+// slot's instantaneous values. Caller holds mu.
 func (sess *Session) apply(step topology.SlotStep) {
 	c := &sess.cum
+	fleet, dcs := sess.stepper.Tally()
 	c.Slot = step.Slot + 1
-	c.EnergyMJ += step.EnergyMJ
+	c.Tally = fleet
 	c.SlotEnergyMJ = step.EnergyMJ
 	c.ActiveServers = step.ActiveServers
-	c.Violations += step.Violations
-	c.LatencyWeightedViol += step.LatencyWeightedViol
-	c.Migrations += step.Migrations
-	c.CrossDCMigrations += step.CrossDCMigrations
-	c.OperationalGCO2 += step.OperationalGCO2
-	c.EmbodiedGCO2 += step.EmbodiedGCO2
-
-	if c.Slot == 1 {
-		sess.minSlot, sess.maxSlot = step.EnergyMJ, step.EnergyMJ
-	} else {
-		if step.EnergyMJ < sess.minSlot {
-			sess.minSlot = step.EnergyMJ
-		}
-		if step.EnergyMJ > sess.maxSlot {
-			sess.maxSlot = step.EnergyMJ
-		}
-	}
-	// topology.SeriesEPScore semantics over the series so far: a
-	// never-burning fleet is perfectly proportional, not the opposite.
-	if sess.maxSlot <= 0 {
-		c.EPScore = 1
-	} else {
-		c.EPScore = 1 - sess.minSlot/sess.maxSlot
-	}
-
 	for i := range step.DCs {
 		d, v := &c.DCs[i], &step.DCs[i]
+		d.Tally = dcs[i]
 		d.VMs = v.VMs
-		d.EnergyMJ += v.EnergyMJ
 		d.SlotEnergyMJ = v.EnergyMJ
 		// 1 slot = 1 hour: mean power over the slot in watts.
 		d.PowerW = v.EnergyMJ * 1e6 / 3600
 		d.ActiveServers = v.ActiveServers
-		d.Violations += v.Violations
-		d.LatencyWeightedViol += v.LatencyWeightedViol
-		d.Migrations += v.Migrations
-		d.CrossDCMigrations += v.CrossDCMigrations
-		d.OperationalGCO2 += v.OperationalGCO2
-		d.EmbodiedGCO2 += v.EmbodiedGCO2
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -516,3 +517,96 @@ func TestGridForScenario(t *testing.T) {
 
 // Scenario returns the scenario the session replays.
 func (sess *Session) Scenario() sweep.Scenario { return sess.scen }
+
+// TestSnapshotFoldsTheSteps: after each of the first N steps, a
+// session's snapshot equals a field-by-field fold of the SlotSteps an
+// independent stepper of the same scenario returns — cumulative
+// charges in slot order, the EP score over the slot energies so far,
+// and the last slot's instantaneous values — fleet-level and per DC,
+// bit for bit.
+func TestSnapshotFoldsTheSteps(t *testing.T) {
+	g := testGrid()
+	g.Topologies = []string{"carbon-greedy@triad-carbon"}
+	s := newTestServer(t, Options{Grid: g})
+	cfg, err := s.runner.StepperConfig(s.Scenario())
+	if err != nil {
+		t.Fatalf("StepperConfig: %v", err)
+	}
+	st, err := topology.NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fold struct {
+		energy, lwv, op, emb float64
+		viol, mig, cross     int
+		series               []float64
+	}
+	add := func(f *fold, c *topology.Charges) {
+		f.energy += c.EnergyMJ
+		f.lwv += c.LatencyWeightedViol
+		f.op += c.OperationalGCO2
+		f.emb += c.EmbodiedGCO2
+		f.viol += c.Violations
+		f.mig += c.Migrations
+		f.cross += c.CrossDCMigrations
+		f.series = append(f.series, c.EnergyMJ)
+	}
+	epScore := func(series []float64) float64 {
+		lo, hi := series[0], series[0]
+		for _, e := range series[1:] {
+			if e < lo {
+				lo = e
+			}
+			if e > hi {
+				hi = e
+			}
+		}
+		if hi <= 0 {
+			return 1
+		}
+		return 1 - lo/hi
+	}
+	check := func(what string, tally topology.Tally, f *fold) {
+		t.Helper()
+		got := []float64{tally.EnergyMJ, tally.LatencyWeightedViol, tally.OperationalGCO2, tally.EmbodiedGCO2,
+			float64(tally.Violations), float64(tally.Migrations), float64(tally.CrossDCMigrations), tally.EPScore()}
+		want := []float64{f.energy, f.lwv, f.op, f.emb, float64(f.viol), float64(f.mig), float64(f.cross), epScore(f.series)}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: snapshot %v, fold of the steps %v (energy, lwv, op, emb, viol, mig, cross, ep)", what, got, want)
+			}
+		}
+	}
+
+	const n = 9 // two epoch:4 boundaries past the first
+	var fleet fold
+	dcs := make([]fold, len(st.Fleet().DCs))
+	sess := s.defaultSession()
+	for k := 0; k < n; k++ {
+		step, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(&fleet, &step.Charges)
+		for i := range step.DCs {
+			add(&dcs[i], &step.DCs[i].Charges)
+		}
+		if _, _, _, err := sess.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		snap := sess.Snapshot()
+		if snap.Slot != k+1 || snap.SlotEnergyMJ != step.EnergyMJ || snap.ActiveServers != step.ActiveServers {
+			t.Fatalf("slot %d: snapshot at %d, last slot %v MJ on %d servers; step %v MJ on %d",
+				k, snap.Slot, snap.SlotEnergyMJ, snap.ActiveServers, step.EnergyMJ, step.ActiveServers)
+		}
+		check(fmt.Sprintf("slot %d fleet", k), snap.Tally, &fleet)
+		for i, d := range snap.DCs {
+			v := step.DCs[i]
+			if d.VMs != v.VMs || d.SlotEnergyMJ != v.EnergyMJ || d.ActiveServers != v.ActiveServers {
+				t.Fatalf("slot %d DC %s: snapshot %d VMs, %v MJ, %d servers; step %d, %v, %d",
+					k, d.Name, d.VMs, d.SlotEnergyMJ, d.ActiveServers, v.VMs, v.EnergyMJ, v.ActiveServers)
+			}
+			check(fmt.Sprintf("slot %d DC %s", k, d.Name), d.Tally, &dcs[i])
+		}
+	}
+}

@@ -385,19 +385,14 @@ func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
 		SlotEnergyMJ: make([]float64, 0, slots-fork)}
 	s.sem <- struct{}{}
 	var res *topology.FleetResult
+	var rest topology.Tally // the remaining window
 	for err == nil && !clone.Done() {
 		var step topology.SlotStep
 		if step, err = clone.Step(); err != nil {
 			break
 		}
 		resp.SlotEnergyMJ = append(resp.SlotEnergyMJ, step.EnergyMJ)
-		resp.EnergyMJ += step.EnergyMJ
-		resp.Violations += step.Violations
-		resp.LatencyWeightedViol += step.LatencyWeightedViol
-		resp.Migrations += step.Migrations
-		resp.CrossDCMigrations += step.CrossDCMigrations
-		resp.OperationalGCO2 += step.OperationalGCO2
-		resp.EmbodiedGCO2 += step.EmbodiedGCO2
+		rest.Add(&step.Charges)
 	}
 	if err == nil {
 		res, err = clone.Result()
@@ -407,6 +402,9 @@ func (s *Server) serveFork(w http.ResponseWriter, sess *Session) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	resp.EnergyMJ, resp.Violations, resp.LatencyWeightedViol = rest.EnergyMJ, rest.Violations, rest.LatencyWeightedViol
+	resp.Migrations, resp.CrossDCMigrations = rest.Migrations, rest.CrossDCMigrations
+	resp.OperationalGCO2, resp.EmbodiedGCO2 = rest.OperationalGCO2, rest.EmbodiedGCO2
 	resp.TotalEnergyMJ = res.TotalEnergyMJ
 	resp.TotalViolations = res.Violations
 	resp.EPScore = res.EPScore

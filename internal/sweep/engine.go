@@ -92,7 +92,7 @@ type RunResult struct {
 	DCCount int `json:"dc_count"`
 
 	// EPScore is the realized energy-proportionality of the fleet's
-	// per-slot energy series (topology.SeriesEPScore).
+	// per-slot energy series (topology.Tally.EPScore).
 	EPScore float64 `json:"ep_score"`
 
 	// OperationalGCO2 prices the fleet's facility energy at each DC's

@@ -242,7 +242,7 @@ func newPolicy(name string, model power.Model) (alloc.Policy, error) {
 	case "COAT-OPT":
 		return alloc.NewCOATOPT(spec, model.OptimalFrequency()), nil
 	case "FFD":
-		return &alloc.FFD{}, nil
+		return alloc.NewFFD(), nil
 	case "Verma-binary":
 		return alloc.NewVerma(), nil
 	case "load-balance":

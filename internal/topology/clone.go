@@ -35,16 +35,7 @@ func (st *Stepper) Clone() (*Stepper, error) {
 	res.DCs = slices.Clone(res.DCs)
 	res.SlotEnergyMJ = slices.Clone(res.SlotEnergyMJ)
 	ep.res = &res
-	ep.dcSlotMJ = make([][]float64, len(st.ep.dcSlotMJ))
-	for i, row := range st.ep.dcSlotMJ {
-		ep.dcSlotMJ[i] = slices.Clone(row)
-	}
-	ep.dcActive = make([][]int, len(st.ep.dcActive))
-	for i, row := range st.ep.dcActive {
-		ep.dcActive[i] = slices.Clone(row)
-	}
-	ep.activePerSlot = slices.Clone(ep.activePerSlot)
-	ep.dcActiveSum = slices.Clone(ep.dcActiveSum)
+	ep.dcTally = slices.Clone(ep.dcTally)
 	ep.prevDC = slices.Clone(ep.prevDC)
 	ep.prevActive = slices.Clone(ep.prevActive)
 	ep.boundMJ = slices.Clone(ep.boundMJ)

@@ -26,7 +26,7 @@ var conservationPolicies = []struct {
 	{"COAT-OPT", func(m power.Model) (alloc.Policy, error) {
 		return alloc.NewCOATOPT(specOf(m), m.OptimalFrequency()), nil
 	}},
-	{"FFD", func(power.Model) (alloc.Policy, error) { return &alloc.FFD{}, nil }},
+	{"FFD", func(power.Model) (alloc.Policy, error) { return alloc.NewFFD(), nil }},
 	{"Verma-binary", func(power.Model) (alloc.Policy, error) { return alloc.NewVerma(), nil }},
 	{"load-balance", func(power.Model) (alloc.Policy, error) { return &alloc.LoadBalance{}, nil }},
 }

@@ -208,21 +208,28 @@ func TestLatencyWeightedViolations(t *testing.T) {
 // TestSeriesEPScoreAllZeroIsFullyProportional is the satellite
 // regression: an energy series that never burned anything is the MOST
 // proportional outcome (1), not the least (0) — only an empty series
-// reports 0 (nothing to score).
+// reports 0 (nothing to score). Tally.EPScore and its reference
+// SeriesEPScore must agree on every case.
 func TestSeriesEPScoreAllZeroIsFullyProportional(t *testing.T) {
-	if got := SeriesEPScore([]float64{0, 0, 0}); got != 1 {
-		t.Errorf("SeriesEPScore(all zero) = %v, want 1", got)
-	}
-	if got := SeriesEPScore(nil); got != 0 {
-		t.Errorf("SeriesEPScore(empty) = %v, want 0", got)
-	}
-	// Unchanged cases: flat non-zero is fully unproportional, a series
-	// that idles to zero is fully proportional.
-	if got := SeriesEPScore([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("SeriesEPScore(flat) = %v, want 0", got)
-	}
-	if got := SeriesEPScore([]float64{0, 5}); got != 1 {
-		t.Errorf("SeriesEPScore(idle-to-peak) = %v, want 1", got)
+	for _, c := range []struct {
+		name   string
+		series []float64
+		want   float64
+	}{
+		{"all zero", []float64{0, 0, 0}, 1},
+		{"empty", nil, 0},
+		// Unchanged cases: flat non-zero is fully unproportional, a
+		// series that idles to zero is fully proportional.
+		{"flat", []float64{5, 5, 5}, 0},
+		{"idle-to-peak", []float64{0, 5}, 1},
+	} {
+		if got := SeriesEPScore(c.series); got != c.want {
+			t.Errorf("SeriesEPScore(%s) = %v, want %v", c.name, got, c.want)
+		}
+		tally := tallyOf(c.series)
+		if got := tally.EPScore(); got != c.want {
+			t.Errorf("Tally.EPScore(%s) = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func reuseConfig(t *testing.T, vms int) Config {
 		HistoryDays: 1,
 		EvalDays:    2,
 		MaxServers:  vms,
-		NewPolicy:   func(power.Model) (alloc.Policy, error) { return &alloc.FFD{}, nil },
+		NewPolicy:   func(power.Model) (alloc.Policy, error) { return alloc.NewFFD(), nil },
 		Transitions: dcsim.DefaultTransitions(),
 		Rebalance:   RebalanceSpec{EverySlots: 3, Dispatcher: "follow-the-load"},
 	}

@@ -102,7 +102,7 @@ type DCRun struct {
 	CrossDCMigrations int `json:"cross_dc_migrations"`
 
 	// EPScore is the realized energy-proportionality of this DC's
-	// facility-energy series (see SeriesEPScore).
+	// facility-energy series (see Tally.EPScore).
 	EPScore float64 `json:"ep_score"`
 
 	// OperationalGCO2 is the DC's operational carbon: each slot's
@@ -153,7 +153,7 @@ type FleetResult struct {
 	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
 
 	// EPScore is the realized energy proportionality of the fleet's
-	// per-slot facility-energy series (see SeriesEPScore).
+	// per-slot facility-energy series (see Tally.EPScore).
 	EPScore float64 `json:"ep_score"`
 
 	// MeanPlannedFreqGHz is the VM-weighted mean of the per-DC
@@ -168,36 +168,6 @@ type FleetResult struct {
 
 	// SlotEnergyMJ is the fleet's per-slot facility-energy series.
 	SlotEnergyMJ []float64 `json:"-"`
-}
-
-// SeriesEPScore measures how proportionally an energy series tracks
-// its own dynamic range: 1 − min/max over the per-slot energies, in
-// [0,1]. A fleet that burns the same power in the quietest and
-// busiest slot is fully unproportional (0); one whose energy falls to
-// zero at idle approaches 1. It is a realized, workload-conditional
-// score — compare it across policies and topologies on the same
-// trace, not across traces.
-func SeriesEPScore(slotMJ []float64) float64 {
-	if len(slotMJ) == 0 {
-		return 0
-	}
-	min, max := slotMJ[0], slotMJ[0]
-	for _, e := range slotMJ[1:] {
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	if max <= 0 {
-		// The series never burned anything: energy is identically zero
-		// in the quietest and the busiest slot, which is the MOST
-		// proportional outcome, not the least — an idle fleet that
-		// consumes nothing tracks its load perfectly.
-		return 1
-	}
-	return 1 - min/max
 }
 
 // Run executes one fleet workload: resolve the fleet, dispatch the

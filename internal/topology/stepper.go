@@ -9,27 +9,19 @@ import (
 	"repro/internal/units"
 )
 
-// DCSlotStep is one datacenter's contribution to a fleet slot: the
-// live view a monitoring daemon exports per tick. At an epoch
-// boundary it folds in the boundary charges billed to that slot —
-// cross-DC migration energy, downtime violations, drained-DC
-// power-off energy — so summing a DC's steps reproduces that DC's
-// batch totals.
-type DCSlotStep struct {
-	// Name is the DC's resolved spec name.
-	Name string
-
-	// VMs is how many VMs the dispatcher currently places here.
-	VMs int
-
-	// EnergyMJ is the facility energy (IT × PUE) charged to this DC
-	// at this slot, boundary charges included. Summed across DCs (and
-	// the fleet-level SlotStep.EnergyMJ) it is bit-exact with the
-	// batch FleetResult.SlotEnergyMJ series.
+// Charges are one slot's values for one datacenter (DCSlotStep) or
+// summed over the fleet (SlotStep). At an epoch boundary they fold in
+// the boundary charges billed to that slot — cross-DC migration
+// energy, downtime violations, drained-DC power-off energy — so a
+// Tally of a DC's slots reproduces that DC's batch totals.
+type Charges struct {
+	// EnergyMJ is the facility energy (IT × PUE) charged to the slot,
+	// boundary charges included. The fleet value is bit-exact with
+	// FleetResult.SlotEnergyMJ[Slot].
 	EnergyMJ float64
 
-	// ActiveServers is the DC's powered-on count this slot (0 while
-	// drained).
+	// ActiveServers is the powered-on count this slot (0 for a DC
+	// while drained).
 	ActiveServers int
 
 	// Violations counts this slot's QoS violation-samples, migration
@@ -43,7 +35,7 @@ type DCSlotStep struct {
 	// Migrations counts within-DC server moves entering this slot.
 	Migrations int
 
-	// CrossDCMigrations counts VMs the rebalancer moved INTO this DC
+	// CrossDCMigrations counts VMs the rebalancer moved INTO the DC
 	// at this boundary (0 off-boundary and under static dispatch).
 	CrossDCMigrations int
 
@@ -56,29 +48,99 @@ type DCSlotStep struct {
 	EmbodiedGCO2    float64
 }
 
+// DCSlotStep is one datacenter's contribution to a fleet slot: the
+// live view a monitoring daemon exports per tick.
+type DCSlotStep struct {
+	// Name is the DC's resolved spec name.
+	Name string
+
+	// VMs is how many VMs the dispatcher currently places here.
+	VMs int
+
+	Charges
+}
+
 // SlotStep is one fleet slot of a live run: the fleet-level sums plus
 // the per-DC breakdown, in fleet spec order.
 type SlotStep struct {
 	// Slot is the evaluation-period slot index (1 slot = 1 hour).
 	Slot int
 
-	// EnergyMJ is the fleet facility energy charged to this slot. It
-	// is accumulated in the batch path's addition order, so it is
-	// bit-exact with FleetResult.SlotEnergyMJ[Slot].
-	EnergyMJ float64
+	// Charges sum the DCs' charges, in fleet spec order.
+	Charges
 
-	ActiveServers       int
+	// DCs is the per-datacenter breakdown, in fleet spec order.
+	DCs []DCSlotStep
+}
+
+// Tally folds a run of slots in slot order: the summed charges, the
+// active-server sum and peak, and the bounds of the slot energies.
+// The stepper keeps one for the fleet and one per DC, and Step is the
+// one place each slot is folded: the batch result, the live service's
+// snapshots and its forks all read a Tally.
+type Tally struct {
+	// Steps is how many slots have been folded.
+	Steps int
+
+	// The charges, each summed over the folded slots in slot order.
+	EnergyMJ            float64
 	Violations          int
 	LatencyWeightedViol float64
 	Migrations          int
 	CrossDCMigrations   int
+	OperationalGCO2     float64
+	EmbodiedGCO2        float64
 
-	// OperationalGCO2 and EmbodiedGCO2 sum the per-DC carbon slots.
-	OperationalGCO2 float64
-	EmbodiedGCO2    float64
+	// ActiveSum and PeakActive are the sum and the peak of the folded
+	// slots' ActiveServers.
+	ActiveSum  int
+	PeakActive int
 
-	// DCs is the per-datacenter breakdown, in fleet spec order.
-	DCs []DCSlotStep
+	// MinSlotMJ and MaxSlotMJ bound the folded slots' EnergyMJ.
+	MinSlotMJ, MaxSlotMJ float64
+}
+
+// Add folds the next slot's charges.
+func (t *Tally) Add(c *Charges) {
+	if t.Steps == 0 || c.EnergyMJ < t.MinSlotMJ {
+		t.MinSlotMJ = c.EnergyMJ
+	}
+	if t.Steps == 0 || c.EnergyMJ > t.MaxSlotMJ {
+		t.MaxSlotMJ = c.EnergyMJ
+	}
+	t.Steps++
+	t.EnergyMJ += c.EnergyMJ
+	t.Violations += c.Violations
+	t.LatencyWeightedViol += c.LatencyWeightedViol
+	t.Migrations += c.Migrations
+	t.CrossDCMigrations += c.CrossDCMigrations
+	t.OperationalGCO2 += c.OperationalGCO2
+	t.EmbodiedGCO2 += c.EmbodiedGCO2
+	t.ActiveSum += c.ActiveServers
+	if c.ActiveServers > t.PeakActive {
+		t.PeakActive = c.ActiveServers
+	}
+}
+
+// EPScore measures how proportionally the folded energy series tracks
+// its own dynamic range: 1 − min/max over the slot energies, in
+// [0,1], and 0 before the first slot. A fleet that burns the same
+// power in the quietest and busiest slot is fully unproportional (0);
+// one whose energy falls to zero at idle approaches 1. It is a
+// realized, workload-conditional score — compare it across policies
+// and topologies on the same trace, not across traces.
+func (t *Tally) EPScore() float64 {
+	switch {
+	case t.Steps == 0:
+		return 0
+	case t.MaxSlotMJ <= 0:
+		// The series never burned anything: energy is identically zero
+		// in the quietest and the busiest slot, which is the MOST
+		// proportional outcome, not the least — an idle fleet that
+		// consumes nothing tracks its load perfectly.
+		return 1
+	}
+	return 1 - t.MinSlotMJ/t.MaxSlotMJ
 }
 
 // Stepper advances a fleet run one slot at a time. It is the
@@ -200,6 +262,11 @@ func (st *Stepper) Slots() int { return st.totalSlots }
 // Done reports whether every slot has been stepped.
 func (st *Stepper) Done() bool { return st.next >= st.totalSlots }
 
+// Tally returns the fold of every slot stepped so far: the fleet's,
+// and each DC's in fleet spec order. The slice is the stepper's own
+// and changes with the next Step.
+func (st *Stepper) Tally() (Tally, []Tally) { return st.ep.tally, st.ep.dcTally }
+
 // epochState is the fleet loop, holding what the batch run keeps as
 // loop state. The run is cut into epochs; each opens with a dispatch
 // and simulates every DC's window through a per-epoch dcsim stepper
@@ -234,12 +301,11 @@ func (st *Stepper) Done() bool { return st.next >= st.totalSlots }
 // migration stats. Compare rebalanced transition_mj against static
 // rows with this in mind.
 //
-// The accumulation split is what keeps stepping bit-exact with the
-// batch run: openEpoch folds the boundary pricing into the result
-// accumulators (priced before the DC loop), closeEpoch folds each
-// DC's epoch aggregates in DC index order, and nothing else touches
-// the accumulators — so every floating-point addition happens at the
-// same position in the same order.
+// The accumulation split fixes every floating-point addition's
+// position and order: openEpoch folds the boundary pricing into the
+// result totals (priced before the DC loop), closeEpoch folds each
+// DC's epoch totals in DC index order, and Step folds each slot into
+// the tallies and the slot energy series. Nothing else touches them.
 type epochState struct {
 	rebFleet    Fleet
 	histSamples int
@@ -251,15 +317,13 @@ type epochState struct {
 	// exact formula.
 	oneShot bool
 
-	res           *FleetResult
-	dcSlotMJ      [][]float64
-	dcActive      [][]int // per-DC per-slot powered-on servers (embodied carbon)
-	activePerSlot []int
-	dcActiveSum   []int
-	prevDC        []int // VM index -> DC index of the previous epoch
-	prevActive    []int
-	freqWeighted  float64
-	freqWeight    float64
+	res          *FleetResult
+	tally        Tally   // the fleet's slots
+	dcTally      []Tally // each DC's slots, fleet order
+	prevDC       []int   // VM index -> DC index of the previous epoch
+	prevActive   []int
+	freqWeighted float64
+	freqWeight   float64
 
 	// The open epoch. asg lives in bufs.
 	open                 bool
@@ -273,10 +337,9 @@ type epochState struct {
 	bufs   *epochBufs
 	shared bool
 
-	// Boundary charges of the open epoch, for the boundary SlotStep:
-	// pricing is folded into the accumulators at openEpoch, drained-DC
-	// power-off at closeEpoch (the batch order), and these buffers let
-	// the boundary slot's live view report both.
+	// Boundary charges of the open epoch, which Step bills to the
+	// boundary slot. Pricing is folded into the result totals at
+	// openEpoch, drained-DC power-off at closeEpoch.
 	boundFleetMJ float64
 	boundMJ      []float64
 	boundViol    []int
@@ -340,15 +403,10 @@ func newEpochState(st *Stepper) *epochState {
 	}
 	ep.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
 	ep.res.SlotEnergyMJ = make([]float64, st.totalSlots)
-	ep.dcSlotMJ = make([][]float64, n)
-	ep.dcActive = make([][]int, n)
 	for i, dc := range fleet.DCs {
 		ep.res.DCs[i].Spec = dc
-		ep.dcSlotMJ[i] = make([]float64, st.totalSlots)
-		ep.dcActive[i] = make([]int, st.totalSlots)
 	}
-	ep.activePerSlot = make([]int, st.totalSlots)
-	ep.dcActiveSum = make([]int, n)
+	ep.dcTally = make([]Tally, n)
 	ep.prevActive = make([]int, n)
 	ep.sims = make([]*dcsim.Stepper, n)
 	ep.boundMJ = make([]float64, n)
@@ -418,8 +476,6 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			run.EnergyMJ += facility
 			res.TotalEnergyMJ += facility
 			res.TransitionMJ += facility
-			ep.dcSlotMJ[dst][e0] += facility
-			res.SlotEnergyMJ[e0] += facility
 			ep.boundMJ[dst] += facility
 			ep.boundFleetMJ += facility
 
@@ -440,9 +496,8 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 		if len(asg[i]) == 0 {
 			st.models[i].tables.Recycle()
 			// A drained DC powers its servers down; the energy is
-			// computed here (the live boundary view reports it) and
-			// folded into the accumulators at closeEpoch, the batch
-			// position for it.
+			// computed here, billed to the boundary slot by Step and
+			// folded into the result totals at closeEpoch.
 			if ep.prevActive[i] > 0 {
 				off := units.Energy(float64(cfg.Transitions.ServerOffEnergy) * float64(ep.prevActive[i])).MJ()
 				ep.drainIT[i] = off
@@ -486,8 +541,9 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 	return nil
 }
 
-// closeEpoch folds the finished epoch's per-DC aggregates into the
-// result accumulators, in DC index order.
+// closeEpoch folds the finished epoch's per-DC totals into the result
+// totals, in DC index order, and carries each DC's closing
+// active-server count into the next epoch.
 func (ep *epochState) closeEpoch(st *Stepper) {
 	if !ep.open {
 		return
@@ -504,8 +560,6 @@ func (ep *epochState) closeEpoch(st *Stepper) {
 				run.EnergyMJ += facility
 				res.TotalEnergyMJ += facility
 				res.TransitionMJ += facility
-				ep.dcSlotMJ[i][ep.epochStart] += facility
-				res.SlotEnergyMJ[ep.epochStart] += facility
 			}
 			ep.prevActive[i] = 0
 			continue
@@ -526,17 +580,6 @@ func (ep *epochState) closeEpoch(st *Stepper) {
 		res.LatencyWeightedViol += w
 		run.Migrations += sim.TotalMigrations
 		res.Migrations += sim.TotalMigrations
-		for _, s := range sim.Slots {
-			mj := s.Energy.MJ() * dc.PUE
-			ep.dcSlotMJ[i][s.Slot] += mj
-			res.SlotEnergyMJ[s.Slot] += mj
-			ep.dcActive[i][s.Slot] = s.ActiveServers
-			ep.activePerSlot[s.Slot] += s.ActiveServers
-			ep.dcActiveSum[i] += s.ActiveServers
-			if s.ActiveServers > run.PeakActive {
-				run.PeakActive = s.ActiveServers
-			}
-		}
 		ep.prevActive[i] = sim.Slots[len(sim.Slots)-1].ActiveServers
 		// Weigh each DC's mean cap frequency by the VM-slots it
 		// covers; in the one-shot run every DC spans the same window,
@@ -574,9 +617,8 @@ func (st *Stepper) Step() (SlotStep, error) {
 	boundary := s == ep.epochStart
 	if boundary {
 		// The fleet slot energy starts from the boundary pricing sum,
-		// accumulated per VM in dispatch order — the batch prefix of
-		// SlotEnergyMJ[s] — so the per-DC additions below land on it
-		// in the batch order and the total stays bit-exact.
+		// accumulated per VM in dispatch order; the per-DC charges land
+		// on it in DC order.
 		out.EnergyMJ = ep.boundFleetMJ
 	}
 	for i, dc := range st.fleet.DCs {
@@ -614,7 +656,10 @@ func (st *Stepper) Step() (SlotStep, error) {
 		out.CrossDCMigrations += d.CrossDCMigrations
 		out.OperationalGCO2 += d.OperationalGCO2
 		out.EmbodiedGCO2 += d.EmbodiedGCO2
+		ep.dcTally[i].Add(&d.Charges)
 	}
+	ep.tally.Add(&out.Charges)
+	ep.res.SlotEnergyMJ[s] = out.EnergyMJ
 	st.next++
 	return out, nil
 }
@@ -633,39 +678,28 @@ func (st *Stepper) Result() (*FleetResult, error) {
 	return st.res, nil
 }
 
-// finish is the tail aggregation over the stitched series.
+// finish reads the fleet and per-DC aggregates off the tallies.
 func (ep *epochState) finish(st *Stepper) *FleetResult {
 	res := ep.res
-	activeSum := 0
-	for _, a := range ep.activePerSlot {
-		activeSum += a
-		if a > res.PeakActive {
-			res.PeakActive = a
-		}
-	}
-	res.MeanActive = float64(activeSum) / float64(st.totalSlots)
+	slots := float64(st.totalSlots)
+	res.MeanActive = float64(ep.tally.ActiveSum) / slots
+	res.PeakActive = ep.tally.PeakActive
 	for i := range res.DCs {
-		res.DCs[i].MeanActive = float64(ep.dcActiveSum[i]) / float64(st.totalSlots)
+		run, t := &res.DCs[i], &ep.dcTally[i]
+		run.MeanActive = float64(t.ActiveSum) / slots
+		run.PeakActive = t.PeakActive
 		// A DC that never burned anything (no VMs in any epoch)
 		// reports EPScore 0: it has no series.
-		if res.DCs[i].ITEnergyMJ > 0 {
-			res.DCs[i].EPScore = SeriesEPScore(ep.dcSlotMJ[i])
+		if run.ITEnergyMJ > 0 {
+			run.EPScore = t.EPScore()
 		}
-		// Carbon derives from the stitched facility-energy and
-		// active-server series, slot order — boundary and drain charges
-		// are already folded into dcSlotMJ at their slots.
-		ci := st.carbon[i]
-		var op, emb float64
-		for t, mj := range ep.dcSlotMJ[i] {
-			op += mj / mjPerKWh * ci.intensity.At(t%24)
-			emb += float64(ep.dcActive[i][t]) * ci.gPerServerHour
-		}
-		res.DCs[i].OperationalGCO2 = op
-		res.DCs[i].EmbodiedGCO2 = emb
-		res.OperationalGCO2 += op
-		res.EmbodiedGCO2 += emb
+		// Carbon sums each slot's grams in slot order; the fleet's is
+		// the sum of the DCs' in fleet order.
+		run.OperationalGCO2, run.EmbodiedGCO2 = t.OperationalGCO2, t.EmbodiedGCO2
+		res.OperationalGCO2 += t.OperationalGCO2
+		res.EmbodiedGCO2 += t.EmbodiedGCO2
 	}
-	res.EPScore = SeriesEPScore(res.SlotEnergyMJ)
+	res.EPScore = ep.tally.EPScore()
 	switch {
 	case len(res.DCs) == 1 && res.DCs[0].Result != nil:
 		// Bit-exact identity with the single-datacenter simulation:

@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
-# No-fused-multiply-add gate for the forecast path and the trace
-# generator (CI `golden` job). The Go spec lets a compiler fuse
+# No-fused-multiply-add gate for the forecast path, the trace
+# generator and mathx.Exp (CI `golden` job). The Go spec lets a compiler fuse
 # `x*y + z` into one FMA with a single rounding, and the arm64,
 # ppc64le, riscv64 and s390x compilers do, so a fused site gives other
-# forecast or trace bits there than on amd64 (which never fuses). An
-# explicit `float64(x*y)` forbids it. This script cross-builds
+# forecast, trace or exponential bits there than on amd64 (whose
+# compiler never fuses). An explicit `float64(x*y)` forbids it. This script cross-builds
 # ./cmd/ntc-sweep for those four architectures and fails if
 # `go tool objdump` shows a fused op at a line of
-# internal/forecast/*.go, internal/mathx/linalg.go or
-# internal/trace/*.go.
+# internal/forecast/*.go, internal/mathx/linalg.go,
+# internal/mathx/exp.go or internal/trace/*.go.
 #
 # Run it from the root of the repository: sh scripts/nofma.sh
 # It needs no network and no runner of the target architectures.
@@ -23,7 +23,7 @@ trap 'rm -rf "$tmp"' EXIT
 # and internal/mathx a stats.go of their own).
 nontest() { (cd "$1" && ls *.go | grep -v '_test\.go$' | tr '\n' ' '); }
 files="forecast:$(nontest internal/forecast)
-mathx:linalg.go
+mathx:linalg.go exp.go
 trace:$(nontest internal/trace)"
 
 status=0
@@ -65,7 +65,7 @@ for arch in arm64 ppc64le riscv64 s390x; do
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "nofma: fused multiply-adds in the forecast path or the trace generator; round the product with float64(x*y)" >&2
+    echo "nofma: fused multiply-adds in the forecast path, the trace generator or mathx.Exp; round the product with float64(x*y)" >&2
     exit 1
 fi
-echo "nofma: no fused multiply-adds in internal/forecast, internal/mathx/linalg.go or internal/trace (arm64, ppc64le, riscv64, s390x)"
+echo "nofma: no fused multiply-adds in internal/forecast, internal/mathx/linalg.go, internal/mathx/exp.go or internal/trace (arm64, ppc64le, riscv64, s390x)"
