@@ -203,7 +203,9 @@ func BenchmarkVermaAllocate(b *testing.B) {
 }
 
 // BenchmarkDCSimRun measures one bare simulator run (the unit of work
-// every sweep scenario pays after the shared inputs are loaded).
+// every sweep scenario pays after the shared inputs are loaded): the
+// server's DVFS-level tables built and a stepper on them stepped
+// through the evaluated day.
 func BenchmarkDCSimRun(b *testing.B) {
 	tr, err := trace.Generate(sweep.DCTraceConfig(2018, 150, 8))
 	if err != nil {
@@ -216,20 +218,28 @@ func BenchmarkDCSimRun(b *testing.B) {
 	model := NTCServerPower()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dcsim.Run(dcsim.Config{
+		tables, err := dcsim.NewTables(model, NTCPlatform())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := tables.NewStepper(dcsim.Config{
 			Trace:       tr,
 			Predictions: ps,
 			HistoryDays: 7,
 			EvalDays:    1,
 			Policy:      &alloc.EPACT{Model: model},
-			Server:      model,
-			Platform:    NTCPlatform(),
 			MaxServers:  600,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Slots) != 24 {
+		slots := 0
+		for ; !st.Done(); slots++ {
+			if _, err := st.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if slots != 24 {
 			b.Fatal("bad run")
 		}
 	}

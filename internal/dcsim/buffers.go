@@ -37,10 +37,9 @@ const numClasses = 3
 // Tables are read-only once built, but for the spare step buffers
 // they pass between steppers, and safe for concurrent use. A fleet
 // builds one per datacenter and steps every epoch of that datacenter
-// on it (Tables.NewStepper); Run builds one for its stepper.
+// on it; every stepper is built on Tables (Tables.NewStepper).
 type Tables struct {
 	server power.Model
-	plat   *platform.Platform
 	spec   alloc.ServerSpec
 
 	// Indexed by grid level.
@@ -68,7 +67,6 @@ func NewTables(server power.Model, plat *platform.Platform) (*Tables, error) {
 	}
 	t := &Tables{
 		server: server,
-		plat:   plat,
 		spec: alloc.ServerSpec{
 			Cores:         server.NumCores(),
 			MemContainers: server.MemGB(),
@@ -87,7 +85,7 @@ func NewTables(server power.Model, plat *platform.Platform) (*Tables, error) {
 	return t, nil
 }
 
-// runState holds everything one Run shares across its slots: the
+// runState holds everything one stepper shares across its slots: the
 // DVFS-level tables (see Tables) and the reusable scratch buffers that
 // make the steady-state slot loop allocation-free.
 type runState struct {
@@ -121,8 +119,6 @@ type runState struct {
 	// hasPrev (the first slot has no previous one). Both point into b.
 	asg, prev *alloc.Assignment
 	hasPrev   bool
-
-	slots []SlotResult
 }
 
 // stepBufs are the buffers a stepper's slot loop refills: the slot's
@@ -145,13 +141,13 @@ type stepBufs struct {
 var bufPool = sync.Pool{New: func() any { return new(stepBufs) }}
 
 // release gives the run's buffers back once its window is done; no
-// step may follow. A fleet epoch's stepper (handoff: a window on
-// shared tables that ends before the evaluation period does) leaves
-// them as the tables' spare, and the datacenter's next epoch takes
-// them there: a sync.Pool keeps a released item on the releasing P,
-// so a goroutine that changed P between two epochs missed it and grew
-// a fresh set. Every other stepper, and a handoff that finds a spare
-// already parked, returns them to bufPool.
+// step may follow. A fleet epoch's stepper (handoff: a window that
+// ends before the evaluation period does) leaves them as the tables'
+// spare, and the datacenter's next epoch takes them there: a
+// sync.Pool keeps a released item on the releasing P, so a goroutine
+// that changed P between two epochs missed it and grew a fresh set.
+// Every other stepper, and a handoff that finds a spare already
+// parked, returns them to bufPool.
 func (st *runState) release() {
 	if !st.handoff || !st.Tables.spare.CompareAndSwap(nil, st.b) {
 		bufPool.Put(st.b)
@@ -178,18 +174,10 @@ func (t *Tables) Recycle() {
 	}
 }
 
-// newRunState validates cfg and builds its run state on t, or on
-// tables of its own when t is nil.
+// newRunState validates cfg and builds its run state on t.
 func newRunState(cfg *Config, t *Tables) (*runState, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
-	}
-	shared := t != nil
-	if t == nil {
-		var err error
-		if t, err = NewTables(cfg.Server, cfg.Platform); err != nil {
-			return nil, err
-		}
 	}
 	slots := cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
 	first, last := cfg.StartSlot, slots
@@ -204,8 +192,7 @@ func newRunState(cfg *Config, t *Tables) (*runState, error) {
 		first:     first,
 		last:      last,
 		b:         t.takeBufs(),
-		handoff:   shared && last < slots,
-		slots:     make([]SlotResult, 0, last-first),
+		handoff:   last < slots,
 	}
 	st.bind()
 	return st, nil
@@ -223,8 +210,7 @@ func (st *runState) bind() {
 // clone copies a runState for an independent continuation bound to
 // cfg (the cloning stepper's own Config copy). The tables are shared;
 // the step buffers are fresh — they are rebuilt on every step — except
-// the previous assignment, deep-copied for transition continuity, and
-// the slot results are copied, since each side appends its own.
+// the previous assignment, deep-copied for transition continuity.
 func (st *runState) clone(cfg *Config) *runState {
 	c := *st
 	c.cfg = cfg
@@ -233,17 +219,16 @@ func (st *runState) clone(cfg *Config) *runState {
 	if st.hasPrev {
 		c.prev.CopyFrom(st.prev)
 	}
-	c.slots = append(make([]SlotResult, 0, st.last-st.first), st.slots...)
 	return &c
 }
 
-// step simulates one slot: build demand views, allocate, replay, and
-// price transitions. The policy fills the run's own Assignment
-// buffer, so once the buffers have grown a step allocates nothing but
-// what the policy's own pools take (and a memo hit takes none): pinned
-// for every registered policy on a memo hit by
-// TestSlotLoopAllocationFree.
-func (st *runState) step(s int) error {
+// step simulates one slot and returns its result: build demand views,
+// allocate, replay, and price transitions. The policy fills the run's
+// own Assignment buffer, so once the buffers have grown a step
+// allocates nothing but what the policy's own pools take (and a memo
+// hit takes none): pinned for every registered policy on a memo hit
+// by TestSlotLoopAllocationFree.
+func (st *runState) step(s int) (SlotResult, error) {
 	cfg := st.cfg
 	lo := s * trace.SamplesPerSlot // offset within the eval period
 
@@ -254,13 +239,13 @@ func (st *runState) step(s int) error {
 	// 2) Allocate.
 	asg := st.asg
 	if err := alloc.Into(cfg.Policy, asg, vms, st.spec); err != nil {
-		return fmt.Errorf("dcsim: slot %d: %w", s, err)
+		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s, err)
 	}
 
 	// 3) Replay the actual traces against the assignment.
 	slot, err := st.replaySlot(asg, st.evalStart+lo)
 	if err != nil {
-		return fmt.Errorf("dcsim: slot %d: %w", s, err)
+		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s, err)
 	}
 	slot.Slot = s
 	slot.PlannedFreq = asg.PlannedFreq
@@ -268,7 +253,7 @@ func (st *runState) step(s int) error {
 	// 4) Transition accounting (zero under the paper model).
 	if cfg.Transitions != (TransitionModel{}) {
 		if err := residentSets(cfg.Trace, st.evalStart+lo, st.resident); err != nil {
-			return fmt.Errorf("dcsim: slot %d: %w", s, err)
+			return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s, err)
 		}
 		var prev *alloc.Assignment
 		if st.hasPrev {
@@ -280,8 +265,7 @@ func (st *runState) step(s int) error {
 		slot.Energy += te
 	}
 	st.asg, st.prev, st.hasPrev = st.prev, asg, true
-	st.slots = append(st.slots, slot)
-	return nil
+	return slot, nil
 }
 
 // replaySlot plays the actual traces of one slot against an
@@ -314,7 +298,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 		capCPU = spec.CPUPoints() * asg.PlannedFreq.GHz() / spec.FMax.GHz()
 		if fixedLvl = slices.Index(st.grid, asg.PlannedFreq); fixedLvl < 0 {
 			return out, fmt.Errorf("fixed-cap frequency %v is not a DVFS level of %s",
-				asg.PlannedFreq, cfg.Server.ModelName())
+				asg.PlannedFreq, st.server.ModelName())
 		}
 	}
 
@@ -364,7 +348,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 			lvl := fixedLvl
 			if !asg.FixedFreq {
 				needGHz := cpuTotal / spec.CPUPoints() * spec.FMax.GHz()
-				lvl = cfg.Server.LevelIndex(units.GHz(needGHz), len(st.grid))
+				lvl = st.server.LevelIndex(units.GHz(needGHz), len(st.grid))
 			}
 			scale := st.scaleByLvl[lvl]
 
@@ -404,33 +388,4 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 		out.Violations += (active - cfg.MaxServers) * trace.SamplesPerSlot
 	}
 	return out, nil
-}
-
-// finish aggregates the per-slot results.
-func (st *runState) finish() *Result {
-	label := st.cfg.TraceLabel
-	if label == "" {
-		label = "synthetic"
-	}
-	res := &Result{
-		Policy:    st.cfg.Policy.Name(),
-		Predictor: st.cfg.Predictions.Predictor,
-		Trace:     label,
-		Slots:     st.slots,
-	}
-	var activeSum int
-	for _, s := range res.Slots {
-		res.TotalEnergy += s.Energy
-		res.TotalViol += s.Violations
-		res.TotalMigrations += s.Migrations
-		res.TotalTransitionEnergy += s.TransitionEnergy
-		activeSum += s.ActiveServers
-		if s.ActiveServers > res.PeakActive {
-			res.PeakActive = s.ActiveServers
-		}
-	}
-	if len(res.Slots) > 0 {
-		res.MeanActive = float64(activeSum) / float64(len(res.Slots))
-	}
-	return res
 }

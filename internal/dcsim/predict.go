@@ -8,9 +8,7 @@
 //
 // The simulator is agnostic to where its trace came from: any
 // trace.Trace on the 5-minute tick grid replays identically, whether
-// synthesised or ingested from a file backend. Config.TraceLabel
-// carries the ingestion provenance into Result.Trace so downstream
-// reports can attribute numbers to their trace source.
+// synthesised or ingested from a file backend.
 package dcsim
 
 import (

@@ -21,17 +21,18 @@ import (
 // power models directly. The governor's frequency is ClampFrequency
 // of the demand (a fixed-cap slot runs at PlannedFreq), and
 // perf.Observe and Model.Power are called at that frequency, with no
-// lookup table and no level index.
-func refReplaySlot(cfg *Config, asg *alloc.Assignment, absLo int) SlotResult {
+// lookup table and no level index. m and plat are the server's power
+// model and performance platform.
+func refReplaySlot(cfg *Config, m power.Model, plat *platform.Platform, asg *alloc.Assignment, absLo int) SlotResult {
 	var out SlotResult
-	fMax := cfg.Server.FreqMax()
-	cores := float64(cfg.Server.NumCores())
+	fMax := m.FreqMax()
+	cores := float64(m.NumCores())
 	cpuPoints := cores * 100
 	capCPU := cpuPoints
 	if asg.FixedFreq {
 		capCPU = cpuPoints * asg.PlannedFreq.GHz() / fMax.GHz()
 	}
-	capMem := cfg.Server.MemGB() * 100
+	capMem := m.MemGB() * 100
 	for _, srv := range asg.Servers {
 		if len(srv.VMs) == 0 {
 			continue
@@ -52,7 +53,7 @@ func refReplaySlot(cfg *Config, asg *alloc.Assignment, absLo int) SlotResult {
 
 			f := asg.PlannedFreq
 			if !asg.FixedFreq {
-				f = cfg.Server.ClampFrequency(units.GHz(cpuTotal / cpuPoints * fMax.GHz()))
+				f = m.ClampFrequency(units.GHz(cpuTotal / cpuPoints * fMax.GHz()))
 			}
 			scale := fMax.GHz() / f.GHz()
 			busy := math.Min(cpuTotal/100*scale, cores)
@@ -62,7 +63,7 @@ func refReplaySlot(cfg *Config, asg *alloc.Assignment, absLo int) SlotResult {
 					continue
 				}
 				classBusy := classCPU[c] / 100 * scale
-				obs := perf.Observe(cfg.Platform, workload.Class(c), f, 1)
+				obs := perf.Observe(plat, workload.Class(c), f, 1)
 				op.WFMFraction += classBusy * obs.WFMFraction
 				op.LLCReadsPerSec += classBusy * obs.LLCReadsPerSec
 				op.LLCWritesPerSec += classBusy * obs.LLCWritesPerSec
@@ -72,7 +73,7 @@ func refReplaySlot(cfg *Config, asg *alloc.Assignment, absLo int) SlotResult {
 			if busy > 0 {
 				op.WFMFraction /= busy
 			}
-			out.Energy += units.EnergyOver(cfg.Server.Power(op), cfg.Trace.Interval.Seconds())
+			out.Energy += units.EnergyOver(m.Power(op), cfg.Trace.Interval.Seconds())
 		}
 	}
 	if cfg.MaxServers > 0 && out.ActiveServers > cfg.MaxServers {
@@ -96,7 +97,7 @@ func (p *recordingPolicy) Allocate(vms []alloc.VMDemand, spec alloc.ServerSpec) 
 
 // refRun replays a finished run's recorded assignments through the
 // reference and the run's own transition accounting.
-func refRun(t *testing.T, cfg *Config, asgs []*alloc.Assignment) []SlotResult {
+func refRun(t *testing.T, cfg *Config, m power.Model, plat *platform.Platform, asgs []*alloc.Assignment) []SlotResult {
 	t.Helper()
 	evalStart := cfg.HistoryDays * trace.SamplesPerDay
 	resident := make([]float64, len(cfg.Trace.VMs))
@@ -104,7 +105,7 @@ func refRun(t *testing.T, cfg *Config, asgs []*alloc.Assignment) []SlotResult {
 	out := make([]SlotResult, len(asgs))
 	for s, asg := range asgs {
 		absLo := evalStart + s*trace.SamplesPerSlot
-		slot := refReplaySlot(cfg, asg, absLo)
+		slot := refReplaySlot(cfg, m, plat, asg, absLo)
 		slot.Slot = s
 		slot.PlannedFreq = asg.PlannedFreq
 		if cfg.Transitions != (TransitionModel{}) {
@@ -182,12 +183,20 @@ func TestReplayMatchesReference(t *testing.T) {
 						name := fmt.Sprintf("seed%d/%s/%s/%s/transitions=%v", tcfg.Seed, m.ModelName(), pm, pol.Name(), tm != TransitionModel{})
 						rec := &recordingPolicy{Policy: pol}
 						cfg := Config{Trace: tr, Predictions: ps, HistoryDays: 1, EvalDays: 1,
-							Policy: rec, Server: m, Platform: srv.plat, MaxServers: tcfg.VMs / 2, Transitions: tm}
-						res, err := Run(cfg)
+							Policy: rec, MaxServers: tcfg.VMs / 2, Transitions: tm}
+						tb, err := NewTables(m, srv.plat)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						want := refRun(t, &cfg, rec.asgs)
+						st, err := tb.NewStepper(cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						res, err := stepAll(st)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						want := refRun(t, &cfg, m, srv.plat, rec.asgs)
 						if len(res.Slots) != len(want) {
 							t.Fatalf("%s: %d slots, reference %d", name, len(res.Slots), len(want))
 						}
@@ -220,7 +229,7 @@ func TestOffGridFixedCapFailsItsSlot(t *testing.T) {
 	ps := oracle(t, tr)
 	asg := &alloc.Assignment{Servers: []*alloc.ServerPlan{{VMs: []int{0}}},
 		PlannedFreq: units.GHz(1.95), FixedFreq: true}
-	_, err := Run(testConfig(t, tr, &stubPolicy{asg: asg}, ps))
+	_, err := replay(testConfig(t, tr, &stubPolicy{asg: asg}, ps))
 	if err == nil || !strings.Contains(err.Error(), "slot 0") || !strings.Contains(err.Error(), "not a DVFS level") {
 		t.Fatalf("off-grid fixed cap: err = %v, want a slot-0 DVFS-level error", err)
 	}
@@ -240,10 +249,8 @@ func TestModelWithoutGridIsRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testConfig(t, tr, &alloc.EPACT{Model: m}, ps)
-			cfg.Server = m
-			if _, err := NewStepper(cfg); err == nil || !strings.Contains(err.Error(), m.ModelName()) {
-				t.Errorf("%s step %v: NewStepper err = %v, want one naming the model", pm, step, err)
+			if _, err := NewTables(m, platform.NTCServer()); err == nil || !strings.Contains(err.Error(), m.ModelName()) {
+				t.Errorf("%s step %v: NewTables err = %v, want one naming the model", pm, step, err)
 			}
 			spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: m.FreqMax(), FMin: m.FreqMin()}
 			vms := []alloc.VMDemand{{ID: 0, CPU: ps.CPU[0][:trace.SamplesPerSlot], Mem: ps.Mem[0][:trace.SamplesPerSlot]}}

@@ -8,8 +8,6 @@ import (
 	"weak"
 
 	"repro/internal/alloc"
-	"repro/internal/platform"
-	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -31,25 +29,17 @@ type Config struct {
 	// Policy allocates VMs each slot.
 	Policy alloc.Policy
 
-	// Server is the power model of every machine in the pool (any
-	// power.Model; the FDSOI ServerModel is the default).
-	Server power.Model
-
-	// Platform supplies the performance observables (WFM fractions,
-	// memory traffic) per workload class.
-	Platform *platform.Platform
-
 	// MaxServers bounds the pool (600 in the paper). Allocations
 	// beyond it are counted as capacity violations on the overflow
 	// servers.
 	MaxServers int
 
 	// StartSlot and NumSlots window the simulation inside the
-	// evaluation period, in allocation slots: Run simulates slots
-	// [StartSlot, StartSlot+NumSlots). The zero values keep the whole
-	// period (NumSlots 0 = every slot from StartSlot on). The epoch
-	// rebalancer (internal/topology) simulates one epoch at a time;
-	// plain runs leave both zero.
+	// evaluation period, in allocation slots: the stepper simulates
+	// slots [StartSlot, StartSlot+NumSlots). The zero values keep the
+	// whole period (NumSlots 0 = every slot from StartSlot on). The
+	// epoch rebalancer (internal/topology) simulates one epoch at a
+	// time; plain runs leave both zero.
 	StartSlot, NumSlots int
 
 	// InitialActiveServers seeds the transition accounting: how many
@@ -66,18 +56,11 @@ type Config struct {
 	// accounting.
 	Transitions TransitionModel
 
-	// TraceLabel optionally records where Trace came from (an
-	// ingestion-backend spec like "csv:week.csv"); it is carried into
-	// Result.Trace for provenance and defaults to "synthetic".
-	TraceLabel string
-
 	// Source, when non-nil, gates the replay on data availability:
 	// Stepper.Step refuses (with ErrAwaitingSamples, without
 	// advancing or poisoning itself) to simulate a slot the source
 	// has not released. A LiveFeed is both the source and the
-	// provider of Trace/Predictions; batch replays leave it nil. A
-	// batch Run with a source errors unless every slot of its window
-	// is released.
+	// provider of Trace/Predictions; batch replays leave it nil.
 	Source SlotSource
 }
 
@@ -108,86 +91,6 @@ type SlotResult struct {
 	PlannedFreq units.Frequency
 }
 
-// Result is a full run.
-type Result struct {
-	Policy    string
-	Predictor string
-
-	// Trace is the ingestion-backend spec of the replayed trace (the
-	// Config.TraceLabel provenance).
-	Trace string
-
-	Slots       []SlotResult
-	TotalEnergy units.Energy
-	TotalViol   int
-	MeanActive  float64
-	PeakActive  int
-
-	// TotalMigrations and TotalTransitionEnergy aggregate the
-	// extension accounting (zero under the paper-faithful model).
-	TotalMigrations       int
-	TotalTransitionEnergy units.Energy
-}
-
-// EnergyPerSlotMJ returns the per-slot energy series in megajoules
-// (the Fig. 6 series).
-func (r *Result) EnergyPerSlotMJ() []float64 {
-	out := make([]float64, len(r.Slots))
-	for i, s := range r.Slots {
-		out[i] = s.Energy.MJ()
-	}
-	return out
-}
-
-// ViolationsPerSlot returns the Fig. 4 series.
-func (r *Result) ViolationsPerSlot() []int {
-	out := make([]int, len(r.Slots))
-	for i, s := range r.Slots {
-		out[i] = s.Violations
-	}
-	return out
-}
-
-// MeanPlannedFreqGHz returns the allocator's mean cap frequency over
-// the horizon (the Fig. 7 frequency column), 0 with no slots.
-func (r *Result) MeanPlannedFreqGHz() float64 {
-	if len(r.Slots) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range r.Slots {
-		sum += s.PlannedFreq.GHz()
-	}
-	return sum / float64(len(r.Slots))
-}
-
-// ActiveServersPerSlot returns the Fig. 5 series.
-func (r *Result) ActiveServersPerSlot() []int {
-	out := make([]int, len(r.Slots))
-	for i, s := range r.Slots {
-		out[i] = s.ActiveServers
-	}
-	return out
-}
-
-// Run simulates the evaluation period slot by slot. The heavy lifting
-// lives in runState (buffers.go): per-run lookup tables keyed by DVFS
-// level and reusable scratch buffers keep the slot loop allocation-free.
-// Run is a Stepper driven to exhaustion, so a caller stepping the same
-// window one slot at a time computes the identical result.
-func Run(cfg Config) (*Result, error) {
-	st, err := newStepper(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	for !st.Done() {
-		if _, err := st.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return st.Finish(), nil
-}
-
 // residentSets fills out with each VM's resident memory in bytes at
 // sample abs (its utilisation of the 1 GB container). The bound is an
 // invariant established by validate — the evaluation window lies
@@ -209,7 +112,7 @@ func residentSets(tr *trace.Trace, abs int, out []float64) error {
 // validatedTraces memoises successful trace.Trace.Validate calls by
 // root trace pointer. Traces are shared read-only across scenarios
 // (the trace package's contract), and sweeps replay the same trace
-// thousands of times — revalidating ~300k samples per Run is pure
+// thousands of times — revalidating ~300k samples per replay is pure
 // overhead. Per-DC epoch views (trace.Trace.SubsetInto) share their
 // root's VMs, so the root is validated once and every view inherits
 // it; a view pays only an O(VMs) shape check. Only success is cached;
@@ -225,10 +128,6 @@ func validate(cfg *Config) error {
 		return errors.New("dcsim: nil trace")
 	case cfg.Policy == nil:
 		return errors.New("dcsim: nil policy")
-	case cfg.Server == nil:
-		return errors.New("dcsim: nil server model")
-	case cfg.Platform == nil:
-		return errors.New("dcsim: nil platform")
 	case cfg.Predictions == nil:
 		return errors.New("dcsim: nil predictions (build with Predict)")
 	case cfg.HistoryDays <= 0 || cfg.EvalDays <= 0:

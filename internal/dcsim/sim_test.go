@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/forecast"
-	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -38,8 +37,6 @@ func testConfig(t *testing.T, tr *trace.Trace, pol alloc.Policy, ps *PredictionS
 		HistoryDays: 7,
 		EvalDays:    2,
 		Policy:      pol,
-		Server:      power.NTCServer(),
-		Platform:    platform.NTCServer(),
 		MaxServers:  600,
 	}
 }
@@ -104,7 +101,7 @@ func TestRunProducesConsistentSlots(t *testing.T) {
 	tr := testTrace(t, 60)
 	ps := oracle(t, tr)
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
-	res, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps))
+	res, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +133,7 @@ func TestOracleRunHasNoViolationsForEPACT(t *testing.T) {
 	// essentially absent.
 	tr := testTrace(t, 60)
 	ps := oracle(t, tr)
-	res, err := Run(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
+	res, err := replay(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +150,11 @@ func TestEPACTUsesMoreServersButLessEnergyThanCOAT(t *testing.T) {
 	ps := oracle(t, tr)
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 
-	epact, err := Run(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
+	epact, err := replay(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coat, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps))
+	coat, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,22 +174,22 @@ func TestRunValidation(t *testing.T) {
 
 	bad := good
 	bad.Trace = nil
-	if _, err := Run(bad); err == nil {
+	if _, err := replay(bad); err == nil {
 		t.Error("nil trace accepted")
 	}
 	bad = good
 	bad.Policy = nil
-	if _, err := Run(bad); err == nil {
+	if _, err := replay(bad); err == nil {
 		t.Error("nil policy accepted")
 	}
 	bad = good
 	bad.Predictions = nil
-	if _, err := Run(bad); err == nil {
+	if _, err := replay(bad); err == nil {
 		t.Error("nil predictions accepted")
 	}
 	bad = good
 	bad.EvalDays = 5
-	if _, err := Run(bad); err == nil {
+	if _, err := replay(bad); err == nil {
 		t.Error("eval beyond predictions accepted")
 	}
 }
@@ -201,14 +198,19 @@ func TestSeriesAccessors(t *testing.T) {
 	tr := testTrace(t, 40)
 	ps := oracle(t, tr)
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
-	res, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps))
+	res, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.EnergyPerSlotMJ()) != len(res.Slots) ||
-		len(res.ViolationsPerSlot()) != len(res.Slots) ||
-		len(res.ActiveServersPerSlot()) != len(res.Slots) {
-		t.Error("series accessors disagree with slot count")
+	// The per-slot series are the steps themselves: one per slot of
+	// the window, in slot order.
+	if len(res.Slots) != 48 {
+		t.Fatalf("replay stepped %d slots, want 48", len(res.Slots))
+	}
+	for i, s := range res.Slots {
+		if s.Slot != i {
+			t.Errorf("step %d reports slot %d", i, s.Slot)
+		}
 	}
 }
 
@@ -220,7 +222,7 @@ func TestFixedFreqPolicyDeliversLessCapacity(t *testing.T) {
 	ps := oracle(t, tr)
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 
-	fixed, err := Run(testConfig(t, tr, alloc.NewCOATOPT(spec, units.GHz(1.9)), ps))
+	fixed, err := replay(testConfig(t, tr, alloc.NewCOATOPT(spec, units.GHz(1.9)), ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestFixedFreqPolicyDeliversLessCapacity(t *testing.T) {
 	// FixedFreq) must violate strictly less.
 	flexible := &alloc.COAT{CapFrac: 1.9 / 3.1, PlannedFreq: units.GHz(1.9),
 		CorrThreshold: 0.5, Label: "COAT-OPT-flexible"}
-	flex, err := Run(testConfig(t, tr, flexible, ps))
+	flex, err := replay(testConfig(t, tr, flexible, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +253,19 @@ func TestValidateChecksEveryPredictionRow(t *testing.T) {
 
 	ps := oracle(t, tr)
 	ps.CPU[3] = ps.CPU[3][:5]
-	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
+	if _, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
 		t.Error("short CPU row 3 accepted")
 	}
 
 	ps = oracle(t, tr)
 	ps.Mem[7] = ps.Mem[7][:5]
-	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
+	if _, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
 		t.Error("short memory row 7 accepted")
 	}
 
 	ps = oracle(t, tr)
 	ps.Mem = ps.Mem[:4]
-	if _, err := Run(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
+	if _, err := replay(testConfig(t, tr, alloc.NewCOAT(spec), ps)); err == nil {
 		t.Error("memory rows for only 4 of 10 VMs accepted")
 	}
 }
@@ -281,7 +283,7 @@ func TestValidateMemoDoesNotPinTraces(t *testing.T) {
 	if view.Root() != tr {
 		t.Fatal("a view of a view lost its root")
 	}
-	if _, err := Run(testConfig(t, view, alloc.NewCOAT(spec), oracle(t, view))); err != nil {
+	if _, err := replay(testConfig(t, view, alloc.NewCOAT(spec), oracle(t, view))); err != nil {
 		t.Fatal(err)
 	}
 	wp := weak.Make(tr)
@@ -325,7 +327,7 @@ func TestValidateMemoDoesNotPinTraces(t *testing.T) {
 func TestEditedViewIsRejected(t *testing.T) {
 	tr := testTrace(t, 6)
 	ps := oracle(t, tr)
-	if _, err := Run(testConfig(t, tr, alloc.NewFFD(), ps)); err != nil {
+	if _, err := replay(testConfig(t, tr, alloc.NewFFD(), ps)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []func(vm *trace.VM){
@@ -336,13 +338,13 @@ func TestEditedViewIsRejected(t *testing.T) {
 		ragged := *view.VMs[2]
 		cut(&ragged)
 		view.VMs[2] = &ragged
-		_, err := Run(testConfig(t, view, alloc.NewFFD(), ps))
+		_, err := replay(testConfig(t, view, alloc.NewFFD(), ps))
 		if err == nil || !strings.Contains(err.Error(), "ragged") {
 			t.Errorf("edited view with a ragged VM: err = %v, want a ragged-series error", err)
 		}
 	}
 	empty := tr.SubsetInto(new(trace.Trace), nil)
-	if _, err := Run(testConfig(t, empty, alloc.NewFFD(), &PredictionSet{})); err == nil ||
+	if _, err := replay(testConfig(t, empty, alloc.NewFFD(), &PredictionSet{})); err == nil ||
 		!strings.Contains(err.Error(), "no VMs") {
 		t.Errorf("empty view: err = %v, want a no-VMs error", err)
 	}
@@ -380,11 +382,11 @@ func TestWindowedRunsConcatenate(t *testing.T) {
 	tr := testTrace(t, 40)
 	ps := oracle(t, tr)
 
-	run := func(start, num, initial int) *Result {
+	run := func(start, num, initial int) *replayed {
 		cfg := testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps)
 		cfg.StartSlot, cfg.NumSlots = start, num
 		cfg.InitialActiveServers = initial
-		res, err := Run(cfg)
+		res, err := replay(cfg)
 		if err != nil {
 			t.Fatalf("window [%d,+%d): %v", start, num, err)
 		}
@@ -422,7 +424,7 @@ func TestPoolCapViolations(t *testing.T) {
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 	cfg := testConfig(t, tr, alloc.NewCOAT(spec), ps)
 	cfg.MaxServers = 1
-	res, err := Run(cfg)
+	res, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

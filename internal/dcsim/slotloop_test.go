@@ -14,10 +14,10 @@ import (
 // a sweep Runner's allocation memo as every sweep row is. Once slots 0
 // and 1 are in the memo, stepping them in turn is a memo hit that
 // unpacks into the run's own Assignment buffer, and the demand
-// windows, the columnar replay and the slot append all run in
-// run-scoped buffers: no step allocates. Under default transitions
-// each step also prices the move from the other slot's assignment,
-// which the run's migration matcher counts without allocating.
+// windows and the columnar replay run in run-scoped buffers: no step
+// allocates. Under default transitions each step also prices the move
+// from the other slot's assignment, which the run's migration matcher
+// counts without allocating.
 func TestSlotLoopAllocationFree(t *testing.T) {
 	g := sweep.Grid{Policies: sweep.PolicyNames(), VMs: []int{30}, MaxServers: []int{30},
 		HistoryDays: 1, EvalDays: 1, Predictors: []string{"oracle"}}
@@ -30,6 +30,10 @@ func TestSlotLoopAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := power.NTCServer()
+	tables, err := dcsim.NewTables(model, platform.NTCServer())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range scens {
 		fleet, err := rn.StepperConfig(s)
 		if err != nil {
@@ -40,11 +44,10 @@ func TestSlotLoopAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tm := range []dcsim.TransitionModel{dcsim.ZeroTransitions(), dcsim.DefaultTransitions()} {
-			st, err := dcsim.NewStepper(dcsim.Config{
+			st, err := tables.NewStepper(dcsim.Config{
 				Trace: fleet.Trace, Predictions: fleet.Predictions,
 				HistoryDays: fleet.HistoryDays, EvalDays: fleet.EvalDays,
-				Policy: pol, Server: model, Platform: platform.NTCServer(),
-				MaxServers: 600, Transitions: tm,
+				Policy: pol, MaxServers: 600, Transitions: tm,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package dcsim
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -30,12 +31,12 @@ func observeSlot(t *testing.T, f *LiveFeed, tr *trace.Trace, s int) {
 // TestLiveFeedMatchesBatch is the ingestion acceptance pin: a stepper
 // consuming a LiveFeed that is fed the reference trace's evaluation
 // samples slot by slot produces per-slot results bit-exact with a
-// batch Run over that trace, and the source gate refuses exactly the
+// whole replay of that trace, and the source gate refuses exactly the
 // slots that have not been observed yet.
 func TestLiveFeedMatchesBatch(t *testing.T) {
 	tr := testTrace(t, 40)
 	ps := oracle(t, tr)
-	batch, err := Run(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
+	batch, err := replay(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,7 @@ func TestLiveFeedMatchesBatch(t *testing.T) {
 		t.Fatalf("stepper spans %d slots, feed %d", st.Slots(), feed.Slots())
 	}
 
+	var live []SlotResult
 	for s := 0; s < st.Slots(); s++ {
 		// Gated: the slot is not observed yet, and the refusal must
 		// not poison the stepper.
@@ -70,11 +72,12 @@ func TestLiveFeedMatchesBatch(t *testing.T) {
 		if slot != batch.Slots[s] {
 			t.Fatalf("slot %d differs:\nbatch %+v\nlive  %+v", s, batch.Slots[s], slot)
 		}
+		live = append(live, slot)
 	}
 	if !st.Done() {
 		t.Fatal("stepper not done after ingesting every slot")
 	}
-	fin := st.Finish()
+	fin := fold(live)
 	if fin.TotalEnergy != batch.TotalEnergy || fin.TotalViol != batch.TotalViol {
 		t.Fatalf("aggregates differ:\nbatch %+v\nlive  %+v", batch, fin)
 	}
@@ -195,11 +198,15 @@ func TestCloneContinuesBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			const fork = 20
+			var pre []SlotResult
 			for i := 0; i < fork; i++ {
-				if _, err := st.Step(); err != nil {
+				slot, err := st.Step()
+				if err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
+				pre = append(pre, slot)
 			}
+			orig, forked := slices.Clone(pre), slices.Clone(pre)
 			clone := st.Clone(&alloc.EPACT{Model: power.NTCServer()})
 			cloneStep := func(want SlotResult) {
 				t.Helper()
@@ -207,6 +214,7 @@ func TestCloneContinuesBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				forked = append(forked, got)
 				if got != want {
 					t.Fatalf("clone diverged at slot %d:\noriginal %+v\nclone    %+v", want.Slot, want, got)
 				}
@@ -217,6 +225,7 @@ func TestCloneContinuesBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				orig = append(orig, want)
 				if ahead {
 					ran = append(ran, want)
 				} else {
@@ -229,7 +238,7 @@ func TestCloneContinuesBitExact(t *testing.T) {
 			if !clone.Done() {
 				t.Fatal("clone not done when original is")
 			}
-			a, b := st.Finish(), clone.Finish()
+			a, b := fold(orig), fold(forked)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("finished results differ:\noriginal %+v\nclone    %+v", a, b)
 			}
@@ -264,7 +273,7 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 	wcfg := testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps)
 	wcfg.StartSlot = fork
 	wcfg.InitialActiveServers = carried
-	fresh, err := Run(wcfg)
+	fresh, err := replay(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,15 @@ import (
 	"repro/internal/alloc"
 )
 
-// Stepper advances a simulation one slot at a time over the same
-// run-scoped state a batch Run uses: the DVFS-level lookup tables,
-// the packed prediction windows and the reusable scratch buffers are
-// built once at construction and shared by every Step, so stepping a
-// window to completion is the batch run — not a re-derivation of it.
+// Stepper advances a simulation one slot at a time over run-scoped
+// state built once at construction and shared by every Step: the
+// DVFS-level lookup tables (see Tables), the packed prediction
+// windows and the reusable scratch buffers. Step returns each slot's
+// result and keeps none; the caller folds them (the fleet stepper in
+// internal/topology is the one fold).
 // Once the last slot is stepped, the step buffers go to the next
 // stepper built: a fleet's next epoch on the same tables, or any
 // stepper through a pool (see release).
-// Run itself is implemented as a Stepper driven to exhaustion, which
-// is what makes "incremental equals batch" true by construction
-// rather than by test.
 //
 // This is the incremental primitive the live fleet service
 // (internal/serve) ticks: a daemon that replays a trace slot by slot
@@ -45,15 +43,9 @@ type Stepper struct {
 
 // NewStepper validates cfg and builds a stepper on t without
 // simulating any slot: the stepper replays on t's server model and
-// platform, which replace cfg.Server and cfg.Platform, and shares t's
-// lookup tables instead of building its own. A fleet steps every
-// epoch of a datacenter on one Tables.
+// platform and shares t's lookup tables. A fleet steps every epoch of
+// a datacenter on one Tables.
 func (t *Tables) NewStepper(cfg Config) (*Stepper, error) {
-	cfg.Server, cfg.Platform = t.server, t.plat
-	return newStepper(cfg, t)
-}
-
-func newStepper(cfg Config, t *Tables) (*Stepper, error) {
 	s := &Stepper{cfg: cfg}
 	st, err := newRunState(&s.cfg, t)
 	if err != nil {
@@ -100,7 +92,8 @@ func (s *Stepper) Step() (SlotResult, error) {
 	if src := s.cfg.Source; src != nil && !src.SlotReady(s.next) {
 		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s.next, ErrAwaitingSamples)
 	}
-	if err := s.st.step(s.next); err != nil {
+	slot, err := s.st.step(s.next)
+	if err != nil {
 		s.withdraw()
 		return SlotResult{}, err
 	}
@@ -112,25 +105,24 @@ func (s *Stepper) Step() (SlotResult, error) {
 		s.withdraw()
 		s.st.release()
 	}
-	return s.st.slots[len(s.st.slots)-1], nil
+	return slot, nil
 }
 
 // Clone returns an independent stepper carrying this one's state: the
-// clone resumes at the same next slot with the same accumulated
-// results and transition continuity (a deep copy of the previous
-// assignment), and stepping it never affects the original, nor
-// stepping the original it. pol, when non-nil, replaces
-// the allocation policy — callers that step original and clone
-// concurrently must pass a fresh instance, since policies are not
-// required to allocate concurrently. The registered policies derive
-// each slot's allocation from that slot's demand alone, so a fresh
-// instance continues bit-exactly (the window-concatenation property
-// the stepper tests pin).
+// clone resumes at the same next slot with the same transition
+// continuity (a deep copy of the previous assignment), and stepping
+// it never affects the original, nor stepping the original it. pol,
+// when non-nil, replaces the allocation policy — callers that step
+// original and clone concurrently must pass a fresh instance, since
+// policies are not required to allocate concurrently. The registered
+// policies derive each slot's allocation from that slot's demand
+// alone, so a fresh instance continues bit-exactly (the
+// window-concatenation property the stepper tests pin).
 //
 // Immutable run state (DVFS-level tables, the trace and prediction
-// rows) is shared; mutable state (slot results, scratch buffers) is
-// copied or rebuilt. A clone offers no lookahead window: the
-// original's window, if open, stays the original's.
+// rows) is shared; the scratch buffers are rebuilt. A clone offers no
+// lookahead window: the original's window, if open, stays the
+// original's.
 func (s *Stepper) Clone(pol alloc.Policy) *Stepper {
 	c := &Stepper{cfg: s.cfg, next: s.next}
 	if pol != nil {
@@ -139,9 +131,3 @@ func (s *Stepper) Clone(pol alloc.Policy) *Stepper {
 	c.st = s.st.clone(&c.cfg)
 	return c
 }
-
-// Finish aggregates the slots stepped so far into a Result. After
-// stepping the whole window it returns exactly what Run would have;
-// called early it aggregates the prefix (the live service's
-// "series so far" view).
-func (s *Stepper) Finish() *Result { return s.st.finish() }

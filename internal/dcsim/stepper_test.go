@@ -17,7 +17,7 @@ func TestStepSize1WindowsConcatenate(t *testing.T) {
 	tr := testTrace(t, 40)
 	ps := oracle(t, tr)
 
-	full, err := Run(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
+	full, err := replay(testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestStepSize1WindowsConcatenate(t *testing.T) {
 		cfg := testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps)
 		cfg.StartSlot, cfg.NumSlots = s, 1
 		cfg.InitialActiveServers = initial
-		res, err := Run(cfg)
+		res, err := replay(cfg)
 		if err != nil {
 			t.Fatalf("window [%d,+1): %v", s, err)
 		}
@@ -56,7 +56,7 @@ func TestStepperMatchesRun(t *testing.T) {
 
 	cfg := testConfig(t, tr, &alloc.EPACT{Model: power.NTCServer()}, ps)
 	cfg.Transitions = DefaultTransitions()
-	batch, err := Run(cfg)
+	batch, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +68,7 @@ func TestStepperMatchesRun(t *testing.T) {
 	if st.Slots() != len(batch.Slots) {
 		t.Fatalf("stepper spans %d slots, batch ran %d", st.Slots(), len(batch.Slots))
 	}
+	var stepped []SlotResult
 	for i := 0; !st.Done(); i++ {
 		slot, err := st.Step()
 		if err != nil {
@@ -76,11 +77,12 @@ func TestStepperMatchesRun(t *testing.T) {
 		if slot != batch.Slots[i] {
 			t.Fatalf("step %d differs: batch %+v, stepped %+v", i, batch.Slots[i], slot)
 		}
+		stepped = append(stepped, slot)
 	}
 	if _, err := st.Step(); err == nil {
 		t.Fatal("stepping past the window succeeded")
 	}
-	fin := st.Finish()
+	fin := fold(stepped)
 	if fin.TotalEnergy != batch.TotalEnergy || fin.TotalViol != batch.TotalViol ||
 		fin.TotalMigrations != batch.TotalMigrations ||
 		fin.TotalTransitionEnergy != batch.TotalTransitionEnergy ||

@@ -13,7 +13,7 @@ func TestZeroTransitionsMatchPaperModel(t *testing.T) {
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 
 	base := testConfig(t, tr, alloc.NewCOAT(spec), ps)
-	resZero, err := Run(base)
+	resZero, err := replay(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +29,13 @@ func TestTransitionCostsIncreaseEnergy(t *testing.T) {
 	spec := alloc.ServerSpec{Cores: 16, MemContainers: 16, FMax: units.GHz(3.1), FMin: units.GHz(0.1)}
 
 	base := testConfig(t, tr, alloc.NewCOAT(spec), ps)
-	resZero, err := Run(base)
+	resZero, err := replay(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withCosts := base
 	withCosts.Transitions = DefaultTransitions()
-	resCosts, err := Run(withCosts)
+	resCosts, err := replay(withCosts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/sweep"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -145,42 +146,40 @@ func AblationTraceCorrelation(cfg DCConfig) ([]AblationTraceRow, error) {
 }
 
 // fig4to6With runs the Figs. 4-6 comparison (EPACT, COAT, COAT-OPT)
-// on a pre-built trace and prediction set.
+// on a pre-built trace and prediction set, each policy as a week of
+// the single-DC fleet.
 func fig4to6With(cfg DCConfig, tr *trace.Trace, ps *dcsim.PredictionSet) (*DCWeekResult, error) {
-	model := power.NTCServer()
-	if cfg.StaticPowerW > 0 {
-		model.Motherboard = units.Watts(cfg.StaticPowerW)
+	fleet, err := topology.Spec{Ref: "single"}.Load()
+	if err != nil {
+		return nil, err
 	}
-	spec := alloc.ServerSpec{
-		Cores:         model.Cores,
-		MemContainers: model.DRAM.Capacity.GB(),
-		FMax:          model.FMax,
-		FMin:          model.FMin,
+	spec := func(m power.Model) alloc.ServerSpec {
+		return alloc.ServerSpec{Cores: m.NumCores(), MemContainers: m.MemGB(), FMax: m.FreqMax(), FMin: m.FreqMin()}
 	}
-	policies := []alloc.Policy{
-		&alloc.EPACT{Model: model},
-		alloc.NewCOAT(spec),
-		alloc.NewCOATOPT(spec, model.OptimalFrequency()),
+	policies := []string{"EPACT", "COAT", "COAT-OPT"}
+	builders := []func(m power.Model) alloc.Policy{
+		func(m power.Model) alloc.Policy { return &alloc.EPACT{Model: m} },
+		func(m power.Model) alloc.Policy { return alloc.NewCOAT(spec(m)) },
+		func(m power.Model) alloc.Policy { return alloc.NewCOATOPT(spec(m), m.OptimalFrequency()) },
 	}
-
-	var sims []*dcsim.Result
-	for _, pol := range policies {
-		run, err := dcsim.Run(dcsim.Config{
-			Trace:       tr,
-			Predictions: ps,
-			HistoryDays: 7,
-			EvalDays:    cfg.EvalDays,
-			Policy:      pol,
-			Server:      model,
-			Platform:    platform.NTCServer(),
-			MaxServers:  cfg.MaxServers,
+	var fleets []*topology.FleetResult
+	for i, build := range builders {
+		run, err := topology.Run(topology.Config{
+			Fleet:        fleet,
+			Trace:        tr,
+			Predictions:  ps,
+			HistoryDays:  7,
+			EvalDays:     cfg.EvalDays,
+			MaxServers:   cfg.MaxServers,
+			StaticPowerW: cfg.StaticPowerW,
+			NewPolicy:    func(m power.Model) (alloc.Policy, error) { return build(m), nil },
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", pol.Name(), err)
+			return nil, fmt.Errorf("experiments: %s: %w", policies[i], err)
 		}
-		sims = append(sims, run)
+		fleets = append(fleets, run)
 	}
-	return weekFromResults(sims), nil
+	return weekFromFleets(policies, fleets), nil
 }
 
 func TestAblationPerfModelAgreement(t *testing.T) {

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"repro/internal/dcsim"
 	"repro/internal/sweep"
+	"repro/internal/topology"
 )
 
 // DCConfig parameterises the data-center experiments (Figs. 4-7).
@@ -135,16 +135,17 @@ func Fig4to6(cfg DCConfig) (*DCWeekResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sims := make([]*dcsim.Result, len(runs))
+	policies := make([]string, len(runs))
+	fleets := make([]*topology.FleetResult, len(runs))
 	for i := range runs {
-		sims[i] = runs[i].Run
+		policies[i], fleets[i] = runs[i].Scenario.Policy, runs[i].Fleet
 	}
-	return weekFromResults(sims), nil
+	return weekFromFleets(policies, fleets), nil
 }
 
-// weekFromResults folds per-policy simulation runs into the week
+// weekFromFleets folds each policy's single-DC fleet run into the week
 // comparison (series, aggregates, headline summary).
-func weekFromResults(sims []*dcsim.Result) *DCWeekResult {
+func weekFromFleets(policies []string, fleets []*topology.FleetResult) *DCWeekResult {
 	res := &DCWeekResult{
 		Violations:     map[string][]int{},
 		Active:         map[string][]int{},
@@ -154,16 +155,20 @@ func weekFromResults(sims []*dcsim.Result) *DCWeekResult {
 		MeanActive:     map[string]float64{},
 		PlannedFreqGHz: map[string]float64{},
 	}
-	for _, run := range sims {
-		name := run.Policy
+	for i, run := range fleets {
+		name := policies[i]
 		res.Policies = append(res.Policies, name)
-		res.Violations[name] = run.ViolationsPerSlot()
-		res.Active[name] = run.ActiveServersPerSlot()
-		res.EnergyMJ[name] = run.EnergyPerSlotMJ()
-		res.TotalEnergyMJ[name] = run.TotalEnergy.MJ()
-		res.TotalViol[name] = run.TotalViol
+		viol := make([]int, len(run.PerSlot))
+		active := make([]int, len(run.PerSlot))
+		energy := make([]float64, len(run.PerSlot))
+		for s, c := range run.PerSlot {
+			viol[s], active[s], energy[s] = c.Violations, c.ActiveServers, c.EnergyMJ
+		}
+		res.Violations[name], res.Active[name], res.EnergyMJ[name] = viol, active, energy
+		res.TotalEnergyMJ[name] = run.TotalEnergyMJ
+		res.TotalViol[name] = run.Violations
 		res.MeanActive[name] = run.MeanActive
-		res.PlannedFreqGHz[name] = run.MeanPlannedFreqGHz()
+		res.PlannedFreqGHz[name] = run.MeanPlannedFreqGHz
 	}
 	res.Summary = summarise(res)
 	return res

@@ -35,7 +35,7 @@ func PolicyZoo(cfg DCConfig, transitions dcsim.TransitionModel) ([]PolicyZooRow,
 	for i := range runs {
 		r := &runs[i]
 		rows = append(rows, PolicyZooRow{
-			Policy:       r.Run.Policy,
+			Policy:       r.Scenario.Policy,
 			EnergyMJ:     r.TotalEnergyMJ,
 			Violations:   r.Violations,
 			MeanActive:   r.MeanActive,

@@ -166,7 +166,7 @@ type Snapshot struct {
 	// cumulative energy, violations, migrations and carbon, and the
 	// realized energy proportionality of the slot energies so far
 	// (Tally.EPScore). Each slot's energy is bit-exact with the batch
-	// run's SlotEnergyMJ series (the stepper property).
+	// run's PerSlot series (the stepper property).
 	topology.Tally
 
 	// SlotEnergyMJ is the last completed slot's fleet energy.

@@ -285,8 +285,8 @@ func TestIngestSessionMatchesBatch(t *testing.T) {
 			t.Fatalf("slot %d: state %q, want %q", slot, sr.State, StateAwaiting)
 		}
 		// Bit-exactness per slot against the batch series.
-		if got := sess.Snapshot().SlotEnergyMJ; got != batch.SlotEnergyMJ[slot] {
-			t.Fatalf("slot %d: live energy %v, batch %v", slot, got, batch.SlotEnergyMJ[slot])
+		if got := sess.Snapshot().SlotEnergyMJ; got != batch.PerSlot[slot].EnergyMJ {
+			t.Fatalf("slot %d: live energy %v, batch %v", slot, got, batch.PerSlot[slot].EnergyMJ)
 		}
 	}
 
@@ -353,8 +353,8 @@ func TestForkWhatIf(t *testing.T) {
 		t.Fatalf("fork answered %d remaining slots, want %d", len(fr.SlotEnergyMJ), batch.Slots-fork)
 	}
 	for i, mj := range fr.SlotEnergyMJ {
-		if mj != batch.SlotEnergyMJ[fork+i] {
-			t.Fatalf("fork slot %d energy %v, batch %v", fork+i, mj, batch.SlotEnergyMJ[fork+i])
+		if mj != batch.PerSlot[fork+i].EnergyMJ {
+			t.Fatalf("fork slot %d energy %v, batch %v", fork+i, mj, batch.PerSlot[fork+i].EnergyMJ)
 		}
 	}
 	if fr.TotalEnergyMJ != batch.TotalEnergyMJ || fr.TotalViolations != batch.Violations || fr.EPScore != batch.EPScore {
@@ -434,7 +434,11 @@ func TestForkTDPMatchesBatch(t *testing.T) {
 		t.Fatalf("tdp fork totals (%v MJ, %d violations) diverge from batch (%v MJ, %d violations)",
 			fr.TotalEnergyMJ, fr.TotalViolations, batch.TotalEnergyMJ, batch.Violations)
 	}
-	if !reflect.DeepEqual(fr.SlotEnergyMJ, batch.SlotEnergyMJ[fork:]) {
+	var suffix []float64
+	for _, c := range batch.PerSlot[fork:] {
+		suffix = append(suffix, c.EnergyMJ)
+	}
+	if !reflect.DeepEqual(fr.SlotEnergyMJ, suffix) {
 		t.Fatal("tdp fork's remaining slot series differs from the batch suffix")
 	}
 }

@@ -202,8 +202,8 @@ func TestCacheHitRowIsByteIdentical(t *testing.T) {
 	if !warm.Runs[0].Cached {
 		t.Fatal("second run did not hit the cache")
 	}
-	if warm.Runs[0].Run != nil {
-		t.Error("cached row carries a live simulation result")
+	if warm.Runs[0].Fleet != nil {
+		t.Error("cached row carries a live fleet result")
 	}
 	if cold.CSV() != warm.CSV() {
 		t.Errorf("cached row CSV differs:\n%s\nvs\n%s", warm.CSV(), cold.CSV())

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/dcsim"
 	"repro/internal/power"
 	"repro/internal/sweep/cache"
 	"repro/internal/topology"
@@ -48,14 +47,14 @@ type Options struct {
 	// Cache, when non-nil, answers scenarios from the incremental
 	// result store and persists freshly executed rows (per the
 	// store's mode). Cached rows are byte-identical to executed ones;
-	// only the in-memory Run field (the full simulation output) is
-	// absent on a hit. Failed scenarios are never cached.
+	// only the in-memory Fleet field (the full fleet result) is nil on
+	// a hit. Failed scenarios are never cached.
 	Cache *cache.Store
 }
 
-// RunResult is one scenario's outcome. Run holds the full per-slot
-// simulation output for adapters that need series; the flat fields
-// are the machine-readable aggregates.
+// RunResult is one scenario's outcome. Fleet holds the full fleet
+// result for adapters that need series; the flat fields are the
+// machine-readable aggregates.
 type RunResult struct {
 	Scenario Scenario `json:"scenario"`
 
@@ -114,13 +113,9 @@ type RunResult struct {
 	// is execution metadata, excluded from CSV/JSON like Workers.
 	Cached bool `json:"-"`
 
-	// Run is the full simulation result (nil on error, on cache
-	// hits, and on multi-DC rows — use Fleet there). It is not
-	// serialised; use the CSV/JSON aggregates for persistence.
-	Run *dcsim.Result `json:"-"`
-
-	// Fleet is the full fleet result (nil on error and cache hits).
-	// Like Run it is in-memory only, for adapters that need series.
+	// Fleet is the full fleet result (nil on error and cache hits):
+	// in memory only, for adapters that need the per-slot series. It
+	// is not serialised; use the CSV/JSON aggregates for persistence.
 	Fleet *topology.FleetResult `json:"-"`
 }
 
@@ -407,7 +402,6 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 			return r.memo.wrap(s.Policy, m, pol, row, &keys), nil
 		},
 		Transitions: transitions,
-		TraceLabel:  s.TraceSpec,
 		Rebalance:   reb,
 	}, tp.affected, nil
 }
@@ -460,9 +454,7 @@ func (r *Runner) Exec(s Scenario) RunResult {
 	out.OperationalGCO2 = fres.OperationalGCO2
 	out.EmbodiedGCO2 = fres.EmbodiedGCO2
 	out.Fleet = fres
-	if len(fres.DCs) == 1 {
-		out.Run = fres.DCs[0].Result
-	} else {
+	if len(fres.DCs) > 1 {
 		// Multi-DC provenance: which datacenter contributed what.
 		out.PerDC = make([]DCResult, len(fres.DCs))
 		for i, dc := range fres.DCs {

@@ -5,6 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dcsim"
+	"repro/internal/platform"
+	"repro/internal/power"
+	"repro/internal/units"
 )
 
 // testGrid is the determinism workhorse: 6 policies × 2 transition
@@ -82,14 +87,15 @@ func TestLoaderSharesExpensiveInputs(t *testing.T) {
 func TestRunMetricsMatchDirectSimulation(t *testing.T) {
 	// A single-scenario sweep must agree with what the underlying
 	// simulator reports (the RunResult aggregates are derived fields).
-	res, err := Run(Grid{
+	g := Grid{
 		Policies:   []string{"EPACT"},
 		VMs:        []int{40},
 		MaxServers: []int{40},
 		EvalDays:   1,
 		Seeds:      []int64{2018},
 		Predictors: []string{"oracle"},
-	}, Options{Workers: 1})
+	}
+	res, err := Run(g, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +103,54 @@ func TestRunMetricsMatchDirectSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.Runs[0]
-	if r.Run == nil {
-		t.Fatal("Run result missing the full simulation output")
+	if r.Fleet == nil {
+		t.Fatal("Run result missing the full fleet result")
 	}
-	if r.TotalEnergyMJ != r.Run.TotalEnergy.MJ() {
-		t.Errorf("TotalEnergyMJ = %v, simulator says %v", r.TotalEnergyMJ, r.Run.TotalEnergy.MJ())
+
+	// The simulator's view: the scenario's inputs replayed by a plain
+	// dcsim stepper on the NTC server, folded here in slot order.
+	rn, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Violations != r.Run.TotalViol || r.MeanActive != r.Run.MeanActive || r.PeakActive != r.Run.PeakActive {
-		t.Errorf("aggregates diverge from simulator: %+v vs %+v", r, r.Run)
+	fleet, err := rn.StepperConfig(r.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := power.NTCServer()
+	pol, err := fleet.NewPolicy(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := dcsim.NewTables(model, platform.NTCServer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tables.NewStepper(dcsim.Config{
+		Trace: fleet.Trace, Predictions: fleet.Predictions,
+		HistoryDays: fleet.HistoryDays, EvalDays: fleet.EvalDays,
+		Policy: pol, MaxServers: 40, Transitions: fleet.Transitions,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var energy units.Energy
+	var viol, activeSum, peak, slots int
+	for ; !st.Done(); slots++ {
+		slot, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		energy += slot.Energy
+		viol += slot.Violations
+		activeSum += slot.ActiveServers
+		peak = max(peak, slot.ActiveServers)
+	}
+	if r.TotalEnergyMJ != energy.MJ() {
+		t.Errorf("TotalEnergyMJ = %v, simulator says %v", r.TotalEnergyMJ, energy.MJ())
+	}
+	if mean := float64(activeSum) / float64(slots); r.Violations != viol || r.MeanActive != mean || r.PeakActive != peak {
+		t.Errorf("aggregates diverge from simulator: %+v vs violations %d, mean active %v, peak %d", r, viol, mean, peak)
 	}
 	if r.Slots != 24 {
 		t.Errorf("Slots = %d, want 24 (one day)", r.Slots)

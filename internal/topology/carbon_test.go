@@ -193,7 +193,7 @@ func TestRunCarbonAccounting(t *testing.T) {
 		EmbodiedKgPerVCPU: 25,
 		EmbodiedKgPerGB:   1.5,
 	}}}
-	res, err := Run(Config{
+	cfg := Config{
 		Fleet:       f,
 		Trace:       tr,
 		Predictions: ps,
@@ -201,7 +201,8 @@ func TestRunCarbonAccounting(t *testing.T) {
 		EvalDays:    1,
 		MaxServers:  24,
 		NewPolicy:   newTestPolicy,
-	})
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestRunCarbonAccounting(t *testing.T) {
 	}
 	ci := dcCarbonOf(dc.Spec, m)
 	var op, emb float64
-	for s, slot := range dc.Result.Slots {
+	for s, slot := range replayDC(t, cfg, dc.Spec, allVMs(tr), 0, 0) {
 		op += slot.Energy.MJ() * dc.Spec.PUE / mjPerKWh * ci.intensity.At(s%24)
 		emb += float64(slot.ActiveServers) * ci.gPerServerHour
 	}

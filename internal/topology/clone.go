@@ -33,9 +33,10 @@ func (st *Stepper) Clone() (*Stepper, error) {
 	ep := *st.ep
 	res := *ep.res
 	res.DCs = slices.Clone(res.DCs)
-	res.SlotEnergyMJ = slices.Clone(res.SlotEnergyMJ)
+	res.PerSlot = slices.Clone(res.PerSlot)
 	ep.res = &res
 	ep.dcTally = slices.Clone(ep.dcTally)
+	ep.acc = slices.Clone(ep.acc)
 	ep.prevDC = slices.Clone(ep.prevDC)
 	ep.prevActive = slices.Clone(ep.prevActive)
 	ep.boundMJ = slices.Clone(ep.boundMJ)

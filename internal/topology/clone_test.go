@@ -151,37 +151,13 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 	}
 
 	dc := st.Fleet().DCs[0]
-	model, plat, err := dc.serverPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := cfg.NewPolicy(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view dcView
-	view.fill(cfg.Trace, cfg.Predictions, st.ep.asg[0])
-	fresh, err := dcsim.Run(dcsim.Config{
-		Trace:                &view.tr,
-		Predictions:          &view.pred,
-		HistoryDays:          cfg.HistoryDays,
-		EvalDays:             cfg.EvalDays,
-		StartSlot:            fork,
-		InitialActiveServers: carried,
-		Policy:               pol,
-		Server:               model,
-		Platform:             plat,
-		MaxServers:           dc.Servers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := replayDC(t, cfg, dc, st.ep.asg[0], fork, carried)
 	for i := 0; !clone.Done(); i++ {
 		got, err := clone.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fresh.Slots[i]
+		want := fresh[i]
 		if got.Slot != want.Slot || got.EnergyMJ != want.Energy.MJ()*dc.PUE ||
 			got.ActiveServers != want.ActiveServers || got.Violations != want.Violations {
 			t.Fatalf("fork slot %d differs from fresh window:\nfresh %+v\nclone %+v", got.Slot, want, got)

@@ -129,8 +129,8 @@ func checkConservation(t *testing.T, name string, cfg Config) {
 		cross += dc.CrossDCMigrations
 	}
 	series := 0.0
-	for _, e := range res.SlotEnergyMJ {
-		series += e
+	for _, c := range res.PerSlot {
+		series += c.EnergyMJ
 	}
 	for _, c := range []struct {
 		what      string
@@ -227,6 +227,9 @@ func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
 					for i := range want.DCs {
 						want.DCs[i].Spec = got.DCs[i].Spec
 						want.DCs[i].OperationalGCO2 *= 2
+					}
+					for s := range want.PerSlot {
+						want.PerSlot[s].OperationalGCO2 *= 2
 					}
 					for s := range wantSteps {
 						wantSteps[s].OperationalGCO2 *= 2

@@ -95,8 +95,8 @@ func TestRebalanceSingleDCIsIdentity(t *testing.T) {
 		reb.CrossDCMigrations != 0 {
 		t.Errorf("single-DC rebalance diverged from static: %+v vs %+v", reb, static)
 	}
-	if !reflect.DeepEqual(static.SlotEnergyMJ, reb.SlotEnergyMJ) {
-		t.Error("single-DC rebalance changed the slot energy series")
+	if !reflect.DeepEqual(static.PerSlot, reb.PerSlot) {
+		t.Error("single-DC rebalance changed the per-slot series")
 	}
 }
 
@@ -328,13 +328,17 @@ func TestDCSimRejectsBadSlotWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := power.NTCServer()
+	tables, err := dcsim.NewTables(model, platform.NTCServer())
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := dcsim.Config{
 		Trace:       tr,
 		Predictions: ps,
 		HistoryDays: 1,
 		EvalDays:    1,
-		Server:      power.NTCServer(),
-		Platform:    platform.NTCServer(),
+		Policy:      &alloc.EPACT{Model: model},
 	}
 	for _, c := range []struct{ start, n, initial int }{
 		{-1, 0, 0}, // negative start
@@ -345,23 +349,29 @@ func TestDCSimRejectsBadSlotWindows(t *testing.T) {
 		{0, 0, -1}, // negative initial servers
 	} {
 		cfg := base
-		cfg.Policy = &alloc.EPACT{Model: cfg.Server}
 		cfg.StartSlot, cfg.NumSlots, cfg.InitialActiveServers = c.start, c.n, c.initial
-		if _, err := dcsim.Run(cfg); err == nil {
+		if _, err := tables.NewStepper(cfg); err == nil {
 			t.Errorf("window (start=%d, n=%d, initial=%d) did not error", c.start, c.n, c.initial)
 		}
 	}
 	// The valid tail window still runs.
 	cfg := base
-	cfg.Policy = &alloc.EPACT{Model: cfg.Server}
 	cfg.StartSlot, cfg.NumSlots = 20, 4
-	res, err := dcsim.Run(cfg)
+	st, err := tables.NewStepper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Slots) != 4 || res.Slots[0].Slot != 20 {
+	var slots []dcsim.SlotResult
+	for !st.Done() {
+		slot, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots = append(slots, slot)
+	}
+	if len(slots) != 4 || slots[0].Slot != 20 {
 		t.Errorf("tail window produced %d slots starting at %d, want 4 from 20",
-			len(res.Slots), res.Slots[0].Slot)
+			len(slots), slots[0].Slot)
 	}
 }
 
@@ -381,23 +391,34 @@ func TestFleetAggregationWithEmptyDC(t *testing.T) {
 		{Name: "ntc", Servers: 50},
 		{Name: "conv", Servers: 50, Server: "conventional"},
 	}}
-	res, err := Run(Config{
+	cfg := Config{
 		Fleet:       fleet,
 		Trace:       tr,
 		Predictions: ps,
 		HistoryDays: 1,
 		EvalDays:    1,
 		NewPolicy:   newTestPolicy,
-	})
+	}
+	st, err := NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !st.Done() {
+		if _, err := st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var empty, full *DCRun
+	var fullVMs []int
 	for i := range res.DCs {
 		if res.DCs[i].VMs == 0 {
 			empty = &res.DCs[i]
 		} else {
-			full = &res.DCs[i]
+			full, fullVMs = &res.DCs[i], st.ep.asg[i]
 		}
 	}
 	if empty == nil || full == nil {
@@ -411,9 +432,15 @@ func TestFleetAggregationWithEmptyDC(t *testing.T) {
 	if res.MeanActive != full.MeanActive {
 		t.Errorf("fleet MeanActive %v != hosting DC's %v", res.MeanActive, full.MeanActive)
 	}
-	if full.Result != nil && res.MeanPlannedFreqGHz != full.Result.MeanPlannedFreqGHz() {
-		t.Errorf("fleet planned freq %v != hosting DC's %v",
-			res.MeanPlannedFreqGHz, full.Result.MeanPlannedFreqGHz())
+	// The hosting DC's mean cap frequency, from a plain replay of its
+	// VMs in dispatch order.
+	var ghz float64
+	steps := replayDC(t, cfg, full.Spec, fullVMs, 0, 0)
+	for _, slot := range steps {
+		ghz += slot.PlannedFreq.GHz()
+	}
+	if mean := ghz / float64(len(steps)); res.MeanPlannedFreqGHz != mean {
+		t.Errorf("fleet planned freq %v != hosting DC's %v", res.MeanPlannedFreqGHz, mean)
 	}
 	if res.TotalEnergyMJ != full.EnergyMJ {
 		t.Errorf("fleet energy %v != hosting DC's %v", res.TotalEnergyMJ, full.EnergyMJ)

@@ -51,9 +51,6 @@ type Config struct {
 	// cross-DC move through MigrationEnergyPerByte.
 	Transitions dcsim.TransitionModel
 
-	// TraceLabel is the provenance label passed through to dcsim.
-	TraceLabel string
-
 	// Rebalance re-runs cross-DC dispatch every EverySlots slots over
 	// the observed (history-so-far) load and migrates VMs between
 	// datacenters (see RebalanceSpec). The zero value keeps the
@@ -69,7 +66,10 @@ type Config struct {
 	// simulate an evaluation slot the source has not released. The
 	// gate sits at the fleet level — epoch re-dispatch observes
 	// ingested samples, so an epoch never opens before its boundary
-	// slot is released. Batch replays leave it nil.
+	// slot is released. Each DC's dcsim stepper gets the source too,
+	// only so that it offers no lookahead window over slots not yet
+	// ingested. Run stops with that error at the first unreleased
+	// slot; batch replays leave Source nil.
 	Source dcsim.SlotSource
 }
 
@@ -113,11 +113,6 @@ type DCRun struct {
 	// into allocation.
 	OperationalGCO2 float64 `json:"operational_gco2"`
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
-
-	// Result is the full simulation output of a static (one-epoch)
-	// run; nil for a DC that hosted no VMs and under rebalancing,
-	// whose per-epoch runs have no single Result. Not serialised.
-	Result *dcsim.Result `json:"-"`
 }
 
 // FleetResult aggregates a fleet run.
@@ -166,8 +161,10 @@ type FleetResult struct {
 	OperationalGCO2 float64 `json:"operational_gco2"`
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
 
-	// SlotEnergyMJ is the fleet's per-slot facility-energy series.
-	SlotEnergyMJ []float64 `json:"-"`
+	// PerSlot is the fleet's charges of each slot, in slot order:
+	// the per-slot energy, violation and active-server series. Not
+	// serialised.
+	PerSlot []Charges `json:"-"`
 }
 
 // Run executes one fleet workload: resolve the fleet, dispatch the

@@ -16,8 +16,7 @@ import (
 // Tally of a DC's slots reproduces that DC's batch totals.
 type Charges struct {
 	// EnergyMJ is the facility energy (IT × PUE) charged to the slot,
-	// boundary charges included. The fleet value is bit-exact with
-	// FleetResult.SlotEnergyMJ[Slot].
+	// boundary charges included.
 	EnergyMJ float64
 
 	// ActiveServers is the powered-on count this slot (0 for a DC
@@ -61,7 +60,8 @@ type DCSlotStep struct {
 }
 
 // SlotStep is one fleet slot of a live run: the fleet-level sums plus
-// the per-DC breakdown, in fleet spec order.
+// the per-DC breakdown, in fleet spec order. Step stores the fleet's
+// Charges in FleetResult.PerSlot[Slot].
 type SlotStep struct {
 	// Slot is the evaluation-period slot index (1 slot = 1 hour).
 	Slot int
@@ -303,18 +303,18 @@ func (st *Stepper) Tally() (Tally, []Tally) { return st.ep.tally, st.ep.dcTally 
 //
 // The accumulation split fixes every floating-point addition's
 // position and order: openEpoch folds the boundary pricing into the
-// result totals (priced before the DC loop), closeEpoch folds each
-// DC's epoch totals in DC index order, and Step folds each slot into
-// the tallies and the slot energy series. Nothing else touches them.
+// result totals (priced before the DC loop), Step folds each slot
+// into the tallies, each DC's epoch totals and the per-slot charges,
+// and closeEpoch bills each DC's epoch totals into the result totals
+// in DC index order. Nothing else touches them.
 type epochState struct {
 	rebFleet    Fleet
 	histSamples int
 	every       int
 
-	// oneShot marks static dispatch, the single-epoch run. It keeps
-	// the per-DC dcsim Result and weighs the mean planned frequency by
-	// VMs alone (every DC spans the same window), the static rows'
-	// exact formula.
+	// oneShot marks static dispatch, the single-epoch run. It weighs
+	// the mean planned frequency by VMs alone (every DC spans the same
+	// window), the static rows' exact formula.
 	oneShot bool
 
 	res          *FleetResult
@@ -330,6 +330,7 @@ type epochState struct {
 	epochStart, epochEnd int
 	asg                  Assignment
 	sims                 []*dcsim.Stepper // nil for empty DCs
+	acc                  []epochTotals    // each DC's slots so far
 
 	// bufs are the buffers the epochs refill; shared marks them as
 	// also another stepper's since a Clone, so the next epoch opens
@@ -346,6 +347,24 @@ type epochState struct {
 	boundCross   []int
 	drainIT      []float64 // drained-DC power-off, IT MJ
 	drainFac     []float64 // drained-DC power-off, facility MJ
+}
+
+// epochTotals fold one DC's dcsim slots of the open epoch, in slot
+// order, into what closeEpoch bills.
+type epochTotals struct {
+	energy, transition     units.Energy // summed from zero
+	violations, migrations int
+	active                 int     // the last slot's ActiveServers
+	freqGHz                float64 // the sum of the planned GHz
+}
+
+func (a *epochTotals) add(slot *dcsim.SlotResult) {
+	a.energy += slot.Energy
+	a.transition += slot.TransitionEnergy
+	a.violations += slot.Violations
+	a.migrations += slot.Migrations
+	a.active = slot.ActiveServers
+	a.freqGHz += slot.PlannedFreq.GHz()
 }
 
 // epochBufs are what an epoch fills for its DCs: the dispatch (its
@@ -402,13 +421,14 @@ func newEpochState(st *Stepper) *epochState {
 		ep.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
 	}
 	ep.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
-	ep.res.SlotEnergyMJ = make([]float64, st.totalSlots)
+	ep.res.PerSlot = make([]Charges, st.totalSlots)
 	for i, dc := range fleet.DCs {
 		ep.res.DCs[i].Spec = dc
 	}
 	ep.dcTally = make([]Tally, n)
 	ep.prevActive = make([]int, n)
 	ep.sims = make([]*dcsim.Stepper, n)
+	ep.acc = make([]epochTotals, n)
 	ep.boundMJ = make([]float64, n)
 	ep.boundViol = make([]int, n)
 	ep.boundCross = make([]int, n)
@@ -492,7 +512,7 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 	ep.asg = asg
 
 	for i, dc := range fleet.DCs {
-		ep.sims[i] = nil
+		ep.sims[i], ep.acc[i] = nil, epochTotals{}
 		if len(asg[i]) == 0 {
 			st.models[i].tables.Recycle()
 			// A drained DC powers its servers down; the energy is
@@ -525,7 +545,6 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			Policy:               pol,
 			MaxServers:           dc.Servers,
 			Transitions:          cfg.Transitions,
-			TraceLabel:           cfg.TraceLabel,
 			// The fleet gate already released every slot a DC steps;
 			// passing the source on keeps a live feed's DC steppers from
 			// offering lookahead windows over slots not yet ingested.
@@ -564,31 +583,32 @@ func (ep *epochState) closeEpoch(st *Stepper) {
 			ep.prevActive[i] = 0
 			continue
 		}
-		sim := ep.sims[i].Finish()
-		if ep.oneShot {
-			run.Result = sim
-		}
-		run.ITEnergyMJ += sim.TotalEnergy.MJ()
-		facility := sim.TotalEnergy.MJ() * dc.PUE
+		a := &ep.acc[i]
+		run.ITEnergyMJ += a.energy.MJ()
+		facility := a.energy.MJ() * dc.PUE
 		run.EnergyMJ += facility
 		res.TotalEnergyMJ += facility
-		res.TransitionMJ += sim.TotalTransitionEnergy.MJ() * dc.PUE
-		run.Violations += sim.TotalViol
-		res.Violations += sim.TotalViol
-		w := float64(sim.TotalViol) * latencyWeight(dc.LatencyMs)
+		res.TransitionMJ += a.transition.MJ() * dc.PUE
+		run.Violations += a.violations
+		res.Violations += a.violations
+		w := float64(a.violations) * latencyWeight(dc.LatencyMs)
 		run.LatencyWeightedViol += w
 		res.LatencyWeightedViol += w
-		run.Migrations += sim.TotalMigrations
-		res.Migrations += sim.TotalMigrations
-		ep.prevActive[i] = sim.Slots[len(sim.Slots)-1].ActiveServers
+		run.Migrations += a.migrations
+		res.Migrations += a.migrations
+		ep.prevActive[i] = a.active
 		// Weigh each DC's mean cap frequency by the VM-slots it
 		// covers; in the one-shot run every DC spans the same window,
-		// so VMs alone weigh it.
+		// so VMs alone weigh it. A single DC has nothing to weigh:
+		// weight 1 keeps its mean the exact sum/n.
 		weight := len(ep.asg[i])
-		if !ep.oneShot {
+		switch {
+		case len(st.fleet.DCs) == 1:
+			weight = 1
+		case !ep.oneShot:
 			weight *= n
 		}
-		ep.freqWeighted += sim.MeanPlannedFreqGHz() * float64(weight)
+		ep.freqWeighted += a.freqGHz / float64(n) * float64(weight)
 		ep.freqWeight += float64(weight)
 	}
 	ep.open = false
@@ -635,6 +655,7 @@ func (st *Stepper) Step() (SlotStep, error) {
 			if err != nil {
 				return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 			}
+			ep.acc[i].add(&slot)
 			mj := slot.Energy.MJ() * dc.PUE
 			d.EnergyMJ += mj
 			out.EnergyMJ += mj
@@ -659,7 +680,7 @@ func (st *Stepper) Step() (SlotStep, error) {
 		ep.dcTally[i].Add(&d.Charges)
 	}
 	ep.tally.Add(&out.Charges)
-	ep.res.SlotEnergyMJ[s] = out.EnergyMJ
+	ep.res.PerSlot[s] = out.Charges
 	st.next++
 	return out, nil
 }
@@ -700,13 +721,7 @@ func (ep *epochState) finish(st *Stepper) *FleetResult {
 		res.EmbodiedGCO2 += t.EmbodiedGCO2
 	}
 	res.EPScore = ep.tally.EPScore()
-	switch {
-	case len(res.DCs) == 1 && res.DCs[0].Result != nil:
-		// Bit-exact identity with the single-datacenter simulation:
-		// avoid the weighted-mean round trip when there is nothing to
-		// weigh.
-		res.MeanPlannedFreqGHz = res.DCs[0].Result.MeanPlannedFreqGHz()
-	case ep.freqWeight > 0:
+	if ep.freqWeight > 0 {
 		res.MeanPlannedFreqGHz = ep.freqWeighted / ep.freqWeight
 	}
 	return res

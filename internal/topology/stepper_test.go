@@ -112,8 +112,8 @@ func TestStepperMatchesRun(t *testing.T) {
 				if s.Slot != i {
 					t.Fatalf("step %d reported slot %d", i, s.Slot)
 				}
-				if s.EnergyMJ != batch.SlotEnergyMJ[i] {
-					t.Fatalf("slot %d energy %v != batch %v", i, s.EnergyMJ, batch.SlotEnergyMJ[i])
+				if s.Charges != batch.PerSlot[i] {
+					t.Fatalf("slot %d charges %+v != batch %+v", i, s.Charges, batch.PerSlot[i])
 				}
 				if len(s.DCs) != len(batch.DCs) {
 					t.Fatalf("slot %d has %d DC views, fleet has %d", i, len(s.DCs), len(batch.DCs))

@@ -71,8 +71,8 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 			var fleetActive, fleetPeak int
 			for s, step := range steps {
 				fleetMJ[s] = step.EnergyMJ
-				if !same(step.EnergyMJ, res.SlotEnergyMJ[s]) {
-					t.Fatalf("slot %d energy %v != SlotEnergyMJ %v", s, step.EnergyMJ, res.SlotEnergyMJ[s])
+				if !same(step.EnergyMJ, res.PerSlot[s].EnergyMJ) {
+					t.Fatalf("slot %d energy %v != PerSlot %v", s, step.EnergyMJ, res.PerSlot[s].EnergyMJ)
 				}
 				fleetActive += step.ActiveServers
 				fleetPeak = max(fleetPeak, step.ActiveServers)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,9 +10,9 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/dcsim"
-	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 func testTrace(t *testing.T, seed int64, vms, days int) *trace.Trace {
@@ -432,6 +433,59 @@ func newTestPolicy(m power.Model) (alloc.Policy, error) {
 	return &alloc.EPACT{Model: m}, nil
 }
 
+// replayDC steps a plain dcsim replay of the VMs idxs of cfg's trace,
+// in that order, on dc's native server from slot start with initial
+// servers already on, as the fleet runs that DC, and returns the steps.
+func replayDC(t *testing.T, cfg Config, dc DCSpec, idxs []int, start, initial int) []dcsim.SlotResult {
+	t.Helper()
+	model, plat, err := dc.serverPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := cfg.NewPolicy(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := dcsim.NewTables(model, plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view dcView
+	view.fill(cfg.Trace, cfg.Predictions, idxs)
+	st, err := tables.NewStepper(dcsim.Config{
+		Trace:                &view.tr,
+		Predictions:          &view.pred,
+		HistoryDays:          cfg.HistoryDays,
+		EvalDays:             cfg.EvalDays,
+		StartSlot:            start,
+		InitialActiveServers: initial,
+		Policy:               pol,
+		MaxServers:           dc.Servers,
+		Transitions:          cfg.Transitions,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []dcsim.SlotResult
+	for !st.Done() {
+		slot, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, slot)
+	}
+	return steps
+}
+
+// allVMs lists the VM indices of tr in order.
+func allVMs(tr *trace.Trace) []int {
+	idxs := make([]int, len(tr.VMs))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
+}
+
 // TestSingleFleetMatchesPlainSimulation pins the identity that lets
 // the sweep engine route every scenario through the topology layer:
 // the "single" fleet reproduces a plain dcsim run bit-for-bit.
@@ -445,7 +499,7 @@ func TestSingleFleetMatchesPlainSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := Run(Config{
+	cfg := Config{
 		Fleet:       fleet,
 		Trace:       tr,
 		Predictions: ps,
@@ -453,35 +507,44 @@ func TestSingleFleetMatchesPlainSimulation(t *testing.T) {
 		EvalDays:    1,
 		MaxServers:  30,
 		NewPolicy:   newTestPolicy,
-	})
+	}
+	fres, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	model := power.NTCServer()
-	direct, err := dcsim.Run(dcsim.Config{
-		Trace:       tr,
-		Predictions: ps,
-		HistoryDays: 1,
-		EvalDays:    1,
-		Policy:      &alloc.EPACT{Model: model},
-		Server:      model,
-		Platform:    platform.NTCServer(),
-		MaxServers:  30,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The reference: a plain replay on the same server, folded here in
+	// slot order (energy summed in joules from zero).
+	steps := replayDC(t, cfg, fres.DCs[0].Spec, allVMs(tr), 0, 0)
+	if len(fres.PerSlot) != len(steps) {
+		t.Fatalf("single fleet has %d per-slot charges, plain replay %d steps", len(fres.PerSlot), len(steps))
 	}
-
-	if fres.TotalEnergyMJ != direct.TotalEnergy.MJ() {
-		t.Errorf("single fleet energy %v != plain %v", fres.TotalEnergyMJ, direct.TotalEnergy.MJ())
+	var energy units.Energy
+	var viol, peak, activeSum int
+	var ghz float64
+	for s, slot := range steps {
+		energy += slot.Energy
+		viol += slot.Violations
+		peak = max(peak, slot.ActiveServers)
+		activeSum += slot.ActiveServers
+		ghz += slot.PlannedFreq.GHz()
+		c := fres.PerSlot[s]
+		if math.Float64bits(c.EnergyMJ) != math.Float64bits(slot.Energy.MJ()) ||
+			c.ActiveServers != slot.ActiveServers || c.Violations != slot.Violations ||
+			c.Migrations != slot.Migrations {
+			t.Errorf("slot %d: single fleet charges %+v, plain step %+v", s, c, slot)
+		}
 	}
-	if fres.Violations != direct.TotalViol || fres.PeakActive != direct.PeakActive ||
-		fres.MeanActive != direct.MeanActive || fres.Slots != len(direct.Slots) {
+	n := float64(len(steps))
+	if fres.TotalEnergyMJ != energy.MJ() {
+		t.Errorf("single fleet energy %v != plain %v", fres.TotalEnergyMJ, energy.MJ())
+	}
+	if fres.Violations != viol || fres.PeakActive != peak ||
+		fres.MeanActive != float64(activeSum)/n || fres.Slots != len(steps) {
 		t.Errorf("single fleet aggregates diverge: %+v vs sim", fres)
 	}
-	if fres.MeanPlannedFreqGHz != direct.MeanPlannedFreqGHz() {
-		t.Errorf("single fleet freq %v != plain %v", fres.MeanPlannedFreqGHz, direct.MeanPlannedFreqGHz())
+	if fres.MeanPlannedFreqGHz != ghz/n {
+		t.Errorf("single fleet freq %v != plain %v", fres.MeanPlannedFreqGHz, ghz/n)
 	}
 	if len(fres.DCs) != 1 || fres.DCs[0].VMs != 30 {
 		t.Errorf("single fleet per-DC rows = %+v", fres.DCs)
@@ -519,7 +582,7 @@ func TestFleetRunConservesVMsAndEnergy(t *testing.T) {
 			vms += dc.VMs
 			energy += dc.EnergyMJ
 			viol += dc.Violations
-			if dc.Result != nil && dc.EnergyMJ != dc.ITEnergyMJ*dc.Spec.PUE {
+			if dc.VMs > 0 && dc.EnergyMJ != dc.ITEnergyMJ*dc.Spec.PUE {
 				t.Errorf("%s: DC %s facility energy %v != IT %v × PUE %v",
 					disp, dc.Spec.Name, dc.EnergyMJ, dc.ITEnergyMJ, dc.Spec.PUE)
 			}
