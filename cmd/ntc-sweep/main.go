@@ -413,20 +413,22 @@ func gridFromFlags(policies, vms, maxServers, seeds, static, predictors, transit
 	for _, name := range splitList(transitions) {
 		g.Transitions = append(g.Transitions, sweep.TransitionSpec{Name: name})
 	}
+	parseInt64 := func(f string) (int64, error) { return strconv.ParseInt(f, 10, 64) }
+	parseFloat := func(f string) (float64, error) { return strconv.ParseFloat(f, 64) }
 	var err error
-	if g.VMs, err = parseInts("vms", vms); err != nil {
+	if g.VMs, err = parseList("vms", vms, strconv.Atoi); err != nil {
 		return g, err
 	}
-	if g.MaxServers, err = parseInts("max-servers", maxServers); err != nil {
+	if g.MaxServers, err = parseList("max-servers", maxServers, strconv.Atoi); err != nil {
 		return g, err
 	}
-	if g.Seeds, err = parseInt64s("seeds", seeds); err != nil {
+	if g.Seeds, err = parseList("seeds", seeds, parseInt64); err != nil {
 		return g, err
 	}
-	if g.StaticPowerW, err = parseFloats("static", static); err != nil {
+	if g.StaticPowerW, err = parseList("static", static, parseFloat); err != nil {
 		return g, err
 	}
-	if g.ChurnFractions, err = parseFloats("churn", churn); err != nil {
+	if g.ChurnFractions, err = parseList("churn", churn, parseFloat); err != nil {
 		return g, err
 	}
 	return g, nil
@@ -442,34 +444,12 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(flag, s string) ([]int, error) {
-	var out []int
+// parseList parses each value of the comma-separated flag value s,
+// naming the flag in the error.
+func parseList[T any](flag, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %w", flag, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInt64s(flag, s string) ([]int64, error) {
-	var out []int64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %w", flag, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(flag, s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := parse(f)
 		if err != nil {
 			return nil, fmt.Errorf("-%s: %w", flag, err)
 		}

@@ -670,6 +670,31 @@ func TestResumeCLIMidGridRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBadListValueErrors pins the error for a value of a numeric axis
+// flag that does not parse: it names the flag, then the parser's own
+// error for the offending element.
+func TestBadListValueErrors(t *testing.T) {
+	cases := []struct{ flag, value, want string }{
+		{"-vms", "40,4x", `-vms: strconv.Atoi: parsing "4x": invalid syntax`},
+		{"-max-servers", "1.5", `-max-servers: strconv.Atoi: parsing "1.5": invalid syntax`},
+		{"-seeds", "1,s2", `-seeds: strconv.ParseInt: parsing "s2": invalid syntax`},
+		{"-static", "watts", `-static: strconv.ParseFloat: parsing "watts": invalid syntax`},
+		{"-churn", "0.1,x", `-churn: strconv.ParseFloat: parsing "x": invalid syntax`},
+	}
+	for _, c := range cases {
+		t.Run(c.flag[1:], func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run([]string{c.flag, c.value}, &stdout, &stderr)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("run(%s %s) error = %v, want %q", c.flag, c.value, err, c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%s %s) wrote output despite failing:\n%s", c.flag, c.value, stdout.String())
+			}
+		})
+	}
+}
+
 // TestBadFlagsSurfaceErrors: every unknown axis value must produce a
 // clear error and a non-zero exit (run returning an error), never a
 // panic or an empty table.

@@ -85,42 +85,6 @@ func NewTables(server power.Model, plat *platform.Platform) (*Tables, error) {
 	return t, nil
 }
 
-// runState holds everything one stepper shares across its slots: the
-// DVFS-level tables (see Tables) and the reusable scratch buffers that
-// make the steady-state slot loop allocation-free.
-type runState struct {
-	*Tables
-	cfg *Config
-
-	evalStart int
-	sampleSec float64
-	first     int
-	last      int
-
-	// b holds the buffers the slot loop refills (see stepBufs). It
-	// comes from the tables' spare or bufPool and goes back when the
-	// stepper's window is done; handoff sends it to the spare.
-	b       *stepBufs
-	handoff bool
-
-	// resident is b's resident-set buffer, sized to the run's VMs; nil
-	// when transitions are disabled.
-	resident []float64
-
-	// Columnar replay scratch: per-sample aggregates of one server's
-	// slot window, rebuilt per server from flat trace rows.
-	classCPU [numClasses][trace.SamplesPerSlot]float64
-	cpuTotal [trace.SamplesPerSlot]float64
-	memTotal [trace.SamplesPerSlot]float64
-
-	// asg is the Assignment the next step's policy fills in place, and
-	// prev the previous slot's, which transition pricing reads while
-	// asg is filled; step swaps the two. prev means nothing until
-	// hasPrev (the first slot has no previous one). Both point into b.
-	asg, prev *alloc.Assignment
-	hasPrev   bool
-}
-
 // stepBufs are the buffers a stepper's slot loop refills: the slot's
 // allocation input (see SlotDemands), the two Assignments the policy
 // fills in turn, the resident sets and the migration matcher that
@@ -140,7 +104,7 @@ type stepBufs struct {
 // drops items (as it does at random under the race detector).
 var bufPool = sync.Pool{New: func() any { return new(stepBufs) }}
 
-// release gives the run's buffers back once its window is done; no
+// release gives the stepper's buffers back once its window is done; no
 // step may follow. A fleet epoch's stepper (handoff: a window that
 // ends before the evaluation period does) leaves them as the tables'
 // spare, and the datacenter's next epoch takes them there: a
@@ -148,8 +112,8 @@ var bufPool = sync.Pool{New: func() any { return new(stepBufs) }}
 // that changed P between two epochs missed it and grew a fresh set.
 // Every other stepper, and a handoff that finds a spare already
 // parked, returns them to bufPool.
-func (st *runState) release() {
-	if !st.handoff || !st.Tables.spare.CompareAndSwap(nil, st.b) {
+func (st *Stepper) release() {
+	if !st.handoff || !st.t.spare.CompareAndSwap(nil, st.b) {
 		bufPool.Put(st.b)
 	}
 	st.b, st.asg, st.prev, st.resident, st.hasPrev = nil, nil, nil, nil, false
@@ -174,52 +138,13 @@ func (t *Tables) Recycle() {
 	}
 }
 
-// newRunState validates cfg and builds its run state on t.
-func newRunState(cfg *Config, t *Tables) (*runState, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	slots := cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
-	first, last := cfg.StartSlot, slots
-	if cfg.NumSlots > 0 {
-		last = first + cfg.NumSlots
-	}
-	st := &runState{
-		Tables:    t,
-		cfg:       cfg,
-		evalStart: cfg.HistoryDays * trace.SamplesPerDay,
-		sampleSec: cfg.Trace.Interval.Seconds(),
-		first:     first,
-		last:      last,
-		b:         t.takeBufs(),
-		handoff:   last < slots,
-	}
-	st.bind()
-	return st, nil
-}
-
-// bind points the run's Assignments and resident sets into st.b.
-func (st *runState) bind() {
+// bind points the stepper's Assignments and resident sets into st.b.
+func (st *Stepper) bind() {
 	st.asg, st.prev = &st.b.asg, &st.b.prev
 	if st.cfg.Transitions != (TransitionModel{}) {
 		st.b.resident = slices.Grow(st.b.resident[:0], len(st.cfg.Trace.VMs))[:len(st.cfg.Trace.VMs)]
 		st.resident = st.b.resident
 	}
-}
-
-// clone copies a runState for an independent continuation bound to
-// cfg (the cloning stepper's own Config copy). The tables are shared;
-// the step buffers are fresh — they are rebuilt on every step — except
-// the previous assignment, deep-copied for transition continuity.
-func (st *runState) clone(cfg *Config) *runState {
-	c := *st
-	c.cfg = cfg
-	c.b = new(stepBufs)
-	c.bind()
-	if st.hasPrev {
-		c.prev.CopyFrom(st.prev)
-	}
-	return &c
 }
 
 // step simulates one slot and returns its result: build demand views,
@@ -228,8 +153,8 @@ func (st *runState) clone(cfg *Config) *runState {
 // allocates nothing but what the policy's own pools take (and a memo
 // hit takes none): pinned for every registered policy on a memo hit
 // by TestSlotLoopAllocationFree.
-func (st *runState) step(s int) (SlotResult, error) {
-	cfg := st.cfg
+func (st *Stepper) step(s int) (SlotResult, error) {
+	cfg := &st.cfg
 	lo := s * trace.SamplesPerSlot // offset within the eval period
 
 	// 1) Predicted demands, packed as a lookahead Window packs them,
@@ -238,7 +163,7 @@ func (st *runState) step(s int) (SlotResult, error) {
 
 	// 2) Allocate.
 	asg := st.asg
-	if err := alloc.Into(cfg.Policy, asg, vms, st.spec); err != nil {
+	if err := alloc.Into(cfg.Policy, asg, vms, st.t.spec); err != nil {
 		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s, err)
 	}
 
@@ -277,10 +202,10 @@ func (st *runState) step(s int) (SlotResult, error) {
 // order as the original per-sample pointer walk, so every float result
 // is bit-identical. It fails when a fixed-cap policy plans a frequency
 // that is not a level of the server's DVFS grid.
-func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, error) {
+func (st *Stepper) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, error) {
 	var out SlotResult
-	cfg := st.cfg
-	spec := st.spec
+	cfg := &st.cfg
+	spec := st.t.spec
 	// Deliverable CPU capacity: demand beyond it is a violation. A
 	// dynamic-DVFS policy can boost to F_max, so the whole capacity is
 	// deliverable; a fixed-cap policy (COAT-OPT) is pinned at its
@@ -296,9 +221,9 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 	fixedLvl := 0
 	if asg.FixedFreq {
 		capCPU = spec.CPUPoints() * asg.PlannedFreq.GHz() / spec.FMax.GHz()
-		if fixedLvl = slices.Index(st.grid, asg.PlannedFreq); fixedLvl < 0 {
+		if fixedLvl = slices.Index(st.t.grid, asg.PlannedFreq); fixedLvl < 0 {
 			return out, fmt.Errorf("fixed-cap frequency %v is not a DVFS level of %s",
-				asg.PlannedFreq, st.server.ModelName())
+				asg.PlannedFreq, st.t.server.ModelName())
 		}
 	}
 
@@ -348,9 +273,9 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 			lvl := fixedLvl
 			if !asg.FixedFreq {
 				needGHz := cpuTotal / spec.CPUPoints() * spec.FMax.GHz()
-				lvl = st.server.LevelIndex(units.GHz(needGHz), len(st.grid))
+				lvl = st.t.server.LevelIndex(units.GHz(needGHz), len(st.t.grid))
 			}
-			scale := st.scaleByLvl[lvl]
+			scale := st.t.scaleByLvl[lvl]
 
 			// Busy core-equivalents at the chosen frequency.
 			busy := cpuTotal / 100 * scale
@@ -366,7 +291,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 					continue
 				}
 				classBusy := classCPU / 100 * scale
-				obs := st.obs.At(workload.Class(c), lvl)
+				obs := st.t.obs.At(workload.Class(c), lvl)
 				wfm += classBusy * obs.WFMFraction
 				llcR += classBusy * obs.LLCReadsPerSec
 				llcW += classBusy * obs.LLCWritesPerSec
@@ -376,7 +301,7 @@ func (st *runState) replaySlot(asg *alloc.Assignment, absLo int) (SlotResult, er
 			if busy > 0 {
 				wfm /= busy
 			}
-			p := st.levelPowers[lvl].Evaluate(busy, wfm, llcR, llcW, memR, memW)
+			p := st.t.levelPowers[lvl].Evaluate(busy, wfm, llcR, llcW, memR, memW)
 			out.Energy += units.EnergyOver(p, st.sampleSec)
 		}
 	}

@@ -24,7 +24,7 @@ func MemoisedUnder(root *trace.Trace) []*trace.Trace {
 
 // StepSlot steps slot s of st's run again from its carried state, for
 // tests that measure one step at a time, and returns the slot's result.
-func StepSlot(st *Stepper, s int) (SlotResult, error) { return st.st.step(s) }
+func StepSlot(st *Stepper, s int) (SlotResult, error) { return st.step(s) }
 
 // NewStepper builds a stepper for cfg on fresh tables of the NTC
 // server against its platform, the machine testConfig describes.

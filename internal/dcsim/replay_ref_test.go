@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// refReplaySlot is the reference for runState.replaySlot: the naive
+// refReplaySlot is the reference for Stepper.replaySlot: the naive
 // replay that prices every sample by evaluating the performance and
 // power models directly. The governor's frequency is ClampFrequency
 // of the demand (a fixed-cap slot runs at PlannedFreq), and

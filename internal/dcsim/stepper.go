@@ -4,12 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/trace"
 )
 
-// Stepper advances a simulation one slot at a time over run-scoped
-// state built once at construction and shared by every Step: the
-// DVFS-level lookup tables (see Tables), the packed prediction
-// windows and the reusable scratch buffers. Step returns each slot's
+// Stepper advances a simulation one slot at a time. It holds what
+// every Step shares, built once at construction: the DVFS-level
+// lookup tables it replays on (see Tables; shared, not owned), the
+// slot window and the reusable scratch buffers that keep the
+// steady-state slot loop allocation-free. Step returns each slot's
 // result and keeps none; the caller folds them (the fleet stepper in
 // internal/topology is the one fold).
 // Once the last slot is stepped, the step buffers go to the next
@@ -33,12 +35,40 @@ import (
 // A Stepper is not safe for concurrent use; callers serialise Step
 // (the service steps under its own lock).
 type Stepper struct {
-	cfg  Config
-	st   *runState
-	next int
+	cfg Config
+	t   *Tables
+
+	evalStart int
+	sampleSec float64
+	first     int
+	last      int
+	next      int
 
 	// win is the window offered to the policy; nil when none is open.
 	win *Window
+
+	// b holds the buffers the slot loop refills (see stepBufs). It
+	// comes from the tables' spare or bufPool and goes back when the
+	// stepper's window is done; handoff sends it to the spare.
+	b       *stepBufs
+	handoff bool
+
+	// resident is b's resident-set buffer, sized to the run's VMs; nil
+	// when transitions are disabled.
+	resident []float64
+
+	// Columnar replay scratch: per-sample aggregates of one server's
+	// slot window, rebuilt per server from flat trace rows.
+	classCPU [numClasses][trace.SamplesPerSlot]float64
+	cpuTotal [trace.SamplesPerSlot]float64
+	memTotal [trace.SamplesPerSlot]float64
+
+	// asg is the Assignment the next step's policy fills in place, and
+	// prev the previous slot's, which transition pricing reads while
+	// asg is filled; step swaps the two. prev means nothing until
+	// hasPrev (the first slot has no previous one). Both point into b.
+	asg, prev *alloc.Assignment
+	hasPrev   bool
 }
 
 // NewStepper validates cfg and builds a stepper on t without
@@ -46,36 +76,49 @@ type Stepper struct {
 // platform and shares t's lookup tables. A fleet steps every epoch of
 // a datacenter on one Tables.
 func (t *Tables) NewStepper(cfg Config) (*Stepper, error) {
-	s := &Stepper{cfg: cfg}
-	st, err := newRunState(&s.cfg, t)
-	if err != nil {
+	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	s.st = st
-	s.next = st.first
-	if lp, ok := cfg.Policy.(LookaheadPolicy); ok && cfg.Source == nil && !s.Done() {
-		s.win = &Window{First: st.first, Last: st.last, Spec: st.spec, pred: cfg.Predictions}
-		s.win.next.Store(int64(st.first))
-		lp.Offer(s.win)
+	slots := cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot
+	first, last := cfg.StartSlot, slots
+	if cfg.NumSlots > 0 {
+		last = first + cfg.NumSlots
 	}
-	return s, nil
+	st := &Stepper{
+		cfg:       cfg,
+		t:         t,
+		evalStart: cfg.HistoryDays * trace.SamplesPerDay,
+		sampleSec: cfg.Trace.Interval.Seconds(),
+		first:     first,
+		last:      last,
+		next:      first,
+		b:         t.takeBufs(),
+		handoff:   last < slots,
+	}
+	st.bind()
+	if lp, ok := cfg.Policy.(LookaheadPolicy); ok && cfg.Source == nil && !st.Done() {
+		st.win = &Window{First: first, Last: last, Spec: t.spec, pred: cfg.Predictions}
+		st.win.next.Store(int64(first))
+		lp.Offer(st.win)
+	}
+	return st, nil
 }
 
 // withdraw closes the offered window, if one is open.
-func (s *Stepper) withdraw() {
-	if s.win == nil {
+func (st *Stepper) withdraw() {
+	if st.win == nil {
 		return
 	}
-	s.win.next.Store(int64(s.win.Last))
-	s.cfg.Policy.(LookaheadPolicy).Withdraw(s.win)
-	s.win = nil
+	st.win.next.Store(int64(st.win.Last))
+	st.cfg.Policy.(LookaheadPolicy).Withdraw(st.win)
+	st.win = nil
 }
 
 // Slots returns how many slots the stepper's window spans in total.
-func (s *Stepper) Slots() int { return s.st.last - s.st.first }
+func (st *Stepper) Slots() int { return st.last - st.first }
 
 // Done reports whether every slot of the window has been stepped.
-func (s *Stepper) Done() bool { return s.next >= s.st.last }
+func (st *Stepper) Done() bool { return st.next >= st.last }
 
 // Step simulates the next slot of the window and returns its result.
 // Stepping past the window is an error, as is any simulation failure
@@ -84,26 +127,26 @@ func (s *Stepper) Done() bool { return s.next >= s.st.last }
 // retryable refusal is a gated slot: with a Config.Source that has
 // not released the next slot, Step returns an error wrapping
 // ErrAwaitingSamples and advances nothing.
-func (s *Stepper) Step() (SlotResult, error) {
-	if s.Done() {
+func (st *Stepper) Step() (SlotResult, error) {
+	if st.Done() {
 		return SlotResult{}, fmt.Errorf("dcsim: stepper exhausted: all %d slots of window [%d, %d) stepped",
-			s.Slots(), s.st.first, s.st.last)
+			st.Slots(), st.first, st.last)
 	}
-	if src := s.cfg.Source; src != nil && !src.SlotReady(s.next) {
-		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", s.next, ErrAwaitingSamples)
+	if src := st.cfg.Source; src != nil && !src.SlotReady(st.next) {
+		return SlotResult{}, fmt.Errorf("dcsim: slot %d: %w", st.next, ErrAwaitingSamples)
 	}
-	slot, err := s.st.step(s.next)
+	slot, err := st.step(st.next)
 	if err != nil {
-		s.withdraw()
+		st.withdraw()
 		return SlotResult{}, err
 	}
-	s.next++
-	if s.win != nil {
-		s.win.next.Store(int64(s.next))
+	st.next++
+	if st.win != nil {
+		st.win.next.Store(int64(st.next))
 	}
-	if s.Done() {
-		s.withdraw()
-		s.st.release()
+	if st.Done() {
+		st.withdraw()
+		st.release()
 	}
 	return slot, nil
 }
@@ -119,15 +162,21 @@ func (s *Stepper) Step() (SlotResult, error) {
 // alone, so a fresh instance continues bit-exactly (the
 // window-concatenation property the stepper tests pin).
 //
-// Immutable run state (DVFS-level tables, the trace and prediction
-// rows) is shared; the scratch buffers are rebuilt. A clone offers no
-// lookahead window: the original's window, if open, stays the
-// original's.
-func (s *Stepper) Clone(pol alloc.Policy) *Stepper {
-	c := &Stepper{cfg: s.cfg, next: s.next}
+// The tables and the trace and prediction rows are shared; the step
+// buffers are fresh — they are rebuilt on every step — except the
+// previous assignment, deep-copied for transition continuity. A clone
+// offers no lookahead window: the original's window, if open, stays
+// the original's.
+func (st *Stepper) Clone(pol alloc.Policy) *Stepper {
+	c := *st
 	if pol != nil {
 		c.cfg.Policy = pol
 	}
-	c.st = s.st.clone(&c.cfg)
-	return c
+	c.win = nil
+	c.b = new(stepBufs)
+	c.bind()
+	if st.hasPrev {
+		c.prev.CopyFrom(st.prev)
+	}
+	return &c
 }

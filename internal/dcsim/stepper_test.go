@@ -47,8 +47,8 @@ func TestStepSize1WindowsConcatenate(t *testing.T) {
 // TestStepperMatchesRun pins the exported incremental hook against the
 // batch entry point under a non-zero transition model — the case where
 // re-windowing per slot would NOT be exact (window boundaries skip the
-// slot-to-slot migration diff). The Stepper shares one run state, so
-// migrations and transition energy carry across steps exactly as in a
+// slot-to-slot migration diff). The Stepper carries its state across
+// steps, so migrations and transition energy carry exactly as in a
 // batch run.
 func TestStepperMatchesRun(t *testing.T) {
 	tr := testTrace(t, 40)

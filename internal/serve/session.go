@@ -146,14 +146,13 @@ func (sess *Session) Observe(slot int, cpu, mem [][]float64) (ingested int, err 
 // slot's instantaneous values. Caller holds mu.
 func (sess *Session) apply(step topology.SlotStep) {
 	c := &sess.cum
-	fleet, dcs := sess.stepper.Tally()
 	c.Slot = step.Slot + 1
-	c.Tally = fleet
+	c.Tally = sess.stepper.Tally()
 	c.SlotEnergyMJ = step.EnergyMJ
 	c.ActiveServers = step.ActiveServers
 	for i := range step.DCs {
 		d, v := &c.DCs[i], &step.DCs[i]
-		d.Tally = dcs[i]
+		d.Tally = sess.stepper.DCTally(i)
 		d.VMs = v.VMs
 		d.SlotEnergyMJ = v.EnergyMJ
 		// 1 slot = 1 hour: mean power over the slot in watts.

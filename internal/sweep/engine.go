@@ -375,9 +375,9 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 	if err != nil {
 		return topology.Config{}, 0, err
 	}
-	reb, err := ld.rebalance(s.Rebalance)
+	reb, err := topology.ParseRebalanceSpec(s.Rebalance)
 	if err != nil {
-		return topology.Config{}, 0, err
+		return topology.Config{}, 0, fmt.Errorf("sweep: %w", err)
 	}
 	transitions, err := g.transitionFor(s.Transitions)
 	if err != nil {

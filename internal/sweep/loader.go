@@ -106,7 +106,6 @@ type loader struct {
 	fps       memo[string, string]
 	fleets    memo[string, topology.Fleet]
 	topoFPs   memo[string, string]
-	rebs      memo[string, topology.RebalanceSpec]
 }
 
 // LoadStats reports the loader's sharing: how many distinct inputs
@@ -280,19 +279,6 @@ func (l *loader) fleet(spec string) (topology.Fleet, error) {
 			return topology.Fleet{}, fmt.Errorf("sweep: loading topology %s: %w", spec, err)
 		}
 		return f, nil
-	})
-}
-
-// rebalance returns the memoized parsed rebalance spec for a scenario
-// ("", "off", "epoch:N[@dispatcher]"). Parsing is cheap; the memo
-// keeps the axis on the same one-build-per-spec path as the others.
-func (l *loader) rebalance(spec string) (topology.RebalanceSpec, error) {
-	return l.rebs.get(spec, func() (topology.RebalanceSpec, error) {
-		r, err := topology.ParseRebalanceSpec(spec)
-		if err != nil {
-			return topology.RebalanceSpec{}, fmt.Errorf("sweep: %w", err)
-		}
-		return r, nil
 	})
 }
 

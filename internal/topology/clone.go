@@ -3,8 +3,6 @@ package topology
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/dcsim"
 )
 
 // Clone returns an independent stepper carrying this one's state: the
@@ -26,38 +24,27 @@ import (
 // shared on both sides, so whichever side opens its next epoch first
 // opens it on buffers of its own and never overwrites what the other
 // still reads (see epochBufs). Every mutable accumulator is
-// deep-copied.
+// deep-copied: the per-DC state as one slice of records, whose open
+// DC steppers are then cloned.
 func (st *Stepper) Clone() (*Stepper, error) {
+	st.shared = true
 	c := *st
-	st.ep.shared = true
-	ep := *st.ep
-	res := *ep.res
+	res := *st.res
 	res.DCs = slices.Clone(res.DCs)
 	res.PerSlot = slices.Clone(res.PerSlot)
-	ep.res = &res
-	ep.dcTally = slices.Clone(ep.dcTally)
-	ep.acc = slices.Clone(ep.acc)
-	ep.prevDC = slices.Clone(ep.prevDC)
-	ep.prevActive = slices.Clone(ep.prevActive)
-	ep.boundMJ = slices.Clone(ep.boundMJ)
-	ep.boundViol = slices.Clone(ep.boundViol)
-	ep.boundCross = slices.Clone(ep.boundCross)
-	ep.drainIT = slices.Clone(ep.drainIT)
-	ep.drainFac = slices.Clone(ep.drainFac)
-	ep.sims = make([]*dcsim.Stepper, len(st.ep.sims))
-	if st.ep.open {
-		// Mid-epoch: clone the live per-DC steppers with fresh policies.
-		for i, sim := range st.ep.sims {
-			if sim == nil {
-				continue
-			}
-			pol, err := st.cfg.NewPolicy(st.models[i].base)
-			if err != nil {
-				return nil, fmt.Errorf("topology: DC %q: %w", st.fleet.DCs[i].Name, err)
-			}
-			ep.sims[i] = sim.Clone(pol)
+	c.res = &res
+	c.prevDC = slices.Clone(st.prevDC)
+	c.dcs = slices.Clone(st.dcs)
+	for i := range c.dcs {
+		ds := &c.dcs[i]
+		if ds.sim == nil {
+			continue
 		}
+		pol, err := st.cfg.NewPolicy(st.models[i].base)
+		if err != nil {
+			return nil, fmt.Errorf("topology: DC %q: %w", st.fleet.DCs[i].Name, err)
+		}
+		ds.sim = ds.sim.Clone(pol)
 	}
-	c.ep = &ep
 	return &c, nil
 }

@@ -11,8 +11,12 @@ import (
 // TestCloneContinuesBitExact forks mid-run fleet steppers — static
 // and epoch-rebalanced (mid-epoch), with transition pricing — and
 // checks that clone and original continue identically and
-// independently: every remaining SlotStep is equal and the final
-// FleetResults are DeepEqual.
+// independently. Stepped in lockstep, every remaining SlotStep is
+// equal and the final FleetResults are DeepEqual. Stepped one after
+// the other — the original to the end before the clone's first step —
+// both finish DeepEqual to a batch Run: lockstep writes equal values
+// into any state the two still share, so only the sequential order
+// exposes a Clone that aliases mutable state.
 func TestCloneContinuesBitExact(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -27,19 +31,24 @@ func TestCloneContinuesBitExact(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st, err := NewStepper(stepperConfig(t, c.fleet, c.reb, dcsim.DefaultTransitions(), 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < c.fork; i++ {
-				if _, err := st.Step(); err != nil {
-					t.Fatalf("step %d: %v", i, err)
+			cfg := stepperConfig(t, c.fleet, c.reb, dcsim.DefaultTransitions(), 2)
+			fork := func() (*Stepper, *Stepper) {
+				st, err := NewStepper(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				for i := 0; i < c.fork; i++ {
+					if _, err := st.Step(); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+				}
+				clone, err := st.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, clone
 			}
-			clone, err := st.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st, clone := fork()
 			for !st.Done() {
 				want, err := st.Step()
 				if err != nil {
@@ -66,6 +75,28 @@ func TestCloneContinuesBitExact(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("finished FleetResults differ between original and clone")
+			}
+
+			batch, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, clone = fork()
+			for _, sp := range []*Stepper{st, clone} {
+				for !sp.Done() {
+					if _, err := sp.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for name, sp := range map[string]*Stepper{"original": st, "clone": clone} {
+				res, err := sp.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, batch) {
+					t.Errorf("stepped one after the other, the %s finished unlike a batch Run", name)
+				}
 			}
 		})
 	}
@@ -151,7 +182,7 @@ func TestCloneMatchesFreshWindow(t *testing.T) {
 	}
 
 	dc := st.Fleet().DCs[0]
-	fresh := replayDC(t, cfg, dc, st.ep.asg[0], fork, carried)
+	fresh := replayDC(t, cfg, dc, st.asg[0], fork, carried)
 	for i := 0; !clone.Done(); i++ {
 		got, err := clone.Step()
 		if err != nil {

@@ -111,7 +111,7 @@ func checkConservation(t *testing.T, name string, cfg Config) {
 			if pool := st.fleet.DCs[i].Servers; d.ActiveServers > pool {
 				t.Errorf("%s: slot %d: DC %s runs %d servers, pool %d", name, s.Slot, d.Name, d.ActiveServers, pool)
 			}
-			slotGrams += d.EnergyMJ / mjPerKWh * st.carbon[i].intensity.At(s.Slot%24)
+			slotGrams += d.EnergyMJ / mjPerKWh * st.models[i].carbon.intensity.At(s.Slot%24)
 		}
 	}
 	res, err := st.Result()

@@ -102,7 +102,7 @@ func ParseRebalanceSpec(spec string) (RebalanceSpec, error) {
 	return RebalanceSpec{EverySlots: n, Dispatcher: disp}, nil
 }
 
-// The epoch loop itself lives in stepper.go (epochState): static
+// The epoch loop itself lives in the fleet Stepper (stepper.go): static
 // dispatch is its one-epoch case and rebalancing cuts the window into
 // EverySlots-long epochs, so Run, the live slot-by-slot view and both
 // dispatch modes share one accounting implementation.

@@ -418,7 +418,7 @@ func TestFleetAggregationWithEmptyDC(t *testing.T) {
 		if res.DCs[i].VMs == 0 {
 			empty = &res.DCs[i]
 		} else {
-			full, fullVMs = &res.DCs[i], st.ep.asg[i]
+			full, fullVMs = &res.DCs[i], st.asg[i]
 		}
 	}
 	if empty == nil || full == nil {
@@ -500,7 +500,7 @@ func TestBadSampleInLastDCFailsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := st.ep.asg[len(st.ep.asg)-1]
+		last := st.asg[len(st.asg)-1]
 		if len(last) == 0 {
 			t.Fatalf("%s: triad's last DC hosts no VM", reb)
 		}

@@ -118,8 +118,8 @@ func TestEpochReuseCloneForkedMidEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forkAsg := make([][]int, len(st.ep.asg))
-	for i, vms := range st.ep.asg {
+	forkAsg := make([][]int, len(st.asg))
+	for i, vms := range st.asg {
 		forkAsg[i] = slices.Clone(vms)
 	}
 	for st.next <= 15 {
@@ -130,7 +130,7 @@ func TestEpochReuseCloneForkedMidEpoch(t *testing.T) {
 	// The test means something only if the next epoch re-dispatched a
 	// DC that hosts VMs in both epochs.
 	moved := false
-	for i, vms := range st.ep.asg {
+	for i, vms := range st.asg {
 		moved = moved || len(vms) > 0 && len(forkAsg[i]) > 0 && !slices.Equal(vms, forkAsg[i])
 	}
 	if !moved {

@@ -146,41 +146,135 @@ func (t *Tally) EPScore() float64 {
 // Stepper advances a fleet run one slot at a time. It is the
 // incremental primitive behind Run — Run is a Stepper driven to
 // exhaustion — so a daemon ticking a Stepper computes bit-for-bit the
-// result a batch run would: the per-DC dcsim run state is shared
-// across steps (dcsim.Stepper), epochs open and close at the same
-// boundaries with the same carried power-on state, and every
-// floating-point accumulation happens in the batch order.
+// result a batch run would: each DC's dcsim stepper carries its state
+// across steps, epochs open and close at the same boundaries with the
+// same carried power-on state, and every floating-point accumulation
+// happens in the batch order.
+//
+// The run is cut into epochs; each opens with a dispatch and
+// simulates every DC's window through a per-epoch dcsim stepper
+// seeded with the previous epoch's closing active-server count
+// (allocator instances restart fresh: a re-dispatch is a global
+// re-plan, and per-DC VM index sets change with the assignment).
+//
+// Static dispatch is the one-epoch case: without rebalancing (or with
+// a single DC, which has nothing to rebalance) the only epoch spans
+// the whole window and opens with the fleet's own dispatch at hour 0
+// over the history window. With Rebalance.EverySlots = N, every N
+// slots re-runs dispatch over the history plus every evaluation
+// sample already replayed — the load an operator has actually
+// observed.
+//
+// Every VM whose DC changes at a boundary is a cross-DC migration:
+// its resident set at the boundary sample is priced through
+// Transitions.MigrationEnergyPerByte (charged to the destination DC's
+// first epoch slot, PUE-weighted into facility energy and the
+// transition share) and it serves MigrationDowntimeSamples of
+// downtime, charged as QoS violation-samples at the destination —
+// raw and latency-weighted.
+//
+// A deliberate accounting boundary: *within-DC* server moves are
+// counted and priced inside each epoch (dcsim's slot-to-slot diff),
+// but NOT across the boundary slot itself — the re-dispatch is a
+// global re-plan whose per-DC VM index sets change, so there is no
+// well-defined "previous server" for the first slot of an epoch.
+// Across that boundary only the power-on/off delta
+// (InitialActiveServers) and the cross-DC moves above are billed;
+// with epoch:N, one boundary in every N slots skips its within-DC
+// migration stats. Compare rebalanced transition_mj against static
+// rows with this in mind.
+//
+// The accumulation split fixes every floating-point addition's
+// position and order: openEpoch folds the boundary pricing into the
+// result's energy and latency-weighted totals (priced before the DC
+// loop), Step folds each slot into the tallies, each DC's epoch
+// totals and the per-slot charges, closeEpoch bills each DC's epoch
+// totals into the result's energy and latency-weighted totals in DC
+// index order, and finish reads everything else — the integer counts,
+// active servers, carbon and EP scores — off the tallies. Nothing
+// else touches them.
 //
 // A Stepper is not safe for concurrent use; callers serialise Step
 // (the live service steps under its own lock). A Step or Result error
 // poisons the stepper — slots cannot be retried, because the carried
 // state has already advanced.
 type Stepper struct {
-	cfg        Config
-	fleet      Fleet
-	totalSlots int
-	next       int
-	res        *FleetResult // set by Result; final and read-only
+	cfg         Config
+	fleet       Fleet
+	rebFleet    Fleet // the fleet rebalancing epochs dispatch
+	totalSlots  int
+	histSamples int
+	every       int
 
-	// carbon and models are per-DC constants (fleet spec order),
-	// precomputed from the resolved specs. Read-only after NewStepper.
-	carbon []dcCarbon
+	// oneShot marks static dispatch, the single-epoch run. It weighs
+	// the mean planned frequency by VMs alone (every DC spans the same
+	// window), the static rows' exact formula.
+	oneShot bool
+
+	next int
+
+	// models are the per-DC constants, precomputed from the resolved
+	// specs; dcs is the per-DC state the run mutates. Both are in
+	// fleet spec order.
 	models []serverModels
+	dcs    []dcState
 
-	ep *epochState
+	// res accumulates the result; Result closes the last epoch and
+	// finishes it, after which it is final and read-only.
+	res          *FleetResult
+	tally        Tally // the fleet's slots
+	prevDC       []int // VM index -> DC index of the previous epoch
+	freqWeighted float64
+	freqWeight   float64
+
+	// The open epoch. asg lives in bufs.
+	open                 bool
+	epochStart, epochEnd int
+	asg                  Assignment
+
+	// bufs are the buffers the epochs refill; shared marks them as
+	// also another stepper's since a Clone, so the next epoch opens
+	// on buffers of its own (see epochBufs).
+	bufs   *epochBufs
+	shared bool
+
+	// boundFleetMJ is the open epoch's cross-DC migration energy,
+	// which Step bills to the fleet's boundary slot.
+	boundFleetMJ float64
 }
 
-// serverModels pairs one DC's axis-resolved power model with its
-// performance platform and the replay's DVFS-level tables over them,
-// which every epoch of the DC steps on. base is the platform's native
-// model the allocation policy plans against and the dispatchers rank
-// by: the power-model axis reprices what the replay observes, never
-// what the allocator decides, so tdp rows keep the ntc rows'
-// placement, frequencies and violations bit-for-bit.
+// serverModels are one DC's constants: its platform's native power
+// model, the replay's DVFS-level tables over the axis-resolved model,
+// which every epoch of the DC steps on, and its carbon pricing. base
+// is the model the allocation policy plans against and the
+// dispatchers rank by: the power-model axis reprices what the replay
+// observes, never what the allocator decides, so tdp rows keep the
+// ntc rows' placement, frequencies and violations bit-for-bit.
 type serverModels struct {
 	base   *power.ServerModel
-	model  power.Model
 	tables *dcsim.Tables
+	carbon dcCarbon
+}
+
+// dcState is everything the run mutates for one DC. Clone copies the
+// whole record, so a new field is forked with the rest.
+type dcState struct {
+	sim   *dcsim.Stepper // the open epoch's; nil while the DC hosts no VM
+	acc   epochTotals    // the open epoch's slots so far
+	tally Tally          // every slot stepped
+
+	// active is the active-server count the DC closed its last epoch
+	// with, which seeds the next one.
+	active int
+
+	// bound are the open epoch's boundary charges (cross-DC migration
+	// energy, downtime violations and the VMs moved in), which Step
+	// bills to the boundary slot; the energy is folded into the result
+	// totals at openEpoch. drainIT is a drained DC's power-off energy
+	// (IT MJ), billed to the boundary slot by Step and folded into the
+	// result totals at closeEpoch.
+	bound   Charges
+	drainIT float64
 }
 
 // NewStepper validates cfg, resolves the fleet, dispatches the VMs
@@ -215,14 +309,31 @@ func NewStepper(cfg Config) (*Stepper, error) {
 			fleet.DCs[i].StaticPowerW = cfg.StaticPowerW
 		}
 	}
+	n := len(fleet.DCs)
 	st := &Stepper{
-		cfg:        cfg,
-		fleet:      fleet,
-		totalSlots: cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot,
-		carbon:     make([]dcCarbon, len(fleet.DCs)),
-		models:     make([]serverModels, len(fleet.DCs)),
+		cfg:         cfg,
+		fleet:       fleet,
+		rebFleet:    fleet,
+		totalSlots:  cfg.EvalDays * trace.SamplesPerDay / trace.SamplesPerSlot,
+		histSamples: cfg.HistoryDays * trace.SamplesPerDay,
+		every:       cfg.Rebalance.EverySlots,
+		oneShot:     !cfg.Rebalance.Enabled() || n == 1,
+		models:      make([]serverModels, n),
+		dcs:         make([]dcState, n),
 	}
+	if st.oneShot {
+		st.every = st.totalSlots
+	}
+	// The dispatcher override applies at rebalancing epochs only; the
+	// initial placement stays the fleet's own static dispatch (see
+	// RebalanceSpec.Dispatcher).
+	if cfg.Rebalance.Dispatcher != "" {
+		st.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
+	}
+	st.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
+	st.res.PerSlot = make([]Charges, st.totalSlots)
 	for i, dc := range fleet.DCs {
+		st.res.DCs[i].Spec = dc
 		// The resolved spec already carries the effective static power
 		// (per-DC override or the scenario default).
 		base, plat, err := dc.serverPlatform()
@@ -239,14 +350,12 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		st.models[i] = serverModels{base: base, model: model, tables: tables}
 		// Carbon prices against the platform's capacity (cores/GB drive
 		// the embodied amortization; the power-model axis delegates
 		// capacity, so either model prices the same grams).
-		st.carbon[i] = dcCarbonOf(dc, base)
+		st.models[i] = serverModels{base: base, tables: tables, carbon: dcCarbonOf(dc, base)}
 	}
-	st.ep = newEpochState(st)
-	if err := st.ep.openEpoch(st, 0); err != nil {
+	if err := st.openEpoch(0); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -262,107 +371,26 @@ func (st *Stepper) Slots() int { return st.totalSlots }
 // Done reports whether every slot has been stepped.
 func (st *Stepper) Done() bool { return st.next >= st.totalSlots }
 
-// Tally returns the fold of every slot stepped so far: the fleet's,
-// and each DC's in fleet spec order. The slice is the stepper's own
-// and changes with the next Step.
-func (st *Stepper) Tally() (Tally, []Tally) { return st.ep.tally, st.ep.dcTally }
+// Tally returns the fold of every slot stepped so far over the fleet.
+func (st *Stepper) Tally() Tally { return st.tally }
 
-// epochState is the fleet loop, holding what the batch run keeps as
-// loop state. The run is cut into epochs; each opens with a dispatch
-// and simulates every DC's window through a per-epoch dcsim stepper
-// seeded with the previous epoch's closing active-server count
-// (allocator instances restart fresh: a re-dispatch is a global
-// re-plan, and per-DC VM index sets change with the assignment).
-//
-// Static dispatch is the one-epoch case: without rebalancing (or with
-// a single DC, which has nothing to rebalance) the only epoch spans
-// the whole window and opens with the fleet's own dispatch at hour 0
-// over the history window. With Rebalance.EverySlots = N, every N
-// slots re-runs dispatch over the history plus every evaluation
-// sample already replayed — the load an operator has actually
-// observed.
-//
-// Every VM whose DC changes at a boundary is a cross-DC migration:
-// its resident set at the boundary sample is priced through
-// Transitions.MigrationEnergyPerByte (charged to the destination DC's
-// first epoch slot, PUE-weighted into facility energy and the
-// transition share) and it serves MigrationDowntimeSamples of
-// downtime, charged as QoS violation-samples at the destination —
-// raw and latency-weighted.
-//
-// A deliberate accounting boundary: *within-DC* server moves are
-// counted and priced inside each epoch (dcsim's slot-to-slot diff),
-// but NOT across the boundary slot itself — the re-dispatch is a
-// global re-plan whose per-DC VM index sets change, so there is no
-// well-defined "previous server" for the first slot of an epoch.
-// Across that boundary only the power-on/off delta
-// (InitialActiveServers) and the cross-DC moves above are billed;
-// with epoch:N, one boundary in every N slots skips its within-DC
-// migration stats. Compare rebalanced transition_mj against static
-// rows with this in mind.
-//
-// The accumulation split fixes every floating-point addition's
-// position and order: openEpoch folds the boundary pricing into the
-// result totals (priced before the DC loop), Step folds each slot
-// into the tallies, each DC's epoch totals and the per-slot charges,
-// and closeEpoch bills each DC's epoch totals into the result totals
-// in DC index order. Nothing else touches them.
-type epochState struct {
-	rebFleet    Fleet
-	histSamples int
-	every       int
-
-	// oneShot marks static dispatch, the single-epoch run. It weighs
-	// the mean planned frequency by VMs alone (every DC spans the same
-	// window), the static rows' exact formula.
-	oneShot bool
-
-	res          *FleetResult
-	tally        Tally   // the fleet's slots
-	dcTally      []Tally // each DC's slots, fleet order
-	prevDC       []int   // VM index -> DC index of the previous epoch
-	prevActive   []int
-	freqWeighted float64
-	freqWeight   float64
-
-	// The open epoch. asg lives in bufs.
-	open                 bool
-	epochStart, epochEnd int
-	asg                  Assignment
-	sims                 []*dcsim.Stepper // nil for empty DCs
-	acc                  []epochTotals    // each DC's slots so far
-
-	// bufs are the buffers the epochs refill; shared marks them as
-	// also another stepper's since a Clone, so the next epoch opens
-	// on buffers of its own (see epochBufs).
-	bufs   *epochBufs
-	shared bool
-
-	// Boundary charges of the open epoch, which Step bills to the
-	// boundary slot. Pricing is folded into the result totals at
-	// openEpoch, drained-DC power-off at closeEpoch.
-	boundFleetMJ float64
-	boundMJ      []float64
-	boundViol    []int
-	boundCross   []int
-	drainIT      []float64 // drained-DC power-off, IT MJ
-	drainFac     []float64 // drained-DC power-off, facility MJ
-}
+// DCTally returns the fold of every slot stepped so far in DC i, in
+// fleet spec order.
+func (st *Stepper) DCTally(i int) Tally { return st.dcs[i].tally }
 
 // epochTotals fold one DC's dcsim slots of the open epoch, in slot
 // order, into what closeEpoch bills.
 type epochTotals struct {
-	energy, transition     units.Energy // summed from zero
-	violations, migrations int
-	active                 int     // the last slot's ActiveServers
-	freqGHz                float64 // the sum of the planned GHz
+	energy, transition units.Energy // summed from zero
+	violations         int
+	active             int     // the last slot's ActiveServers
+	freqGHz            float64 // the sum of the planned GHz
 }
 
 func (a *epochTotals) add(slot *dcsim.SlotResult) {
 	a.energy += slot.Energy
 	a.transition += slot.TransitionEnergy
 	a.violations += slot.Violations
-	a.migrations += slot.Migrations
 	a.active = slot.ActiveServers
 	a.freqGHz += slot.PlannedFreq.GHz()
 }
@@ -403,59 +431,25 @@ func (v *dcView) fill(tr *trace.Trace, ps *dcsim.PredictionSet, idxs []int) {
 	}
 }
 
-func newEpochState(st *Stepper) *epochState {
-	cfg, fleet, n := &st.cfg, st.fleet, len(st.fleet.DCs)
-	ep := &epochState{
-		rebFleet:    fleet,
-		histSamples: cfg.HistoryDays * trace.SamplesPerDay,
-		every:       cfg.Rebalance.EverySlots,
-		oneShot:     !cfg.Rebalance.Enabled() || n == 1,
-	}
-	if ep.oneShot {
-		ep.every = st.totalSlots
-	}
-	// The dispatcher override applies at rebalancing epochs only; the
-	// initial placement stays the fleet's own static dispatch (see
-	// RebalanceSpec.Dispatcher).
-	if cfg.Rebalance.Dispatcher != "" {
-		ep.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
-	}
-	ep.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
-	ep.res.PerSlot = make([]Charges, st.totalSlots)
-	for i, dc := range fleet.DCs {
-		ep.res.DCs[i].Spec = dc
-	}
-	ep.dcTally = make([]Tally, n)
-	ep.prevActive = make([]int, n)
-	ep.sims = make([]*dcsim.Stepper, n)
-	ep.acc = make([]epochTotals, n)
-	ep.boundMJ = make([]float64, n)
-	ep.boundViol = make([]int, n)
-	ep.boundCross = make([]int, n)
-	ep.drainIT = make([]float64, n)
-	ep.drainFac = make([]float64, n)
-	return ep
-}
-
 // openEpoch dispatches at slot e0, prices the cross-DC moves into the
 // result accumulators and builds the epoch's per-DC steppers seeded
 // with each DC's carried active-server count.
-func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
+func (st *Stepper) openEpoch(e0 int) error {
 	cfg, fleet := &st.cfg, st.fleet
-	n := min(ep.every, st.totalSlots-e0)
+	n := min(st.every, st.totalSlots-e0)
 	// Observe history plus the evaluation samples already replayed.
 	// The dispatch hour is the boundary slot's hour of day, which is
 	// what makes epoch:N@carbon-greedy follow the sun.
-	observed := ep.histSamples + e0*trace.SamplesPerSlot
-	df := ep.rebFleet
+	observed := st.histSamples + e0*trace.SamplesPerSlot
+	df := st.rebFleet
 	if e0 == 0 {
 		df = fleet // initial placement: the fleet's own dispatcher
 	}
-	if ep.bufs == nil || ep.shared {
-		ep.bufs = &epochBufs{disp: dispatcher{models: st.models}, views: make([]dcView, len(fleet.DCs))}
-		ep.shared = false
+	if st.bufs == nil || st.shared {
+		st.bufs = &epochBufs{disp: dispatcher{models: st.models}, views: make([]dcView, len(fleet.DCs))}
+		st.shared = false
 	}
-	b := ep.bufs
+	b := st.bufs
 	asg, err := b.disp.dispatch(df, cfg.Trace, observed, e0%24)
 	if err != nil {
 		return err
@@ -467,24 +461,21 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 		}
 	}
 
-	ep.boundFleetMJ = 0
-	for i := range fleet.DCs {
-		ep.boundMJ[i], ep.boundViol[i], ep.boundCross[i] = 0, 0, 0
-		ep.drainIT[i], ep.drainFac[i] = 0, 0
+	st.boundFleetMJ = 0
+	for i := range st.dcs {
+		st.dcs[i].bound = Charges{}
 	}
 
 	// Price the moves this re-dispatch caused.
-	res := ep.res
-	if ep.prevDC != nil {
+	res := st.res
+	if st.prevDC != nil {
 		for v := range nextDC {
-			if ep.prevDC[v] == nextDC[v] {
+			if st.prevDC[v] == nextDC[v] {
 				continue
 			}
 			dst := nextDC[v]
-			run := &res.DCs[dst]
-			res.CrossDCMigrations++
-			run.CrossDCMigrations++
-			ep.boundCross[dst]++
+			run, bound := &res.DCs[dst], &st.dcs[dst].bound
+			bound.CrossDCMigrations++
 
 			// Memory copy of the live migration: the VM's resident
 			// set at the boundary sample, at the configured energy
@@ -496,32 +487,29 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			run.EnergyMJ += facility
 			res.TotalEnergyMJ += facility
 			res.TransitionMJ += facility
-			ep.boundMJ[dst] += facility
-			ep.boundFleetMJ += facility
+			bound.EnergyMJ += facility
+			st.boundFleetMJ += facility
 
 			// Downtime: the VM is unavailable while it moves.
-			run.Violations += MigrationDowntimeSamples
-			res.Violations += MigrationDowntimeSamples
+			bound.Violations += MigrationDowntimeSamples
 			w := float64(MigrationDowntimeSamples) * latencyWeight(run.Spec.LatencyMs)
 			run.LatencyWeightedViol += w
 			res.LatencyWeightedViol += w
-			ep.boundViol[dst] += MigrationDowntimeSamples
 		}
 	}
-	ep.prevDC, b.nextDC = nextDC, ep.prevDC
-	ep.asg = asg
+	st.prevDC, b.nextDC = nextDC, st.prevDC
+	st.asg = asg
 
 	for i, dc := range fleet.DCs {
-		ep.sims[i], ep.acc[i] = nil, epochTotals{}
+		ds := &st.dcs[i]
+		ds.sim, ds.acc, ds.drainIT = nil, epochTotals{}, 0
 		if len(asg[i]) == 0 {
 			st.models[i].tables.Recycle()
 			// A drained DC powers its servers down; the energy is
 			// computed here, billed to the boundary slot by Step and
 			// folded into the result totals at closeEpoch.
-			if ep.prevActive[i] > 0 {
-				off := units.Energy(float64(cfg.Transitions.ServerOffEnergy) * float64(ep.prevActive[i])).MJ()
-				ep.drainIT[i] = off
-				ep.drainFac[i] = off * dc.PUE
+			if ds.active > 0 {
+				ds.drainIT = units.Energy(float64(cfg.Transitions.ServerOffEnergy) * float64(ds.active)).MJ()
 			}
 			continue
 		}
@@ -541,7 +529,7 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 			EvalDays:             cfg.EvalDays,
 			StartSlot:            e0,
 			NumSlots:             n,
-			InitialActiveServers: ep.prevActive[i],
+			InitialActiveServers: ds.active,
 			Policy:               pol,
 			MaxServers:           dc.Servers,
 			Transitions:          cfg.Transitions,
@@ -553,65 +541,61 @@ func (ep *epochState) openEpoch(st *Stepper, e0 int) error {
 		if err != nil {
 			return fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 		}
-		ep.sims[i] = sim
+		ds.sim = sim
 	}
-	ep.open = true
-	ep.epochStart, ep.epochEnd = e0, e0+n
+	st.open = true
+	st.epochStart, st.epochEnd = e0, e0+n
 	return nil
 }
 
 // closeEpoch folds the finished epoch's per-DC totals into the result
-// totals, in DC index order, and carries each DC's closing
-// active-server count into the next epoch.
-func (ep *epochState) closeEpoch(st *Stepper) {
-	if !ep.open {
+// totals, in DC index order, carries each DC's closing active-server
+// count into the next epoch and drops the epoch's DC steppers.
+func (st *Stepper) closeEpoch() {
+	if !st.open {
 		return
 	}
-	res := ep.res
-	n := ep.epochEnd - ep.epochStart
+	res := st.res
+	n := st.epochEnd - st.epochStart
 	for i, dc := range st.fleet.DCs {
-		run := &res.DCs[i]
-		run.VMs = len(ep.asg[i]) // the final epoch's count survives
-		if ep.sims[i] == nil {
-			if ep.prevActive[i] > 0 {
-				run.ITEnergyMJ += ep.drainIT[i]
-				facility := ep.drainFac[i]
+		run, ds := &res.DCs[i], &st.dcs[i]
+		run.VMs = len(st.asg[i]) // the final epoch's count survives
+		if ds.sim == nil {
+			if ds.active > 0 {
+				run.ITEnergyMJ += ds.drainIT
+				facility := ds.drainIT * dc.PUE
 				run.EnergyMJ += facility
 				res.TotalEnergyMJ += facility
 				res.TransitionMJ += facility
 			}
-			ep.prevActive[i] = 0
+			ds.active = 0
 			continue
 		}
-		a := &ep.acc[i]
+		a := &ds.acc
 		run.ITEnergyMJ += a.energy.MJ()
 		facility := a.energy.MJ() * dc.PUE
 		run.EnergyMJ += facility
 		res.TotalEnergyMJ += facility
 		res.TransitionMJ += a.transition.MJ() * dc.PUE
-		run.Violations += a.violations
-		res.Violations += a.violations
 		w := float64(a.violations) * latencyWeight(dc.LatencyMs)
 		run.LatencyWeightedViol += w
 		res.LatencyWeightedViol += w
-		run.Migrations += a.migrations
-		res.Migrations += a.migrations
-		ep.prevActive[i] = a.active
+		ds.active, ds.sim = a.active, nil
 		// Weigh each DC's mean cap frequency by the VM-slots it
 		// covers; in the one-shot run every DC spans the same window,
 		// so VMs alone weigh it. A single DC has nothing to weigh:
 		// weight 1 keeps its mean the exact sum/n.
-		weight := len(ep.asg[i])
+		weight := len(st.asg[i])
 		switch {
 		case len(st.fleet.DCs) == 1:
 			weight = 1
-		case !ep.oneShot:
+		case !st.oneShot:
 			weight *= n
 		}
-		ep.freqWeighted += a.freqGHz / float64(n) * float64(weight)
-		ep.freqWeight += float64(weight)
+		st.freqWeighted += a.freqGHz / float64(n) * float64(weight)
+		st.freqWeight += float64(weight)
 	}
-	ep.open = false
+	st.open = false
 }
 
 // Step simulates the next fleet slot and returns its live view. With
@@ -625,49 +609,47 @@ func (st *Stepper) Step() (SlotStep, error) {
 	if src := st.cfg.Source; src != nil && !src.SlotReady(st.next) {
 		return SlotStep{}, fmt.Errorf("topology: evaluation slot %d: %w", st.next, dcsim.ErrAwaitingSamples)
 	}
-	ep := st.ep
 	s := st.next
-	if !ep.open || s >= ep.epochEnd {
-		ep.closeEpoch(st)
-		if err := ep.openEpoch(st, s); err != nil {
+	if !st.open || s >= st.epochEnd {
+		st.closeEpoch()
+		if err := st.openEpoch(s); err != nil {
 			return SlotStep{}, err
 		}
 	}
 	out := SlotStep{Slot: s, DCs: make([]DCSlotStep, len(st.fleet.DCs))}
-	boundary := s == ep.epochStart
+	boundary := s == st.epochStart
 	if boundary {
 		// The fleet slot energy starts from the boundary pricing sum,
 		// accumulated per VM in dispatch order; the per-DC charges land
 		// on it in DC order.
-		out.EnergyMJ = ep.boundFleetMJ
+		out.EnergyMJ = st.boundFleetMJ
 	}
 	for i, dc := range st.fleet.DCs {
-		d := &out.DCs[i]
+		d, ds := &out.DCs[i], &st.dcs[i]
 		d.Name = dc.Name
-		d.VMs = len(ep.asg[i])
+		d.VMs = len(st.asg[i])
 		if boundary {
-			d.EnergyMJ = ep.boundMJ[i]
-			d.Violations = ep.boundViol[i]
-			d.CrossDCMigrations = ep.boundCross[i]
+			d.Charges = ds.bound
 		}
-		if ep.sims[i] != nil {
-			slot, err := ep.sims[i].Step()
+		if ds.sim != nil {
+			slot, err := ds.sim.Step()
 			if err != nil {
 				return SlotStep{}, fmt.Errorf("topology: DC %q: %w", dc.Name, err)
 			}
-			ep.acc[i].add(&slot)
+			ds.acc.add(&slot)
 			mj := slot.Energy.MJ() * dc.PUE
 			d.EnergyMJ += mj
 			out.EnergyMJ += mj
 			d.ActiveServers = slot.ActiveServers
 			d.Violations += slot.Violations
 			d.Migrations = slot.Migrations
-		} else if boundary && ep.prevActive[i] > 0 {
-			d.EnergyMJ += ep.drainFac[i]
-			out.EnergyMJ += ep.drainFac[i]
+		} else if boundary && ds.active > 0 {
+			facility := ds.drainIT * dc.PUE
+			d.EnergyMJ += facility
+			out.EnergyMJ += facility
 		}
 		d.LatencyWeightedViol = float64(d.Violations) * latencyWeight(dc.LatencyMs)
-		ci := st.carbon[i]
+		ci := st.models[i].carbon
 		d.OperationalGCO2 = d.EnergyMJ / mjPerKWh * ci.intensity.At(s%24)
 		d.EmbodiedGCO2 = float64(d.ActiveServers) * ci.gPerServerHour
 		out.ActiveServers += d.ActiveServers
@@ -677,10 +659,10 @@ func (st *Stepper) Step() (SlotStep, error) {
 		out.CrossDCMigrations += d.CrossDCMigrations
 		out.OperationalGCO2 += d.OperationalGCO2
 		out.EmbodiedGCO2 += d.EmbodiedGCO2
-		ep.dcTally[i].Add(&d.Charges)
+		ds.tally.Add(&d.Charges)
 	}
-	ep.tally.Add(&out.Charges)
-	ep.res.PerSlot[s] = out.Charges
+	st.tally.Add(&out.Charges)
+	st.res.PerSlot[s] = out.Charges
 	st.next++
 	return out, nil
 }
@@ -692,21 +674,26 @@ func (st *Stepper) Result() (*FleetResult, error) {
 	if !st.Done() {
 		return nil, fmt.Errorf("topology: stepper not done: %d of %d slots stepped", st.next, st.totalSlots)
 	}
-	if st.res == nil {
-		st.ep.closeEpoch(st)
-		st.res = st.ep.finish(st)
+	// The last epoch is open until the first Result closes it.
+	if st.open {
+		st.closeEpoch()
+		st.finish()
 	}
 	return st.res, nil
 }
 
 // finish reads the fleet and per-DC aggregates off the tallies.
-func (ep *epochState) finish(st *Stepper) *FleetResult {
-	res := ep.res
+func (st *Stepper) finish() {
+	res := st.res
 	slots := float64(st.totalSlots)
-	res.MeanActive = float64(ep.tally.ActiveSum) / slots
-	res.PeakActive = ep.tally.PeakActive
+	res.Violations, res.Migrations = st.tally.Violations, st.tally.Migrations
+	res.CrossDCMigrations = st.tally.CrossDCMigrations
+	res.MeanActive = float64(st.tally.ActiveSum) / slots
+	res.PeakActive = st.tally.PeakActive
 	for i := range res.DCs {
-		run, t := &res.DCs[i], &ep.dcTally[i]
+		run, t := &res.DCs[i], &st.dcs[i].tally
+		run.Violations, run.Migrations = t.Violations, t.Migrations
+		run.CrossDCMigrations = t.CrossDCMigrations
 		run.MeanActive = float64(t.ActiveSum) / slots
 		run.PeakActive = t.PeakActive
 		// A DC that never burned anything (no VMs in any epoch)
@@ -720,9 +707,8 @@ func (ep *epochState) finish(st *Stepper) *FleetResult {
 		res.OperationalGCO2 += t.OperationalGCO2
 		res.EmbodiedGCO2 += t.EmbodiedGCO2
 	}
-	res.EPScore = ep.tally.EPScore()
-	if ep.freqWeight > 0 {
-		res.MeanPlannedFreqGHz = ep.freqWeighted / ep.freqWeight
+	res.EPScore = st.tally.EPScore()
+	if st.freqWeight > 0 {
+		res.MeanPlannedFreqGHz = st.freqWeighted / st.freqWeight
 	}
-	return res
 }

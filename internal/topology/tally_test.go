@@ -41,9 +41,10 @@ func tallyOf(slotMJ []float64) Tally {
 // TestSlotFoldMatchesResult recomputes a run's per-DC and fleet
 // aggregates from its SlotSteps alone — carbon priced slot by slot
 // from each DC's energy and active-server series, MeanActive,
-// PeakActive and the EP score through SeriesEPScore — and requires
-// Result to match bit for bit: the tallies Step keeps are exactly the
-// fold of the series it returns, boundary and drain charges included.
+// PeakActive, the EP score through SeriesEPScore and the violation,
+// migration and cross-DC migration counts — and requires Result to
+// match bit for bit: the tallies Step keeps are exactly the fold of
+// the series it returns, boundary and drain charges included.
 func TestSlotFoldMatchesResult(t *testing.T) {
 	cases := []struct {
 		name, fleet string
@@ -63,12 +64,13 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			carbon := st.carbon
+			models := st.models
 			res, steps := runSteps(t, c.name, cfg)
 			slots := float64(len(steps))
 
 			fleetMJ := make([]float64, len(steps))
 			var fleetActive, fleetPeak int
+			var fleetCounts [3]int
 			for s, step := range steps {
 				fleetMJ[s] = step.EnergyMJ
 				if !same(step.EnergyMJ, res.PerSlot[s].EnergyMJ) {
@@ -76,6 +78,9 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 				}
 				fleetActive += step.ActiveServers
 				fleetPeak = max(fleetPeak, step.ActiveServers)
+				fleetCounts[0] += step.Violations
+				fleetCounts[1] += step.Migrations
+				fleetCounts[2] += step.CrossDCMigrations
 			}
 			var op, emb float64
 			sawDrain := false
@@ -83,14 +88,18 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 				mj := make([]float64, len(steps))
 				var dcOp, dcEmb float64
 				var active, peak int
+				var counts [3]int
 				hosted := false
 				for s, step := range steps {
 					d := step.DCs[i]
 					mj[s] = d.EnergyMJ
-					dcOp += d.EnergyMJ / mjPerKWh * carbon[i].intensity.At(s%24)
-					dcEmb += float64(d.ActiveServers) * carbon[i].gPerServerHour
+					dcOp += d.EnergyMJ / mjPerKWh * models[i].carbon.intensity.At(s%24)
+					dcEmb += float64(d.ActiveServers) * models[i].carbon.gPerServerHour
 					active += d.ActiveServers
 					peak = max(peak, d.ActiveServers)
+					counts[0] += d.Violations
+					counts[1] += d.Migrations
+					counts[2] += d.CrossDCMigrations
 					if d.VMs > 0 {
 						hosted = true
 					} else if hosted && d.ActiveServers == 0 && d.EnergyMJ > 0 {
@@ -111,6 +120,9 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 				if !same(run.EPScore, ep) {
 					t.Errorf("DC %q EP score %v, fold of the steps %v", name, run.EPScore, ep)
 				}
+				if got := [3]int{run.Violations, run.Migrations, run.CrossDCMigrations}; got != counts {
+					t.Errorf("DC %q violations, migrations, cross-DC migrations %v, fold of the steps %v", name, got, counts)
+				}
 				op += dcOp
 				emb += dcEmb
 			}
@@ -125,6 +137,9 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 			}
 			if ep := SeriesEPScore(fleetMJ); !same(res.EPScore, ep) {
 				t.Errorf("fleet EP score %v, fold of the steps %v", res.EPScore, ep)
+			}
+			if got := [3]int{res.Violations, res.Migrations, res.CrossDCMigrations}; got != fleetCounts {
+				t.Errorf("fleet violations, migrations, cross-DC migrations %v, fold of the steps %v", got, fleetCounts)
 			}
 		})
 	}
