@@ -109,7 +109,7 @@ func writeExposition(w io.Writer, fams []family) error {
 // WriteMetrics merge sessions sample-wise.
 func (sess *Session) families() []family {
 	snap := sess.Snapshot()
-	wst, cst := sess.statsSnapshot()
+	wst := sess.statsSnapshot()
 
 	g := func(name, help string, samples ...sample) family {
 		return family{name: name, help: help, typ: "gauge", samples: samples}
@@ -184,9 +184,9 @@ func (sess *Session) families() []family {
 		g("ntc_whatif_cache_hits", "What-if scenarios answered from the result cache; monotone.", one(float64(wst.cacheHits))...),
 		g("ntc_whatif_forks", "Mid-replay fork what-ifs answered from carried state; monotone.", one(float64(wst.forks))...),
 
-		g("ntc_cache_hits", "Result-store hits serving this session's what-ifs; monotone.", one(float64(cst.hits))...),
-		g("ntc_cache_misses", "This session's what-if scenarios the store could not answer; monotone.", one(float64(cst.misses))...),
-		g("ntc_cache_writes", "Executed what-if rows persisted to the store for this session; monotone.", one(float64(cst.writes))...),
+		g("ntc_cache_hits", "Result-store hits serving this session's what-ifs; monotone.", one(float64(wst.cacheHits))...),
+		g("ntc_cache_misses", "This session's what-if scenarios the store could not answer; monotone.", one(float64(wst.executed))...),
+		g("ntc_cache_writes", "Executed what-if rows persisted to the store for this session; monotone.", one(float64(wst.writes))...),
 	}
 	return fams
 }

@@ -182,22 +182,16 @@ type Snapshot struct {
 // whatifStats are one session's what-if traffic counters. They are
 // committed under one mutex as a single transaction per request,
 // which is what makes scenarios == executed + cacheHits hold at every
-// scrape.
+// scrape. executed and cacheHits are also the session's result-store
+// misses and hits; writes counts the executed rows the store kept.
 type whatifStats struct {
 	requests  int64
 	rejected  int64
 	scenarios int64
 	executed  int64
 	cacheHits int64
+	writes    int64
 	forks     int64
-}
-
-// cacheStats attribute result-store traffic to one session's what-if
-// requests (the store itself is shared by all sessions).
-type cacheStats struct {
-	hits   int64
-	misses int64
-	writes int64
 }
 
 // Registry rejections; the HTTP layer maps them to status codes.
@@ -208,9 +202,9 @@ var (
 )
 
 // Server is the live fleet service: a registry of sessions sharing
-// one result store and one what-if execution lease. Create with New;
-// serve its Handler; advance sessions with Tick (or per-session
-// steps).
+// one result store, one what-if execution lease and one Runner for
+// the base trace. Create with New; serve its Handler; advance
+// sessions with Tick (or per-session steps).
 type Server struct {
 	opt    Options
 	grid   sweep.Grid // defaulted base grid; the delta base
@@ -302,10 +296,12 @@ func (s *Server) createSession(id string, ingest bool, scen sweep.Scenario) (*Se
 		feed *dcsim.LiveFeed
 		err  error
 	)
+	var own *sweep.Runner
+	runner := s.runnerFor(scen, nil, &own)
 	if ingest {
-		cfg, feed, err = s.runner.LiveStepperConfig(scen)
+		cfg, feed, err = runner.LiveStepperConfig(scen)
 	} else {
-		cfg, err = s.runner.StepperConfig(scen)
+		cfg, err = runner.StepperConfig(scen)
 	}
 	if err != nil {
 		return nil, err
@@ -314,7 +310,7 @@ func (s *Server) createSession(id string, ingest bool, scen sweep.Scenario) (*Se
 	if err != nil {
 		return nil, err
 	}
-	sess := newSession(id, scen, st, feed)
+	sess := newSession(id, scen, runner, st, feed)
 
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -326,6 +322,31 @@ func (s *Server) createSession(id string, ingest bool, scen sweep.Scenario) (*Se
 	}
 	s.sessions[id] = sess
 	return sess, nil
+}
+
+// runnerFor returns the Runner that resolves scen's inputs: the
+// daemon's shared Runner for the base trace, sess's own Runner (sess
+// may be nil) for that session's trace, and otherwise *own, made fresh
+// on first use. A trace is its spec, seed, VM count, churn and
+// history/eval days; the predictor is not part of it, so predictor
+// deltas over one trace share that trace's Runner (the predictor
+// registry bounds them). The caller drops *own when done, so a
+// what-if over a new seed never pins its trace for the daemon's life.
+func (s *Server) runnerFor(scen sweep.Scenario, sess *Session, own **sweep.Runner) *sweep.Runner {
+	sameTrace := func(o sweep.Scenario) bool {
+		return scen.TraceSpec == o.TraceSpec && scen.Seed == o.Seed && scen.VMs == o.VMs &&
+			scen.ChurnFraction == o.ChurnFraction &&
+			scen.HistoryDays == o.HistoryDays && scen.EvalDays == o.EvalDays
+	}
+	switch {
+	case sameTrace(s.scen):
+		return s.runner
+	case sess != nil && sameTrace(sess.scen):
+		return sess.runner
+	case *own == nil:
+		*own = s.runner.Fresh()
+	}
+	return *own
 }
 
 // deleteSession retires a session; the default session cannot be

@@ -21,6 +21,10 @@ type Session struct {
 	id   string
 	scen sweep.Scenario
 
+	// runner resolves the session's inputs and answers its what-ifs
+	// over them (see Server.runnerFor).
+	runner *sweep.Runner
+
 	// feed is non-nil only on live-ingestion sessions: it owns the
 	// trace's evaluation region and gates the stepper (cfg.Source) on
 	// observed samples.
@@ -38,13 +42,12 @@ type Session struct {
 	// wmu owns the what-if and cache-attribution counters.
 	wmu sync.Mutex
 	wst whatifStats
-	cst cacheStats
 }
 
 // newSession positions a session before slot 0 and publishes its
 // first snapshot.
-func newSession(id string, scen sweep.Scenario, st *topology.Stepper, feed *dcsim.LiveFeed) *Session {
-	sess := &Session{id: id, scen: scen, feed: feed, stepper: st}
+func newSession(id string, scen sweep.Scenario, runner *sweep.Runner, st *topology.Stepper, feed *dcsim.LiveFeed) *Session {
+	sess := &Session{id: id, scen: scen, runner: runner, feed: feed, stepper: st}
 	sess.cum = Snapshot{
 		Session:  id,
 		Scenario: scen,
@@ -162,8 +165,8 @@ func (sess *Session) apply(step topology.SlotStep) {
 }
 
 // statsSnapshot copies the committed what-if and cache counters.
-func (sess *Session) statsSnapshot() (whatifStats, cacheStats) {
+func (sess *Session) statsSnapshot() whatifStats {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
-	return sess.wst, sess.cst
+	return sess.wst
 }

@@ -201,7 +201,7 @@ func applyDelta(base sweep.Grid, req *WhatIfRequest, maxScenarios, maxVMs int) (
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		if _, ok := src.(trace.FileSource); ok {
+		if src.IsFile() {
 			return nil, fmt.Errorf("serve: what-if over the file-backed base trace %q is not supported", spec)
 		}
 	}
@@ -319,13 +319,15 @@ func validSessionID(id string) error {
 func (sess *Session) whatIf(srv *Server, scens []sweep.Scenario) *WhatIfResponse {
 	rows := make([]sweep.RunResult, len(scens))
 	putErrs := int64(0)
+	var own *sweep.Runner // this request's, for traces no session holds
 	for i, sc := range scens {
+		runner := srv.runnerFor(sc, sess, &own)
 		// The lease bounds concurrent executions across all in-flight
 		// requests; cache hits pass through it quickly.
 		srv.sem <- struct{}{}
 		// Store write failures are non-fatal (the row is complete
 		// either way) and surface in the cache-stats gauges.
-		rows[i] = srv.runner.CachedExec(sc, srv.store, func(error) { putErrs++ })
+		rows[i] = runner.CachedExec(sc, srv.store, func(error) { putErrs++ })
 		<-srv.sem
 	}
 	resp := &WhatIfResponse{Session: sess.id, Slot: sess.Snapshot().Slot, Scenarios: len(rows), Rows: rows}
@@ -342,10 +344,8 @@ func (sess *Session) whatIf(srv *Server, scens []sweep.Scenario) *WhatIfResponse
 	sess.wst.scenarios += int64(resp.Scenarios)
 	sess.wst.executed += int64(resp.Executed)
 	sess.wst.cacheHits += int64(resp.CacheHits)
-	sess.cst.hits += int64(resp.CacheHits)
-	sess.cst.misses += int64(resp.Executed)
 	if srv.store.Mode() == cache.ModeRW {
-		sess.cst.writes += int64(resp.Executed) - putErrs
+		sess.wst.writes += int64(resp.Executed) - putErrs
 	}
 	sess.wmu.Unlock()
 	return resp

@@ -210,6 +210,59 @@ func TestCacheHitRowIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCachedRowWithUnknownFieldReExecutes: result-store rows decode
+// strictly, so a stored row carrying a field this build does not know
+// (a corrupt entry, or one another build wrote) is never served as a
+// hit; the scenario re-executes and its fresh row replaces the entry.
+func TestCachedRowWithUnknownFieldReExecutes(t *testing.T) {
+	store, err := cache.Open(filepath.Join(t.TempDir(), "cache"), cache.ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fuzzRowGrid()
+	cold, err := Run(g, Options{Workers: 1, Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Failed(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cold.Runs[0].Scenario
+	key, ok := r.CacheKey(s)
+	if !ok {
+		t.Fatal("scenario is uncacheable")
+	}
+	row, found := store.Get(key)
+	if !found {
+		t.Fatal("cold run stored no row")
+	}
+	if _, ok := DecodeCachedRow(row, s); !ok {
+		t.Fatal("the stored row does not decode")
+	}
+	extra := append([]byte(`{"bogus":1,`), row[1:]...)
+	if err := store.Put(key, extra); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := Run(g, Options{Workers: 1, Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Runs[0].Cached {
+		t.Fatal("a row with an unknown field was served as a cache hit")
+	}
+	if cold.CSV() != warm.CSV() {
+		t.Errorf("re-executed row CSV differs:\n%s\nvs\n%s", warm.CSV(), cold.CSV())
+	}
+	if again, _ := store.Get(key); !bytes.Equal(again, row) {
+		t.Errorf("the re-executed row did not replace the corrupt entry:\n%s\nwant\n%s", again, row)
+	}
+}
+
 // TestFailedScenariosAreNotCached: a failing scenario re-executes on
 // every run (transient failures must not stick).
 func TestFailedScenariosAreNotCached(t *testing.T) {

@@ -49,11 +49,10 @@ type blobStore map[blobKey]blobEntry
 func newBlobStore(g sweep.Grid) blobStore {
 	bs := blobStore{}
 	for _, spec := range g.Traces {
-		src, err := trace.ParseSourceSpec(spec)
-		if fs, ok := src.(trace.FileSource); err == nil && ok {
-			bs.add(sweep.BlobTrace, spec, fs.Path, func(data []byte) (string, error) {
-				fs.Content = data
-				return fs.Fingerprint()
+		if src, err := trace.ParseSourceSpec(spec); err == nil && src.IsFile() {
+			bs.add(sweep.BlobTrace, spec, src.Path, func(data []byte) (string, error) {
+				src.Content = data
+				return src.Fingerprint()
 			})
 		}
 	}

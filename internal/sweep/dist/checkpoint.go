@@ -162,7 +162,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 			}
 			seen[row.Seq] = true
 			var r sweep.RunResult
-			if err := json.Unmarshal(row.Row, &r); err != nil {
+			if _, err := jsonx.DecodeStrict(row.Row, &r); err != nil {
 				return nil, fmt.Errorf("dist: checkpoint %s: unit %d row does not decode: %w", path, row.Seq, err)
 			}
 			if r.Scenario != scens[row.Seq] {

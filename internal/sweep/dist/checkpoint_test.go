@@ -199,6 +199,11 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			cf.Rows[0].Row = json.RawMessage(`{"scenario":42}`)
 			return cf.encode(t)
 		}, "does not decode"},
+		{"row with unknown field", func(t *testing.T) []byte {
+			cf := decode(t)
+			cf.Rows[0].Row = append(json.RawMessage(`{"bogus":1,`), cf.Rows[0].Row[1:]...)
+			return cf.encode(t)
+		}, "does not decode"},
 		{"row for wrong scenario", func(t *testing.T) []byte {
 			cf := decode(t)
 			cf.Rows[0].Row, cf.Rows[1].Row = cf.Rows[1].Row, cf.Rows[0].Row

@@ -146,8 +146,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// filesystem paths; resolving those is the OS's business, not
 		// this harness's. Only resume grids with no file-backed inputs.
 		for _, spec := range ck.Grid.Traces {
-			src, err := trace.ParseSourceSpec(spec)
-			if _, file := src.(trace.FileSource); err != nil || file {
+			if src, err := trace.ParseSourceSpec(spec); err != nil || src.IsFile() {
 				return
 			}
 		}

@@ -276,11 +276,19 @@ func scenarioCacheKey(ld *loader, g Grid, s Scenario) (string, bool) {
 // schema version, split out so tests can prove that rows stored under
 // a stale version are ignored.
 func scenarioCacheKeyVersioned(ld *loader, g Grid, s Scenario, version string) (string, bool) {
-	fp, err := ld.fingerprint(s.TraceSpec)
+	in, err := ld.source(s.TraceSpec)
 	if err != nil {
 		return "", false
 	}
-	topoFP, err := ld.topologyFingerprint(s.Topology)
+	fp, err := in.fp()
+	if err != nil {
+		return "", false
+	}
+	topo, err := ld.topology(s.Topology)
+	if err != nil {
+		return "", false
+	}
+	topoFP, err := topo.fp()
 	if err != nil {
 		return "", false
 	}
@@ -351,13 +359,17 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 		days:      s.HistoryDays + s.EvalDays,
 		churnFrac: s.ChurnFraction,
 	}
+	in, err := ld.source(s.TraceSpec)
+	if err != nil {
+		return topology.Config{}, 0, err
+	}
 	// File-backed traces ignore the seed unless churn consumes it
 	// (seed+99): normalising the memo key lets a multi-seed grid
 	// share one ingestion and one prediction set per file.
-	if s.ChurnFraction == 0 && !traceUsesSeed(s.TraceSpec) {
+	if s.ChurnFraction == 0 && in.src.IsFile() {
 		tk.seed = 0
 	}
-	tp, err := ld.trace(tk)
+	tp, err := ld.trace(tk, in.src)
 	if err != nil {
 		return topology.Config{}, 0, err
 	}
@@ -371,7 +383,11 @@ func (r *Runner) fleetConfig(s Scenario, row *aheadRow) (topology.Config, int, e
 		return topology.Config{}, 0, err
 	}
 
-	fleet, err := ld.fleet(s.Topology)
+	topo, err := ld.topology(s.Topology)
+	if err != nil {
+		return topology.Config{}, 0, err
+	}
+	fleet, err := topo.fleet()
 	if err != nil {
 		return topology.Config{}, 0, err
 	}

@@ -52,3 +52,44 @@ func FuzzParseGridJSON(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRowGrid is the one-scenario grid FuzzDecodeCachedRow decodes
+// rows against.
+func fuzzRowGrid() Grid {
+	return Grid{
+		Policies:    []string{"FFD"},
+		VMs:         []int{30},
+		MaxServers:  []int{30},
+		HistoryDays: 1,
+		EvalDays:    1,
+		Seeds:       []int64{2018},
+		Predictors:  []string{"oracle"},
+	}
+}
+
+func fuzzRowScenario(t testing.TB) Scenario {
+	t.Helper()
+	scens, err := Expand(fuzzRowGrid())
+	if err != nil || len(scens) != 1 {
+		t.Fatalf("Expand = %d scenarios, %v; want 1", len(scens), err)
+	}
+	return scens[0]
+}
+
+// FuzzDecodeCachedRow feeds arbitrary bytes to the result-store row
+// decoder as the row for one fixed scenario. It must never panic, and
+// a row it accepts answers exactly that scenario, records no failure
+// and is marked Cached. The committed corpus under
+// testdata/fuzz/FuzzDecodeCachedRow holds a real row, that row with an
+// unknown field and with trailing bytes, another scenario's row and a
+// failed row; only the first decodes.
+func FuzzDecodeCachedRow(f *testing.F) {
+	s := fuzzRowScenario(f)
+	f.Fuzz(func(t *testing.T, row []byte) {
+		r, ok := DecodeCachedRow(row, s)
+		if ok && (r.Scenario != s || r.Err != "" || !r.Cached) {
+			t.Fatalf("DecodeCachedRow accepted a row for %q (error %q, cached %v); want %q, no error, cached",
+				r.Scenario.ID(), r.Err, r.Cached, s.ID())
+		}
+	})
+}

@@ -88,24 +88,40 @@ type BlobSource interface {
 
 // loader memoizes the expensive inputs of a run. One loader is
 // shared by all workers of a sweep, so a 24-scenario grid over one
-// trace ingests that trace once and fits ARIMA once; source
-// fingerprints (file content hashes), fleet definitions (topology
-// files parsed and validated once per spec) and their fingerprints
-// are likewise computed once.
+// trace ingests that trace once and fits ARIMA once; trace sources
+// and their fingerprints (file content hashes), fleet definitions
+// (topology files parsed and validated once per spec) and their
+// fingerprints are likewise resolved once.
 type loader struct {
 	// blobs, when non-nil, is the remote fallback for file-backed
 	// inputs missing on this machine. Set before first use (see
-	// Runner.SetBlobSource); the srcs/topoSpecs memos pin whichever
+	// Runner.SetBlobSource); the srcs/topos memos pin whichever
 	// resolution each spec got.
 	blobs BlobSource
 
-	srcs      memo[string, trace.Source]
-	topoSpecs memo[string, topology.Spec]
-	traces    memo[traceKey, tracePair]
-	preds     memo[predKey, *dcsim.PredictionSet]
-	fps       memo[string, string]
-	fleets    memo[string, topology.Fleet]
-	topoFPs   memo[string, string]
+	srcs   memo[string, traceInput]
+	topos  memo[string, topoInput]
+	traces memo[traceKey, tracePair]
+	preds  memo[predKey, *dcsim.PredictionSet]
+}
+
+// traceInput is one resolved trace spec: its source (shipped when
+// only a blob can supply the file) and the source's content
+// fingerprint, hashed on first use, so a run without a result cache
+// hashes no file.
+type traceInput struct {
+	src trace.Source
+	fp  func() (string, error)
+}
+
+// topoInput is one resolved topology spec: its fleet, read, parsed
+// and validated on first use however many scenarios share it, and
+// its content fingerprint, likewise computed on first use. The fleet
+// is unresolved (relative DCs keep Servers 0) — scenarios resolve it
+// against their own MaxServers.
+type topoInput struct {
+	fleet func() (topology.Fleet, error)
+	fp    func() (string, error)
 }
 
 // LoadStats reports the loader's sharing: how many distinct inputs
@@ -164,35 +180,6 @@ func (l *loader) stats() LoadStats {
 	}
 }
 
-// sourceFor resolves a backend spec, giving the synthetic backend the
-// sweep's canonical generator shape (DCTraceConfig).
-func sourceFor(spec string) (trace.Source, error) {
-	src, err := trace.ParseSourceSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	if syn, ok := src.(trace.SyntheticSource); ok {
-		syn.Configure = func(seed int64, vms, days int) trace.Config {
-			return DCTraceConfig(seed, vms, days)
-		}
-		return syn, nil
-	}
-	return src, nil
-}
-
-// traceUsesSeed reports whether a backend spec consumes the trace
-// seed at load time. File backends ignore it (their content is the
-// file), so scenarios that differ only in seed can share one ingested
-// trace — unless churn applies, which draws from seed+99.
-func traceUsesSeed(spec string) bool {
-	src, err := trace.ParseSourceSpec(spec)
-	if err != nil {
-		return true // invalid specs fail at load; keying precision is moot
-	}
-	_, synthetic := src.(trace.SyntheticSource)
-	return synthetic
-}
-
 // ship is the one ship-and-verify path for file-backed inputs. It
 // keeps the local input when its content is readable here; otherwise,
 // with a BlobSource wired, it fetches the spec's bytes, attaches them
@@ -228,84 +215,61 @@ func ship[T any](blobs BlobSource, kind, spec string, local T,
 }
 
 // source resolves a trace spec once per sweep (see ship).
-func (l *loader) source(spec string) (trace.Source, error) {
-	return l.srcs.get(spec, func() (trace.Source, error) {
-		src, err := sourceFor(spec)
+func (l *loader) source(spec string) (traceInput, error) {
+	return l.srcs.get(spec, func() (traceInput, error) {
+		src, err := trace.ParseSourceSpec(spec)
 		if err != nil {
-			return nil, err
+			return traceInput{}, fmt.Errorf("sweep: %w", err)
 		}
-		return ship(l.blobs, BlobTrace, spec, src, trace.Source.Fingerprint,
+		src, err = ship(l.blobs, BlobTrace, spec, src, trace.Source.Fingerprint,
 			func(data []byte) (trace.Source, error) { return trace.SourceWithContent(spec, data) })
+		if err != nil {
+			return traceInput{}, err
+		}
+		return traceInput{src: src, fp: sync.OnceValues(src.Fingerprint)}, nil
 	})
 }
 
-// topoSpec resolves a topology spec once per sweep (see ship).
-func (l *loader) topoSpec(spec string) (topology.Spec, error) {
-	return l.topoSpecs.get(spec, func() (topology.Spec, error) {
+// topology resolves a topology spec once per sweep (see ship).
+func (l *loader) topology(spec string) (topoInput, error) {
+	return l.topos.get(spec, func() (topoInput, error) {
 		s, err := topology.ParseSpec(spec)
 		if err != nil {
-			return topology.Spec{}, fmt.Errorf("sweep: %w", err)
+			return topoInput{}, fmt.Errorf("sweep: %w", err)
 		}
-		return ship(l.blobs, BlobTopology, spec, s, topology.Spec.Fingerprint,
+		s, err = ship(l.blobs, BlobTopology, spec, s, topology.Spec.Fingerprint,
 			func(data []byte) (topology.Spec, error) { return s.WithContent(data), nil })
+		if err != nil {
+			return topoInput{}, err
+		}
+		return topoInput{
+			fleet: sync.OnceValues(func() (topology.Fleet, error) {
+				f, err := s.Load()
+				if err != nil {
+					return topology.Fleet{}, fmt.Errorf("sweep: loading topology %s: %w", spec, err)
+				}
+				return f, nil
+			}),
+			fp: sync.OnceValues(s.Fingerprint),
+		}, nil
 	})
 }
 
-// fingerprint returns the memoized content fingerprint of a backend
-// spec — the cache-key ingredient that detects edited trace files.
-func (l *loader) fingerprint(spec string) (string, error) {
-	return l.fps.get(spec, func() (string, error) {
-		src, err := l.source(spec)
-		if err != nil {
-			return "", err
-		}
-		return src.Fingerprint()
-	})
-}
-
-// fleet returns the memoized datacenter fleet for a topology spec:
-// builtin fleets are materialised once, fleet files are read,
-// parsed and validated once per sweep however many scenarios share
-// them. The returned fleet is unresolved (relative DCs keep Servers
-// 0) — scenarios resolve it against their own MaxServers.
-func (l *loader) fleet(spec string) (topology.Fleet, error) {
-	return l.fleets.get(spec, func() (topology.Fleet, error) {
-		s, err := l.topoSpec(spec)
-		if err != nil {
-			return topology.Fleet{}, err
-		}
-		f, err := s.Load()
-		if err != nil {
-			return topology.Fleet{}, fmt.Errorf("sweep: loading topology %s: %w", spec, err)
-		}
-		return f, nil
-	})
-}
-
-// topologyFingerprint returns the memoized content fingerprint of a
-// topology spec — like trace fingerprints, it detects edited fleet
-// files so cached results invalidate.
-func (l *loader) topologyFingerprint(spec string) (string, error) {
-	return l.topoFPs.get(spec, func() (string, error) {
-		s, err := l.topoSpec(spec)
-		if err != nil {
-			return "", err
-		}
-		return s.Fingerprint()
-	})
-}
-
-// trace returns the (possibly churned) trace for a scenario. Churn
-// derives its seed as trace seed + 99, the convention the churn
-// experiments established, so a churn level is reproducible from the
-// scenario alone.
-func (l *loader) trace(k traceKey) (tracePair, error) {
+// trace returns the (possibly churned) trace for a scenario from
+// src, k.spec's resolved source: a file backend loads its file, the
+// synthetic one generates the sweep's canonical shape
+// (DCTraceConfig). Churn derives its seed as trace seed + 99, the
+// convention the churn experiments established, so a churn level is
+// reproducible from the scenario alone.
+func (l *loader) trace(k traceKey, src trace.Source) (tracePair, error) {
 	return l.traces.get(k, func() (tracePair, error) {
-		src, err := l.source(k.spec)
-		if err != nil {
-			return tracePair{}, err
+		var tr *trace.Trace
+		var err error
+		if src.IsFile() {
+			tr, err = src.Load(trace.Request{VMs: k.vms, Days: k.days})
+		} else {
+			tr, err = trace.Generate(DCTraceConfig(k.seed, k.vms, k.days))
 		}
-		tr, err := src.Load(trace.Request{Seed: k.seed, VMs: k.vms, Days: k.days})
 		if err != nil {
 			return tracePair{}, fmt.Errorf("sweep: loading trace %s: %w", k.spec, err)
 		}

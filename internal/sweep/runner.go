@@ -1,9 +1,8 @@
 package sweep
 
 import (
-	"encoding/json"
-
 	"repro/internal/dcsim"
+	"repro/internal/jsonx"
 	"repro/internal/topology"
 )
 
@@ -41,7 +40,14 @@ func NewRunner(g Grid) (*Runner, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{grid: g, ld: &loader{}, memo: newAllocMemo(memoBudget)}, nil
+	return (&Runner{grid: g}).Fresh(), nil
+}
+
+// Fresh returns a Runner over r's grid that shares no input with r:
+// its own loader and allocation memo. Whatever it resolves lives only
+// as long as its holder keeps it.
+func (r *Runner) Fresh() *Runner {
+	return &Runner{grid: r.grid, ld: &loader{}, memo: newAllocMemo(memoBudget)}
 }
 
 // SetBlobSource wires a remote fallback for file-backed inputs this
@@ -120,12 +126,13 @@ func (r *Runner) LoadStats() LoadStats {
 
 // DecodeCachedRow decodes a stored result row and validates it
 // against the scenario it is supposed to answer. ok=false means the
-// row is corrupt, records a failure, or belongs to a different
-// scenario — the caller must re-execute (correctness beats cache
-// stats). On ok the row is marked Cached.
+// row is corrupt (malformed, an unknown field, trailing bytes),
+// records a failure, or belongs to a different scenario — the caller
+// must re-execute (correctness beats cache stats). On ok the row is
+// marked Cached.
 func DecodeCachedRow(row []byte, s Scenario) (RunResult, bool) {
 	var r RunResult
-	if err := json.Unmarshal(row, &r); err != nil || r.Scenario != s || r.Err != "" {
+	if _, err := jsonx.DecodeStrict(row, &r); err != nil || r.Scenario != s || r.Err != "" {
 		return RunResult{}, false
 	}
 	r.Cached = true

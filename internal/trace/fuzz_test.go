@@ -96,11 +96,10 @@ func FuzzParseSourceSpec(f *testing.F) {
 			t.Fatalf("ParseSourceSpec(%q).Spec() = %q parses back to %#v, %v; want %#v",
 				spec, src.Spec(), back, err, src)
 		}
-		_, file := src.(FileSource)
-		if file != (cerr == nil) {
-			t.Fatalf("SourceWithContent(%q) error = %v for a %T", spec, cerr, src)
+		if src.IsFile() != (cerr == nil) {
+			t.Fatalf("SourceWithContent(%q) error = %v for a %s source", spec, cerr, src.Format)
 		}
-		if !file {
+		if !src.IsFile() {
 			return
 		}
 		if shipped.Spec() != src.Spec() {

@@ -19,41 +19,54 @@ import (
 //	backend            e.g. "synthetic"
 //	backend:ref        e.g. "csv:traces/week.csv", "cluster:azure.csv"
 //
-// parsed by ParseSourceSpec. Sources are stateless descriptions —
-// Load materialises a fresh, caller-owned Trace on every call, so a
-// loaded trace can be mutated (churned) without aliasing other
-// scenarios — and Fingerprint gives a stable content-derived key
-// (file path + content hash for file backends) that result caches use
-// to detect stale inputs.
+// parsed by ParseSourceSpec. Sources are stateless descriptions. The
+// synthetic backend is generated by its caller (Generate with the
+// caller's own config shape); a file backend's Load materialises a
+// fresh, caller-owned Trace on every call, so a loaded trace can be
+// mutated (churned) without aliasing other scenarios. Fingerprint
+// gives a stable content-derived key (file path + content hash for
+// file backends) that result caches use to detect stale inputs.
 
-// Request is the shape a scenario asks a Source for. Seed drives
-// generation for the synthetic backend and is ignored by file
-// backends; VMs and Days select a prefix of file-backed traces (a
-// file may hold more of either than one scenario uses).
+// Request is the shape a scenario asks a file-backed Source for: VMs
+// and Days select a prefix of the trace (a file may hold more of
+// either than one scenario uses).
 type Request struct {
-	Seed int64
 	VMs  int
 	Days int
 }
 
-// Source is a pluggable trace-ingestion backend.
-type Source interface {
-	// Backend returns the backend name ("synthetic", "csv", ...).
-	Backend() string
+// Source is one trace-ingestion backend. Format is the backend name:
+// "synthetic" is the generator, which has no file; "csv" reads the
+// native long format written by WriteCSV (and cmd/tracegen) — header
+// vm_id,class,sample,cpu_pct,mem_pct, one row per (VM, sample) — and
+// "cluster" reads real cluster-trace dumps (Azure/Google-style
+// reading tables) through the normalisation rules of ReadClusterCSV.
+type Source struct {
+	// Format is "synthetic", "csv" or "cluster".
+	Format string
 
-	// Spec returns the canonical spec string that ParseSourceSpec
-	// would parse back into this source.
-	Spec() string
+	// Path is the trace file of a file backend.
+	Path string
 
-	// Fingerprint returns a stable key for the backend's content:
-	// equal fingerprints mean Load answers requests identically. File
-	// backends hash the file contents, so editing a trace file
-	// changes the fingerprint (and invalidates cached results).
-	Fingerprint() (string, error)
+	// Content, when non-nil, is used instead of reading Path — the
+	// shipped-input form built by SourceWithContent. Fingerprints keep
+	// Path as their location component so they compare equal to the
+	// file-backed source holding the same bytes.
+	Content []byte
+}
 
-	// Load materialises the trace for one request. The returned trace
-	// is owned by the caller (never shared between Load calls).
-	Load(req Request) (*Trace, error)
+// IsFile reports whether the source reads a file (every backend but
+// the synthetic generator). A file's content is the trace, so a file
+// source ignores the scenario's seed.
+func (s Source) IsFile() bool { return s.Format != "synthetic" }
+
+// Spec returns the canonical spec string that ParseSourceSpec would
+// parse back into this source.
+func (s Source) Spec() string {
+	if !s.IsFile() {
+		return s.Format
+	}
+	return s.Format + ":" + s.Path
 }
 
 // Backends lists the registered backend names.
@@ -70,55 +83,23 @@ func ParseSourceSpec(spec string) (Source, error) {
 	switch backend {
 	case "", "synthetic":
 		if ref != "" {
-			return nil, fmt.Errorf("trace: synthetic backend takes no ref, got %q", spec)
+			return Source{}, fmt.Errorf("trace: synthetic backend takes no ref, got %q", spec)
 		}
-		return SyntheticSource{}, nil
+		return Source{Format: "synthetic"}, nil
 	case "csv":
 		if ref == "" {
-			return nil, fmt.Errorf("trace: csv backend needs a file path, e.g. csv:trace.csv")
+			return Source{}, fmt.Errorf("trace: csv backend needs a file path, e.g. csv:trace.csv")
 		}
-		return FileSource{Format: backend, Path: ref}, nil
+		return Source{Format: backend, Path: ref}, nil
 	case "cluster":
 		if ref == "" {
-			return nil, fmt.Errorf("trace: cluster backend needs a file path, e.g. cluster:vmtable.csv")
+			return Source{}, fmt.Errorf("trace: cluster backend needs a file path, e.g. cluster:vmtable.csv")
 		}
-		return FileSource{Format: backend, Path: ref}, nil
+		return Source{Format: backend, Path: ref}, nil
 	default:
-		return nil, fmt.Errorf("trace: unknown trace backend %q (known: %s)",
+		return Source{}, fmt.Errorf("trace: unknown trace backend %q (known: %s)",
 			backend, strings.Join(Backends(), ", "))
 	}
-}
-
-// SyntheticSource is the built-in generator backend. Configure maps a
-// request onto a generator config; nil uses DefaultConfig with the
-// request's shape.
-type SyntheticSource struct {
-	Configure func(seed int64, vms, days int) Config
-}
-
-// Backend implements Source.
-func (SyntheticSource) Backend() string { return "synthetic" }
-
-// Spec implements Source.
-func (SyntheticSource) Spec() string { return "synthetic" }
-
-// Fingerprint implements Source. The generator is pure code, so the
-// backend name is the whole key: the request parameters live in the
-// scenario identity, and code changes are covered by the result
-// schema version of whoever caches on this fingerprint.
-func (SyntheticSource) Fingerprint() (string, error) { return "synthetic", nil }
-
-// Load implements Source.
-func (s SyntheticSource) Load(req Request) (*Trace, error) {
-	cfg := Config{}
-	if s.Configure != nil {
-		cfg = s.Configure(req.Seed, req.VMs, req.Days)
-	} else {
-		cfg = DefaultConfig(req.Seed)
-		cfg.VMs = req.VMs
-		cfg.Days = req.Days
-	}
-	return Generate(cfg)
 }
 
 // SourceWithContent parses a file-backed spec and attaches data as
@@ -131,56 +112,38 @@ func (s SyntheticSource) Load(req Request) (*Trace, error) {
 func SourceWithContent(spec string, data []byte) (Source, error) {
 	src, err := ParseSourceSpec(spec)
 	if err != nil {
-		return nil, err
+		return Source{}, err
 	}
-	fs, ok := src.(FileSource)
-	if !ok {
-		return nil, fmt.Errorf("trace: backend %q is not file-backed; it has no content to attach", src.Backend())
+	if !src.IsFile() {
+		return Source{}, fmt.Errorf("trace: backend %q is not file-backed; it has no content to attach", src.Format)
 	}
-	fs.Content = data
-	return fs, nil
+	src.Content = data
+	return src, nil
 }
-
-// FileSource ingests a trace file. Format is the backend name and
-// selects the parser: "csv" reads the native long format written by
-// WriteCSV (and cmd/tracegen) — header vm_id,class,sample,cpu_pct,
-// mem_pct, one row per (VM, sample) — and "cluster" reads real
-// cluster-trace dumps (Azure/Google-style reading tables) through the
-// normalisation rules of ReadClusterCSV.
-type FileSource struct {
-	// Format is "csv" or "cluster".
-	Format string
-
-	// Path is the trace file.
-	Path string
-
-	// Content, when non-nil, is used instead of reading Path — the
-	// shipped-input form built by SourceWithContent. Fingerprints keep
-	// Path as their location component so they compare equal to the
-	// file-backed source holding the same bytes.
-	Content []byte
-}
-
-// Backend implements Source.
-func (s FileSource) Backend() string { return s.Format }
-
-// Spec implements Source.
-func (s FileSource) Spec() string { return s.Format + ":" + s.Path }
 
 // open returns a reader over the source's bytes: the attached Content
 // when there is one, otherwise the file itself, streamed so
 // multi-gigabyte cluster dumps never sit in memory.
-func (s FileSource) open() (io.ReadCloser, error) {
+func (s Source) open() (io.ReadCloser, error) {
 	if s.Content != nil {
 		return io.NopCloser(bytes.NewReader(s.Content)), nil
 	}
 	return os.Open(s.Path)
 }
 
-// Fingerprint implements Source: the path plus a content hash, so a
-// renamed or edited file never aliases a cached result, and a shipped
-// copy of a file fingerprints identically to reading it in place.
-func (s FileSource) Fingerprint() (string, error) {
+// Fingerprint returns a stable key for the backend's content: equal
+// fingerprints mean the source answers requests identically. The
+// generator is pure code, so "synthetic" is its whole key: the request
+// parameters live in the scenario identity, and code changes are
+// covered by the result schema version of whoever caches on this
+// fingerprint. A file backend's key is the path plus a content hash,
+// so a renamed or edited file never aliases a cached result, and a
+// shipped copy of a file fingerprints identically to reading it in
+// place.
+func (s Source) Fingerprint() (string, error) {
+	if !s.IsFile() {
+		return s.Format, nil
+	}
 	r, err := s.open()
 	if err != nil {
 		return "", fmt.Errorf("trace: fingerprinting %s: %w", s.Path, err)
@@ -193,9 +156,14 @@ func (s FileSource) Fingerprint() (string, error) {
 	return fmt.Sprintf("%s:%s:%s", s.Format, s.Path, hex.EncodeToString(h.Sum(nil)[:16])), nil
 }
 
-// Load implements Source: the file is re-read on every call (callers
-// memoize), then cut down to the requested VM count and day span.
-func (s FileSource) Load(req Request) (*Trace, error) {
+// Load reads a file backend's trace, cut down to the requested VM
+// count and day span. The file is re-read on every call (callers
+// memoize). The synthetic backend has nothing to read: its callers
+// Generate the trace instead.
+func (s Source) Load(req Request) (*Trace, error) {
+	if !s.IsFile() {
+		return nil, fmt.Errorf("trace: the %s backend is generated, not loaded", s.Format)
+	}
 	read := ReadCSV
 	if s.Format == "cluster" {
 		read = ReadClusterCSV

@@ -62,15 +62,15 @@ func TestParseSourceSpec(t *testing.T) {
 			t.Errorf("ParseSourceSpec(%q): %v", c.spec, err)
 			continue
 		}
-		if src.Backend() != c.backend {
-			t.Errorf("ParseSourceSpec(%q).Backend() = %q, want %q", c.spec, src.Backend(), c.backend)
+		if src.Format != c.backend {
+			t.Errorf("ParseSourceSpec(%q).Format = %q, want %q", c.spec, src.Format, c.backend)
 		}
 	}
 }
 
 func TestCSVSourceRoundTripAndFit(t *testing.T) {
 	path, orig := writeTempTrace(t, 8, 2, 7)
-	src := FileSource{Format: "csv", Path: path}
+	src := Source{Format: "csv", Path: path}
 
 	// Full shape round-trips (CSV stores 3 decimals, so compare to
 	// that precision).
@@ -114,7 +114,7 @@ func TestCSVSourceLoadsAreIndependent(t *testing.T) {
 	// Loads must never alias: churning one loaded trace cannot leak
 	// into another load of the same source.
 	path, _ := writeTempTrace(t, 6, 2, 3)
-	src := FileSource{Format: "csv", Path: path}
+	src := Source{Format: "csv", Path: path}
 	a, err := src.Load(Request{VMs: 6, Days: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err := os.WriteFile(path, []byte("vm_id,class,sample,cpu_pct,mem_pct\n0,low-mem,0,10.000,5.000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := FileSource{Format: "csv", Path: path}
+	src := Source{Format: "csv", Path: path}
 	fp1, err := src.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err := os.WriteFile(other, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fpOther, err := FileSource{Format: "csv", Path: other}.Fingerprint()
+	fpOther, err := Source{Format: "csv", Path: other}.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFingerprintStability(t *testing.T) {
 		t.Error("edited content kept the old fingerprint")
 	}
 
-	if fp, err := (SyntheticSource{}).Fingerprint(); err != nil || fp != "synthetic" {
+	if fp, err := (Source{Format: "synthetic"}).Fingerprint(); err != nil || fp != "synthetic" {
 		t.Errorf("synthetic fingerprint = %q, %v", fp, err)
 	}
 
@@ -205,7 +205,7 @@ func TestFingerprintStability(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := c.format + ":" + path + ":" + c.hash
-		fromDisk, err := FileSource{Format: c.format, Path: path}.Fingerprint()
+		fromDisk, err := Source{Format: c.format, Path: path}.Fingerprint()
 		if err != nil || fromDisk != want {
 			t.Errorf("%s fingerprint from disk = %q, %v; want %q", c.format, fromDisk, err, want)
 		}
@@ -447,7 +447,7 @@ func TestClusterSourceRoundTripsTracegenOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr, err := FileSource{Format: "cluster", Path: path}.Load(Request{VMs: 5, Days: 1})
+	tr, err := Source{Format: "cluster", Path: path}.Load(Request{VMs: 5, Days: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

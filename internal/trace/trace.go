@@ -16,9 +16,9 @@
 //   - abrupt bursts that cause the mispredictions behind Fig. 4's
 //     SLA violations.
 //
-// Real traces can be ingested too: Source is the pluggable
-// trace-ingestion backend interface ("synthetic", "csv:path",
-// "cluster:path" specs via ParseSourceSpec), covering the generator,
+// Real traces can be ingested too: Source describes a
+// trace-ingestion backend ("synthetic", "csv:path", "cluster:path"
+// specs via ParseSourceSpec), covering the generator,
 // files in the native CSV format (WriteCSV/ReadCSV), and real
 // cluster dumps normalised by the cluster adapter (ReadClusterCSV).
 // Formats and normalisation rules are specified in docs/TRACES.md.

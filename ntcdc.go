@@ -81,8 +81,10 @@ type (
 	// TraceConfig parameterises the synthetic Google-style generator.
 	TraceConfig = trace.Config
 
-	// TraceSource is a pluggable trace-ingestion backend (synthetic
-	// generator, native CSV files, cluster-trace dumps).
+	// TraceSource is a parsed trace-ingestion backend spec: the
+	// synthetic generator (Format "synthetic"), a native CSV file or a
+	// cluster-trace dump. IsFile tells the file backends apart; only
+	// they Load, the generator's traces come from GenerateTrace.
 	TraceSource = trace.Source
 
 	// SweepCache is the incremental result store of the sweep engine;
@@ -224,7 +226,7 @@ func MinQoSFrequency(p *Platform, c WorkloadClass) (Frequency, error) {
 func GenerateTrace(cfg TraceConfig) (*Trace, error) { return trace.Generate(cfg) }
 
 // ParseTraceSource parses a trace-ingestion backend spec ("synthetic",
-// "csv:path", "cluster:path") into its Source.
+// "csv:path", "cluster:path") into its TraceSource.
 func ParseTraceSource(spec string) (TraceSource, error) { return trace.ParseSourceSpec(spec) }
 
 // ParseTopology parses and loads a fleet-topology spec
