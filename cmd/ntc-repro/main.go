@@ -171,9 +171,9 @@ func run(outDir string, vms, days int, seed int64, quick, skipDC, arima, ext boo
 		}
 		var bars []report.Bar
 		for _, r := range zoo {
-			bars = append(bars, report.Bar{Label: r.Policy, Value: r.EnergyMJ})
+			bars = append(bars, report.Bar{Label: r.Scenario.Policy, Value: r.TotalEnergyMJ})
 			fmt.Printf("%-14s %8.1f MJ  %6d viol  %5.1f servers  %5d migrations (%.1f MJ)\n",
-				r.Policy, r.EnergyMJ, r.Violations, r.MeanActive, r.Migrations, r.TransitionMJ)
+				r.Scenario.Policy, r.TotalEnergyMJ, r.Violations, r.MeanActive, r.Migrations, r.TransitionMJ)
 		}
 		fmt.Println()
 		if err := report.BarChart(os.Stdout, bars, 40, " MJ"); err != nil {

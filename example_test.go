@@ -3,6 +3,7 @@ package ntcdc_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 
 	ntcdc "repro"
@@ -131,6 +132,43 @@ func ExampleRunDistributedSweep() {
 	// Output:
 	// units: 2
 	// byte-identical to the engine: true
+}
+
+// A distributed sweep across processes: the coordinator serves the
+// worker protocol over HTTP and answers from its result store what an
+// earlier sweep already ran; workers, usually other processes or
+// hosts, lease the remaining scenarios until the grid is done. The
+// example has no output check, so it is compiled but not run: it
+// listens on a port.
+func ExampleNewSweepCoordinator() {
+	ctx := context.Background()
+	grid := ntcdc.SweepGrid{Policies: []string{"EPACT", "COAT"}, Predictors: []string{"oracle"}}
+	store, err := ntcdc.OpenSweepCache("sweep-cache", "rw")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+
+	// Coordinator side.
+	c, err := ntcdc.NewSweepCoordinator(grid, ntcdc.DistOptions{Cache: store})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	go http.ListenAndServe("localhost:8700", ntcdc.NewSweepHandler(c))
+
+	// Worker side.
+	n, err := ntcdc.RunSweepWorker(ctx, ntcdc.NewSweepWorkerClient("localhost:8700"), ntcdc.SweepWorkerOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := c.Wait(ctx) // the merged rows, in grid order
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println(n, "of", len(res.Runs), "scenarios run by this worker")
 }
 
 // The live fleet service: replay the default session slot by slot

@@ -63,7 +63,7 @@ func main() {
 			perDC += fmt.Sprintf("%s=%.1f", dc.Name, dc.EnergyMJ)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%.1f\t%.3f\t%d\t%.1f\t%d\t%.1f\t%s\n",
-			r.Dispatcher, r.Rebalance, r.Policy, r.EnergyMJ, r.EPScore, r.Violations,
+			r.Dispatcher, r.Scenario.Rebalance, r.Scenario.Policy, r.TotalEnergyMJ, r.EPScore, r.Violations,
 			r.LatencyWeightedViol, r.CrossDCMigrations, r.MeanActive, perDC)
 	}
 	if err := tw.Flush(); err != nil {
@@ -73,12 +73,12 @@ func main() {
 	// The headline comparison: best fleet consolidation vs best spread.
 	best := rows[0]
 	for _, r := range rows[1:] {
-		if r.EnergyMJ < best.EnergyMJ {
+		if r.TotalEnergyMJ < best.TotalEnergyMJ {
 			best = r
 		}
 	}
 	fmt.Printf("\ncheapest combination: %s dispatch (rebalance %s) + %s packing (%.1f MJ)\n",
-		best.Dispatcher, best.Rebalance, best.Policy, best.EnergyMJ)
+		best.Dispatcher, best.Scenario.Rebalance, best.Scenario.Policy, best.TotalEnergyMJ)
 }
 
 func predictorName(arima bool) string {

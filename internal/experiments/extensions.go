@@ -11,39 +11,14 @@ import (
 // accounting. All of them are thin adapters over the sweep engine,
 // which shares the trace and prediction set across the runs.
 
-// PolicyZooRow is one policy's week under identical conditions.
-type PolicyZooRow struct {
-	Policy       string
-	EnergyMJ     float64
-	Violations   int
-	MeanActive   float64
-	Migrations   int
-	TransitionMJ float64
-}
-
 // PolicyZoo runs every implemented policy — EPACT, COAT, COAT-OPT,
 // FFD, Verma-binary and load-balance — on the same trace, predictions
 // and transition model, extending the paper's three-way comparison.
-func PolicyZoo(cfg DCConfig, transitions dcsim.TransitionModel) ([]PolicyZooRow, error) {
+// The rows are the sweep's, one per policy in sweep.PolicyNames order.
+func PolicyZoo(cfg DCConfig, transitions dcsim.TransitionModel) ([]sweep.RunResult, error) {
 	g := weekGrid(cfg, sweep.PolicyNames())
 	g.Transitions = []sweep.TransitionSpec{transitionSpec(transitions)}
-	runs, err := runGrid(g)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PolicyZooRow, 0, len(runs))
-	for i := range runs {
-		r := &runs[i]
-		rows = append(rows, PolicyZooRow{
-			Policy:       r.Scenario.Policy,
-			EnergyMJ:     r.TotalEnergyMJ,
-			Violations:   r.Violations,
-			MeanActive:   r.MeanActive,
-			Migrations:   r.Migrations,
-			TransitionMJ: r.TransitionMJ,
-		})
-	}
-	return rows, nil
+	return runGrid(g)
 }
 
 // transitionSpec maps a concrete transition model onto the sweep

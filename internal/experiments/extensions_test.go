@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dcsim"
+	"repro/internal/sweep"
 )
 
 func tinyDC() DCConfig {
@@ -22,9 +23,9 @@ func TestPolicyZooOrdering(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6 policies", len(rows))
 	}
-	byName := map[string]PolicyZooRow{}
+	byName := map[string]sweep.RunResult{}
 	for _, r := range rows {
-		byName[r.Policy] = r
+		byName[r.Scenario.Policy] = r
 	}
 	epact := byName["EPACT"]
 	coat := byName["COAT"]
@@ -33,9 +34,9 @@ func TestPolicyZooOrdering(t *testing.T) {
 	lb := byName["load-balance"]
 
 	// EPACT beats every consolidation-at-FMax policy on energy.
-	for _, other := range []PolicyZooRow{coat, ffd, verma} {
-		if epact.EnergyMJ >= other.EnergyMJ {
-			t.Errorf("EPACT %.1f MJ should beat %s %.1f MJ", epact.EnergyMJ, other.Policy, other.EnergyMJ)
+	for _, other := range []sweep.RunResult{coat, ffd, verma} {
+		if epact.TotalEnergyMJ >= other.TotalEnergyMJ {
+			t.Errorf("EPACT %.1f MJ should beat %s %.1f MJ", epact.TotalEnergyMJ, other.Scenario.Policy, other.TotalEnergyMJ)
 		}
 	}
 	// The correlation-blind baselines should not beat COAT on
@@ -45,8 +46,8 @@ func TestPolicyZooOrdering(t *testing.T) {
 	}
 	// Load balance spreads across its pool; its energy exceeds
 	// EPACT's (it makes no frequency-aware decisions).
-	if lb.EnergyMJ <= epact.EnergyMJ {
-		t.Errorf("load-balance %.1f MJ should not beat EPACT %.1f MJ", lb.EnergyMJ, epact.EnergyMJ)
+	if lb.TotalEnergyMJ <= epact.TotalEnergyMJ {
+		t.Errorf("load-balance %.1f MJ should not beat EPACT %.1f MJ", lb.TotalEnergyMJ, epact.TotalEnergyMJ)
 	}
 }
 
@@ -58,7 +59,7 @@ func TestPolicyZooWithTransitions(t *testing.T) {
 	anyMigrations := false
 	for _, r := range rows {
 		if r.TransitionMJ < 0 {
-			t.Errorf("%s: negative transition energy", r.Policy)
+			t.Errorf("%s: negative transition energy", r.Scenario.Policy)
 		}
 		if r.Migrations > 0 {
 			anyMigrations = true

@@ -16,43 +16,13 @@ import (
 // interacts with node-level proportionality.
 
 // FleetWeekRow is one (dispatcher, rebalance, policy) combination's
-// week.
+// week: the sweep row, whose Scenario carries the rebalance spec and
+// the per-DC allocation policy, with the dispatcher it ran under.
 type FleetWeekRow struct {
 	// Dispatcher is the cross-DC dispatch policy.
 	Dispatcher string
 
-	// Rebalance is the cross-DC rebalancing spec ("off",
-	// "epoch:N[@dispatcher]").
-	Rebalance string
-
-	// Policy is the per-DC allocation policy.
-	Policy string
-
-	// EnergyMJ is the fleet facility energy (per-DC IT energy × PUE).
-	EnergyMJ float64
-
-	// EPScore is the realized fleet energy-proportionality
-	// (topology.Tally.EPScore over the fleet's slot energies).
-	EPScore float64
-
-	Violations int
-	Migrations int
-	MeanActive float64
-
-	// CrossDCMigrations counts VMs the rebalancer moved between
-	// datacenters; LatencyWeightedViol is the WAN-weighted QoS metric
-	// (see topology.WANLatencyRefMs).
-	CrossDCMigrations   int
-	LatencyWeightedViol float64
-
-	// OperationalGCO2 and EmbodiedGCO2 are the fleet's carbon columns
-	// (grid-intensity-priced facility energy; amortized manufacturing
-	// carbon per powered-on server-hour).
-	OperationalGCO2 float64
-	EmbodiedGCO2    float64
-
-	// PerDC carries the per-datacenter provenance, fleet spec order.
-	PerDC []sweep.DCResult
+	sweep.RunResult
 }
 
 // FleetWeekConfig parameterises the fleet comparison.
@@ -115,24 +85,9 @@ func FleetWeek(cfg FleetWeekConfig) ([]FleetWeekRow, error) {
 		return nil, fmt.Errorf("experiments: fleet week produced %d runs, want %d",
 			len(runs), len(cfg.Dispatchers)*perDisp)
 	}
-	rows := make([]FleetWeekRow, 0, len(runs))
-	for i := range runs {
-		r := &runs[i]
-		rows = append(rows, FleetWeekRow{
-			Dispatcher:          cfg.Dispatchers[i/perDisp],
-			Rebalance:           r.Scenario.Rebalance,
-			Policy:              r.Scenario.Policy,
-			EnergyMJ:            r.TotalEnergyMJ,
-			EPScore:             r.EPScore,
-			Violations:          r.Violations,
-			Migrations:          r.Migrations,
-			MeanActive:          r.MeanActive,
-			CrossDCMigrations:   r.CrossDCMigrations,
-			LatencyWeightedViol: r.LatencyWeightedViol,
-			OperationalGCO2:     r.OperationalGCO2,
-			EmbodiedGCO2:        r.EmbodiedGCO2,
-			PerDC:               r.PerDC,
-		})
+	rows := make([]FleetWeekRow, len(runs))
+	for i, r := range runs {
+		rows[i] = FleetWeekRow{Dispatcher: cfg.Dispatchers[i/perDisp], RunResult: r}
 	}
 	return rows, nil
 }

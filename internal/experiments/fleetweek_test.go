@@ -50,7 +50,7 @@ func TestFleetWeekGolden(t *testing.T) {
 	}
 	byKey := map[string]FleetWeekRow{}
 	for _, r := range rows {
-		byKey[r.Dispatcher+"/"+r.Policy] = r
+		byKey[r.Dispatcher+"/"+r.Scenario.Policy] = r
 	}
 	for _, w := range want {
 		r, ok := byKey[w.dispatcher+"/"+w.policy]
@@ -58,8 +58,8 @@ func TestFleetWeekGolden(t *testing.T) {
 			t.Errorf("missing row %s/%s", w.dispatcher, w.policy)
 			continue
 		}
-		if math.Abs(r.EnergyMJ-w.energyMJ) > 1e-4 {
-			t.Errorf("%s/%s energy = %.6f MJ, want %.6f", w.dispatcher, w.policy, r.EnergyMJ, w.energyMJ)
+		if math.Abs(r.TotalEnergyMJ-w.energyMJ) > 1e-4 {
+			t.Errorf("%s/%s energy = %.6f MJ, want %.6f", w.dispatcher, w.policy, r.TotalEnergyMJ, w.energyMJ)
 		}
 		if len(r.PerDC) != 3 {
 			t.Errorf("%s/%s has %d per-DC rows, want 3", w.dispatcher, w.policy, len(r.PerDC))
@@ -73,8 +73,8 @@ func TestFleetWeekGolden(t *testing.T) {
 	// energy-proportional datacenter beats spreading uniformly, for
 	// both per-DC policies.
 	for _, pol := range []string{"EPACT", "COAT"} {
-		greedy := byKey["greedy-proportional/"+pol].EnergyMJ
-		uniform := byKey["uniform/"+pol].EnergyMJ
+		greedy := byKey["greedy-proportional/"+pol].TotalEnergyMJ
+		uniform := byKey["uniform/"+pol].TotalEnergyMJ
 		if greedy >= uniform {
 			t.Errorf("%s: greedy-proportional (%.1f MJ) should beat uniform (%.1f MJ) on the triad",
 				pol, greedy, uniform)
@@ -117,7 +117,7 @@ func TestFleetWeekRebalanceGolden(t *testing.T) {
 		if r.Dispatcher != "uniform" {
 			t.Errorf("unexpected dispatcher %q", r.Dispatcher)
 		}
-		byKey[r.Rebalance+"/"+r.Policy] = r
+		byKey[r.Scenario.Rebalance+"/"+r.Scenario.Policy] = r
 	}
 	for _, w := range want {
 		r, ok := byKey[w.rebalance+"/"+w.policy]
@@ -125,8 +125,8 @@ func TestFleetWeekRebalanceGolden(t *testing.T) {
 			t.Errorf("missing row %s/%s", w.rebalance, w.policy)
 			continue
 		}
-		if math.Abs(r.EnergyMJ-w.energyMJ) > 1e-4 {
-			t.Errorf("%s/%s energy = %.6f MJ, want %.6f (golden)", w.rebalance, w.policy, r.EnergyMJ, w.energyMJ)
+		if math.Abs(r.TotalEnergyMJ-w.energyMJ) > 1e-4 {
+			t.Errorf("%s/%s energy = %.6f MJ, want %.6f (golden)", w.rebalance, w.policy, r.TotalEnergyMJ, w.energyMJ)
 		}
 		if r.CrossDCMigrations != w.crossDC {
 			t.Errorf("%s/%s cross-DC migrations = %d, want %d (golden)",
@@ -142,8 +142,8 @@ func TestFleetWeekRebalanceGolden(t *testing.T) {
 	// greedy-proportional lowers fleet energy vs the static dispatch,
 	// for both per-DC policies.
 	for _, pol := range []string{"EPACT", "COAT"} {
-		static := byKey["off/"+pol].EnergyMJ
-		reb := byKey["epoch:4@greedy-proportional/"+pol].EnergyMJ
+		static := byKey["off/"+pol].TotalEnergyMJ
+		reb := byKey["epoch:4@greedy-proportional/"+pol].TotalEnergyMJ
 		if reb >= static {
 			t.Errorf("%s: epoch rebalancing (%.1f MJ) should beat static dispatch (%.1f MJ)",
 				pol, reb, static)
@@ -159,7 +159,7 @@ func TestFleetWeekHonoursExplicitAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Dispatcher != "uniform" || rows[0].Policy != "FFD" {
+	if len(rows) != 1 || rows[0].Dispatcher != "uniform" || rows[0].Scenario.Policy != "FFD" {
 		t.Fatalf("rows = %+v, want one uniform/FFD row", rows)
 	}
 

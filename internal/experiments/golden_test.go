@@ -132,10 +132,10 @@ func TestGoldenPolicyZoo(t *testing.T) {
 	}
 	for i, g := range golden {
 		r := zoo[i]
-		if r.Policy != g.policy {
-			t.Fatalf("row %d policy = %s, want %s", i, r.Policy, g.policy)
+		if r.Scenario.Policy != g.policy {
+			t.Fatalf("row %d policy = %s, want %s", i, r.Scenario.Policy, g.policy)
 		}
-		approx(t, g.policy+" energy", r.EnergyMJ, g.energyMJ)
+		approx(t, g.policy+" energy", r.TotalEnergyMJ, g.energyMJ)
 		approx(t, g.policy+" transition MJ", r.TransitionMJ, g.transMJ)
 		if r.Migrations != g.migrations {
 			t.Errorf("%s migrations = %d, want %d (golden)", g.policy, r.Migrations, g.migrations)

@@ -52,11 +52,11 @@ func TestCarbonGaugesMatchBatch(t *testing.T) {
 		t.Errorf("ntc_carbon_embodied_g = %v, batch %v", got, batch.EmbodiedGCO2)
 	}
 	for i, dc := range batch.DCs {
-		op := m[def("ntc_dc_carbon_operational_g", "dc", dc.Spec.Name)]
-		emb := m[def("ntc_dc_carbon_embodied_g", "dc", dc.Spec.Name)]
+		op := m[def("ntc_dc_carbon_operational_g", "dc", dc.Name)]
+		emb := m[def("ntc_dc_carbon_embodied_g", "dc", dc.Name)]
 		if relDiff(op, dc.OperationalGCO2) > 1e-12 || relDiff(emb, dc.EmbodiedGCO2) > 1e-12 {
 			t.Errorf("DC %d (%s) carbon gauges %v/%v, batch %v/%v",
-				i, dc.Spec.Name, op, emb, dc.OperationalGCO2, dc.EmbodiedGCO2)
+				i, dc.Name, op, emb, dc.OperationalGCO2, dc.EmbodiedGCO2)
 		}
 	}
 }

@@ -65,46 +65,14 @@ type RunResult struct {
 	// ChurnAffectedVMs is how many VMs the churn pass touched.
 	ChurnAffectedVMs int `json:"churn_affected_vms"`
 
-	TotalEnergyMJ      float64 `json:"total_energy_mj"`
-	TransitionMJ       float64 `json:"transition_mj"`
-	Violations         int     `json:"violations"`
-	MeanActive         float64 `json:"mean_active"`
-	PeakActive         int     `json:"peak_active"`
-	Migrations         int     `json:"migrations"`
-	MeanPlannedFreqGHz float64 `json:"mean_planned_freq_ghz"`
-	Slots              int     `json:"slots"`
-
-	// CrossDCMigrations counts the VMs the epoch rebalancer moved
-	// between datacenters (0 under "off" and on single-DC rows). It
-	// is disjoint from Migrations, the within-DC server moves.
-	CrossDCMigrations int `json:"cross_dc_migrations"`
-
-	// LatencyWeightedViol is the WAN-latency-weighted QoS metric:
-	// per-DC violations (migration downtime included) × LatencyMs /
-	// topology.WANLatencyRefMs, summed. Equals Violations on a
-	// default-latency single DC.
-	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
-
-	// DCCount is how many datacenters the scenario's fleet composed
-	// (1 for the default "single" topology). On multi-DC rows the
-	// energy fields above are fleet facility energies (IT × PUE).
-	DCCount int `json:"dc_count"`
-
-	// EPScore is the realized energy-proportionality of the fleet's
-	// per-slot energy series (topology.Tally.EPScore).
-	EPScore float64 `json:"ep_score"`
-
-	// OperationalGCO2 prices the fleet's facility energy at each DC's
-	// grid intensity (hour-of-day resolved); EmbodiedGCO2 amortizes
-	// manufacturing carbon over powered-on server-hours. Both are
-	// derived from the energy series and never feed back into it — a
-	// zero-carbon-field scenario reports 0 grams and unchanged joules.
-	OperationalGCO2 float64 `json:"operational_gco2"`
-	EmbodiedGCO2    float64 `json:"embodied_gco2"`
+	// Totals are the fleet aggregates (topology.Totals), in column
+	// order. On multi-DC rows the energy columns are fleet facility
+	// energies (IT × PUE).
+	topology.Totals
 
 	// PerDC carries per-datacenter provenance for multi-DC rows
 	// (fleet spec order); empty on single-topology rows.
-	PerDC []DCResult `json:"per_dc,omitempty"`
+	PerDC []topology.DCRun `json:"per_dc,omitempty"`
 
 	// Err is the scenario's failure, if any; other fields are zero.
 	Err string `json:"error,omitempty"`
@@ -117,30 +85,6 @@ type RunResult struct {
 	// in memory only, for adapters that need the per-slot series. It
 	// is not serialised; use the CSV/JSON aggregates for persistence.
 	Fleet *topology.FleetResult `json:"-"`
-}
-
-// DCResult is one datacenter's slice of a fleet scenario — the
-// provenance that says where the fleet aggregates came from.
-type DCResult struct {
-	Name       string  `json:"name"`
-	VMs        int     `json:"vms"`
-	Servers    int     `json:"servers"`
-	EnergyMJ   float64 `json:"energy_mj"` // facility energy (IT × PUE)
-	Violations int     `json:"violations"`
-	MeanActive float64 `json:"mean_active"`
-	PeakActive int     `json:"peak_active"`
-	Migrations int     `json:"migrations"`
-	EPScore    float64 `json:"ep_score"`
-
-	// CrossDCMigrations counts VMs the rebalancer moved INTO this DC;
-	// LatencyWeightedViol is its WAN-weighted violation share.
-	CrossDCMigrations   int     `json:"cross_dc_migrations"`
-	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
-
-	// OperationalGCO2 and EmbodiedGCO2 are this DC's carbon slices of
-	// the fleet totals (see RunResult).
-	OperationalGCO2 float64 `json:"operational_gco2"`
-	EmbodiedGCO2    float64 `json:"embodied_gco2"`
 }
 
 // Results is a completed sweep.
@@ -455,41 +399,11 @@ func (r *Runner) Exec(s Scenario) RunResult {
 
 	out.PredictorImpl = cfg.Predictions.Predictor
 	out.ChurnAffectedVMs = affected
-	out.TotalEnergyMJ = fres.TotalEnergyMJ
-	out.TransitionMJ = fres.TransitionMJ
-	out.Violations = fres.Violations
-	out.MeanActive = fres.MeanActive
-	out.PeakActive = fres.PeakActive
-	out.Migrations = fres.Migrations
-	out.Slots = fres.Slots
-	out.MeanPlannedFreqGHz = fres.MeanPlannedFreqGHz
-	out.CrossDCMigrations = fres.CrossDCMigrations
-	out.LatencyWeightedViol = fres.LatencyWeightedViol
-	out.DCCount = len(fres.DCs)
-	out.EPScore = fres.EPScore
-	out.OperationalGCO2 = fres.OperationalGCO2
-	out.EmbodiedGCO2 = fres.EmbodiedGCO2
+	out.Totals = fres.Totals
 	out.Fleet = fres
 	if len(fres.DCs) > 1 {
 		// Multi-DC provenance: which datacenter contributed what.
-		out.PerDC = make([]DCResult, len(fres.DCs))
-		for i, dc := range fres.DCs {
-			out.PerDC[i] = DCResult{
-				Name:                dc.Spec.Name,
-				VMs:                 dc.VMs,
-				Servers:             dc.Spec.Servers,
-				EnergyMJ:            dc.EnergyMJ,
-				Violations:          dc.Violations,
-				MeanActive:          dc.MeanActive,
-				PeakActive:          dc.PeakActive,
-				Migrations:          dc.Migrations,
-				EPScore:             dc.EPScore,
-				CrossDCMigrations:   dc.CrossDCMigrations,
-				LatencyWeightedViol: dc.LatencyWeightedViol,
-				OperationalGCO2:     dc.OperationalGCO2,
-				EmbodiedGCO2:        dc.EmbodiedGCO2,
-			}
-		}
+		out.PerDC = fres.DCs
 	}
 	return out
 }

@@ -1,6 +1,11 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -81,8 +86,10 @@ func fuzzRowScenario(t testing.TB) Scenario {
 // a row it accepts answers exactly that scenario, records no failure
 // and is marked Cached. The committed corpus under
 // testdata/fuzz/FuzzDecodeCachedRow holds a real row, that row with an
-// unknown field and with trailing bytes, another scenario's row and a
-// failed row; only the first decodes.
+// unknown field and with trailing bytes, another scenario's row, a
+// failed row and a real multi-DC row; only the first decodes here
+// (the multi-DC row answers another scenario; see
+// TestCommittedRowsRoundTrip).
 func FuzzDecodeCachedRow(f *testing.F) {
 	s := fuzzRowScenario(f)
 	f.Fuzz(func(t *testing.T, row []byte) {
@@ -92,4 +99,52 @@ func FuzzDecodeCachedRow(f *testing.F) {
 				r.Scenario.ID(), r.Err, r.Cached, s.ID())
 		}
 	})
+}
+
+// TestCommittedRowsRoundTrip pins the row encoding to committed bytes:
+// each real-* row of the FuzzDecodeCachedRow corpus, as a result store
+// wrote it, decodes through DecodeCachedRow for its own scenario and
+// marshals back to exactly those bytes. real-fleet-row is a triad
+// fleet row with per_dc entries. A reordered, renamed or dropped
+// column fails here even where every determinism gate, which compares
+// the current code with itself, still passes.
+func TestCommittedRowsRoundTrip(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeCachedRow", "real-*"))
+	if err != nil || len(files) < 2 {
+		t.Fatalf("committed real rows = %v (%v), want real-row and real-fleet-row", files, err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is the header line, then []byte("<quoted row>").
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+		lit, ok := strings.CutPrefix(lit, "[]byte(")
+		if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+			t.Fatalf("%s: not a one-value []byte corpus entry", file)
+		}
+		quoted, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		row := []byte(quoted)
+		var head struct {
+			Scenario Scenario `json:"scenario"`
+		}
+		if err := json.Unmarshal(row, &head); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		r, ok := DecodeCachedRow(row, head.Scenario)
+		if !ok {
+			t.Fatalf("%s: DecodeCachedRow rejected the row", file)
+		}
+		got, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, row) {
+			t.Errorf("%s: row re-marshals to\n%s\nwant the committed\n%s", file, got, row)
+		}
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/topology"
 )
 
 // CSV returns the run table in a fixed column order and formatting.
@@ -41,7 +43,7 @@ func (r *Results) CSV() string {
 // into one CSV cell: "name=facilityMJ" pairs in fleet order,
 // semicolon-separated. Single-topology rows leave it empty — the flat
 // columns already are the one DC. Full per-DC detail lives in JSON.
-func perDCField(dcs []DCResult) string {
+func perDCField(dcs []topology.DCRun) string {
 	if len(dcs) == 0 {
 		return ""
 	}

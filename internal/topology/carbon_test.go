@@ -211,15 +211,15 @@ func TestRunCarbonAccounting(t *testing.T) {
 			res.TotalEnergyMJ, res.OperationalGCO2, res.EmbodiedGCO2)
 	}
 
-	dc := res.DCs[0]
-	m, _, err := dc.Spec.serverPlatform()
+	dc, spec := res.DCs[0], res.Fleet.DCs[0]
+	m, _, err := spec.serverPlatform()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := dcCarbonOf(dc.Spec, m)
+	ci := dcCarbonOf(spec, m)
 	var op, emb float64
-	for s, slot := range replayDC(t, cfg, dc.Spec, allVMs(tr), 0, 0) {
-		op += slot.Energy.MJ() * dc.Spec.PUE / mjPerKWh * ci.intensity.At(s%24)
+	for s, slot := range replayDC(t, cfg, spec, allVMs(tr), 0, 0) {
+		op += slot.Energy.MJ() * spec.PUE / mjPerKWh * ci.intensity.At(s%24)
 		emb += float64(slot.ActiveServers) * ci.gPerServerHour
 	}
 	if dc.OperationalGCO2 != op || res.OperationalGCO2 != op {
@@ -232,7 +232,7 @@ func TestRunCarbonAccounting(t *testing.T) {
 	}
 	// The amortization constant itself: (16 vCPU × 25 kg + GB × 1.5 kg)
 	// over 4 years, in grams per server-hour.
-	kg := float64(m.NumCores())*dc.Spec.EmbodiedKgPerVCPU + m.MemGB()*dc.Spec.EmbodiedKgPerGB
+	kg := float64(m.NumCores())*spec.EmbodiedKgPerVCPU + m.MemGB()*spec.EmbodiedKgPerGB
 	if want := kg * 1000 / (EmbodiedAmortYears * 365 * 24); ci.gPerServerHour != want {
 		t.Errorf("gPerServerHour = %g, want %g", ci.gPerServerHour, want)
 	}

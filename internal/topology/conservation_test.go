@@ -45,7 +45,8 @@ func specOf(m power.Model) alloc.ServerSpec {
 //   - the per-slot energy series sums to the total energy, and the
 //     per-slot, per-DC grams (slot kWh × the DC's intensity at that
 //     hour) sum to the operational grams;
-//   - no DC runs more servers than its pool in any slot.
+//   - no DC runs more servers than its pool in any slot;
+//   - the fleet's DC count is its number of per-DC records.
 //
 // Counts must match exactly. Float sums must agree to 1e-9 relative
 // (absolute below 1e-12): the fleet accumulates in boundary and
@@ -117,6 +118,9 @@ func checkConservation(t *testing.T, name string, cfg Config) {
 	res, err := st.Result()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	if res.DCCount != len(res.DCs) || res.DCCount != len(cfg.Fleet.DCs) {
+		t.Errorf("%s: DC count %d, %d per-DC records, fleet of %d", name, res.DCCount, len(res.DCs), len(cfg.Fleet.DCs))
 	}
 	var energy, op, emb float64
 	var viol, mig, cross int
@@ -225,7 +229,6 @@ func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
 					want.Fleet = got.Fleet
 					want.OperationalGCO2 *= 2
 					for i := range want.DCs {
-						want.DCs[i].Spec = got.DCs[i].Spec
 						want.DCs[i].OperationalGCO2 *= 2
 					}
 					for s := range want.PerSlot {
@@ -255,7 +258,8 @@ func TestDoublingIntensityDoublesOnlyOperationalGrams(t *testing.T) {
 // {off, epoch:4@greedy-proportional, epoch:4@follow-the-load,
 // epoch:6@carbon-greedy} × {EPACT, COAT}, every fleet total, every
 // triad DC's numbers and every slot step are bit-identical to the
-// plain triad file's, and the drained DC reports zero.
+// plain triad file's, the DC count counts the drained DC, and the
+// drained DC reports its name and pool and zero for everything else.
 func TestDrainedDCChangesNothing(t *testing.T) {
 	const vms = 30
 	tr := testTrace(t, 2018, vms, 2)
@@ -317,12 +321,16 @@ func TestDrainedDCChangesNothing(t *testing.T) {
 
 				// The expected drained-fleet run: the plain run with the
 				// drained fleet and a zero fourth DC.
-				spare := got.DCs[3]
-				if spare.Spec.Name != "spare" || spare.Spec.Share != 0 {
-					t.Fatalf("%s: fourth DC is %+v, want the drained spare", name, spare.Spec)
+				spare := got.Fleet.DCs[3]
+				if spare.Name != "spare" || spare.Share != 0 {
+					t.Fatalf("%s: fourth DC is %+v, want the drained spare", name, spare)
+				}
+				if want.DCCount != 3 || got.DCCount != 4 {
+					t.Errorf("%s: DC counts %d plain, %d drained; want 3 and 4", name, want.DCCount, got.DCCount)
 				}
 				want.Fleet = got.Fleet
-				want.DCs = append(want.DCs, DCRun{Spec: spare.Spec})
+				want.DCCount = 4
+				want.DCs = append(want.DCs, DCRun{Name: spare.Name, Servers: spare.Servers})
 				for s := range wantSteps {
 					wantSteps[s].DCs = append(wantSteps[s].DCs, DCSlotStep{Name: "spare"})
 				}
@@ -425,7 +433,6 @@ func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
 						t.Errorf("%s: scaling the PUE changed an allocation", name)
 					}
 					dc := want.DCs[i]
-					dc.Spec = got.DCs[i].Spec
 					dc.EnergyMJ *= k
 					dc.OperationalGCO2 *= k
 					if !reflect.DeepEqual(got.DCs[i], dc) {
@@ -433,7 +440,7 @@ func TestScalingPUEScalesOnlyFacilityEnergy(t *testing.T) {
 					}
 					for j := range want.DCs {
 						if j != i && !reflect.DeepEqual(got.DCs[j], want.DCs[j]) {
-							t.Errorf("%s: DC %s changed", name, want.DCs[j].Spec.Name)
+							t.Errorf("%s: DC %s changed", name, want.DCs[j].Name)
 						}
 					}
 					if got.Violations != want.Violations || got.Migrations != want.Migrations ||

@@ -184,10 +184,10 @@ func TestLatencyWeightedViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for _, dc := range res.DCs {
-		want := float64(dc.Violations) * dc.Spec.LatencyMs / WANLatencyRefMs
+	for i, dc := range res.DCs {
+		want := float64(dc.Violations) * res.Fleet.DCs[i].LatencyMs / WANLatencyRefMs
 		if math.Abs(dc.LatencyWeightedViol-want) > 1e-9 {
-			t.Errorf("DC %s weighted viol = %v, want %v", dc.Spec.Name, dc.LatencyWeightedViol, want)
+			t.Errorf("DC %s weighted viol = %v, want %v", dc.Name, dc.LatencyWeightedViol, want)
 		}
 		sum += dc.LatencyWeightedViol
 	}
@@ -413,12 +413,13 @@ func TestFleetAggregationWithEmptyDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	var empty, full *DCRun
+	var fullSpec DCSpec
 	var fullVMs []int
 	for i := range res.DCs {
 		if res.DCs[i].VMs == 0 {
 			empty = &res.DCs[i]
 		} else {
-			full, fullVMs = &res.DCs[i], st.asg[i]
+			full, fullSpec, fullVMs = &res.DCs[i], res.Fleet.DCs[i], st.asg[i]
 		}
 	}
 	if empty == nil || full == nil {
@@ -435,7 +436,7 @@ func TestFleetAggregationWithEmptyDC(t *testing.T) {
 	// The hosting DC's mean cap frequency, from a plain replay of its
 	// VMs in dispatch order.
 	var ghz float64
-	steps := replayDC(t, cfg, full.Spec, fullVMs, 0, 0)
+	steps := replayDC(t, cfg, fullSpec, fullVMs, 0, 0)
 	for _, slot := range steps {
 		ghz += slot.PlannedFreq.GHz()
 	}

@@ -73,37 +73,41 @@ type Config struct {
 	Source dcsim.SlotSource
 }
 
-// DCRun is one datacenter's outcome within a fleet run.
+// DCRun is one datacenter's outcome within a fleet run, and the
+// per_dc record a multi-DC sweep row serialises. The resolved spec
+// it ran under is the same index of FleetResult.Fleet.DCs.
 type DCRun struct {
-	// Spec is the resolved DC (absolute Servers, defaults filled).
-	Spec DCSpec `json:"spec"`
+	Name string `json:"name"`
 
 	// VMs is how many VMs the dispatcher placed here.
 	VMs int `json:"vms"`
+
+	// Servers is the resolved pool size.
+	Servers int `json:"servers"`
 
 	// EnergyMJ is the DC's facility energy: IT energy × PUE.
 	EnergyMJ float64 `json:"energy_mj"`
 
 	// ITEnergyMJ is the server-level energy before the PUE multiplier.
-	ITEnergyMJ float64 `json:"it_energy_mj"`
+	ITEnergyMJ float64 `json:"-"`
 
 	Violations int     `json:"violations"`
 	MeanActive float64 `json:"mean_active"`
 	PeakActive int     `json:"peak_active"`
 	Migrations int     `json:"migrations"`
 
-	// LatencyWeightedViol is the DC's violation count weighted by its
-	// WAN distance (LatencyMs / WANLatencyRefMs): far-away placements
-	// pay a QoS penalty that the raw count hides.
-	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
+	// EPScore is the realized energy-proportionality of this DC's
+	// facility-energy series (see Tally.EPScore).
+	EPScore float64 `json:"ep_score"`
 
 	// CrossDCMigrations counts the VMs the rebalancer moved INTO this
 	// DC at epoch boundaries (0 under static dispatch).
 	CrossDCMigrations int `json:"cross_dc_migrations"`
 
-	// EPScore is the realized energy-proportionality of this DC's
-	// facility-energy series (see Tally.EPScore).
-	EPScore float64 `json:"ep_score"`
+	// LatencyWeightedViol is the DC's violation count weighted by its
+	// WAN distance (LatencyMs / WANLatencyRefMs): far-away placements
+	// pay a QoS penalty that the raw count hides.
+	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
 
 	// OperationalGCO2 is the DC's operational carbon: each slot's
 	// facility energy (kWh) × the grid intensity at that hour of day,
@@ -115,14 +119,9 @@ type DCRun struct {
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
 }
 
-// FleetResult aggregates a fleet run.
-type FleetResult struct {
-	// Fleet is the resolved fleet that ran.
-	Fleet Fleet `json:"fleet"`
-
-	// DCs are the per-datacenter outcomes, in fleet spec order.
-	DCs []DCRun `json:"dcs"`
-
+// Totals are a fleet run's aggregates, declared once: FleetResult and
+// a sweep row both embed them, in the row's JSON column order.
+type Totals struct {
 	// TotalEnergyMJ is the fleet's facility energy: the sum over DCs
 	// of IT energy × PUE.
 	TotalEnergyMJ float64 `json:"total_energy_mj"`
@@ -131,10 +130,15 @@ type FleetResult struct {
 	TransitionMJ float64 `json:"transition_mj"`
 
 	Violations int     `json:"violations"`
-	Migrations int     `json:"migrations"`
 	MeanActive float64 `json:"mean_active"`
 	PeakActive int     `json:"peak_active"`
-	Slots      int     `json:"slots"`
+	Migrations int     `json:"migrations"`
+
+	// MeanPlannedFreqGHz is the VM-weighted mean of the per-DC
+	// allocator cap frequencies.
+	MeanPlannedFreqGHz float64 `json:"mean_planned_freq_ghz"`
+
+	Slots int `json:"slots"`
 
 	// CrossDCMigrations counts VMs moved between datacenters by the
 	// epoch rebalancer (0 under static dispatch). It is disjoint from
@@ -147,19 +151,30 @@ type FleetResult struct {
 	// latency DC it equals the raw count.
 	LatencyWeightedViol float64 `json:"latency_weighted_viol"`
 
+	// DCCount is how many datacenters the fleet composed, drained ones
+	// included (1 for the default "single" topology).
+	DCCount int `json:"dc_count"`
+
 	// EPScore is the realized energy proportionality of the fleet's
 	// per-slot facility-energy series (see Tally.EPScore).
 	EPScore float64 `json:"ep_score"`
-
-	// MeanPlannedFreqGHz is the VM-weighted mean of the per-DC
-	// allocator cap frequencies.
-	MeanPlannedFreqGHz float64 `json:"mean_planned_freq_ghz"`
 
 	// OperationalGCO2 and EmbodiedGCO2 sum the per-DC carbon columns:
 	// grid-intensity-priced facility energy and amortized embodied
 	// manufacturing carbon (see DCRun).
 	OperationalGCO2 float64 `json:"operational_gco2"`
 	EmbodiedGCO2    float64 `json:"embodied_gco2"`
+}
+
+// FleetResult aggregates a fleet run.
+type FleetResult struct {
+	// Fleet is the resolved fleet that ran.
+	Fleet Fleet `json:"fleet"`
+
+	// DCs are the per-datacenter outcomes, in fleet spec order.
+	DCs []DCRun `json:"dcs"`
+
+	Totals
 
 	// PerSlot is the fleet's charges of each slot, in slot order:
 	// the per-slot energy, violation and active-server series. Not

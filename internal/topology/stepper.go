@@ -330,10 +330,11 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if cfg.Rebalance.Dispatcher != "" {
 		st.rebFleet.Dispatcher = cfg.Rebalance.Dispatcher
 	}
-	st.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n), Slots: st.totalSlots}
+	st.res = &FleetResult{Fleet: fleet, DCs: make([]DCRun, n),
+		Totals: Totals{Slots: st.totalSlots, DCCount: n}}
 	st.res.PerSlot = make([]Charges, st.totalSlots)
 	for i, dc := range fleet.DCs {
-		st.res.DCs[i].Spec = dc
+		st.res.DCs[i].Name, st.res.DCs[i].Servers = dc.Name, dc.Servers
 		// The resolved spec already carries the effective static power
 		// (per-DC override or the scenario default).
 		base, plat, err := dc.serverPlatform()
@@ -474,7 +475,7 @@ func (st *Stepper) openEpoch(e0 int) error {
 				continue
 			}
 			dst := nextDC[v]
-			run, bound := &res.DCs[dst], &st.dcs[dst].bound
+			run, dc, bound := &res.DCs[dst], &fleet.DCs[dst], &st.dcs[dst].bound
 			bound.CrossDCMigrations++
 
 			// Memory copy of the live migration: the VM's resident
@@ -483,7 +484,7 @@ func (st *Stepper) openEpoch(e0 int) error {
 			bytes := cfg.Trace.VMs[v].Mem[observed] / 100 * float64(1<<30)
 			mj := units.Energy(float64(cfg.Transitions.MigrationEnergyPerByte) * bytes).MJ()
 			run.ITEnergyMJ += mj
-			facility := mj * run.Spec.PUE
+			facility := mj * dc.PUE
 			run.EnergyMJ += facility
 			res.TotalEnergyMJ += facility
 			res.TransitionMJ += facility
@@ -492,7 +493,7 @@ func (st *Stepper) openEpoch(e0 int) error {
 
 			// Downtime: the VM is unavailable while it moves.
 			bound.Violations += MigrationDowntimeSamples
-			w := float64(MigrationDowntimeSamples) * latencyWeight(run.Spec.LatencyMs)
+			w := float64(MigrationDowntimeSamples) * latencyWeight(dc.LatencyMs)
 			run.LatencyWeightedViol += w
 			res.LatencyWeightedViol += w
 		}

@@ -156,10 +156,10 @@ func TestStepperMatchesRun(t *testing.T) {
 				b := batch.DCs[d]
 				if dcViol != b.Violations || dcMig != b.Migrations || dcCross != b.CrossDCMigrations {
 					t.Errorf("DC %q summed counters (viol %d, mig %d, cross %d) != batch (%d, %d, %d)",
-						b.Spec.Name, dcViol, dcMig, dcCross, b.Violations, b.Migrations, b.CrossDCMigrations)
+						b.Name, dcViol, dcMig, dcCross, b.Violations, b.Migrations, b.CrossDCMigrations)
 				}
 				if math.Abs(dcMJ-b.EnergyMJ) > 1e-9*(1+math.Abs(b.EnergyMJ)) {
-					t.Errorf("DC %q summed energy %v != batch %v", b.Spec.Name, dcMJ, b.EnergyMJ)
+					t.Errorf("DC %q summed energy %v != batch %v", b.Name, dcMJ, b.EnergyMJ)
 				}
 			}
 		})

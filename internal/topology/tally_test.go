@@ -110,7 +110,7 @@ func TestSlotFoldMatchesResult(t *testing.T) {
 				if run.ITEnergyMJ > 0 {
 					ep = SeriesEPScore(mj)
 				}
-				name := run.Spec.Name
+				name := run.Name
 				if !same(run.OperationalGCO2, dcOp) || !same(run.EmbodiedGCO2, dcEmb) {
 					t.Errorf("DC %q carbon %v/%v, fold of the steps %v/%v", name, run.OperationalGCO2, run.EmbodiedGCO2, dcOp, dcEmb)
 				}

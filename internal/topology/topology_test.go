@@ -515,7 +515,7 @@ func TestSingleFleetMatchesPlainSimulation(t *testing.T) {
 
 	// The reference: a plain replay on the same server, folded here in
 	// slot order (energy summed in joules from zero).
-	steps := replayDC(t, cfg, fres.DCs[0].Spec, allVMs(tr), 0, 0)
+	steps := replayDC(t, cfg, fres.Fleet.DCs[0], allVMs(tr), 0, 0)
 	if len(fres.PerSlot) != len(steps) {
 		t.Fatalf("single fleet has %d per-slot charges, plain replay %d steps", len(fres.PerSlot), len(steps))
 	}
@@ -578,13 +578,13 @@ func TestFleetRunConservesVMsAndEnergy(t *testing.T) {
 			t.Fatalf("%s: %v", disp, err)
 		}
 		vms, energy, viol := 0, 0.0, 0
-		for _, dc := range fres.DCs {
+		for i, dc := range fres.DCs {
 			vms += dc.VMs
 			energy += dc.EnergyMJ
 			viol += dc.Violations
-			if dc.VMs > 0 && dc.EnergyMJ != dc.ITEnergyMJ*dc.Spec.PUE {
+			if pue := fres.Fleet.DCs[i].PUE; dc.VMs > 0 && dc.EnergyMJ != dc.ITEnergyMJ*pue {
 				t.Errorf("%s: DC %s facility energy %v != IT %v × PUE %v",
-					disp, dc.Spec.Name, dc.EnergyMJ, dc.ITEnergyMJ, dc.Spec.PUE)
+					disp, dc.Name, dc.EnergyMJ, dc.ITEnergyMJ, pue)
 			}
 		}
 		if vms != 48 {

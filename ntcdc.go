@@ -81,12 +81,6 @@ type (
 	// TraceConfig parameterises the synthetic Google-style generator.
 	TraceConfig = trace.Config
 
-	// TraceSource is a parsed trace-ingestion backend spec: the
-	// synthetic generator (Format "synthetic"), a native CSV file or a
-	// cluster-trace dump. IsFile tells the file backends apart; only
-	// they Load, the generator's traces come from GenerateTrace.
-	TraceSource = trace.Source
-
 	// SweepCache is the incremental result store of the sweep engine;
 	// open one with OpenSweepCache and pass it in SweepOptions.
 	SweepCache = cache.Store
@@ -133,15 +127,12 @@ type (
 	// FleetResult is a completed fleet run with per-DC outcomes.
 	FleetResult = topology.FleetResult
 
-	// SweepDCResult is one datacenter's provenance slice of a fleet
-	// scenario row.
-	SweepDCResult = sweep.DCResult
-
 	// FleetWeekConfig parameterises the fleet-scale consolidation
 	// study (RunFleetWeek).
 	FleetWeekConfig = experiments.FleetWeekConfig
 
-	// FleetWeekRow is one (dispatcher, policy) fleet-week outcome.
+	// FleetWeekRow is one (dispatcher, rebalance, policy) fleet-week
+	// outcome: the dispatcher and the sweep row.
 	FleetWeekRow = experiments.FleetWeekRow
 
 	// SweepCoordinator owns one distributed sweep: it partitions a
@@ -224,10 +215,6 @@ func MinQoSFrequency(p *Platform, c WorkloadClass) (Frequency, error) {
 
 // GenerateTrace synthesises a Google-cluster-style utilisation trace.
 func GenerateTrace(cfg TraceConfig) (*Trace, error) { return trace.Generate(cfg) }
-
-// ParseTraceSource parses a trace-ingestion backend spec ("synthetic",
-// "csv:path", "cluster:path") into its TraceSource.
-func ParseTraceSource(spec string) (TraceSource, error) { return trace.ParseSourceSpec(spec) }
 
 // ParseTopology parses and loads a fleet-topology spec
 // ("[dispatcher@]builtin" or "[dispatcher@]fleet.json", e.g.

@@ -85,24 +85,16 @@ while read -r pkg file; do
         }' "$file"
 done | sort -k1,1 > "$tmp/declared"
 
-# Allowlist: the first field of each non-comment line; a name ending
-# in `.*` allows a whole package.
+# Allowlist: the first field of each non-comment line, one function
+# each.
 grep -v '^[[:space:]]*\(#\|$\)' scripts/unlinked.allow | awk '{print $1}' > "$tmp/allow"
 
 awk -F '\t' -v linked="$tmp/linked" -v allow="$tmp/allow" '
     BEGIN {
         while ((getline s < linked) > 0) have[s] = 1
-        while ((getline s < allow) > 0) {
-            if (s ~ /\.\*$/) pfx[substr(s, 1, length(s) - 1)] = 1
-            else ok[s] = 1
-        }
+        while ((getline s < allow) > 0) ok[s] = 1
     }
-    function allowed(n,   p) {
-        if (n in ok) return 1
-        for (p in pfx) if (index(n, p) == 1 && index(substr(n, length(p) + 1), ".") == 0) return 1
-        return 0
-    }
-    !($1 in have) && !allowed($1) { print; n++; lines += $3 }
+    !($1 in have) && !($1 in ok) { print; n++; lines += $3 }
     END {
         if (n) {
             printf "unlinked.sh: %d function(s), %d line(s) no binary links; delete them, move them beside the tests that use them, or name them in scripts/unlinked.allow\n", n, lines > "/dev/stderr"
@@ -117,7 +109,6 @@ stale=$(awk -v linked="$tmp/linked" -v names="$tmp/names" '
         while ((getline s < linked) > 0) have[s] = 1
         while ((getline s < names) > 0) decl[s] = 1
     }
-    /\.\*$/ { next }
     !($0 in decl) || ($0 in have) { print }' "$tmp/allow")
 if [ -n "$stale" ]; then
     echo "unlinked.sh: stale scripts/unlinked.allow entries (linked, or declared nowhere):" >&2
